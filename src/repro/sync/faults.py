@@ -107,12 +107,6 @@ class FaultyTransport:
         return self._schedule.count
 
     # ------------------------------------------------------------------
-    def _kill_socket(self) -> None:
-        self._stream.close()
-
-    def _emit(self, data: bytes) -> None:
-        self._stream._sock.sendall(data)
-
     def _take_held(self, just_sent: int) -> list[bytes]:
         due = [(i, d) for i, d in self._held if self.plan.hold[i] <= just_sent]
         if not due:
@@ -124,50 +118,29 @@ class FaultyTransport:
             self.reordered += 1
         return released
 
-    def _release_held(self, just_sent: int) -> None:
-        for data in self._take_held(just_sent):
-            self._emit(data)
-
     def send(self, message: dict[str, Any]) -> None:
-        plan = self.plan
-        index = self._schedule.next_index()
-        data = encode(message)
-        if plan.disconnect_at is not None and index >= plan.disconnect_at:
-            self.disconnected += 1
-            self._kill_socket()
-            raise BrokenPipeError(f"fault injection: disconnected at message {index}")
-        if plan.truncate_at is not None and index == plan.truncate_at:
-            self.truncated += 1
-            self._emit(data[: max(1, len(data) // 2)])
-            self._kill_socket()
-            raise BrokenPipeError(f"fault injection: truncated at message {index}")
-        if index in plan.drop or self._schedule.chance(plan.drop_rate):
-            self.dropped += 1
-            self._release_held(index)
-            return
-        if index in plan.delay:
-            self.delayed += 1
-            self._clock(plan.delay[index])
-        if index in plan.hold:
-            self._held.append((index, data))
-            return
-        self._emit(data)
-        if index in plan.duplicate or self._schedule.chance(plan.duplicate_rate):
-            self.duplicated += 1
-            self._emit(data)
-        self._release_held(index)
+        """Blocking driver over :meth:`perturb`: sleep the delay, write
+        the chunks, and on ``kill`` close the socket and raise."""
+        index = self.sent
+        chunks, kill, delay = self.perturb(message)
+        if delay:
+            self._clock(delay)
+        for chunk in chunks:
+            self._stream._sock.sendall(chunk)
+        if kill:
+            self._stream.close()
+            raise BrokenPipeError(f"fault injection: severed at message {index}")
 
     def perturb(self, message: dict[str, Any]) -> tuple[list[bytes], bool, float]:
         """Plan the byte-level effect of sending *message*, without I/O.
 
         Returns ``(chunks, kill, delay)``: the byte chunks to put on the
         wire in order, whether the connection must be severed once they
-        are flushed, and a pre-send delay in seconds.  This consumes the
-        same seeded :class:`~repro.faults.FaultSchedule` (and bumps the
-        same counters) as :meth:`send`, so a given ``(plan, seed)`` pair
-        produces the identical fault schedule whether the transport is
-        driven by the threaded blocking path or by the async event
-        loop's per-client send queues.
+        are flushed, and a pre-send delay in seconds.  This is the single
+        interpreter of a :class:`FaultPlan`: the event loop's per-client
+        send queues consume it directly and the blocking :meth:`send`
+        (handshake path) drives it, so a given ``(plan, seed)`` pair
+        produces the identical fault schedule on either path.
         """
         plan = self.plan
         index = self._schedule.next_index()

@@ -18,37 +18,29 @@ replays what it missed from ``NotificationCenter.changes_since``.  Links
 are dropped permanently only by explicit :meth:`unregister_client` /
 :meth:`close` (or an operator calling :meth:`evict_detached`).
 
-Two delivery engines share that bookkeeping, selected by ``mode``:
-
-- ``"async"`` (the default, overridable via the ``EDIFLOW_SYNC_MODE``
-  environment variable): a single-threaded :mod:`selectors` event loop
-  owns every callback socket in non-blocking mode.  A flush encodes each
-  NOTIFY/NOTIFYB frame **once** and hands the same bytes to every
-  subscriber's bounded per-connection send queue; the notifying thread
-  opportunistically writes inline when the queue is empty (so accounting
-  stays synchronous on healthy links) and the loop finishes partial
-  writes when the kernel pushes back.  A queue that exceeds its frame or
-  byte bound means the client reads slower than the system writes: the
-  connection is **evicted** (counted in :attr:`SyncServer.evictions`) and
-  the client falls back to the ordinary reconnect/replay machinery.
-  PINGs, PONGs and DISCONNECTs ride the same loop -- no reader or
-  heartbeat threads exist in this mode.
-
-- ``"threaded"``: the original thread-per-client engine (one reader
-  thread per endpoint, blocking sends on the notify path), kept
-  selectable for the fan-out ablation benchmark.
+Delivery: a single-threaded :mod:`selectors` event loop owns every
+callback socket in non-blocking mode.  A flush encodes each
+NOTIFY/NOTIFYB frame **once** and hands the same bytes to every
+subscriber's bounded per-connection send queue; the notifying thread
+opportunistically writes inline when the queue is empty (so accounting
+stays synchronous on healthy links) and the loop finishes partial
+writes when the kernel pushes back.  A queue that exceeds its frame or
+byte bound means the client reads slower than the system writes: the
+connection is **evicted** (counted in :attr:`SyncServer.evictions`) and
+the client falls back to the ordinary reconnect/replay machinery.
+PINGs, PONGs and DISCONNECTs ride the same loop -- the server starts no
+thread other than ``ediflow-sync-loop``.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import selectors
 import socket
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from ..core import datamodel
@@ -63,9 +55,6 @@ from .notification import NotificationCenter
 #: Optional wrapper applied to every callback stream the server opens --
 #: the fault-injection hook (see :mod:`repro.sync.faults`).
 TransportFactory = Callable[[protocol.MessageStream], Any]
-
-MODE_ASYNC = "async"
-MODE_THREADED = "threaded"
 
 #: Per-subscriber cost estimate of an inline fan-out write.  Broadcasts
 #: arriving faster than ``links * BURST_COST_PER_LINK_S`` since the
@@ -82,12 +71,6 @@ BURST_COST_PER_LINK_S = 50e-6
 COALESCE_BYTES = protocol.MAX_MESSAGE_BYTES
 
 
-def default_mode() -> str:
-    """The engine used when ``SyncServer(mode=None)``: the
-    ``EDIFLOW_SYNC_MODE`` environment variable, or ``"async"``."""
-    return os.environ.get("EDIFLOW_SYNC_MODE", MODE_ASYNC)
-
-
 @dataclass
 class _Endpoint:
     """One callback connection to a client process (possibly shared by
@@ -95,10 +78,6 @@ class _Endpoint:
 
     host: str
     port: int
-    #: Live transport, or ``None`` while detached.
-    stream: Optional[Any]
-    #: Serializes writes (NOTIFY vs PING race on the same socket).
-    lock: threading.Lock = field(default_factory=threading.Lock)
     #: ``time.monotonic()`` of the last inbound message (PONG).
     last_rx: float = 0.0
     ping_seq: int = 0
@@ -109,7 +88,8 @@ class _Endpoint:
     #: Capabilities the client advertised in its HELLO; a peer without
     #: ``batch`` receives per-event NOTIFYs even for flushed batches.
     caps: frozenset[str] = frozenset()
-    #: Async engine only: the event-loop connection state.
+    #: The event-loop connection state (it owns the live transport), or
+    #: ``None`` while detached.
     conn: Optional["_AsyncConn"] = None
 
 
@@ -135,10 +115,10 @@ class _OutFrame:
     ``data`` is shared across every subscriber of a broadcast (encoded
     once); ``offset`` tracks partial writes.  When the chunk finishes,
     ``link.notify_count += events`` -- attribution rides the *last* chunk
-    of a delivery so multi-frame deliveries stay all-or-nothing, exactly
-    like the threaded engine's accounting.  ``kill_after`` severs the
-    connection once the chunk is flushed (fault-injected truncation);
-    ``not_before`` delays the write (fault-injected latency).
+    of a delivery so multi-frame deliveries stay all-or-nothing.
+    ``kill_after`` severs the connection once the chunk is flushed
+    (fault-injected truncation); ``not_before`` delays the write
+    (fault-injected latency).
     """
 
     __slots__ = ("data", "offset", "link", "events", "kill_after", "not_before")
@@ -215,7 +195,7 @@ class _AsyncConn:
 
 
 class _EventLoop:
-    """The single thread that owns every async callback socket.
+    """The single thread that owns every callback socket.
 
     Readiness-driven: readable sockets feed PONG/DISCONNECT frames back
     to the server, writable sockets drain their bounded send queues.  A
@@ -505,7 +485,7 @@ def _unwrap_transport(transport: Any) -> tuple[Any, Optional[Any], bytes]:
     sock = getattr(stream, "_sock", None)
     if sock is None:
         raise SyncError(
-            "async mode requires MessageStream-based transports; "
+            "the event loop requires MessageStream-based transports; "
             f"got {type(transport).__name__}"
         )
     rbuf = getattr(stream, "_buffer", b"")
@@ -521,18 +501,13 @@ class SyncServer:
     directly.  Benchmarks use real sockets (loopback); most unit tests use
     the in-process mode.
 
-    ``mode`` selects the socket delivery engine (``"async"`` event loop
-    or ``"threaded"``); ``None`` resolves via :func:`default_mode`.  The
-    in-process mode is engine-independent.
+    ``heartbeat_interval=None`` disables the ping tick; dead links are
+    then detected on the next failed NOTIFY send or on a read EOF (the
+    event loop always watches readability).
 
-    ``heartbeat_interval=None`` disables the liveness machinery (no ping
-    tick, no reader threads); dead links are then only detected on the
-    next failed NOTIFY send (async mode still notices read EOFs, since
-    the event loop always watches readability).
-
-    ``max_queue_frames`` / ``max_queue_bytes`` bound each async client's
-    send queue: exceeding either evicts the client (slow-consumer
-    protection; see :attr:`evictions`).
+    ``max_queue_frames`` / ``max_queue_bytes`` bound each client's send
+    queue: exceeding either evicts the client (slow-consumer protection;
+    see :attr:`evictions`).
     """
 
     def __init__(
@@ -543,7 +518,6 @@ class SyncServer:
         heartbeat_interval: Optional[float] = 0.5,
         heartbeat_timeout: Optional[float] = None,
         transport_factory: Optional[TransportFactory] = None,
-        mode: Optional[str] = None,
         max_queue_frames: int = 1024,
         max_queue_bytes: int = 4 << 20,
         drain_timeout: float = 2.0,
@@ -551,9 +525,6 @@ class SyncServer:
         self.database = database
         self.center = center or NotificationCenter(database)
         self.use_sockets = use_sockets
-        self.mode = mode or default_mode()
-        if self.mode not in (MODE_ASYNC, MODE_THREADED):
-            raise SyncError(f"unknown sync server mode {self.mode!r}")
         self.heartbeat_interval = heartbeat_interval
         if heartbeat_timeout is None and heartbeat_interval is not None:
             heartbeat_timeout = heartbeat_interval * 6
@@ -576,12 +547,10 @@ class SyncServer:
         for row in database.table(datamodel.T_CONNECTED_USER).scan():
             if row["table_name"] in tables:
                 self.center.watch(row["table_name"])
-        self.center.add_batch_listener(self._on_notifications)
+        self.center.add_batch_listener(self.broadcast)
         self._closed = False
-        self._stop = threading.Event()
-        self._heartbeat_thread: Optional[threading.Thread] = None
         self._loop: Optional[_EventLoop] = None
-        #: monotonic time of the last async broadcast; back-to-back
+        #: monotonic time of the last socket broadcast; back-to-back
         #: broadcasts (relative to the fan-out's inline-write cost) skip
         #: the inline write so the loop can coalesce queued frames into
         #: few syscalls.
@@ -593,10 +562,6 @@ class SyncServer:
         self.pongs_received = 0
         self.evictions = 0
         self.loop_errors = 0
-
-    @property
-    def _async_sockets(self) -> bool:
-        return self.use_sockets and self.mode == MODE_ASYNC
 
     # ------------------------------------------------------------------
     # Connection plumbing
@@ -632,32 +597,14 @@ class SyncServer:
 
     def _attach(self, endpoint: _Endpoint, transport: Any) -> None:
         """Install a live transport on an endpoint and start servicing it."""
-        endpoint.stream = transport
         endpoint.last_rx = time.monotonic()
         endpoint.detached_at = None
-        if self._async_sockets:
-            sock, faults, rbuf = _unwrap_transport(transport)
-            sock.setblocking(False)
-            conn = _AsyncConn(sock, endpoint, transport, faults, rbuf)
-            endpoint.conn = conn
-            loop = self._ensure_loop()
-            loop.submit(lambda: loop.add_conn(conn))
-            return
-        if self.heartbeat_interval is not None:
-            reader = threading.Thread(
-                target=self._reader_loop, args=(endpoint, transport), daemon=True
-            )
-            reader.start()
-            self._ensure_heartbeat_thread()
-
-    def _ensure_heartbeat_thread(self) -> None:
-        with self._lock:
-            if self._heartbeat_thread is not None or self._closed:
-                return
-            self._heartbeat_thread = threading.Thread(
-                target=self._heartbeat_loop, daemon=True
-            )
-            self._heartbeat_thread.start()
+        sock, faults, rbuf = _unwrap_transport(transport)
+        sock.setblocking(False)
+        conn = _AsyncConn(sock, endpoint, transport, faults, rbuf)
+        endpoint.conn = conn
+        loop = self._ensure_loop()
+        loop.submit(lambda: loop.add_conn(conn))
 
     def _detach_endpoint(
         self, endpoint: _Endpoint, expected: Optional[_AsyncConn] = None
@@ -672,54 +619,38 @@ class SyncServer:
         """
         with self._lock:
             conn = endpoint.conn
-            transport = endpoint.stream
-            if expected is not None and conn is not expected:
+            if conn is None or (expected is not None and conn is not expected):
                 return False
-            if transport is None and conn is None:
-                return False
-            endpoint.stream = None
             endpoint.conn = None
             endpoint.detached_at = time.monotonic()
             self.detaches += 1
         # Rare event: always counted, enabled or not.
         OBS.metrics.counter("sync.server.detaches").inc()
-        if conn is not None:
-            self._abort_conn(conn)
-            loop = self._loop
-            if loop is not None:
-                loop.submit(lambda: loop.drop(conn))
-        if transport is not None:
-            transport.close()
+        self._retire_conn(conn)
         return True
 
-    def _abort_conn(self, conn: _AsyncConn) -> None:
-        """Stop accepting frames and convert queued deliveries to misses."""
+    def _retire_conn(self, conn: _AsyncConn) -> None:
+        """Tear down a connection no endpoint points at any more: stop
+        accepting frames, convert queued deliveries to misses, close."""
         with conn.lock:
-            if conn.closing:
-                return
-            conn.closing = True
-            for frame in conn.outq:
-                if frame.link is not None:
-                    frame.link.missed_count += frame.events
-            conn.outq.clear()
-            conn.queued_bytes = 0
+            self._abort_queue_locked(conn)
+        loop = self._loop
+        if loop is not None:
+            loop.submit(lambda: loop.drop(conn))
+        try:
+            conn.transport.close()
+        except OSError:
+            pass
 
     def _conn_dead(self, conn: _AsyncConn) -> None:
         """A connection's socket failed, EOF'd, or was evicted."""
-        self._abort_conn(conn)
         if not self._detach_endpoint(conn.endpoint, expected=conn):
             # The endpoint moved on (reconnect won the race); just tear
             # down this superseded connection.
-            loop = self._loop
-            if loop is not None:
-                loop.submit(lambda: loop.drop(conn))
-            try:
-                conn.transport.close()
-            except OSError:
-                pass
+            self._retire_conn(conn)
 
     # ------------------------------------------------------------------
-    # Async engine: write pump and frame intake
+    # Write pump and frame intake
     def _pump_locked(self, conn: _AsyncConn) -> str:
         """Write queued frames until the kernel pushes back.
 
@@ -836,7 +767,7 @@ class SyncServer:
         return "ok"
 
     def _abort_queue_locked(self, conn: _AsyncConn) -> None:
-        # Caller holds conn.lock; mirror of _abort_conn for in-lock paths.
+        # Caller holds conn.lock.  Idempotent: a closing queue stays empty.
         conn.closing = True
         for frame in conn.outq:
             if frame.link is not None:
@@ -885,7 +816,7 @@ class SyncServer:
             self._conn_dead(conn)
 
     def _heartbeat_tick(self) -> None:
-        """Async-mode liveness pass, run by the event loop every
+        """Liveness pass, run by the event loop every
         ``heartbeat_interval`` seconds."""
         if self.heartbeat_interval is None:
             return
@@ -931,53 +862,6 @@ class SyncServer:
             ).inc()
 
     # ------------------------------------------------------------------
-    # Liveness (threaded engine): reader threads + heartbeat thread
-    def _reader_loop(self, endpoint: _Endpoint, transport: Any) -> None:
-        while True:
-            try:
-                message = transport.receive(timeout=None)
-            except (OSError, ProtocolError, SyncError):
-                break
-            endpoint.last_rx = time.monotonic()
-            kind = message.get("type")
-            if kind == protocol.PONG:
-                self.pongs_received += 1
-                if OBS.enabled and endpoint.last_ping_at:
-                    OBS.metrics.gauge(
-                        "sync.heartbeat_rtt_ms",
-                        client=f"{endpoint.host}:{endpoint.port}",
-                    ).set((endpoint.last_rx - endpoint.last_ping_at) * 1e3)
-            elif kind == protocol.DISCONNECT:
-                break
-        if not self._closed and endpoint.stream is transport:
-            self._detach_endpoint(endpoint)
-
-    def _heartbeat_loop(self) -> None:
-        assert self.heartbeat_interval is not None
-        while not self._stop.wait(self.heartbeat_interval):
-            now = time.monotonic()
-            with self._lock:
-                endpoints = list(self._endpoints.values())
-            for endpoint in endpoints:
-                transport = endpoint.stream
-                if transport is None:
-                    continue
-                if (
-                    self.heartbeat_timeout is not None
-                    and now - endpoint.last_rx > self.heartbeat_timeout
-                ):
-                    self._detach_endpoint(endpoint)
-                    continue
-                endpoint.ping_seq += 1
-                try:
-                    endpoint.last_ping_at = time.monotonic()
-                    with endpoint.lock:
-                        transport.send(protocol.ping(endpoint.ping_seq))
-                    self.pings_sent += 1
-                except (OSError, ProtocolError):
-                    self._detach_endpoint(endpoint)
-
-    # ------------------------------------------------------------------
     def register_client(
         self,
         table: str,
@@ -1015,7 +899,7 @@ class SyncServer:
                         datamodel.T_CONNECTED_USER, col("id") == cu_id
                     )
                     raise
-                endpoint = _Endpoint(host, port, None, caps=caps)
+                endpoint = _Endpoint(host, port, caps=caps)
                 self._attach(endpoint, transport)
                 with self._lock:
                     self._endpoints[(host, port)] = endpoint
@@ -1042,18 +926,11 @@ class SyncServer:
             raise SyncError(f"no registered client at {host}:{port}")
         transport, caps = self._open_callback(host, port)
         with self._lock:
-            stale = endpoint.stream
-            stale_conn = endpoint.conn
-            endpoint.stream = None
+            stale = endpoint.conn
             endpoint.conn = None
             endpoint.caps = caps
-        if stale_conn is not None:
-            self._abort_conn(stale_conn)
-            loop = self._loop
-            if loop is not None:
-                loop.submit(lambda: loop.drop(stale_conn))
         if stale is not None:
-            stale.close()
+            self._retire_conn(stale)
         self._attach(endpoint, transport)
         self.reattaches += 1
         OBS.metrics.counter("sync.server.reattaches").inc()
@@ -1094,7 +971,7 @@ class SyncServer:
                 link.connected_user_id
                 for link in self._links.values()
                 if link.endpoint is not None
-                and link.endpoint.stream is None
+                and link.endpoint.conn is None
                 and link.endpoint.detached_at is not None
                 and now - link.endpoint.detached_at >= max_age
             ]
@@ -1118,7 +995,7 @@ class SyncServer:
             return sum(
                 1
                 for link in self._links.values()
-                if link.endpoint is not None and link.endpoint.stream is not None
+                if link.endpoint is not None and link.endpoint.conn is not None
             )
 
     def detached_count(self) -> int:
@@ -1127,23 +1004,15 @@ class SyncServer:
             return sum(
                 1
                 for link in self._links.values()
-                if link.endpoint is not None and link.endpoint.stream is None
+                if link.endpoint is not None and link.endpoint.conn is None
             )
 
     def queued_frames(self) -> int:
-        """Frames sitting in async send queues (backpressure snapshot)."""
-        with self._lock:
-            endpoints = list(self._endpoints.values())
-        total = 0
-        for endpoint in endpoints:
-            conn = endpoint.conn
-            if conn is not None:
-                with conn.lock:
-                    total += len(conn.outq)
-        return total
+        """Frames sitting in send queues (backpressure snapshot)."""
+        return self.queue_depths()["depth_frames"]
 
     def queue_depths(self) -> dict[str, Any]:
-        """Send-queue saturation across every live async connection.
+        """Send-queue saturation across every live connection.
 
         Current depths say how far behind clients are *right now*; the
         high watermarks say how close the worst burst came to the
@@ -1194,7 +1063,6 @@ class SyncServer:
         queues = self.queue_depths()
         shards = self.center.shard_stats()
         snapshot: dict[str, Any] = {
-            "mode": self.mode,
             "use_sockets": self.use_sockets,
             "clients": self.client_count(),
             "connected": self.connected_count(),
@@ -1242,90 +1110,24 @@ class SyncServer:
             context.trace_id, context.span_id, registered_ns
         )
 
-    def _on_notification(self, table: str, op: str, seq_no: int) -> None:
-        """Single-event convenience wrapper over :meth:`_on_notifications`."""
-        self._on_notifications(table, [(op, seq_no)])
-
     def broadcast(self, table: str, events: list[tuple[str, int]]) -> None:
-        """Push ``[(op, seq_no), ...]`` to every subscriber of ``table``.
+        """Step 7: push ``[(op, seq_no), ...]`` to every client on ``table``.
 
-        This is the notification plane's entry point -- the center's
-        batch listener lands here after every flush.  Exposed publicly so
-        fan-out benchmarks can drive the plane directly, without paying
-        the storage engine's per-row cost in the measured loop.
-        """
-        self._on_notifications(table, events)
+        This is the notification plane's entry point: the center's batch
+        listener (one call per flush) and fan-out benchmarks, which drive
+        the plane without paying the storage engine's per-row cost.
 
-    def _on_notifications(self, table: str, events: list[tuple[str, int]]) -> None:
-        """Step 7: push the recorded events to every client on ``table``.
-
-        One center flush arrives here as one call.  Batch-capable peers
-        get a single NOTIFYB frame covering all events; legacy peers get
-        one NOTIFY per event -- same information, more messages.  A send
+        Batch-capable peers get a single NOTIFYB frame covering all
+        events; legacy peers get one NOTIFY per event -- same
+        information, more messages.  The frame bytes for each capability
+        variant are built exactly once per call and shared by every
+        subscriber's queue entries; a healthy client on an idle queue
+        gets its bytes written inline on this thread (so accounting stays
+        synchronous), everyone else is drained by the event loop.  A send
         failure detaches the endpoint (keeping the registration) instead
         of unregistering the client; ``notify_count`` counts only
         *successful* deliveries (per event), ``missed_count`` the ones
         the client will replay from ``changes_since`` after reconnecting.
-        """
-        if not events:
-            return
-        with self._lock:
-            links = [link for link in self._links.values() if link.table == table]
-        if self._async_sockets:
-            self._broadcast_async(table, events, links)
-            return
-        failed: list[_Endpoint] = []
-        for link in links:
-            endpoint = link.endpoint
-            if endpoint is None:
-                # In-process mode: delivery happens via the center's own
-                # listener fan-out; count the dispatches.
-                link.notify_count += len(events)
-                continue
-            transport = endpoint.stream
-            if transport is None:
-                link.missed_count += len(events)
-                continue
-            # Trace-capable peers get the notify/flush span context on
-            # the frame itself, so their refresh spans join the
-            # server-side trace across the socket (no shared memory).
-            want_trace = OBS.enabled and protocol.CAP_TRACE in endpoint.caps
-            if protocol.CAP_BATCH in endpoint.caps and len(events) > 1:
-                ctx = self._trace_ctx(table, events[-1][1]) if want_trace else None
-                frames = [protocol.notify_batch(table, events, ctx=ctx)]
-            else:
-                frames = [
-                    protocol.notify(
-                        table,
-                        s,
-                        op,
-                        ctx=self._trace_ctx(table, s) if want_trace else None,
-                    )
-                    for op, s in events
-                ]
-            try:
-                with endpoint.lock:
-                    for frame in frames:
-                        transport.send(frame)
-            except (OSError, ProtocolError):
-                link.missed_count += len(events)
-                if endpoint not in failed:
-                    failed.append(endpoint)
-                continue
-            link.notify_count += len(events)
-        for endpoint in failed:
-            self._detach_endpoint(endpoint)
-
-    def _broadcast_async(
-        self, table: str, events: list[tuple[str, int]], links: list[_ClientLink]
-    ) -> None:
-        """Encode-once fan-out through the per-connection send queues.
-
-        The frame bytes for each capability variant are built exactly
-        once per flush and shared by every subscriber's queue entries; a
-        healthy client on an idle queue gets its bytes written inline on
-        this thread (so accounting stays synchronous), everyone else is
-        drained by the event loop.
 
         Back-to-back broadcasts (arriving faster than the fan-out can be
         written inline) skip the inline write entirely: this thread only
@@ -1334,6 +1136,10 @@ class SyncServer:
         syscalls per client instead of one per notification, and the
         notifying thread never stalls on 1k sockets.
         """
+        if not events:
+            return
+        with self._lock:
+            links = [link for link in self._links.values() if link.table == table]
         cache: dict[
             tuple[bool, bool], tuple[list[dict[str, Any]], list[bytes]]
         ] = {}
@@ -1348,12 +1154,17 @@ class SyncServer:
         for link in links:
             endpoint = link.endpoint
             if endpoint is None:
+                # In-process mode: delivery happens via the center's own
+                # listener fan-out; count the dispatches.
                 link.notify_count += n
                 continue
             conn = endpoint.conn
             if conn is None:
                 link.missed_count += n
                 continue
+            # Trace-capable peers get the notify/flush span context on
+            # the frame itself, so their refresh spans join the
+            # server-side trace across the socket (no shared memory).
             want_trace = OBS.enabled and protocol.CAP_TRACE in endpoint.caps
             use_batch = protocol.CAP_BATCH in endpoint.caps and n > 1
             key = (use_batch, want_trace)
@@ -1413,8 +1224,8 @@ class SyncServer:
                 frames[-1].link = link
                 frames[-1].events = n
             else:
-                # The fault plan dropped or held every chunk: the
-                # threaded engine's send() returns normally here.
+                # The fault plan dropped or held every chunk: the wire
+                # ate it, not us, so it counts as sent.
                 link.notify_count += n
                 continue
             if not frames:
@@ -1446,58 +1257,38 @@ class SyncServer:
 
     def close(self) -> None:
         self._closed = True
-        self._stop.set()
         with self._lock:
             links = list(self._links.values())
             endpoints = list(self._endpoints.values())
             self._links.clear()
             self._endpoints.clear()
-        if self._async_sockets:
-            self._drain_and_stop(endpoints)
-        else:
-            for endpoint in endpoints:
-                transport = endpoint.stream
-                endpoint.stream = None
-                if transport is not None:
-                    try:
-                        with endpoint.lock:
-                            transport.send(protocol.disconnect())
-                    except (OSError, ProtocolError):
-                        pass
-                    transport.close()
+        self._drain_and_stop(endpoints)
         for link in links:
             self.database.delete(
                 datamodel.T_CONNECTED_USER, col("id") == link.connected_user_id
             )
-        self.center.remove_batch_listener(self._on_notifications)
-        if self._heartbeat_thread is not None:
-            self._heartbeat_thread.join(timeout=2.0)
-            self._heartbeat_thread = None
+        self.center.remove_batch_listener(self.broadcast)
 
     def _drain_and_stop(self, endpoints: list[_Endpoint]) -> None:
-        """Graceful async shutdown: say goodbye, flush queues, stop loop."""
+        """Graceful shutdown: say goodbye, flush queues, stop the loop."""
         goodbye = protocol.disconnect()
         goodbye_bytes = protocol.encode(goodbye)
-        live: list[tuple[_AsyncConn, Any]] = []
+        live: list[_AsyncConn] = []
         for endpoint in endpoints:
             conn = endpoint.conn
-            transport = endpoint.stream
             endpoint.conn = None
-            endpoint.stream = None
             if conn is None:
-                if transport is not None:
-                    transport.close()
                 continue
             frames, kill_now = self._frames_for_conn(
                 conn, [goodbye], [goodbye_bytes]
             )
             if not kill_now and frames:
                 self._submit_frames(conn, frames)
-            live.append((conn, transport))
+            live.append(conn)
         deadline = time.monotonic() + self.drain_timeout
         while time.monotonic() < deadline:
             pending = 0
-            for conn, _transport in live:
+            for conn in live:
                 with conn.lock:
                     pending += len(conn.outq)
             if not pending:
@@ -1507,6 +1298,5 @@ class SyncServer:
         if loop is not None:
             loop.stop()
             self._loop = None
-        for conn, transport in live:
-            if transport is not None:
-                transport.close()
+        for conn in live:
+            conn.transport.close()

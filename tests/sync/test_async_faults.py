@@ -1,7 +1,7 @@
 """Fault injection through the async event loop.
 
-The same :class:`FaultPlan` schedules that drive the threaded engine's
-blocking sends are applied byte-level to the async engine's per-client
+The same :class:`FaultPlan` schedules that drive the handshake's
+blocking sends are applied byte-level to the event loop's per-client
 queues (``FaultyTransport.perturb``): truncated frames flush their
 partial bytes before the kill, delays ride the queue without blocking
 the notifying thread, and every failure converges back to byte-identical
@@ -19,7 +19,6 @@ from repro.sync import (
     SyncClient,
     SyncServer,
 )
-from repro.sync.server import MODE_ASYNC
 
 
 def wait_until(predicate, timeout=5.0):
@@ -53,7 +52,7 @@ def make_db():
 
 
 def faulted_stack(plans, heartbeat=0.05, **server_kwargs):
-    """Async-mode socket stack whose Nth callback connection runs
+    """Socket stack whose Nth callback connection runs
     plans[N]; later connections (after a reconnect) run clean."""
     db = make_db()
     center = NotificationCenter(db)
@@ -72,7 +71,6 @@ def faulted_stack(plans, heartbeat=0.05, **server_kwargs):
         use_sockets=True,
         heartbeat_interval=heartbeat,
         transport_factory=factory,
-        mode=MODE_ASYNC,
         **server_kwargs,
     )
     client = SyncClient(

@@ -1,13 +1,13 @@
-"""The async (event-loop) server engine: mode selection, encode-once
-fan-out accounting, bounded send queues with slow-client eviction, and
-graceful drain on shutdown.
+"""The event-loop server engine: encode-once fan-out accounting,
+bounded send queues with slow-client eviction, and graceful drain on
+shutdown.
 
 The protocol-level behavior (reconnect, replay, batching, traces) is
-covered by the pre-existing suite, which runs against whatever engine
-``EDIFLOW_SYNC_MODE`` selects; this file pins the contracts that only
-exist in async mode."""
+covered by the rest of the suite; this file pins the contracts of the
+delivery engine itself."""
 
 import socket
+import threading
 import time
 
 import pytest
@@ -16,8 +16,7 @@ from repro.db import Column, Database
 from repro.db.types import FLOAT, INTEGER
 from repro.errors import SyncError
 from repro.retry import RetryPolicy
-from repro.sync import NotificationCenter, SyncClient, SyncServer
-from repro.sync.server import MODE_ASYNC, MODE_THREADED, default_mode
+from repro.sync import NotificationCenter, SyncClient, SyncServer, protocol
 
 
 def wait_until(predicate, timeout=5.0):
@@ -81,62 +80,50 @@ class _StubSock:
         return getattr(self._real, name)
 
 
-class TestModeSelection:
-    def test_default_mode_is_async(self, monkeypatch):
-        monkeypatch.delenv("EDIFLOW_SYNC_MODE", raising=False)
-        assert default_mode() == MODE_ASYNC
-        db = make_db()
-        server = SyncServer(db, NotificationCenter(db), use_sockets=False)
-        assert server.mode == MODE_ASYNC
-        server.close()
+def attach_raw_peers(server, n, caps):
+    """Register ``n`` hand-rolled callback peers (no SyncClient) that all
+    advertise ``caps``; returns their connected sockets."""
+    listeners = []
+    for _ in range(n):
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        listener.settimeout(5.0)
+        listeners.append(listener)
 
-    def test_env_var_selects_threaded(self, monkeypatch):
-        monkeypatch.setenv("EDIFLOW_SYNC_MODE", "threaded")
-        db = make_db()
-        server = SyncServer(db, NotificationCenter(db), use_sockets=False)
-        assert server.mode == MODE_THREADED
-        server.close()
+    def register_all():
+        for listener in listeners:
+            server.register_client("pts", "127.0.0.1", listener.getsockname()[1])
 
-    def test_explicit_mode_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("EDIFLOW_SYNC_MODE", "threaded")
-        db = make_db()
-        server = SyncServer(
-            db, NotificationCenter(db), use_sockets=False, mode=MODE_ASYNC
-        )
-        assert server.mode == MODE_ASYNC
-        server.close()
-
-    def test_unknown_mode_rejected(self):
-        db = make_db()
-        with pytest.raises(SyncError):
-            SyncServer(db, NotificationCenter(db), use_sockets=False, mode="fibers")
-
-    def test_threaded_mode_still_serves_sockets(self):
-        db, _center, server, client = make_stack(
-            mode=MODE_THREADED, heartbeat_interval=0.05
-        )
-        try:
-            client.mirror("pts")
-            db.insert("pts", {"id": 1, "x": 1.0})
-            assert client.wait_dirty("pts", timeout=5.0)
-            client.refresh("pts")
-            assert contents(client) == [(1, 1.0)]
-        finally:
-            client.close()
-            server.close()
+    # register_client blocks on the peer's HELLO, so it runs beside the
+    # accept loop.
+    registrar = threading.Thread(target=register_all, daemon=True)
+    registrar.start()
+    socks = []
+    for listener in listeners:
+        sock, _ = listener.accept()
+        sock.sendall(protocol.encode(protocol.hello(caps)))
+        socks.append(sock)
+        listener.close()
+    registrar.join(timeout=10.0)
+    assert server.connected_count() == n
+    return socks
 
 
 class TestAsyncEngine:
     def test_no_liveness_threads_even_with_heartbeats_on(self):
-        """Async heartbeats ride the event loop: no per-client reader
-        threads, no dedicated heartbeat thread."""
-        db, _center, server, client = make_stack(
-            mode=MODE_ASYNC, heartbeat_interval=0.05
-        )
+        """Heartbeats ride the event loop: no per-client reader threads,
+        no dedicated heartbeat thread."""
+        before = set(threading.enumerate())
+        db, _center, server, client = make_stack(heartbeat_interval=0.05)
         try:
             client.mirror("pts")
-            assert server._heartbeat_thread is None
-            assert server._loop is not None
+            started_by_server = [
+                t.name
+                for t in threading.enumerate()
+                if t not in before and t not in (client._reader, client._monitor)
+            ]
+            assert started_by_server == ["ediflow-sync-loop"]
             # Liveness still works: pings flow and PONGs come back.
             assert wait_until(
                 lambda: server.pings_sent >= 2 and server.pongs_received >= 2
@@ -147,7 +134,7 @@ class TestAsyncEngine:
             server.close()
 
     def test_notify_accounting_is_synchronous_on_healthy_links(self):
-        db, _center, server, client = make_stack(mode=MODE_ASYNC)
+        db, _center, server, client = make_stack()
         try:
             client.mirror("pts")
             link = next(iter(server._links.values()))
@@ -160,10 +147,58 @@ class TestAsyncEngine:
             client.close()
             server.close()
 
-    def test_slow_client_is_evicted_at_queue_bound(self):
-        db, _center, server, client = make_stack(
-            mode=MODE_ASYNC, max_queue_frames=16
+    @pytest.mark.parametrize(
+        "caps, per_event", [([protocol.CAP_BATCH], False), ([], True)]
+    )
+    def test_broadcast_encodes_per_variant_not_per_client(
+        self, monkeypatch, caps, per_event
+    ):
+        """Encode-once is a count: one ``protocol.encode`` per frame of
+        the capability variant, however many subscribers share it."""
+        db = make_db()
+        server = SyncServer(
+            db, NotificationCenter(db), use_sockets=True, heartbeat_interval=None
         )
+        clients = 8
+        socks = attach_raw_peers(server, clients, caps)
+        encoded = []
+        real_encode = protocol.encode
+
+        def counting_encode(message):
+            encoded.append(message["type"])
+            return real_encode(message)
+
+        monkeypatch.setattr(protocol, "encode", counting_encode)
+        events = [("insert", 1), ("insert", 2), ("insert", 3)]
+        try:
+            server.broadcast("pts", events)
+            assert len(encoded) == (len(events) if per_event else 1)
+            assert wait_until(
+                lambda: sum(link.notify_count for link in server._links.values())
+                == clients * len(events)
+            )
+        finally:
+            server.close()
+            for sock in socks:
+                sock.close()
+
+    def test_in_process_links_count_dispatches_per_event(self):
+        """``use_sockets=False`` links have no endpoint: the center's
+        listener and ``broadcast()`` both credit ``len(events)``."""
+        db = make_db()
+        server = SyncServer(db, NotificationCenter(db), use_sockets=False)
+        try:
+            link = server._links[server.register_client("pts", "127.0.0.1", 1)]
+            db.insert("pts", {"id": 1, "x": 1.0})
+            assert link.notify_count == 1
+            server.broadcast("pts", [("insert", 2), ("insert", 3), ("insert", 4)])
+            assert link.notify_count == 4
+            assert link.missed_count == 0
+        finally:
+            server.close()
+
+    def test_slow_client_is_evicted_at_queue_bound(self):
+        db, _center, server, client = make_stack(max_queue_frames=16)
         try:
             client.mirror("pts")
             endpoint = server._endpoints[(client.host, client.port)]
@@ -203,7 +238,7 @@ class TestAsyncEngine:
             server.close()
 
     def test_close_drains_queued_frames_before_shutdown(self):
-        db, _center, server, client = make_stack(mode=MODE_ASYNC)
+        db, _center, server, client = make_stack()
         received = []
         client.on_notify(lambda table, op, seq: received.append(seq))
         try:
@@ -221,9 +256,7 @@ class TestAsyncEngine:
         """The event loop notices a read EOF even with heartbeats off."""
         db = make_db()
         center = NotificationCenter(db)
-        server = SyncServer(
-            db, center, use_sockets=True, heartbeat_interval=None, mode=MODE_ASYNC
-        )
+        server = SyncServer(db, center, use_sockets=True, heartbeat_interval=None)
         # No auto-reconnect: the only detach path is the loop's read EOF.
         client = SyncClient(server, auto_reconnect=False)
         try:
@@ -239,7 +272,7 @@ class TestAsyncEngine:
             server.close()
 
     def test_shared_endpoint_two_tables_one_connection(self):
-        db, _center, server, client = make_stack(mode=MODE_ASYNC)
+        db, _center, server, client = make_stack()
         db.create_table(
             "aux",
             [Column("id", INTEGER, nullable=False), Column("x", FLOAT)],
@@ -263,7 +296,7 @@ class TestAsyncEngine:
 
 class TestAcceptFailureAccounting:
     def test_shutdown_accept_stays_silent(self):
-        db, _center, server, client = make_stack(mode=MODE_ASYNC)
+        db, _center, server, client = make_stack()
         try:
             client.mirror("pts")
             assert client.accept_failures == 0
@@ -295,14 +328,16 @@ class TestHealth:
     """SyncServer.health(): one saturation snapshot, published as gauges."""
 
     def test_async_snapshot_reports_loop_and_queues(self):
-        db, _center, server, client = make_stack(mode=MODE_ASYNC)
+        db, _center, server, client = make_stack()
         try:
             client.mirror("pts")
             for i in range(20):
                 db.insert("pts", {"id": i, "x": float(i)})
             client.wait_dirty("pts", timeout=5.0)
+            # Healthy links are written inline by this thread, so the loop
+            # may still be inside its first iteration (attaching the conn).
+            assert wait_until(lambda: server._loop.iterations > 0)
             health = server.health()
-            assert health["mode"] == MODE_ASYNC
             assert health["connected"] == 1
             loop = health["loop"]
             assert loop is not None and loop["iterations"] > 0
@@ -320,18 +355,6 @@ class TestHealth:
             client.close()
             server.close()
 
-    def test_threaded_snapshot_has_no_loop(self):
-        db, _center, server, client = make_stack(mode=MODE_THREADED)
-        try:
-            client.mirror("pts")
-            health = server.health()
-            assert health["mode"] == MODE_THREADED
-            assert health["loop"] is None
-            assert health["queues"]["connections"] == 0  # no async conns
-        finally:
-            client.close()
-            server.close()
-
     def test_health_gauges_land_in_sys_metrics(self):
         """The acceptance path: health() -> sync.health.* gauges -> a
         running TelemetrySink persists them into sys_metrics."""
@@ -342,7 +365,7 @@ class TestHealth:
         obs.reset()
         obs.enable()
         sink = None
-        db, _center, server, client = make_stack(mode=MODE_ASYNC)
+        db, _center, server, client = make_stack()
         try:
             client.mirror("pts")
             for i in range(10):

@@ -340,7 +340,7 @@ class TestBatchedNotifyEndToEnd:
             db.insert("pts", {"id": i + 1, "x": i})
         # Kill the transport while the batch is still buffered server-side.
         endpoint = server._endpoints[(client.host, client.port)]
-        endpoint.stream.close()
+        endpoint.conn.transport.close()
         server.center.flush("pts")  # delivery fails -> missed_count grows
         assert wait_until(lambda: client.status == "connected" and client.reconnects >= 1)
         assert wait_until(lambda: client.wait_dirty("pts", timeout=0.1) or True)
@@ -358,7 +358,7 @@ class TestBatchedNotifyEndToEnd:
         endpoint = server._endpoints[(client.host, client.port)]
         # Stop the client from auto-reconnecting so the link stays down.
         client.auto_reconnect = False
-        endpoint.stream.close()
+        endpoint.conn.transport.close()
         for i in range(5):
             db.insert("pts", {"id": i + 1, "x": i})
         server.center.flush("pts")

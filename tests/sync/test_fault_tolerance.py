@@ -199,7 +199,7 @@ class TestPollingFallback:
             client.mirror("pts")
             # Make reconnection impossible, then sever the live stream.
             client._listener.close()
-            server._endpoints[(client.host, client.port)].stream.close()
+            server._endpoints[(client.host, client.port)].conn.transport.close()
             assert client.wait_status(client_mod.DEGRADED, timeout=10.0)
             assert client.connection_lost
             assert client.status == client_mod.DEGRADED
@@ -225,7 +225,7 @@ class TestPollingFallback:
         )
         client.mirror("pts")
         client._listener.close()
-        server._endpoints[(client.host, client.port)].stream.close()
+        server._endpoints[(client.host, client.port)].conn.transport.close()
         assert client.wait_status(client_mod.DEGRADED, timeout=10.0)
         client.close()
         assert client.status == client_mod.CLOSED
@@ -256,6 +256,7 @@ class TestHeartbeats:
             server.close()
 
     def test_heartbeats_disabled_means_no_liveness_threads(self):
+        before = set(threading.enumerate())
         db = make_db()
         server = SyncServer(
             db, NotificationCenter(db), use_sockets=True, heartbeat_interval=None
@@ -265,7 +266,12 @@ class TestHeartbeats:
             client.mirror("pts")
             assert client.heartbeat_timeout is None
             assert client._monitor is None
-            assert server._heartbeat_thread is None
+            started_by_server = [
+                t.name
+                for t in threading.enumerate()
+                if t not in before and t is not client._reader
+            ]
+            assert started_by_server == ["ediflow-sync-loop"]
             db.insert("pts", {"id": 1, "x": 1.0})
             assert client.wait_dirty("pts", timeout=5.0)
         finally:
@@ -309,7 +315,7 @@ class TestServerBookkeepingUnderFaults:
             assert link.missed_count == 0
             # Sever the transport behind the server's back: the next
             # notify fails to send and must count as missed, not notified.
-            link.endpoint.stream.close()
+            link.endpoint.conn.transport.close()
             db.insert("pts", {"id": 1, "x": 1.0})
             db.insert("pts", {"id": 2, "x": 2.0})
             assert link.notify_count == 1
@@ -328,7 +334,7 @@ class TestServerBookkeepingUnderFaults:
         try:
             client.mirror("pts")
             link = next(iter(server._links.values()))
-            link.endpoint.stream.close()
+            link.endpoint.conn.transport.close()
             db.insert("pts", {"id": 0, "x": 0.0})  # detaches on failed send
             assert server.detached_count() == 1
             assert server.evict_detached(max_age=3600.0) == 0  # too young

@@ -31,70 +31,145 @@ def stream_pair():
     return protocol.MessageStream(out_sock), protocol.MessageStream(in_sock)
 
 
+def via_perturb(faulty, message):
+    """What the event loop does with a plan: take the chunks ``perturb``
+    returns and write them itself (delays are the caller's to honour)."""
+    chunks, kill, delay = faulty.perturb(message)
+    if delay:
+        faulty._clock(delay)
+    for chunk in chunks:
+        faulty._stream._sock.sendall(chunk)
+    if kill:
+        faulty.close()
+        raise BrokenPipeError("severed by plan")
+
+
+@pytest.fixture(params=[FaultyTransport.send, via_perturb])
+def drive(request):
+    return request.param
+
+
+#: One plan per fault kind, plus the message that is both delayed and
+#: held (it is buffered, so no delay is slept for it on either path).
+PLANS = {
+    "drop": FaultPlan(drop=frozenset({1})),
+    "duplicate": FaultPlan(duplicate=frozenset({0})),
+    "hold": FaultPlan(hold={0: 1}),
+    "disconnect": FaultPlan(disconnect_at=1),
+    "truncate": FaultPlan(truncate_at=2),
+    "rates": FaultPlan(drop_rate=0.5, duplicate_rate=0.3),
+    "delay": FaultPlan(delay={1: 0.25}),
+    "delayed_and_held": FaultPlan(delay={0: 0.25}, hold={0: 2}),
+}
+
+
+def run_plan(plan, drive, messages=12, seed=42):
+    """Drive ``messages`` NOTIFYs through a fresh transport; returns
+    ``(bytes on the wire, counters, delays slept)``."""
+    sender, receiver = stream_pair()
+    slept = []
+    faulty = FaultyTransport(sender, plan, seed=seed, clock=slept.append)
+    try:
+        for seq in range(messages):
+            drive(faulty, protocol.notify("t", seq, "insert"))
+    except OSError:
+        pass
+    sender.close()
+    wire = b""
+    while chunk := receiver._sock.recv(65536):
+        wire += chunk
+    receiver.close()
+    counters = {
+        name: getattr(faulty, name)
+        for name in (
+            "sent",
+            "dropped",
+            "duplicated",
+            "delayed",
+            "reordered",
+            "truncated",
+            "disconnected",
+        )
+    }
+    return wire, counters, slept
+
+
 class TestFaultyTransportUnit:
-    def test_drop_at_index(self):
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_send_and_perturb_are_one_schedule(self, name):
+        plan = PLANS[name]
+        assert run_plan(plan, FaultyTransport.send) == run_plan(plan, via_perturb)
+
+    def test_delayed_and_held_message_is_buffered_not_slept(self, drive):
+        wire, counters, slept = run_plan(PLANS["delayed_and_held"], drive, messages=3)
+        got = [protocol.decode(line)["seq_no"] for line in wire.splitlines()]
+        assert got == [1, 2, 0]
+        assert counters["delayed"] == 1 and counters["reordered"] == 1
+        assert slept == []
+
+    def test_drop_at_index(self, drive):
         sender, receiver = stream_pair()
         faulty = FaultyTransport(sender, FaultPlan(drop=frozenset({1})))
         for seq in range(3):
-            faulty.send(protocol.notify("t", seq, "insert"))
+            drive(faulty, protocol.notify("t", seq, "insert"))
         got = [receiver.receive(timeout=2)["seq_no"] for _ in range(2)]
         assert got == [0, 2]
         assert faulty.dropped == 1
         sender.close()
         receiver.close()
 
-    def test_duplicate_at_index(self):
+    def test_duplicate_at_index(self, drive):
         sender, receiver = stream_pair()
         faulty = FaultyTransport(sender, FaultPlan(duplicate=frozenset({0})))
-        faulty.send(protocol.notify("t", 7, "insert"))
+        drive(faulty, protocol.notify("t", 7, "insert"))
         assert receiver.receive(timeout=2)["seq_no"] == 7
         assert receiver.receive(timeout=2)["seq_no"] == 7
         assert faulty.duplicated == 1
         sender.close()
         receiver.close()
 
-    def test_hold_reorders_deterministically(self):
+    def test_hold_reorders_deterministically(self, drive):
         sender, receiver = stream_pair()
         # Message 0 is held until message 1 has been sent: arrival order 1, 0.
         faulty = FaultyTransport(sender, FaultPlan(hold={0: 1}))
-        faulty.send(protocol.notify("t", 0, "insert"))
-        faulty.send(protocol.notify("t", 1, "insert"))
+        drive(faulty, protocol.notify("t", 0, "insert"))
+        drive(faulty, protocol.notify("t", 1, "insert"))
         got = [receiver.receive(timeout=2)["seq_no"] for _ in range(2)]
         assert got == [1, 0]
         assert faulty.reordered == 1
         sender.close()
         receiver.close()
 
-    def test_disconnect_at_kills_socket(self):
+    def test_disconnect_at_kills_socket(self, drive):
         sender, receiver = stream_pair()
         faulty = FaultyTransport(sender, FaultPlan(disconnect_at=1))
-        faulty.send(protocol.notify("t", 0, "insert"))
+        drive(faulty, protocol.notify("t", 0, "insert"))
         with pytest.raises(OSError):
-            faulty.send(protocol.notify("t", 1, "insert"))
+            drive(faulty, protocol.notify("t", 1, "insert"))
         assert receiver.receive(timeout=2)["seq_no"] == 0
         with pytest.raises(ProtocolError, match="closed"):
             receiver.receive(timeout=2)
         receiver.close()
 
-    def test_truncate_leaves_partial_line_then_eof(self):
+    def test_truncate_leaves_partial_line_then_eof(self, drive):
         sender, receiver = stream_pair()
         faulty = FaultyTransport(sender, FaultPlan(truncate_at=0))
         with pytest.raises(OSError):
-            faulty.send(protocol.notify("t", 0, "insert"))
+            drive(faulty, protocol.notify("t", 0, "insert"))
         # The peer sees a half message and then EOF -- a loud protocol
         # error, never a silently-parsed partial frame.
         with pytest.raises(ProtocolError):
             receiver.receive(timeout=2)
         receiver.close()
 
-    def test_probabilistic_drops_are_seeded(self):
+    def test_probabilistic_drops_are_seeded(self, drive):
         def run(seed):
             sender, receiver = stream_pair()
             faulty = FaultyTransport(
                 sender, FaultPlan(drop_rate=0.5), seed=seed
             )
             for seq in range(20):
-                faulty.send(protocol.notify("t", seq, "insert"))
+                drive(faulty, protocol.notify("t", seq, "insert"))
             received = []
             try:
                 while len(received) < 20 - faulty.dropped:
