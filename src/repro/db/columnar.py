@@ -76,6 +76,23 @@ def value_tag(value: Any) -> int:
     return K_OTHER
 
 
+_EXACT_TAGS = {type(None): K_NULL, bool: K_BOOL, int: K_INT, float: K_FLOAT, str: K_STR}
+
+
+def column_tag(values: list[Any]) -> int:
+    """The type tags of a whole column slice: :func:`value_tag` folded
+    over ``values``, computed from its distinct types in one C-level pass
+    (the bulk paths tag thousands of values per statement)."""
+    tag = 0
+    for kind in set(map(type, values)):
+        known = _EXACT_TAGS.get(kind)
+        if known is None:
+            # A subclass or an opaque payload: let one instance decide.
+            known = value_tag(next(v for v in values if type(v) is kind))
+        tag |= known
+    return tag
+
+
 class ColumnStore:
     """Chunked column-major mirror of one table's row storage.
 
@@ -240,10 +257,7 @@ class ColumnStore:
                     else list(values[start:stop])
                 )
                 chunk[name].extend(part)
-                tag = 0
-                for value in part:
-                    tag |= value_tag(value)
-                types[name] |= tag
+                types[name] |= column_tag(part)
             pos = self._pos
             for i, tid in enumerate(tid_col[start:stop]):
                 pos[tid] = (ci, base + i)
@@ -272,10 +286,7 @@ class ColumnStore:
             for name in names:
                 values = [row[name] for row in part]
                 chunk[name] = values
-                tag = 0
-                for value in values:
-                    tag |= value_tag(value)
-                types[name] |= tag
+                types[name] |= column_tag(values)
             pos = self._pos
             for i, row in enumerate(part):
                 pos[row[TID]] = (ci, i)

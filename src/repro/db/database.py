@@ -27,7 +27,7 @@ from .algebra import (
 from .expression import Expression
 from .plancache import LRUCache, plan_cachable
 from .routing import matching_tids
-from .schema import HIDDEN_FIELDS, TID, Column, ForeignKey, TableSchema
+from .schema import HIDDEN_FIELDS, Column, ForeignKey, TableSchema
 from .sql.ast import (
     CreateTableStmt,
     DeleteStmt,
@@ -251,15 +251,16 @@ class Database:
         with self._lock:
             return self._clock
 
-    def tick(self) -> int:
-        """Advance and return the logical clock.
+    def tick(self, n: int = 1) -> int:
+        """Advance the logical clock ``n`` ticks and return the last.
 
-        Every row mutation calls this, so creation/update timestamps are
+        Every row mutation takes one tick (a multi-row statement reserves
+        its ``n`` here in one step), so creation/update timestamps are
         unique and totally ordered -- the property time-based isolation
         (Section VI-A) depends on.
         """
         with self._lock:
-            self._clock += 1
+            self._clock += n
             return self._clock
 
     def restore_clock(self, value: int) -> None:
@@ -471,16 +472,9 @@ class Database:
         self, table_name: str, rows: Iterable[Mapping[str, Any]]
     ) -> list[dict[str, Any]]:
         with self._lock:
-            table = self.table(table_name)
-            inserted: list[dict[str, Any]] = []
-            try:
-                for values in rows:
-                    inserted.append(table.insert(values))
-            except Exception:
-                # Statement atomicity: undo the partial batch.
-                for row in reversed(inserted):
-                    table.delete_row(row[TID])
-                raise
+            # Statement atomicity is the table's: it validates the whole
+            # batch before touching anything (see Table.insert_many).
+            inserted = self.table(table_name).insert_many(rows)
             if self._current_transaction is not None:
                 for row in inserted:
                     self._current_transaction.record_insert(table_name, row)
@@ -553,15 +547,16 @@ class Database:
     def _delete_impl(self, table_name: str, where: Expression | None = None) -> int:
         with self._lock:
             table = self.table(table_name)
-            matching = matching_tids(table, where)
-            deleted: list[dict[str, Any]] = []
-            for tid in matching:
-                row = table.delete_row(tid)
-                deleted.append(row)
-                if self._current_transaction is not None:
-                    self._current_transaction.record_delete(table_name, row)
-            self._dispatch(ChangeSet(table_name, deleted=deleted))
-            return len(deleted)
+            return self._delete_rows(table, matching_tids(table, where))
+
+    def _delete_rows(self, table: Table, tids: Iterable[int]) -> int:
+        """One DELETE statement over ``tids`` (distinct, all present)."""
+        deleted = table.delete_many(tids)
+        if self._current_transaction is not None:
+            for row in deleted:
+                self._current_transaction.record_delete(table.name, row)
+        self._dispatch(ChangeSet(table.name, deleted=deleted))
+        return len(deleted)
 
     def delete_by_tids(self, table_name: str, tids: Iterable[int]) -> int:
         """Delete specific rows by tid (used by deferred physical deletes)."""
@@ -575,15 +570,9 @@ class Database:
     def _delete_by_tids_impl(self, table_name: str, tids: Iterable[int]) -> int:
         with self._lock:
             table = self.table(table_name)
-            deleted: list[dict[str, Any]] = []
-            for tid in tids:
-                if tid in table:
-                    row = table.delete_row(tid)
-                    deleted.append(row)
-                    if self._current_transaction is not None:
-                        self._current_transaction.record_delete(table_name, row)
-            self._dispatch(ChangeSet(table_name, deleted=deleted))
-            return len(deleted)
+            # Absent and repeated tids are skipped, as a loop would.
+            present = [tid for tid in dict.fromkeys(tids) if tid in table]
+            return self._delete_rows(table, present)
 
     # ------------------------------------------------------------------
     # SQL interface

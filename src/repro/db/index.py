@@ -11,12 +11,17 @@ Two kinds are provided:
 Indexes map key values to sets of tuple identifiers (tids); the owning
 table resolves tids to rows.  NULL keys are indexed under a sentinel so
 uniqueness checks can skip them (SQL semantics: NULLs never collide).
+
+Both kinds expose the same maintenance surface -- ``add``/``remove`` for
+one row and ``add_many``/``remove_many`` for one statement's rows, plus
+``first_violation`` (the set-at-a-time uniqueness check) -- and a
+``columns`` tuple, so the table never asks which kind it holds.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Any, Hashable, Iterable, Iterator
+from typing import Any, Hashable, Iterable, Iterator, Sequence
 
 from ..errors import ConstraintViolation
 
@@ -42,12 +47,26 @@ class HashIndex:
             return _key_of(row[self.columns[0]])
         return tuple(_key_of(row[c]) for c in self.columns)
 
+    def _keys(self, rows: Sequence[dict[str, Any]]) -> list[Hashable]:
+        if len(self.columns) == 1:
+            column = self.columns[0]
+            keys = [row[column] for row in rows]
+            return [_key_of(key) for key in keys] if None in keys else keys
+        columns = self.columns
+        return [tuple([_key_of(row[c]) for c in columns]) for row in rows]
+
     def _is_null_key(self, key: Hashable) -> bool:
         if key is _NULL:
             return True
         if isinstance(key, tuple):
             return any(part is _NULL for part in key)
         return False
+
+    def _violation(self, key: Hashable) -> ConstraintViolation:
+        cols = ",".join(self.columns)
+        return ConstraintViolation(
+            f"unique constraint on {self.table_name}({cols}) violated by key {key!r}"
+        )
 
     # ------------------------------------------------------------------
     def add(self, tid: int, row: dict[str, Any]) -> None:
@@ -60,10 +79,7 @@ class HashIndex:
             self._buckets[key] = {tid}
             return
         if self.unique and bucket and not self._is_null_key(key):
-            cols = ",".join(self.columns)
-            raise ConstraintViolation(
-                f"unique constraint on {self.table_name}({cols}) violated by key {key!r}"
-            )
+            raise self._violation(key)
         bucket.add(tid)
 
     def remove(self, tid: int, row: dict[str, Any]) -> None:
@@ -82,10 +98,52 @@ class HashIndex:
         if self._is_null_key(key):
             return
         if self._buckets.get(key):
-            cols = ",".join(self.columns)
-            raise ConstraintViolation(
-                f"unique constraint on {self.table_name}({cols}) violated by key {key!r}"
-            )
+            raise self._violation(key)
+
+    # ------------------------------------------------------------------
+    # One statement's rows at a time
+    def first_violation(
+        self, rows: Sequence[dict[str, Any]]
+    ) -> tuple[int, ConstraintViolation] | None:
+        """Where adding ``rows`` in order would first violate uniqueness.
+
+        Returns ``(position, error)`` for the first row that collides
+        with the index *or with a row before it in the batch*, or None.
+        Nothing is added.  Only meaningful on a unique index.
+        """
+        keys = self._keys(rows)
+        buckets = self._buckets
+        # The whole statement at once: no key is indexed, none repeats.
+        if buckets.keys().isdisjoint(keys) and len(set(keys)) == len(keys):
+            return None
+        seen: set[Hashable] = set()
+        for position, key in enumerate(keys):
+            if self._is_null_key(key):
+                continue
+            if key in seen or buckets.get(key):
+                return position, self._violation(key)
+            seen.add(key)
+        return None
+
+    def add_many(self, tids: Iterable[int], rows: Sequence[dict[str, Any]]) -> None:
+        """Index a statement's rows; uniqueness was settled by
+        :meth:`first_violation` (or by the log being replayed)."""
+        buckets = self._buckets
+        for key, tid in zip(self._keys(rows), tids):
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = {tid}
+            else:
+                bucket.add(tid)
+
+    def remove_many(self, tids: Iterable[int], rows: Sequence[dict[str, Any]]) -> None:
+        buckets = self._buckets
+        for key, tid in zip(self._keys(rows), tids):
+            bucket = buckets.get(key)
+            if bucket is not None:
+                bucket.discard(tid)
+                if not bucket:
+                    del buckets[key]
 
     # ------------------------------------------------------------------
     def lookup(self, value: Any) -> frozenset[int]:
@@ -119,9 +177,12 @@ class SortedIndex:
     indexed (range predicates never match NULL).
     """
 
+    unique = False
+
     def __init__(self, table_name: str, column: str) -> None:
         self.table_name = table_name
         self.column = column
+        self.columns = (column,)
         self._entries: list[tuple[Any, int]] = []
 
     def add(self, tid: int, row: dict[str, Any]) -> None:
@@ -142,14 +203,54 @@ class SortedIndex:
         """Sorted indexes are never unique; nothing to check."""
 
     # ------------------------------------------------------------------
-    def range(
-        self,
-        low: Any = None,
-        high: Any = None,
-        include_low: bool = True,
-        include_high: bool = True,
-    ) -> Iterator[int]:
-        """Yield tids with ``low <= key <= high`` (bounds optional)."""
+    # One statement's rows at a time
+    def _sorted_entries(
+        self, tids: Iterable[int], rows: Sequence[dict[str, Any]]
+    ) -> list[tuple[Any, int]]:
+        column = self.column
+        keys = [row[column] for row in rows]
+        batch = list(zip(keys, tids))
+        if None in keys:
+            batch = [entry for entry in batch if entry[0] is not None]
+        batch.sort()  # one pass when the keys arrive in order
+        return batch
+
+    def add_many(self, tids: Iterable[int], rows: Sequence[dict[str, Any]]) -> None:
+        """Index a statement's rows: one splice when they all fall into
+        one gap of the index (always, when keys grow with time -- the
+        creation index, ``seq_no``), an insort each otherwise."""
+        batch = self._sorted_entries(tids, rows)
+        if not batch:
+            return
+        entries = self._entries
+        at = bisect.bisect_left(entries, batch[0])
+        if at == len(entries) or batch[-1] < entries[at]:
+            entries[at:at] = batch
+        else:
+            for entry in batch:
+                bisect.insort(entries, entry)
+
+    def remove_many(self, tids: Iterable[int], rows: Sequence[dict[str, Any]]) -> None:
+        """Inverse of :meth:`add_many`: one slice removal when the rows
+        are neighbours in the index (a purge drops a prefix of the log)."""
+        batch = self._sorted_entries(tids, rows)
+        if not batch:
+            return
+        entries = self._entries
+        at = bisect.bisect_left(entries, batch[0])
+        if entries[at : at + len(batch)] == batch:
+            del entries[at : at + len(batch)]
+            return
+        for entry in batch:
+            i = bisect.bisect_left(entries, entry)
+            if i < len(entries) and entries[i] == entry:
+                del entries[i]
+
+    # ------------------------------------------------------------------
+    def _bounds(
+        self, low: Any, high: Any, include_low: bool, include_high: bool
+    ) -> tuple[int, int]:
+        """Positions ``[start, end)`` of the entries inside the range."""
         entries = self._entries
         if low is None:
             start = 0
@@ -158,18 +259,36 @@ class SortedIndex:
         else:
             # First entry strictly greater than every (low, tid).
             start = bisect.bisect_right(entries, (low, float("inf")))
-        i = start
-        n = len(entries)
-        while i < n:
-            key, tid = entries[i]
-            if high is not None:
-                if include_high:
-                    if key > high:
-                        break
-                elif key >= high:
-                    break
+        if high is None:
+            end = len(entries)
+        elif include_high:
+            end = bisect.bisect_right(entries, (high, float("inf")))
+        else:
+            end = bisect.bisect_left(entries, (high,))
+        return start, max(start, end)
+
+    def slice(
+        self,
+        low: Any = None,
+        high: Any = None,
+        include_low: bool = True,
+        include_high: bool = True,
+    ) -> list[tuple[Any, int]]:
+        """The ``(key, tid)`` entries with ``low <= key <= high`` (bounds
+        optional), in key order, as one list."""
+        start, end = self._bounds(low, high, include_low, include_high)
+        return self._entries[start:end]
+
+    def range(
+        self,
+        low: Any = None,
+        high: Any = None,
+        include_low: bool = True,
+        include_high: bool = True,
+    ) -> Iterator[int]:
+        """Yield tids with ``low <= key <= high`` (bounds optional)."""
+        for _key, tid in self.slice(low, high, include_low, include_high):
             yield tid
-            i += 1
 
     def count_range(
         self,
@@ -179,20 +298,8 @@ class SortedIndex:
         include_high: bool = True,
     ) -> int:
         """Exact number of entries in the range, in O(log n) (cost estimate)."""
-        entries = self._entries
-        if low is None:
-            start = 0
-        elif include_low:
-            start = bisect.bisect_left(entries, (low,))
-        else:
-            start = bisect.bisect_right(entries, (low, float("inf")))
-        if high is None:
-            end = len(entries)
-        elif include_high:
-            end = bisect.bisect_right(entries, (high, float("inf")))
-        else:
-            end = bisect.bisect_left(entries, (high,))
-        return max(0, end - start)
+        start, end = self._bounds(low, high, include_low, include_high)
+        return end - start
 
     def min_key(self) -> Any:
         return self._entries[0][0] if self._entries else None

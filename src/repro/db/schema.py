@@ -97,6 +97,13 @@ class TableSchema:
             if fk.column not in self._by_name:
                 raise SchemaError(f"foreign key on unknown column {fk.column!r}")
         self.foreign_keys: tuple[ForeignKey, ...] = fks
+        # The row plan: what validate_row needs of each column, in column
+        # order, compiled once so the per-row loop reads no attributes.
+        self._row_plan = tuple(
+            (c.name, c.type.exact, c.type.validate, c.nullable, c.default)
+            for c in self.columns
+        )
+        self._accepted_keys = frozenset(self._by_name).union(HIDDEN_FIELDS)
 
     # ------------------------------------------------------------------
     @property
@@ -120,30 +127,33 @@ class TableSchema:
 
         Unknown keys raise; missing columns take their default (or NULL).
         Returns a fresh dict with every schema column present, coerced to
-        canonical Python representations.
+        canonical Python representations.  Runs on the row plan compiled
+        in ``__init__``: a value that already has its column's exact
+        Python type is stored without a call.
         """
-        for key in values:
-            if key not in self._by_name and key not in HIDDEN_FIELDS:
-                raise SchemaError(
-                    f"table {self.name!r} has no column {key!r}"
-                )
+        if not values.keys() <= self._accepted_keys:
+            for key in values:
+                if key not in self._accepted_keys:
+                    raise SchemaError(
+                        f"table {self.name!r} has no column {key!r}"
+                    )
         row: dict[str, Any] = {}
-        for col in self.columns:
-            if col.name in values:
-                value = values[col.name]
-            else:
-                value = col.default
-            try:
-                value = col.type.validate(value)
-            except TypeMismatchError as exc:
-                raise TypeMismatchError(
-                    f"{self.name}.{col.name}: {exc}"
-                ) from None
-            if value is None and not col.nullable:
-                raise ConstraintViolation(
-                    f"{self.name}.{col.name} is NOT NULL but no value was given"
-                )
-            row[col.name] = value
+        get = values.get
+        for name, exact, validate, nullable, default in self._row_plan:
+            value = get(name, default)
+            if type(value) is not exact:
+                if value is not None:
+                    try:
+                        value = validate(value)
+                    except TypeMismatchError as exc:
+                        raise TypeMismatchError(
+                            f"{self.name}.{name}: {exc}"
+                        ) from None
+                if value is None and not nullable:
+                    raise ConstraintViolation(
+                        f"{self.name}.{name} is NOT NULL but no value was given"
+                    )
+            row[name] = value
         return row
 
     def validate_update(self, values: Mapping[str, Any]) -> dict[str, Any]:

@@ -14,7 +14,7 @@ API only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import ConstraintViolation, DatabaseError, SchemaError
 from .columnar import ColumnStore
@@ -68,12 +68,13 @@ class Table:
     schema:
         The table schema (columns, keys).
     clock:
-        Zero-argument callable returning the next logical timestamp.  The
-        owning :class:`~repro.db.database.Database` passes its global clock
-        so timestamps are totally ordered across tables.
+        ``clock(n=1)`` advances the logical clock ``n`` ticks and returns
+        the last one, so a statement reserves its timestamps in one step.
+        The owning :class:`~repro.db.database.Database` passes its global
+        clock so timestamps are totally ordered across tables.
     """
 
-    def __init__(self, schema: TableSchema, clock: Callable[[], int]) -> None:
+    def __init__(self, schema: TableSchema, clock: Callable[..., int]) -> None:
         self.schema = schema
         self._clock = clock
         self._rows: dict[int, dict[str, Any]] = {}
@@ -181,7 +182,9 @@ class Table:
     # Mutations (called by Database; do not invoke triggers themselves)
     def insert(self, values: Mapping[str, Any]) -> dict[str, Any]:
         """Insert one row; returns the stored row (with hidden fields)."""
-        row = self.schema.validate_row(values)
+        return self._insert_validated(self.schema.validate_row(values))
+
+    def _insert_validated(self, row: dict[str, Any]) -> dict[str, Any]:
         for idx in self._indexes.values():
             idx.check_insert(row)
         tid = self._next_tid
@@ -198,6 +201,82 @@ class Table:
             self._store.append(row)
         return row
 
+    def insert_many(self, rows: Iterable[Mapping[str, Any]]) -> list[dict[str, Any]]:
+        """Insert one statement's rows; returns the stored rows.
+
+        Set-at-a-time, with the result a loop of :meth:`insert` would
+        give: the whole statement is validated and checked for uniqueness
+        (against the table and against the rows before it in the batch)
+        before anything is touched, so a failing statement leaves no
+        trace -- no tid, no clock tick, no index entry -- and raises what
+        the first offending row, in statement order, would have raised.
+        Then ``n`` tids and ``n`` clock ticks are reserved in one step and
+        each index and the column store are maintained once.
+        """
+        validate = self.schema.validate_row
+        stored: list[dict[str, Any]] = []
+        failure: DatabaseError | None = None
+        try:
+            for values in rows:
+                stored.append(validate(values))
+        except DatabaseError as exc:
+            # Rows before this one may still collide; a collision comes
+            # first in statement order, so it is the error to raise.
+            failure = exc
+        if len(stored) == 1 and failure is None:
+            # A one-row statement is insert(): the per-row index calls
+            # cost less than setting up the per-statement ones.
+            return [self._insert_validated(stored[0])]
+        violation = self._first_violation(stored)
+        if violation is not None:
+            raise violation
+        if failure is not None:
+            raise failure
+        count = len(stored)
+        if not count:
+            return stored
+        # The tid list is shared by the rows, the row map and the indexes
+        # (one int object per tid, as insert() has it).
+        tids = list(range(self._next_tid, self._next_tid + count))
+        self._next_tid += count
+        last = self._clock(count)
+        for tid, now, row in zip(tids, range(last - count + 1, last + 1), stored):
+            row[TID] = tid
+            row[CREATED_AT] = now
+            row[UPDATED_AT] = now
+        self._attach(tids, stored)
+        return stored
+
+    def _first_violation(self, rows: list[dict[str, Any]]) -> ConstraintViolation | None:
+        """The uniqueness error adding ``rows`` in order would hit first
+        (earliest row; for one row, the earliest index), if any."""
+        first = None
+        for idx in self._indexes.values():
+            if idx.unique:
+                found = idx.first_violation(rows)
+                if found is not None and (first is None or found[0] < first[0]):
+                    first = found
+        return None if first is None else first[1]
+
+    def _attach(
+        self,
+        tids: Sequence[int],
+        rows: list[dict[str, Any]],
+        columns: dict[str, list[Any]] | None = None,
+    ) -> None:
+        """Store stamped rows with ascending, absent tids: the row map,
+        every index and the column store, each updated once.  Shared by
+        :meth:`insert_many` and :meth:`bulk_restore`."""
+        self._rows.update(zip(tids, rows))
+        for idx in self._indexes.values():
+            idx.add_many(tids, rows)
+        self._created_index.add_many(tids, rows)
+        if self._store is not None:
+            if columns is not None:
+                self._store.bulk_append_columns(columns, len(rows))
+            else:
+                self._store.bulk_append(rows)
+
     def update_row(self, tid: int, changes: Mapping[str, Any]) -> tuple[dict[str, Any], dict[str, Any]]:
         """Apply validated ``changes`` to the row ``tid``.
 
@@ -213,7 +292,7 @@ class Table:
         touched = [
             idx
             for idx in self._indexes.values()
-            if any(c in validated for c in getattr(idx, "columns", (getattr(idx, "column", ""),)))
+            if not validated.keys().isdisjoint(idx.columns)
         ]
         for idx in touched:
             idx.remove(tid, row)
@@ -247,6 +326,31 @@ class Table:
         if self._store is not None:
             self._store.delete(tid)
         return row
+
+    def delete_many(self, tids: Iterable[int]) -> list[dict[str, Any]]:
+        """Physically remove the rows ``tids`` (distinct, all present);
+        returns their final images in the order given.  The inverse of
+        :meth:`insert_many`: nothing is touched unless every tid resolves,
+        and each index is maintained once."""
+        tids = list(tids)
+        stored = self._rows
+        try:
+            rows = [stored[tid] for tid in tids]
+        except KeyError as exc:
+            raise DatabaseError(
+                f"{self.name}: no row with tid {exc.args[0]}"
+            ) from None
+        if len(set(tids)) != len(tids):
+            raise DatabaseError(f"{self.name}: a tid is listed twice in one delete")
+        for tid in tids:
+            del stored[tid]
+        for idx in self._indexes.values():
+            idx.remove_many(tids, rows)
+        self._created_index.remove_many(tids, rows)
+        if self._store is not None:
+            for tid in tids:
+                self._store.delete(tid)
+        return rows
 
     def restore_row(self, row: dict[str, Any]) -> None:
         """Re-insert a previously deleted row image (transaction rollback)."""
@@ -288,22 +392,10 @@ class Table:
             if tid <= last or tid in existing:
                 return False
             last = tid
-        indexes = list(self._indexes.values())
-        for idx in indexes:
-            add = idx.add
-            for row in rows:
-                add(row[TID], row)
-        add = self._created_index.add
-        for row in rows:
-            tid = row[TID]
-            existing[tid] = row
-            add(tid, row)
+        if self._first_violation(rows) is not None:
+            return False  # per-row restore raises at the colliding row
+        self._attach([row[TID] for row in rows], rows, columns)
         self._next_tid = max(self._next_tid, last + 1)
-        if self._store is not None:
-            if columns is not None:
-                self._store.bulk_append_columns(columns, len(rows))
-            else:
-                self._store.bulk_append(rows)
         return True
 
     # ------------------------------------------------------------------
@@ -347,7 +439,4 @@ class Table:
 
     def clear(self) -> list[dict[str, Any]]:
         """Remove all rows; returns the removed row images."""
-        removed = [self._rows[tid] for tid in sorted(self._rows)]
-        for row in removed:
-            self.delete_row(row[TID])
-        return removed
+        return self.delete_many(sorted(self._rows))

@@ -27,6 +27,10 @@ class ColumnType:
     """
 
     name: str = "ANY"
+    #: Python type whose instances :meth:`coerce` returns unchanged, if any.
+    #: A schema's compiled row plan tests ``type(value) is exact`` to skip
+    #: the call (``bool`` is not ``int`` under that test, as coerce demands).
+    exact: type | None = None
 
     def coerce(self, value: Any) -> Any:
         """Return ``value`` converted to this type's canonical representation.
@@ -55,6 +59,7 @@ class IntegerType(ColumnType):
     """64-bit-style integer column (Python int, unbounded)."""
 
     name = "INTEGER"
+    exact = int
 
     def coerce(self, value: Any) -> int:
         if isinstance(value, bool):
@@ -76,6 +81,7 @@ class FloatType(ColumnType):
     """Double-precision float column."""
 
     name = "FLOAT"
+    exact = float
 
     def coerce(self, value: Any) -> float:
         if isinstance(value, bool):
@@ -94,6 +100,7 @@ class TextType(ColumnType):
     """Unicode string column."""
 
     name = "TEXT"
+    exact = str
 
     def coerce(self, value: Any) -> str:
         if isinstance(value, str):
@@ -105,6 +112,7 @@ class BooleanType(ColumnType):
     """Boolean column.  Accepts 0/1 integers for SQL friendliness."""
 
     name = "BOOLEAN"
+    exact = bool
 
     def coerce(self, value: Any) -> bool:
         if isinstance(value, bool):

@@ -45,7 +45,6 @@ from typing import Any, Callable, Optional
 
 from ..core import datamodel
 from ..db.database import Database
-from ..db.expression import col
 from ..db.schema import TID, Column
 from ..db.table import ChangeSet
 from ..db.types import INTEGER, TEXT
@@ -425,15 +424,22 @@ class NotificationCenter:
     def _record(
         self, change: ChangeSet
     ) -> tuple[list[tuple[str, str, int]], list[Listener], list[BatchListener]]:
+        # Each event's tids are logged ascending (a coalesced delta or a
+        # delete_by_tids may list them otherwise): changes_since then reads
+        # them back in (seq_no, tid) order straight off the seq index.
         events: list[tuple[str, list[int]]] = []
         if change.inserted:
-            events.append((datamodel.OP_INSERT, [r[TID] for r in change.inserted]))
+            events.append(
+                (datamodel.OP_INSERT, sorted(r[TID] for r in change.inserted))
+            )
         if change.updated:
             events.append(
-                (datamodel.OP_UPDATE, [after[TID] for _, after in change.updated])
+                (datamodel.OP_UPDATE, sorted(after[TID] for _, after in change.updated))
             )
         if change.deleted:
-            events.append((datamodel.OP_DELETE, [r[TID] for r in change.deleted]))
+            events.append(
+                (datamodel.OP_DELETE, sorted(r[TID] for r in change.deleted))
+            )
         notified: list[tuple[str, str, int]] = []
         with self.database.lock:
             with self._lock:
@@ -495,37 +501,37 @@ class NotificationCenter:
         snapshot is taken under the database lock so a concurrent purge
         (which deletes log rows) can never shift the scan mid-iteration.
         """
-        newest = last_seq_no
-        entries: list[tuple[int, int, str]] = []
         with self.database.lock:
             with self._lock:
-                for row in self._rows_after(T_CHANGED_ROWS, last_seq_no):
-                    if row["table_name"] == table:
-                        entries.append((row["seq_no"], row["tid"], row["op"]))
-                        if row["seq_no"] > newest:
-                            newest = row["seq_no"]
-        entries.sort()
-        return newest, [(tid, op) for _, tid, op in entries]
+                rows = self._rows_after(T_CHANGED_ROWS, last_seq_no)
+                # Seq order is the index's; within one seq_no _record
+                # logged the tids ascending: (seq_no, tid) order already.
+                changes = [
+                    (row["tid"], row["op"])
+                    for row in rows
+                    if row["table_name"] == table
+                ]
+                newest = next(
+                    (
+                        row["seq_no"]
+                        for row in reversed(rows)
+                        if row["table_name"] == table
+                    ),
+                    last_seq_no,
+                )
+        return newest, changes
 
-    def _rows_after(self, table_name: str, last_seq_no: int):
-        """Rows of ``table_name`` with ``seq_no > last_seq_no``.
-
-        Served by the sorted seq_no index when present (the common case:
-        a reconnecting client pulls a short tail of a long log), falling
-        back to a full scan.  Callers hold the database lock so the
-        underlying index cannot shift while the generator runs.
-        """
+    def _rows_after(self, table_name: str, last_seq_no: int) -> list[dict[str, Any]]:
+        """Rows of ``table_name`` with ``seq_no > last_seq_no``, in seq
+        order: one slice of the sorted seq_no index the constructor
+        guarantees (a reconnecting client pulls a short tail of a long
+        log).  Callers hold the database lock."""
         table = self.database.table(table_name)
         index = table.find_sorted_index("seq_no")
-        if index is None:
-            for row in table.scan():
-                if row["seq_no"] > last_seq_no:
-                    yield row
-            return
-        for tid in index.range(last_seq_no, None, include_low=False):
-            row = table.get(tid)
-            if row is not None:
-                yield row
+        get = table.get
+        return [
+            get(tid) for _seq, tid in index.slice(last_seq_no, None, include_low=False)
+        ]
 
     def notifications_since(self, table: str, last_seq_no: int) -> list[tuple[int, str]]:
         """All ``(seq_no, op)`` notifications on ``table`` after ``last_seq_no``.
@@ -535,14 +541,13 @@ class NotificationCenter:
         notification above any connected client's ``last_seq_no``, so the
         replay is lossless.
         """
-        entries: list[tuple[int, str]] = []
         with self.database.lock:
             with self._lock:
-                for row in self._rows_after(datamodel.T_NOTIFICATION, last_seq_no):
-                    if row["table_name"] == table:
-                        entries.append((row["seq_no"], row["op"]))
-        entries.sort()
-        return entries
+                return [
+                    (row["seq_no"], row["op"])
+                    for row in self._rows_after(datamodel.T_NOTIFICATION, last_seq_no)
+                    if row["table_name"] == table
+                ]
 
     def purge(self) -> int:
         """Drop notifications every connected client has already consumed.
@@ -568,8 +573,14 @@ class NotificationCenter:
                 if lowest is None:
                     # No clients: everything already consumed.
                     lowest = self._next_seq
-                removed = self.database.delete(
-                    datamodel.T_NOTIFICATION, col("seq_no") <= lowest
-                )
-                self.database.delete(T_CHANGED_ROWS, col("seq_no") <= lowest)
+                removed = self._drop_through(datamodel.T_NOTIFICATION, lowest)
+                self._drop_through(T_CHANGED_ROWS, lowest)
                 return removed
+
+    def _drop_through(self, table_name: str, horizon: int) -> int:
+        """Delete the log rows with ``seq_no <= horizon`` as one statement,
+        in tid order as ``DELETE ... WHERE`` lists them: a prefix of the
+        seq index, so no row is read to find them."""
+        index = self.database.table(table_name).find_sorted_index("seq_no")
+        tids = sorted(tid for _seq, tid in index.slice(None, horizon))
+        return self.database.delete_by_tids(table_name, tids)

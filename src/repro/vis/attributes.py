@@ -89,28 +89,21 @@ class VisualAttributesStore:
         """Upsert a batch of items for one component; returns rows written.
 
         New ``obj_id``s are inserted (one statement for the whole batch);
-        existing ones are updated in place.
+        existing ones are updated in place.  An ``obj_id`` given twice is
+        written once, with its last item.
         """
         if not items:
             return 0
         existing = self._index(component_id)
-        inserts: list[dict[str, Any]] = []
-        insert_items: list[VisualItem] = []
+        fresh: list[VisualItem] = []
         updates: list[tuple[int, VisualItem]] = []
-        for item in items:
-            key = item.obj_id
+        latest = {item.obj_id: item for item in items}
+        for key, item in latest.items():
             if key in existing:
                 updates.append((existing[key][1], item))
             else:
-                row_id = self._allocator.next_id(datamodel.T_VISUAL_ATTRIBUTES)
-                inserts.append(item.to_row(component_id, row_id))
-                insert_items.append(item)
-        if inserts:
-            stored = self.database.insert_many(
-                datamodel.T_VISUAL_ATTRIBUTES, inserts
-            )
-            for item, row in zip(insert_items, stored):
-                existing[item.obj_id] = (row["id"], row[TID])
+                fresh.append(item)
+        self._insert_new(component_id, fresh)
         for tid, item in updates:
             self.database.update_by_tid(
                 datamodel.T_VISUAL_ATTRIBUTES,
@@ -125,37 +118,41 @@ class VisualAttributesStore:
                     "selected": item.selected,
                 },
             )
-        return len(items)
+        return len(latest)
 
     def write_positions(
         self, component_id: int, positions: dict[Any, tuple[float, float]]
     ) -> int:
         """Fast path for layout streaming: update only x/y."""
-        items = [
-            VisualItem(obj_id=obj_id, x=xy[0], y=xy[1])
-            for obj_id, xy in positions.items()
-        ]
         existing = self._index(component_id)
-        inserts = []
-        insert_items = []
-        for item in items:
-            if item.obj_id in existing:
+        fresh: list[VisualItem] = []
+        for obj_id, (x, y) in positions.items():
+            if obj_id in existing:
                 self.database.update_by_tid(
                     datamodel.T_VISUAL_ATTRIBUTES,
-                    existing[item.obj_id][1],
-                    {"x": item.x, "y": item.y},
+                    existing[obj_id][1],
+                    {"x": x, "y": y},
                 )
             else:
-                row_id = self._allocator.next_id(datamodel.T_VISUAL_ATTRIBUTES)
-                inserts.append(item.to_row(component_id, row_id))
-                insert_items.append(item)
-        if inserts:
-            stored = self.database.insert_many(
-                datamodel.T_VISUAL_ATTRIBUTES, inserts
-            )
-            for item, row in zip(insert_items, stored):
-                existing[item.obj_id] = (row["id"], row[TID])
-        return len(items)
+                fresh.append(VisualItem(obj_id=obj_id, x=x, y=y))
+        self._insert_new(component_id, fresh)
+        return len(positions)
+
+    def _insert_new(self, component_id: int, items: list[VisualItem]) -> None:
+        """Insert items with distinct, unseen ``obj_id``s as one statement."""
+        if not items:
+            return
+        next_id = self._allocator.next_id
+        stored = self.database.insert_many(
+            datamodel.T_VISUAL_ATTRIBUTES,
+            [
+                item.to_row(component_id, next_id(datamodel.T_VISUAL_ATTRIBUTES))
+                for item in items
+            ],
+        )
+        existing = self._index(component_id)
+        for item, row in zip(items, stored):
+            existing[item.obj_id] = (row["id"], row[TID])
 
     def _index(self, component_id: int) -> dict[Any, tuple[int, int]]:
         """obj_id -> (row id, tid) for one component (cached)."""

@@ -91,3 +91,71 @@ class TestSortedIndex:
         empty = SortedIndex("t", "ts")
         assert empty.min_key() is None
         assert empty.max_key() is None
+
+    def test_slice_and_count_agree_with_range(self):
+        idx = self.make()
+        assert idx.slice(15, 30, include_high=False) == [(20, 3), (20, 4)]
+        assert idx.count_range(15, 30, include_high=False) == 2
+        assert idx.slice(40, 5) == [] and idx.count_range(40, 5) == 0
+
+    def test_both_kinds_name_their_columns(self):
+        assert SortedIndex("t", "ts").columns == ("ts",)
+        assert HashIndex("t", ("a", "b")).columns == ("a", "b")
+
+
+class TestStatementAtATime:
+    """``add_many`` / ``remove_many`` / ``first_violation`` against a loop
+    of the per-row calls."""
+
+    ROWS = [{"k": 5}, {"k": None}, {"k": 7}, {"k": 6}, {"k": None}]
+
+    def twins(self, make):
+        one, many = make(), make()
+        for tid, row in enumerate(self.ROWS, start=1):
+            one.add(tid, row)
+        many.add_many(range(1, len(self.ROWS) + 1), self.ROWS)
+        return one, many
+
+    def test_hash_add_and_remove_many(self):
+        one, many = self.twins(lambda: HashIndex("t", ("k",), unique=True))
+        assert many._buckets == one._buckets
+        for index in (one, many):
+            assert index.lookup(None) == {2, 5}
+        many.remove_many([1, 2, 4], [self.ROWS[0], self.ROWS[1], self.ROWS[3]])
+        for tid in (1, 2, 4):
+            one.remove(tid, self.ROWS[tid - 1])
+        assert many._buckets == one._buckets
+
+    @pytest.mark.parametrize(
+        "existing",
+        [[], [(1, 100)], [(9, 100)], [(5.5, 100), (9, 101)], [(6.5, 100)]],
+        ids=["empty", "append", "prepend", "one-gap", "interleaved"],
+    )
+    def test_sorted_add_and_remove_many(self, existing):
+        def make():
+            index = SortedIndex("t", "k")
+            for key, tid in existing:
+                index.add(tid, {"k": key})
+            return index
+
+        one, many = self.twins(make)
+        assert many._entries == one._entries
+        many.remove_many(range(1, len(self.ROWS) + 1), self.ROWS)
+        assert many._entries == sorted(existing)
+
+    def test_first_violation_is_the_first_row_in_statement_order(self):
+        idx = HashIndex("t", ("k",), unique=True)
+        idx.add(1, {"k": "a"})
+        assert idx.first_violation([{"k": "b"}, {"k": None}, {"k": None}]) is None
+        position, error = idx.first_violation([{"k": "b"}, {"k": "c"}, {"k": "b"}, {"k": "a"}])
+        assert position == 2 and "key 'b'" in str(error)
+        position, error = idx.first_violation([{"k": "c"}, {"k": "a"}, {"k": "c"}])
+        assert position == 1 and isinstance(error, ConstraintViolation)
+        assert len(idx) == 1  # nothing was added
+
+    def test_first_violation_composite_null_parts_never_collide(self):
+        idx = HashIndex("t", ("a", "b"), unique=True)
+        idx.add(1, {"a": 1, "b": None})
+        rows = [{"a": 1, "b": None}, {"a": 1, "b": None}, {"a": 1, "b": 2}]
+        assert idx.first_violation(rows) is None
+        assert idx.first_violation(rows + [{"a": 1, "b": 2}])[0] == 3

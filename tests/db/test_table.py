@@ -13,8 +13,8 @@ from repro.errors import ConstraintViolation, DatabaseError, SchemaError
 def clock():
     state = {"t": 0}
 
-    def tick():
-        state["t"] += 1
+    def tick(n=1):
+        state["t"] += n
         return state["t"]
 
     return tick
@@ -171,3 +171,36 @@ class TestSecondaryIndexes:
     def test_find_hash_index(self, table):
         assert table.find_hash_index("id") is not None
         assert table.find_hash_index("name") is None
+
+
+class TestStatementAtATime:
+    def test_insert_many_stamps_like_a_loop_of_insert(self, table):
+        table.insert({"id": 1})
+        rows = table.insert_many([{"id": 2, "name": "b"}, {"id": "3"}, {"id": 4.0}])
+        assert [r[TID] for r in rows] == [2, 3, 4]
+        assert [r[CREATED_AT] for r in rows] == [2, 3, 4]
+        assert [r["id"] for r in rows] == [2, 3, 4]
+        assert all(r[CREATED_AT] == r[UPDATED_AT] for r in rows)
+        assert list(rows[1]) == ["id", "name", "qty", TID, CREATED_AT, UPDATED_AT]
+        assert table.by_key(3) is rows[1]
+        assert [r["id"] for r in table.created_between(3, 4)] == [3, 4]
+        assert table.insert({"id": 5})[TID] == 5
+
+    def test_insert_many_of_nothing(self, table):
+        assert table.insert_many([]) == []
+        assert table.insert({"id": 1})[CREATED_AT] == 1
+
+    def test_delete_many_returns_images_in_the_order_given(self, table):
+        table.insert_many([{"id": i} for i in range(1, 6)])
+        images = table.delete_many([4, 2, 5])
+        assert [r["id"] for r in images] == [4, 2, 5]
+        assert table.tids() == [1, 3]
+        assert table.by_key(4) is None
+        assert [r["id"] for r in table.created_between()] == [1, 3]
+
+    @pytest.mark.parametrize("tids", [[1, 99], [2, 1, 2]])
+    def test_delete_many_touches_nothing_unless_every_tid_resolves(self, table, tids):
+        table.insert_many([{"id": 1}, {"id": 2}])
+        with pytest.raises(DatabaseError):
+            table.delete_many(tids)
+        assert table.tids() == [1, 2] and table.by_key(1)[TID] == 1

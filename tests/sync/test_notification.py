@@ -134,6 +134,23 @@ class TestChangesSince:
         assert newest == 0
         assert changes == []
 
+    def test_seq_then_tid_order_whatever_order_the_statement_listed(self, setup):
+        db, center = setup
+        db.execute("CREATE TABLE other (id INTEGER PRIMARY KEY)")
+        center.watch("other")
+        db.insert_many("pts", [{"id": i, "x": 0.0} for i in range(1, 6)])
+        db.insert("other", {"id": 1})
+        db.delete_by_tids("pts", [4, 1, 3])
+        newest, changes = center.changes_since("pts", 0)
+        assert newest == 3
+        assert changes == [(t, "insert") for t in (1, 2, 3, 4, 5)] + [
+            (t, "delete") for t in (1, 3, 4)
+        ]
+        # A tail that ends on another table's event keeps the newest of ours.
+        db.insert("other", {"id": 2})
+        assert center.changes_since("pts", 2) == (3, [(t, "delete") for t in (1, 3, 4)])
+        assert center.changes_since("pts", 3) == (3, [])
+
 
 class TestPurge:
     def test_purge_respects_slowest_client(self, setup):

@@ -58,3 +58,32 @@ class TestRemoveEdgeCases:
         store.remove(1, [1])
         store.write(1, [VisualItem(obj_id=1, x=42.0)])
         assert store.get(1, 1).x == 42.0
+
+
+class TestWriteDuplicateObjId:
+    """One ``obj_id`` twice in one batch is one row: the last item wins."""
+
+    def test_new_key_twice_inserts_one_row(self):
+        store = VisualAttributesStore(Database("vis"))
+        written = store.write(1, [VisualItem(5, x=1.0), VisualItem(5, x=2.0)])
+        assert written == 1
+        assert [(i.obj_id, i.x) for i in store.read(1)] == [(5, 2.0)]
+        # Later writes reach that one row.
+        store.write(1, [VisualItem(5, x=3.0)])
+        assert [(i.obj_id, i.x) for i in store.read(1)] == [(5, 3.0)]
+
+    def test_existing_key_twice_updates_once(self):
+        store = make_store()
+        statements = []
+        store.database.on(store.table_name, ("update",), statements.append)
+        store.write(1, [VisualItem(2, x=7.0), VisualItem(9, x=1.0), VisualItem(2, x=8.0)])
+        assert len(statements) == 1
+        assert store.get(1, 2).x == 8.0
+        assert sorted(i.obj_id for i in store.read(1)) == [0, 1, 2, 3, 9]
+
+    def test_write_positions_keeps_one_row_per_key(self):
+        store = make_store()
+        # 1 and 1.0 are one dict key, hence one obj_id.
+        assert store.write_positions(1, {1: (5.0, 5.0), 7: (1.0, 1.0), 1.0: (6.0, 6.0)}) == 2
+        assert len(store.read(1)) == 5
+        assert (store.get(1, 1).x, store.get(1, 7).x) == (6.0, 1.0)
