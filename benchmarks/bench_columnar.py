@@ -30,7 +30,8 @@ import time
 import pytest
 
 from repro.bench import SeriesTable, speedup
-from repro.db import Database
+from repro.db import Database, Vectorized
+from repro.db.algebra import Plan
 
 MAX_ROWS = int(os.environ.get("BENCH_COLUMNAR_ROWS", "1000000"))
 SCALES = tuple(
@@ -69,14 +70,13 @@ def _make_db(rows: int) -> Database:
     return db
 
 
-def _best_of(db: Database, mode: str, sql: str) -> tuple[float, list]:
-    """Best-of-REPS wall time for ``sql`` under engine ``mode``."""
-    db.set_engine(mode)
-    result = db.query(sql)  # warm: builds the column store / plan cache
+def _best_of(db: Database, plan: Plan) -> tuple[float, list]:
+    """Best-of-REPS wall time for executing ``plan``."""
+    result = plan.to_list(db)  # warm: builds the column store
     best = float("inf")
     for _ in range(REPS):
         start = time.perf_counter()
-        result = db.query(sql)
+        result = plan.to_list(db)
         best = min(best, time.perf_counter() - start)
     return best * 1000.0, result
 
@@ -91,8 +91,12 @@ def columnar_result(emit, emit_json):
     for rows in SCALES:
         db = _make_db(rows)
         for name, sql in QUERIES.items():
-            row_ms, row_result = _best_of(db, "row", sql)
-            vec_ms, vec_result = _best_of(db, "vector", sql)
+            # The database picks the engine from table size at run time;
+            # the bench times both sides of that choice directly.
+            plan = db.plan(sql)
+            assert isinstance(plan, Vectorized) and plan.chosen(db) is plan
+            row_ms, row_result = _best_of(db, plan.row_plan)
+            vec_ms, vec_result = _best_of(db, plan)
             # Identical results are a precondition for trusting the
             # timings: same rows, same key order, same rounding.
             assert sorted(map(repr, row_result)) == sorted(

@@ -63,7 +63,6 @@ def _make_db() -> Database:
             for i in range(ROWS)
         ],
     )
-    db.set_engine("vector")
     return db
 
 
@@ -79,6 +78,8 @@ def _best_of(fn) -> float:
 @pytest.fixture(scope="module")
 def lineage_result(emit, emit_json):
     db = _make_db()
+    plan = db.plan(SQL)
+    assert plan.chosen(db) is plan, "table too small for the vectorized engine"
     baseline = db.query(SQL)  # warm: column store + plan cache
 
     per_query_ms = _best_of(lambda: db.query(SQL))
@@ -96,7 +97,6 @@ def lineage_result(emit, emit_json):
     # The in-band captured-query price: capture + store.record, exactly
     # what a sampled SELECT pays (maybe_capture returns the rows, so the
     # query is not re-executed).
-    plan = db.plan(SQL)
     store = mgr.store
     captured_ms = _best_of(
         lambda: store.record(SQL, "vectorized", mgr.capture(SQL, plan, record=False)[1], ["big"])

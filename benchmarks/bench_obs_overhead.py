@@ -1,19 +1,21 @@
-"""Observability overhead: instrumented-but-disabled vs no instrumentation.
+"""Observability overhead: what the statement layer costs, off and on.
 
-The repro.obs contract is "off by default, near-zero overhead": every
-instrumented hot path costs exactly one attribute check
-(``if OBS.enabled:``) plus one method delegation while tracing is off.
-This bench pins that contract on the hottest instrumented path -- the SQL
-point query -- by comparing
+``Database.execute`` is one path: prepare (statement cache, plan cache),
+then run under a span that is the shared no-op while tracing is off.
+This bench prices that layer on the hottest instrumented statement --
+the SQL point query -- in absolute microseconds:
 
-* **baseline**: ``Database._execute_impl`` called directly (the verbatim
-  pre-instrumentation body; the guard and delegation are bypassed);
-* **disabled**: the public ``Database.execute`` with observability off
-  (guard + delegation, no tracing work);
+* **floor**: the cached plan's ``to_list`` called directly -- the work
+  the statement exists to do, with no statement layer around it;
+* **disabled**: the public ``Database.execute`` with observability off;
 * **enabled**: the public path with tracing on (spans + metrics), for
   context -- this one is allowed to cost real time.
 
-The disabled-vs-baseline delta must stay under 5%.
+``disabled - floor`` is the statement layer's own cost with tracing off
+and must stay under ``STATEMENT_BUDGET_US``.  (The bench used to compare
+``execute`` with a private untraced twin that differed from it by one
+``if``; that difference was inside the timer's noise, so it gated
+nothing.  There is no twin any more.)
 
 Scale with ``BENCH_SQL_ROWS`` (default 100k; CI smoke runs small).
 """
@@ -36,7 +38,11 @@ ITERS = 2000
 #: Best-of-N sampling: scheduler hiccups and GC pauses otherwise
 #: dominate single samples at this granularity.
 SAMPLES = 5
-OVERHEAD_BUDGET = 0.05  # disabled instrumentation may cost at most 5%
+#: What the statement layer (cache lookups, lock, no-op span, Result) may
+#: cost per statement with tracing off: ~3x what it measures today, so
+#: the gate trips on a second lookup or a stray allocation, not on a
+#: slower CI host.
+STATEMENT_BUDGET_US = 5.0
 
 
 @pytest.fixture(scope="module")
@@ -76,55 +82,55 @@ def _best_of(fn, samples=SAMPLES):
 def test_disabled_obs_overhead_under_budget(point_db, emit, emit_json):
     sql = f"SELECT * FROM emp WHERE id = {ROWS // 2}"
     point_db.execute(sql)  # warm statement + plan caches
+    plan = point_db.plan(sql)
 
-    def run_baseline():
-        execute = point_db._execute_impl
+    def run_floor():
+        to_list = plan.to_list
         for _ in range(ITERS):
-            execute(sql, ())
+            to_list(point_db)
 
-    def run_disabled():
-        execute = point_db.execute
-        for _ in range(ITERS):
-            execute(sql)
-
-    def run_enabled():
+    def run_execute():
         execute = point_db.execute
         for _ in range(ITERS):
             execute(sql)
 
     obs.disable()
-    baseline_ms = _best_of(run_baseline)
-    disabled_ms = _best_of(run_disabled)
+    floor_us = _best_of(run_floor) / ITERS * 1000
+    disabled_us = _best_of(run_execute) / ITERS * 1000
     obs.enable()
     try:
-        enabled_ms = _best_of(run_enabled)
+        enabled_us = _best_of(run_execute) / ITERS * 1000
     finally:
         obs.disable()
         obs.reset()
 
-    overhead = disabled_ms / baseline_ms - 1.0
+    statement_off_us = disabled_us - floor_us
+    statement_on_us = enabled_us - floor_us
     emit(
         f"\n== Observability overhead: SQL point query x{ITERS} ({ROWS} rows) ==\n"
-        f"baseline (no instrumentation): {baseline_ms / ITERS * 1000:.2f} us/query\n"
-        f"disabled instrumentation:      {disabled_ms / ITERS * 1000:.2f} us/query "
-        f"({overhead * 100:+.1f}%)\n"
-        f"enabled tracing + metrics:     {enabled_ms / ITERS * 1000:.2f} us/query "
-        f"({(enabled_ms / baseline_ms - 1.0) * 100:+.1f}%)"
+        f"floor (cached plan.to_list):   {floor_us:.2f} us/query\n"
+        f"execute, tracing off:          {disabled_us:.2f} us/query "
+        f"(statement layer {statement_off_us:+.2f} us, "
+        f"{disabled_us / floor_us:.2f}x floor)\n"
+        f"execute, tracing + metrics on: {enabled_us:.2f} us/query "
+        f"(statement layer {statement_on_us:+.2f} us, "
+        f"{enabled_us / disabled_us:.2f}x tracing off)"
     )
     emit_json(
         "obs_overhead",
         {
             "rows": ROWS,
             "iterations": ITERS,
-            "baseline_us": baseline_ms / ITERS * 1000,
-            "disabled_us": disabled_ms / ITERS * 1000,
-            "enabled_us": enabled_ms / ITERS * 1000,
-            "disabled_overhead": overhead,
-            "budget": OVERHEAD_BUDGET,
+            "floor_us": floor_us,
+            "disabled_us": disabled_us,
+            "enabled_us": enabled_us,
+            "statement_off_us": statement_off_us,
+            "statement_on_us": statement_on_us,
+            "budget_us": STATEMENT_BUDGET_US,
         },
     )
-    assert overhead < OVERHEAD_BUDGET, (
-        f"disabled instrumentation costs {overhead * 100:.1f}% "
-        f"(budget {OVERHEAD_BUDGET * 100:.0f}%) -- "
-        f"baseline {baseline_ms:.2f} ms vs disabled {disabled_ms:.2f} ms"
+    assert statement_off_us < STATEMENT_BUDGET_US, (
+        f"the statement layer costs {statement_off_us:.2f} us with tracing off "
+        f"(budget {STATEMENT_BUDGET_US:.1f} us) -- "
+        f"floor {floor_us:.2f} us vs execute {disabled_us:.2f} us"
     )

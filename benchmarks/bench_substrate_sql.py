@@ -183,17 +183,18 @@ def test_vectorized_engine_ablation(loaded_db, benchmark, emit, emit_json):
     regressions surface alongside the routing ablations.
     """
     sql = "SELECT dept, COUNT(*) AS n, AVG(salary) AS mean FROM emp GROUP BY dept"
-    loaded_db.set_engine("row")
-    row_rows = loaded_db.query(sql)
+    # The database picks the engine from table size at run time; time
+    # both sides of that choice directly.
+    plan = loaded_db.plan(sql)
+    assert plan.chosen(loaded_db) is plan, "table too small to vectorize"
+    row_rows = plan.row_plan.to_list(loaded_db)
     with Timer() as t_row:
         for _ in range(REPS):
-            loaded_db.query(sql)
-    loaded_db.set_engine("vector")
-    vec_rows = loaded_db.query(sql)  # warm: builds the column store
+            plan.row_plan.to_list(loaded_db)
+    vec_rows = plan.to_list(loaded_db)  # warm: builds the column store
     with Timer() as t_vec:
         for _ in range(REPS):
-            loaded_db.query(sql)
-    loaded_db.set_engine("auto")
+            plan.to_list(loaded_db)
     assert sorted(map(repr, row_rows)) == sorted(map(repr, vec_rows))
     factor = speedup(t_row.ms, t_vec.ms)
     emit(

@@ -17,8 +17,10 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import DatabaseError, SchemaError, UnknownTableError
 from ..obs.runtime import OBS
+from ..obs.trace import NULL_SPAN
 from .algebra import (
     Plan,
+    TableProvider,
     format_plan,
     instrument_plan,
     operator_rows,
@@ -44,6 +46,7 @@ from .table import ChangeSet, Table
 from .transactions import Transaction, TransactionContext
 from .triggers import TriggerManager
 from .types import type_from_name
+from .vector import running_plan
 
 
 class Result:
@@ -100,12 +103,6 @@ class Database:
         # (evicted on DDL); see repro.db.plancache for the cachability rules.
         self._statement_cache = LRUCache(capacity=512)
         self._plan_cache = LRUCache(capacity=256)
-        # Vectorized execution (repro.db.vector).  "auto" lets the router
-        # vectorize unrouted plans over tables of at least vector_min_rows
-        # rows; "row"/"vector" force one engine; "oracle" runs both and
-        # diffs (the row/vector equivalence oracle).
-        self._engine_mode = "auto"
-        self.vector_min_rows = 4096
         # Lineage capture (repro.lineage).  Off by default -- queries pay
         # nothing until enable_lineage() installs a manager.
         self._lineage: Any = None
@@ -186,52 +183,27 @@ class Database:
         ``(table, tid)`` pairs behind ``rows[i]``.  Requires
         :meth:`enable_lineage`.
         """
+        with self._lock:
+            return self._lineage_manager().capture(sql, self.plan(sql, params))
+
+    def _lineage_manager(self) -> Any:
         if self._lineage is None:
             raise DatabaseError(
                 "lineage capture is disabled; call enable_lineage() first"
             )
-        with self._lock:
-            plan = self.plan(sql, params)
-            return self._lineage.capture(sql, plan)
+        return self._lineage
 
     def backward_lineage(self, view_name: str, key: Any) -> set[tuple[str, Any]]:
         """Base ``(table, tid)`` pairs behind one output key of a
         lineage-enabled IVM view ("why is this group here")."""
-        if self._lineage is None:
-            raise DatabaseError(
-                "lineage capture is disabled; call enable_lineage() first"
-            )
-        return self._lineage.backward(view_name, key)
+        return self._lineage_manager().backward(view_name, key)
 
     def forward_lineage(
         self, table: str, tids: Iterable[Any]
     ) -> dict[str, set[Any]]:
         """Which outputs of every lineage-enabled view do these base
         tuples feed ("where did this row go")."""
-        if self._lineage is None:
-            raise DatabaseError(
-                "lineage capture is disabled; call enable_lineage() first"
-            )
-        return self._lineage.forward(table, tids)
-
-    @property
-    def engine_mode(self) -> str:
-        return self._engine_mode
-
-    def set_engine(self, mode: str) -> None:
-        """Select the query engine: ``auto``, ``row``, ``vector``, ``oracle``.
-
-        Cached plans keep the engine decision made when they were
-        planned, so switching clears the plan cache.
-        """
-        if mode not in ("auto", "row", "vector", "oracle"):
-            raise DatabaseError(
-                f"unknown engine mode {mode!r}; "
-                "expected auto, row, vector, or oracle"
-            )
-        with self._lock:
-            self._engine_mode = mode
-            self._plan_cache.clear()
+        return self._lineage_manager().forward(table, tids)
 
     @property
     def lock(self) -> threading.RLock:
@@ -367,20 +339,28 @@ class Database:
     def in_transaction(self) -> bool:
         return self._current_transaction is not None
 
-    def _dispatch(self, change: ChangeSet) -> None:
-        """Route a change set to triggers now, or defer to commit."""
-        if change.is_empty():
-            return
-        transaction = self._current_transaction
-        if transaction is not None:
-            transaction.defer_triggers(change)
-        else:
-            # Auto-commit: the statement IS the transaction.  Durability
-            # hooks run first -- write-ahead means the log records a
-            # change before any downstream effect becomes observable.
-            if self._commit_hooks:
-                self._notify_commit([change])
-            self._triggers.fire(change)
+    def _dispatch(self, span: Any, op: str, change: ChangeSet) -> None:
+        """Finish one mutation statement: undo records, triggers (now, or
+        at commit inside a transaction), then its ``db.write`` span."""
+        if not change.is_empty():
+            transaction = self._current_transaction
+            if transaction is not None:
+                transaction.record(change)
+                transaction.defer_triggers(change)
+            else:
+                # Auto-commit: the statement IS the transaction.
+                # Durability hooks run first -- write-ahead means the log
+                # records a change before any downstream effect becomes
+                # observable.
+                if self._commit_hooks:
+                    self._notify_commit([change])
+                self._triggers.fire(change)
+        if OBS.enabled:
+            span.set_tag(
+                "rows",
+                len(change.inserted) + len(change.updated) + len(change.deleted),
+            )
+            OBS.metrics.counter("db.writes", table=change.table, op=op).inc()
 
     # ------------------------------------------------------------------
     # Durability hooks
@@ -424,32 +404,18 @@ class Database:
             hook(op, schema, name)
 
     # ------------------------------------------------------------------
-    # Programmatic mutations
-    def _write_span(self, op: str, table_name: str):
-        """A ``db.write`` span for one mutation statement (obs enabled)."""
-        return OBS.tracer.span("db.write", tags={"table": table_name, "op": op})
-
-    def _record_write(self, op: str, table_name: str, span: Any, rows: int) -> None:
-        span.set_tag("rows", rows)
-        OBS.metrics.counter("db.writes", table=table_name, op=op).inc()
+    # Programmatic mutations: each is one statement -- a ``db.write``
+    # span around the lock, the table call, then _dispatch.
+    def _span(self, name: str, tags: dict[str, Any]) -> Any:
+        """A span while tracing is on, the shared no-op span otherwise."""
+        return OBS.tracer.span(name, tags) if OBS.enabled else NULL_SPAN
 
     def insert(self, table_name: str, values: Mapping[str, Any]) -> dict[str, Any]:
         """Insert one row; fires insert triggers; returns the stored row."""
-        if OBS.enabled:
-            with self._write_span("insert", table_name) as span:
-                row = self._insert_impl(table_name, values)
-                self._record_write("insert", table_name, span, 1)
-                return row
-        return self._insert_impl(table_name, values)
-
-    def _insert_impl(self, table_name: str, values: Mapping[str, Any]) -> dict[str, Any]:
-        with self._lock:
-            table = self.table(table_name)
-            row = table.insert(values)
-            if self._current_transaction is not None:
-                self._current_transaction.record_insert(table_name, row)
-            change = ChangeSet(table_name, inserted=[row])
-            self._dispatch(change)
+        span = self._span("db.write", {"table": table_name, "op": "insert"})
+        with span, self._lock:
+            row = self.table(table_name).insert(values)
+            self._dispatch(span, "insert", ChangeSet(table_name, inserted=[row]))
             return row
 
     def insert_many(
@@ -461,24 +427,12 @@ class Database:
         of tuples arrives and a single statement-level trigger notification
         is emitted for the whole batch.
         """
-        if OBS.enabled:
-            with self._write_span("insert", table_name) as span:
-                inserted = self._insert_many_impl(table_name, rows)
-                self._record_write("insert", table_name, span, len(inserted))
-                return inserted
-        return self._insert_many_impl(table_name, rows)
-
-    def _insert_many_impl(
-        self, table_name: str, rows: Iterable[Mapping[str, Any]]
-    ) -> list[dict[str, Any]]:
-        with self._lock:
+        span = self._span("db.write", {"table": table_name, "op": "insert"})
+        with span, self._lock:
             # Statement atomicity is the table's: it validates the whole
             # batch before touching anything (see Table.insert_many).
             inserted = self.table(table_name).insert_many(rows)
-            if self._current_transaction is not None:
-                for row in inserted:
-                    self._current_transaction.record_insert(table_name, row)
-            self._dispatch(ChangeSet(table_name, inserted=inserted))
+            self._dispatch(span, "insert", ChangeSet(table_name, inserted=inserted))
             return inserted
 
     def update(
@@ -488,94 +442,70 @@ class Database:
         where: Expression | None = None,
     ) -> int:
         """Update all rows matching ``where``; returns the affected count."""
-        if OBS.enabled:
-            with self._write_span("update", table_name) as span:
-                count = self._update_impl(table_name, changes, where)
-                self._record_write("update", table_name, span, count)
-                return count
-        return self._update_impl(table_name, changes, where)
+        return len(self._update_rows(table_name, where, lambda row: changes))
 
-    def _update_impl(
+    def _update_rows(
         self,
         table_name: str,
-        changes: Mapping[str, Any],
-        where: Expression | None = None,
-    ) -> int:
-        with self._lock:
+        where: Expression | None,
+        changes_of: Callable[[dict[str, Any]], Mapping[str, Any]],
+    ) -> list[tuple[dict[str, Any], dict[str, Any]]]:
+        """One UPDATE statement: every row matching ``where`` gets
+        ``changes_of(row)``; returns the ``(before, after)`` pairs."""
+        span = self._span("db.write", {"table": table_name, "op": "update"})
+        with span, self._lock:
             table = self.table(table_name)
-            matching = matching_tids(table, where)
-            updated: list[tuple[dict[str, Any], dict[str, Any]]] = []
-            for tid in matching:
-                before, after = table.update_row(tid, changes)
-                updated.append((before, after))
+            change = ChangeSet(table_name)
+            try:
+                for tid in matching_tids(table, where):
+                    change.updated.append(
+                        table.update_row(tid, changes_of(table.get(tid)))
+                    )
+            except BaseException:
+                # Rows before the failing one stay updated: an enclosing
+                # transaction must still be able to roll them back.
                 if self._current_transaction is not None:
-                    self._current_transaction.record_update(table_name, before, after)
-            self._dispatch(ChangeSet(table_name, updated=updated))
-            return len(updated)
+                    self._current_transaction.record(change)
+                raise
+            self._dispatch(span, "update", change)
+            return change.updated
 
     def update_by_tid(
         self, table_name: str, tid: int, changes: Mapping[str, Any]
     ) -> dict[str, Any]:
         """Point update through the tid (used by sync write-back)."""
-        if OBS.enabled:
-            with self._write_span("update", table_name) as span:
-                after = self._update_by_tid_impl(table_name, tid, changes)
-                self._record_write("update", table_name, span, 1)
-                return after
-        return self._update_by_tid_impl(table_name, tid, changes)
-
-    def _update_by_tid_impl(
-        self, table_name: str, tid: int, changes: Mapping[str, Any]
-    ) -> dict[str, Any]:
-        with self._lock:
-            table = self.table(table_name)
-            before, after = table.update_row(tid, changes)
-            if self._current_transaction is not None:
-                self._current_transaction.record_update(table_name, before, after)
-            self._dispatch(ChangeSet(table_name, updated=[(before, after)]))
-            return after
+        span = self._span("db.write", {"table": table_name, "op": "update"})
+        with span, self._lock:
+            updated = self.table(table_name).update_row(tid, changes)
+            self._dispatch(span, "update", ChangeSet(table_name, updated=[updated]))
+            return updated[1]
 
     def delete(self, table_name: str, where: Expression | None = None) -> int:
         """Delete all rows matching ``where``; returns the affected count."""
-        if OBS.enabled:
-            with self._write_span("delete", table_name) as span:
-                count = self._delete_impl(table_name, where)
-                self._record_write("delete", table_name, span, count)
-                return count
-        return self._delete_impl(table_name, where)
-
-    def _delete_impl(self, table_name: str, where: Expression | None = None) -> int:
-        with self._lock:
-            table = self.table(table_name)
-            return self._delete_rows(table, matching_tids(table, where))
-
-    def _delete_rows(self, table: Table, tids: Iterable[int]) -> int:
-        """One DELETE statement over ``tids`` (distinct, all present)."""
-        deleted = table.delete_many(tids)
-        if self._current_transaction is not None:
-            for row in deleted:
-                self._current_transaction.record_delete(table.name, row)
-        self._dispatch(ChangeSet(table.name, deleted=deleted))
-        return len(deleted)
+        return self._delete_rows(table_name, lambda table: matching_tids(table, where))
 
     def delete_by_tids(self, table_name: str, tids: Iterable[int]) -> int:
         """Delete specific rows by tid (used by deferred physical deletes)."""
-        if OBS.enabled:
-            with self._write_span("delete", table_name) as span:
-                count = self._delete_by_tids_impl(table_name, tids)
-                self._record_write("delete", table_name, span, count)
-                return count
-        return self._delete_by_tids_impl(table_name, tids)
+        # Absent and repeated tids are skipped, as a loop would.
+        return self._delete_rows(
+            table_name,
+            lambda table: [tid for tid in dict.fromkeys(tids) if tid in table],
+        )
 
-    def _delete_by_tids_impl(self, table_name: str, tids: Iterable[int]) -> int:
-        with self._lock:
+    def _delete_rows(
+        self, table_name: str, tids_of: Callable[[Table], Iterable[int]]
+    ) -> int:
+        """One DELETE statement over ``tids_of(table)`` (distinct, all present)."""
+        span = self._span("db.write", {"table": table_name, "op": "delete"})
+        with span, self._lock:
             table = self.table(table_name)
-            # Absent and repeated tids are skipped, as a loop would.
-            present = [tid for tid in dict.fromkeys(tids) if tid in table]
-            return self._delete_rows(table, present)
+            deleted = table.delete_many(tids_of(table))
+            self._dispatch(span, "delete", ChangeSet(table_name, deleted=deleted))
+            return len(deleted)
 
     # ------------------------------------------------------------------
-    # SQL interface
+    # SQL interface.  Every statement takes one path: prepare (text ->
+    # AST -> plan, through the caches), then run under a span.
     def execute(self, sql: str, params: Sequence[Any] = ()) -> Result:
         """Parse and run one SQL statement.
 
@@ -584,82 +514,122 @@ class Database:
         once; parameter-free SELECT plans are cached too (see
         :mod:`repro.db.plancache`).
         """
-        if OBS.enabled:
-            return self._execute_traced(sql, params)
-        return self._execute_impl(sql, params)
+        return self.execute_from(self, sql, params)
 
-    def _execute_impl(self, sql: str, params: Sequence[Any] = ()) -> Result:
-        """The uninstrumented fast path (``execute`` minus observability).
+    def execute_from(
+        self, source: TableProvider, sql: str, params: Sequence[Any] = ()
+    ) -> Result:
+        """:meth:`execute`, with SELECTs reading their tables from ``source``
+        -- this database, or a filtered view of it (workflow isolation
+        hands in a per-instance snapshot).  Other statements act on the
+        database whatever the source.
 
-        Benchmarks call this directly as the no-obs baseline when
-        asserting the disabled-instrumentation overhead stays negligible.
+        The one statement path: prepare, then run under a ``db.execute``
+        span -- the shared no-op while tracing is off.
         """
-        statement = self._statement_cache.get(sql)
-        if statement is None:
-            statement = parse(sql)
-            self._statement_cache.put(sql, statement)
-        if isinstance(statement, SelectStmt):
-            with self._lock:
-                plan = self._plan_cache.get(sql)
-                if plan is None:
-                    plan = plan_select(statement, self, params)
-                    if plan_cachable(statement):
-                        self._plan_cache.put(sql, plan)
-                if self._lineage is not None:
-                    captured = self._lineage.maybe_capture(sql, plan)
-                    if captured is not None:
-                        return Result(rows=captured)
-                return Result(rows=plan.to_list(self))
-        return self.execute_statement(statement, params)
-
-    def _execute_traced(self, sql: str, params: Sequence[Any]) -> Result:
-        """``execute`` with per-statement spans and cache-hit counters."""
-        metrics = OBS.metrics
-        statement = self._statement_cache.get(sql)
-        if statement is None:
-            metrics.counter("db.statement_cache", result="miss").inc()
-            statement = parse(sql)
-            self._statement_cache.put(sql, statement)
-        else:
-            metrics.counter("db.statement_cache", result="hit").inc()
-        kind = type(statement).__name__.removesuffix("Stmt").lower()
-        select_plan = None
-        with OBS.tracer.span("db.execute", tags={"kind": kind}) as span:
-            if isinstance(statement, SelectStmt):
-                with self._lock:
-                    plan = self._plan_cache.get(sql)
-                    if plan is None:
-                        metrics.counter("db.plan_cache", result="miss").inc()
-                        plan = plan_select(statement, self, params)
-                        if plan_cachable(statement):
-                            self._plan_cache.put(sql, plan)
-                    else:
-                        metrics.counter("db.plan_cache", result="hit").inc()
-                    span.set_tag("access", plan_access_kind(plan))
-                    select_plan = plan
-                    captured = (
-                        self._lineage.maybe_capture(sql, plan)
-                        if self._lineage is not None
-                        else None
-                    )
-                    if captured is not None:
-                        span.set_tag("lineage", True)
-                        result = Result(rows=captured)
-                    else:
-                        result = Result(rows=plan.to_list(self))
-                    span.set_tag("rows", len(result.rows))
+        traced = OBS.enabled
+        span = OBS.tracer.span("db.execute") if traced else NULL_SPAN
+        with span, self._lock:
+            statement, plan = self._prepare(sql, params, source)
+            if traced:
+                kind = type(statement).__name__.removesuffix("Stmt").lower()
+                span.set_tag("kind", kind)
+            if plan is None:
+                result = self._run(statement, params, span)
             else:
-                result = self.execute_statement(statement, params)
-                span.set_tag("rows", result.rowcount)
-        metrics.counter("db.statements", kind=kind).inc()
-        metrics.histogram("db.execute_ms", kind=kind).observe(span.duration_ms)
-        if self._slowlog is not None:
-            self._slowlog.maybe_record_query(sql, span, select_plan)
+                # The lineage probe: every Nth SELECT is run with capture.
+                lineage = self._lineage if source is self else None
+                rows = lineage.maybe_capture(sql, plan) if lineage is not None else None
+                if traced:
+                    span.set_tag("access", plan_access_kind(running_plan(plan, source)))
+                    if rows is not None:
+                        span.set_tag("lineage", True)
+                if rows is None:
+                    rows = plan.to_list(source)
+                result = Result(rows=rows)
+            if traced:
+                span.set_tag("rows", result.rowcount if plan is None else len(rows))
+        if traced:
+            OBS.metrics.counter("db.statements", kind=kind).inc()
+            OBS.metrics.histogram("db.execute_ms", kind=kind).observe(span.duration_ms)
+            if self._slowlog is not None:
+                self._slowlog.maybe_record_query(
+                    sql,
+                    span,
+                    None
+                    if plan is None
+                    else lambda: operator_rows(*self._analyze(plan, source)),
+                )
         return result
 
     def query(self, sql: str, params: Sequence[Any] = ()) -> list[dict[str, Any]]:
         """Shorthand: run a SELECT and return its rows."""
         return self.execute(sql, params).rows
+
+    def statement(self, sql: str) -> Statement:
+        """The parsed form of ``sql``, through the statement cache."""
+        return self._prepare(sql)[0]
+
+    def _prepare(
+        self,
+        sql: str,
+        params: Sequence[Any] = (),
+        source: TableProvider | None = None,
+    ) -> tuple[Statement, Plan | None]:
+        """SQL text -> ``(AST, plan)``, through both caches.
+
+        The plan is made only for a SELECT with a ``source`` to read, and
+        cached only when that is the database itself (what a snapshot
+        shows differs per caller).  Planning reads tables -- index sizes,
+        ``IN (SELECT ...)`` materialisation -- so the caller holds the lock.
+        """
+        statement = self._statement_cache.get(sql)
+        if statement is None:
+            statement = parse(sql)
+            self._statement_cache.put(sql, statement)
+        if source is None or not isinstance(statement, SelectStmt):
+            return statement, None
+        if source is not self:
+            return statement, self._plan(statement, params, source)
+        plan = self._plan_cache.get(sql)
+        if plan is None:
+            plan = self._plan(statement, params, self, cache_as=sql)
+        return statement, plan
+
+    def _plan(
+        self,
+        select: SelectStmt,
+        params: Sequence[Any],
+        source: TableProvider,
+        cache_as: str | None = None,
+    ) -> Plan:
+        """Plan one SELECT -- every plan the database runs is made here.
+
+        ``cache_as`` is the statement's own SQL text (the inner SELECT of
+        EXPLAIN or INSERT ... SELECT has none) to remember the plan under.
+        """
+        plan = plan_select(select, source, params)
+        if cache_as is not None and plan_cachable(select):
+            self._plan_cache.put(cache_as, plan)
+        return plan
+
+    def _run(self, statement: Statement, params: Sequence[Any], span: Any) -> Result:
+        """Run one statement that is not a SELECT under ``span`` (the
+        caller holds the lock)."""
+        if isinstance(statement, ExplainStmt):
+            return self._execute_explain(statement, params, span)
+        if isinstance(statement, InsertStmt):
+            return self._execute_insert(statement, params)
+        if isinstance(statement, UpdateStmt):
+            return self._execute_update(statement, params)
+        if isinstance(statement, DeleteStmt):
+            return self._execute_delete(statement, params)
+        if isinstance(statement, CreateTableStmt):
+            return self._execute_create(statement)
+        if isinstance(statement, DropTableStmt):
+            self.drop_table(statement.table, if_exists=statement.if_exists)
+            return Result()
+        raise DatabaseError(f"unsupported statement {statement!r}")
 
     def cache_info(self) -> dict[str, dict[str, int]]:
         """Hit/miss/size counters for the statement and plan caches."""
@@ -690,32 +660,13 @@ class Database:
                     db=self.name,
                 )
 
-    def execute_statement(self, statement: Statement, params: Sequence[Any] = ()) -> Result:
-        with self._lock:
-            if isinstance(statement, SelectStmt):
-                plan = plan_select(statement, self, params)
-                return Result(rows=plan.to_list(self))
-            if isinstance(statement, ExplainStmt):
-                return self._execute_explain(statement, params)
-            if isinstance(statement, InsertStmt):
-                return self._execute_insert(statement, params)
-            if isinstance(statement, UpdateStmt):
-                return self._execute_update(statement, params)
-            if isinstance(statement, DeleteStmt):
-                return self._execute_delete(statement, params)
-            if isinstance(statement, CreateTableStmt):
-                return self._execute_create(statement)
-            if isinstance(statement, DropTableStmt):
-                self.drop_table(statement.table, if_exists=statement.if_exists)
-                return Result()
-            raise DatabaseError(f"unsupported statement {statement!r}")
-
     def plan(self, sql: str, params: Sequence[Any] = ()) -> Plan:
         """Compile a SELECT to an algebra plan without executing it."""
-        statement = parse(sql)
-        if not isinstance(statement, SelectStmt):
+        with self._lock:
+            plan = self._prepare(sql, params, self)[1]
+        if plan is None:
             raise DatabaseError("plan() accepts SELECT statements only")
-        return plan_select(statement, self, params)
+        return plan
 
     def explain(
         self, sql: str, params: Sequence[Any] = (), analyze: bool = False
@@ -727,58 +678,47 @@ class Database:
         the SQL forms ``EXPLAIN SELECT ...`` / ``EXPLAIN ANALYZE SELECT
         ...`` return the same text one line per row.
         """
-        plan = self.plan(sql, params)
-        if not analyze:
-            return format_plan(plan)
-        instrumented, counters = instrument_plan(plan)
-        if OBS.enabled:
-            with OBS.tracer.span(
-                "db.explain", tags={"analyze": True}
-            ) as span:
-                with self._lock:
-                    for _ in instrumented.rows(self):
-                        pass
-                self._annotate_explain_span(span, plan, counters)
-        else:
-            with self._lock:
-                for _ in instrumented.rows(self):
-                    pass
-        return format_plan(plan, counters=counters)
+        span = self._span("db.explain", {"analyze": True}) if analyze else NULL_SPAN
+        with span, self._lock:
+            return self._explain(self.plan(sql, params), span, analyze)
 
-    @staticmethod
-    def _annotate_explain_span(
-        span: Any, plan: Plan, counters: dict[int, int]
-    ) -> None:
-        """Attach EXPLAIN ANALYZE operator counters to ``span``.
+    def _analyze(
+        self, plan: Plan, source: TableProvider
+    ) -> tuple[Plan, dict[int, int]]:
+        """Execute ``plan`` under per-operator row counters; returns it as
+        it ran against ``source`` (engine resolved) with the counters."""
+        with self._lock:
+            plan = running_plan(plan, source)
+            instrumented, counters = instrument_plan(plan)
+            for _ in instrumented.rows(source):
+                pass
+        return plan, counters
 
-        One event per operator, in ``format_plan`` line order with the
-        exact same labels, so the span-level view of the query agrees
-        with the printed plan (and persists to ``sys_span_events``).
+    def _explain(self, plan: Plan, span: Any, analyze: bool) -> str:
+        """EXPLAIN [ANALYZE] text of ``plan`` on the engine that runs now.
+
+        ANALYZE also hangs the counters off ``span``: one event per
+        operator, in ``format_plan`` line order with the same labels, so
+        the span-level view (``sys_span_events``) matches the printed plan.
         """
+        if not analyze:
+            return format_plan(running_plan(plan, self))
+        plan, counters = self._analyze(plan, self)
         operators = operator_rows(plan, counters)
         span.set_tag("operators", len(operators))
         for index, (label, rows) in enumerate(operators):
             span.add_event(
                 "explain.operator", index=index, operator=label, rows=rows
             )
+        return format_plan(plan, counters=counters)
 
-    def _execute_explain(self, stmt: ExplainStmt, params: Sequence[Any]) -> Result:
-        plan = plan_select(stmt.select, self, params)
+    def _execute_explain(
+        self, stmt: ExplainStmt, params: Sequence[Any], span: Any
+    ) -> Result:
+        plan = self._plan(stmt.select, params, self)
         if stmt.lineage:
             return self._execute_explain_lineage(plan)
-        if stmt.analyze:
-            instrumented, counters = instrument_plan(plan)
-            for _ in instrumented.rows(self):
-                pass
-            text = format_plan(plan, counters=counters)
-            if OBS.enabled:
-                # EXPLAIN ANALYZE through SQL runs inside the db.execute
-                # statement span; hang the counters off it.
-                span = OBS.tracer.current_span()
-                if span is not None:
-                    self._annotate_explain_span(span, plan, counters)
-        else:
-            text = format_plan(plan)
+        text = self._explain(plan, span, stmt.analyze)
         return Result(rows=[{"plan": line} for line in text.splitlines()])
 
     def _execute_explain_lineage(self, plan: Plan) -> Result:
@@ -810,7 +750,7 @@ class Database:
         scope = _Scope(self, params)
         rows_to_insert: list[dict[str, Any]] = []
         if stmt.select is not None:
-            select_rows = plan_select(stmt.select, self, params).to_list(self)
+            select_rows = self._plan(stmt.select, params, self).to_list(self)
             for src in select_rows:
                 if stmt.columns:
                     values = list(src.values())
@@ -841,36 +781,19 @@ class Database:
         return Result(rowcount=len(inserted))
 
     def _execute_update(self, stmt: UpdateStmt, params: Sequence[Any]) -> Result:
-        # SET expressions evaluate per row, so this path cannot delegate
-        # to update(); it gets the same db.write span independently.
-        if OBS.enabled:
-            with self._write_span("update", stmt.table) as span:
-                result = self._execute_update_impl(stmt, params)
-                self._record_write("update", stmt.table, span, result.rowcount)
-                return result
-        return self._execute_update_impl(stmt, params)
-
-    def _execute_update_impl(self, stmt: UpdateStmt, params: Sequence[Any]) -> Result:
         scope = _Scope(self, params)
         scope.add_table(stmt.table, None)
         where = lower_expr(stmt.where, scope) if stmt.where is not None else None
-        table = self.table(stmt.table)
-        # Assignments may reference the row (SET x = x + 1), so evaluate
-        # per row before applying.
-        assignment_exprs = [
+        # Assignments may reference the row (SET x = x + 1), so they are
+        # evaluated per row.
+        assignments = [
             (name, lower_expr(expr, scope)) for name, expr in stmt.assignments
         ]
-        matching = matching_tids(table, where)
-        updated: list[tuple[dict[str, Any], dict[str, Any]]] = []
-        for tid in matching:
-            row = table.get(tid)
-            assert row is not None
-            changes = {name: expr.eval(row) for name, expr in assignment_exprs}
-            before, after = table.update_row(tid, changes)
-            updated.append((before, after))
-            if self._current_transaction is not None:
-                self._current_transaction.record_update(stmt.table, before, after)
-        self._dispatch(ChangeSet(stmt.table, updated=updated))
+        updated = self._update_rows(
+            stmt.table,
+            where,
+            lambda row: {name: expr.eval(row) for name, expr in assignments},
+        )
         return Result(rowcount=len(updated))
 
     def _execute_delete(self, stmt: DeleteStmt, params: Sequence[Any]) -> Result:

@@ -398,43 +398,23 @@ def optimize_plan(plan: Plan, database: Any) -> Plan:
     """
     plan = _pushdown(plan, database)
     plan = _route_tree(plan, database)
-    return _maybe_vectorize(plan, database)
+    return _maybe_vectorize(plan)
 
 
-def _maybe_vectorize(plan: Plan, database: Any) -> Plan:
-    """Compete a vectorized candidate against the routed row plan.
+def _maybe_vectorize(plan: Plan) -> Plan:
+    """Offer the batch engine for an un-routed, translatable plan.
 
-    The decision follows the database's engine mode: ``"row"`` never
-    vectorizes; ``"vector"``/``"oracle"`` always do when translatable
-    (oracle runs both engines and diffs); ``"auto"`` -- the default --
-    vectorizes only when the router found no index access (an index probe
-    beats any scan, columnar or not) and the base tables are large enough
-    (``vector_min_rows``) for chunked execution to amortize its setup.
-    Untranslatable plans always keep the row form.
+    An index probe beats any scan, columnar or not, so routed plans keep
+    their row form, as do shapes with no batch translation.  Everything
+    else is wrapped in :class:`~repro.db.vector.Vectorized`, which picks
+    the engine from the tables' size each time it runs -- nothing about
+    the data is decided here, so a cached plan never goes stale.
     """
-    mode = getattr(database, "engine_mode", "row")
-    if mode == "row":
+    if plan_access_kind(plan) != "scan":
         return plan
     from .vector import vectorize_plan
 
-    if mode in ("vector", "oracle"):
-        vectorized = vectorize_plan(plan, database, verify=mode == "oracle")
-        return vectorized if vectorized is not None else plan
-    if plan_access_kind(plan) != "scan":
-        return plan
-    threshold = getattr(database, "vector_min_rows", 4096)
-    total = 0
-    for name in plan.base_tables():
-        try:
-            table = database.table(name)
-        except UnknownTableError:
-            return plan
-        if not isinstance(table, Table):
-            return plan
-        total += len(table)
-    if total < threshold:
-        return plan
-    vectorized = vectorize_plan(plan, database)
+    vectorized = vectorize_plan(plan)
     return vectorized if vectorized is not None else plan
 
 

@@ -42,17 +42,16 @@ class Transaction:
         self._pending_changes: list[ChangeSet] = []
         self.active = True
 
-    # -- recording (called by Database mutation paths) -------------------
-    def record_insert(self, table: str, row: dict[str, Any]) -> None:
-        self._undo.append(_UndoRecord("insert", table, row))
-
-    def record_update(
-        self, table: str, before: dict[str, Any], after: dict[str, Any]
-    ) -> None:
-        self._undo.append(_UndoRecord("update", table, after, before=before))
-
-    def record_delete(self, table: str, row: dict[str, Any]) -> None:
-        self._undo.append(_UndoRecord("delete", table, row))
+    # -- recording (called by Database's write path) ----------------------
+    def record(self, change: ChangeSet) -> None:
+        """Log the inverse of every row ``change`` touched."""
+        table = change.table
+        for row in change.inserted:
+            self._undo.append(_UndoRecord("insert", table, row))
+        for before, after in change.updated:
+            self._undo.append(_UndoRecord("update", table, after, before=before))
+        for row in change.deleted:
+            self._undo.append(_UndoRecord("delete", table, row))
 
     def defer_triggers(self, change: ChangeSet) -> None:
         """Queue a change set for trigger dispatch at commit time."""

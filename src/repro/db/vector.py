@@ -14,16 +14,16 @@ Three invariants keep both engines interchangeable:
   first-occurrence order, ``{**lrow, **rrow}`` join overlap rules, SUM
   accumulation order (``sum(vals, total)`` is the same left fold the row
   engine performs), tie-keeping MIN/MAX, dict key order of emitted rows.
-  The :class:`Vectorized` wrapper can verify this at runtime (oracle
-  mode) by running the row plan too and diffing.
+  ``tests/db/engines.py`` holds the oracle that runs both and diffs.
 * **Silent translation fallback.**  :func:`vectorize_plan` returns None
   for plans it cannot translate (index scans, lambdas, set operations);
   the router keeps the row plan.
-* **Silent execution fallback.**  A translated plan re-checks at run
-  time that every base table is a real :class:`~repro.db.table.Table`
-  (isolation snapshots wrap tables in non-Table proxies) and that join
-  shapes stay uniform; anything else raises the internal ``_Fallback``
-  and the wrapper transparently executes the row plan instead.
+* **Engine chosen per execution.**  A translated plan checks on every
+  run that each base table is a real :class:`~repro.db.table.Table`
+  (isolation snapshots wrap tables in non-Table proxies) and that
+  together they are large enough to repay chunk set-up; otherwise, or if
+  a join's shape turns ragged mid-run (the internal ``_Fallback``), the
+  wrapper transparently executes the row plan instead.
 
 Documented, deliberate divergences from the row engine (SQL permits all
 of them; the oracle's property tests avoid them):
@@ -39,11 +39,12 @@ of them; the oracle's property tests avoid them):
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
 from itertools import compress
 from typing import Any, Callable, Iterator
 
-from ..errors import DatabaseError, UnknownColumnError
+from ..errors import UnknownColumnError
 from .algebra import (
     Aggregate,
     Distinct,
@@ -472,10 +473,7 @@ class VScan(VOp):
         counters: dict[int, int] | None,
         lineage: bool = False,
     ) -> Iterator[Batch]:
-        table = source.table(self.table_name)
-        if not isinstance(table, Table):
-            raise _Fallback(self.table_name)
-        store = table.column_store()
+        store = source.table(self.table_name).column_store()
         needed = self.needed
         alias = self.alias
         tname = self.table_name
@@ -1212,49 +1210,41 @@ class VAggregate(VOp):
 # Plan wrapper and translation
 
 
-def _collect_scans(root: VOp) -> list[VScan]:
-    out: list[VScan] = []
+def _walk(root: VOp) -> Iterator[VOp]:
+    """Every operator of a VOp tree."""
     stack: list[VOp] = [root]
     while stack:
         node = stack.pop()
-        if isinstance(node, VScan):
-            out.append(node)
+        yield node
         stack.extend(node.children())
-    return out
 
 
-def _collect_ids(root: VOp) -> list[int]:
-    out: list[int] = []
-    stack: list[VOp] = [root]
-    while stack:
-        node = stack.pop()
-        out.append(id(node))
-        stack.extend(node.children())
-    return out
-
-
-def _row_repr(row: Row) -> str:
-    return repr(sorted(row.items(), key=lambda kv: kv[0]))
+#: Base-table rows below which the row engine wins: a batch pipeline's
+#: per-chunk set-up only amortizes over a few thousand rows.
+VECTOR_MIN_ROWS = 4096
 
 
 class Vectorized(Plan):
-    """Plan node executing a translated VOp tree on the batch engine.
+    """Plan node offering a translated VOp tree to the batch engine.
 
-    Wraps the original row plan for two jobs: transparent fallback when a
-    base table turns out not to be a real :class:`Table` at execution
-    time (isolation snapshots), and the row/vector equivalence oracle
-    (``verify=True``) which runs both engines and diffs results.
+    The engine is chosen on every execution from what the node can
+    observe: the batch engine runs when every base table is a real
+    :class:`Table` (isolation snapshots are not) and together they hold
+    at least :data:`VECTOR_MIN_ROWS` rows; otherwise the wrapped row
+    plan runs.  A cached plan therefore follows its tables as they grow
+    and shrink, with no eviction.
     """
 
     engine = "vectorized"
     explain_label = "Vectorized"
 
-    def __init__(self, root: VOp, row_plan: Plan, verify: bool = False) -> None:
+    def __init__(self, root: VOp, row_plan: Plan) -> None:
         self.root = root
         self.row_plan = row_plan
-        self.verify = verify
         self._counters: dict[int, int] | None = None
-        self._scan_names = sorted({s.table_name for s in _collect_scans(root)})
+        self._scan_names = sorted(
+            {op.table_name for op in _walk(root) if isinstance(op, VScan)}
+        )
 
     def children(self) -> tuple[Plan, ...]:
         return (self.root,)  # type: ignore[return-value]
@@ -1271,82 +1261,90 @@ class Vectorized(Plan):
         The clone shares this node's VOp objects, so counter keys match
         ``id()``s in the original tree and ``format_plan`` lines up.
         """
-        clone = Vectorized(self.root, self.row_plan, self.verify)
+        clone = Vectorized(self.root, self.row_plan)
         clone._counters = counters
         return clone
 
     def rows(self, source: TableProvider) -> Iterator[Row]:
         return iter(self.to_list(source))
 
-    def to_list(self, source: TableProvider) -> list[Row]:
+    def chosen(self, source: TableProvider) -> Plan:
+        """The plan that serves ``source`` right now: this node or its
+        row plan (see the class docstring for the rule)."""
+        rows = 0
+        for name in self._scan_names:
+            table = source.table(name)
+            if not isinstance(table, Table):
+                return self.row_plan
+            rows += len(table)
+        return self if rows >= VECTOR_MIN_ROWS else self.row_plan
+
+    def _run(
+        self, source: TableProvider, lineage: bool
+    ) -> tuple[list[Row], list[tuple]] | None:
+        """``(rows, lineages)`` off the batch engine, or None when the
+        row plan has to serve this execution instead."""
+        if self.chosen(source) is not self:
+            return None
+        rows: list[Row] = []
+        lins: list[tuple] = []
         try:
-            for name in self._scan_names:
-                if not isinstance(source.table(name), Table):
-                    raise _Fallback(name)
-            result: list[Row] = []
-            for batch in self.root.batches(source, self._counters):
-                result.extend(batch_rows(batch))
+            for batch in self.root.batches(source, self._counters, lineage):
+                rows.extend(batch_rows(batch))
+                if batch.lin is not None:
+                    lins.extend(batch.lin)
+                elif lineage:
+                    lins.extend(() for _ in range(batch.n))
         except _Fallback:
-            # The batch engine cannot serve this source; erase any
+            # The batch engine gave up on this data mid-run; erase any
             # partial chunk counts so EXPLAIN doesn't report phantom
-            # vectorized work, and run the row plan.
+            # vectorized work.
             if self._counters is not None:
-                for key in _collect_ids(self.root):
-                    self._counters.pop(key, None)
-            return self.row_plan.to_list(source)
-        if self.verify:
-            expected = self.row_plan.to_list(source)
-            if result != expected:
-                raise DatabaseError(self._diff_message(result, expected))
-        return result
+                for op in _walk(self.root):
+                    self._counters.pop(id(op), None)
+            return None
+        return rows, lins
+
+    def to_list(self, source: TableProvider) -> list[Row]:
+        ran = self._run(source, lineage=False)
+        return ran[0] if ran is not None else self.row_plan.to_list(source)
 
     def to_list_lineage(self, source: TableProvider) -> tuple[list[Row], list[tuple]]:
         """Execute with lineage capture: ``(rows, lineages)`` in lockstep.
 
         ``lineages[i]`` is an iterable of ``(table, tid)`` pairs for
         ``rows[i]`` (uncanonicalized; callers normalize via
-        :func:`repro.lineage.capture.canon_lineage`).  Falls back to the
-        row-engine capture interpreter whenever the batch engine cannot
-        serve this source, exactly mirroring :meth:`to_list`.
+        :func:`repro.lineage.capture.canon_lineage`).  Runs on the engine
+        :meth:`to_list` would use, the row-engine capture interpreter
+        standing in for the row plan.
         """
         from ..lineage.capture import row_capture
 
-        try:
-            for name in self._scan_names:
-                if not isinstance(source.table(name), Table):
-                    raise _Fallback(name)
-            rows: list[Row] = []
-            lins: list[tuple] = []
-            for batch in self.root.batches(source, None, lineage=True):
-                rows.extend(batch_rows(batch))
-                if batch.lin is not None:
-                    lins.extend(batch.lin)
-                else:
-                    lins.extend(() for _ in range(batch.n))
-        except _Fallback:
-            return row_capture(self.row_plan, source)
-        return rows, lins
-
-    def _diff_message(self, got: list[Row], expected: list[Row]) -> str:
-        got_keys = Counter(_row_repr(r) for r in got)
-        exp_keys = Counter(_row_repr(r) for r in expected)
-        extra = sorted((got_keys - exp_keys).elements())[:5]
-        missing = sorted((exp_keys - got_keys).elements())[:5]
-        if not extra and not missing:
-            return (
-                "row/vector oracle mismatch: same row multiset, different "
-                f"order ({len(got)} rows); first vectorized row "
-                f"{_row_repr(got[0]) if got else '<none>'!s}, first row-engine "
-                f"row {_row_repr(expected[0]) if expected else '<none>'!s}"
-            )
-        return (
-            "row/vector oracle mismatch: vectorized produced "
-            f"{len(got)} rows, row engine {len(expected)}; "
-            f"only-vectorized={extra!r} only-row={missing!r}"
-        )
+        ran = self._run(source, lineage=True)
+        return ran if ran is not None else row_capture(self.row_plan, source)
 
     def __repr__(self) -> str:
         return f"Vectorized({self.row_plan!r})"
+
+
+def running_plan(plan: Plan, source: TableProvider) -> Plan:
+    """``plan`` as it would execute against ``source`` right now.
+
+    Every :class:`Vectorized` node is resolved by :meth:`Vectorized.chosen`,
+    so EXPLAIN, span tags and lineage records name the engine that runs
+    rather than the one on offer.  Operators above a resolved node are
+    shallow-copied; the (possibly cached) input tree is never modified.
+    """
+    if isinstance(plan, Vectorized):
+        return plan.chosen(source)
+    for attr in ("child", "left", "right"):
+        sub = getattr(plan, attr, None)
+        if isinstance(sub, Plan):
+            chosen = running_plan(sub, source)
+            if chosen is not sub:
+                plan = copy.copy(plan)
+                setattr(plan, attr, chosen)
+    return plan
 
 
 def _widen(needed: set[str] | None, extra: set[str]) -> set[str] | None:
@@ -1399,20 +1397,14 @@ def _translate(plan: Plan, needed: set[str] | None) -> VOp:
     raise Unvectorizable(f"operator {type(plan).__name__} has no vector form")
 
 
-def vectorize_plan(
-    plan: Plan, source: TableProvider, verify: bool = False
-) -> Vectorized | None:
+def vectorize_plan(plan: Plan) -> Vectorized | None:
     """Translate ``plan`` for the batch engine, or None if untranslatable.
 
-    The returned :class:`Vectorized` node executes the batch pipeline
-    and falls back to ``plan`` itself whenever the source cannot serve
-    columnar scans.  With ``verify=True`` it becomes the equivalence
-    oracle: every execution also runs the row plan and raises
-    :class:`~repro.errors.DatabaseError` on any difference.
+    The returned :class:`Vectorized` node keeps ``plan`` as its row form
+    and picks between the two on every execution.
     """
     try:
         root = _translate(plan, None)
     except Unvectorizable:
         return None
-    return Vectorized(root, plan, verify=verify)
-
+    return Vectorized(root, plan)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Iterable, Optional
 
+from ..db.vector import running_plan
 from ..errors import LineageError
 from ..obs.runtime import OBS
 from .capture import Lineage, capture_plan
@@ -73,14 +74,13 @@ class LineageManager:
         if any(name.startswith("sys_") for name in base_tables):
             self.sampled_out += 1
             return None
-        rows, lins = capture_plan(plan, self.database)
-        self.captures += 1
-        if self.store is not None:
-            self.store.record(sql, getattr(plan, "engine", "row"), lins, base_tables)
-        return rows
+        return self.capture(sql, plan)[0]
 
     def capture(self, sql: str, plan: "Plan", record: bool = True) -> "tuple[list[Row], list[Lineage]]":
         """Unconditional capture (EXPLAIN LINEAGE / ``query_lineage``)."""
+        # Resolve the run-time engine choice first, so the record names
+        # the engine that actually captured.
+        plan = running_plan(plan, self.database)
         rows, lins = capture_plan(plan, self.database)
         self.captures += 1
         if record and self.store is not None:

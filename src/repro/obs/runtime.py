@@ -1,18 +1,24 @@
 """The process-wide observability switchboard.
 
-Instrumented modules import the :data:`OBS` singleton once and guard
-every hot path with a single attribute check::
+Instrumented modules import the :data:`OBS` singleton once and decide
+*what span to run under* with a single attribute check; the work itself
+is written once and takes the span as a value::
 
     from ..obs.runtime import OBS
+    from ..obs.trace import NULL_SPAN
     ...
-    if OBS.enabled:
-        with OBS.tracer.span("db.execute", tags={...}):
-            ...
+    span = OBS.tracer.span("db.execute") if OBS.enabled else NULL_SPAN
+    with span:
+        ...                      # the one code path
+        span.set_tag("rows", n)  # a no-op on NULL_SPAN
 
-Disabled (the default) the cost is one global load plus one attribute
-read -- no allocation, no locking, no time syscalls.  Rare *events*
-(reconnects, degradations, hook failures) are counted unconditionally:
-a metric you only record while someone is watching is not a metric.
+Disabled (the default) the cost is one global load, one attribute read
+and a no-op ``with`` -- no allocation, no locking, no time syscalls --
+and there is no untraced twin of the code to keep in step (keep the
+check's result in a local to skip computing an expensive tag).  Rare
+*events* (reconnects, degradations, hook failures) are counted
+unconditionally: a metric you only record while someone is watching is
+not a metric.
 
 ``enabled`` is a plain attribute so it can be flipped at runtime; the
 flip is safe under threads (a racing reader either sees the old or the

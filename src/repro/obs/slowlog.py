@@ -7,9 +7,9 @@ statement or span that exceeds a latency budget and persists, per
 offender, the two pieces of evidence that answer the question:
 
 - the **EXPLAIN ANALYZE operator rows** of the offending SELECT
-  (re-planned and re-executed under an instrumented plan via
-  :func:`repro.db.algebra.instrument_plan`, inside the tracer's
-  suppression so the re-run never shows up as its own slow query);
+  (its plan re-executed under row counters by the database, inside the
+  tracer's suppression so the re-run never shows up as its own slow
+  query);
 - the **profile stacks** the sampling profiler attributed to the
   offending span (:meth:`SamplingProfiler.span_profile`), when one is
   running.
@@ -22,9 +22,10 @@ drops any span/metric the slowlog's own writes generate.
 Two paths feed the log:
 
 1. :meth:`Database.enable_slowlog` installs a :class:`SlowLog` on a
-   database; ``_execute_traced`` hands it every statement whose
-   ``db.execute`` span exceeded ``budget_ms`` (with the SELECT plan, so
-   operator rows can be captured);
+   database; the statement path (``Database.execute_from``) hands it
+   every traced statement once its ``db.execute`` span has closed, and
+   those over ``budget_ms`` are kept (a SELECT comes with a callable
+   that re-runs its plan for operator rows);
 2. a tracer finish hook catches *any other* over-budget span
    (``sync.flush``, ``ivm.delta_apply``, ...) -- those entries carry
    profile stacks but no operator rows.
@@ -153,15 +154,15 @@ class SlowLog:
         db.table(SYS_SLOWLOG).create_index("ix_sys_slowlog_id", ("id",), sorted=True)
 
     # ------------------------------------------------------------------
-    # Query path (called by Database._execute_traced after the span closed)
+    # Query path (called by the database's statement path after the span closed)
     def maybe_record_query(
-        self, sql: str, span: Any, plan: Optional[Any] = None
+        self, sql: str, span: Any, analyze: Optional[Any] = None
     ) -> bool:
         """Record ``sql`` if its statement span blew the budget.
 
-        ``plan`` is the (uninstrumented) SELECT plan when there is one;
-        operator rows are captured by re-running it instrumented.
-        Returns True when an entry was persisted.
+        ``analyze`` -- given for a SELECT -- re-runs the statement's plan
+        under row counters and returns its ``(label, rows)`` operator
+        pairs.  Returns True when an entry was persisted.
         """
         duration = span.duration_ms
         if duration < self.budget_ms or not self._admit(sql):
@@ -169,8 +170,8 @@ class SlowLog:
         try:
             with self.runtime.tracer.suppress():
                 operators = (
-                    self._explain_analyze(plan)
-                    if self.explain and plan is not None
+                    [list(pair) for pair in analyze()]
+                    if self.explain and analyze is not None
                     else None
                 )
                 row = self._entry_row(
@@ -185,15 +186,6 @@ class SlowLog:
         except Exception:  # pragma: no cover - never take a query down
             self.errors += 1
             return False
-
-    def _explain_analyze(self, plan: Any) -> list[list[Any]]:
-        """Re-run ``plan`` instrumented; return ``[label, rows]`` pairs."""
-        from ..db.algebra import instrument_plan, operator_rows
-
-        instrumented, counters = instrument_plan(plan)
-        with self.database.lock:
-            instrumented.to_list(self.database)
-        return [[label, rows] for label, rows in operator_rows(plan, counters)]
 
     # ------------------------------------------------------------------
     # Span path (tracer finish hook; runs on the finishing thread)

@@ -31,7 +31,7 @@ import time
 from collections import OrderedDict, deque
 from typing import Any, Iterator, Optional
 
-__all__ = ["NullSpan", "Span", "SpanContext", "Tracer"]
+__all__ = ["NULL_SPAN", "NullSpan", "Span", "SpanContext", "Tracer"]
 
 
 class SpanContext:
@@ -176,7 +176,10 @@ class Span:
 
 
 class NullSpan:
-    """A do-nothing stand-in returned while a thread is suppressed.
+    """A do-nothing stand-in: the span of work nobody is tracing.
+
+    Handed out while a thread is suppressed, and passed by instrumented
+    code paths that take their span as an argument while tracing is off.
 
     The telemetry sink persists the tracer's own output back into a
     database whose write path is itself instrumented; without a guard the
@@ -236,7 +239,7 @@ class NullSpan:
 
 
 #: Shared instance -- NullSpan carries no state, one is enough.
-_NULL_SPAN = NullSpan()
+NULL_SPAN = NullSpan()
 
 
 class _Suppression:
@@ -425,7 +428,7 @@ class Tracer:
         instead.
         """
         if getattr(self._local, "suppress", 0) > 0:
-            return _NULL_SPAN
+            return NULL_SPAN
         return Span(self, name, tags=tags, parent=parent)
 
     def current_context(self) -> Optional[SpanContext]:
@@ -435,19 +438,6 @@ class Tracer:
             return None
         top = stack[-1]
         return SpanContext(top.trace_id, top.span_id)
-
-    def current_span(self) -> Optional[Span]:
-        """The innermost *open* span on this thread, if any.
-
-        Activations (bare contexts) don't count: callers use this to
-        attach tags or events to the statement span they are running
-        under (e.g. EXPLAIN ANALYZE recording operator counters).
-        """
-        stack = self._stack()
-        for frame in reversed(stack):
-            if isinstance(frame, Span):
-                return frame
-        return None
 
     def activate(self, context: Optional[SpanContext]) -> _Activation:
         """Install ``context`` as the parent for spans started inside.

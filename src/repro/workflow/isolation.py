@@ -38,8 +38,7 @@ from ..db.expression import Expression, col
 from ..db.routing import matching_tids
 from ..db.schema import CREATED_AT, TID, Column
 from ..db.sql.ast import DeleteStmt, InsertStmt, SelectStmt
-from ..db.sql.parser import parse
-from ..db.sql.planner import _Scope, lower_expr, plan_select
+from ..db.sql.planner import _Scope, lower_expr
 from ..db.table import Table
 from ..db.types import INTEGER, TIMESTAMP
 from ..errors import IsolationError
@@ -276,18 +275,20 @@ class IsolationManager:
     # -- statement interface --------------------------------------------------
     def query(self, sql: str, params: Sequence[Any], ctx: IsolationContext) -> list[Row]:
         """Run a SELECT with isolation applied at every scan."""
-        statement = parse(sql)
-        if not isinstance(statement, SelectStmt):
+        if not isinstance(self.database.statement(sql), SelectStmt):
             raise IsolationError("isolation.query() accepts SELECT only")
-        source = _IsolatedSource(self, ctx)
-        plan = plan_select(statement, source, params)
-        return plan.to_list(source)
+        return self.database.execute_from(_IsolatedSource(self, ctx), sql, params).rows
 
     def execute(self, sql: str, params: Sequence[Any], ctx: IsolationContext) -> Result:
-        """Run any statement; SELECTs are isolated, DELETEs deferred."""
-        statement = parse(sql)
+        """Run any statement; SELECTs are isolated, DELETEs deferred.
+
+        Everything but the deferred DELETE runs on the database's own
+        statement path (caches, ``db.execute`` span, slow log); a SELECT
+        only swaps in this instance's view of the tables as its source.
+        """
+        statement = self.database.statement(sql)
         if isinstance(statement, SelectStmt):
-            return Result(rows=self.query(sql, params, ctx))
+            return self.database.execute_from(_IsolatedSource(self, ctx), sql, params)
         if isinstance(statement, InsertStmt) and ctx.own_tids is not None:
             # Record inserted tids so the instance sees its own writes.
             collected: list[int] = []
@@ -297,7 +298,7 @@ class IsolationManager:
                 lambda change: collected.extend(r[TID] for r in change.inserted),
             )
             try:
-                result = self.database.execute_statement(statement, params)
+                result = self.database.execute(sql, params)
             finally:
                 self.database.drop_trigger(trigger)
             ctx.record_own(statement.table, collected)
@@ -317,7 +318,7 @@ class IsolationManager:
             )
             count = self.logical_delete(statement.table, where, ctx)
             return Result(rowcount=count)
-        return self.database.execute_statement(statement, params)
+        return self.database.execute(sql, params)
 
     def logical_delete(
         self, table: str, where: Expression | None, ctx: IsolationContext

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.obs as obs
 from repro.db import Database
 from repro.workflow import PropagationManager, WorkflowEngine
 
@@ -22,3 +23,14 @@ def engine(db):
 def propagation(engine):
     """A propagation manager attached to the engine."""
     return PropagationManager(engine)
+
+
+@pytest.fixture
+def traced():
+    """Observability on for one test, from a clean slate and back to it."""
+    obs.disable()
+    obs.reset()
+    obs.enable()
+    yield obs
+    obs.disable()
+    obs.reset()

@@ -19,6 +19,8 @@ from repro.db import Database, open_durable, recover
 from repro.db.durability import _bulk_insert
 from repro.db.schema import TID
 
+from tests.db.engines import assert_engines_agree
+
 
 @pytest.fixture
 def durable(tmp_path):
@@ -63,9 +65,9 @@ class TestBulkRecovery:
         store = recovered.table("t").column_store()
         assert len(store) == 2000
         assert not store.stale
-        recovered.set_engine("oracle")
-        rows = recovered.query(
-            "SELECT grp, COUNT(*) AS n, SUM(val) AS s FROM t GROUP BY grp"
+        rows = assert_engines_agree(
+            recovered,
+            "SELECT grp, COUNT(*) AS n, SUM(val) AS s FROM t GROUP BY grp",
         )
         assert len(rows) == 7
 
@@ -149,5 +151,4 @@ class TestCrashDuringBulkWindow:
         # The torn record was the tail of an already-committed txn's
         # commit marker or later: state is a prefix of expected.
         assert state == expected or len(state) <= len(expected)
-        recovered.set_engine("oracle")
-        recovered.query("SELECT COUNT(*) AS n FROM t")
+        assert_engines_agree(recovered, "SELECT COUNT(*) AS n FROM t")

@@ -7,6 +7,7 @@ from repro.db.algebra import IndexScan, Scan
 from repro.db.sql.parser import parse
 from repro.db.sql.planner import plan_select
 from repro.db.types import INTEGER, TEXT
+from repro.db.vector import running_plan
 
 
 @pytest.fixture
@@ -42,8 +43,9 @@ def scan_nodes(plan):
 
 
 def plan_for(db, sql):
-    stmt = parse(sql)
-    return plan_select(stmt, db, ())
+    # An un-routed plan comes wrapped for the run-time engine choice;
+    # these tests inspect the operators that run on this (small) table.
+    return running_plan(plan_select(parse(sql), db, ()), db)
 
 
 class TestProbeSelection:

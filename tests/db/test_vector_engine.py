@@ -1,7 +1,7 @@
 """Tests for the vectorized execution engine and its router integration.
 
-Covers engine modes (auto/row/vector/oracle), the auto-mode size and
-access-path gates, EXPLAIN labels and per-operator row counters,
+Covers the run-time engine choice (table size, access path, cached plans
+following their tables), EXPLAIN labels and per-operator row counters,
 graceful fallback to the row engine at execution time, and the
 translation gate (which plans vectorize at all).
 """
@@ -23,7 +23,9 @@ from repro.db.algebra import (
     plan_access_kind,
 )
 from repro.db.expression import Lambda, col
-from repro.errors import DatabaseError
+from repro.db.vector import VECTOR_MIN_ROWS, running_plan
+
+from tests.db.engines import assert_engines_agree, forced_engine
 
 
 @pytest.fixture
@@ -45,91 +47,119 @@ AGG_SQL = (
 )
 
 
-class TestEngineModes:
-    def test_default_is_auto(self, db):
-        assert db.engine_mode == "auto"
-
-    def test_set_engine_validates(self, db):
-        with pytest.raises(DatabaseError):
-            db.set_engine("turbo")
-        for mode in ("row", "vector", "oracle", "auto"):
-            db.set_engine(mode)
-            assert db.engine_mode == mode
-
+class TestEngineAgreement:
     def test_row_and_vector_agree(self, db):
-        db.set_engine("row")
-        expected = db.query(AGG_SQL)
-        db.set_engine("vector")
-        assert db.query(AGG_SQL) == expected
+        with forced_engine("row"):
+            expected = db.query(AGG_SQL)
+        with forced_engine("vector"):
+            assert db.query(AGG_SQL) == expected
 
-    def test_oracle_mode_runs_both(self, db):
-        db.set_engine("oracle")
-        rows = db.query(AGG_SQL)
-        assert len(rows) == 5
+    def test_oracle_runs_both(self, db):
+        assert len(assert_engines_agree(db, AGG_SQL)) == 5
 
-    def test_set_engine_clears_plan_cache(self, db):
-        db.set_engine("vector")
-        assert "Vectorized" in db.explain(AGG_SQL)
-        db.set_engine("row")
-        assert "Vectorized" not in db.explain(AGG_SQL)
+    def test_results_match_row_with_a_filter(self, db):
+        rows = assert_engines_agree(
+            db, "SELECT id, salary FROM emp WHERE salary > 1100"
+        )
+        assert len(rows) == 99
 
 
-class TestAutoGate:
+def grow(db, rows):
+    """Append ``rows`` employees, ids from 10,000 up."""
+    db.insert_many(
+        "emp",
+        [
+            {"id": 10_000 + i, "dept": f"d{i % 5}", "salary": i}
+            for i in range(rows)
+        ],
+    )
+
+
+def access_of_last_select(traced):
+    return traced.tracer().spans_named("db.execute")[-1].tags["access"]
+
+
+class TestRunTimeChoice:
     def test_small_table_stays_row(self, db):
-        db.set_engine("auto")
         assert "Vectorized" not in db.explain(AGG_SQL)
 
     def test_crossing_threshold_vectorizes(self, db):
-        db.vector_min_rows = 100
-        db.set_engine("auto")  # clears the plan cache
+        grow(db, VECTOR_MIN_ROWS)
         assert "Vectorized" in db.explain(AGG_SQL)
 
     def test_point_lookup_never_vectorizes(self, db):
-        db.vector_min_rows = 1
-        db.set_engine("auto")
-        text = db.explain("SELECT * FROM emp WHERE id = 5")
+        with forced_engine("vector"):
+            text = db.explain("SELECT * FROM emp WHERE id = 5")
         assert "IndexScan" in text
         assert "Vectorized" not in text
 
-    def test_auto_results_match_row(self, db):
-        db.set_engine("row")
-        expected = db.query("SELECT id, salary FROM emp WHERE salary > 1100")
-        db.vector_min_rows = 100
-        db.set_engine("auto")
-        assert db.query("SELECT id, salary FROM emp WHERE salary > 1100") == expected
+    def test_cached_plan_follows_table_size(self, traced):
+        """A GROUP BY first issued while its table is empty -- the
+        dashboard registered before the data streams in -- must not stay
+        on the row engine for ever: the cached plan runs vectorized once
+        the table has grown, and on rows again once it has shrunk."""
+        db = Database()
+        db.execute(
+            "CREATE TABLE emp (id INTEGER PRIMARY KEY, dept TEXT, salary INTEGER)"
+        )
+        assert db.query(AGG_SQL) == []
+        assert access_of_last_select(traced) == "scan"
+
+        grow(db, 20_000)
+        assert len(db.query(AGG_SQL)) == 5
+        assert access_of_last_select(traced) == "vectorized"
+        analyzed = db.explain(AGG_SQL, analyze=True)
+        assert "VScan emp (rows=20000)" in analyzed
+        # EXPLAIN through SQL, the method and execute share one plan.
+        assert analyzed.splitlines() == [
+            r["plan"] for r in db.query(f"EXPLAIN ANALYZE {AGG_SQL}")
+        ]
+
+        db.delete("emp", col("id") >= 10_000 + VECTOR_MIN_ROWS - 1)
+        assert len(db.query(AGG_SQL)) == 5
+        assert access_of_last_select(traced) == "scan"
+        assert "Vectorized" not in db.explain(AGG_SQL)
+        assert "Scan emp (rows=4095)" in db.explain(AGG_SQL, analyze=True)
+        # All of it on the one plan cached while the table was empty.
+        assert db.cache_info()["plans"]["misses"] == 1
 
 
 class TestExplainIntegration:
     def test_explain_labels(self, db):
-        db.set_engine("vector")
-        text = db.explain(AGG_SQL)
+        with forced_engine("vector"):
+            text = db.explain(AGG_SQL)
         assert "Vectorized" in text
         assert "VAggregate" in text
         assert "VScan emp" in text
 
     def test_explain_analyze_row_counters(self, db):
-        db.set_engine("vector")
-        rows = db.query(
-            "EXPLAIN ANALYZE SELECT id FROM emp WHERE salary > 1100"
-        )
+        with forced_engine("vector"):
+            rows = db.query(
+                "EXPLAIN ANALYZE SELECT id FROM emp WHERE salary > 1100"
+            )
         text = "\n".join(r["plan"] for r in rows)
         assert "VScan emp (rows=200)" in text
         assert "VFilter" in text and "(rows=99)" in text
 
     def test_plan_access_kind(self, db):
-        plan = vectorize_plan(Scan("emp"), db)
+        plan = vectorize_plan(Scan("emp"))
         assert plan is not None
         assert plan_access_kind(plan) == "vectorized"
+        # ... which is the engine on offer; 200 rows run on the row plan.
+        assert plan_access_kind(running_plan(plan, db)) == "scan"
 
     def test_union_keeps_row_combinator_vectorized_branches(self, db):
-        db.set_engine("vector")
         # UNION itself has no vectorized translation, but each branch
         # plans independently and may vectorize under the row combinator.
         sql = "SELECT dept FROM emp UNION ALL SELECT dept FROM emp"
-        rows = db.query(sql)
+        with forced_engine("vector"):
+            rows = db.query(sql)
+            text = db.explain(sql)
         assert len(rows) == 400
-        text = db.explain(sql)
         assert text.startswith("Union ALL")
+        assert "Vectorized" in text
+        # The nested choice is made at run time too.
+        assert "Vectorized" not in db.explain(sql)
 
 
 class TestTranslationGate:
@@ -137,15 +167,15 @@ class TestTranslationGate:
         plan = Project(
             Select(Scan("emp"), col("salary") > 1100), [("id", col("id"))]
         )
-        assert isinstance(vectorize_plan(plan, db), Vectorized)
+        assert isinstance(vectorize_plan(plan), Vectorized)
 
     def test_rowsource_does_not(self, db):
         plan = Select(RowSource("r", [{"x": 1}]), col("x") > 0)
-        assert vectorize_plan(plan, db) is None
+        assert vectorize_plan(plan) is None
 
     def test_lambda_predicate_does_not(self, db):
         plan = Select(Scan("emp"), Lambda(lambda row: True, "always"))
-        assert vectorize_plan(plan, db) is None
+        assert vectorize_plan(plan) is None
 
     def test_join_sort_limit_distinct_vectorize(self, db):
         plan = Limit(
@@ -162,9 +192,10 @@ class TestTranslationGate:
             ),
             10,
         )
-        vec = vectorize_plan(plan, db)
+        vec = vectorize_plan(plan)
         assert isinstance(vec, Vectorized)
-        assert vec.to_list(db) == plan.to_list(db)
+        with forced_engine("vector"):
+            assert vec.to_list(db) == plan.to_list(db)
 
     def test_aggregate_distinct_vectorizes(self, db):
         plan = Aggregate(
@@ -172,11 +203,11 @@ class TestTranslationGate:
             group_by=["dept"],
             aggregates=[AggSpec("COUNT", col("salary"), "n", distinct=True)],
         )
-        vec = vectorize_plan(plan, db)
+        vec = vectorize_plan(plan)
         assert isinstance(vec, Vectorized)
-        assert sorted(map(repr, vec.to_list(db))) == sorted(
-            map(repr, plan.to_list(db))
-        )
+        with forced_engine("vector"):
+            got = vec.to_list(db)
+        assert sorted(map(repr, got)) == sorted(map(repr, plan.to_list(db)))
 
 
 class _DelegatingTable:
@@ -200,10 +231,11 @@ class _WrappedSource:
 class TestRuntimeFallback:
     def test_non_table_source_falls_back(self, db):
         plan = Select(Scan("emp"), col("salary") > 1100)
-        vec = vectorize_plan(plan, db)
+        vec = vectorize_plan(plan)
         assert vec is not None
         source = _WrappedSource(db)
-        rows = vec.to_list(source)
+        with forced_engine("vector"):
+            rows = vec.to_list(source)
         assert rows == plan.to_list(source)
         assert len(rows) == 99
 
@@ -211,19 +243,25 @@ class TestRuntimeFallback:
         from repro.db.algebra import instrument_plan
 
         plan = Select(Scan("emp"), col("salary") > 1100)
-        vec = vectorize_plan(plan, db)
+        vec = vectorize_plan(plan)
         counted, counters = instrument_plan(vec)
-        counted.to_list(_WrappedSource(db))
+        with forced_engine("vector"):
+            counted.to_list(_WrappedSource(db))
         # The vectorized ops never ran to completion: their counters must
         # not survive into EXPLAIN ANALYZE output.
-        from repro.db.vector import _collect_ids
+        from repro.db.vector import _walk
 
-        assert not set(counters) & set(_collect_ids(vec.root))
+        assert not set(counters) & {id(op) for op in _walk(vec.root)}
+
+
+@pytest.fixture
+def vector_engine():
+    with forced_engine("vector"):
+        yield
 
 
 class TestMutationVisibility:
-    def test_vector_engine_sees_fresh_writes(self, db):
-        db.set_engine("vector")
+    def test_vector_engine_sees_fresh_writes(self, db, vector_engine):
         before = db.query("SELECT COUNT(*) AS n FROM emp")[0]["n"]
         db.execute(
             "INSERT INTO emp (id, dept, salary) VALUES (?, ?, ?)",
@@ -233,8 +271,7 @@ class TestMutationVisibility:
         db.execute("DELETE FROM emp WHERE id = 999")
         assert db.query("SELECT COUNT(*) AS n FROM emp")[0]["n"] == before
 
-    def test_update_visible_through_store(self, db):
-        db.set_engine("vector")
+    def test_update_visible_through_store(self, db, vector_engine):
         db.query(AGG_SQL)  # builds the store
         db.execute("UPDATE emp SET salary = 0 WHERE id = 0")
         rows = db.query("SELECT salary FROM emp WHERE id = 0")

@@ -5,9 +5,10 @@ rows, same dict key order, same float rounding, same NULL semantics,
 same trigger firings.  These tests drive both engines over randomized
 schemas, data, and queries and assert equality three ways:
 
-1. direct result comparison (``row`` mode vs ``vector`` mode);
-2. ``oracle`` engine mode, where the Vectorized plan itself re-runs the
-   row plan and raises on any multiset difference;
+1. direct result comparison (the whole statement path, once with each
+   engine forced);
+2. :func:`tests.db.engines.assert_engines_agree`, which runs one plan's
+   row form and its batch translation and requires identical lists;
 3. EXPLAIN ANALYZE row counters vs actual result cardinality.
 
 A mutation workload additionally asserts trigger ChangeSets are
@@ -19,6 +20,8 @@ from hypothesis import strategies as st
 
 from repro.db import Column, Database
 from repro.db.types import ANY, INTEGER, TEXT
+
+from tests.db.engines import assert_engines_agree, forced_engine
 
 # Small pools make collisions, ties, NULL groups and empty groups common.
 ints = st.one_of(st.integers(min_value=-4, max_value=4), st.none())
@@ -92,10 +95,10 @@ def canon(rows):
 def test_row_vector_equivalence(rows, orows, qi):
     sql = QUERIES[qi]
     db = fresh_db(rows, orows)
-    db.set_engine("row")
-    expected = db.query(sql)
-    db.set_engine("vector")
-    got = db.query(sql)
+    with forced_engine("row"):
+        expected = db.query(sql)
+    with forced_engine("vector"):
+        got = db.query(sql)
     # Unsorted queries may emit rows in either order; sorted queries must
     # match positionally.
     if "ORDER BY" in sql:
@@ -106,13 +109,10 @@ def test_row_vector_equivalence(rows, orows, qi):
 
 @given(rows_strategy, other_rows, st.integers(0, len(QUERIES) - 1))
 @settings(max_examples=60, deadline=None)
-def test_oracle_mode_verifies_in_band(rows, orows, qi):
-    # The oracle engine runs the row plan inside the Vectorized node and
-    # raises DatabaseError on any multiset mismatch -- a clean pass IS
-    # the assertion.
-    db = fresh_db(rows, orows)
-    db.set_engine("oracle")
-    db.query(QUERIES[qi])
+def test_oracle_helper_verifies_each_query(rows, orows, qi):
+    # Stricter than the comparison above: same rows in the same order,
+    # sorted query or not.
+    assert_engines_agree(fresh_db(rows, orows), QUERIES[qi])
 
 
 @given(rows_strategy, st.sampled_from(
@@ -126,10 +126,11 @@ def test_oracle_mode_verifies_in_band(rows, orows, qi):
 @settings(max_examples=40, deadline=None)
 def test_explain_analyze_counts_match_cardinality(rows, sql):
     db = fresh_db(rows)
-    db.set_engine("vector")
-    result = db.query(sql)
-    analyzed = db.query(f"EXPLAIN ANALYZE {sql}")
+    with forced_engine("vector"):
+        result = db.query(sql)
+        analyzed = db.query(f"EXPLAIN ANALYZE {sql}")
     root = analyzed[0]["plan"]
+    assert root.startswith("Vectorized")
     assert f"(rows={len(result)})" in root
 
 
@@ -143,9 +144,8 @@ ops_strategy = st.lists(
 )
 
 
-def run_workload(engine, ops):
+def run_workload(ops):
     db = fresh_db([])
-    db.set_engine(engine)
     fired = []
 
     def hook(change):
@@ -180,7 +180,9 @@ def run_workload(engine, ops):
 @given(ops_strategy)
 @settings(max_examples=30, deadline=None)
 def test_trigger_changesets_identical_across_engines(ops):
-    row_fired, row_final = run_workload("row", ops)
-    vec_fired, vec_final = run_workload("vector", ops)
+    with forced_engine("row"):
+        row_fired, row_final = run_workload(ops)
+    with forced_engine("vector"):
+        vec_fired, vec_final = run_workload(ops)
     assert row_fired == vec_fired
     assert row_final == vec_final

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.lineage.capture import capture_plan
 
+from tests.db.engines import forced_engine
 from tests.db.test_vector_oracle import (
     QUERIES,
     canon,
@@ -22,8 +23,8 @@ from tests.db.test_vector_oracle import (
 
 
 def capture(db, engine, sql):
-    db.set_engine(engine)
-    return capture_plan(db.plan(sql), db)
+    with forced_engine(engine):
+        return capture_plan(db.plan(sql), db)
 
 
 def canon_pairs(rows, lins):
@@ -56,9 +57,9 @@ def test_capture_rows_match_normal_execution(rows, orows, qi):
     sql = QUERIES[qi]
     db = fresh_db(rows, orows)
     for engine in ("row", "vector"):
-        db.set_engine(engine)
-        expected = db.query(sql)
-        got, lins = capture_plan(db.plan(sql), db)
+        with forced_engine(engine):
+            expected = db.query(sql)
+            got, lins = capture_plan(db.plan(sql), db)
         assert len(got) == len(lins)
         if "ORDER BY" in sql:
             assert got == expected

@@ -42,11 +42,6 @@ class TestDisabledByDefault:
         emp_db.execute("SELECT * FROM emp WHERE id = 8")
         assert len(obs.tracer()) == traced  # nothing new
 
-    def test_public_and_impl_paths_agree(self, emp_db):
-        via_public = emp_db.execute("SELECT * FROM emp WHERE id = 7")
-        via_impl = emp_db._execute_impl("SELECT * FROM emp WHERE id = 7", ())
-        assert via_public.rows == via_impl.rows
-
 
 class TestDatabaseSpans:
     def test_execute_span_tags_routed_access(self, emp_db, enabled_obs):
@@ -69,11 +64,20 @@ class TestDatabaseSpans:
         assert snap["histograms"]["db.execute_ms{kind=select}"]["count"] == 2
 
     def test_cache_counters_fold_in(self, emp_db, enabled_obs):
+        emp_db.install_metrics()
         emp_db.execute("SELECT * FROM emp WHERE id = 11")
         emp_db.execute("SELECT * FROM emp WHERE id = 11")
-        counters = obs.metrics().snapshot()["counters"]
-        assert counters.get("db.statement_cache{result=miss}", 0) >= 1
-        assert counters.get("db.statement_cache{result=hit}", 0) >= 1
+        snap = obs.metrics().snapshot()
+        for cache in ("statements", "plans"):
+            assert snap["gauges"][f"db.cache.{cache}.misses{{db=obs-test}}"] == 1
+            assert snap["gauges"][f"db.cache.{cache}.hits{{db=obs-test}}"] == 1
+        # The caches count themselves; no statement pays for a second,
+        # per-call copy of the same numbers.
+        assert not [
+            name
+            for name in snap["counters"]
+            if name.startswith(("db.statement_cache", "db.plan_cache"))
+        ]
 
     def test_write_spans_for_each_operation(self, emp_db, enabled_obs):
         emp_db.insert("emp", {"id": 1000, "name": "new"})

@@ -1,5 +1,7 @@
 """Isolation: snapshots, deletion tables, query rewriting, GC (Section VI-A)."""
 
+import json
+
 import pytest
 
 from repro.core import datamodel
@@ -220,3 +222,65 @@ class TestProcessBasedIsolation:
         assert len(own_first) == 1
         assert len(own_second) == 1
         assert own_first[0][TID] != own_second[0][TID]
+
+
+class TestIsolatedStatementsTakeTheStatementPath:
+    """What an activity runs (Section VI-A) is SQL like any other: it
+    goes through the database's statement cache and its telemetry."""
+
+    @pytest.fixture
+    def ctx(self, items, engine):
+        engine.isolation.manage("items")
+        ctx = IsolationContext(100, engine.database.now(), None, own_tids={})
+        engine.isolation.process_started(100, ctx.start_time)
+        return ctx
+
+    def test_repeated_statements_hit_the_statement_cache(self, items, engine, ctx):
+        select = "SELECT * FROM items WHERE v > ?"
+        insert = "INSERT INTO items (id, v) VALUES (?, ?)"
+        engine.isolation.query(select, [0], ctx)
+        engine.isolation.execute(insert, [10, 10], ctx)
+        before = items.cache_info()["statements"]
+        assert len(engine.isolation.query(select, [1], ctx)) == 3
+        engine.isolation.execute(insert, [11, 11], ctx)
+        after = items.cache_info()["statements"]
+        assert after["misses"] == before["misses"]
+        assert after["hits"] > before["hits"]
+        # A snapshot's plan is per context: it never enters the plan cache.
+        assert select not in items._plan_cache
+
+    def test_insert_and_select_each_open_one_execute_span(
+        self, items, engine, ctx, traced
+    ):
+        engine.isolation.execute("INSERT INTO items (id, v) VALUES (10, 10)", [], ctx)
+        rows = engine.isolation.query("SELECT * FROM items ORDER BY id", [], ctx)
+        assert [r["id"] for r in rows] == [1, 2, 3, 10]  # own write visible
+        spans = traced.tracer().spans_named("db.execute")
+        assert [s.tags["kind"] for s in spans] == ["insert", "select"]
+        assert spans[0].tags["rows"] == 1
+        assert spans[1].tags["rows"] == 4
+        assert spans[1].tags["access"] == "scan"
+        counters = traced.metrics().snapshot()["counters"]
+        assert counters["db.statements{kind=insert}"] == 1
+        assert counters["db.statements{kind=select}"] == 1
+
+    def test_over_budget_isolated_statements_reach_the_slow_log(
+        self, items, engine, ctx, traced
+    ):
+        log = items.enable_slowlog(budget_ms=0.0001)
+        try:
+            engine.isolation.execute(
+                "INSERT INTO items (id, v) VALUES (10, 10)", [], ctx
+            )
+            engine.isolation.execute("DELETE FROM items WHERE id = 1", [], ctx)
+            engine.isolation.query("SELECT * FROM items ORDER BY id", [], ctx)
+            entries = {e["name"]: e for e in log.entries() if e["kind"] == "query"}
+        finally:
+            items.disable_slowlog()
+        assert "INSERT INTO items (id, v) VALUES (10, 10)" in entries
+        select = entries["SELECT * FROM items ORDER BY id"]
+        # Operator rows come from re-running the plan against the same
+        # snapshot: the logically deleted row 1 is not counted.
+        operators = json.loads(select["operators"])
+        assert operators[0][1] == 3
+        assert any(label == "Scan items" and n == 3 for label, n in operators)
