@@ -270,7 +270,7 @@ def _run_arm(n_clients: int, rows: int, probes: int) -> dict:
         "health": {
             "loop": health["loop"],
             "queues": health["queues"],
-            "shards": health["shards"],
+            "pending_ops": health["pending_ops"],
         },
     }
 

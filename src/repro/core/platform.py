@@ -100,14 +100,22 @@ class EdiFlow:
         self.propagation.set_policy(table, policy)
 
     def flush_propagation(self, table: Optional[str] = None) -> int:
-        """Flush buffered changes now; ``None`` flushes every table."""
+        """Flush buffered changes now; ``None`` flushes every table.
+
+        With a table: its notifications, its UP deltas and what every
+        materialized view over it has buffered from it.
+        """
         if table is None:
             return (
                 self.center.flush_all()
                 + self.propagation.flush_all()
                 + self.materialized.flush_all()
             )
-        return self.center.flush(table) + self.propagation.flush(table)
+        return (
+            self.center.flush(table)
+            + self.propagation.flush(table)
+            + self.materialized.flush_table(table)
+        )
 
     # -- persistence ---------------------------------------------------------
     def save(self, path: str | Path) -> int:
@@ -124,7 +132,12 @@ class EdiFlow:
         return cls(database=load_snapshot(path), use_sockets=use_sockets)
 
     def shutdown(self) -> None:
-        """Stop the synchronization layer (open executions stay queryable)."""
+        """Stop the synchronization layer (open executions stay queryable).
+
+        Every propagation gate flushes what it still buffers and stops
+        its timer."""
         self.views.close()
         self.server.close()
         self.center.close()
+        self.materialized.close()
+        self.propagation.close()

@@ -5,17 +5,17 @@ tables; every subsequent change set is converted to a delta and folded
 into the view incrementally.  The registry records counters so benchmarks
 (ablation A1) can report maintenance vs recomputation work.
 
-Views participate in the propagation policies of Section V: under a
-non-immediate policy (:meth:`ViewRegistry.set_policy`) the trigger path
-*buffers* change sets in a :class:`~repro.sync.batching.DeltaCoalescer`
-and a flush folds the whole batch into the view as **one** combined
-delta -- one ``apply_delta`` call, one maintenance span, however many
-statements fed it.
+Views participate in the propagation policies of Section V through the
+registry's :class:`~repro.sync.batching.PolicyGate`, keyed by ``(view,
+base table)``: under a non-immediate policy
+(:meth:`ViewRegistry.set_policy`) the trigger path hands change sets to
+the gate, and a flush folds the whole batch into the view as **one**
+combined delta -- one ``apply_delta`` call, one maintenance span,
+however many statements fed it.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Any
 
@@ -23,7 +23,8 @@ from ..db.database import Database
 from ..db.table import ChangeSet
 from ..errors import DatabaseError, ViewError
 from ..obs.runtime import OBS
-from ..sync.batching import BatchBuffer, IMMEDIATE, PropagationPolicy
+from ..obs.trace import NULL_SPAN
+from ..sync.batching import IMMEDIATE, DeltaCoalescer, PolicyGate, PropagationPolicy
 from .delta import Delta
 from .maintenance import apply_delta
 from .view import ViewDefinition
@@ -50,11 +51,9 @@ class ViewRegistry:
         self._views: dict[str, ViewDefinition] = {}
         self._stats: dict[str, ViewStats] = {}
         self._trigger_names: dict[str, list[str]] = {}
-        # Propagation policies: view name -> policy (absent = immediate).
-        # Buffer keys are "view|table" since one view may span tables.
-        self._policies: dict[str, PropagationPolicy] = {}
-        self._buffer = BatchBuffer()
-        self._lock = threading.RLock()
+        # Propagation policies, keyed (view, base table): one view may
+        # span tables, and each buffers its own delta.
+        self._gate = PolicyGate(database.lock, self._deliver_flush)
 
     def register(self, view: ViewDefinition, populate: bool = True) -> ViewDefinition:
         """Add a view, install its triggers, and (by default) populate it."""
@@ -67,7 +66,7 @@ class ViewRegistry:
             name = self._database.on(
                 table,
                 ("insert", "update", "delete"),
-                self._make_handler(view),
+                self._make_handler(view, table),
                 name=f"ivm_{view.name}_{table}",
             )
             triggers.append(name)
@@ -83,6 +82,13 @@ class ViewRegistry:
 
     # ------------------------------------------------------------------
     # Propagation policies
+    def _keys(self, view_name: str) -> list[tuple[str, str]]:
+        """The gate keys of ``view_name`` (none for an unknown view)."""
+        view = self._views.get(view_name)
+        if view is None:
+            return []
+        return [(view_name, table) for table in sorted(view.base_tables())]
+
     def set_policy(self, view_name: str, policy: PropagationPolicy) -> None:
         """Configure how base-table changes reach ``view_name``.
 
@@ -90,26 +96,16 @@ class ViewRegistry:
         policy switch never strands deltas.
         """
         self.view(view_name)  # must exist
-        self.flush_view(view_name)
-        with self._lock:
-            if policy.buffers:
-                self._policies[view_name] = policy
-            else:
-                self._policies.pop(view_name, None)
+        for key in self._keys(view_name):
+            self._gate.set_policy(key, policy)
 
     def policy(self, view_name: str) -> PropagationPolicy:
-        with self._lock:
-            return self._policies.get(view_name, IMMEDIATE)
+        keys = self._keys(view_name)
+        return self._gate.policy(keys[0]) if keys else IMMEDIATE
 
     def pending_ops(self, view_name: str) -> int:
         """Buffered raw operations awaiting a flush for ``view_name``."""
-        prefix = view_name + "|"
-        with self._lock:
-            return sum(
-                self._buffer.pending_ops(key)
-                for key in self._buffer.keys()
-                if key.startswith(prefix)
-            )
+        return sum(self._gate.pending_ops(key) for key in self._keys(view_name))
 
     def flush_view(self, view_name: str) -> int:
         """Apply buffered deltas of ``view_name`` as combined batches.
@@ -118,80 +114,63 @@ class ViewRegistry:
         table: a flush of 10k coalesced inserts costs one ``apply_delta``
         invocation instead of 10k trigger firings.
         """
-        prefix = view_name + "|"
-        # Database lock first: the trigger path arrives holding it, so a
-        # flusher thread must use the same order.
-        with self._database.lock:
-            with self._lock:
-                coalescers = [
-                    self._buffer.take(key)
-                    for key in self._buffer.keys()
-                    if key.startswith(prefix)
-                ]
-            applied = 0
-            for coalescer in coalescers:
-                if coalescer is None:
-                    continue
-                stats = self._stats.get(view_name)
-                if stats is not None:
-                    stats.coalesced_ops += coalescer.coalesced_away()
-                if coalescer.is_empty():
-                    continue  # batch annihilated itself; savings counted
-                if stats is not None:
-                    stats.batched_flushes += 1
-                self._apply_now(self._views[view_name], coalescer.net_changeset())
-                applied += coalescer.net_ops()
-            return applied
+        return sum(self._gate.flush(key) for key in self._keys(view_name))
+
+    def flush_table(self, table: str) -> int:
+        """Apply what is buffered from ``table`` to every view over it."""
+        return sum(
+            self._gate.flush((name, table))
+            for name, view in list(self._views.items())
+            if table in view.base_tables()
+        )
 
     def flush_all(self) -> int:
         """Flush every view with buffered deltas; returns total net ops."""
-        with self._lock:
-            names = {key.split("|", 1)[0] for key in self._buffer.keys()}
-        return sum(self.flush_view(name) for name in names)
+        return self._gate.flush_all()
+
+    def close(self) -> None:
+        """Flush every view and stop the gate's timer."""
+        self._gate.close()
 
     # ------------------------------------------------------------------
-    def _make_handler(self, view: ViewDefinition):
+    def _make_handler(self, view: ViewDefinition, table: str):
+        key = (view.name, table)
+
         def handler(change: ChangeSet) -> None:
             # Trigger context: database lock held.
-            with self._lock:
-                policy = self._policies.get(view.name)
-                if policy is not None:
-                    key = f"{view.name}|{change.table}"
-                    coalescer = self._buffer.add(key, change)
-                    due = policy.should_flush(
-                        coalescer.raw_ops, self._buffer.age_ms(key)
-                    )
-                    if not due:
-                        return
-            if policy is not None:
-                self.flush_view(view.name)
-                return
-            self._apply_now(view, change)
+            if not self._gate.offer(key, change):
+                self._apply_now(view, change)
 
         return handler
 
-    def _apply_now(self, view: ViewDefinition, change: ChangeSet) -> int:
-        def apply(change: ChangeSet) -> int:
-            delta = Delta.from_changeset(change)
-            applied = apply_delta(view, delta, self._database)
+    def _deliver_flush(self, key: tuple[str, str], coalescer: DeltaCoalescer) -> int:
+        # The gate's delivery: database lock held, gate lock not.
+        view = self._views[key[0]]
+        stats = self._stats[view.name]
+        stats.coalesced_ops += coalescer.coalesced_away()
+        if coalescer.is_empty():
+            return 0  # batch annihilated itself; savings counted
+        stats.batched_flushes += 1
+        self._apply_now(view, coalescer.net_changeset())
+        return coalescer.net_ops()
+
+    def _apply_now(self, view: ViewDefinition, change: ChangeSet) -> None:
+        traced = OBS.enabled
+        span = NULL_SPAN
+        if traced:
+            tags = {"view": view.name, "table": change.table}
+            span = OBS.tracer.span("ivm.delta_apply", tags=tags)
+        with span:
+            applied = apply_delta(view, Delta.from_changeset(change), self._database)
             stats = self._stats[view.name]
             stats.deltas_applied += 1
             stats.delta_rows += applied
-            return applied
-
-        if not OBS.enabled:
-            return apply(change)
-        with OBS.tracer.span(
-            "ivm.delta_apply",
-            tags={"view": view.name, "table": change.table},
-        ) as span:
-            applied = apply(change)
             span.set_tag("rows", applied)
-        OBS.metrics.histogram("ivm.delta_rows", view=view.name).observe(applied)
-        OBS.metrics.histogram("ivm.maintenance_ms", view=view.name).observe(
-            span.duration_ms
-        )
-        return applied
+        if traced:
+            OBS.metrics.histogram("ivm.delta_rows", view=view.name).observe(applied)
+            OBS.metrics.histogram("ivm.maintenance_ms", view=view.name).observe(
+                span.duration_ms
+            )
 
     def unregister(self, name: str) -> None:
         if name not in self._views:
@@ -209,14 +188,13 @@ class ViewRegistry:
         manager = getattr(self._database, "lineage", None)
         if manager is not None:
             manager.unregister_view(name)
-        prefix = name + "|"
-        with self._lock:
-            self._policies.pop(name, None)
-            for key in self._buffer.keys():
-                if key.startswith(prefix):
-                    self._buffer.take(key)
-        del self._views[name]
-        del self._stats[name]
+        # Under the database lock, as every delivery is: a flush already
+        # on its way (the gate's timer) runs wholly before or finds nothing.
+        with self._database.lock:
+            for key in self._keys(name):
+                self._gate.drop(key)
+            del self._views[name]
+            del self._stats[name]
 
     def view(self, name: str) -> ViewDefinition:
         try:

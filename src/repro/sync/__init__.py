@@ -17,12 +17,12 @@ Propagation policies (Section V) are per-table::
 """
 
 from .batching import (
-    BatchBuffer,
     DeltaCoalescer,
     IMMEDIATE,
     Immediate,
     MANUAL,
     Manual,
+    PolicyGate,
     PropagationPolicy,
     Threshold,
 )
@@ -46,7 +46,6 @@ from .protocol import (
 from .server import SyncServer
 
 __all__ = [
-    "BatchBuffer",
     "DISCONNECT",
     "DeltaCoalescer",
     "FaultPlan",
@@ -63,6 +62,7 @@ __all__ = [
     "NotificationCenter",
     "PING",
     "PONG",
+    "PolicyGate",
     "PropagationPolicy",
     "REPLY",
     "RefreshDriver",

@@ -153,17 +153,18 @@ class SyncClient:
             # In-process transport: dirty flags come straight from the
             # notification center instead of a socket reader thread.
             self.status = POLLING
-            self.center.add_listener(self._on_local_notify)
+            self.center.add_batch_listener(self._on_local_notify)
 
-    def _on_local_notify(self, table: str, op: str, seq_no: int) -> None:
+    def _on_local_notify(self, table: str, events: list[tuple[str, int]]) -> None:
         if table not in self._tables:
             return
-        self.notify_received += 1
+        self.notify_received += len(events)
         if OBS.enabled:
-            OBS.metrics.counter("sync.client.messages", type="notify").inc()
+            OBS.metrics.counter("sync.client.messages", type="notify").inc(len(events))
         with self._dirty_lock:
             self._dirty.add(table)
-        self._fire_notify_hooks(table, op, seq_no)
+        for op, seq_no in events:
+            self._fire_notify_hooks(table, op, seq_no)
 
     def _fire_notify_hooks(self, table: str, op: str, seq_no: int) -> None:
         """Invoke notify hooks, containing their failures.
@@ -425,7 +426,7 @@ class SyncClient:
                 return
             self.status = DEGRADED
         OBS.metrics.counter("sync.client.degrades").inc()
-        self.center.add_listener(self._on_local_notify)
+        self.center.add_batch_listener(self._on_local_notify)
         self._replay_missed()
         self._set_status(DEGRADED, reason)
 
@@ -688,7 +689,7 @@ class SyncClient:
             self.status = CLOSED
         self._monitor_stop.set()
         if was_polling:
-            self.center.remove_listener(self._on_local_notify)
+            self.center.remove_batch_listener(self._on_local_notify)
         for table, cu_id in self._cu_ids.items():
             self.server.unregister_client(cu_id)
         self._cu_ids.clear()

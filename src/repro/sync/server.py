@@ -1051,8 +1051,8 @@ class SyncServer:
         """One saturation snapshot of the whole notification plane.
 
         Combines loop health (:meth:`_EventLoop.stats`), send-queue
-        depths/watermarks (:meth:`queue_depths`), per-shard
-        NotificationCenter occupancy, and the server's lifetime
+        depths/watermarks (:meth:`queue_depths`), the
+        NotificationCenter's buffered backlog, and the server's lifetime
         counters.  Each call also publishes the headline numbers as
         ``sync.health.*`` gauges, so a running telemetry sink lands them
         in ``sys_metrics`` and dashboards chart saturation over time the
@@ -1061,7 +1061,7 @@ class SyncServer:
         loop = self._loop
         loop_stats = loop.stats() if loop is not None else None
         queues = self.queue_depths()
-        shards = self.center.shard_stats()
+        pending_ops = self.center.pending_ops()
         snapshot: dict[str, Any] = {
             "use_sockets": self.use_sockets,
             "clients": self.client_count(),
@@ -1075,7 +1075,7 @@ class SyncServer:
             "pongs_received": self.pongs_received,
             "loop": loop_stats,
             "queues": queues,
-            "shards": shards,
+            "pending_ops": pending_ops,
         }
         gauge = OBS.metrics.gauge
         if loop_stats is not None:
@@ -1091,10 +1091,7 @@ class SyncServer:
         gauge("sync.health.queue_hiwat_bytes").set(queues["hiwat_bytes"])
         gauge("sync.health.connected").set(snapshot["connected"])
         gauge("sync.health.evictions").set(self.evictions)
-        for shard in shards:
-            gauge(
-                "sync.health.shard_pending_ops", shard=str(shard["shard"])
-            ).set(shard["pending_ops"])
+        gauge("sync.health.pending_ops").set(pending_ops)
         return snapshot
 
     # ------------------------------------------------------------------

@@ -29,7 +29,7 @@ from typing import Any, Optional
 from ..db.table import ChangeSet
 from ..errors import PropagationError
 from ..ivm.delta import Delta
-from ..sync.batching import BatchBuffer, IMMEDIATE, PropagationPolicy
+from ..sync.batching import DeltaCoalescer, PolicyGate, PropagationPolicy
 from .engine import WorkflowEngine
 from .model import CallProcedure, ProcessDefinition, UpdatePropagation
 
@@ -57,65 +57,55 @@ class PropagationManager:
         self._installed: set[str] = set()
         self.log: list[PropagationLog] = []
         self._reentrancy = threading.local()
-        # Propagation policies (Section V): relation -> policy; absent
-        # means immediate.  Manual-policy relations flush when an
-        # activity completes (P2, deferred-to-completion) -- the engine
-        # calls :meth:`flush_all` from its completion hooks.
-        self._policies: dict[str, PropagationPolicy] = {}
-        self._buffer = BatchBuffer()
-        self._policy_lock = threading.RLock()
+        # Propagation policies (Section V), keyed by relation.
+        # Manual-policy relations flush when an activity completes (P2,
+        # deferred-to-completion) -- the engine calls :meth:`flush_all`
+        # from its completion hooks.
+        self._gate = PolicyGate(self.database.lock, self._deliver_flush)
         self.flushes = 0
         engine._propagation = self
 
     # ------------------------------------------------------------------
-    # Propagation policies
+    # Propagation policies: the gate's, keyed by relation.
     def set_policy(self, relation: str, policy: PropagationPolicy) -> None:
         """Configure how changes of ``relation`` reach UP handlers.
 
         Pending changes flush before the switch so none are stranded.
         """
-        self.flush(relation)
-        with self._policy_lock:
-            if policy.buffers:
-                self._policies[relation] = policy
-            else:
-                self._policies.pop(relation, None)
+        self._gate.set_policy(relation, policy)
 
     def policy(self, relation: str) -> PropagationPolicy:
-        with self._policy_lock:
-            return self._policies.get(relation, IMMEDIATE)
+        return self._gate.policy(relation)
 
     def pending_ops(self, relation: str) -> int:
-        with self._policy_lock:
-            return self._buffer.pending_ops(relation)
+        return self._gate.pending_ops(relation)
 
     def flush(self, relation: str) -> int:
         """Deliver the buffered net delta of ``relation`` to its routes.
 
         Returns the number of net operations delivered.  Called by the
         engine whenever an activity or execution completes, so handlers
-        registered with scope ``ra`` still see the live instances.
+        registered with scope ``ra`` still see the live instances; with
+        nothing buffered (the usual case there) the database lock is
+        not touched.
         """
-        with self._policy_lock:
-            # Cheap empty check first: completion hooks call this on
-            # every activity finish, usually with nothing buffered, and
-            # must not touch the database lock in that case.
-            if self._buffer.pending_ops(relation) == 0:
-                return 0
-        with self.database.lock:
-            with self._policy_lock:
-                coalescer = self._buffer.take(relation)
-            if coalescer is None or coalescer.is_empty():
-                return 0
-            self.flushes += 1
-            self._route(relation, coalescer.net_changeset())
-            return coalescer.net_ops()
+        return self._gate.flush(relation)
 
     def flush_all(self) -> int:
         """Flush every relation with buffered changes; returns net ops."""
-        with self._policy_lock:
-            relations = self._buffer.keys()
-        return sum(self.flush(relation) for relation in relations)
+        return self._gate.flush_all()
+
+    def close(self) -> None:
+        """Flush every relation and stop the gate's timer."""
+        self._gate.close()
+
+    def _deliver_flush(self, relation: str, coalescer: DeltaCoalescer) -> int:
+        # The gate's delivery: database lock held, gate lock not.
+        if coalescer.is_empty():
+            return 0
+        self.flushes += 1
+        self._route(relation, coalescer.net_changeset())
+        return coalescer.net_ops()
 
     # ------------------------------------------------------------------
     def compile(self, definition: ProcessDefinition) -> None:
@@ -157,19 +147,8 @@ class PropagationManager:
             # A handler is writing the very relation it reacts to; do not
             # loop (the TriggerManager depth guard is the hard backstop).
             return
-        with self._policy_lock:
-            policy = self._policies.get(relation)
-            if policy is not None:
-                coalescer = self._buffer.add(relation, change)
-                due = policy.should_flush(
-                    coalescer.raw_ops, self._buffer.age_ms(relation)
-                )
-                if not due:
-                    return
-        if policy is not None:
-            self.flush(relation)
-            return
-        self._route(relation, change)
+        if not self._gate.offer(relation, change):
+            self._route(relation, change)
 
     def _route(self, relation: str, change: ChangeSet) -> None:
         delta = Delta.from_changeset(change)

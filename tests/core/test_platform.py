@@ -121,3 +121,83 @@ class TestFacade:
             f"SELECT status FROM {datamodel.T_PROCESS_INSTANCE}"
         )
         assert instances[0]["status"] == "completed"
+
+
+class TestPropagationFacade:
+    """``set_propagation_policy`` / ``flush_propagation`` / ``shutdown``
+    over the three propagation gates (Section V)."""
+
+    @staticmethod
+    def platform_with_view():
+        from repro.ivm import SelectProjectView
+
+        platform = EdiFlow()
+        platform.execute("CREATE TABLE t (a INTEGER)")
+        platform.execute("CREATE TABLE other (a INTEGER)")
+        platform.center.watch("t")
+        view = platform.materialized.register(SelectProjectView("all", "t"))
+        return platform, view
+
+    def test_set_policy_reaches_notifications_and_up_handlers(self):
+        from repro.sync import IMMEDIATE, MANUAL
+
+        platform, _view = self.platform_with_view()
+        platform.set_propagation_policy("t", MANUAL)
+        assert platform.center.policy("t") is MANUAL
+        assert platform.propagation.policy("t") is MANUAL
+        # Views opt in per view, not per table.
+        assert platform.materialized.policy("all") is IMMEDIATE
+        platform.shutdown()
+
+    def test_flush_one_table_reaches_the_views_over_it(self):
+        from repro.sync import MANUAL
+
+        platform, view = self.platform_with_view()
+        platform.set_propagation_policy("t", MANUAL)
+        platform.materialized.set_policy("all", MANUAL)
+        platform.execute("INSERT INTO t (a) VALUES (1)")
+        assert platform.flush_propagation("other") == 0
+        assert len(view) == 0 and platform.materialized.pending_ops("all") == 1
+        # One net op on the notification plane, one on the view's.
+        assert platform.flush_propagation("t") == 2
+        assert platform.materialized.pending_ops("all") == 0
+        assert view.rows() == [{"a": 1}]
+        assert len(platform.center.changes_since("t", 0)[1]) == 1
+        platform.shutdown()
+
+    def test_flush_everything(self):
+        from repro.sync import MANUAL
+
+        platform, view = self.platform_with_view()
+        platform.center.watch("other")
+        for table in ("t", "other"):
+            platform.set_propagation_policy(table, MANUAL)
+        platform.materialized.set_policy("all", MANUAL)
+        platform.execute("INSERT INTO t (a) VALUES (1)")
+        platform.execute("INSERT INTO other (a) VALUES (2)")
+        assert platform.flush_propagation() == 3  # t, other, the view
+        assert platform.center.pending_ops() == 0
+        assert len(view) == 1
+        platform.shutdown()
+
+    def test_shutdown_leaves_no_gate_timer_running(self):
+        import threading
+
+        from repro.sync import Threshold
+
+        def gate_timers():
+            return {
+                t for t in threading.enumerate() if t.name == "policy-gate-timer"
+            }
+
+        before = gate_timers()
+        platform, view = self.platform_with_view()
+        timed = Threshold(max_changes=100, max_delay_ms=60_000.0)
+        platform.set_propagation_policy("t", timed)
+        platform.materialized.set_policy("all", timed)
+        # One timer per gate: notifications, UP handlers, views.
+        assert len(gate_timers() - before) == 3
+        platform.execute("INSERT INTO t (a) VALUES (1)")
+        platform.shutdown()
+        assert gate_timers() - before == set()
+        assert len(view) == 1  # shutdown flushed what was still buffered

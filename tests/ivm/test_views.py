@@ -342,18 +342,6 @@ class TestRegistryPolicies:
         assert len(view) == 0
         assert registry.stats("all").coalesced_ops == 2
 
-    def test_policy_switch_flushes_pending(self, db, registry):
-        from repro.sync.batching import IMMEDIATE, MANUAL
-
-        view = registry.register(SelectProjectView("all", "orders"))
-        registry.set_policy("all", MANUAL)
-        db.insert("orders", {"id": 1, "customer": "a", "amount": 1})
-        assert len(view) == 0
-        registry.set_policy("all", IMMEDIATE)
-        assert len(view) == 1  # switch released the buffered delta
-        db.insert("orders", {"id": 2, "customer": "b", "amount": 2})
-        assert len(view) == 2  # immediate again
-
     def test_aggregate_view_batches_correctly(self, db, registry):
         from repro.sync.batching import MANUAL
 

@@ -16,7 +16,7 @@ from repro.db import Column, Database
 from repro.db.types import FLOAT, INTEGER
 from repro.errors import SyncError
 from repro.retry import RetryPolicy
-from repro.sync import NotificationCenter, SyncClient, SyncServer, protocol
+from repro.sync import MANUAL, NotificationCenter, SyncClient, SyncServer, protocol
 
 
 def wait_until(predicate, timeout=5.0):
@@ -328,7 +328,7 @@ class TestHealth:
     """SyncServer.health(): one saturation snapshot, published as gauges."""
 
     def test_async_snapshot_reports_loop_and_queues(self):
-        db, _center, server, client = make_stack()
+        db, center, server, client = make_stack()
         try:
             client.mirror("pts")
             for i in range(20):
@@ -349,8 +349,11 @@ class TestHealth:
             # Twenty notifies crossed the wire: the high watermark moved.
             assert 1 <= queues["hiwat_frames"] <= queues["limit_frames"]
             assert queues["hiwat_bytes"] > 0
-            assert health["shards"], "shard stats missing"
-            assert all("pending_ops" in s for s in health["shards"])
+            assert health["pending_ops"] == 0  # immediate: nothing buffered
+            center.set_policy("pts", MANUAL)
+            db.insert("pts", {"id": 100, "x": 0.0})
+            db.insert("pts", {"id": 101, "x": 0.0})
+            assert server.health()["pending_ops"] == 2
         finally:
             client.close()
             server.close()
@@ -384,14 +387,7 @@ class TestHealth:
                 r for r in rows if r["name"] == "sync.health.connected"
             ]
             assert any(r["value"] == 1.0 for r in connected)
-            # Shard occupancy keeps its shard label through the sink.
-            shard_rows = [
-                r for r in rows if r["name"] == "sync.health.shard_pending_ops"
-            ]
-            import json
-
-            assert shard_rows
-            assert all("shard" in json.loads(r["labels"]) for r in shard_rows)
+            assert "sync.health.pending_ops" in stored
         finally:
             client.close()
             server.close()

@@ -218,19 +218,6 @@ class TestCenterPolicies:
         assert center.coalesced_ops == 100
         center.close()
 
-    def test_policy_switch_flushes_pending(self, db):
-        db.create_table("t", [Column("id", INTEGER)])
-        center = NotificationCenter(db)
-        center.watch("t")
-        center.set_policy("t", MANUAL)
-        db.insert("t", {"id": 1})
-        assert center.pending_ops("t") == 1
-        center.set_policy("t", IMMEDIATE)
-        assert center.pending_ops("t") == 0
-        newest, changes = center.changes_since("t", 0)
-        assert len(changes) == 1
-        center.close()
-
     def test_timer_flushes_aged_batches(self, db):
         db.create_table("t", [Column("id", INTEGER)])
         center = NotificationCenter(db)

@@ -95,17 +95,17 @@ class TestListeners:
     def test_listener_callbacks(self, setup):
         db, center = setup
         events = []
-        center.add_listener(lambda table, op, seq: events.append((table, op, seq)))
+        center.add_batch_listener(lambda table, batch: events.append((table, batch)))
         db.execute("INSERT INTO pts (id, x) VALUES (1, 0.0)")
         db.execute("DELETE FROM pts")
-        assert events == [("pts", "insert", 1), ("pts", "delete", 2)]
+        assert events == [("pts", [("insert", 1)]), ("pts", [("delete", 2)])]
 
     def test_remove_listener(self, setup):
         db, center = setup
         events = []
         listener = lambda *a: events.append(a)  # noqa: E731
-        center.add_listener(listener)
-        center.remove_listener(listener)
+        center.add_batch_listener(listener)
+        center.remove_batch_listener(listener)
         db.execute("INSERT INTO pts (id, x) VALUES (1, 0.0)")
         assert events == []
 

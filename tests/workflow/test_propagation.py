@@ -370,17 +370,3 @@ class TestPropagationPolicies:
         assert delta.inserted[0]["v"] == 9
         engine.close(execution)
 
-    def test_policy_switch_flushes_pending(self, source, engine, propagation):
-        from repro.sync.batching import IMMEDIATE, MANUAL
-
-        recorder = Recorder()
-        deploy(engine, recorder, ["ra"], detached=True)
-        propagation.set_policy("src", MANUAL)
-        execution = engine.run("p")
-        source.execute("INSERT INTO src (id, v) VALUES (1, 1)")
-        assert recorder.running_deltas == []
-        propagation.set_policy("src", IMMEDIATE)
-        assert len(recorder.running_deltas) == 1
-        source.execute("INSERT INTO src (id, v) VALUES (2, 2)")
-        assert len(recorder.running_deltas) == 2  # immediate again
-        engine.close(execution)
