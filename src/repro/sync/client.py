@@ -631,34 +631,25 @@ class SyncClient:
         memtable = self.table(table)
         base = self.database.table(table)
         stats = {"upserts": 0, "deletes": 0}
+        # The notification horizon is taken before any row is read, so a
+        # change that lands meanwhile is re-pulled on the next refresh.
+        newest, events = self.center.deltas_since(table, memtable.last_seq_no)
         if full:
-            # Take the current notification horizon first, so changes that
-            # land during the scan are re-pulled on the next refresh.
-            newest, _changes = self.center.changes_since(table, memtable.last_seq_no)
-            rows = list(base.rows())
-            memtable.apply_batch(rows, [])
-            stats["upserts"] += len(rows)
-            memtable.last_seq_no = newest
-        else:
-            newest, changes = self.center.changes_since(table, memtable.last_seq_no)
-            # Resolve row images first, then fold the whole delta into the
-            # mirror under ONE memtable lock acquisition (ops stay in seq
-            # order, so repeated tids replay correctly).
-            ops: list[tuple[str, Any]] = []
-            for tid, op in changes:
-                if op == "delete":
-                    ops.append(("delete", tid))
-                    stats["deletes"] += 1
-                else:
-                    row = base.get(tid)
-                    if row is None:
-                        ops.append(("delete", tid))
-                        stats["deletes"] += 1
-                    else:
-                        ops.append(("upsert", row))
-                        stats["upserts"] += 1
-            memtable.apply_ops(ops)
-            memtable.last_seq_no = newest
+            events = [("fill", base.tids())]  # the whole table, one batch
+        # Fold the delta in one event -- one statement's rows -- at a time
+        # and in seq order, so a tid deleted and re-inserted replays right.
+        for op, tids in events:
+            upserts, deletes = [], tids
+            if op != "delete":
+                upserts, deletes = list(map(base.get, tids)), []
+                if None in upserts:
+                    # Changed, and gone by now: a later event deleted it.
+                    deletes = [t for t, row in zip(tids, upserts) if row is None]
+                    upserts = [row for row in upserts if row is not None]
+            memtable.apply_batch(upserts, deletes)
+            stats["upserts"] += len(upserts)
+            stats["deletes"] += len(deletes)
+        memtable.last_seq_no = newest
         if span is not None:
             self._join_notify_trace(span, table, newest)
         with self._dirty_lock:

@@ -14,7 +14,7 @@ iphone showing 10% of the data, a laptop 30%, the WILD wall all of it").
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from ..db.schema import TID
 from ..errors import SyncError
@@ -71,28 +71,79 @@ class MemoryTable:
     # ------------------------------------------------------------------
     # Applying pulled changes (called by the sync client)
     def apply_upsert(self, row: Row) -> None:
-        with self._lock:
-            self._upsert_locked(row)
+        self.apply_batch([row], [])
 
-    def _upsert_locked(self, row: Row) -> None:
+    def apply_delete(self, tid: int) -> None:
+        self.apply_batch([], [tid])
+
+    def apply_batch(self, upserts: Sequence[Row], deletes: Iterable[int]) -> None:
+        """Fold pulled row images, then deletions, in under ONE lock
+        acquisition -- the one apply path; readers never observe a
+        half-applied batch.
+
+        A row the partial mirror does not accept leaves it; an image of a
+        row already held is an update, or -- when it only confirms this
+        mirror's own pending writes -- a skipped self-update.
+        """
+        with self._lock:
+            if len(upserts) == 1:
+                # A one-row batch takes the per-row steps: they cost less
+                # than setting up the per-batch ones.
+                self._upsert_one(upserts[0])
+            elif upserts:
+                self._upsert_many(upserts)
+            rows = self.rows
+            for tid in deletes:
+                if rows.pop(tid, None) is not None:
+                    self.applied_deletes += 1
+
+    def _upsert_one(self, row: Row) -> None:
         tid = row[TID]
         if not self.accepts(row):
             self.rows.pop(tid, None)
             return
         image = dict(row)
-        existing = self.rows.get(tid)
-        if existing is not None:
-            if self._is_own_echo(tid, image):
-                self.skipped_self_updates += 1
-                self.rows[tid] = image
-                return
-            self.applied_updates += 1
-        else:
+        if tid not in self.rows:
             self.applied_inserts += 1
+        elif self._is_own_echo(tid, image):
+            self.skipped_self_updates += 1
+        else:
+            self.applied_updates += 1
         self.rows[tid] = image
 
+    def _upsert_many(self, upserts: Sequence[Row]) -> None:
+        """What :meth:`_upsert_one` per row leaves, a batch at a time."""
+        rows = self.rows
+        partial = self.predicate is not None or self.fraction < 1.0
+        if partial and len({row[TID] for row in upserts}) == len(upserts):
+            # Membership, decided once per batch: a rejected row leaves.
+            offered, upserts = upserts, []
+            for row in offered:
+                if self.accepts(row):
+                    upserts.append(row)
+                else:
+                    rows.pop(row[TID], None)
+        images = {row[TID]: dict(row) for row in upserts}
+        if len(images) < len(upserts):
+            # A tid listed twice replays in order, one row at a time
+            # (nothing above has touched the mirror for such a batch).
+            for row in upserts:
+                self._upsert_one(row)
+            return
+        held = rows.keys() & images.keys()
+        echoes = 0
+        if held and self._pending_writes:
+            # Own-echo suppression concerns only tids written locally.
+            for tid in held.intersection(tid for tid, _ in self._pending_writes):
+                echoes += self._is_own_echo(tid, images[tid])
+        self.skipped_self_updates += echoes
+        self.applied_updates += len(held) - echoes
+        self.applied_inserts += len(images) - len(held)
+        rows.update(images)
+
     def _is_own_echo(self, tid: int, image: Row) -> bool:
-        """True when the pulled image only confirms our own pending writes."""
+        """True when the pulled image of a held row only confirms our own
+        pending writes."""
         pending = {
             (ptid, column): value
             for (ptid, column), value in self._pending_writes.items()
@@ -103,7 +154,7 @@ class MemoryTable:
         for (ptid, column), value in pending.items():
             if image.get(column) != value:
                 return False  # a concurrent remote change won; apply normally
-        current = self.rows.get(tid, {})
+        current = self.rows[tid]
         for key, value in image.items():
             if key.startswith("__") or (tid, key) in pending:
                 continue
@@ -112,41 +163,6 @@ class MemoryTable:
         for key in pending:
             del self._pending_writes[key]
         return True
-
-    def apply_delete(self, tid: int) -> None:
-        with self._lock:
-            self._delete_locked(tid)
-
-    def _delete_locked(self, tid: int) -> None:
-        if self.rows.pop(tid, None) is not None:
-            self.applied_deletes += 1
-
-    def apply_batch(self, upserts: list[Row], deletes: list[int]) -> None:
-        """Fold a whole pulled delta in under ONE lock acquisition.
-
-        Semantically identical to calling :meth:`apply_upsert` /
-        :meth:`apply_delete` per row, but a 4096-row flush pays one lock
-        round trip instead of 4096 -- and readers never observe a
-        half-applied batch.
-        """
-        with self._lock:
-            for row in upserts:
-                self._upsert_locked(row)
-            for tid in deletes:
-                self._delete_locked(tid)
-
-    def apply_ops(self, ops: list[tuple[str, Any]]) -> None:
-        """Order-preserving batch apply: ``[("upsert", row) | ("delete", tid)]``.
-
-        Used when a pulled change log interleaves kinds (insert, delete,
-        re-insert of one tid) and replay order matters.
-        """
-        with self._lock:
-            for kind, payload in ops:
-                if kind == "delete":
-                    self._delete_locked(payload)
-                else:
-                    self._upsert_locked(payload)
 
     # ------------------------------------------------------------------
     # Local edits (to be pushed back by the client)

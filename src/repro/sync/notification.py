@@ -2,10 +2,13 @@
 
 "Whenever one such change happens, the corresponding trigger adds to the
 Notification table stored in the database one tuple of the form
-``(seq_no, ts, tn, op)``" (Section VI-C).  Alongside, a compact tombstone
-table records the tids touched by each notification so clients can pull
-exactly the changed rows later (the notification itself stays minimal;
-tombstones are server-side state, never sent over the wire).
+``(seq_no, ts, tn, op)``" (Section VI-C).  Alongside, the change log
+``ediflow_changed_rows`` keeps ONE row per notification, ``(seq_no,
+table_name, op, lo, hi, tids)``: the event touched the tids ``lo..hi``,
+all of them when ``tids`` is NULL (every ``insert_many``, every one-row
+statement), else exactly the ascending list ``tids`` -- so clients can
+pull exactly the changed rows later (the notification itself stays
+minimal; the log is server-side state, never sent over the wire).
 
 The center also fans each notification out to in-process listeners --
 the :class:`~repro.sync.server.SyncServer` registers one to push NOTIFY
@@ -33,13 +36,13 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 from ..core import datamodel
 from ..db.database import Database
 from ..db.schema import TID, Column
 from ..db.table import ChangeSet
-from ..db.types import INTEGER, TEXT
+from ..db.types import ANY, INTEGER, TEXT
 from ..errors import SyncError
 from ..obs.runtime import OBS
 from ..obs.trace import NULL_SPAN
@@ -64,9 +67,17 @@ class NotificationCenter:
                 [
                     Column("seq_no", INTEGER, nullable=False),
                     Column("table_name", TEXT, nullable=False),
-                    Column("tid", INTEGER, nullable=False),
                     Column("op", TEXT, nullable=False),
+                    Column("lo", INTEGER, nullable=False),
+                    Column("hi", INTEGER, nullable=False),
+                    # A list, not a tuple: WAL and snapshots are JSON.
+                    Column("tids", ANY),
                 ],
+            )
+        elif database.table(T_CHANGED_ROWS).schema.has_column("tid"):
+            raise SyncError(
+                f"{T_CHANGED_ROWS} holds one row per tid, the shape of an "
+                "older version; this one logs one row per event"
             )
         # Replay queries (changes_since / notifications_since) are range
         # scans on seq_no -- keep both tables sorted-indexed so a client
@@ -86,14 +97,14 @@ class NotificationCenter:
         self.coalesced_ops = 0
 
     def _initial_seq(self) -> int:
-        table = self.database.table(datamodel.T_NOTIFICATION)
-        index = table.find_sorted_index("seq_no")
-        highest = index.max_key() if index is not None else None
-        if highest is None:
-            highest = 0
-            for row in table.scan():
-                if row["seq_no"] > highest:
-                    highest = row["seq_no"]
+        """One past every seq-no already handed out: the newest still
+        logged or, where purge has drained the log, the highest a
+        ConnectedUser row remembers consuming -- a restarted center must
+        never re-issue a number a reconnecting client is already past."""
+        log = self.database.table(datamodel.T_NOTIFICATION)
+        highest = log.find_sorted_index("seq_no").max_key() or 0
+        for row in self.database.table(datamodel.T_CONNECTED_USER).scan():
+            highest = max(highest, row["last_seq_no"])
         return highest + 1
 
     # ------------------------------------------------------------------
@@ -215,52 +226,36 @@ class NotificationCenter:
     def _record(
         self, change: ChangeSet, span: Any
     ) -> tuple[list[tuple[str, int]], list[BatchListener]]:
-        """Log ``change`` as one seq-no per op kind and link each to
-        ``span``; returns the ``(op, seq_no)`` events and the listeners
-        to hand them to."""
+        """Log ``change`` as one seq-no per op kind -- one Notification
+        row and one changed-rows row each -- and link each to ``span``;
+        returns the ``(op, seq_no)`` events and the listeners to hand
+        them to."""
         # Each event's tids are logged ascending (a coalesced delta or a
-        # delete_by_tids may list them otherwise): changes_since then reads
-        # them back in (seq_no, tid) order straight off the seq index.
-        groups: list[tuple[str, list[int]]] = []
-        if change.inserted:
-            groups.append(
-                (datamodel.OP_INSERT, sorted(r[TID] for r in change.inserted))
+        # delete_by_tids may list them otherwise) and are distinct, so
+        # ``hi - lo`` tells a contiguous run, stored as its bounds alone.
+        groups = [
+            (op, sorted(row[TID] for row in rows))
+            for op, rows in (
+                (datamodel.OP_INSERT, change.inserted),
+                (datamodel.OP_UPDATE, [after for _before, after in change.updated]),
+                (datamodel.OP_DELETE, change.deleted),
             )
-        if change.updated:
-            groups.append(
-                (datamodel.OP_UPDATE, sorted(after[TID] for _, after in change.updated))
-            )
-        if change.deleted:
-            groups.append(
-                (datamodel.OP_DELETE, sorted(r[TID] for r in change.deleted))
-            )
+            if rows
+        ]
         events: list[tuple[str, int]] = []
         with self.database.lock:
             with self._lock:
                 for op, tids in groups:
                     seq_no = self._next_seq
                     self._next_seq += 1
-                    ts = self.database.now()
+                    event = {"seq_no": seq_no, "table_name": change.table, "op": op}
                     self.database.insert(
-                        datamodel.T_NOTIFICATION,
-                        {
-                            "seq_no": seq_no,
-                            "ts": ts,
-                            "table_name": change.table,
-                            "op": op,
-                        },
+                        datamodel.T_NOTIFICATION, {**event, "ts": self.database.now()}
                     )
-                    self.database.insert_many(
-                        T_CHANGED_ROWS,
-                        [
-                            {
-                                "seq_no": seq_no,
-                                "table_name": change.table,
-                                "tid": tid,
-                                "op": op,
-                            }
-                            for tid in tids
-                        ],
+                    lo, hi = tids[0], tids[-1]
+                    listed = None if hi - lo + 1 == len(tids) else tids
+                    self.database.insert(
+                        T_CHANGED_ROWS, {**event, "lo": lo, "hi": hi, "tids": listed}
                     )
                     events.append((op, seq_no))
                 listeners = list(self._listeners)
@@ -285,35 +280,38 @@ class NotificationCenter:
 
     # ------------------------------------------------------------------
     # Client pull support
-    def changes_since(
+    def deltas_since(
         self, table: str, last_seq_no: int
-    ) -> tuple[int, list[tuple[int, str]]]:
-        """All ``(tid, op)`` changes on ``table`` after ``last_seq_no``.
+    ) -> tuple[int, list[tuple[str, Sequence[int]]]]:
+        """The events on ``table`` after ``last_seq_no``, one ``(op,
+        tids)`` each in seq order: the log's one reader.
 
-        Returns ``(newest_seq_no, changes)``; changes are ordered by
-        sequence number so replaying them yields the current state.  The
+        ``tids`` is ascending -- a ``range``, or the stored list (read
+        it, never change it).  Returns ``(newest_seq_no, events)``;
+        replaying the events in order yields the current state.  The
         snapshot is taken under the database lock so a concurrent purge
         (which deletes log rows) can never shift the scan mid-iteration.
         """
+        newest = last_seq_no
+        events: list[tuple[str, Sequence[int]]] = []
         with self.database.lock:
             with self._lock:
-                rows = self._rows_after(T_CHANGED_ROWS, last_seq_no)
-                # Seq order is the index's; within one seq_no _record
-                # logged the tids ascending: (seq_no, tid) order already.
-                changes = [
-                    (row["tid"], row["op"])
-                    for row in rows
-                    if row["table_name"] == table
-                ]
-                newest = next(
-                    (
-                        row["seq_no"]
-                        for row in reversed(rows)
-                        if row["table_name"] == table
-                    ),
-                    last_seq_no,
-                )
-        return newest, changes
+                for row in self._rows_after(T_CHANGED_ROWS, last_seq_no):
+                    if row["table_name"] == table:
+                        newest = row["seq_no"]
+                        tids = row["tids"]
+                        if tids is None:
+                            tids = range(row["lo"], row["hi"] + 1)
+                        events.append((row["op"], tids))
+        return newest, events
+
+    def changes_since(
+        self, table: str, last_seq_no: int
+    ) -> tuple[int, list[tuple[int, str]]]:
+        """:meth:`deltas_since` flattened to one ``(tid, op)`` per changed
+        row, in ``(seq_no, tid)`` order."""
+        newest, events = self.deltas_since(table, last_seq_no)
+        return newest, [(tid, op) for op, tids in events for tid in tids]
 
     def _rows_after(self, table_name: str, last_seq_no: int) -> list[dict[str, Any]]:
         """Rows of ``table_name`` with ``seq_no > last_seq_no``, in seq
@@ -332,8 +330,8 @@ class NotificationCenter:
 
         Used by reconnecting clients to *replay* what they missed while
         their transport was down: the purge horizon (step 11) keeps every
-        notification above any connected client's ``last_seq_no``, so the
-        replay is lossless.
+        notification of a table above the ``last_seq_no`` of each of its
+        connected clients, so the replay is lossless.
         """
         with self.database.lock:
             with self._lock:
@@ -344,13 +342,15 @@ class NotificationCenter:
                 ]
 
     def purge(self) -> int:
-        """Drop notifications every connected client has already consumed.
+        """Drop the notifications their table's clients have all consumed.
 
-        Step 11 of the protocol: the purge horizon is the lowest
-        ``last_seq_no`` in the ConnectedUser table -- our ``last_seq_no``
-        means "consumed up to and including", so entries at or below the
-        horizon are safe to drop.  Returns the number of notification
-        rows removed.
+        Step 11 of the protocol: a table's purge horizon is the lowest
+        ``last_seq_no`` among *its* ConnectedUser rows -- our
+        ``last_seq_no`` means "consumed up to and including", so its
+        entries at or below the horizon are safe to drop; a mirror of a
+        quiet table holds back no other table's log, and a table nobody
+        mirrors keeps nothing.  Returns the number of notification rows
+        removed.
 
         Runs under the database lock (then the center lock) so it is
         serialized against in-flight ``changes_since`` scans -- a refresh
@@ -358,23 +358,21 @@ class NotificationCenter:
         """
         with self.database.lock:
             with self._lock:
-                connected = self.database.table(datamodel.T_CONNECTED_USER)
-                lowest: Optional[int] = None
-                for row in connected.scan():
-                    seq = row["last_seq_no"]
-                    if lowest is None or seq < lowest:
-                        lowest = seq
-                if lowest is None:
-                    # No clients: everything already consumed.
-                    lowest = self._next_seq
-                removed = self._drop_through(datamodel.T_NOTIFICATION, lowest)
-                self._drop_through(T_CHANGED_ROWS, lowest)
+                horizons: dict[str, int] = {}
+                for row in self.database.table(datamodel.T_CONNECTED_USER).scan():
+                    name, seq = row["table_name"], row["last_seq_no"]
+                    horizons[name] = min(seq, horizons.get(name, seq))
+                removed = self._drop_consumed(datamodel.T_NOTIFICATION, horizons)
+                self._drop_consumed(T_CHANGED_ROWS, horizons)
                 return removed
 
-    def _drop_through(self, table_name: str, horizon: int) -> int:
-        """Delete the log rows with ``seq_no <= horizon`` as one statement,
-        in tid order as ``DELETE ... WHERE`` lists them: a prefix of the
-        seq index, so no row is read to find them."""
-        index = self.database.table(table_name).find_sorted_index("seq_no")
-        tids = sorted(tid for _seq, tid in index.slice(None, horizon))
-        return self.database.delete_by_tids(table_name, tids)
+    def _drop_consumed(self, log_name: str, horizons: dict[str, int]) -> int:
+        """Delete, as one statement and in tid order as ``DELETE ...
+        WHERE`` lists them, the rows of one log table at or below their
+        table's horizon: one read per logged event."""
+        tids = sorted(
+            row[TID]
+            for row in self.database.table(log_name).scan()
+            if row["seq_no"] <= horizons.get(row["table_name"], row["seq_no"])
+        )
+        return self.database.delete_by_tids(log_name, tids)

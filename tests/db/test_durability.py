@@ -176,6 +176,10 @@ class TestNotificationTablesSurviveRestart:
         db.insert("pts", {"id": 1})
         db.insert("pts", {"id": 2})
         db.update("pts", {"id": 3}, col("id") == 2)
+        # A non-contiguous event: its tids are stored as a list ([1, 3]),
+        # which must cross the JSON of snapshots and WAL unchanged.
+        db.insert("pts", {"id": 5})
+        db.execute("UPDATE pts SET id = id + 10 WHERE id = 1 OR id = 5")
         return center
 
     def test_snapshot_round_trip(self, tmp_path):
@@ -192,12 +196,17 @@ class TestNotificationTablesSurviveRestart:
     def test_sequence_numbers_continue_after_recovery(self, tmp_path):
         directory = tmp_path / "data"
         db, manager = open_durable(directory)
-        self._center_with_traffic(db)
+        center = self._center_with_traffic(db)
         top = max(r["seq_no"] for r in db.table(datamodel.T_NOTIFICATION).rows())
+        logged = [dict(r) for r in db.table(T_CHANGED_ROWS).rows()]
+        assert [r["tids"] for r in logged] == [None, None, None, None, [1, 3]]
+        changes = center.changes_since("pts", 0)
         manager.close()
 
         recovered = recover(directory)
+        assert [dict(r) for r in recovered.table(T_CHANGED_ROWS).rows()] == logged
         center2 = NotificationCenter(recovered)
+        assert center2.changes_since("pts", 0) == changes
         center2.watch("pts")
         recovered.insert("pts", {"id": 10})
         new_seqs = [

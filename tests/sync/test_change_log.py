@@ -1,0 +1,370 @@
+"""The change log is statement-granular; what it *says* is still per tid.
+
+``ediflow_changed_rows`` holds one row per recorded event -- a tid range
+when the event's tids are contiguous, else the ascending list -- and
+``NotificationCenter.deltas_since`` is its one reader.  The oracle at the
+top replays generated scripts against a per-tid reference model folded
+from the ``ChangeSet``s a trigger of the test's own saw, under every
+propagation policy and across purges; below it, the counts that make the
+representation worth having, the replay cases one refresh window must
+get right, and the structural tripwire that keeps the per-tid write from
+coming back.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import datamodel
+from repro.db import Column, Database, col
+from repro.db.schema import TID
+from repro.db.types import INTEGER
+from repro.sync import (
+    IMMEDIATE,
+    MANUAL,
+    T_CHANGED_ROWS,
+    NotificationCenter,
+    SyncClient,
+    SyncServer,
+    Threshold,
+)
+from repro.sync.batching import DeltaCoalescer
+
+from .test_policy_gate import SRC, _hits
+
+TABLES = ("t", "u")
+OPS = (datamodel.OP_INSERT, datamodel.OP_UPDATE, datamodel.OP_DELETE)
+
+
+def make_db(*tables):
+    db = Database()
+    for name in tables:
+        db.create_table(
+            name,
+            [Column("id", INTEGER, nullable=False), Column("v", INTEGER)],
+            primary_key="id",
+        )
+    return db
+
+
+# ----------------------------------------------------------------------
+# (a) statement-granular log == per-tid reference model
+class Model:
+    """What the per-tid log held: one ``(seq_no, table, op, tids)`` entry
+    per recorded event, folded from the change sets a trigger registered
+    *after* the center's saw -- alone under an immediate policy, coalesced
+    since the last flush under a buffering one."""
+
+    def __init__(self, db, center):
+        self.db, self.center = db, center
+        self.log = []
+        self.next_seq = 1
+        self.buffers = {name: DeltaCoalescer(name) for name in TABLES}
+        self.clients = {name: [] for name in TABLES}
+        self.ids = iter(range(1, 10_000))
+        for name in TABLES:
+            center.watch(name)
+            db.on(name, ("insert", "update", "delete"), self.saw)
+
+    def saw(self, change):
+        self.buffers[change.table].add(change)
+        if self.center.pending_ops(change.table) == 0:
+            self.fold(change.table)  # recorded inline, or flushed just now
+
+    def fold(self, table):
+        net = self.buffers[table].net_changeset()
+        self.buffers[table] = DeltaCoalescer(table)
+        tids = (
+            [row[TID] for row in net.inserted],
+            [after[TID] for _before, after in net.updated],
+            [row[TID] for row in net.deleted],
+        )
+        for op, touched in zip(OPS, tids):
+            if touched:
+                self.log.append((self.next_seq, table, op, sorted(touched)))
+                self.next_seq += 1
+
+    # -- the script ----------------------------------------------------
+    def run(self, step):
+        kind, *args = step
+        if kind == "insert":
+            table, value = args
+            self.db.insert(table, {"id": next(self.ids), "v": value})
+        elif kind == "insert_many":
+            table, count, value = args
+            self.db.insert_many(
+                table, [{"id": next(self.ids), "v": value} for _ in range(count)]
+            )
+        elif kind == "update_where":
+            table, old, new = args
+            self.db.execute(f"UPDATE {table} SET v = ? WHERE v = ?", (new, old))
+        elif kind == "delete_where":
+            table, old = args
+            self.db.execute(f"DELETE FROM {table} WHERE v = ?", (old,))
+        elif kind == "delete_by_tids":
+            table, seed = args
+            rng = random.Random(seed)
+            tids = self.db.table(table).tids()
+            self.db.delete_by_tids(table, rng.sample(tids, rng.randint(0, len(tids))))
+        elif kind == "txn":
+            statements, commit = args
+            try:
+                with self.db.transaction():
+                    for statement in statements:
+                        self.run(statement)
+                    if not commit:
+                        raise Rollback
+            except Rollback:
+                pass
+        elif kind == "flush":
+            self.center.flush(args[0])
+            self.fold(args[0])
+        elif kind == "clients":
+            table, positions = args
+            self.set_clients(table, [min(p, self.next_seq - 1) for p in positions])
+        else:
+            self.purge()
+
+    def set_clients(self, table, positions):
+        users = datamodel.T_CONNECTED_USER
+        self.db.delete(users, col("table_name") == table)
+        for position in positions:
+            self.db.insert(
+                users,
+                {
+                    "id": next(self.ids),
+                    "host": "h",
+                    "port": 1,
+                    "table_name": table,
+                    "last_seq_no": position,
+                },
+            )
+        self.clients[table] = positions
+
+    def purge(self):
+        kept = [
+            entry
+            for entry in self.log
+            if self.clients[entry[1]] and entry[0] > min(self.clients[entry[1]])
+        ]
+        assert self.center.purge() == len(self.log) - len(kept)
+        self.log = kept
+
+    # -- the comparison ------------------------------------------------
+    def check(self, cursor):
+        stored = list(self.db.table(T_CHANGED_ROWS).rows())
+        assert [
+            (row["seq_no"], row["table_name"], row["op"]) for row in stored
+        ] == [entry[:3] for entry in self.log]
+        for row, (_seq, _table, _op, tids) in zip(stored, self.log):
+            contiguous = tids == list(range(tids[0], tids[-1] + 1))
+            assert (row["lo"], row["hi"]) == (tids[0], tids[-1])
+            assert row["tids"] == (None if contiguous else tids)
+        for table in TABLES:
+            for since in {0, cursor % self.next_seq, self.next_seq - 1}:
+                after = [e for e in self.log if e[1] == table and e[0] > since]
+                newest = after[-1][0] if after else since
+                assert self.center.changes_since(table, since) == (
+                    newest,
+                    [(tid, op) for _s, _t, op, tids in after for tid in tids],
+                )
+                assert self.center.notifications_since(table, since) == [
+                    (seq, op) for seq, _t, op, _tids in after
+                ]
+
+
+class Rollback(Exception):
+    pass
+
+
+tables = st.sampled_from(TABLES)
+values = st.integers(0, 3)
+statements = st.one_of(
+    st.tuples(st.just("insert"), tables, values),
+    st.tuples(st.just("insert_many"), tables, st.integers(1, 6), values),
+    st.tuples(st.just("update_where"), tables, values, values),
+    st.tuples(st.just("delete_where"), tables, values),
+    st.tuples(st.just("delete_by_tids"), tables, st.integers(0, 2**16)),
+)
+steps = st.lists(
+    st.tuples(
+        st.one_of(
+            statements,
+            st.tuples(
+                st.just("txn"), st.lists(statements, max_size=4), st.booleans()
+            ),
+            st.tuples(st.just("flush"), tables),
+            st.tuples(
+                st.just("clients"), tables, st.lists(st.integers(0, 80), max_size=3)
+            ),
+            st.tuples(st.just("purge")),
+        ),
+        st.integers(0, 80),  # where this step's drawn cursor stands
+    ),
+    max_size=30,
+)
+policies = st.one_of(
+    st.just(IMMEDIATE),
+    st.just(MANUAL),
+    st.builds(Threshold, max_changes=st.integers(1, 8), max_delay_ms=st.none()),
+)
+
+
+@given(steps, policies, policies)
+@settings(max_examples=250, deadline=None)
+def test_the_log_says_what_the_per_tid_log_said(script, policy_t, policy_u):
+    db = make_db(*TABLES)
+    center = NotificationCenter(db)
+    model = Model(db, center)
+    center.set_policy("t", policy_t)
+    center.set_policy("u", policy_u)
+    try:
+        for step, cursor in script:
+            model.run(step)
+            model.check(cursor)
+        for table in TABLES:
+            model.run(("flush", table))
+        model.check(0)
+        # However the flushes fell, the sequence was gapless from 1.
+        assert center._next_seq == model.next_seq
+    finally:
+        center.close()
+
+
+# ----------------------------------------------------------------------
+# (c) the counts
+def calls_into(db, method):
+    """Record the table name of every ``db.<method>(table, ...)`` call."""
+    seen = []
+    inner = getattr(db, method)
+
+    def counted(table, *args, **kwargs):
+        seen.append(table)
+        return inner(table, *args, **kwargs)
+
+    setattr(db, method, counted)
+    return seen
+
+
+def test_a_bulk_statement_logs_one_row_and_purges_one_row():
+    db = make_db("t")
+    center = NotificationCenter(db)
+    center.watch("t")
+    inserts, bulk_inserts = calls_into(db, "insert"), calls_into(db, "insert_many")
+    db.insert_many("t", [{"id": i, "v": 0} for i in range(1000)])
+    logs = [datamodel.T_NOTIFICATION, T_CHANGED_ROWS]
+    assert sorted(inserts) == sorted(logs)
+    assert bulk_inserts == ["t"]
+    (row,) = db.table(T_CHANGED_ROWS).rows()
+    assert (row["lo"], row["hi"], row["tids"]) == (1, 1000, None)
+    assert len(center.changes_since("t", 0)[1]) == 1000
+
+    deleted = []
+    inner = db.delete_by_tids
+    db.delete_by_tids = lambda table, tids: deleted.append((table, len(tids))) or inner(
+        table, tids
+    )
+    assert center.purge() == 1
+    assert sorted(deleted) == sorted((name, 1) for name in logs)
+    assert all(len(db.table(name)) == 0 for name in logs)
+
+
+def test_refresh_applies_one_batch_per_event():
+    db = make_db("t")
+    server = SyncServer(db, NotificationCenter(db), use_sockets=False)
+    client = SyncClient(server)
+    mirror = client.mirror("t")
+    db.insert_many("t", [{"id": i, "v": 0} for i in range(1000)])
+    db.execute("UPDATE t SET v = 1 WHERE id < 10")
+    db.delete_by_tids("t", [7, 3, 500])
+    batches, singles = [], []
+    inner = mirror.apply_batch
+    mirror.apply_batch = lambda upserts, deletes: batches.append(
+        (len(upserts), len(deletes))
+    ) or inner(upserts, deletes)
+    mirror.apply_upsert = singles.append
+    assert client.refresh("t") == {"upserts": 1005, "deletes": 8}
+    # insert (3 of its rows are gone by now), update (2 gone), delete.
+    assert batches == [(997, 3), (8, 2), (0, 3)]
+    assert singles == []
+    assert mirror.tids() == db.table("t").tids()
+    client.close()
+    server.close()
+
+
+def test_a_coalesced_flush_of_scattered_tids_stores_one_list():
+    db = make_db("t")
+    center = NotificationCenter(db)
+    center.watch("t")
+    db.insert_many("t", [{"id": i, "v": 0} for i in range(1, 513)])
+    center.purge()
+    center.set_policy("t", MANUAL)
+    for tid in range(512, 0, -2):
+        db.update_by_tid("t", tid, {"v": 1})
+    assert len(db.table(T_CHANGED_ROWS)) == 0
+    assert center.flush("t") == 256
+    (row,) = db.table(T_CHANGED_ROWS).rows()
+    assert row["op"] == "update"
+    assert (row["lo"], row["hi"]) == (2, 512)
+    assert row["tids"] == list(range(2, 513, 2))
+    newest, events = center.deltas_since("t", 0)
+    assert events == [("update", row["tids"])]
+    assert center.changes_since("t", 0) == (
+        newest,
+        [(tid, "update") for tid in range(2, 513, 2)],
+    )
+    center.close()
+
+
+# ----------------------------------------------------------------------
+# (d) one refresh window, one tid, several events
+def mirrored_stack():
+    db = make_db("t")
+    server = SyncServer(db, NotificationCenter(db), use_sockets=False)
+    client = SyncClient(server)
+    db.insert_many("t", [{"id": i, "v": 0} for i in range(1, 6)])
+    return db, server, client, client.mirror("t")
+
+
+def assert_mirror_is_table(mirror, db):
+    assert mirror.all_rows() == [dict(row) for row in db.table("t").rows()]
+
+
+def test_delete_restored_by_rollback_replays_to_the_table():
+    db, server, client, mirror = mirrored_stack()
+    db.update("t", {"v": 5}, col("id") == 2)
+    try:
+        with db.transaction():
+            db.delete("t", col("id") <= 3)
+            db.insert("t", {"id": 6, "v": 6})
+            raise Rollback
+    except Rollback:
+        pass
+    # The rolled-back statements left no event; the restored row is
+    # pulled under the tid its committed update logged.
+    assert client.refresh("t") == {"upserts": 1, "deletes": 0}
+    assert mirror.get(2)["v"] == 5
+    assert_mirror_is_table(mirror, db)
+    client.close()
+    server.close()
+
+
+def test_update_then_delete_of_one_tid_replays_to_the_table():
+    db, server, client, mirror = mirrored_stack()
+    db.update("t", {"v": 1}, col("id") >= 4)
+    db.delete("t", col("id") == 4)
+    db.insert("t", {"id": 6, "v": 6})
+    # The update's image of tid 4 is gone by now: a delete, twice over.
+    assert client.refresh("t") == {"upserts": 2, "deletes": 2}
+    assert mirror.applied_deletes == 1
+    assert_mirror_is_table(mirror, db)
+    client.close()
+    server.close()
+
+
+# ----------------------------------------------------------------------
+# The per-tid write and the per-row apply stay gone.
+def test_no_per_tid_log_write_and_no_op_tuple_apply_left_in_src():
+    assert not _hits(r"insert_many\(", [SRC / "sync" / "notification.py"])
+    assert not _hits(r"\.apply_ops\b|def apply_ops\(self", SRC.rglob("*.py"))

@@ -1,6 +1,8 @@
 """In-memory mirrors: upserts, deletes, partial mirrors, echo suppression."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.db.schema import TID
 from repro.errors import SyncError
@@ -111,3 +113,66 @@ class TestEchoSuppression:
         rm = MemoryTable("t")
         with pytest.raises(SyncError):
             rm.stage_write(99, "x", 1)
+
+
+# ----------------------------------------------------------------------
+# Batch apply == per-row apply: ``apply_batch`` is the one apply path and
+# ``apply_upsert`` / ``apply_delete`` its one-row callers, so a batch must
+# leave exactly what its rows, applied one call at a time, leave.
+tids = st.integers(1, 12)
+images = st.builds(
+    lambda tid, x, y: row(tid, x=x, y=y), tids, st.integers(0, 2), st.integers(0, 1)
+)
+actions = st.lists(
+    st.one_of(
+        # A tid may repeat inside one batch, among upserts and deletes alike.
+        st.tuples(
+            st.just("batch"), st.lists(images, max_size=8), st.lists(tids, max_size=4)
+        ),
+        # A local edit: a later image confirms it, overrides it, or brings
+        # a change of the other column along.
+        st.tuples(
+            st.just("stage"), tids, st.sampled_from(["x", "y"]), st.integers(0, 2)
+        ),
+    ),
+    max_size=25,
+)
+mirrors = st.sampled_from(
+    [
+        {},
+        {"fraction": 0.5},
+        {"predicate": lambda r: r["x"] > 0},
+        {"fraction": 0.7, "predicate": lambda r: r["y"] == 0},
+    ]
+)
+
+
+def state(rm):
+    return (
+        rm.rows,
+        rm.applied_inserts,
+        rm.applied_updates,
+        rm.applied_deletes,
+        rm.skipped_self_updates,
+        rm._pending_writes,
+    )
+
+
+@given(actions, mirrors)
+@settings(max_examples=300, deadline=None)
+def test_batch_apply_equals_per_row_apply(script, kind):
+    batched, per_row = MemoryTable("t", **kind), MemoryTable("t", **kind)
+    for action in script:
+        if action[0] == "batch":
+            _kind, upserts, deletes = action
+            batched.apply_batch(upserts, deletes)
+            for image in upserts:
+                per_row.apply_upsert(image)
+            for tid in deletes:
+                per_row.apply_delete(tid)
+        else:
+            _kind, tid, column, value = action
+            if batched.get(tid) is not None:
+                batched.stage_write(tid, column, value)
+                per_row.stage_write(tid, column, value)
+        assert state(batched) == state(per_row)

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.core import datamodel
-from repro.db import col
+from repro.db import Column, col
+from repro.db.types import INTEGER, TEXT
 from repro.errors import SyncError
-from repro.sync import NotificationCenter, T_CHANGED_ROWS
+from repro.sync import NotificationCenter, SyncClient, SyncServer, T_CHANGED_ROWS
 
 
 @pytest.fixture
@@ -45,9 +46,11 @@ class TestNotificationRows:
     def test_tombstones_record_tids(self, setup):
         db, center = setup
         db.execute("INSERT INTO pts (id, x) VALUES (1, 0.0), (2, 0.0)")
-        changed = db.query(f"SELECT * FROM {T_CHANGED_ROWS}")
-        assert len(changed) == 2
-        assert all(c["seq_no"] == 1 for c in changed)
+        # One row for the event; both tids are recoverable from it.
+        (changed,) = db.query(f"SELECT * FROM {T_CHANGED_ROWS}")
+        assert changed["seq_no"] == 1
+        assert (changed["lo"], changed["hi"], changed["tids"]) == (1, 2, None)
+        assert center.changes_since("pts", 0) == (1, [(1, "insert"), (2, "insert")])
 
     def test_unwatched_table_silent(self, setup):
         db, center = setup
@@ -178,3 +181,68 @@ class TestPurge:
         db.execute("INSERT INTO pts (id, x) VALUES (1, 0.0)")
         assert center.purge() == 1
         assert db.query(f"SELECT * FROM {T_CHANGED_ROWS}") == []
+
+    def test_quiet_table_does_not_pin_the_log_of_a_busy_one(self, db):
+        db.execute("CREATE TABLE a (id INTEGER PRIMARY KEY)")
+        db.execute("CREATE TABLE b (id INTEGER PRIMARY KEY)")
+        center = NotificationCenter(db)
+        server = SyncServer(db, center, use_sockets=False)
+        client = SyncClient(server)
+        quiet, busy = client.mirror("a"), client.mirror("b")
+        for key in range(100):
+            db.insert("b", {"id": key})
+            client.refresh("a")
+            client.refresh("b")
+            assert server.purge_notifications() == 1
+        # ``a`` saw no event, so its client never advanced -- and holds
+        # nothing back: the horizon is per table.
+        assert (quiet.last_seq_no, busy.last_seq_no) == (0, 100)
+        assert len(db.table(datamodel.T_NOTIFICATION)) == 0
+        assert len(db.table(T_CHANGED_ROWS)) == 0
+        client.close()
+        server.close()
+
+    def test_purge_keeps_what_a_client_of_that_table_has_not_consumed(self, db):
+        db.execute("CREATE TABLE a (id INTEGER PRIMARY KEY)")
+        db.execute("CREATE TABLE b (id INTEGER PRIMARY KEY)")
+        db.execute("CREATE TABLE c (id INTEGER PRIMARY KEY)")
+        center = NotificationCenter(db)
+        for name in "abc":
+            center.watch(name)
+        for key in range(3):  # seqs: a 1 4 7, b 2 5 8, c 3 6 9
+            for name in "abc":
+                db.insert(name, {"id": key})
+        users = [(1, "a", 4), (2, "a", 1), (3, "b", 5)]  # nobody mirrors c
+        for cu_id, name, seq in users:
+            db.insert(
+                datamodel.T_CONNECTED_USER,
+                {
+                    "id": cu_id,
+                    "host": "h",
+                    "port": cu_id,
+                    "table_name": name,
+                    "last_seq_no": seq,
+                },
+            )
+        assert center.purge() == 1 + 2 + 3
+        # Step 11: every connected client can still replay all it missed.
+        assert center.notifications_since("a", 1) == [(4, "insert"), (7, "insert")]
+        assert center.changes_since("a", 1) == (7, [(2, "insert"), (3, "insert")])
+        assert center.notifications_since("b", 5) == [(8, "insert")]
+        assert center.notifications_since("c", 0) == []
+        assert center.purge() == 0
+
+
+class TestStoredShape:
+    def test_per_tid_table_of_an_older_version_is_refused(self, db):
+        db.create_table(
+            T_CHANGED_ROWS,
+            [
+                Column("seq_no", INTEGER, nullable=False),
+                Column("table_name", TEXT, nullable=False),
+                Column("tid", INTEGER, nullable=False),
+                Column("op", TEXT, nullable=False),
+            ],
+        )
+        with pytest.raises(SyncError, match=T_CHANGED_ROWS):
+            NotificationCenter(db)

@@ -131,3 +131,27 @@ class TestRestartReplay:
         reattach(client, db3, server3)
         client.refresh("pts")
         assert {r["id"] for r in mirror.all_rows()} == {1, 2, 3, 4}
+
+    def test_drained_log_never_reissues_consumed_sequence_numbers(self, durable_stack):
+        """A deployment that purges after every frame (Fig. 8, step 11)
+        stops with an empty log: the restarted center must number on from
+        what the ConnectedUser rows remember, or a reconnecting client is
+        already past the new changes and never pulls them."""
+        directory, db, server, client = durable_stack
+        mirror = client.mirror("pts")
+        for key in range(3, 8):
+            db.execute("INSERT INTO pts (id, x) VALUES (?, 0.0)", (key,))
+        client.refresh("pts")
+        position = mirror.last_seq_no
+        assert position == 5
+        assert server.purge_notifications() == 5  # the log is empty now
+
+        db2, center2, server2 = restart(directory)
+        reattach(client, db2, server2)
+        db2.execute("INSERT INTO pts (id, x) VALUES (8, 8.0)")
+        newest, changes = center2.changes_since("pts", position)
+        assert newest == position + 1
+        assert [op for _tid, op in changes] == ["insert"]
+        assert center2.notifications_since("pts", position) == [(newest, "insert")]
+        assert client.refresh("pts") == {"upserts": 1, "deletes": 0}
+        assert {r["id"] for r in mirror.all_rows()} == set(range(1, 9))
