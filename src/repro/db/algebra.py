@@ -9,6 +9,15 @@ union, and difference.
 Plans are immutable trees of :class:`Plan` nodes; :meth:`Plan.rows` pulls
 result rows as dicts.  A plan executes against any object exposing
 ``table(name) -> Table`` -- in practice the :class:`repro.db.database.Database`.
+
+Lineage capture is a mode of the same operators, not a second
+interpreter: ``rows(source, lineage=True)`` makes every row carry its
+backward lineage -- the ``(table, tid)`` pairs of the stored tuples it was
+computed from -- under the hidden key :data:`LIN`, and
+:meth:`Plan.to_list_lineage` pops it off again.  Each operator's docstring
+says what it does to the lineage of the rows it builds; operators that
+only pass rows on (selection, sort, limit, distinct, union, difference)
+pass their lineage on with them.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from typing import Any, Callable, Iterable, Iterator, Protocol, Sequence
 
 from ..errors import DatabaseError, UnknownTableError
 from .expression import ColumnRef, Expression, evaluate_predicate
+from .schema import TID
 from .table import Table
 
 
@@ -31,15 +41,33 @@ class TableProvider(Protocol):
 
 Row = dict[str, Any]
 
+#: One row's backward lineage: ``(table, tid)`` pairs, in the order the
+#: operators met them (see :func:`repro.lineage.capture.canon_lineage`).
+Lineage = tuple[tuple[str, Any], ...]
+
+#: Row key holding a row's :data:`Lineage` while a plan runs in lineage
+#: mode.  Hidden like ``__tid__`` (user columns cannot start with ``__``),
+#: so ``SELECT *``, DISTINCT/UNION keys and LEFT-join padding never see it.
+LIN = "__lin__"
+
 
 class Plan:
     """Base class for algebra operators."""
 
-    def rows(self, source: TableProvider) -> Iterator[Row]:
+    def rows(self, source: TableProvider, lineage: bool = False) -> Iterator[Row]:
+        """Pull result rows; with ``lineage`` each carries a :data:`LIN` key."""
         raise NotImplementedError
 
     def to_list(self, source: TableProvider) -> list[Row]:
         return list(self.rows(source))
+
+    def to_list_lineage(
+        self, source: TableProvider
+    ) -> tuple[list[Row], list[Lineage]]:
+        """:meth:`to_list` plus, in lockstep, each row's backward lineage
+        (uncanonicalized: accumulation order, repeats possible)."""
+        rows = list(self.rows(source, True))
+        return rows, [row.pop(LIN) for row in rows]
 
     # -- fluent builders ------------------------------------------------
     def where(self, predicate: Expression) -> "Select":
@@ -119,27 +147,41 @@ def _normalize_items(
     return out
 
 
-class Scan(Plan):
-    """Full scan of a stored table.
+class TableLeaf(Plan):
+    """A leaf over one stored table: a full scan or an index probe.
 
-    With an ``alias``, each output row additionally carries qualified keys
-    (``alias.col``) so joins between tables with overlapping column names
-    stay unambiguous.  Without one, internal row dicts are yielded directly
-    (the fast path the Figure-8 pipeline depends on).
+    Subclasses say which stored rows they select (:meth:`_stored`); how a
+    selected row leaves the leaf is decided here.  Without an ``alias``
+    the table's internal row dicts are yielded directly (the fast path
+    the Figure-8 pipeline depends on); with one, each row is a copy that
+    also carries qualified keys (``alias.col``) so joins between tables
+    with overlapping column names stay unambiguous.
+
+    Lineage is seeded here: ``((table, tid),)`` on a copy of the row, so
+    a capture never writes into a stored row.
     """
 
-    def __init__(self, table: str, alias: str | None = None) -> None:
-        self.table_name = table
-        self.alias = alias
+    table_name: str
+    alias: str | None
 
-    def rows(self, source: TableProvider) -> Iterator[Row]:
-        table = source.table(self.table_name)
-        if self.alias is None:
-            yield from table.rows()
-            return
-        prefix = self.alias
-        for row in table.rows():
-            yield _qualify_row(row, prefix)
+    def _stored(self, table: Table) -> Iterator[Row]:
+        """The stored rows of ``table`` this leaf selects, in tid order."""
+        raise NotImplementedError
+
+    def rows(self, source: TableProvider, lineage: bool = False) -> Iterator[Row]:
+        rows = self._stored(source.table(self.table_name))
+        alias = self.alias
+        if alias is not None:
+            rows = (_qualify_row(row, alias) for row in rows)
+        elif lineage:
+            rows = map(dict, rows)
+        return self._seeded(rows) if lineage else rows
+
+    def _seeded(self, copies: Iterable[Row]) -> Iterator[Row]:
+        name = self.table_name
+        for row in copies:
+            row[LIN] = ((name, row[TID]),)
+            yield row
 
     def base_tables(self) -> set[str]:
         return {self.table_name}
@@ -147,11 +189,22 @@ class Scan(Plan):
     def output_columns(self, source: TableProvider) -> set[str] | None:
         return _scan_columns(source, self.table_name, self.alias)
 
+
+class Scan(TableLeaf):
+    """Full scan of a stored table."""
+
+    def __init__(self, table: str, alias: str | None = None) -> None:
+        self.table_name = table
+        self.alias = alias
+
+    def _stored(self, table: Table) -> Iterator[Row]:
+        return table.rows()
+
     def __repr__(self) -> str:
         return f"Scan({self.table_name!r})"
 
 
-class IndexScan(Plan):
+class IndexScan(TableLeaf):
     """Point lookup through a hash index: ``WHERE col = value``.
 
     Falls back to a full scan when the source cannot serve the index
@@ -167,34 +220,27 @@ class IndexScan(Plan):
         self.value = value
         self.alias = alias
 
-    def rows(self, source: TableProvider) -> Iterator[Row]:
-        table = source.table(self.table_name)
+    def _stored(self, table: Table) -> Iterator[Row]:
         find = getattr(table, "find_hash_index", None)
         index = find(self.column) if find is not None else None
         if index is None:
             # Fallback: filtered scan (correctness over speed).
             for row in table.rows():
                 if row.get(self.column) == self.value:
-                    yield row if self.alias is None else _qualify_row(row, self.alias)
+                    yield row
             return
         get = table.get
         # Sorted tids keep output in tid order, byte-identical to a full scan.
         for tid in sorted(index.lookup(self.value)):
             row = get(tid)
             if row is not None:
-                yield row if self.alias is None else _qualify_row(row, self.alias)
-
-    def base_tables(self) -> set[str]:
-        return {self.table_name}
-
-    def output_columns(self, source: TableProvider) -> set[str] | None:
-        return _scan_columns(source, self.table_name, self.alias)
+                yield row
 
     def __repr__(self) -> str:
         return f"IndexScan({self.table_name}.{self.column} = {self.value!r})"
 
 
-class CompositeIndexScan(Plan):
+class CompositeIndexScan(TableLeaf):
     """Composite-key equality probe through a multi-column hash index.
 
     ``WHERE a = x AND b = y`` with a hash index on ``(a, b)`` resolves to
@@ -216,8 +262,7 @@ class CompositeIndexScan(Plan):
         self.values = tuple(values)
         self.alias = alias
 
-    def rows(self, source: TableProvider) -> Iterator[Row]:
-        table = source.table(self.table_name)
+    def _stored(self, table: Table) -> Iterator[Row]:
         index = None
         for idx in getattr(table, "hash_indexes", lambda: ())():
             if frozenset(idx.columns) == frozenset(self.columns):
@@ -227,7 +272,7 @@ class CompositeIndexScan(Plan):
             wanted = dict(zip(self.columns, self.values))
             for row in table.rows():
                 if all(row.get(c) == v for c, v in wanted.items()):
-                    yield row if self.alias is None else _qualify_row(row, self.alias)
+                    yield row
             return
         by_name = dict(zip(self.columns, self.values))
         ordered = [by_name[c] for c in index.columns]
@@ -235,13 +280,7 @@ class CompositeIndexScan(Plan):
         for tid in sorted(index.lookup_tuple(ordered)):
             row = get(tid)
             if row is not None:
-                yield row if self.alias is None else _qualify_row(row, self.alias)
-
-    def base_tables(self) -> set[str]:
-        return {self.table_name}
-
-    def output_columns(self, source: TableProvider) -> set[str] | None:
-        return _scan_columns(source, self.table_name, self.alias)
+                yield row
 
     def __repr__(self) -> str:
         pairs = ", ".join(
@@ -250,7 +289,7 @@ class CompositeIndexScan(Plan):
         return f"CompositeIndexScan({self.table_name}: {pairs})"
 
 
-class RangeIndexScan(Plan):
+class RangeIndexScan(TableLeaf):
     """Range probe through a sorted index: ``WHERE col >= low AND col <= high``.
 
     Backs the isolation-predicate scans of Section VI-A (creation-timestamp
@@ -295,14 +334,13 @@ class RangeIndexScan(Plan):
                 return False
         return True
 
-    def rows(self, source: TableProvider) -> Iterator[Row]:
-        table = source.table(self.table_name)
+    def _stored(self, table: Table) -> Iterator[Row]:
         find = getattr(table, "find_sorted_index", None)
         index = find(self.column) if find is not None else None
         if index is None:
             for row in table.rows():
                 if self._matches(row.get(self.column)):
-                    yield row if self.alias is None else _qualify_row(row, self.alias)
+                    yield row
             return
         get = table.get
         tids = sorted(
@@ -311,13 +349,7 @@ class RangeIndexScan(Plan):
         for tid in tids:
             row = get(tid)
             if row is not None:
-                yield row if self.alias is None else _qualify_row(row, self.alias)
-
-    def base_tables(self) -> set[str]:
-        return {self.table_name}
-
-    def output_columns(self, source: TableProvider) -> set[str] | None:
-        return _scan_columns(source, self.table_name, self.alias)
+                yield row
 
     def bounds_repr(self) -> str:
         lo = "(-inf" if self.low is None else ("[" if self.include_low else "(") + repr(self.low)
@@ -335,14 +367,17 @@ class RowSource(Plan):
 
     Used by delta propagation: the incremental maintenance algorithms
     (Section VI-B, citing Gupta-Mumick) re-run query fragments over delta
-    rows instead of stored tables.
+    rows instead of stored tables.  Its rows come from no stored table,
+    so their lineage is empty.
     """
 
     def __init__(self, rows: Iterable[Row], label: str = "<rows>") -> None:
         self._rows = list(rows)
         self.label = label
 
-    def rows(self, source: TableProvider) -> Iterator[Row]:
+    def rows(self, source: TableProvider, lineage: bool = False) -> Iterator[Row]:
+        if lineage:
+            return ({**row, LIN: ()} for row in self._rows)
         return iter(self._rows)
 
     def __len__(self) -> int:
@@ -365,9 +400,9 @@ class Select(Plan):
         self.child = child
         self.predicate = predicate
 
-    def rows(self, source: TableProvider) -> Iterator[Row]:
+    def rows(self, source: TableProvider, lineage: bool = False) -> Iterator[Row]:
         predicate = self.predicate
-        for row in self.child.rows(source):
+        for row in self.child.rows(source, lineage):
             if predicate.eval(row) is True:
                 yield row
 
@@ -382,7 +417,10 @@ class Select(Plan):
 
 
 class Project(Plan):
-    """Projection with computed items: ``[(output_name, expression), ...]``."""
+    """Projection with computed items: ``[(output_name, expression), ...]``.
+
+    An output row has the lineage of the input row it was computed from.
+    """
 
     def __init__(self, child: Plan, items: Sequence[tuple[str, Expression]]) -> None:
         if not items:
@@ -390,10 +428,13 @@ class Project(Plan):
         self.child = child
         self.items = list(items)
 
-    def rows(self, source: TableProvider) -> Iterator[Row]:
+    def rows(self, source: TableProvider, lineage: bool = False) -> Iterator[Row]:
         items = self.items
-        for row in self.child.rows(source):
-            yield {name: expr.eval(row) for name, expr in items}
+        for row in self.child.rows(source, lineage):
+            out = {name: expr.eval(row) for name, expr in items}
+            if lineage:
+                out[LIN] = row[LIN]
+            yield out
 
     def children(self) -> tuple[Plan, ...]:
         return (self.child,)
@@ -410,19 +451,23 @@ class KeepAll(Plan):
     """Identity projection that strips hidden engine fields.
 
     ``SELECT * FROM t`` compiles to this so users never see ``__tid__``
-    unless they ask for it.
+    unless they ask for it.  Lineage, itself a hidden field, is carried
+    across the strip.
     """
 
     def __init__(self, child: Plan) -> None:
         self.child = child
 
-    def rows(self, source: TableProvider) -> Iterator[Row]:
-        for row in self.child.rows(source):
-            yield {
+    def rows(self, source: TableProvider, lineage: bool = False) -> Iterator[Row]:
+        for row in self.child.rows(source, lineage):
+            out = {
                 k: v
                 for k, v in row.items()
                 if not k.startswith("__") and "." not in k
             }
+            if lineage:
+                out[LIN] = row[LIN]
+            yield out
 
     def children(self) -> tuple[Plan, ...]:
         return (self.child,)
@@ -435,24 +480,35 @@ class KeepAll(Plan):
 
 
 class Product(Plan):
-    """Cartesian product.  Right side is materialized once."""
+    """Cartesian product.  Right side is materialized once.
+
+    A combined row's lineage is its left row's followed by its right row's.
+    """
 
     def __init__(self, left: Plan, right: Plan) -> None:
         self.left = left
         self.right = right
 
-    def rows(self, source: TableProvider) -> Iterator[Row]:
-        right_rows = self.right.to_list(source)
-        for lrow in self.left.rows(source):
+    def rows(self, source: TableProvider, lineage: bool = False) -> Iterator[Row]:
+        right_rows = list(self.right.rows(source, lineage))
+        for lrow in self.left.rows(source, lineage):
             for rrow in right_rows:
-                yield {**lrow, **rrow}
+                out = {**lrow, **rrow}
+                if lineage:
+                    out[LIN] = lrow[LIN] + rrow[LIN]
+                yield out
 
     def children(self) -> tuple[Plan, ...]:
         return (self.left, self.right)
 
 
 class HashJoin(Plan):
-    """Equi-join implemented by building a hash table on the right input."""
+    """Equi-join implemented by building a hash table on the right input.
+
+    A matched row's lineage is its left row's followed by its right row's;
+    an unmatched LEFT-join row keeps its left row's (NULL padding comes
+    from no tuple).
+    """
 
     def __init__(
         self,
@@ -470,11 +526,11 @@ class HashJoin(Plan):
         self.right_on = right_on
         self.how = how
 
-    def rows(self, source: TableProvider) -> Iterator[Row]:
+    def rows(self, source: TableProvider, lineage: bool = False) -> Iterator[Row]:
         buckets: dict[Any, list[Row]] = {}
         right_key = ColumnRef(self.right_on)
         right_cols: set[str] = set()
-        for rrow in self.right.rows(source):
+        for rrow in self.right.rows(source, lineage):
             key = right_key.eval(rrow)
             right_cols.update(k for k in rrow if not k.startswith("__"))
             if key is None:
@@ -491,31 +547,26 @@ class HashJoin(Plan):
                 right_cols = self._schema_columns(source)
         left_key = ColumnRef(self.left_on)
         null_pad = {c: None for c in right_cols}
-        for lrow in self.left.rows(source):
+        for lrow in self.left.rows(source, lineage):
             key = left_key.eval(lrow)
             matches = buckets.get(key, ()) if key is not None else ()
             if matches:
                 for rrow in matches:
-                    yield {**lrow, **rrow}
+                    out = {**lrow, **rrow}
+                    if lineage:
+                        out[LIN] = lrow[LIN] + rrow[LIN]
+                    yield out
             elif self.how == "left":
                 yield {**null_pad, **lrow}
 
     def _schema_columns(self, source: TableProvider) -> set[str]:
         """Right-side column names (plain + qualified) from the catalog."""
         child = self.right
-        if not isinstance(child, (Scan, IndexScan, CompositeIndexScan, RangeIndexScan)):
+        if not isinstance(child, TableLeaf):
             return set()
-        try:
-            schema = source.table(child.table_name).schema
-        except UnknownTableError:
-            # Unknown name -> no padding columns; genuinely broken
-            # catalogs must not be silently flattened to an empty pad.
-            return set()
-        columns = set(schema.column_names)
-        alias = getattr(child, "alias", None)
-        if alias:
-            columns |= {f"{alias}.{c}" for c in schema.column_names}
-        return columns
+        # Unknown name -> no padding columns; genuinely broken catalogs
+        # raise out of ``_scan_columns`` rather than flatten to an empty pad.
+        return child.output_columns(source) or set()
 
     def children(self) -> tuple[Plan, ...]:
         return (self.left, self.right)
@@ -540,7 +591,8 @@ class IndexNestedLoopJoin(Plan):
     Chosen by the planner when the outer (left) side is estimated to be
     much smaller than the inner table: it avoids materializing a hash
     table over the whole inner side.  Degrades to a HashJoin when the
-    source cannot serve the index (isolation-filtered tables).
+    source cannot serve the index (isolation-filtered tables).  Lineage
+    as for :class:`HashJoin`, the probed tuple seeding the right side.
     """
 
     def __init__(
@@ -572,12 +624,12 @@ class IndexNestedLoopJoin(Plan):
             how=self.how,
         )
 
-    def rows(self, source: TableProvider) -> Iterator[Row]:
+    def rows(self, source: TableProvider, lineage: bool = False) -> Iterator[Row]:
         table = source.table(self.right_table)
         find = getattr(table, "find_hash_index", None)
         index = find(self.right_column) if find is not None else None
         if index is None:
-            yield from self._hash_join().rows(source)
+            yield from self._hash_join().rows(source, lineage)
             return
         left_key = ColumnRef(self.left_on)
         null_pad: Row = {}
@@ -586,7 +638,8 @@ class IndexNestedLoopJoin(Plan):
             null_pad = {c: None for c in (columns or ())}
         get = table.get
         alias = self.right_alias
-        for lrow in self.left.rows(source):
+        right_table = self.right_table
+        for lrow in self.left.rows(source, lineage):
             key = left_key.eval(lrow)
             matched = False
             if key is not None:
@@ -597,7 +650,10 @@ class IndexNestedLoopJoin(Plan):
                     matched = True
                     if alias is not None:
                         rrow = _qualify_row(rrow, alias)
-                    yield {**lrow, **rrow}
+                    out = {**lrow, **rrow}
+                    if lineage:
+                        out[LIN] = lrow[LIN] + ((right_table, tid),)
+                    yield out
             if not matched and self.how == "left":
                 yield {**null_pad, **lrow}
 
@@ -710,7 +766,11 @@ class _AggState:
 
 
 class Aggregate(Plan):
-    """GROUP BY + aggregates.  Empty ``group_by`` yields one global row."""
+    """GROUP BY + aggregates.  Empty ``group_by`` yields one global row.
+
+    A group's lineage is the lineage of every input row of the group, in
+    input order (so the global row over an empty input has none).
+    """
 
     def __init__(
         self,
@@ -724,10 +784,11 @@ class Aggregate(Plan):
         self.aggregates = list(aggregates)
         self.having = having
 
-    def rows(self, source: TableProvider) -> Iterator[Row]:
+    def rows(self, source: TableProvider, lineage: bool = False) -> Iterator[Row]:
         groups: dict[tuple[Any, ...], tuple[Row, list[_AggState], int]] = {}
+        group_lins: dict[tuple[Any, ...], list[tuple[str, Any]]] = {}
         group_refs = [ColumnRef(g) for g in self.group_by]
-        for row in self.child.rows(source):
+        for row in self.child.rows(source, lineage):
             key = tuple(ref.eval(row) for ref in group_refs)
             entry = groups.get(key)
             if entry is None:
@@ -739,6 +800,8 @@ class Aggregate(Plan):
                 groups[key] = entry
             first_row, states, star = entry
             groups[key] = (first_row, states, star + 1)
+            if lineage:
+                group_lins.setdefault(key, []).extend(row[LIN])
             for spec, state in zip(self.aggregates, states):
                 if spec.arg is not None:
                     state.add(spec.arg.eval(row))
@@ -752,6 +815,8 @@ class Aggregate(Plan):
                     out[spec.name] = star
                 else:
                     out[spec.name] = state.result(spec.func)
+            if lineage:
+                out[LIN] = tuple(group_lins.get(key, ()))
             if self.having is None or evaluate_predicate(self.having, out):
                 yield out
 
@@ -800,8 +865,8 @@ class Sort(Plan):
         self.child = child
         self.keys = list(keys)
 
-    def rows(self, source: TableProvider) -> Iterator[Row]:
-        rows = self.child.to_list(source)
+    def rows(self, source: TableProvider, lineage: bool = False) -> Iterator[Row]:
+        rows = list(self.child.rows(source, lineage))
         # Stable multi-key sort: apply keys right-to-left.
         for name, ascending in reversed(self.keys):
             ref = ColumnRef(name)
@@ -829,8 +894,8 @@ class Limit(Plan):
         self.count = count
         self.offset = offset
 
-    def rows(self, source: TableProvider) -> Iterator[Row]:
-        it = self.child.rows(source)
+    def rows(self, source: TableProvider, lineage: bool = False) -> Iterator[Row]:
+        it = self.child.rows(source, lineage)
         for _ in range(self.offset):
             try:
                 next(it)
@@ -891,14 +956,18 @@ class _DedupSet:
 
 
 class Distinct(Plan):
-    """Duplicate elimination over visible columns."""
+    """Duplicate elimination over visible columns.
+
+    The first occurrence is the row that survives, and with it its
+    lineage: the key ignores hidden fields, lineage included.
+    """
 
     def __init__(self, child: Plan) -> None:
         self.child = child
 
-    def rows(self, source: TableProvider) -> Iterator[Row]:
+    def rows(self, source: TableProvider, lineage: bool = False) -> Iterator[Row]:
         seen = _DedupSet()
-        for row in self.child.rows(source):
+        for row in self.child.rows(source, lineage):
             if seen.add(_row_key(row)):
                 yield row
 
@@ -910,23 +979,24 @@ class Distinct(Plan):
 
 
 class Union(Plan):
-    """UNION (set) or UNION ALL (bag)."""
+    """UNION (set) or UNION ALL (bag); as :class:`Distinct`, the first
+    occurrence of a UNION row survives with its own lineage."""
 
     def __init__(self, left: Plan, right: Plan, all: bool = False) -> None:
         self.left = left
         self.right = right
         self.all = all
 
-    def rows(self, source: TableProvider) -> Iterator[Row]:
+    def rows(self, source: TableProvider, lineage: bool = False) -> Iterator[Row]:
         if self.all:
-            yield from self.left.rows(source)
-            yield from self.right.rows(source)
+            yield from self.left.rows(source, lineage)
+            yield from self.right.rows(source, lineage)
             return
         seen = _DedupSet()
-        for row in self.left.rows(source):
+        for row in self.left.rows(source, lineage):
             if seen.add(_row_key(row)):
                 yield row
-        for row in self.right.rows(source):
+        for row in self.right.rows(source, lineage):
             if seen.add(_row_key(row)):
                 yield row
 
@@ -938,18 +1008,22 @@ class Union(Plan):
 
 
 class Difference(Plan):
-    """Set difference (EXCEPT)."""
+    """Set difference (EXCEPT).
+
+    Output rows come from the left input and carry its lineage only: the
+    right side is why-*not* provenance, which lineage does not record.
+    """
 
     def __init__(self, left: Plan, right: Plan) -> None:
         self.left = left
         self.right = right
 
-    def rows(self, source: TableProvider) -> Iterator[Row]:
+    def rows(self, source: TableProvider, lineage: bool = False) -> Iterator[Row]:
         exclude = _DedupSet()
         for r in self.right.rows(source):
             exclude.add(_row_key(r))
         seen = _DedupSet()
-        for row in self.left.rows(source):
+        for row in self.left.rows(source, lineage):
             key = _row_key(row)
             if key not in exclude and seen.add(key):
                 yield row
@@ -962,17 +1036,24 @@ class Difference(Plan):
 
 
 class MapRows(Plan):
-    """Apply an arbitrary row transformation (procedure escape hatch)."""
+    """Apply an arbitrary row transformation (procedure escape hatch).
+
+    ``fn`` is opaque, so its result is taken to derive from its argument
+    and nothing else: the output row has the input row's lineage.
+    """
 
     def __init__(self, child: Plan, fn: Callable[[Row], Row], label: str = "map") -> None:
         self.child = child
         self.fn = fn
         self.label = label
 
-    def rows(self, source: TableProvider) -> Iterator[Row]:
+    def rows(self, source: TableProvider, lineage: bool = False) -> Iterator[Row]:
         fn = self.fn
-        for row in self.child.rows(source):
-            yield fn(row)
+        for row in self.child.rows(source, lineage):
+            out = fn(row)
+            if lineage:
+                out = {**out, LIN: row[LIN]}
+            yield out
 
     def children(self) -> tuple[Plan, ...]:
         return (self.child,)
@@ -1071,10 +1152,10 @@ class _Counted(Plan):
         self.original_id = original_id
         self.counters = counters
 
-    def rows(self, source: TableProvider) -> Iterator[Row]:
+    def rows(self, source: TableProvider, lineage: bool = False) -> Iterator[Row]:
         counters = self.counters
         key = self.original_id
-        for row in self.inner.rows(source):
+        for row in self.inner.rows(source, lineage):
             counters[key] = counters.get(key, 0) + 1
             yield row
 

@@ -406,13 +406,9 @@ class Database:
     # ------------------------------------------------------------------
     # Programmatic mutations: each is one statement -- a ``db.write``
     # span around the lock, the table call, then _dispatch.
-    def _span(self, name: str, tags: dict[str, Any]) -> Any:
-        """A span while tracing is on, the shared no-op span otherwise."""
-        return OBS.tracer.span(name, tags) if OBS.enabled else NULL_SPAN
-
     def insert(self, table_name: str, values: Mapping[str, Any]) -> dict[str, Any]:
         """Insert one row; fires insert triggers; returns the stored row."""
-        span = self._span("db.write", {"table": table_name, "op": "insert"})
+        span = OBS.span("db.write", {"table": table_name, "op": "insert"})
         with span, self._lock:
             row = self.table(table_name).insert(values)
             self._dispatch(span, "insert", ChangeSet(table_name, inserted=[row]))
@@ -427,7 +423,7 @@ class Database:
         of tuples arrives and a single statement-level trigger notification
         is emitted for the whole batch.
         """
-        span = self._span("db.write", {"table": table_name, "op": "insert"})
+        span = OBS.span("db.write", {"table": table_name, "op": "insert"})
         with span, self._lock:
             # Statement atomicity is the table's: it validates the whole
             # batch before touching anything (see Table.insert_many).
@@ -452,7 +448,7 @@ class Database:
     ) -> list[tuple[dict[str, Any], dict[str, Any]]]:
         """One UPDATE statement: every row matching ``where`` gets
         ``changes_of(row)``; returns the ``(before, after)`` pairs."""
-        span = self._span("db.write", {"table": table_name, "op": "update"})
+        span = OBS.span("db.write", {"table": table_name, "op": "update"})
         with span, self._lock:
             table = self.table(table_name)
             change = ChangeSet(table_name)
@@ -474,7 +470,7 @@ class Database:
         self, table_name: str, tid: int, changes: Mapping[str, Any]
     ) -> dict[str, Any]:
         """Point update through the tid (used by sync write-back)."""
-        span = self._span("db.write", {"table": table_name, "op": "update"})
+        span = OBS.span("db.write", {"table": table_name, "op": "update"})
         with span, self._lock:
             updated = self.table(table_name).update_row(tid, changes)
             self._dispatch(span, "update", ChangeSet(table_name, updated=[updated]))
@@ -496,7 +492,7 @@ class Database:
         self, table_name: str, tids_of: Callable[[Table], Iterable[int]]
     ) -> int:
         """One DELETE statement over ``tids_of(table)`` (distinct, all present)."""
-        span = self._span("db.write", {"table": table_name, "op": "delete"})
+        span = OBS.span("db.write", {"table": table_name, "op": "delete"})
         with span, self._lock:
             table = self.table(table_name)
             deleted = table.delete_many(tids_of(table))
@@ -678,7 +674,7 @@ class Database:
         the SQL forms ``EXPLAIN SELECT ...`` / ``EXPLAIN ANALYZE SELECT
         ...`` return the same text one line per row.
         """
-        span = self._span("db.explain", {"analyze": True}) if analyze else NULL_SPAN
+        span = OBS.span("db.explain", {"analyze": True}) if analyze else NULL_SPAN
         with span, self._lock:
             return self._explain(self.plan(sql, params), span, analyze)
 

@@ -408,47 +408,41 @@ class DurabilityManager:
         point: each step leaves the directory recoverable (see module
         docstring for the generation protocol).
         """
-        if not OBS.enabled:
-            return self._checkpoint_impl()
-        with OBS.tracer.span("db.checkpoint") as span:
-            path = self._checkpoint_impl()
-            span.set_tag("generation", self._generation)
-        OBS.metrics.counter("wal.checkpoints").inc()
-        return path
-
-    def _checkpoint_impl(self) -> Path:
-        with self.database.lock:
-            with self._lock:
-                if self._closed:
-                    raise DatabaseError("durability manager is closed")
-                if self.crash is not None:
-                    self.crash.reach("checkpoint.begin")
-                old_generation = self._generation
-                generation = old_generation + 1
-                checkpoint_file = _checkpoint_path(self.directory, generation)
-                save_snapshot(self.database, checkpoint_file)
-                if self.crash is not None:
-                    self.crash.reach("checkpoint.switch")
-                # Create the new segment durably before switching appends.
-                new_wal_file = _wal_path(self.directory, generation)
-                open(new_wal_file, "ab").close()
-                fsync_dir(self.directory)
-                self._wal.close()
-                self._wal = self._open_segment(generation)
-                self._generation = generation
-                self.checkpoints += 1
-                self._commits_since_checkpoint = 0
-                if self.crash is not None:
-                    self.crash.reach("checkpoint.cleanup")
-                for stale in (
-                    _checkpoint_path(self.directory, old_generation),
-                    _wal_path(self.directory, old_generation),
-                ):
-                    try:
-                        os.unlink(stale)
-                    except OSError:
-                        pass
-                return checkpoint_file
+        traced = OBS.enabled
+        with OBS.span("db.checkpoint") as span, self.database.lock, self._lock:
+            if self._closed:
+                raise DatabaseError("durability manager is closed")
+            if self.crash is not None:
+                self.crash.reach("checkpoint.begin")
+            old_generation = self._generation
+            generation = old_generation + 1
+            checkpoint_file = _checkpoint_path(self.directory, generation)
+            save_snapshot(self.database, checkpoint_file)
+            if self.crash is not None:
+                self.crash.reach("checkpoint.switch")
+            # Create the new segment durably before switching appends.
+            new_wal_file = _wal_path(self.directory, generation)
+            open(new_wal_file, "ab").close()
+            fsync_dir(self.directory)
+            self._wal.close()
+            self._wal = self._open_segment(generation)
+            self._generation = generation
+            self.checkpoints += 1
+            self._commits_since_checkpoint = 0
+            if self.crash is not None:
+                self.crash.reach("checkpoint.cleanup")
+            for stale in (
+                _checkpoint_path(self.directory, old_generation),
+                _wal_path(self.directory, old_generation),
+            ):
+                try:
+                    os.unlink(stale)
+                except OSError:
+                    pass
+            span.set_tag("generation", generation)
+        if traced:
+            OBS.metrics.counter("wal.checkpoints").inc()
+        return checkpoint_file
 
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, int]:

@@ -50,7 +50,9 @@ from .algebra import (
     Distinct,
     HashJoin,
     KeepAll,
+    LIN,
     Limit,
+    Lineage,
     Plan,
     Project,
     Row,
@@ -1265,8 +1267,14 @@ class Vectorized(Plan):
         clone._counters = counters
         return clone
 
-    def rows(self, source: TableProvider) -> Iterator[Row]:
-        return iter(self.to_list(source))
+    def rows(self, source: TableProvider, lineage: bool = False) -> Iterator[Row]:
+        if not lineage:
+            return iter(self.to_list(source))
+        # Nested under row operators: hand the sidecar out on their carrier.
+        rows, lins = self.to_list_lineage(source)
+        for row, lin in zip(rows, lins):
+            row[LIN] = lin
+        return iter(rows)
 
     def chosen(self, source: TableProvider) -> Plan:
         """The plan that serves ``source`` right now: this node or its
@@ -1281,13 +1289,13 @@ class Vectorized(Plan):
 
     def _run(
         self, source: TableProvider, lineage: bool
-    ) -> tuple[list[Row], list[tuple]] | None:
+    ) -> tuple[list[Row], list[Lineage]] | None:
         """``(rows, lineages)`` off the batch engine, or None when the
         row plan has to serve this execution instead."""
         if self.chosen(source) is not self:
             return None
         rows: list[Row] = []
-        lins: list[tuple] = []
+        lins: list[Lineage] = []
         try:
             for batch in self.root.batches(source, self._counters, lineage):
                 rows.extend(batch_rows(batch))
@@ -1309,19 +1317,13 @@ class Vectorized(Plan):
         ran = self._run(source, lineage=False)
         return ran[0] if ran is not None else self.row_plan.to_list(source)
 
-    def to_list_lineage(self, source: TableProvider) -> tuple[list[Row], list[tuple]]:
-        """Execute with lineage capture: ``(rows, lineages)`` in lockstep.
-
-        ``lineages[i]`` is an iterable of ``(table, tid)`` pairs for
-        ``rows[i]`` (uncanonicalized; callers normalize via
-        :func:`repro.lineage.capture.canon_lineage`).  Runs on the engine
-        :meth:`to_list` would use, the row-engine capture interpreter
-        standing in for the row plan.
-        """
-        from ..lineage.capture import row_capture
-
+    def to_list_lineage(
+        self, source: TableProvider
+    ) -> tuple[list[Row], list[Lineage]]:
+        """As :meth:`Plan.to_list_lineage`, on the engine :meth:`to_list`
+        would use: the batch pipeline's ``lin`` sidecar, else the row plan."""
         ran = self._run(source, lineage=True)
-        return ran if ran is not None else row_capture(self.row_plan, source)
+        return ran if ran is not None else self.row_plan.to_list_lineage(source)
 
     def __repr__(self) -> str:
         return f"Vectorized({self.row_plan!r})"

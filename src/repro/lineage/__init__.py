@@ -2,7 +2,7 @@
 
 Backward lineage ("why is this output row here") is captured inside the
 query operators of both engines -- tid sidecar arrays in the vectorized
-batches, a mirroring interpreter on the row engine -- and persisted as
+batches, a hidden row key on the row engine -- and persisted as
 queryable ``sys_lineage_*`` system tables.  Incrementally maintained
 views keep a live bidirectional lineage index, which powers forward
 lineage ("which outputs does this base tuple feed"): cross-view
@@ -11,7 +11,7 @@ are both lineage queries over that index.
 """
 
 from .brushing import CrossViewLinker
-from .capture import Lineage, canon_lineage, capture_plan, row_capture
+from .capture import Lineage, canon_lineage, capture_plan
 from .manager import LineageManager
 from .store import (
     LINEAGE_TABLES,
@@ -32,5 +32,4 @@ __all__ = [
     "ViewLineage",
     "canon_lineage",
     "capture_plan",
-    "row_capture",
 ]

@@ -1,77 +1,25 @@
-"""Tuple-lineage capture for both query engines.
+"""Tuple-lineage capture: one entry point over both query engines.
 
 Backward lineage of an output row is the set of base tuples that
 contributed to it -- represented as ``(table, tid)`` pairs.  Capture
 happens *inside* the operators, where tids are nearly free (the Smoke
-insight): the vectorized engine threads a ``lin`` sidecar array through
-each :class:`~repro.db.vector.Batch`, and this module provides the
-row-engine counterpart -- a recursive interpreter that mirrors every
-:mod:`repro.db.algebra` operator's exact row construction while carrying
-per-row lineage alongside.
-
-Both paths feed :func:`capture_plan`, which canonicalizes each row's
-lineage (sorted, deduplicated ``(table, tid)`` tuples) so the two
-engines can be compared byte-for-byte by the lineage oracle tests.
-
-Lineage semantics per operator:
-
-* scans seed ``((table, tid),)`` from the hidden tid column;
-* selection/projection/sort/limit pass lineage through unchanged;
-* joins concatenate left and right lineage per emitted combo (an
-  unmatched LEFT-join row keeps only its left lineage);
-* aggregation unions the lineage of every input row of the group;
-* DISTINCT/UNION keep the first occurrence's lineage (the duplicate
-  that was actually emitted), matching which physical row survived;
-* EXCEPT output rows come from the left input only, so they carry left
-  lineage (the right side is why-*not* provenance, out of scope);
-* RowSource and MapRows leaves contribute empty lineage (their rows do
-  not come from a stored table).
+insight), as a mode of execution: the row operators of
+:mod:`repro.db.algebra` carry each row's lineage under a hidden key,
+the batch operators of :mod:`repro.db.vector` thread a ``lin`` sidecar
+through each batch, and what an operator does to lineage is documented
+on the operator.  The two implementations share nothing but the
+canonical form below, which is what lets the lineage oracle tests
+compare them byte-for-byte.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any, Iterable
 
-from ..db.algebra import (
-    Aggregate,
-    CompositeIndexScan,
-    Difference,
-    Distinct,
-    HashJoin,
-    IndexNestedLoopJoin,
-    IndexScan,
-    KeepAll,
-    Limit,
-    MapRows,
-    Plan,
-    Product,
-    Project,
-    RangeIndexScan,
-    Row,
-    RowSource,
-    Scan,
-    Select,
-    Sort,
-    TableProvider,
-    Union,
-    _AggState,
-    _DedupSet,
-    _qualify_row,
-    _row_key,
-    _scan_columns,
-    evaluate_predicate,
-    sort_key_total,
-)
-from ..db.expression import ColumnRef
-from ..db.schema import TID
-
-#: One output row's lineage: ``(table, tid)`` pairs.
-Lineage = tuple[tuple[str, Any], ...]
-
-_EMPTY: Lineage = ()
+from ..db.algebra import Lineage, Plan, Row, TableProvider
 
 
-def canon_lineage(pairs: Any) -> Lineage:
+def canon_lineage(pairs: Iterable[tuple[str, Any]]) -> Lineage:
     """Canonical form: sorted, deduplicated ``(table, tid)`` tuple.
 
     Both engines accumulate lineage in whatever order their operators
@@ -82,252 +30,11 @@ def canon_lineage(pairs: Any) -> Lineage:
     return tuple(sorted(set(pairs)))
 
 
-def _capture_leaf(
-    plan: Plan, table_name: str, source: TableProvider
-) -> Iterator[tuple[Row, Lineage]]:
-    """Scans yield internal rows that still carry ``__tid__`` (hidden
-    keys survive alias qualification), so leaf lineage is one dict get."""
-    for row in plan.rows(source):
-        tid = row.get(TID)
-        yield row, (((table_name, tid),) if tid is not None else _EMPTY)
-
-
-def _capture_hash_join(
-    plan: HashJoin, source: TableProvider
-) -> Iterator[tuple[Row, Lineage]]:
-    buckets: dict[Any, list[tuple[Row, Lineage]]] = {}
-    right_key = ColumnRef(plan.right_on)
-    right_cols: set[str] = set()
-    for rrow, rlin in _capture(plan.right, source):
-        key = right_key.eval(rrow)
-        right_cols.update(k for k in rrow if not k.startswith("__"))
-        if key is None:
-            continue
-        buckets.setdefault(key, []).append((rrow, rlin))
-    if plan.how == "left" and not right_cols:
-        derived = plan.right.output_columns(source)
-        if derived:
-            right_cols = {c for c in derived if not c.startswith("__")}
-        else:
-            right_cols = plan._schema_columns(source)
-    left_key = ColumnRef(plan.left_on)
-    null_pad = {c: None for c in right_cols}
-    for lrow, llin in _capture(plan.left, source):
-        key = left_key.eval(lrow)
-        matches = buckets.get(key, ()) if key is not None else ()
-        if matches:
-            for rrow, rlin in matches:
-                yield {**lrow, **rrow}, llin + rlin
-        elif plan.how == "left":
-            yield {**null_pad, **lrow}, llin
-
-
-def _capture_index_join(
-    plan: IndexNestedLoopJoin, source: TableProvider
-) -> Iterator[tuple[Row, Lineage]]:
-    table = source.table(plan.right_table)
-    find = getattr(table, "find_hash_index", None)
-    index = find(plan.right_column) if find is not None else None
-    if index is None:
-        yield from _capture_hash_join(plan._hash_join(), source)
-        return
-    left_key = ColumnRef(plan.left_on)
-    null_pad: Row = {}
-    if plan.how == "left":
-        columns = _scan_columns(source, plan.right_table, plan.right_alias)
-        null_pad = {c: None for c in (columns or ())}
-    get = table.get
-    alias = plan.right_alias
-    rtable = plan.right_table
-    for lrow, llin in _capture(plan.left, source):
-        key = left_key.eval(lrow)
-        matched = False
-        if key is not None:
-            for tid in sorted(index.lookup(key)):
-                rrow = get(tid)
-                if rrow is None:
-                    continue
-                matched = True
-                if alias is not None:
-                    rrow = _qualify_row(rrow, alias)
-                yield {**lrow, **rrow}, llin + ((rtable, tid),)
-        if not matched and plan.how == "left":
-            yield {**null_pad, **lrow}, llin
-
-
-def _capture_aggregate(
-    plan: Aggregate, source: TableProvider
-) -> Iterator[tuple[Row, Lineage]]:
-    groups: dict[tuple[Any, ...], tuple[Row, list[_AggState], int]] = {}
-    glins: dict[tuple[Any, ...], list[tuple[str, Any]]] = {}
-    group_refs = [ColumnRef(g) for g in plan.group_by]
-    for row, lin in _capture(plan.child, source):
-        key = tuple(ref.eval(row) for ref in group_refs)
-        entry = groups.get(key)
-        if entry is None:
-            entry = (row, [_AggState(s.distinct) for s in plan.aggregates], 0)
-            groups[key] = entry
-            glins[key] = []
-        first_row, states, star = entry
-        groups[key] = (first_row, states, star + 1)
-        glins[key].extend(lin)
-        for spec, state in zip(plan.aggregates, states):
-            if spec.arg is not None:
-                state.add(spec.arg.eval(row))
-    if not groups and not plan.group_by:
-        groups[()] = ({}, [_AggState(s.distinct) for s in plan.aggregates], 0)
-        glins[()] = []
-    for key, (first_row, states, star) in groups.items():
-        out: Row = {g: v for g, v in zip(plan.group_by, key)}
-        for spec, state in zip(plan.aggregates, states):
-            if spec.func == "COUNT" and spec.arg is None:
-                out[spec.name] = star
-            else:
-                out[spec.name] = state.result(spec.func)
-        if plan.having is None or evaluate_predicate(plan.having, out):
-            yield out, tuple(glins[key])
-
-
-def _capture(
-    plan: Plan, source: TableProvider
-) -> Iterator[tuple[Row, Lineage]]:
-    """Recursive row-engine capture: ``(row, lineage)`` per output row,
-    in exactly the order (and with exactly the dicts) ``plan.rows()``
-    would produce."""
-    if isinstance(plan, (Scan, IndexScan, CompositeIndexScan, RangeIndexScan)):
-        yield from _capture_leaf(plan, plan.table_name, source)
-        return
-    if isinstance(plan, RowSource):
-        for row in plan.rows(source):
-            yield row, _EMPTY
-        return
-    if isinstance(plan, Select):
-        predicate = plan.predicate
-        for row, lin in _capture(plan.child, source):
-            if predicate.eval(row) is True:
-                yield row, lin
-        return
-    if isinstance(plan, Project):
-        items = plan.items
-        for row, lin in _capture(plan.child, source):
-            yield {name: expr.eval(row) for name, expr in items}, lin
-        return
-    if isinstance(plan, KeepAll):
-        for row, lin in _capture(plan.child, source):
-            yield {
-                k: v
-                for k, v in row.items()
-                if not k.startswith("__") and "." not in k
-            }, lin
-        return
-    if isinstance(plan, Product):
-        right_pairs = list(_capture(plan.right, source))
-        for lrow, llin in _capture(plan.left, source):
-            for rrow, rlin in right_pairs:
-                yield {**lrow, **rrow}, llin + rlin
-        return
-    if isinstance(plan, HashJoin):
-        yield from _capture_hash_join(plan, source)
-        return
-    if isinstance(plan, IndexNestedLoopJoin):
-        yield from _capture_index_join(plan, source)
-        return
-    if isinstance(plan, Aggregate):
-        yield from _capture_aggregate(plan, source)
-        return
-    if isinstance(plan, Sort):
-        pairs = list(_capture(plan.child, source))
-        # Stable multi-key sort right-to-left over the row component,
-        # identical to Sort.rows (lineage rides along untouched).
-        for name, ascending in reversed(plan.keys):
-            ref = ColumnRef(name)
-            pairs.sort(
-                key=lambda p, ref=ref: sort_key_total(ref.eval(p[0])),
-                reverse=not ascending,
-            )
-        yield from pairs
-        return
-    if isinstance(plan, Limit):
-        it = _capture(plan.child, source)
-        for _ in range(plan.offset):
-            try:
-                next(it)
-            except StopIteration:
-                return
-        for i, pair in enumerate(it):
-            if i >= plan.count:
-                return
-            yield pair
-        return
-    if isinstance(plan, Distinct):
-        seen = _DedupSet()
-        for row, lin in _capture(plan.child, source):
-            if seen.add(_row_key(row)):
-                yield row, lin
-        return
-    if isinstance(plan, Union):
-        if plan.all:
-            yield from _capture(plan.left, source)
-            yield from _capture(plan.right, source)
-            return
-        seen = _DedupSet()
-        for row, lin in _capture(plan.left, source):
-            if seen.add(_row_key(row)):
-                yield row, lin
-        for row, lin in _capture(plan.right, source):
-            if seen.add(_row_key(row)):
-                yield row, lin
-        return
-    if isinstance(plan, Difference):
-        exclude = _DedupSet()
-        for r in plan.right.rows(source):
-            exclude.add(_row_key(r))
-        seen = _DedupSet()
-        for row, lin in _capture(plan.left, source):
-            key = _row_key(row)
-            if key not in exclude and seen.add(key):
-                yield row, lin
-        return
-    if isinstance(plan, MapRows):
-        fn = plan.fn
-        for row, lin in _capture(plan.child, source):
-            yield fn(row), lin
-        return
-    # Unknown operator (custom Plan subclass): rows are still correct,
-    # lineage degrades to empty rather than guessing.
-    for row in plan.rows(source):
-        yield row, _EMPTY
-
-
-def row_capture(
-    plan: Plan, source: TableProvider
-) -> tuple[list[Row], list[Lineage]]:
-    """Execute ``plan`` on the row engine with per-row lineage capture.
-
-    Returns ``(rows, lineages)`` in lockstep; lineages are raw
-    accumulation order (callers canonicalize via :func:`canon_lineage`).
-    """
-    rows: list[Row] = []
-    lins: list[Lineage] = []
-    for row, lin in _capture(plan, source):
-        rows.append(row)
-        lins.append(lin)
-    return rows, lins
-
-
 def capture_plan(
     plan: Plan, source: TableProvider
 ) -> tuple[list[Row], list[Lineage]]:
-    """Execute ``plan`` with lineage capture on whichever engine it targets.
-
-    A :class:`~repro.db.vector.Vectorized` plan runs its batch pipeline
-    with the ``lin`` sidecar enabled (falling back to the row capture
-    interpreter exactly where ``to_list`` would fall back); anything else
-    takes the row interpreter.  Lineage comes back canonicalized.
-    """
-    to_list_lineage = getattr(plan, "to_list_lineage", None)
-    if to_list_lineage is not None:
-        rows, lins = to_list_lineage(source)
-    else:
-        rows, lins = row_capture(plan, source)
+    """Execute ``plan`` with lineage capture on whichever engine serves
+    it -- exactly the rows and row order ``plan.to_list(source)`` gives --
+    and return ``(rows, lineages)`` in lockstep, lineage canonicalized."""
+    rows, lins = plan.to_list_lineage(source)
     return rows, [canon_lineage(lin) for lin in lins]

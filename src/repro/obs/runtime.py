@@ -5,10 +5,8 @@ Instrumented modules import the :data:`OBS` singleton once and decide
 is written once and takes the span as a value::
 
     from ..obs.runtime import OBS
-    from ..obs.trace import NULL_SPAN
     ...
-    span = OBS.tracer.span("db.execute") if OBS.enabled else NULL_SPAN
-    with span:
+    with OBS.span("db.write", {"table": name}) as span:
         ...                      # the one code path
         span.set_tag("rows", n)  # a no-op on NULL_SPAN
 
@@ -27,11 +25,11 @@ new value, both of which are consistent states).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
 from .metrics import MetricsRegistry
 from .profiler import DEFAULT_HZ, SamplingProfiler
-from .trace import Tracer
+from .trace import NULL_SPAN, NullSpan, Span, Tracer
 
 __all__ = ["OBS", "ObsRuntime", "enable", "disable", "enabled", "reset"]
 
@@ -55,6 +53,12 @@ class ObsRuntime:
 
     def disable(self) -> None:
         self.enabled = False
+
+    def span(
+        self, name: str, tags: Optional[dict[str, Any]] = None
+    ) -> Span | NullSpan:
+        """A span while tracing is on, the shared no-op span otherwise."""
+        return self.tracer.span(name, tags) if self.enabled else NULL_SPAN
 
     # ------------------------------------------------------------------
     # Continuous profiling

@@ -535,18 +535,43 @@ class SyncClient:
         seq snapshot, and apply the same delta twice.
         """
         with self._refresh_lock(table):
-            if not OBS.enabled:
-                return self._refresh_impl(table, full)
-            with OBS.tracer.span(
-                "sync.mirror_refresh", tags={"table": table, "full": full}
-            ) as span:
-                stats = self._refresh_impl(table, full, span=span)
+            traced = OBS.enabled
+            with OBS.span("sync.mirror_refresh", {"table": table, "full": full}) as span:
+                memtable = self.table(table)
+                base = self.database.table(table)
+                stats = {"upserts": 0, "deletes": 0}
+                # The notification horizon is taken before any row is read, so
+                # a change that lands meanwhile is re-pulled on the next refresh.
+                newest, events = self.center.deltas_since(table, memtable.last_seq_no)
+                if full:
+                    events = [("fill", base.tids())]  # the whole table, one batch
+                # Fold the delta in one event -- one statement's rows -- at a
+                # time and in seq order, so a tid deleted and re-inserted
+                # replays right.
+                for op, tids in events:
+                    upserts, deletes = [], tids
+                    if op != "delete":
+                        upserts, deletes = list(map(base.get, tids)), []
+                        if None in upserts:
+                            # Changed, and gone by now: a later event deleted it.
+                            deletes = [t for t, row in zip(tids, upserts) if row is None]
+                            upserts = [row for row in upserts if row is not None]
+                    memtable.apply_batch(upserts, deletes)
+                    stats["upserts"] += len(upserts)
+                    stats["deletes"] += len(deletes)
+                memtable.last_seq_no = newest
+                if traced:
+                    self._join_notify_trace(span, table, newest)
+                with self._dirty_lock:
+                    self._dirty.discard(table)
+                self.server.update_client_seq(self._cu_ids[table], memtable.last_seq_no)
                 span.set_tag("upserts", stats["upserts"])
                 span.set_tag("deletes", stats["deletes"])
-            OBS.metrics.histogram("sync.refresh_ms", table=table).observe(
-                span.duration_ms
-            )
-            self._refresh_contexts[table] = span.context()
+            if traced:
+                OBS.metrics.histogram("sync.refresh_ms", table=table).observe(
+                    span.duration_ms
+                )
+                self._refresh_contexts[table] = span.context()
             return stats
 
     def _refresh_lock(self, table: str) -> threading.Lock:
@@ -624,38 +649,6 @@ class SyncClient:
         OBS.metrics.histogram("sync.notify_to_applied_ms", table=table).observe(
             (time.perf_counter_ns() - origin_ns) / 1e6
         )
-
-    def _refresh_impl(
-        self, table: str, full: bool = False, span: Optional[Any] = None
-    ) -> dict[str, int]:
-        memtable = self.table(table)
-        base = self.database.table(table)
-        stats = {"upserts": 0, "deletes": 0}
-        # The notification horizon is taken before any row is read, so a
-        # change that lands meanwhile is re-pulled on the next refresh.
-        newest, events = self.center.deltas_since(table, memtable.last_seq_no)
-        if full:
-            events = [("fill", base.tids())]  # the whole table, one batch
-        # Fold the delta in one event -- one statement's rows -- at a time
-        # and in seq order, so a tid deleted and re-inserted replays right.
-        for op, tids in events:
-            upserts, deletes = [], tids
-            if op != "delete":
-                upserts, deletes = list(map(base.get, tids)), []
-                if None in upserts:
-                    # Changed, and gone by now: a later event deleted it.
-                    deletes = [t for t, row in zip(tids, upserts) if row is None]
-                    upserts = [row for row in upserts if row is not None]
-            memtable.apply_batch(upserts, deletes)
-            stats["upserts"] += len(upserts)
-            stats["deletes"] += len(deletes)
-        memtable.last_seq_no = newest
-        if span is not None:
-            self._join_notify_trace(span, table, newest)
-        with self._dirty_lock:
-            self._dirty.discard(table)
-        self.server.update_client_seq(self._cu_ids[table], memtable.last_seq_no)
-        return stats
 
     # ------------------------------------------------------------------
     def write_back(self, table: str, tid: int, column: str, value: Any) -> None:

@@ -45,7 +45,6 @@ from ..db.table import ChangeSet
 from ..db.types import ANY, INTEGER, TEXT
 from ..errors import SyncError
 from ..obs.runtime import OBS
-from ..obs.trace import NULL_SPAN
 from .batching import DeltaCoalescer, PolicyGate, PropagationPolicy
 
 T_CHANGED_ROWS = "ediflow_changed_rows"
@@ -190,7 +189,7 @@ class NotificationCenter:
         # gate/center locks respects the global db -> center order.
         if self._gate.offer(change.table, change):
             return
-        with self._span("sync.notify", {"table": change.table}) as span:
+        with OBS.span("sync.notify", {"table": change.table}) as span:
             events, listeners = self._record(change, span)
             span.set_tag("notifications", len(events))
             self._fan_out(change.table, events, listeners)
@@ -207,7 +206,7 @@ class NotificationCenter:
             return 0
         net_ops = coalescer.net_ops()
         started = time.perf_counter()
-        with self._span("sync.flush", {"table": table, "ops": net_ops}) as span:
+        with OBS.span("sync.flush", {"table": table, "ops": net_ops}) as span:
             events, listeners = self._record(coalescer.net_changeset(), span)
         if OBS.enabled:
             OBS.metrics.histogram("sync.batch_size", table=table).observe(net_ops)
@@ -217,11 +216,6 @@ class NotificationCenter:
         self.flushes += 1
         self._fan_out(table, events, listeners)
         return net_ops
-
-    @staticmethod
-    def _span(name: str, tags: dict[str, Any]) -> Any:
-        """A span while tracing is on, the shared no-op span otherwise."""
-        return OBS.tracer.span(name, tags=tags) if OBS.enabled else NULL_SPAN
 
     def _record(
         self, change: ChangeSet, span: Any

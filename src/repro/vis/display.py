@@ -39,28 +39,22 @@ class Display:
     # ------------------------------------------------------------------
     def apply_rows(self, rows: Iterable[dict[str, Any]]) -> int:
         """Fold VisualAttributes rows into the display list."""
-        if not OBS.enabled:
-            return self._apply_rows_impl(rows)
-        with OBS.tracer.span(
-            "vis.display.apply", tags={"display": self.name}
-        ) as span:
-            count = self._apply_rows_impl(rows)
+        traced = OBS.enabled
+        with OBS.span("vis.display.apply", {"display": self.name}) as span:
+            count = 0
+            for row in rows:
+                item = VisualItem.from_row(row)
+                if item.obj_id in self.items:
+                    self.updated += 1
+                else:
+                    self.inserted += 1
+                self.items[item.obj_id] = item
+                count += 1
             span.set_tag("rows", count)
-        OBS.metrics.histogram("vis.display_apply_ms", display=self.name).observe(
-            span.duration_ms
-        )
-        return count
-
-    def _apply_rows_impl(self, rows: Iterable[dict[str, Any]]) -> int:
-        count = 0
-        for row in rows:
-            item = VisualItem.from_row(row)
-            if item.obj_id in self.items:
-                self.updated += 1
-            else:
-                self.inserted += 1
-            self.items[item.obj_id] = item
-            count += 1
+        if traced:
+            OBS.metrics.histogram("vis.display_apply_ms", display=self.name).observe(
+                span.duration_ms
+            )
         return count
 
     def apply_items(self, items: Iterable[VisualItem]) -> int:

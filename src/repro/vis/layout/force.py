@@ -44,22 +44,19 @@ class FruchtermanReingold:
         max_iterations: int = 100,
         on_iteration: Optional[IterationCallback] = None,
     ) -> LayoutResult:
-        if not OBS.enabled:
-            return self._run_impl(max_iterations, on_iteration)
-        with OBS.tracer.span(
-            "vis.layout", tags={"algo": "fr", "nodes": len(self.graph)}
-        ) as span:
-            result = self._run_impl(max_iterations, on_iteration)
+        traced = OBS.enabled
+        with OBS.span("vis.layout", {"algo": "fr", "nodes": len(self.graph)}) as span:
+            result = self._anneal(max_iterations, on_iteration)
             span.set_tag("iterations", result.iterations)
             span.set_tag("converged", result.converged)
-        OBS.metrics.histogram("vis.layout_ms", algo="fr").observe(span.duration_ms)
+        if traced:
+            OBS.metrics.histogram("vis.layout_ms", algo="fr").observe(span.duration_ms)
         return result
 
-    def _run_impl(
-        self,
-        max_iterations: int = 100,
-        on_iteration: Optional[IterationCallback] = None,
+    def _anneal(
+        self, max_iterations: int, on_iteration: Optional[IterationCallback]
     ) -> LayoutResult:
+        """The force iterations, displacement capped by a cooling temperature."""
         self.seed_positions()
         nodes = self.graph.nodes()
         n = len(nodes)

@@ -243,25 +243,24 @@ class LinLogLayout:
         on_iteration: Optional[IterationCallback],
         step: float,
     ) -> LayoutResult:
-        if not OBS.enabled:
-            return self._minimize_impl(max_iterations, on_iteration, step)
-        with OBS.tracer.span(
-            "vis.layout", tags={"algo": "linlog", "nodes": len(self.graph)}
-        ) as span:
-            result = self._minimize_impl(max_iterations, on_iteration, step)
+        traced = OBS.enabled
+        with OBS.span("vis.layout", {"algo": "linlog", "nodes": len(self.graph)}) as span:
+            result = self._descend(max_iterations, on_iteration, step)
             span.set_tag("iterations", result.iterations)
             span.set_tag("converged", result.converged)
-        OBS.metrics.histogram("vis.layout_ms", algo="linlog").observe(
-            span.duration_ms
-        )
+        if traced:
+            OBS.metrics.histogram("vis.layout_ms", algo="linlog").observe(
+                span.duration_ms
+            )
         return result
 
-    def _minimize_impl(
+    def _descend(
         self,
         max_iterations: int,
         on_iteration: Optional[IterationCallback],
         step: float,
     ) -> LayoutResult:
+        """Gradient descent on the LinLog energy, step halved on overshoot."""
         if len(self.graph) == 0:
             return LayoutResult({}, 0, 0.0, True)
         nodes, pos, src, dst, w = self._prepare_arrays()

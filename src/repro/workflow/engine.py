@@ -298,35 +298,21 @@ class WorkflowEngine:
         detached activities remain -- the mode interactive visualization
         processes use.
         """
-        if not OBS.enabled:
-            return self._run_impl(process_name, user, responder, close)
-        with OBS.tracer.span(
-            "workflow.process", tags={"process": process_name}
-        ) as span:
-            execution = self._run_impl(process_name, user, responder, close)
+        with OBS.span("workflow.process", {"process": process_name}) as span:
+            execution = self.start(process_name, user=user, responder=responder)
+            try:
+                self.execute_node(execution.definition.body, execution)
+            except SimulatedCrash:
+                # A "dead" process runs no cleanup: leave the monitor tables
+                # exactly as the crash found them so recovery sees the truth.
+                raise
+            except Exception:
+                # Leave a queryable trace, then re-raise.
+                self._abort(execution)
+                raise
+            if close and not execution.detached_running:
+                self.close(execution)
             span.set_tag("process_instance_id", execution.id)
-        return execution
-
-    def _run_impl(
-        self,
-        process_name: str,
-        user: Optional[str],
-        responder: Optional[Responder],
-        close: bool,
-    ) -> Execution:
-        execution = self.start(process_name, user=user, responder=responder)
-        try:
-            self.execute_node(execution.definition.body, execution)
-        except SimulatedCrash:
-            # A "dead" process runs no cleanup: leave the monitor tables
-            # exactly as the crash found them so recovery sees the truth.
-            raise
-        except Exception:
-            # Leave a queryable trace, then re-raise.
-            self._abort(execution)
-            raise
-        if close and not execution.detached_running:
-            self.close(execution)
         return execution
 
     def execute_node(self, node: ProcessNode, execution: Execution) -> None:
@@ -441,29 +427,27 @@ class WorkflowEngine:
     # ------------------------------------------------------------------
     # Activities
     def run_activity(self, activity: Activity, execution: Execution) -> ActivityInstance:
-        if not OBS.enabled:
-            return self._run_activity_impl(activity, execution)
-        with OBS.tracer.span(
-            "workflow.activity",
-            tags={
-                "process": execution.definition.name,
-                "activity": activity.name,
-                "type": type(activity).__name__,
-                "process_instance_id": execution.id,
-            },
-        ) as span:
-            instance = self._run_activity_impl(activity, execution)
+        traced = OBS.enabled
+        tags = {
+            "process": execution.definition.name,
+            "activity": activity.name,
+            "type": type(activity).__name__,
+            "process_instance_id": execution.id,
+        }
+        with OBS.span("workflow.activity", tags) as span:
+            instance = self._enact(activity, execution)
             # Matches ActivityInstance.id, so span timings can be checked
             # against the monitor's ActivityTrace timeline.
             span.set_tag("activity_instance_id", instance.id)
-        OBS.metrics.histogram(
-            "workflow.activity_ms", activity=activity.name
-        ).observe(span.duration_ms)
+        if traced:
+            OBS.metrics.histogram(
+                "workflow.activity_ms", activity=activity.name
+            ).observe(span.duration_ms)
         return instance
 
-    def _run_activity_impl(
-        self, activity: Activity, execution: Execution
-    ) -> ActivityInstance:
+    def _enact(self, activity: Activity, execution: Execution) -> ActivityInstance:
+        """Run ``activity`` to completion (or detachment) and return its
+        instance -- the persisted one when a resumed run already did it."""
         if execution.skip_completed:
             # Resuming after a crash: this activity already completed in
             # the pre-crash run; hand back its persisted instance instead
@@ -772,64 +756,54 @@ class WorkflowEngine:
 
         Returns the recovered executions.
         """
-        if not OBS.enabled:
-            return self._recover_impl(responders, resume)
-        with OBS.tracer.span("workflow.recover") as span:
-            recovered = self._recover_impl(responders, resume)
+        with OBS.span("workflow.recover") as span:
+            responders = responders or {}
+            names_by_pid = {pid: name for name, pid in self._process_ids.items()}
+            in_flight = [
+                dict(row)
+                for row in self.database.table(datamodel.T_PROCESS_INSTANCE).rows()
+                if row["status"] == datamodel.RUNNING
+                and row["process_id"] in names_by_pid
+                and row["id"] not in self.executions
+            ]
+            recovered: list[Execution] = []
+            for row in in_flight:
+                process_name = names_by_pid[row["process_id"]]
+                definition = self._definitions[process_name]
+                instance = ProcessInstance(self.database, row["id"])
+                activity_rows = instance.activity_instances()
+                user_id = next(
+                    (
+                        ai["user_id"]
+                        for ai in activity_rows
+                        if ai["user_id"] is not None
+                    ),
+                    None,
+                )
+                execution = Execution(
+                    self, definition, instance, user_id, responders.get(process_name)
+                )
+                execution.start_time = row["start"] or 0
+                self._restore_variables(execution)
+                self.isolation.process_started(execution.id, execution.start_time)
+                self._create_temp_tables(execution, adopt=True)
+                self._compensate_crashed(execution, activity_rows)
+                self._restore_own_tids(execution)
+                execution.skip_completed = self._completed_by_activity(
+                    definition, activity_rows
+                )
+                self.executions[execution.id] = execution
+                recovered.append(execution)
+            if resume:
+                for execution in recovered:
+                    try:
+                        self.execute_node(execution.definition.body, execution)
+                    except Exception:
+                        self._abort(execution)
+                        raise
+                    if not execution.detached_running:
+                        self.close(execution)
             span.set_tag("instances", len(recovered))
-        return recovered
-
-    def _recover_impl(
-        self,
-        responders: Optional[dict[str, Responder]],
-        resume: bool,
-    ) -> list[Execution]:
-        responders = responders or {}
-        names_by_pid = {pid: name for name, pid in self._process_ids.items()}
-        in_flight = [
-            dict(row)
-            for row in self.database.table(datamodel.T_PROCESS_INSTANCE).rows()
-            if row["status"] == datamodel.RUNNING
-            and row["process_id"] in names_by_pid
-            and row["id"] not in self.executions
-        ]
-        recovered: list[Execution] = []
-        for row in in_flight:
-            process_name = names_by_pid[row["process_id"]]
-            definition = self._definitions[process_name]
-            instance = ProcessInstance(self.database, row["id"])
-            activity_rows = instance.activity_instances()
-            user_id = next(
-                (
-                    ai["user_id"]
-                    for ai in activity_rows
-                    if ai["user_id"] is not None
-                ),
-                None,
-            )
-            execution = Execution(
-                self, definition, instance, user_id, responders.get(process_name)
-            )
-            execution.start_time = row["start"] or 0
-            self._restore_variables(execution)
-            self.isolation.process_started(execution.id, execution.start_time)
-            self._create_temp_tables(execution, adopt=True)
-            self._compensate_crashed(execution, activity_rows)
-            self._restore_own_tids(execution)
-            execution.skip_completed = self._completed_by_activity(
-                definition, activity_rows
-            )
-            self.executions[execution.id] = execution
-            recovered.append(execution)
-        if resume:
-            for execution in recovered:
-                try:
-                    self.execute_node(execution.definition.body, execution)
-                except Exception:
-                    self._abort(execution)
-                    raise
-                if not execution.detached_running:
-                    self.close(execution)
         return recovered
 
     def _compensate_crashed(

@@ -223,7 +223,6 @@ def test_database_plans_and_parses_in_one_place():
     functions = [
         node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
     ]
-    assert not [name for name in functions if name.endswith("_impl")]
     assert "_execute_traced" not in functions
     enabled_reads = [
         node
@@ -234,6 +233,18 @@ def test_database_plans_and_parses_in_one_place():
         and node.value.id == "OBS"
     ]
     assert len(enabled_reads) <= 3
+
+
+def test_no_untraced_twin_anywhere():
+    """An instrumented entry point is one body under a span that is a
+    no-op while tracing is off -- never a traced wrapper around ``_x_impl``."""
+    for path in sorted(SRC.rglob("*.py")):
+        twins = [
+            node.name
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef) and node.name.endswith("_impl")
+        ]
+        assert not twins, (path, twins)
 
 
 def test_isolation_never_parses():
