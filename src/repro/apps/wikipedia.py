@@ -26,7 +26,7 @@ from typing import Any, Iterator
 
 from ..db.database import Database
 from ..db.expression import col
-from ..db.schema import Column
+from ..db.schema import TID, Column
 from ..db.types import FLOAT, INTEGER, TEXT
 from .diff import annotate_contributions, diff_stats
 
@@ -293,25 +293,26 @@ class WikipediaAnalyzer:
             for author in state.authors:
                 remaining[author] = remaining.get(author, 0) + 1
         users = set(self._inserted) | set(remaining)
+        table = self.database.table(T_METRICS_USER)
+        fresh: list[dict[str, Any]] = []
+        changed: dict[int, dict[str, Any]] = {}
         for user_id in sorted(users):
             inserted = self._inserted.get(user_id, 0)
             stay = remaining.get(user_id, 0)
-            durability = stay / inserted if inserted > 0 else None
             values = {
-                "user_id": user_id,
                 "inserted": inserted,
                 "remaining": stay,
                 "edits": self._edits.get(user_id, 0),
-                "durability": durability,
+                "durability": stay / inserted if inserted > 0 else None,
             }
-            if self.database.table(T_METRICS_USER).by_key(user_id) is None:
-                self.database.insert(T_METRICS_USER, values)
+            stored = table.by_key(user_id)
+            if stored is None:
+                fresh.append({"user_id": user_id, **values})
             else:
-                self.database.update(
-                    T_METRICS_USER,
-                    {k: v for k, v in values.items() if k != "user_id"},
-                    col("user_id") == user_id,
-                )
+                changed[stored[TID]] = values
+        # One statement each, whatever the number of users.
+        self.database.insert_many(T_METRICS_USER, fresh)
+        self.database.update_by_tids(T_METRICS_USER, changed)
 
     # ------------------------------------------------------------------
     def recompute_all(self) -> None:

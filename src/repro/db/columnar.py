@@ -13,7 +13,8 @@ asks for one (``Table.column_store()`` builds it in one pass over the row
 storage), after which every mutation maintains it in place:
 
 * insert       -> append to the tail chunk (amortized O(columns));
-* update       -> in-place write through the tid position map (O(columns));
+* update       -> in-place write of the changed columns through the tid
+  position map (O(changed columns));
 * delete       -> set the row's tombstone bit (O(1));
 * restore_row  -> append, or mark the store stale when the restored tid
   is out of order (transaction rollback) -- the next scan rebuilds.
@@ -32,7 +33,7 @@ guarded path, never correctness.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from .schema import CREATED_AT, TID, UPDATED_AT
 
@@ -182,8 +183,9 @@ class ColumnStore:
             types[name] |= value_tag(value)
         self._pos[tid] = (len(chunks) - 1, len(chunk[TID]) - 1)
 
-    def update(self, tid: int, row: dict[str, Any]) -> None:
-        """Mirror an in-place row update (same tid, new values)."""
+    def update(self, tid: int, row: dict[str, Any], changed: Iterable[str]) -> None:
+        """Mirror an in-place row update (same tid): the ``changed``
+        columns and the update stamp are all an UPDATE writes."""
         if self._stale:
             return
         pos = self._pos.get(tid)
@@ -193,10 +195,11 @@ class ColumnStore:
         ci, offset = pos
         chunk = self._chunks[ci]
         types = self.types
-        for name in self.names:
+        for name in changed:
             value = row[name]
             chunk[name][offset] = value
             types[name] |= value_tag(value)
+        chunk[UPDATED_AT][offset] = row[UPDATED_AT]
 
     def delete(self, tid: int) -> None:
         """Tombstone one row (the validity bitmap clears its bit)."""

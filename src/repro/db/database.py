@@ -29,7 +29,7 @@ from .algebra import (
 from .expression import Expression
 from .plancache import LRUCache, plan_cachable
 from .routing import matching_tids
-from .schema import HIDDEN_FIELDS, Column, ForeignKey, TableSchema
+from .schema import HIDDEN_FIELDS, TID, Column, ForeignKey, TableSchema
 from .sql.ast import (
     CreateTableStmt,
     DeleteStmt,
@@ -438,43 +438,46 @@ class Database:
         where: Expression | None = None,
     ) -> int:
         """Update all rows matching ``where``; returns the affected count."""
-        return len(self._update_rows(table_name, where, lambda row: changes))
-
-    def _update_rows(
-        self,
-        table_name: str,
-        where: Expression | None,
-        changes_of: Callable[[dict[str, Any]], Mapping[str, Any]],
-    ) -> list[tuple[dict[str, Any], dict[str, Any]]]:
-        """One UPDATE statement: every row matching ``where`` gets
-        ``changes_of(row)``; returns the ``(before, after)`` pairs."""
-        span = OBS.span("db.write", {"table": table_name, "op": "update"})
-        with span, self._lock:
-            table = self.table(table_name)
-            change = ChangeSet(table_name)
-            try:
-                for tid in matching_tids(table, where):
-                    change.updated.append(
-                        table.update_row(tid, changes_of(table.get(tid)))
-                    )
-            except BaseException:
-                # Rows before the failing one stay updated: an enclosing
-                # transaction must still be able to roll them back.
-                if self._current_transaction is not None:
-                    self._current_transaction.record(change)
-                raise
-            self._dispatch(span, "update", change)
-            return change.updated
+        return len(
+            self._update_rows(
+                table_name,
+                lambda table: dict.fromkeys(matching_tids(table, where), changes),
+            )
+        )
 
     def update_by_tid(
         self, table_name: str, tid: int, changes: Mapping[str, Any]
     ) -> dict[str, Any]:
         """Point update through the tid (used by sync write-back)."""
+        return self._update_rows(table_name, {tid: changes})[0][1]
+
+    def update_by_tids(
+        self, table_name: str, changes_by_tid: Mapping[int, Mapping[str, Any]]
+    ) -> int:
+        """Update specific rows by tid, each with its own change map, as
+        ONE statement; returns the affected count.  Every tid must be
+        present, as :meth:`update_by_tid` demands of its one."""
+        return len(self._update_rows(table_name, changes_by_tid))
+
+    def _update_rows(
+        self,
+        table_name: str,
+        changes: Mapping[int, Mapping[str, Any]]
+        | Callable[[Table], Mapping[int, Mapping[str, Any]]],
+    ) -> list[tuple[dict[str, Any], dict[str, Any]]]:
+        """One UPDATE statement applying ``changes`` (tid -> change map, or
+        a function of the table that finds them under the statement's
+        lock); returns the ``(before, after)`` pairs."""
         span = OBS.span("db.write", {"table": table_name, "op": "update"})
         with span, self._lock:
-            updated = self.table(table_name).update_row(tid, changes)
-            self._dispatch(span, "update", ChangeSet(table_name, updated=[updated]))
-            return updated[1]
+            table = self.table(table_name)
+            if callable(changes):
+                changes = changes(table)
+            # Statement atomicity is the table's: it validates the whole
+            # statement before touching anything (see Table.update_many).
+            updated = table.update_many(changes)
+            self._dispatch(span, "update", ChangeSet(table_name, updated=updated))
+            return updated
 
     def delete(self, table_name: str, where: Expression | None = None) -> int:
         """Delete all rows matching ``where``; returns the affected count."""
@@ -780,15 +783,17 @@ class Database:
         scope = _Scope(self, params)
         scope.add_table(stmt.table, None)
         where = lower_expr(stmt.where, scope) if stmt.where is not None else None
-        # Assignments may reference the row (SET x = x + 1), so they are
-        # evaluated per row.
+        # Assignments may reference the row (SET x = x + 1): each row's are
+        # evaluated against its before-image, ahead of any write.
         assignments = [
             (name, lower_expr(expr, scope)) for name, expr in stmt.assignments
         ]
         updated = self._update_rows(
             stmt.table,
-            where,
-            lambda row: {name: expr.eval(row) for name, expr in assignments},
+            lambda table: {
+                row[TID]: {name: expr.eval(row) for name, expr in assignments}
+                for row in map(table.get, matching_tids(table, where))
+            },
         )
         return Result(rowcount=len(updated))
 

@@ -13,9 +13,11 @@ table resolves tids to rows.  NULL keys are indexed under a sentinel so
 uniqueness checks can skip them (SQL semantics: NULLs never collide).
 
 Both kinds expose the same maintenance surface -- ``add``/``remove`` for
-one row and ``add_many``/``remove_many`` for one statement's rows, plus
-``first_violation`` (the set-at-a-time uniqueness check) -- and a
-``columns`` tuple, so the table never asks which kind it holds.
+one row and ``add_many``/``remove_many`` for one statement's rows -- and
+a ``columns`` tuple and a ``unique`` flag, so the table never asks which
+kind it holds; a unique index (always a hash index) adds ``key`` and the
+set-at-a-time uniqueness checks, ``first_violation`` for an INSERT's rows
+and ``first_move_violation`` for an UPDATE's key moves.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ class HashIndex:
         self._buckets: dict[Hashable, set[int]] = {}
 
     # ------------------------------------------------------------------
-    def _key(self, row: dict[str, Any]) -> Hashable:
+    def key(self, row: dict[str, Any]) -> Hashable:
+        """The key ``row`` is (or would be) indexed under."""
         if len(self.columns) == 1:
             return _key_of(row[self.columns[0]])
         return tuple(_key_of(row[c]) for c in self.columns)
@@ -70,7 +73,7 @@ class HashIndex:
 
     # ------------------------------------------------------------------
     def add(self, tid: int, row: dict[str, Any]) -> None:
-        key = self._key(row)
+        key = self.key(row)
         # Check uniqueness BEFORE creating the bucket: a violation must not
         # leave an empty bucket behind (retry loops would accumulate garbage
         # keys otherwise).
@@ -83,7 +86,7 @@ class HashIndex:
         bucket.add(tid)
 
     def remove(self, tid: int, row: dict[str, Any]) -> None:
-        key = self._key(row)
+        key = self.key(row)
         bucket = self._buckets.get(key)
         if bucket is not None:
             bucket.discard(tid)
@@ -94,7 +97,7 @@ class HashIndex:
         """Raise if adding ``row`` would violate uniqueness (without adding)."""
         if not self.unique:
             return
-        key = self._key(row)
+        key = self.key(row)
         if self._is_null_key(key):
             return
         if self._buckets.get(key):
@@ -125,9 +128,35 @@ class HashIndex:
             seen.add(key)
         return None
 
+    def first_move_violation(
+        self, moves: Iterable[tuple[int, Hashable, Hashable]]
+    ) -> tuple[int, ConstraintViolation] | None:
+        """Where re-keying rows in order would first violate uniqueness.
+
+        ``moves`` are one UPDATE statement's ``(position, old key, new
+        key)`` triples, in statement order.  The statement is replayed on
+        key sets only: a key is taken while the index holds it and no
+        earlier move released it, or once an earlier move claimed it (so
+        a swap of two keys fails at its first row, as row-at-a-time
+        updates do).  Returns ``(position, error)`` of the first move onto
+        a taken key, or None.  Only meaningful on a unique index.
+        """
+        buckets = self._buckets
+        released: set[Hashable] = set()
+        claimed: set[Hashable] = set()
+        for position, old, new in moves:
+            if not self._is_null_key(new) and (
+                new in claimed or (buckets.get(new) and new not in released)
+            ):
+                return position, self._violation(new)
+            released.add(old)
+            claimed.add(new)
+        return None
+
     def add_many(self, tids: Iterable[int], rows: Sequence[dict[str, Any]]) -> None:
         """Index a statement's rows; uniqueness was settled by
-        :meth:`first_violation` (or by the log being replayed)."""
+        :meth:`first_violation` / :meth:`first_move_violation` (or by the
+        log being replayed)."""
         buckets = self._buckets
         for key, tid in zip(self._keys(rows), tids):
             bucket = buckets.get(key)

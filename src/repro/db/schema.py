@@ -104,6 +104,12 @@ class TableSchema:
             for c in self.columns
         )
         self._accepted_keys = frozenset(self._by_name).union(HIDDEN_FIELDS)
+        # The update plan: the same entries by column name, for
+        # validate_update (an UPDATE names its columns; defaults play no part).
+        self._update_plan = {
+            name: (exact, validate, nullable)
+            for name, exact, validate, nullable, _default in self._row_plan
+        }
 
     # ------------------------------------------------------------------
     @property
@@ -157,18 +163,32 @@ class TableSchema:
         return row
 
     def validate_update(self, values: Mapping[str, Any]) -> dict[str, Any]:
-        """Validate a partial row used by UPDATE: only the given columns."""
+        """Validate a partial row used by UPDATE: only the given columns.
+
+        Runs on the update plan compiled in ``__init__``, with
+        :meth:`validate_row`'s treatment of each value.
+        """
+        plan = self._update_plan
         out: dict[str, Any] = {}
         for key, value in values.items():
-            col = self.column(key)
             try:
-                value = col.type.validate(value)
-            except TypeMismatchError as exc:
-                raise TypeMismatchError(f"{self.name}.{key}: {exc}") from None
-            if value is None and not col.nullable:
-                raise ConstraintViolation(
-                    f"{self.name}.{key} is NOT NULL; cannot set to NULL"
-                )
+                exact, validate, nullable = plan[key]
+            except KeyError:
+                raise SchemaError(
+                    f"table {self.name!r} has no column {key!r}"
+                ) from None
+            if type(value) is not exact:
+                if value is not None:
+                    try:
+                        value = validate(value)
+                    except TypeMismatchError as exc:
+                        raise TypeMismatchError(
+                            f"{self.name}.{key}: {exc}"
+                        ) from None
+                if value is None and not nullable:
+                    raise ConstraintViolation(
+                        f"{self.name}.{key} is NOT NULL; cannot set to NULL"
+                    )
             out[key] = value
         return out
 

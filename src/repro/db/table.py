@@ -81,6 +81,8 @@ class Table:
         self._next_tid = 1
         self._store: ColumnStore | None = None
         self._indexes: dict[str, HashIndex | SortedIndex] = {}
+        #: Every column some index of ``_indexes`` is over.
+        self._indexed: frozenset[str] = frozenset()
         if schema.primary_key:
             self.create_index(
                 f"pk_{schema.name}", (schema.primary_key,), unique=True
@@ -122,6 +124,7 @@ class Table:
         for tid, row in self._rows.items():
             index.add(tid, row)
         self._indexes[name] = index
+        self._indexed = self._indexed.union(columns)
 
     def index(self, name: str) -> HashIndex | SortedIndex:
         try:
@@ -277,42 +280,138 @@ class Table:
             else:
                 self._store.bulk_append(rows)
 
-    def update_row(self, tid: int, changes: Mapping[str, Any]) -> tuple[dict[str, Any], dict[str, Any]]:
-        """Apply validated ``changes`` to the row ``tid``.
+    def update_row(
+        self, tid: int, changes: Mapping[str, Any]
+    ) -> tuple[dict[str, Any], dict[str, Any]]:
+        """Apply ``changes`` to the row ``tid``: the one-row UPDATE.
 
-        Returns ``(before_snapshot, after_row)``.
+        Returns ``(before_snapshot, after_row)``.  Validated and checked
+        for uniqueness before anything is touched; an index is maintained
+        only when the row's key in it changes.
         """
         try:
             row = self._rows[tid]
         except KeyError:
             raise DatabaseError(f"{self.name}: no row with tid {tid}") from None
-        validated = self.schema.validate_update(changes)
+        clean = self.schema.validate_update(changes)
+        moves = (
+            ()
+            if clean.keys().isdisjoint(self._indexed)
+            else self._key_moves(row, clean)
+        )
+        for idx, old, new in moves:
+            if idx.unique:
+                found = idx.first_move_violation([(0, old, new)])
+                if found is not None:
+                    raise found[1]
         before = dict(row)
-        # Re-index: remove under old key, check uniqueness, add under new.
-        touched = [
-            idx
-            for idx in self._indexes.values()
-            if not validated.keys().isdisjoint(idx.columns)
-        ]
-        for idx in touched:
-            idx.remove(tid, row)
-        row.update(validated)
+        row.update(clean)
         row[UPDATED_AT] = self._clock()
-        try:
-            for idx in touched:
-                idx.check_insert(row)
-        except ConstraintViolation:
-            # Roll the row back so the table stays consistent.
-            row.clear()
-            row.update(before)
-            for idx in touched:
-                idx.add(tid, row)
-            raise
-        for idx in touched:
+        for idx, _old, _new in moves:
+            idx.remove(tid, before)
             idx.add(tid, row)
         if self._store is not None:
-            self._store.update(tid, row)
+            self._store.update(tid, row, clean)
         return before, row
+
+    def update_many(
+        self, changes_by_tid: Mapping[int, Mapping[str, Any]]
+    ) -> list[tuple[dict[str, Any], dict[str, Any]]]:
+        """Apply one statement's ``tid -> changes``; returns the
+        ``(before_snapshot, after_row)`` pairs in statement order.
+
+        Set-at-a-time, with the result a loop of :meth:`update_row` would
+        give.  Every tid is resolved and every change map validated (one
+        shared by consecutive rows, once), and the statement's key moves
+        are replayed on each touched unique index, before anything is
+        touched: a failing statement leaves no trace -- no clock tick, no
+        changed row -- and raises what its first offending row, in
+        statement order, would have raised.  Then ``n`` clock ticks are
+        reserved in one step, the rows written, and each touched index
+        and the column store maintained once.
+        """
+        if len(changes_by_tid) == 1:
+            # A one-row statement is update_row(): the per-row index calls
+            # cost less than setting up the per-statement ones.
+            ((tid, changes),) = changes_by_tid.items()
+            return [self.update_row(tid, changes)]
+        stored = self._rows
+        validate = self.schema.validate_update
+        tids: list[int] = []
+        rows: list[dict[str, Any]] = []
+        cleans: list[dict[str, Any]] = []
+        moves: dict[HashIndex | SortedIndex, list[tuple[int, Any, Any]]] = {}
+        failure: DatabaseError | None = None
+        shared = clean = None
+        indexed = False  # does ``clean`` name an indexed column?
+        try:
+            for tid, changes in changes_by_tid.items():
+                row = stored.get(tid)
+                if row is None:
+                    raise DatabaseError(f"{self.name}: no row with tid {tid}")
+                if changes is not shared:
+                    shared, clean = changes, validate(changes)
+                    indexed = not clean.keys().isdisjoint(self._indexed)
+                if indexed:
+                    for idx, old, new in self._key_moves(row, clean):
+                        moves.setdefault(idx, []).append((len(rows), old, new))
+                tids.append(tid)
+                rows.append(row)
+                cleans.append(clean)
+        except DatabaseError as exc:
+            # Rows before this one may still collide; a collision comes
+            # first in statement order, so it is the error to raise.
+            failure = exc
+        first = None
+        for idx in self._indexes.values():
+            if idx.unique and idx in moves:
+                found = idx.first_move_violation(moves[idx])
+                if found is not None and (first is None or found[0] < first[0]):
+                    first = found
+        if first is not None:
+            raise first[1]
+        if failure is not None:
+            raise failure
+        count = len(rows)
+        if not count:
+            return []
+        befores = [dict(row) for row in rows]
+        stop = self._clock(count) + 1
+        for row, clean, now in zip(rows, cleans, range(stop - count, stop)):
+            row.update(clean)
+            row[UPDATED_AT] = now
+        for idx, moved in moves.items():
+            at = [position for position, _old, _new in moved]
+            moved_tids = [tids[i] for i in at]
+            idx.remove_many(moved_tids, [befores[i] for i in at])
+            idx.add_many(moved_tids, [rows[i] for i in at])
+        store = self._store
+        if store is not None:
+            for tid, row, clean in zip(tids, rows, cleans):
+                store.update(tid, row, clean)
+        return list(zip(befores, rows))
+
+    def _key_moves(
+        self, row: dict[str, Any], clean: dict[str, Any]
+    ) -> list[tuple[HashIndex | SortedIndex, Any, Any]]:
+        """``(index, old key, new key)`` for each index in which ``clean``
+        changes ``row``'s key -- gives an indexed column a value that
+        compares unequal to its old one; naming the column is not enough
+        to re-index.  Only a unique index has its keys worked out (they
+        are what the uniqueness replay reads)."""
+        moves: list[tuple[HashIndex | SortedIndex, Any, Any]] = []
+        after = None
+        for idx in self._indexes.values():
+            for column in idx.columns:
+                if column in clean and clean[column] != row[column]:
+                    if idx.unique:
+                        if after is None:
+                            after = {**row, **clean}
+                        moves.append((idx, idx.key(row), idx.key(after)))
+                    else:
+                        moves.append((idx, None, None))
+                    break
+        return moves
 
     def delete_row(self, tid: int) -> dict[str, Any]:
         """Physically remove row ``tid``; returns its final image."""

@@ -64,9 +64,10 @@ class VisualAttributesStore:
     """CRUD over the shared VisualAttributes table.
 
     Items are keyed by ``(component_id, obj_id)``.  Batch upserts go
-    through ``insert_many``/``update`` so one call produces one
-    statement-level notification -- the write path Figure 8 measures
-    ("Inserting tuples in VisualAttributes table").
+    through ``insert_many`` / ``update_by_tids``, so one call produces one
+    statement-level notification for the items it inserts and one for
+    those it updates, whatever the batch size -- the write path Figure 8
+    measures ("Inserting tuples in VisualAttributes table").
     """
 
     def __init__(self, database: Database) -> None:
@@ -88,27 +89,19 @@ class VisualAttributesStore:
     def write(self, component_id: int, items: Sequence[VisualItem]) -> int:
         """Upsert a batch of items for one component; returns rows written.
 
-        New ``obj_id``s are inserted (one statement for the whole batch);
-        existing ones are updated in place.  An ``obj_id`` given twice is
-        written once, with its last item.
+        New ``obj_id``s are inserted and existing ones updated in place,
+        one statement each for the whole batch.  An ``obj_id`` given twice
+        is written once, with its last item.
         """
         if not items:
             return 0
         existing = self._index(component_id)
         fresh: list[VisualItem] = []
-        updates: list[tuple[int, VisualItem]] = []
+        moved: dict[int, dict[str, Any]] = {}
         latest = {item.obj_id: item for item in items}
         for key, item in latest.items():
             if key in existing:
-                updates.append((existing[key][1], item))
-            else:
-                fresh.append(item)
-        self._insert_new(component_id, fresh)
-        for tid, item in updates:
-            self.database.update_by_tid(
-                datamodel.T_VISUAL_ATTRIBUTES,
-                tid,
-                {
+                moved[existing[key][1]] = {
                     "x": item.x,
                     "y": item.y,
                     "width": item.width,
@@ -116,8 +109,11 @@ class VisualAttributesStore:
                     "color": item.color,
                     "label": item.label,
                     "selected": item.selected,
-                },
-            )
+                }
+            else:
+                fresh.append(item)
+        self._insert_new(component_id, fresh)
+        self._update(moved)
         return len(latest)
 
     def write_positions(
@@ -126,17 +122,23 @@ class VisualAttributesStore:
         """Fast path for layout streaming: update only x/y."""
         existing = self._index(component_id)
         fresh: list[VisualItem] = []
+        moved: dict[int, dict[str, Any]] = {}
         for obj_id, (x, y) in positions.items():
             if obj_id in existing:
-                self.database.update_by_tid(
-                    datamodel.T_VISUAL_ATTRIBUTES,
-                    existing[obj_id][1],
-                    {"x": x, "y": y},
-                )
+                moved[existing[obj_id][1]] = {"x": x, "y": y}
             else:
                 fresh.append(VisualItem(obj_id=obj_id, x=x, y=y))
+        self._update(moved)
         self._insert_new(component_id, fresh)
         return len(positions)
+
+    def _update(self, changes_by_tid: dict[int, dict[str, Any]]) -> int:
+        """Update existing items as one statement; returns rows updated."""
+        if not changes_by_tid:
+            return 0
+        return self.database.update_by_tids(
+            datamodel.T_VISUAL_ATTRIBUTES, changes_by_tid
+        )
 
     def _insert_new(self, component_id: int, items: list[VisualItem]) -> None:
         """Insert items with distinct, unseen ``obj_id``s as one statement."""
@@ -183,17 +185,11 @@ class VisualAttributesStore:
         """Flip the selection flag -- "whether the data instance is
         currently selected by a given visualisation component (which
         typically triggers the recomputation of the other components)"."""
-        wanted = set(obj_ids)
-        count = 0
-        for row in list(self.database.table(datamodel.T_VISUAL_ATTRIBUTES).scan()):
-            if row["component_id"] == component_id and row["obj_id"] in wanted:
-                self.database.update(
-                    datamodel.T_VISUAL_ATTRIBUTES,
-                    {"selected": selected},
-                    col("id") == row["id"],
-                )
-                count += 1
-        return count
+        existing = self._index(component_id)
+        tids = sorted(
+            existing[obj_id][1] for obj_id in set(obj_ids) if obj_id in existing
+        )
+        return self._update(dict.fromkeys(tids, {"selected": selected}))
 
     def selected_ids(self, component_id: int) -> list[Any]:
         """Obj ids currently selected on one component (brush sources

@@ -110,6 +110,26 @@ class TestIncrementalMetrics:
         assert any(d < 1.0 for d in durabilities)  # someone got overwritten
 
 
+    def test_a_flush_is_one_insert_and_one_update_statement(self, db, analyzer):
+        fired = []
+        db.on(T_METRICS_USER, ("insert", "update"), fired.append)
+        stream = RevisionStream(n_articles=3, n_users=6, seed=12)
+        for rev in stream.take(40):
+            analyzer.process(rev)
+        analyzer.flush_user_metrics()
+        (first,) = fired
+        users = len(first.inserted)
+        assert users > 1 and not first.updated
+        for rev in stream.take(40):
+            analyzer.process(rev)
+        analyzer.flush_user_metrics()
+        # Whatever the number of users: the new ones, then the known ones.
+        assert [(len(c.inserted), len(c.updated)) for c in fired[1:]] in (
+            [(0, users)],
+            [(len(db.table(T_METRICS_USER)) - users, 0), (0, users)],
+        )
+
+
 class TestIncrementalEqualsRecompute:
     def test_metrics_match_full_recomputation(self, db, analyzer):
         """The Wikipedia claim: maintaining metrics incrementally gives

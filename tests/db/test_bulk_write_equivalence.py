@@ -1,14 +1,16 @@
 """The set-at-a-time write path against the row-at-a-time one.
 
-``Table.insert_many`` / ``Table.delete_many`` validate, stamp, index and
-log a statement's rows as one batch.  The oracle here is the loop they
-replaced: twin databases run the same statements, one through
-``insert_many`` / ``delete`` / ``delete_by_tids``, the other through a loop
-of ``insert`` / ``delete_by_tids([tid])``, and must agree on every row
-dict (key order and hidden fields included), every index, the column
-store, the trigger change sets once concatenated, and -- for durable
-twins -- on what ``recover()`` rebuilds.  A statement that fails must fail
-with the error the loop's first offending row raises and leave no trace.
+``Table.insert_many`` / ``Table.update_many`` / ``Table.delete_many``
+validate, stamp, index and log a statement's rows as one batch.  The
+oracle here is the loop they replaced: twin databases run the same
+statements, one through ``insert_many`` / ``update`` / ``update_by_tids`` /
+SQL ``UPDATE`` / ``delete`` / ``delete_by_tids``, the other through a loop
+of ``insert`` / ``update_by_tid`` / ``delete_by_tids([tid])``, and must
+agree on every row dict (key order and hidden fields included), every
+index, the column store, the trigger change sets once concatenated, and
+-- for durable twins -- on what ``recover()`` rebuilds.  A statement that
+fails must fail with the error the loop's first offending row raises and
+leave no trace.
 """
 
 import contextlib
@@ -24,7 +26,13 @@ from repro.db import BOOLEAN, FLOAT, INTEGER, TEXT, Column, Database, col
 from repro.db import open_durable, recover
 from repro.db.index import HashIndex, SortedIndex
 from repro.db.wal import FSYNC_NEVER
-from repro.errors import ConstraintViolation, ReproError, TypeMismatchError
+from repro.errors import (
+    ConstraintViolation,
+    DatabaseError,
+    ReproError,
+    SchemaError,
+    TypeMismatchError,
+)
 
 
 # ----------------------------------------------------------------------
@@ -41,16 +49,15 @@ schemas = st.fixed_dictionaries(
 
 # Pools small enough that keys collide -- with the table and inside a batch
 # -- in a good share of the statements; "3" / 2.0 / 1 are coercible spellings.
-good_rows = st.fixed_dictionaries(
-    {"id": st.one_of(st.integers(0, 60), st.sampled_from(["3", "11", 2.0, 47.0]))},
-    optional={
-        "a": st.sampled_from([None, 0, 1, 2, "1"]),
-        "b": st.sampled_from([None, "p", "q", "r"]),
-        "s": st.sampled_from([None, 0.5, 2, 2.5, -1.0, "4.5"]),
-        "d": st.sampled_from([None, 1, 2]),
-        "flag": st.sampled_from([True, False, 1]),
-    },
-)
+ids = st.one_of(st.integers(0, 60), st.sampled_from(["3", "11", 2.0, 47.0]))
+others = {
+    "a": st.sampled_from([None, 0, 1, 2, "1"]),
+    "b": st.sampled_from([None, "p", "q", "r"]),
+    "s": st.sampled_from([None, 0.5, 2, 2.5, -1.0, "4.5"]),
+    "d": st.sampled_from([None, 1, 2]),
+    "flag": st.sampled_from([True, False, 1]),
+}
+good_rows = st.fixed_dictionaries({"id": ids}, optional=others)
 bad_rows = st.sampled_from(
     [
         {"id": "x"},  # type error
@@ -71,11 +78,41 @@ def inserts(draw):
     return ("insert", rows)
 
 
-deletes_where = st.tuples(st.just("delete"), st.sampled_from([None, 0, 1, 2]))
+wheres = st.sampled_from([None, 0, 1, 2])  # all rows, or ``a = n``
+deletes_where = st.tuples(st.just("delete"), wheres)
 deletes_tids = st.tuples(st.just("delete_tids"), st.lists(st.integers(1, 30), max_size=6))
+
+# Change maps take their values from the row pools above, so an UPDATE
+# collides -- with the table, with an earlier row of its own statement, as
+# a swap -- spells values coercibly and names bad values and columns as
+# often as an INSERT does.
+good_changes = st.fixed_dictionaries({}, optional={"id": ids, **others})
+bad_changes = st.builds(  # a good map with one bad cell
+    lambda good, bad: {**good, **dict(list(bad.items())[-1:])}, good_changes, bad_rows
+)
+changes = st.integers(0, 7).flatmap(lambda n: good_changes if n else bad_changes)
+updates_where = st.tuples(st.just("update"), st.tuples(wheres, changes))
+# Per-tid maps; the tids come in drawn order and may be absent.
+updates_tids = st.tuples(
+    st.just("update_tids"), st.dictionaries(st.integers(1, 7), changes, max_size=6)
+)
+# ``SET id = id + 1`` over ascending ids hits the next row's key; over
+# descending ids every row moves onto the key the row before it released.
+updates_sql = st.tuples(
+    st.just("update_sql"),
+    st.tuples(st.sampled_from(["a", "id", "s"]), st.sampled_from([1, -1]), wheres),
+)
 statements = st.lists(
     st.tuples(
-        st.one_of(inserts(), inserts(), deletes_where, deletes_tids),
+        st.one_of(
+            inserts(),
+            inserts(),
+            deletes_where,
+            deletes_tids,
+            updates_where,
+            updates_tids,
+            updates_sql,
+        ),
         st.sampled_from(["auto", "commit", "rollback"]),
     ),
     max_size=7,
@@ -105,8 +142,13 @@ def create(db, shape):
     if shape["column_store"]:
         table.column_store()
     changes = []
-    db.on("t", ("insert", "delete"), changes.append)
+    db.on("t", ("insert", "update", "delete"), changes.append)
     return changes
+
+
+def matching(db, a):
+    """Tids of the rows with ``a = a`` (all rows for None), in tid order."""
+    return [r["__tid__"] for r in db.table("t").rows() if a is None or r["a"] == a]
 
 
 def run(db, statement, mode, batch):
@@ -125,15 +167,39 @@ def run(db, statement, mode, batch):
             if batch:
                 db.delete("t", where)
             else:
-                for tid in [r["__tid__"] for r in db.table("t").rows()
-                            if arg is None or r["a"] == arg]:
+                for tid in matching(db, arg):
                     db.delete_by_tids("t", [tid])
-        else:
+        elif kind == "delete_tids":
             if batch:
                 db.delete_by_tids("t", arg)
             else:
                 for tid in arg:
                     db.delete_by_tids("t", [tid])
+        elif kind == "update":
+            a, changes = arg
+            if batch:
+                db.update("t", changes, None if a is None else (col("a") == a))
+            else:
+                for tid in matching(db, a):
+                    db.update_by_tid("t", tid, changes)
+        elif kind == "update_tids":
+            if batch:
+                db.update_by_tids("t", arg)
+            else:
+                for tid, changes in arg.items():
+                    db.update_by_tid("t", tid, changes)
+        else:
+            column, step, a = arg
+            if batch:
+                where, params = ("", (step,)) if a is None else (" WHERE a = ?", (step, a))
+                db.execute(f"UPDATE t SET {column} = {column} + ?{where}", params)
+            else:
+                table = db.table("t")
+                for tid in matching(db, a):
+                    value = table.get(tid)[column]
+                    db.update_by_tid(
+                        "t", tid, {column: None if value is None else value + step}
+                    )
 
     try:
         if mode == "auto":
@@ -155,7 +221,7 @@ def state(db):
     indexes = {}
     for name, index in list(table._indexes.items()) + [("created", table._created_index)]:
         if isinstance(index, HashIndex):
-            indexes[name] = dict(index._buckets)
+            indexes[name] = {key: set(tids) for key, tids in index._buckets.items()}
         else:
             assert isinstance(index, SortedIndex)
             indexes[name] = list(index._entries)
@@ -179,6 +245,7 @@ def state(db):
 def flatten(changes):
     return (
         [list(r.items()) for c in changes for r in c.inserted],
+        [(list(b.items()), list(a.items())) for c in changes for b, a in c.updated],
         [list(r.items()) for c in changes for r in c.deleted],
     )
 
@@ -189,14 +256,24 @@ def open_twin(shape, directory):
     return Database(), None
 
 
-@given(schemas, statements)
+def preload(db, rows):
+    """Rows for the script's updates and deletes to find: the same loop of
+    ``insert`` on every twin, a colliding row skipped."""
+    for values in rows:
+        with contextlib.suppress(ConstraintViolation):
+            db.insert("t", values)
+
+
+@given(schemas, st.lists(good_rows, min_size=5, max_size=12), statements)
 @settings(max_examples=200, deadline=None)
-def test_batch_equals_row_at_a_time(shape, script):
+def test_batch_equals_row_at_a_time(shape, stock, script):
     with tempfile.TemporaryDirectory() as tmp:
         batch_db, batch_mgr = open_twin(shape, Path(tmp) / "batch")
         loop_db, loop_mgr = open_twin(shape, Path(tmp) / "loop")
         batch_changes = create(batch_db, shape)
         loop_changes = create(loop_db, shape)
+        preload(batch_db, stock)
+        preload(loop_db, stock)
         history = []
         for statement, mode in script:
             before = state(batch_db)
@@ -211,6 +288,7 @@ def test_batch_equals_row_at_a_time(shape, script):
                 # taken on a replay so the loop twin stays in step.
                 replay = Database()
                 create(replay, dict(shape, durable=False))
+                preload(replay, stock)
                 for done, done_mode in history:
                     run(replay, done, done_mode, batch=False)
                 expected = run(replay, statement, "commit", batch=False)
@@ -228,6 +306,18 @@ def test_batch_equals_row_at_a_time(shape, script):
             for database in recovered:
                 assert [list(r.items()) for r in database.table("t").rows()] == live
             assert recovered[0].now() == recovered[1].now()
+
+
+def test_updates_are_drawn_in_a_quarter_of_the_programs():
+    drawn = []
+
+    @given(statements)
+    @settings(max_examples=200, derandomize=True, database=None)
+    def draw(script):
+        drawn.append(any(kind.startswith("update") for (kind, _arg), _mode in script))
+
+    draw()
+    assert sum(drawn) >= len(drawn) / 4
 
 
 # ----------------------------------------------------------------------
@@ -264,6 +354,59 @@ def test_insert_many_takes_clock_and_each_index_once():
     assert table._store.bulk_append.call_count == 1
     assert table._store.append.call_count == 0
     assert len(table) == n and len(store) == n
+
+
+def test_update_many_takes_clock_once_and_only_the_indexes_whose_key_moved():
+    db = Database()
+    table = db.create_table(
+        "t",
+        [
+            Column("id", INTEGER, nullable=False),
+            Column("a", INTEGER),
+            Column("s", FLOAT),
+            Column("v", INTEGER),
+        ],
+        primary_key="id",
+        unique=[("a",)],
+    )
+    table.create_index("ix_s", ("s",), sorted=True)
+    store = table.column_store()
+    n = 500
+    db.insert_many("t", [{"id": i, "a": i, "s": i / 2, "v": 0} for i in range(n)])
+    pk, unique_a, sorted_s = (table.index(name) for name in ("pk_t", "uq_t_0", "ix_s"))
+    table._clock = mock.Mock(wraps=table._clock)
+    table._store = mock.Mock(wraps=store)
+    with contextlib.ExitStack() as stack:
+        spies = {
+            index: [
+                stack.enter_context(mock.patch.object(index, name, wraps=getattr(index, name)))
+                for name in ("remove_many", "add_many", "remove", "add")
+            ]
+            for index in (pk, unique_a, sorted_s, table._created_index)
+        }
+        before = db.now()
+        # Every row names its unchanged ``id`` and ``a``; ``s`` moves.
+        changed = db.update_by_tids(
+            "t",
+            {
+                row["__tid__"]: {"id": row["id"], "a": row["a"], "s": row["s"] + 0.25, "v": 1}
+                for row in list(table.rows())
+            },
+        )
+
+    def calls(index):
+        return [spy.call_count for spy in spies[index]]
+
+    assert changed == n
+    table._clock.assert_called_once_with(n)
+    assert db.now() == before + n
+    assert calls(sorted_s) == [1, 1, 0, 0]
+    assert calls(pk) == calls(unique_a) == calls(table._created_index) == [0, 0, 0, 0]
+    # The column store is written where the statement wrote.
+    assert table._store.update.call_count == n
+    chunk, _n = next(store.batches())
+    assert chunk["s"] == [i / 2 + 0.25 for i in range(n)]
+    assert chunk["__updated__"] == list(range(before + 1, before + n + 1))
 
 
 def test_delete_many_removes_a_log_prefix_as_one_slice():
@@ -358,3 +501,149 @@ def test_first_offending_row_decides_the_error():
     with pytest.raises(TypeMismatchError, match="t.id"):
         db.insert_many("t", rows[:2] + rows[4:])
     assert len(db.table("t")) == 0 and db.now() == 0
+
+
+def test_first_offending_row_then_first_index_decide_the_update_error():
+    db = Database()
+    db.create_table(
+        "t",
+        [Column("id", INTEGER, nullable=False), Column("u", INTEGER)],
+        primary_key="id",
+        unique=[("u",)],
+    )
+    db.insert_many("t", [{"id": i, "u": i} for i in (1, 2, 3, 4)])
+    # Tid 3 collides on both keys: the primary key is the earlier index.
+    with pytest.raises(ConstraintViolation, match=r"t\(id\) violated by key 2"):
+        db.update_by_tids("t", {1: {"u": 8}, 3: {"id": 2, "u": 2}, 4: {"id": "x"}})
+    # Statement order beats index order; a later type error is not reached.
+    with pytest.raises(ConstraintViolation, match=r"t\(u\) violated by key 1"):
+        db.update_by_tids("t", {2: {"u": 1}, 3: {"id": 1}, 4: {"id": "x"}})
+    with pytest.raises(TypeMismatchError, match="t.id"):
+        db.update_by_tids("t", {4: {"id": "x"}, 2: {"u": 1}})
+    assert db.now() == 4  # no failure took a tick
+    # Keys move in statement order: each row onto the key the row before it
+    # released -- but not onto one whose holder has yet to move.
+    assert db.update_by_tids("t", {4: {"u": 5}, 3: {"u": 4}, 2: {"u": 3}}) == 3
+    with pytest.raises(ConstraintViolation, match=r"t\(u\) violated by key 4"):
+        db.update_by_tids("t", {2: {"u": 4}, 3: {"u": 5}})
+    assert [r["u"] for r in db.table("t").rows()] == [1, 3, 4, 5]
+def _unique_db(directory=None):
+    """``t(id PK, u UNIQUE)`` holding (1,1), (2,2), (3,3): tids 1..3."""
+    if directory is None:
+        db, manager = Database(), None
+    else:
+        db, manager = open_durable(directory, fsync=FSYNC_NEVER)
+    table = db.create_table(
+        "t",
+        [Column("id", INTEGER, nullable=False), Column("u", INTEGER)],
+        primary_key="id",
+        unique=[("u",)],
+    )
+    table.create_index("ix_u", ("u",), sorted=True)
+    table.column_store()
+    db.insert_many("t", [{"id": i, "u": i} for i in (1, 2, 3)])
+    return db, manager
+
+
+# Each changes at least one row before the row that fails.
+FAILING_UPDATES = {
+    "sql, earlier row of the statement": (
+        lambda db: db.execute("UPDATE t SET u = 9 WHERE id >= 1"),
+        ConstraintViolation,
+    ),
+    "shared map, earlier row of the statement": (
+        lambda db: db.update("t", {"u": 9}),
+        ConstraintViolation,
+    ),
+    "against the table": (
+        lambda db: db.update_by_tids("t", {1: {"u": 8}, 2: {"u": 3}}),
+        ConstraintViolation,
+    ),
+    "swap": (
+        lambda db: db.update_by_tids("t", {3: {"u": 7}, 1: {"u": 2}, 2: {"u": 1}}),
+        ConstraintViolation,
+    ),
+    "type": (
+        lambda db: db.update_by_tids("t", {3: {"u": 7}, 1: {"u": "x"}}),
+        TypeMismatchError,
+    ),
+    "not null": (
+        lambda db: db.update_by_tids("t", {3: {"u": 7}, 1: {"id": None}}),
+        ConstraintViolation,
+    ),
+    "unknown column": (
+        lambda db: db.update_by_tids("t", {3: {"u": 7}, 1: {"bogus": 0}}),
+        SchemaError,
+    ),
+    "absent tid": (
+        lambda db: db.update_by_tids("t", {3: {"u": 7}, 99: {"u": 8}}),
+        DatabaseError,
+    ),
+}
+
+
+def _rows(db):
+    return [list(row.items()) for row in db.table("t").rows()]
+
+
+@pytest.mark.parametrize("case", FAILING_UPDATES)
+def test_failed_update_leaves_no_trace(case, tmp_path):
+    statement, error = FAILING_UPDATES[case]
+    db, manager = _unique_db(tmp_path)
+    fired, committed = [], []
+    db.on("t", ("insert", "update", "delete"), fired.append)
+    db.add_commit_hook(committed.append)
+    held = {tid: db.table("t").get(tid) for tid in (1, 2, 3)}
+    before = state(db)
+    with pytest.raises(error):
+        statement(db)
+    assert state(db) == before  # rows, every index, column store, clock
+    assert all(db.table("t").get(tid) is row for tid, row in held.items())
+    assert fired == [] and committed == []
+    manager.close()
+    recovered = recover(tmp_path)
+    assert _rows(recovered) == _rows(db)
+    assert recovered.now() == db.now()
+
+
+@pytest.mark.parametrize("case", FAILING_UPDATES)
+def test_failed_update_in_a_transaction_rolls_back_to_nothing(case):
+    statement, error = FAILING_UPDATES[case]
+    db, _manager = _unique_db()
+    fired = []
+    db.on("t", ("insert", "update", "delete"), fired.append)
+    before = state(db)
+    with pytest.raises(_Rollback):
+        with db.transaction():
+            db.insert("t", {"id": 4, "u": 4})
+            with pytest.raises(error):
+                statement(db)
+            raise _Rollback()
+    after = state(db)
+    # The undone insert cost a tid, a tick and a tombstone; nothing else.
+    assert after.pop("store")[0] == before.pop("store")[0]
+    assert dict(after, clock=0, next_tid=0) == dict(before, clock=0, next_tid=0)
+    assert after["clock"] == before["clock"] + 1
+    assert fired == []
+
+
+@pytest.mark.parametrize("case", FAILING_UPDATES)
+def test_failed_update_in_a_transaction_commits_only_what_succeeded(case, tmp_path):
+    statement, error = FAILING_UPDATES[case]
+    db, manager = _unique_db(tmp_path)
+    fired = []
+    db.on("t", ("update",), fired.append)
+    with db.transaction():
+        db.insert("t", {"id": 4, "u": 4})
+        with pytest.raises(error):
+            statement(db)
+        db.update("t", {"u": 6}, col("id") == 4)
+    assert [(r["id"], r["u"]) for r in db.table("t").rows()] == [
+        (1, 1), (2, 2), (3, 3), (4, 6),
+    ]
+    assert [[after["id"] for _before, after in c.updated] for c in fired] == [[4]]
+    assert db.now() == 5  # 3 + the insert + the update: the failure took no tick
+    manager.close()
+    recovered = recover(tmp_path)
+    assert _rows(recovered) == _rows(db)
+    assert recovered.now() == db.now()

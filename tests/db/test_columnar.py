@@ -19,7 +19,7 @@ from repro.db.columnar import (
     K_STR,
     value_tag,
 )
-from repro.db.schema import TID
+from repro.db.schema import TID, UPDATED_AT
 from repro.db.types import ANY, INTEGER
 
 
@@ -113,6 +113,25 @@ class TestIncrementalMaintenance:
         assert store_rows(store) == table_rows(db)
         assert (7, -1) in store_rows(store)
         assert store.rebuilds == before
+
+    def test_update_writes_the_changed_columns_and_the_stamp(self, db):
+        class Unwritten(list):
+            def __setitem__(self, *args):
+                raise AssertionError("an unchanged column was written")
+
+        fill(db, 20)
+        store = db.table("t").column_store()
+        ((chunk, _n),) = store.batches()  # the live chunk: no tombstones
+        for name in chunk:
+            if name not in ("v", UPDATED_AT):
+                chunk[name] = Unwritten(chunk[name])
+        stamps = list(chunk[UPDATED_AT])
+        db.execute("UPDATE t SET v = v + 100 WHERE id >= 18")
+        db.update_by_tid("t", 1, {"v": "one"})
+        assert store_rows(store) == table_rows(db)
+        assert chunk["v"][18:] == [136, 138] and chunk["v"][0] == "one"
+        assert [i for i in range(20) if chunk[UPDATED_AT][i] != stamps[i]] == [0, 18, 19]
+        assert store.column_kind("v") == K_INT | K_STR
 
     def test_delete_tombstones(self, db):
         fill(db, 20)

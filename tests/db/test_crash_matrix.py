@@ -49,6 +49,11 @@ def step_rollback(db):
         pass
 
 
+def step_update_many(db):
+    # One statement over three rows: recovery must show all three or none.
+    assert db.execute("UPDATE t SET v = 'moved' WHERE id >= 1").rowcount == 3
+
+
 def step_delete(db):
     db.delete("t", col("id") == 2)
 
@@ -67,6 +72,7 @@ WORKLOAD = [
     (step_insert, 1),
     (step_txn, 1),
     (step_rollback, 0),
+    (step_update_many, 1),
     (step_delete, 1),
     (step_ddl_second_table, 1),
     (step_insert_second, 1),

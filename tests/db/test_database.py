@@ -6,7 +6,7 @@ import pytest
 
 from repro.db import Column, Database, TableSchema, col
 from repro.db.types import INTEGER, TEXT
-from repro.errors import SchemaError, UnknownTableError
+from repro.errors import DatabaseError, SchemaError, UnknownTableError
 
 
 @pytest.fixture
@@ -94,6 +94,23 @@ class TestProgrammaticMutations:
         row = db.insert("t", {"id": 1, "v": 5})
         updated = db.update_by_tid("t", row[TID], {"v": 6})
         assert updated["v"] == 6
+
+    def test_update_by_tids_is_one_statement(self, db, table):
+        from repro.db import TID
+
+        rows = [db.insert("t", {"id": i, "v": i}) for i in range(4)]
+        fired = []
+        db.on("t", "update", fired.append)
+        changes = {rows[3][TID]: {"v": 30}, rows[1][TID]: {"v": 10, "id": 11}}
+        assert db.update_by_tids("t", changes) == 2
+        (change,) = fired
+        assert [(b["v"], a["v"]) for b, a in change.updated] == [(3, 30), (1, 10)]
+        assert [r["id"] for r in db.table("t").rows()] == [0, 11, 2, 3]
+        # An absent tid is an error, as it is for update_by_tid.
+        with pytest.raises(DatabaseError):
+            db.update_by_tids("t", {rows[0][TID]: {"v": 5}, 9999: {"v": 5}})
+        assert db.table("t").get(rows[0][TID])["v"] == 0
+        assert db.update_by_tids("t", {}) == 0 and len(fired) == 1
 
     def test_delete_by_tids(self, db, table):
         from repro.db import TID

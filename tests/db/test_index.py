@@ -159,3 +159,23 @@ class TestStatementAtATime:
         rows = [{"a": 1, "b": None}, {"a": 1, "b": None}, {"a": 1, "b": 2}]
         assert idx.first_violation(rows) is None
         assert idx.first_violation(rows + [{"a": 1, "b": 2}])[0] == 3
+
+    def test_first_move_violation_replays_key_moves_in_statement_order(self):
+        idx = HashIndex("t", ("k",), unique=True)
+        for tid, key in enumerate(["a", "b", "c", None], start=1):
+            idx.add(tid, {"k": key})
+        held = {key: set(tids) for key, tids in idx._buckets.items()}
+        null = idx.key({"k": None})
+        # A chain onto released keys, a fresh key, a NULL: all free.
+        chain = [(0, "c", "d"), (1, "b", "c"), (2, "a", "b"), (3, null, null)]
+        assert idx.first_move_violation(chain) is None
+        # The same chain from the other end meets a key still held.
+        position, error = idx.first_move_violation([(0, "a", "b"), (1, "b", "c")])
+        assert position == 0 and "key 'b'" in str(error)
+        # A swap fails at its first row; two rows cannot claim one key,
+        # even one an earlier row released.
+        assert idx.first_move_violation([(0, "a", "b"), (1, "b", "a")])[0] == 0
+        moves = [(0, "a", "z"), (1, "b", "a"), (2, "c", "a")]
+        assert idx.first_move_violation(moves)[0] == 2
+        assert idx._buckets == held  # nothing was moved
+

@@ -102,6 +102,24 @@ class TestUpdateValidation:
             make_schema().validate_update({"name": None})
 
 
+    def test_update_coerces_and_names_the_column(self):
+        assert make_schema().validate_update({"age": "30", "nickname": None}) == {
+            "age": 30,
+            "nickname": None,
+        }
+        with pytest.raises(TypeMismatchError, match="people.age"):
+            make_schema().validate_update({"age": True})
+
+    def test_exact_typed_value_is_stored_without_a_call(self, monkeypatch):
+        def refuse(self, value):
+            raise AssertionError(f"coerce called for {value!r}")
+
+        schema = make_schema()
+        monkeypatch.setattr(type(INTEGER), "coerce", refuse)
+        monkeypatch.setattr(type(TEXT), "coerce", refuse)
+        assert schema.validate_update({"age": 3, "name": "Bo"}) == {"age": 3, "name": "Bo"}
+
+
 class TestSerialization:
     def test_round_trip(self):
         schema = TableSchema(

@@ -247,6 +247,48 @@ def test_no_untraced_twin_anywhere():
         assert not twins, (path, twins)
 
 
+_LOOPS = (
+    ast.For, ast.AsyncFor, ast.While,
+    ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
+)  # fmt: skip
+
+
+def _looped_calls(tree, names):
+    """Line numbers of ``x.<name>(...)`` calls lexically inside a loop."""
+    hits = []
+
+    def visit(node, looped):
+        if (
+            looped
+            and isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in names
+        ):
+            hits.append(node.lineno)
+        looped = looped or isinstance(node, _LOOPS)
+        for child in ast.iter_child_nodes(node):
+            visit(child, looped)
+
+    visit(tree, False)
+    return hits
+
+
+def test_no_update_statement_loop_in_src():
+    """UPDATE is set-at-a-time: k rows are one ``update_by_tids`` / one
+    ``Table.update_many``, never a loop of one-row statements."""
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        assert not _looped_calls(tree, {"update_by_tid", "update_row"}), path
+    # ... and ``update_row`` is the one-row case of ``update_many`` only.
+    callers = [
+        path.relative_to(SRC).as_posix()
+        for path in sorted(SRC.rglob("*.py"))
+        if ".update_row(" in path.read_text()
+    ]
+    assert callers == ["db/table.py"]
+    assert _looped_calls(ast.parse("for t in ts:\n    db.update_by_tid(t, {})"), {"update_by_tid"})
+
+
 def test_isolation_never_parses():
     tree = ast.parse((SRC / "workflow" / "isolation.py").read_text())
     assert not _calls(tree, "parse")
@@ -332,9 +374,10 @@ def test_plan_rejects_non_select(db):
 
 
 def test_update_failing_part_way_is_still_undone_by_rollback():
-    """Rows an UPDATE changed before one violated a constraint stay
-    changed (no statement atomicity is promised), so the enclosing
-    transaction must hold their undo records."""
+    """An UPDATE whose second row violates a constraint changes no row
+    (the statement is validated before anything is written), and the
+    enclosing transaction still undoes the statement that succeeded
+    before it."""
     db = Database()
     db.create_table(
         "u",
@@ -347,9 +390,10 @@ def test_update_failing_part_way_is_still_undone_by_rollback():
     db.on("u", "update", fired.append)
     with pytest.raises(_Abort):
         with db.transaction():
+            db.update("u", {"x": 7}, col("id") == 3)
             with pytest.raises(ReproError):
                 db.update("u", {"x": 50}, col("id") >= 1)  # row 2 collides
-            assert [r["x"] for r in db.table("u").rows()] == [50, 2, 3]
+            assert [r["x"] for r in db.table("u").rows()] == [1, 2, 7]
             raise _Abort
     assert [r["x"] for r in db.table("u").rows()] == [1, 2, 3]
     assert fired == []

@@ -91,6 +91,35 @@ class TestUpdate:
         assert table.by_key(2)["qty"] == 7
 
 
+    def test_failed_update_takes_no_clock_tick(self, table, clock):
+        table.insert({"id": 1})
+        row2 = table.insert({"id": 2})
+        with pytest.raises(ConstraintViolation):
+            table.update_row(row2[TID], {"id": 1})
+        assert clock(0) == 2 and row2[UPDATED_AT] == 2
+
+    def test_update_many_is_the_loop_of_update_row(self, table, clock):
+        rows = [table.insert({"id": i, "qty": i}) for i in (1, 2, 3)]
+        pairs = table.update_many({3: {"qty": "30"}, 1: {"id": 10, "qty": 10}})
+        assert [(b["qty"], a["qty"]) for b, a in pairs] == [(3, 30), (1, 10)]
+        assert pairs[0][1] is rows[2] and pairs[1][1] is rows[0]
+        assert [a[UPDATED_AT] for _b, a in pairs] == [4, 5] and clock(0) == 5
+        assert table.by_key(10) is rows[0] and table.by_key(1) is None
+        assert table.update_many({}) == []
+        # One row: update_row's own calls.
+        ((before, after),) = table.update_many({2: {"name": "two"}})
+        assert (before["name"], after["name"], after[UPDATED_AT]) == (None, "two", 6)
+
+    def test_update_many_fails_whole(self, table, clock):
+        for i in (1, 2, 3):
+            table.insert({"id": i})
+        with pytest.raises(ConstraintViolation, match="key 3"):
+            table.update_many({1: {"id": 4}, 2: {"id": 3}, 99: {"qty": 0}})
+        with pytest.raises(DatabaseError, match="no row with tid 99"):
+            table.update_many({1: {"id": 4}, 99: {"qty": 0}, 2: {"id": 3}})
+        assert [r["id"] for r in table.rows()] == [1, 2, 3] and clock(0) == 3
+
+
 class TestDelete:
     def test_delete_returns_image(self, table):
         row = table.insert({"id": 1, "name": "x"})

@@ -13,6 +13,7 @@ coming back.
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from repro.core import datamodel
 from repro.db import Column, Database, col
 from repro.db.schema import TID
 from repro.db.types import INTEGER
+from repro.errors import ConstraintViolation
 from repro.sync import (
     IMMEDIATE,
     MANUAL,
@@ -358,6 +360,19 @@ def test_update_then_delete_of_one_tid_replays_to_the_table():
     # The update's image of tid 4 is gone by now: a delete, twice over.
     assert client.refresh("t") == {"upserts": 2, "deletes": 2}
     assert mirror.applied_deletes == 1
+    assert_mirror_is_table(mirror, db)
+    client.close()
+    server.close()
+
+
+def test_a_failed_update_leaves_the_mirror_nothing_to_miss():
+    db, server, client, mirror = mirrored_stack()
+    client.refresh("t")
+    # Tid 1 could move to id 9; tid 2 cannot follow it there.
+    with pytest.raises(ConstraintViolation):
+        db.update("t", {"id": 9}, col("id") >= 1)
+    assert len(db.table(T_CHANGED_ROWS)) == 0
+    assert client.refresh("t") == {"upserts": 0, "deletes": 0}
     assert_mirror_is_table(mirror, db)
     client.close()
     server.close()
