@@ -132,7 +132,7 @@ def test_telemetry_sink_overhead_under_budget(point_db, emit, emit_json):
         enabled_ms = min(e for e, _ in pairs)
         with_sink_ms = min(w for _, w in pairs)
         collections = sink.collections
-        spans_stored = sink.spans_stored
+        spans_stored = sink.counters()["spans_stored"]
         sampled_out = sink.sampled_out
     finally:
         if sink is not None:

@@ -32,7 +32,7 @@ from typing import Any, Optional
 
 from ..db.algebra import AggSpec
 from ..db.expression import col
-from ..db.schema import TID
+from ..db.routing import matching_tids
 from ..ivm.registry import ViewRegistry
 from ..ivm.view import AggregateView
 from ..obs.store import SYS_METRICS, SYS_PROFILES, SYS_SPANS, SYS_STACKS, TelemetrySink
@@ -447,7 +447,7 @@ class TelemetryDashboard:
             )
         return "\n".join(lines)
 
-    def why(self, span_id: str) -> Optional[dict[str, Any]]:
+    def why(self, span_id: int) -> Optional[dict[str, Any]]:
         """"Why is this point here": provenance of one waterfall bar.
 
         ``span_id`` is the bar's obj_id in the waterfall display.  The
@@ -458,15 +458,12 @@ class TelemetryDashboard:
         of.  Returns None for an unknown span id.
         """
         with self.sink.runtime.tracer.suppress():
-            db = self.sink.database
-            target = None
-            for row in db.table(SYS_SPANS).rows():
-                if row.get("span_id") == span_id:
-                    target = row
-                    break
-            if target is None:
+            table = self.sink.database.table(SYS_SPANS)
+            tids = matching_tids(table, col("span_id") == span_id)
+            if not tids:
                 return None
-            tid = target[TID]
+            tid = tids[0]
+            target = table.get(tid)
             lineage = self.span_stats.lineage
             groups = sorted(lineage.forward((SYS_SPANS, tid)))
             contributing = sorted(

@@ -230,9 +230,7 @@ def recover(directory: str | Path) -> Database:
     :func:`open_durable` to recover and continue writing durably.
     """
     directory = Path(directory)
-    if not OBS.enabled:
-        return _recover(directory).database
-    with OBS.tracer.span("db.recover", tags={"dir": str(directory)}) as span:
+    with OBS.span("db.recover", {"dir": str(directory)}) as span:
         info = _recover(directory)
         span.set_tag("generation", info.generation)
         span.set_tag("replayed_txns", info.replayed_txns)

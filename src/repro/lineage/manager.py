@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Optional
 from ..db.vector import running_plan
 from ..errors import LineageError
 from ..obs.runtime import OBS
+from ..obs.systable import is_system_table
 from .capture import Lineage, capture_plan
 from .store import LineageStore
 
@@ -67,11 +68,10 @@ class LineageManager:
         if (self._select_counter - 1) % self.sample:
             self.sampled_out += 1
             return None
-        # Never capture provenance of sys_* reads, even unsampled: the
-        # store would refuse to record them anyway, and the dashboard's
-        # own mirror refreshes must not pay the capture tax.
-        base_tables = plan.base_tables()
-        if any(name.startswith("sys_") for name in base_tables):
+        # Never capture provenance of system-table reads, even unsampled:
+        # the store would refuse to record them anyway, and the
+        # dashboard's own mirror refreshes must not pay the capture tax.
+        if any(map(is_system_table, plan.base_tables())):
             self.sampled_out += 1
             return None
         return self.capture(sql, plan)[0]

@@ -11,16 +11,18 @@ machinery as any other table:
     one row per (output row, base tuple) edge: ``query_id``, ``out_row``
     (0-based output position), ``src_table``, ``src_tid``.
 
-Guards mirror the telemetry sink's:
+Guards are the telemetry sink's (:mod:`repro.obs.systable`):
 
-* **recursion guard** -- a capture whose plan reads any ``sys_*`` table
+* **recursion guard** -- a capture whose plan reads any system table
   (the lineage tables themselves, telemetry tables, a dashboard
   refreshing its mirrors) is never recorded; recording it would make
   every provenance query spawn provenance of its own.  Skips are counted
   in ``guard_skipped``.
-* **bounded retention** -- only the most recent ``retention`` recorded
-  queries are kept; older query rows and their edges are deleted on the
-  way in, so the tables stay bounded on long-running workloads.
+* **bounded retention** -- each table is a
+  :class:`~repro.obs.systable.SysTable` whose generation is the
+  ``query_id``: only the most recent ``retention`` recorded queries and
+  their edges are kept, and a ``query_id`` is one past the newest
+  stored, so a store reopened on the same tables numbers on from them.
 * **edge cap** -- a single capture contributes at most
   ``max_edges_per_query`` edges (oldest output rows first); truncation
   is flagged on the query row rather than silently dropped.
@@ -32,14 +34,12 @@ capture; the store only persists what it is handed.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Iterable, Optional
 
 from ..db.database import Database
-from ..db.expression import col
 from ..db.schema import Column
 from ..db.types import ANY, INTEGER, TEXT
-from ..obs.runtime import OBS
+from ..obs.systable import SysTable, is_system_table
 
 __all__ = [
     "SYS_LINEAGE_EDGES",
@@ -52,6 +52,22 @@ SYS_LINEAGE_QUERIES = "sys_lineage_queries"
 SYS_LINEAGE_EDGES = "sys_lineage_edges"
 
 LINEAGE_TABLES = (SYS_LINEAGE_QUERIES, SYS_LINEAGE_EDGES)
+
+QUERY_COLUMNS = [
+    Column("query_id", INTEGER, nullable=False),
+    Column("ts", INTEGER, nullable=False),
+    Column("sql", TEXT, nullable=False),
+    Column("engine", TEXT, nullable=False),
+    Column("rows", INTEGER, nullable=False),
+    Column("edges", INTEGER, nullable=False),
+    Column("truncated", INTEGER, nullable=False),
+]
+EDGE_COLUMNS = [
+    Column("query_id", INTEGER, nullable=False),
+    Column("out_row", INTEGER, nullable=False),
+    Column("src_table", TEXT, nullable=False),
+    Column("src_tid", ANY, nullable=False),
+]
 
 
 class LineageStore:
@@ -87,9 +103,21 @@ class LineageStore:
         self.database = database if database is not None else Database("lineage")
         self.retention = retention
         self.max_edges_per_query = max_edges_per_query
-        self._install_schema()
-        self._next_query_id = 1
-        self._recorded: deque[int] = deque()
+        self._queries = SysTable(
+            self.database,
+            SYS_LINEAGE_QUERIES,
+            QUERY_COLUMNS,
+            gen="query_id",
+            keep=retention,
+        )
+        self._edges = SysTable(
+            self.database,
+            SYS_LINEAGE_EDGES,
+            EDGE_COLUMNS,
+            gen="query_id",
+            keep=retention,
+            indexes=[("ix_sys_lineage_edges_table", ("src_table",))],
+        )
         # Lifetime counters (tests and the dashboard read these).
         self.queries_stored = 0
         self.edges_stored = 0
@@ -97,44 +125,7 @@ class LineageStore:
         self.truncated = 0
         self.pruned = 0
 
-    def _install_schema(self) -> None:
-        db = self.database
-        if not db.has_table(SYS_LINEAGE_QUERIES):
-            db.create_table(
-                SYS_LINEAGE_QUERIES,
-                [
-                    Column("query_id", INTEGER, nullable=False),
-                    Column("ts", INTEGER, nullable=False),
-                    Column("sql", TEXT, nullable=False),
-                    Column("engine", TEXT, nullable=False),
-                    Column("rows", INTEGER, nullable=False),
-                    Column("edges", INTEGER, nullable=False),
-                    Column("truncated", INTEGER, nullable=False),
-                ],
-            )
-            db.table(SYS_LINEAGE_QUERIES).create_index(
-                "ix_sys_lineage_queries_id", ("query_id",), sorted=True
-            )
-        if not db.has_table(SYS_LINEAGE_EDGES):
-            db.create_table(
-                SYS_LINEAGE_EDGES,
-                [
-                    Column("query_id", INTEGER, nullable=False),
-                    Column("out_row", INTEGER, nullable=False),
-                    Column("src_table", TEXT, nullable=False),
-                    Column("src_tid", ANY, nullable=False),
-                ],
-            )
-            table = db.table(SYS_LINEAGE_EDGES)
-            table.create_index("ix_sys_lineage_edges_query", ("query_id",))
-            table.create_index("ix_sys_lineage_edges_table", ("src_table",))
-
     # ------------------------------------------------------------------
-    @staticmethod
-    def guarded(base_tables: Iterable[str]) -> bool:
-        """True when a plan over ``base_tables`` must not be recorded."""
-        return any(name.startswith("sys_") for name in base_tables)
-
     def record(
         self,
         sql: str,
@@ -147,65 +138,44 @@ class LineageStore:
         ``lins`` is the canonicalized per-output-row lineage from
         :func:`~repro.lineage.capture.capture_plan`.
         """
-        if self.guarded(base_tables):
+        if any(map(is_system_table, base_tables)):
             self.guard_skipped += 1
             return None
-        query_id = self._next_query_id
-        self._next_query_id += 1
-        edge_rows: list[dict[str, Any]] = []
-        truncated = 0
-        cap = self.max_edges_per_query
-        for out_row, pairs in enumerate(lins):
-            if len(edge_rows) + len(pairs) > cap:
-                truncated = 1
-                break
-            for src_table, src_tid in pairs:
-                edge_rows.append(
-                    {
-                        "query_id": query_id,
-                        "out_row": out_row,
-                        "src_table": src_table,
-                        "src_tid": src_tid,
-                    }
-                )
         db = self.database
-        with OBS.tracer.suppress():
-            db.insert(
-                SYS_LINEAGE_QUERIES,
-                {
-                    "query_id": query_id,
-                    "ts": db.now(),
-                    "sql": sql,
-                    "engine": engine,
-                    "rows": len(lins),
-                    "edges": len(edge_rows),
-                    "truncated": truncated,
-                },
-            )
-            if edge_rows:
-                db.insert_many(SYS_LINEAGE_EDGES, edge_rows)
-            self._recorded.append(query_id)
-            self._prune()
+        with db.lock:
+            query_id = self._queries.newest() + 1
+            edge_rows: list[dict[str, Any]] = []
+            truncated = 0
+            cap = self.max_edges_per_query
+            for out_row, pairs in enumerate(lins):
+                if len(edge_rows) + len(pairs) > cap:
+                    truncated = 1
+                    break
+                for src_table, src_tid in pairs:
+                    edge_rows.append(
+                        {
+                            "query_id": query_id,
+                            "out_row": out_row,
+                            "src_table": src_table,
+                            "src_tid": src_tid,
+                        }
+                    )
+            query_row = {
+                "query_id": query_id,
+                "ts": db.now(),
+                "sql": sql,
+                "engine": engine,
+                "rows": len(lins),
+                "edges": len(edge_rows),
+                "truncated": truncated,
+            }
+            self.pruned += self._queries.write([query_row])
+            # A query without edges still ages the edges of older ones.
+            self._edges.write(edge_rows, newest=query_id)
         self.queries_stored += 1
         self.edges_stored += len(edge_rows)
         self.truncated += truncated
         return query_id
-
-    def _prune(self) -> None:
-        """Retention: drop the oldest recorded queries past the bound.
-
-        One equality delete per dropped query_id -- equality routes
-        through the hash index, so pruning costs O(dropped edges), not a
-        full scan of the edges table per capture.
-        """
-        dropped = []
-        while len(self._recorded) > self.retention:
-            dropped.append(self._recorded.popleft())
-        for query_id in dropped:
-            doomed = col("query_id") == query_id
-            self.database.delete(SYS_LINEAGE_EDGES, doomed)
-            self.database.delete(SYS_LINEAGE_QUERIES, doomed)
-        self.pruned += len(dropped)
 
     # ------------------------------------------------------------------
     def edges_for(self, query_id: int) -> list[dict[str, Any]]:
@@ -226,7 +196,7 @@ class LineageStore:
         return {(r["src_table"], r["src_tid"]) for r in rows}
 
     def latest_query_id(self) -> Optional[int]:
-        return self._recorded[-1] if self._recorded else None
+        return self._queries.newest() or None
 
     def counters(self) -> dict[str, int]:
         """Lifetime store counters (tests, dashboard, debugging)."""

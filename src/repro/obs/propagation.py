@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from .systable import is_system_table
 from .trace import Span, Tracer
 
 __all__ = ["PropagationReport", "propagation_report", "STAGES"]
@@ -189,12 +190,6 @@ def propagation_report(
         from .runtime import OBS
 
         tracer = OBS.tracer
-    # Telemetry self-hosting guard: a dashboard client refreshing its
-    # sys_* mirrors produces ordinary-looking db.write traces on the
-    # telemetry database.  They must never displace the *workload* trace
-    # the caller is asking about.
-    from .store import SYSTEM_TABLES as _telemetry_tables
-
     traces = tracer.traces()
     if trace_id is None:
         candidates: list[tuple[bool, int, int]] = []
@@ -202,7 +197,11 @@ def propagation_report(
             roots = [s for s in spans if s.name == "db.write"]
             if not roots:
                 continue
-            if all(s.tags.get("table") in _telemetry_tables for s in roots):
+            # Telemetry self-hosting guard: a dashboard client refreshing
+            # its sys_* mirrors produces ordinary-looking db.write traces
+            # on the telemetry database.  They must never displace the
+            # *workload* trace the caller is asking about.
+            if all(is_system_table(s.tags.get("table")) for s in roots):
                 continue
             reached_refresh = any(s.name == "sync.mirror_refresh" for s in spans)
             candidates.append(

@@ -15,9 +15,9 @@ offender, the two pieces of evidence that answer the question:
   running.
 
 Entries land in a ``sys_slowlog`` table -- queryable, watchable,
-self-hosted like every other telemetry relation.  ``sys_slowlog`` is in
-:data:`repro.obs.store.GUARDED_TABLES`, so the sink's recursion guard
-drops any span/metric the slowlog's own writes generate.
+self-hosted like every other telemetry relation, and a system table
+(:func:`repro.obs.systable.is_system_table`), so the sink's recursion
+guard drops any span/metric the slowlog's own writes generate.
 
 Two paths feed the log:
 
@@ -39,27 +39,44 @@ otherwise it is queued in memory and flushed by the next safe writer
 
 Noise control: per statement/span name at most ``max_per_statement``
 entries are kept (the first offenders; a hot slow query would otherwise
-flood the table), and the table itself is bounded at ``capacity`` rows,
-oldest evicted first.
+flood the table), and the table itself is a
+:class:`~repro.obs.systable.SysTable` bounded at its newest ``capacity``
+entries: an entry's ``id`` is its generation, handed out at write time
+as one past the newest stored, so a log reopened on a database that
+already holds entries numbers on from them.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import threading
 from collections import deque
 from typing import Any, Optional
 
-from ..db.expression import col
 from ..db.schema import Column
 from ..db.types import FLOAT, INTEGER, TEXT
 from .runtime import OBS, ObsRuntime
+from .systable import SysTable, is_system_table
 from .trace import Span
 
 __all__ = ["SYS_SLOWLOG", "SlowLog"]
 
 SYS_SLOWLOG = "sys_slowlog"
+
+COLUMNS = [
+    Column("id", INTEGER, nullable=False),
+    Column("ts", INTEGER, nullable=False),
+    Column("kind", TEXT, nullable=False),  # 'query' | 'span'
+    Column("name", TEXT, nullable=False),
+    Column("duration_ms", FLOAT, nullable=False),
+    Column("budget_ms", FLOAT, nullable=False),
+    Column("thread", TEXT),
+    Column("trace_id", INTEGER),
+    Column("span_id", INTEGER),
+    Column("operators", TEXT),  # JSON [[label, rows], ...]
+    Column("stacks", TEXT),  # JSON {stack: self_ms}
+    Column("tags", TEXT),
+]
 
 #: Over-budget operations recorded by default.
 DEFAULT_BUDGET_MS = 50.0
@@ -113,45 +130,19 @@ class SlowLog:
         self.max_per_statement = max_per_statement
         self.explain = explain
         self.runtime = runtime if runtime is not None else OBS
-        self._ids = itertools.count(1)
+        self._table = SysTable(
+            database, SYS_SLOWLOG, COLUMNS, gen="id", keep=capacity
+        )
         self._lock = threading.Lock()
         #: name -> entries recorded (dedup bound).
         self._seen: dict[str, int] = {}
         #: Rows produced on hook threads while the db lock was busy.
         self._pending: deque[dict[str, Any]] = deque()
-        #: Rows currently persisted (tracks capacity without COUNT(*)).
-        self._stored = 0
         # Lifetime counters (tests and dashboards read these).
         self.recorded = 0
         self.suppressed = 0
         self.errors = 0
-        self._install_schema()
         self.runtime.tracer.add_finish_hook(self._on_span_finish)
-
-    # ------------------------------------------------------------------
-    def _install_schema(self) -> None:
-        db = self.database
-        if db.has_table(SYS_SLOWLOG):
-            self._stored = len(db.table(SYS_SLOWLOG))
-            return
-        db.create_table(
-            SYS_SLOWLOG,
-            [
-                Column("id", INTEGER, nullable=False),
-                Column("ts", INTEGER, nullable=False),
-                Column("kind", TEXT, nullable=False),  # 'query' | 'span'
-                Column("name", TEXT, nullable=False),
-                Column("duration_ms", FLOAT, nullable=False),
-                Column("budget_ms", FLOAT, nullable=False),
-                Column("thread", TEXT),
-                Column("trace_id", INTEGER),
-                Column("span_id", INTEGER),
-                Column("operators", TEXT),  # JSON [[label, rows], ...]
-                Column("stacks", TEXT),  # JSON {stack: self_ms}
-                Column("tags", TEXT),
-            ],
-        )
-        db.table(SYS_SLOWLOG).create_index("ix_sys_slowlog_id", ("id",), sorted=True)
 
     # ------------------------------------------------------------------
     # Query path (called by the database's statement path after the span closed)
@@ -195,11 +186,9 @@ class SlowLog:
         # db.execute is the query path's job -- it records with the plan.
         if span.name == "db.execute":
             return
-        # The observer never observes itself: spans touching telemetry
+        # The observer never observes itself: spans touching system
         # tables are the sink/slowlog doing their own bookkeeping.
-        from .store import GUARDED_TABLES
-
-        if span.tags.get("table") in GUARDED_TABLES:
+        if is_system_table(span.tags.get("table")):
             return
         if not self._admit(span.name):
             return
@@ -242,7 +231,6 @@ class SlowLog:
                     stack: round(ms, 3) for stack, ms in profile["stacks"].items()
                 }
         return {
-            "id": next(self._ids),
             "ts": self.database.now(),
             "kind": kind,
             "name": name,
@@ -266,8 +254,7 @@ class SlowLog:
         """
         if self.database.lock.acquire(blocking=False):
             try:
-                with self.runtime.tracer.suppress():
-                    self._persist([row])
+                self._persist([row])
             finally:
                 self.database.lock.release()
         else:
@@ -275,7 +262,7 @@ class SlowLog:
                 self._pending.append(row)
 
     def _persist(self, rows: list[dict[str, Any]]) -> None:
-        """Insert ``rows`` (plus any queued backlog) and enforce capacity."""
+        """Number and store ``rows`` (plus any queued backlog)."""
         with self._lock:
             backlog = list(self._pending)
             self._pending.clear()
@@ -283,12 +270,9 @@ class SlowLog:
         if not batch:
             return
         with self.database.lock:
-            self.database.insert_many(SYS_SLOWLOG, batch)
-            self._stored += len(batch)
-            if self._stored > self.capacity:
-                cutoff = max(r["id"] for r in batch) - self.capacity
-                evicted = self.database.delete(SYS_SLOWLOG, col("id") <= cutoff)
-                self._stored -= evicted
+            for row_id, row in enumerate(batch, self._table.newest() + 1):
+                row["id"] = row_id
+            self._table.write(batch)
         self.recorded += len(batch)
 
     def flush(self) -> int:
@@ -296,8 +280,7 @@ class SlowLog:
         with self._lock:
             pending = len(self._pending)
         if pending:
-            with self.runtime.tracer.suppress():
-                self._persist([])
+            self._persist([])
         return pending
 
     # ------------------------------------------------------------------

@@ -25,15 +25,19 @@ dedicated telemetry :class:`~repro.db.database.Database`:
 ``sys_metrics``
     one row per (instrument, statistic) per collection generation
     (``snap``): counters and gauges as ``stat='value'``, histograms as
-    ``count``/``sum``/``p50``/``p95``/``p99``.  Old generations are
-    pruned past :attr:`TelemetrySink.metric_retention`.
+    ``count``/``sum``/``p50``/``p95``/``p99``.
 ``sys_profiles`` / ``sys_stacks``
     the continuous sampling profiler's aggregates
     (:mod:`repro.obs.profiler`): per-(thread, span) self-time rows and
     the collapsed stacks behind them, one delta batch per collection
     plus lifetime-keyframe rows every
-    :attr:`TelemetrySink.metric_keyframe_every` collections, pruned past
-    :attr:`TelemetrySink.profile_retention`.
+    :attr:`TelemetrySink.metric_keyframe_every` collections.
+
+Every row carries the collection generation that wrote it in ``snap``,
+and each table is a :class:`~repro.obs.systable.SysTable` bounded to its
+newest generations: :data:`RETENTION` collections for metrics, profiles
+and stacks, ``span_retention`` for spans and their events.  Workflow
+timeline rows have no generation and are never aged.
 
 The system tables are watched by the sink's own
 :class:`~repro.sync.notification.NotificationCenter` under a
@@ -51,13 +55,14 @@ next flush persists, forever.  Two independent layers prevent that:
    created *on the sink's thread* (db.write, db.trigger, sync.notify,
    sync.flush on the telemetry database) are no-op ``NullSpan``\\ s and
    never reach the ring buffer;
-2. :meth:`collect` drops any drained span tagged with a ``sys_*``
-   system table (belt and braces: a dashboard client refreshing its
-   telemetry mirrors on another, unsuppressed thread may legitimately
-   create such spans; they are counted in ``guard_dropped`` and never
-   persisted, so the observer still never observes itself).
+2. :meth:`collect` drops any drained span tagged with a system table
+   (:func:`~repro.obs.systable.is_system_table`; belt and braces: a
+   dashboard client refreshing its telemetry mirrors on another,
+   unsuppressed thread may legitimately create such spans; they are
+   counted in ``guard_dropped`` and never persisted, so the observer
+   still never observes itself).
 
-The default Threshold policy deliberately has ``max_delay_ms=None``:
+The policy (:data:`DEFAULT_POLICY`) deliberately has ``max_delay_ms=None``:
 with no time bound there is no background flusher thread inside the
 notification center, so *every* telemetry flush happens on a thread the
 sink has suppressed.  The sink's own cadence (:meth:`start` /
@@ -68,16 +73,16 @@ from __future__ import annotations
 
 import json
 import threading
-from collections import deque
 from typing import Any, Optional
 
 from ..db.database import Database
 from ..db.expression import col
 from ..db.schema import Column
 from ..db.types import FLOAT, INTEGER, TEXT
-from ..sync.batching import PropagationPolicy, Threshold
+from ..sync.batching import Threshold
 from ..sync.notification import NotificationCenter
 from .runtime import OBS, ObsRuntime
+from .systable import SysTable, is_system_table
 from .trace import Span
 
 __all__ = [
@@ -87,7 +92,6 @@ __all__ = [
     "SYS_SPAN_EVENTS",
     "SYS_STACKS",
     "SYSTEM_TABLES",
-    "GUARDED_TABLES",
     "TelemetrySink",
 ]
 
@@ -97,19 +101,98 @@ SYS_METRICS = "sys_metrics"
 SYS_PROFILES = "sys_profiles"
 SYS_STACKS = "sys_stacks"
 
-#: Every telemetry system table.  Spans tagged with one of these (a
-#: dashboard refreshing its own mirrors) are filtered at collect time.
-SYSTEM_TABLES = (SYS_SPANS, SYS_SPAN_EVENTS, SYS_METRICS, SYS_PROFILES, SYS_STACKS)
+#: table -> (its kind in :meth:`TelemetrySink.collect` /
+#: :meth:`~TelemetrySink.counters`, columns, hash indexes), in write
+#: order.  ``snap`` is every table's generation column; it is nullable
+#: where workflow timeline rows, which no collection wrote, share the
+#: table.
+SCHEMAS: dict[str, tuple[str, list[Column], list[tuple[str, tuple[str, ...]]]]] = {
+    SYS_SPANS: (
+        "spans",
+        [
+            Column("snap", INTEGER),
+            Column("span_id", INTEGER, nullable=False),
+            Column("trace_id", INTEGER, nullable=False),
+            Column("parent_id", INTEGER),
+            Column("name", TEXT, nullable=False),
+            Column("kind", TEXT, nullable=False),
+            Column("start_ns", INTEGER),
+            Column("end_ns", INTEGER),
+            Column("duration_ms", FLOAT),
+            Column("thread", TEXT),
+            Column("tags", TEXT),
+        ],
+        [
+            ("ix_sys_spans_trace", ("trace_id",)),
+            ("ix_sys_spans_span", ("span_id",)),
+        ],
+    ),
+    SYS_SPAN_EVENTS: (
+        "events",
+        [
+            Column("snap", INTEGER),
+            Column("trace_id", INTEGER, nullable=False),
+            Column("span_id", INTEGER, nullable=False),
+            Column("seq", INTEGER, nullable=False),
+            Column("ts_ns", INTEGER),
+            Column("name", TEXT, nullable=False),
+            Column("attrs", TEXT),
+        ],
+        [("ix_sys_span_events_span", ("span_id",))],
+    ),
+    SYS_METRICS: (
+        "metrics",
+        [
+            Column("snap", INTEGER, nullable=False),
+            Column("ts", INTEGER, nullable=False),
+            Column("kind", TEXT, nullable=False),
+            Column("name", TEXT, nullable=False),
+            Column("labels", TEXT, nullable=False),
+            Column("stat", TEXT, nullable=False),
+            Column("value", FLOAT),
+        ],
+        [],
+    ),
+    SYS_PROFILES: (
+        "profiles",
+        [
+            Column("snap", INTEGER, nullable=False),
+            Column("ts", INTEGER, nullable=False),
+            # 'delta' = samples since the previous collection;
+            # 'total' = lifetime keyframe (every
+            # metric_keyframe_every-th collection).
+            Column("kind", TEXT, nullable=False),
+            Column("thread", TEXT, nullable=False),
+            Column("span_name", TEXT),
+            Column("samples", INTEGER, nullable=False),
+            Column("self_ms", FLOAT, nullable=False),
+        ],
+        [],
+    ),
+    SYS_STACKS: (
+        "stacks",
+        [
+            Column("snap", INTEGER, nullable=False),
+            Column("ts", INTEGER, nullable=False),
+            Column("thread", TEXT, nullable=False),
+            Column("span_name", TEXT),
+            Column("stack", TEXT, nullable=False),
+            Column("samples", INTEGER, nullable=False),
+            Column("self_ms", FLOAT, nullable=False),
+        ],
+        [],
+    ),
+}
 
-#: Tables the recursion guard filters on.  A superset of
-#: :data:`SYSTEM_TABLES`: ``sys_slowlog`` lives in whatever database its
-#: :class:`~repro.obs.slowlog.SlowLog` was pointed at (possibly not the
-#: sink's), but spans touching it are still the observer observing
-#: itself and must never persist.
-GUARDED_TABLES = frozenset(SYSTEM_TABLES) | {"sys_slowlog"}
+#: The tables the sink writes and watches.
+SYSTEM_TABLES = tuple(SCHEMAS)
 
-#: Default flush policy: pure count batching, no timer thread (see the
-#: module docstring for why the time bound lives in the sink, not here).
+#: Collection generations of metric, profile and stack rows kept.
+RETENTION = 16
+
+#: Flush policy of every system table: pure count batching, no timer
+#: thread (see the module docstring for why the time bound lives in the
+#: sink, not here).
 DEFAULT_POLICY = Threshold(max_changes=256, max_delay_ms=None)
 
 
@@ -129,11 +212,9 @@ class TelemetrySink:
         Where the system tables live.  Defaults to a fresh dedicated
         ``Database("telemetry")`` -- keeping telemetry out of the
         workload database means sink writes never contend with workload
-        triggers or views.
-    policy:
-        Propagation policy installed on every system table (default: a
-        timerless :data:`DEFAULT_POLICY` Threshold -- see module
-        docstring before passing a policy with ``max_delay_ms``).
+        triggers or views.  A database that already holds the tables (a
+        reopened, snapshot-loaded or recovered one) is continued:
+        collection generations number on from the newest stored.
     span_sample:
         Head-sampling rate in (0, 1]: persist roughly this fraction of
         drained spans (default 1.0 = everything).  Sampling is
@@ -144,18 +225,15 @@ class TelemetrySink:
         much as the traced operation itself on micro-operation
         workloads.
     span_retention:
-        Keep span rows from at most this many recent collections
-        (default ``None`` = unbounded).  Pruning uses per-collection
-        ``start_ns`` watermarks, so the system tables stay bounded on
-        long-running sinks; matching ``sys_span_events`` rows are pruned
-        by the same timestamp cutoff.
+        Keep span rows (and their events) from at most this many recent
+        collections (default ``None`` = unbounded), so the system tables
+        stay bounded on long-running sinks.
     """
 
     def __init__(
         self,
         runtime: Optional[ObsRuntime] = None,
         database: Optional[Database] = None,
-        policy: Optional[PropagationPolicy] = None,
         span_sample: float = 1.0,
         span_retention: Optional[int] = None,
     ) -> None:
@@ -165,19 +243,24 @@ class TelemetrySink:
             raise ValueError(f"span_retention must be >= 1, got {span_retention}")
         self.runtime = runtime if runtime is not None else OBS
         self.database = database if database is not None else Database("telemetry")
-        self._install_schema()
+        self.tables = {
+            name: SysTable(
+                self.database,
+                name,
+                columns,
+                gen="snap",
+                keep=span_retention if kind in ("spans", "events") else RETENTION,
+                indexes=indexes,
+            )
+            for name, (kind, columns, indexes) in SCHEMAS.items()
+        }
         self.center = NotificationCenter(self.database)
-        self.policy = policy if policy is not None else DEFAULT_POLICY
         for table in SYSTEM_TABLES:
             self.center.watch(table)
-            self.center.set_policy(table, self.policy)
-        #: How many metric collection generations to keep in sys_metrics.
-        self.metric_retention = 16
-        #: How many collection generations of profile/stack rows to keep.
-        self.profile_retention = 16
+            self.center.set_policy(table, DEFAULT_POLICY)
         #: Full-registry snapshot (keyframe) every N collections; between
         #: keyframes only changed series are persisted.  Must stay below
-        #: metric_retention so every series has a retained row.
+        #: RETENTION so every series has a retained row.
         self.metric_keyframe_every = 8
         #: (kind, name, labels-json) -> fingerprint at last persist.
         self._metric_fingerprints: dict[tuple[str, str, str], Any] = {}
@@ -187,119 +270,25 @@ class TelemetrySink:
             None if span_sample >= 1.0 else max(1, round(1.0 / span_sample))
         )
         self._sample_counter = 0
-        self.span_retention = span_retention
-        #: Max start_ns per collection that stored spans (newest last);
-        #: the popped-off watermark is the retention pruning cutoff.
-        self._span_watermarks: deque[int] = deque()
-        self._snap = 0
+        #: The last collection generation issued.  Read from the tables,
+        #: then counted here: a collection that stores nothing still
+        #: uses up its number (keyframes and retention count them).
+        self._snap = max(table.newest() for table in self.tables.values())
         self._lock = threading.Lock()
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
-        # Counters (tests and the dashboard read these).
+        # Counters (tests and the dashboard read these via counters()).
         self.collections = 0
-        self.spans_stored = 0
-        self.events_stored = 0
-        self.metrics_stored = 0
-        self.profiles_stored = 0
-        self.stacks_stored = 0
+        self._stored = {kind: 0 for kind, _columns, _indexes in SCHEMAS.values()}
         self.guard_dropped = 0
         self.sampled_out = 0
 
     # ------------------------------------------------------------------
-    def _install_schema(self) -> None:
-        db = self.database
-        if not db.has_table(SYS_SPANS):
-            db.create_table(
-                SYS_SPANS,
-                [
-                    Column("span_id", INTEGER, nullable=False),
-                    Column("trace_id", INTEGER, nullable=False),
-                    Column("parent_id", INTEGER),
-                    Column("name", TEXT, nullable=False),
-                    Column("kind", TEXT, nullable=False),
-                    Column("start_ns", INTEGER),
-                    Column("end_ns", INTEGER),
-                    Column("duration_ms", FLOAT),
-                    Column("thread", TEXT),
-                    Column("tags", TEXT),
-                ],
-            )
-            table = db.table(SYS_SPANS)
-            table.create_index("ix_sys_spans_start", ("start_ns",), sorted=True)
-            table.create_index("ix_sys_spans_trace", ("trace_id",))
-            table.create_index("ix_sys_spans_span", ("span_id",))
-        if not db.has_table(SYS_SPAN_EVENTS):
-            db.create_table(
-                SYS_SPAN_EVENTS,
-                [
-                    Column("trace_id", INTEGER, nullable=False),
-                    Column("span_id", INTEGER, nullable=False),
-                    Column("seq", INTEGER, nullable=False),
-                    Column("ts_ns", INTEGER),
-                    Column("name", TEXT, nullable=False),
-                    Column("attrs", TEXT),
-                ],
-            )
-            db.table(SYS_SPAN_EVENTS).create_index(
-                "ix_sys_span_events_span", ("span_id",)
-            )
-        if not db.has_table(SYS_METRICS):
-            db.create_table(
-                SYS_METRICS,
-                [
-                    Column("snap", INTEGER, nullable=False),
-                    Column("ts", INTEGER, nullable=False),
-                    Column("kind", TEXT, nullable=False),
-                    Column("name", TEXT, nullable=False),
-                    Column("labels", TEXT, nullable=False),
-                    Column("stat", TEXT, nullable=False),
-                    Column("value", FLOAT),
-                ],
-            )
-            db.table(SYS_METRICS).create_index(
-                "ix_sys_metrics_snap", ("snap",), sorted=True
-            )
-        if not db.has_table(SYS_PROFILES):
-            db.create_table(
-                SYS_PROFILES,
-                [
-                    Column("snap", INTEGER, nullable=False),
-                    Column("ts", INTEGER, nullable=False),
-                    # 'delta' = samples since the previous collection;
-                    # 'total' = lifetime keyframe (every
-                    # metric_keyframe_every-th collection).
-                    Column("kind", TEXT, nullable=False),
-                    Column("thread", TEXT, nullable=False),
-                    Column("span_name", TEXT),
-                    Column("samples", INTEGER, nullable=False),
-                    Column("self_ms", FLOAT, nullable=False),
-                ],
-            )
-            db.table(SYS_PROFILES).create_index(
-                "ix_sys_profiles_snap", ("snap",), sorted=True
-            )
-        if not db.has_table(SYS_STACKS):
-            db.create_table(
-                SYS_STACKS,
-                [
-                    Column("snap", INTEGER, nullable=False),
-                    Column("ts", INTEGER, nullable=False),
-                    Column("thread", TEXT, nullable=False),
-                    Column("span_name", TEXT),
-                    Column("stack", TEXT, nullable=False),
-                    Column("samples", INTEGER, nullable=False),
-                    Column("self_ms", FLOAT, nullable=False),
-                ],
-            )
-            db.table(SYS_STACKS).create_index(
-                "ix_sys_stacks_snap", ("snap",), sorted=True
-            )
-
-    # ------------------------------------------------------------------
     # Row builders
     @staticmethod
-    def _span_row(span: Span) -> dict[str, Any]:
+    def _span_row(span: Span, snap: int) -> dict[str, Any]:
         return {
+            "snap": snap,
             "span_id": span.span_id,
             "trace_id": span.trace_id,
             "parent_id": span.parent_id,
@@ -313,9 +302,10 @@ class TelemetrySink:
         }
 
     @staticmethod
-    def _event_rows(span: Span) -> list[dict[str, Any]]:
+    def _event_rows(span: Span, snap: int) -> list[dict[str, Any]]:
         return [
             {
+                "snap": snap,
                 "trace_id": span.trace_id,
                 "span_id": span.span_id,
                 "seq": seq,
@@ -334,8 +324,8 @@ class TelemetrySink:
         only when its fingerprint (count+sum for histograms, value for
         counters/gauges) moved since it was last stored.  Readers take
         the newest row per (name, labels, stat) -- an absent series is
-        unchanged, not gone -- and because ``metric_retention`` exceeds
-        the keyframe interval, every live series always has at least one
+        unchanged, not gone -- and because :data:`RETENTION` exceeds the
+        keyframe interval, every live series always has at least one
         retained row.
         """
         ts = self.database.now()
@@ -363,7 +353,7 @@ class TelemetrySink:
             # flushes update sync.* series labeled with the system
             # tables; persisting those would make every collection
             # dirty its own next collection.
-            if label_map.get("table") in GUARDED_TABLES:
+            if is_system_table(label_map.get("table")):
                 continue
             labels = _json_text(label_map)
             if kind in ("counter", "gauge"):
@@ -394,9 +384,8 @@ class TelemetrySink:
         ``(thread, span)``.  On keyframe collections (the same cadence
         as metric keyframes) the profiler's *lifetime* per-span totals
         are also persisted as ``kind='total'`` rows, so cumulative
-        profiles survive delta rows aging past
-        :attr:`profile_retention`.  No profiler, or an idle one, costs
-        nothing.
+        profiles survive delta rows aging past :data:`RETENTION`.  No
+        profiler, or an idle one, costs nothing.
         """
         profiler = getattr(self.runtime, "profiler", None)
         if profiler is None:
@@ -476,85 +465,38 @@ class TelemetrySink:
                 self.sampled_out += len(drained) - len(picked)
             else:
                 picked = drained
-            spans = [s for s in picked if s.tags.get("table") not in GUARDED_TABLES]
+            spans = [s for s in picked if not is_system_table(s.tags.get("table"))]
             dropped = len(picked) - len(spans)
-            span_rows = [self._span_row(s) for s in spans]
-            event_rows = [row for s in spans for row in self._event_rows(s)]
             with self._lock:
                 self._snap += 1
                 snap = self._snap
-            metric_rows = self._metric_rows(snap)
             profile_rows, stack_rows = self._profile_rows(snap)
-            if span_rows:
-                self.database.insert_many(SYS_SPANS, span_rows)
-                self._span_watermarks.append(max(r["start_ns"] for r in span_rows))
-            if event_rows:
-                self.database.insert_many(SYS_SPAN_EVENTS, event_rows)
-            if metric_rows:
-                self.database.insert_many(SYS_METRICS, metric_rows)
-            if profile_rows:
-                self.database.insert_many(SYS_PROFILES, profile_rows)
-            if stack_rows:
-                self.database.insert_many(SYS_STACKS, stack_rows)
-            cutoff = snap - self.metric_retention
-            if cutoff > 0:
-                self.database.delete(SYS_METRICS, col("snap") <= cutoff)
-            profile_cutoff = snap - self.profile_retention
-            if profile_cutoff > 0:
-                self.database.delete(SYS_PROFILES, col("snap") <= profile_cutoff)
-                self.database.delete(SYS_STACKS, col("snap") <= profile_cutoff)
-            self._prune_spans()
+            batches = {
+                SYS_SPANS: [self._span_row(s, snap) for s in spans],
+                SYS_SPAN_EVENTS: [
+                    row for s in spans for row in self._event_rows(s, snap)
+                ],
+                SYS_METRICS: self._metric_rows(snap),
+                SYS_PROFILES: profile_rows,
+                SYS_STACKS: stack_rows,
+            }
+            stats: dict[str, int] = {}
+            for name, rows in batches.items():
+                # Every table is written every collection, rows or not:
+                # retention counts collections, not the ones with data.
+                self.tables[name].write(rows, newest=snap)
+                kind = SCHEMAS[name][0]
+                self._stored[kind] += len(rows)
+                stats[kind] = len(rows)
             self.collections += 1
-            self.spans_stored += len(span_rows)
-            self.events_stored += len(event_rows)
-            self.metrics_stored += len(metric_rows)
-            self.profiles_stored += len(profile_rows)
-            self.stacks_stored += len(stack_rows)
             self.guard_dropped += dropped
-        return {
-            "spans": len(span_rows),
-            "events": len(event_rows),
-            "metrics": len(metric_rows),
-            "profiles": len(profile_rows),
-            "stacks": len(stack_rows),
-            "dropped": dropped,
-        }
-
-    def _prune_spans(self) -> None:
-        """Drop span (and event) rows older than ``span_retention`` collections.
-
-        Workflow timeline rows (``kind='workflow'``) use a logical clock
-        and are re-ingested wholesale, so retention only applies to
-        ``kind='span'`` rows.  Caller holds the tracer suppression.
-        """
-        if self.span_retention is None:
-            return
-        pruned_cutoff: Optional[int] = None
-        while len(self._span_watermarks) > self.span_retention:
-            pruned_cutoff = self._span_watermarks.popleft()
-        if pruned_cutoff is None:
-            return
-        doomed = (col("kind") == "span") & (col("start_ns") <= pruned_cutoff)
-        pruned_ids = [
-            row["span_id"]
-            for row in self.database.query(
-                f"SELECT span_id FROM {SYS_SPANS} "
-                f"WHERE kind = 'span' AND start_ns <= {int(pruned_cutoff)}"
-            )
-        ]
-        self.database.delete(SYS_SPANS, doomed)
-        if pruned_ids:
-            # Events are pruned by span membership, not by timestamp: an
-            # event fires *after* its span starts, so a start_ns cutoff
-            # would strand the boundary collection's events forever.
-            self.database.delete(
-                SYS_SPAN_EVENTS, col("span_id").is_in(pruned_ids)
-            )
+        stats["dropped"] = dropped
+        return stats
 
     def flush(self) -> int:
         """Flush buffered telemetry notifications (one dashboard cycle).
 
-        Under the default timerless Threshold policy this is what ends a
+        Under the timerless Threshold policy this is what ends a
         flush cycle: the net per-table deltas are recorded as seq-no
         batches and fanned out (NOTIFYB) to attached dashboards.
         Returns total net operations shipped.
@@ -577,11 +519,7 @@ class TelemetrySink:
         """Lifetime sink counters (for tests, examples, and debugging)."""
         return {
             "collections": self.collections,
-            "spans_stored": self.spans_stored,
-            "events_stored": self.events_stored,
-            "metrics_stored": self.metrics_stored,
-            "profiles_stored": self.profiles_stored,
-            "stacks_stored": self.stacks_stored,
+            **{f"{kind}_stored": rows for kind, rows in self._stored.items()},
             "guard_dropped": self.guard_dropped,
             "sampled_out": self.sampled_out,
         }
@@ -668,8 +606,8 @@ class TelemetrySink:
                     SYS_SPANS,
                     col("span_id").is_in([row["span_id"] for row in rows]),
                 )
-                self.database.insert_many(SYS_SPANS, rows)
-            self.spans_stored += len(rows)
+                self.tables[SYS_SPANS].write(rows)
+            self._stored["spans"] += len(rows)
             return len(rows)
 
     # ------------------------------------------------------------------
@@ -704,7 +642,10 @@ class TelemetrySink:
         return self._thread is not None and self._thread.is_alive()
 
     def close(self) -> None:
-        """Stop collection and shut the notification center down."""
+        """Stop collection, drop the table triggers and shut the
+        notification center down; another sink can take the database."""
         self.stop()
         with self.runtime.tracer.suppress():
+            for table in SYSTEM_TABLES:
+                self.center.unwatch(table)
             self.center.close()

@@ -105,12 +105,10 @@ class RefreshDriver:
         When tracing is on, the just-completed refresh span becomes the
         parent for whatever the listeners do (delta application, layout,
         display updates), so the whole reaction shows up as one trace.
+        Off, no span is started to look for a parent (and activating the
+        ``None`` of a never-traced table is a no-op).
         """
         if not self._listeners:
-            return
-        if not OBS.enabled:
-            for listener in list(self._listeners):
-                listener(table, stats)
             return
         with OBS.tracer.activate(self.client.last_refresh_context(table)):
             for listener in list(self._listeners):

@@ -14,6 +14,7 @@ from repro.db import (
 from repro.db.schema import Column
 from repro.db.types import INTEGER, TEXT
 from repro.errors import DatabaseError
+from repro.obs import OBS
 from repro.sync import NotificationCenter
 from repro.sync.notification import T_CHANGED_ROWS
 
@@ -57,6 +58,16 @@ class TestOpenDurable:
     def test_recover_missing_directory_fails(self, tmp_path):
         with pytest.raises(DatabaseError, match="no checkpoint"):
             recover(tmp_path / "nothing")
+
+    def test_a_recovery_is_counted_with_tracing_off(self, durable):
+        """Rare events are counted whether or not anyone is watching."""
+        directory, _db, manager = durable
+        manager.close()
+        recoveries = OBS.metrics.counter("wal.recoveries")
+        before = recoveries.value
+        assert not OBS.enabled
+        recover(directory)
+        assert recoveries.value == before + 1
 
 
 class TestRecoveryFidelity:

@@ -111,6 +111,22 @@ class TestSampling:
         db.query("SELECT k FROM t")
         assert mgr.captures == 1
 
+    def test_reenabled_lineage_numbers_on_from_the_tables(self):
+        """A replaced manager keeps the tables, so it must not hand out
+        their query_ids again: two queries' edges under one id read back
+        as one query's lineage."""
+        db = make_db()
+        db.enable_lineage(sample=1)
+        db.query("SELECT k FROM t WHERE v < 3")
+        store = db.enable_lineage(sample=1).store
+        db.query("SELECT k FROM t WHERE v < 5")
+        ids = [r["query_id"] for r in db.query(f"SELECT * FROM {SYS_LINEAGE_QUERIES}")]
+        assert ids == [1, 2]
+        assert len(store.edges_for(1)) == 3
+        assert len(store.edges_for(2)) == 5
+        assert store.backward(2, 4) == {("t", 5)}
+        assert store.latest_query_id() == 2
+
 
 class TestDatabaseSurface:
     def test_query_lineage(self):

@@ -308,8 +308,8 @@ class TestSinkSelfHosting:
             assert {r["kind"] for r in profiles} >= {"delta"}
             # snap 1 is a keyframe collection: lifetime totals stored too.
             assert any(r["kind"] == "total" for r in profiles)
-            assert sink.profiles_stored == len(profiles)
-            assert sink.stacks_stored == len(stacks)
+            assert sink.counters()["profiles_stored"] == len(profiles)
+            assert sink.counters()["stacks_stored"] == len(stacks)
             # The sampler's own threads never appear (recursion guard).
             threads = {r["thread"] for r in stacks}
             assert "profiler-sampler" not in threads
@@ -321,7 +321,8 @@ class TestSinkSelfHosting:
         obs.enable()
         obs.OBS.enable_profiler(hz=1000)
         sink = TelemetrySink()
-        sink.profile_retention = 2
+        for table in (SYS_PROFILES, SYS_STACKS):
+            sink.tables[table].keep = 2
         try:
             self._run_collections(sink, 5)
             for table in (SYS_PROFILES, SYS_STACKS):
@@ -338,7 +339,7 @@ class TestSinkSelfHosting:
         sink = TelemetrySink()
         try:
             sink.collect_and_flush()
-            assert sink.profiles_stored == 0
-            assert sink.stacks_stored == 0
+            assert sink.counters()["profiles_stored"] == 0
+            assert sink.counters()["stacks_stored"] == 0
         finally:
             sink.close()

@@ -209,6 +209,21 @@ class TestBoundsAndLifecycle:
         finally:
             log.close()
 
+    def test_reenabled_log_numbers_on_and_keeps_its_capacity(self):
+        """disable + enable keeps the rows, so the new log must count
+        them against its capacity and number past them."""
+        obs.enable()
+        db = make_db(0)
+        for batch in ("a", "b"):
+            log = db.enable_slowlog(budget_ms=0.5, capacity=3, max_per_statement=100)
+            for i in range(3):
+                busy_span(f"op.{batch}{i}", seconds=0.003)
+            log.flush()
+            db.disable_slowlog()
+        rows = db.query(f"SELECT id, name FROM {SYS_SLOWLOG} ORDER BY id")
+        assert [r["id"] for r in rows] == [4, 5, 6]
+        assert [r["name"] for r in rows] == ["op.b0", "op.b1", "op.b2"]
+
     def test_enable_is_idempotent_and_disable_unhooks(self):
         obs.enable()
         db = make_db(0)

@@ -6,7 +6,10 @@ from types import SimpleNamespace
 import pytest
 
 import repro.obs as obs
+from repro.apps.telemetry import latest_series_rows
+from repro.db import load_snapshot, save_snapshot
 from repro.obs.store import (
+    RETENTION,
     SYS_METRICS,
     SYS_SPAN_EVENTS,
     SYS_SPANS,
@@ -180,7 +183,7 @@ class TestMetricPersistence:
         assert snaps == [1, 4]
 
     def test_old_snaps_pruned_past_retention(self, enabled_obs, sink):
-        sink.metric_retention = 3
+        sink.tables[SYS_METRICS].keep = 3
         sink.metric_keyframe_every = 1  # every collect is a keyframe
         counter = obs.metrics().counter("db.writes", table="nodes")
         for _ in range(6):
@@ -190,11 +193,11 @@ class TestMetricPersistence:
         assert snaps == {4, 5, 6}
 
     def test_every_live_series_keeps_a_row_under_retention(self, enabled_obs, sink):
-        """keyframe_every < metric_retention => an unchanged series is
+        """keyframe_every < RETENTION => an unchanged series is
         re-persisted before its last row ages out."""
-        assert sink.metric_keyframe_every < sink.metric_retention
+        assert sink.metric_keyframe_every < RETENTION
         obs.metrics().gauge("sync.clients").set(1)
-        for _ in range(sink.metric_retention * 2):
+        for _ in range(RETENTION * 2):
             sink.collect()
         rows = [
             r
@@ -372,11 +375,11 @@ class TestLifecycle:
         assert sink.running
         sink.start(interval=0.02)  # idempotent
         deadline = time.time() + 2.0
-        while sink.spans_stored < 5 and time.time() < deadline:
+        while sink.counters()["spans_stored"] < 5 and time.time() < deadline:
             time.sleep(0.01)
         sink.stop()
         assert not sink.running
-        assert sink.spans_stored == 5
+        assert sink.counters()["spans_stored"] == 5
         assert sink.collections >= 1
         assert sink.flush_cycles >= 1
 
@@ -385,3 +388,50 @@ class TestLifecycle:
         stats = sink.collect_and_flush()
         assert stats["net_ops"] >= stats["spans"]
         assert sink.flush_cycles == 1
+
+    def test_closed_sink_leaves_no_trigger_behind(self, enabled_obs, sink):
+        make_spans(1)
+        sink.collect()
+        sink.close()
+        assert not [t for t in sink.database.trigger_names() if "sys_" in t]
+        # ... so the database can be handed to the next sink, which
+        # carries the collection numbering on.
+        successor = TelemetrySink(database=sink.database)
+        try:
+            make_spans(1)
+            successor.collect()
+            snaps = [
+                r["snap"]
+                for r in sink.database.query(f"SELECT snap FROM {SYS_SPANS}")
+            ]
+            assert len(snaps) == len(set(snaps)) == 2
+        finally:
+            successor.close()
+
+    def test_sink_on_a_reloaded_snapshot_numbers_on(self, enabled_obs, sink, tmp_path):
+        """Generations come from the tables: a reloaded sink must not
+        restart at snap 1 beside the old snap-1 rows (readers take the
+        newest snap per series as its current value)."""
+        counter = obs.metrics().counter("db.writes", table="nodes")
+        for _ in range(5):
+            counter.inc()
+            sink.collect()
+        save_snapshot(sink.database, tmp_path / "telemetry.snap")
+        reloaded = TelemetrySink(database=load_snapshot(tmp_path / "telemetry.snap"))
+        try:
+            counter.inc(100)
+            reloaded.collect()
+            rows = [
+                r
+                for r in reloaded.database.query(f"SELECT * FROM {SYS_METRICS}")
+                if r["name"] == "db.writes"
+            ]
+            assert sorted(r["snap"] for r in rows) == [1, 2, 3, 4, 5, 6]
+            (current,) = latest_series_rows(rows)
+            assert current["value"] == 105.0
+        finally:
+            reloaded.close()
+
+    def test_policy_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            TelemetrySink(policy=None)
