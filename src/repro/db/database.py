@@ -42,7 +42,7 @@ from .sql.ast import (
 )
 from .sql.parser import parse
 from .sql.planner import _Scope, lower_expr, plan_select
-from .table import ChangeSet, Table
+from .table import ChangeSet, DeltaCoalescer, Table
 from .transactions import Transaction, TransactionContext
 from .triggers import TriggerManager
 from .types import type_from_name
@@ -92,11 +92,15 @@ class Database:
         self._clock = 0
         self._lock = threading.RLock()
         self._current_transaction: Transaction | None = None
+        # The commit being made (see _commit): its ordered change sets
+        # while its triggers fire, and the effects they deferred.
+        self._committing: list[ChangeSet] | None = None
+        self._deferred: list[tuple[Callable[..., None], tuple[Any, ...]]] = []
         self._trigger_counter = 0
         # Durability hooks (see repro.db.durability): commit hooks see
-        # every committed statement batch *before* triggers fire; DDL
-        # hooks see create/drop table.  Empty lists cost one truth test
-        # per statement.
+        # every commit's whole change list once its triggers have run;
+        # DDL hooks see create/drop table.  Empty lists cost one truth
+        # test per statement.
         self._commit_hooks: list[Callable[[list[ChangeSet]], None]] = []
         self._ddl_hooks: list[Callable[[str, TableSchema | None, str], None]] = []
         # SQL fast path: text -> AST (never invalidated) and text -> plan
@@ -340,21 +344,15 @@ class Database:
         return self._current_transaction is not None
 
     def _dispatch(self, span: Any, op: str, change: ChangeSet) -> None:
-        """Finish one mutation statement: undo records, triggers (now, or
-        at commit inside a transaction), then its ``db.write`` span."""
+        """Finish one mutation statement: commit it (inside a transaction
+        block, when the block exits), then its ``db.write`` span."""
         if not change.is_empty():
             transaction = self._current_transaction
             if transaction is not None:
-                transaction.record(change)
-                transaction.defer_triggers(change)
+                transaction.changes.append(change)
             else:
                 # Auto-commit: the statement IS the transaction.
-                # Durability hooks run first -- write-ahead means the log
-                # records a change before any downstream effect becomes
-                # observable.
-                if self._commit_hooks:
-                    self._notify_commit([change])
-                self._triggers.fire(change)
+                self._commit([change])
         if OBS.enabled:
             span.set_tag(
                 "rows",
@@ -362,17 +360,80 @@ class Database:
             )
             OBS.metrics.counter("db.writes", table=change.table, op=op).inc()
 
+    def _commit(self, changes: list[ChangeSet]) -> None:
+        """The one commit routine: an auto-committed statement's change
+        set (a list of one) or a transaction's, in statement order.
+
+        Three phases, under the database lock.  *Trigger phase*: the
+        commit's triggers fire, and every database write they make -- a
+        nested call of this routine -- joins ``changes`` instead of
+        committing on its own.  *Log*: the commit hooks see the whole
+        list once (user rows, then the rows their triggers wrote).
+        *Publish*: the effects triggers handed to :meth:`after_commit`
+        run, so nothing leaves the database ahead of its log record.  A
+        raising trigger (AFTER semantics) still leaves the commit logged,
+        with whatever the triggers had written, and published.
+        """
+        outer = self._committing
+        if outer is None:
+            self._committing = changes
+        else:
+            outer.extend(changes)  # a trigger's own write joins its commit
+        try:
+            if len(changes) == 1:
+                self._triggers.fire(changes[0])
+            else:
+                self._fire_net(changes)
+        finally:
+            if outer is None:
+                self._committing = None
+                effects = self._deferred
+                if effects:
+                    self._deferred = []
+                if self._commit_hooks:
+                    self._notify_commit(changes)
+                for effect, args in effects:
+                    effect(*args)
+
+    def _fire_net(self, changes: list[ChangeSet]) -> None:
+        """Several statements are a propagation window: each table's
+        triggers see its net delta, once (the log keeps the statements --
+        redoing a netted delete and re-insert of one key would not be
+        order-safe)."""
+        by_table: dict[str, list[ChangeSet]] = {}
+        for change in changes:
+            by_table.setdefault(change.table, []).append(change)
+        for table, statements in by_table.items():
+            net = statements[0]
+            if len(statements) > 1:
+                coalescer = DeltaCoalescer(table)
+                for change in statements:
+                    coalescer.add(change)
+                net = coalescer.net_changeset()
+            self._triggers.fire(net)
+
+    def after_commit(self, effect: Callable[..., None], *args: Any) -> None:
+        """Run ``effect(*args)`` once the commit being made is logged --
+        at once when none is.  For what a trigger makes visible outside
+        the database (a NOTIFY): write-ahead means the log comes first.
+        """
+        with self._lock:
+            if self._committing is not None:
+                self._deferred.append((effect, args))
+                return
+        effect(*args)
+
     # ------------------------------------------------------------------
     # Durability hooks
     def add_commit_hook(self, hook: Callable[[list[ChangeSet]], None]) -> None:
-        """Register a hook receiving every committed statement batch.
+        """Register a hook receiving every commit's whole change list.
 
-        Hooks run once per commit -- with the single change set of an
-        auto-committed statement, or with the ordered list of change
-        sets of an explicit transaction -- *before* triggers fire.  A
-        raising hook aborts the commit's downstream effects (triggers
-        never observe a change the log refused), so hooks must only
-        raise for genuine durability failures.
+        Hooks run once per commit -- an auto-committed statement or an
+        explicit transaction -- with its change sets in statement order
+        followed by those its triggers wrote, *after* the triggers and
+        before anything they deferred is published.  A raising hook
+        drops those effects (no NOTIFY for a change the log refused), so
+        hooks must only raise for genuine durability failures.
         """
         with self._lock:
             self._commit_hooks.append(hook)

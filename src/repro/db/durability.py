@@ -6,9 +6,10 @@ the durability a real DBMS would.  This module provides it:
 
 * :func:`open_durable` opens (or recovers) a database rooted in a
   directory and attaches a :class:`DurabilityManager` to it: every
-  committed statement batch is framed into the write-ahead log
-  (:mod:`repro.db.wal`) *before* its triggers fire, and DDL is logged
-  as it happens.
+  commit -- its statements' rows and the rows their triggers wrote --
+  is framed into the write-ahead log (:mod:`repro.db.wal`) as one
+  record *before* anything it causes leaves the database, and DDL is
+  logged as it happens.
 * :meth:`DurabilityManager.checkpoint` folds the log into a fresh
   snapshot (reusing the atomic, fsynced ``save_snapshot`` machinery)
   and starts a new WAL segment, bounding recovery time.
@@ -51,10 +52,8 @@ from .schema import TID, TableSchema
 from .table import ChangeSet
 from .wal import (
     FSYNC_ALWAYS,
-    KIND_BEGIN,
     KIND_COMMIT,
     KIND_DDL,
-    KIND_OP,
     WriteAheadLog,
     committed_transactions,
     fsync_dir,
@@ -240,22 +239,29 @@ def recover(directory: str | Path) -> Database:
     return info.database
 
 
-def _columnar(kind: str, table: str, rows: list[dict[str, Any]]) -> dict[str, Any]:
-    """Encode uniform row dicts as one cols list + a flat value array.
+def _columnar(
+    op_list: list[dict[str, Any]], kind: str, table: str, rows: list[dict[str, Any]]
+) -> None:
+    """Log uniform row dicts as one cols list + a flat value array.
 
     Every stored row of a table is built by ``validate_row`` (schema
     order, then the hidden fields), so all rows share one key order and
     ``values()`` projects them faithfully.  The values land in a single
     flat list (row-major, ``len(cols)``-sized strides): one flat array
     JSON-encodes measurably faster than thousands of per-row lists, and
-    this sits on the hot commit path of every durable write.
+    this sits on the hot commit path of every durable write.  Rows that
+    continue the commit's previous op -- same kind, same table: a loop of
+    one-row statements in a transaction, the notification log's rows --
+    extend its array instead of spelling the columns again.
     """
-    return {
-        "op": kind,
-        "t": table,
-        "cols": list(rows[0].keys()),
-        "vals": [value for row in rows for value in row.values()],
-    }
+    values = [value for row in rows for value in row.values()]
+    last = op_list[-1] if op_list else None
+    if last is not None and last["op"] == kind and last["t"] == table:
+        last["vals"].extend(values)
+    else:
+        op_list.append(
+            {"op": kind, "t": table, "cols": list(rows[0].keys()), "vals": values}
+        )
 
 
 class DurabilityManager:
@@ -264,8 +270,8 @@ class DurabilityManager:
     Attach via :func:`open_durable` (the normal path) or directly to an
     existing database whose directory has been initialized.  Locking
     order is ``database.lock -> manager lock``: the commit hook runs
-    with the database lock held on the auto-commit path, and
-    :meth:`checkpoint` acquires the database lock before its own.
+    with the database lock held, and :meth:`checkpoint` acquires the
+    database lock before its own.
     """
 
     def __init__(
@@ -327,32 +333,30 @@ class DurabilityManager:
             txn = self._next_txn
             self._next_txn += 1
             wal = self._wal
-            # One op record for the whole commit, with each change's rows
-            # in columnar form (one ``cols`` list, value rows as plain
-            # lists): a single json.dumps per commit instead of one per
-            # row, and no repeated dict keys on the wire.  Together these
-            # are the difference between a WAL tax per *row* and one per
-            # commit.
+            # One record for the whole commit, with each change's rows in
+            # columnar form (one ``cols`` list, value rows as plain
+            # lists): a single json.dumps and a single framed line per
+            # commit -- a half-written commit is a torn record, which the
+            # CRC detects -- and no repeated dict keys on the wire.
             op_list: list[dict[str, Any]] = []
             ops = 0
             for change in changes:
                 table = change.table
                 if change.inserted:
-                    op_list.append(_columnar("I", table, change.inserted))
+                    _columnar(op_list, "I", table, change.inserted)
                     ops += len(change.inserted)
                 if change.updated:
                     afters = [after for _before, after in change.updated]
-                    op_list.append(_columnar("U", table, afters))
+                    _columnar(op_list, "U", table, afters)
                     ops += len(afters)
                 if change.deleted:
                     op_list.append(
                         {"op": "D", "t": table, "tids": [r[TID] for r in change.deleted]}
                     )
                     ops += len(change.deleted)
-            wal.append({"k": KIND_BEGIN, "x": txn})
-            if op_list:
-                wal.append({"k": KIND_OP, "x": txn, "ops": op_list})
-            wal.append({"k": KIND_COMMIT, "x": txn, "clk": self.database.now()})
+            wal.append(
+                {"k": KIND_COMMIT, "x": txn, "ops": op_list, "clk": self.database.now()}
+            )
             wal.commit_point()
             self.commits += 1
             self._commits_since_checkpoint += 1

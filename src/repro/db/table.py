@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from ..errors import ConstraintViolation, DatabaseError, SchemaError
+from ..errors import ConstraintViolation, DatabaseError, SchemaError, SyncError
 from .columnar import ColumnStore
 from .index import HashIndex, SortedIndex
 from .schema import CREATED_AT, TID, UPDATED_AT, TableSchema
@@ -58,6 +58,117 @@ class ChangeSet:
         if self.deleted:
             ops.append("delete")
         return ops
+
+
+#: State tags inside :class:`DeltaCoalescer`.
+_INS = "insert"
+_UPD = "update"
+_DEL = "delete"
+
+
+class DeltaCoalescer:
+    """Merges queued :class:`ChangeSet` objects into one net change.
+
+    Keyed on the tuple identifier with last-writer-wins semantics::
+
+        insert + update  -> insert(after)
+        insert + delete  -> (nothing)
+        update + update  -> update(first before, last after)
+        update + delete  -> delete(first before)
+        delete + insert  -> update(before, after)     # tid reuse, defensive
+
+    so a burst of 10k inserts followed by 10k deletes nets to zero work.
+    Two windows use it: a transaction (the commit routine hands each
+    table's triggers its net delta once) and a propagation policy's buffer
+    (:class:`~repro.sync.batching.PolicyGate`).  Not thread-safe on its
+    own -- owners guard it with their own lock.  ``raw_ops`` counts
+    operations as they arrived; the difference to the net size is what
+    coalescing saved.
+    """
+
+    __slots__ = ("table", "raw_ops", "_state")
+
+    def __init__(self, table: str) -> None:
+        self.table = table
+        self.raw_ops = 0
+        # tid -> ("insert", after) | ("update", before, after) | ("delete", before)
+        self._state: dict[int, tuple] = {}
+
+    # ------------------------------------------------------------------
+    def add(self, change: ChangeSet) -> int:
+        """Fold one change set in; returns the number of raw ops added."""
+        if change.table != self.table:
+            raise SyncError(
+                f"cannot coalesce changes of {change.table!r} into {self.table!r}"
+            )
+        ops = 0
+        for row in change.inserted:
+            self._add_insert(row[TID], row)
+            ops += 1
+        for before, after in change.updated:
+            self._add_update(after[TID], before, after)
+            ops += 1
+        for row in change.deleted:
+            self._add_delete(row[TID], row)
+            ops += 1
+        self.raw_ops += ops
+        return ops
+
+    def _add_insert(self, tid: int, after: dict) -> None:
+        prev = self._state.get(tid)
+        if prev is None or prev[0] == _INS:
+            self._state[tid] = (_INS, after)
+        elif prev[0] == _DEL:
+            # delete + insert: the row came back -- net effect is an update.
+            self._state[tid] = (_UPD, prev[1], after)
+        else:  # update + insert (defensive): keep the original before image
+            self._state[tid] = (_UPD, prev[1], after)
+
+    def _add_update(self, tid: int, before: dict, after: dict) -> None:
+        prev = self._state.get(tid)
+        if prev is None:
+            self._state[tid] = (_UPD, before, after)
+        elif prev[0] == _INS:
+            # insert + update: the consumer never saw the intermediate image.
+            self._state[tid] = (_INS, after)
+        elif prev[0] == _UPD:
+            self._state[tid] = (_UPD, prev[1], after)
+        else:  # delete + update (defensive): treat like delete + insert
+            self._state[tid] = (_UPD, prev[1], after)
+
+    def _add_delete(self, tid: int, before: dict) -> None:
+        prev = self._state.get(tid)
+        if prev is None:
+            self._state[tid] = (_DEL, before)
+        elif prev[0] == _INS:
+            # insert + delete: the row never existed for the consumer.
+            del self._state[tid]
+        elif prev[0] == _UPD:
+            self._state[tid] = (_DEL, prev[1])
+        # delete + delete: keep the first tombstone.
+
+    # ------------------------------------------------------------------
+    def net_changeset(self) -> ChangeSet:
+        """The coalesced change set (insertion order preserved)."""
+        net = ChangeSet(self.table)
+        for state in self._state.values():
+            if state[0] == _INS:
+                net.inserted.append(state[1])
+            elif state[0] == _UPD:
+                net.updated.append((state[1], state[2]))
+            else:
+                net.deleted.append(state[1])
+        return net
+
+    def net_ops(self) -> int:
+        return len(self._state)
+
+    def coalesced_away(self) -> int:
+        """Operations eliminated by coalescing (raw minus net)."""
+        return self.raw_ops - len(self._state)
+
+    def is_empty(self) -> bool:
+        return not self._state
 
 
 class Table:
@@ -304,9 +415,13 @@ class Table:
                 found = idx.first_move_violation([(0, old, new)])
                 if found is not None:
                     raise found[1]
-        before = dict(row)
+        # Copy on write: the old dict stays as it was -- it is the before
+        # image, and the image an earlier change set of an open
+        # transaction (its insert, its update) logs at commit.
+        before, row = row, dict(row)
         row.update(clean)
         row[UPDATED_AT] = self._clock()
+        self._rows[tid] = row
         for idx, _old, _new in moves:
             idx.remove(tid, before)
             idx.add(tid, row)
@@ -375,11 +490,13 @@ class Table:
         count = len(rows)
         if not count:
             return []
-        befores = [dict(row) for row in rows]
+        # Copy on write, as in update_row.
+        befores, rows = rows, [dict(row) for row in rows]
         stop = self._clock(count) + 1
-        for row, clean, now in zip(rows, cleans, range(stop - count, stop)):
+        for tid, row, clean, now in zip(tids, rows, cleans, range(stop - count, stop)):
             row.update(clean)
             row[UPDATED_AT] = now
+            stored[tid] = row
         for idx, moved in moves.items():
             at = [position for position, _old, _new in moved]
             moved_tids = [tids[i] for i in at]

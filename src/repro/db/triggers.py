@@ -101,10 +101,8 @@ class TriggerManager:
 
     def fire(self, change: ChangeSet) -> None:
         """Dispatch a change set to every matching trigger."""
-        if change.is_empty():
-            return
         triggers = self._by_table.get(change.table)
-        if not triggers:
+        if not triggers or change.is_empty():
             return
         if OBS.enabled:
             with OBS.tracer.span(

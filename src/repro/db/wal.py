@@ -1,13 +1,12 @@
 """Write-ahead log: append-only JSON-lines with per-record CRC framing.
 
 The paper delegates durability to "a standard DBMS"; our embedded engine
-earns it here.  Every committed transaction is framed as
-
-    begin(txn) -> op(txn, ops=[...]) -> commit(txn, clock)
-
-one record per line (the op record carries the commit's whole operation
-list, so encoding cost is one JSON serialization per *commit*, not per
-row), each line carrying a CRC-32 of its payload::
+earns it here.  Every commit is ONE record, ``{"k": "c", "x": txn, "ops":
+[...], "clk": clock}`` -- its whole operation list (the statements' rows,
+then the rows their triggers wrote) and the logical clock after it, so
+the cost is one JSON serialization and one framed line per *commit*, not
+per row or per statement -- and DDL is a record of its own.  One record
+per line, each line carrying a CRC-32 of its payload::
 
     <crc:08x> <compact-json>\\n
 
@@ -16,7 +15,8 @@ line whose CRC mismatches, whose JSON does not parse, or which lacks its
 trailing newline marks the cut point, and everything after it is
 discarded (:func:`read_wal` returns the byte offset to truncate at).
 Records after the cut belong to the crash; records before it are intact
-by construction.
+by construction.  A commit is therefore on disk whole or not at all: a
+crash inside its append leaves a torn record, which recovery drops.
 
 Fsync policy decides when a commit is *durable*:
 
@@ -86,8 +86,6 @@ FSYNC_NEVER = "never"
 _POLICIES = (FSYNC_ALWAYS, FSYNC_INTERVAL, FSYNC_NEVER)
 
 # Record kinds (single letters: the WAL is the hot write path).
-KIND_BEGIN = "b"
-KIND_OP = "o"
 KIND_COMMIT = "c"
 KIND_DDL = "d"
 
@@ -476,36 +474,23 @@ class WriteAheadLog:
 
 
 # ----------------------------------------------------------------------
-# Transaction grouping (used by recovery)
+# The records' one reader (used by recovery)
 def committed_transactions(
     records: list[WalRecord],
 ) -> Iterator[tuple[int, list[dict[str, Any]]]]:
-    """Group records into complete ``begin..commit`` transactions.
-
-    Yields ``(commit_clock, ops)`` in commit order.  DDL records are
-    auto-committed and yielded as single-op transactions.  A ``begin``
-    without its ``commit`` (the crash's in-flight transaction) is
-    dropped -- WAL recovery is redo-only over committed work.
+    """Yields ``(commit_clock, ops)`` per record, in commit order: a
+    commit record carries its whole operation list, a DDL record is its
+    own single operation.  Every intact record is committed work -- the
+    crash's in-flight commit is a torn record :func:`read_wal` cut off.
     """
-    open_txns: dict[int, list[dict[str, Any]]] = {}
     for record in records:
         payload = record.payload
-        kind = payload["k"]
-        if kind == KIND_BEGIN:
-            open_txns[payload["x"]] = []
-        elif kind == KIND_OP:
-            ops = open_txns.get(payload["x"])
-            if ops is not None:
-                # The writer coalesces a whole commit's operations into
-                # one record (one JSON encode per commit, not per row);
-                # single-op records remain readable for hand-built logs.
-                if "ops" in payload:
-                    ops.extend(payload["ops"])
-                else:
-                    ops.append(payload)
-        elif kind == KIND_COMMIT:
-            ops = open_txns.pop(payload["x"], None)
-            if ops is not None:
-                yield payload.get("clk", 0), ops
-        elif kind == KIND_DDL:
+        if payload["k"] == KIND_COMMIT:
+            yield payload.get("clk", 0), payload["ops"]
+        elif payload["k"] == KIND_DDL:
             yield payload.get("clk", 0), [payload]
+        else:
+            raise DatabaseError(
+                f"WAL record of unknown kind {payload['k']!r} "
+                "(a log written by an older version?)"
+            )

@@ -22,17 +22,9 @@ once, as :class:`PolicyGate`.  Each layer with consumers to feed
 :class:`~repro.workflow.propagation.PropagationManager`, keys: relation)
 constructs one gate over the database lock and supplies only its
 ``deliver`` callback: what shipping a *net* delta means for its consumers.
-
-Coalescing is per primary key (the tuple identifier) with
-last-writer-wins semantics::
-
-    insert + update  -> insert(after)
-    insert + delete  -> (nothing)
-    update + update  -> update(first before, last after)
-    update + delete  -> delete(first before)
-    delete + insert  -> update(before, after)     # tid reuse, defensive
-
-so a burst of 10k inserts followed by 10k deletes flushes as zero work.
+The net is taken by :class:`~repro.db.table.DeltaCoalescer`, which the
+database's commit routine uses too (a transaction is the same kind of
+window), so it lives beside :class:`~repro.db.table.ChangeSet`.
 """
 
 from __future__ import annotations
@@ -43,14 +35,8 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Optional
 
-from ..db.schema import TID
-from ..db.table import ChangeSet
+from ..db.table import ChangeSet, DeltaCoalescer
 from ..errors import SyncError
-
-#: State tags inside :class:`DeltaCoalescer`.
-_INS = "insert"
-_UPD = "update"
-_DEL = "delete"
 
 
 class PropagationPolicy:
@@ -134,99 +120,6 @@ class Manual(PropagationPolicy):
 #: Shared singletons for the zero-argument policies.
 IMMEDIATE = Immediate()
 MANUAL = Manual()
-
-
-class DeltaCoalescer:
-    """Merges queued :class:`ChangeSet` objects into one net change.
-
-    Keyed on the tuple identifier; not thread-safe on its own -- owners
-    guard it with their own lock.  ``raw_ops`` counts operations as they
-    arrived; the difference to the net size is what coalescing saved.
-    """
-
-    __slots__ = ("table", "raw_ops", "_state")
-
-    def __init__(self, table: str) -> None:
-        self.table = table
-        self.raw_ops = 0
-        # tid -> ("insert", after) | ("update", before, after) | ("delete", before)
-        self._state: dict[int, tuple] = {}
-
-    # ------------------------------------------------------------------
-    def add(self, change: ChangeSet) -> int:
-        """Fold one change set in; returns the number of raw ops added."""
-        if change.table != self.table:
-            raise SyncError(
-                f"cannot coalesce changes of {change.table!r} into {self.table!r}"
-            )
-        ops = 0
-        for row in change.inserted:
-            self._add_insert(row[TID], row)
-            ops += 1
-        for before, after in change.updated:
-            self._add_update(after[TID], before, after)
-            ops += 1
-        for row in change.deleted:
-            self._add_delete(row[TID], row)
-            ops += 1
-        self.raw_ops += ops
-        return ops
-
-    def _add_insert(self, tid: int, after: dict) -> None:
-        prev = self._state.get(tid)
-        if prev is None or prev[0] == _INS:
-            self._state[tid] = (_INS, after)
-        elif prev[0] == _DEL:
-            # delete + insert: the row came back -- net effect is an update.
-            self._state[tid] = (_UPD, prev[1], after)
-        else:  # update + insert (defensive): keep the original before image
-            self._state[tid] = (_UPD, prev[1], after)
-
-    def _add_update(self, tid: int, before: dict, after: dict) -> None:
-        prev = self._state.get(tid)
-        if prev is None:
-            self._state[tid] = (_UPD, before, after)
-        elif prev[0] == _INS:
-            # insert + update: the consumer never saw the intermediate image.
-            self._state[tid] = (_INS, after)
-        elif prev[0] == _UPD:
-            self._state[tid] = (_UPD, prev[1], after)
-        else:  # delete + update (defensive): treat like delete + insert
-            self._state[tid] = (_UPD, prev[1], after)
-
-    def _add_delete(self, tid: int, before: dict) -> None:
-        prev = self._state.get(tid)
-        if prev is None:
-            self._state[tid] = (_DEL, before)
-        elif prev[0] == _INS:
-            # insert + delete: the row never existed for the consumer.
-            del self._state[tid]
-        elif prev[0] == _UPD:
-            self._state[tid] = (_DEL, prev[1])
-        # delete + delete: keep the first tombstone.
-
-    # ------------------------------------------------------------------
-    def net_changeset(self) -> ChangeSet:
-        """The coalesced change set (insertion order preserved)."""
-        net = ChangeSet(self.table)
-        for state in self._state.values():
-            if state[0] == _INS:
-                net.inserted.append(state[1])
-            elif state[0] == _UPD:
-                net.updated.append((state[1], state[2]))
-            else:
-                net.deleted.append(state[1])
-        return net
-
-    def net_ops(self) -> int:
-        return len(self._state)
-
-    def coalesced_away(self) -> int:
-        """Operations eliminated by coalescing (raw minus net)."""
-        return self.raw_ops - len(self._state)
-
-    def is_empty(self) -> bool:
-        return not self._state
 
 
 class PolicyGate:

@@ -37,7 +37,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 from ..db.database import Database
 from ..errors import SyncError
@@ -540,18 +540,26 @@ class SyncClient:
                 memtable = self.table(table)
                 base = self.database.table(table)
                 stats = {"upserts": 0, "deletes": 0}
-                # The notification horizon is taken before any row is read, so
-                # a change that lands meanwhile is re-pulled on the next refresh.
-                newest, events = self.center.deltas_since(table, memtable.last_seq_no)
-                if full:
-                    events = [("fill", base.tids())]  # the whole table, one batch
-                # Fold the delta in one event -- one statement's rows -- at a
-                # time and in seq order, so a tid deleted and re-inserted
+                # One critical section: the notification horizon and the row
+                # images are of one committed state -- never part of a
+                # commit, never an open transaction's.
+                with self.database.lock:
+                    newest, events = self.center.deltas_since(
+                        table, memtable.last_seq_no
+                    )
+                    if full:
+                        events = [("fill", base.tids())]  # the whole table, one batch
+                    pulled: list[tuple[Sequence[int], Optional[list[Any]]]] = [
+                        (tids, None if op == "delete" else list(map(base.get, tids)))
+                        for op, tids in events
+                    ]
+                # Fold the delta in one event -- one commit's rows of a kind --
+                # at a time and in seq order, so a tid deleted and re-inserted
                 # replays right.
-                for op, tids in events:
+                for tids, rows in pulled:
                     upserts, deletes = [], tids
-                    if op != "delete":
-                        upserts, deletes = list(map(base.get, tids)), []
+                    if rows is not None:
+                        upserts, deletes = rows, []
                         if None in upserts:
                             # Changed, and gone by now: a later event deleted it.
                             deletes = [t for t, row in zip(tids, upserts) if row is None]

@@ -14,12 +14,18 @@ The center also fans each notification out to in-process listeners --
 the :class:`~repro.sync.server.SyncServer` registers one to push NOTIFY
 messages to remote clients.
 
+The unit is the *commit*: the database hands the center a commit's net
+delta per table (one statement's change set, or a transaction's,
+coalesced), the center logs it as at most one seq-no per op kind -- rows
+that join that commit, one WAL record with the user's -- and the
+listeners are called once, after the log (``Database.after_commit``).
+
 Propagation policies (Section V's P1/P2/P3) are configured per table via
 :meth:`NotificationCenter.set_policy` and applied by the center's
 :class:`~repro.sync.batching.PolicyGate`: under a non-immediate policy
 the trigger path hands the change set to the gate, and a flush records
-the net delta as one seq-no batch, fanned out to the listeners in a
-single call.
+the net delta the same way -- one seq-no batch, one commit, fanned out to
+the listeners in a single call.
 
 Locking: the database fires triggers while holding its global lock, so
 the write path enters here as ``db lock -> gate lock`` / ``db lock ->
@@ -186,13 +192,15 @@ class NotificationCenter:
     # ------------------------------------------------------------------
     def _on_change(self, change: ChangeSet) -> None:
         # Trigger context: the database lock is held here, so taking the
-        # gate/center locks respects the global db -> center order.
+        # gate/center locks respects the global db -> center order.  The
+        # change is a commit's net delta on the table: its log rows join
+        # that commit, the listeners hear of it once it is logged.
         if self._gate.offer(change.table, change):
             return
         with OBS.span("sync.notify", {"table": change.table}) as span:
             events, listeners = self._record(change, span)
             span.set_tag("notifications", len(events))
-            self._fan_out(change.table, events, listeners)
+        self.database.after_commit(self._fan_out, change.table, events, listeners)
 
     def _deliver_flush(self, table: str, coalescer: DeltaCoalescer) -> int:
         # The gate's delivery: database lock held, gate lock not.
@@ -206,15 +214,18 @@ class NotificationCenter:
             return 0
         net_ops = coalescer.net_ops()
         started = time.perf_counter()
+        # One commit for the flush's log rows, wherever it runs: its own,
+        # or -- a count bound reached inside a trigger -- that commit's.
         with OBS.span("sync.flush", {"table": table, "ops": net_ops}) as span:
-            events, listeners = self._record(coalescer.net_changeset(), span)
+            with self.database.transaction():
+                events, listeners = self._record(coalescer.net_changeset(), span)
         if OBS.enabled:
             OBS.metrics.histogram("sync.batch_size", table=table).observe(net_ops)
             OBS.metrics.histogram("sync.flush_ms", table=table).observe(
                 (time.perf_counter() - started) * 1000.0
             )
         self.flushes += 1
-        self._fan_out(table, events, listeners)
+        self.database.after_commit(self._fan_out, table, events, listeners)
         return net_ops
 
     def _record(
@@ -236,22 +247,24 @@ class NotificationCenter:
             )
             if rows
         ]
-        events: list[tuple[str, int]] = []
         with self.database.lock:
             with self._lock:
-                for op, tids in groups:
-                    seq_no = self._next_seq
-                    self._next_seq += 1
-                    event = {"seq_no": seq_no, "table_name": change.table, "op": op}
-                    self.database.insert(
+                first = self._next_seq
+                self._next_seq += len(groups)
+                events = [(op, first + i) for i, (op, _tids) in enumerate(groups)]
+                # Each log's rows together, so the WAL spells each log's
+                # columns once per commit; row at a time: there are <= 3.
+                insert, table = self.database.insert, change.table
+                for op, seq_no in events:
+                    event = {"seq_no": seq_no, "table_name": table, "op": op}
+                    insert(
                         datamodel.T_NOTIFICATION, {**event, "ts": self.database.now()}
                     )
+                for (op, seq_no), (_op, tids) in zip(events, groups):
+                    event = {"seq_no": seq_no, "table_name": table, "op": op}
                     lo, hi = tids[0], tids[-1]
                     listed = None if hi - lo + 1 == len(tids) else tids
-                    self.database.insert(
-                        T_CHANGED_ROWS, {**event, "lo": lo, "hi": hi, "tids": listed}
-                    )
-                    events.append((op, seq_no))
+                    insert(T_CHANGED_ROWS, {**event, "lo": lo, "hi": hi, "tids": listed})
                 listeners = list(self._listeners)
         if OBS.enabled:
             # Register the notify context under (table, seq_no) so the

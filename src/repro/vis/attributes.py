@@ -63,10 +63,10 @@ class VisualItem:
 class VisualAttributesStore:
     """CRUD over the shared VisualAttributes table.
 
-    Items are keyed by ``(component_id, obj_id)``.  Batch upserts go
-    through ``insert_many`` / ``update_by_tids``, so one call produces one
-    statement-level notification for the items it inserts and one for
-    those it updates, whatever the batch size -- the write path Figure 8
+    Items are keyed by ``(component_id, obj_id)``.  A batch upsert is one
+    transaction of an ``insert_many`` and an ``update_by_tids``, so one
+    call is one commit -- one WAL record, one notification frame carrying
+    its net delta -- whatever the batch size: the write path Figure 8
     measures ("Inserting tuples in VisualAttributes table").
     """
 
@@ -90,8 +90,8 @@ class VisualAttributesStore:
         """Upsert a batch of items for one component; returns rows written.
 
         New ``obj_id``s are inserted and existing ones updated in place,
-        one statement each for the whole batch.  An ``obj_id`` given twice
-        is written once, with its last item.
+        one statement each for the whole batch, in one commit.  An
+        ``obj_id`` given twice is written once, with its last item.
         """
         if not items:
             return 0
@@ -112,8 +112,7 @@ class VisualAttributesStore:
                 }
             else:
                 fresh.append(item)
-        self._insert_new(component_id, fresh)
-        self._update(moved)
+        self._upsert(component_id, fresh, moved)
         return len(latest)
 
     def write_positions(
@@ -128,8 +127,7 @@ class VisualAttributesStore:
                 moved[existing[obj_id][1]] = {"x": x, "y": y}
             else:
                 fresh.append(VisualItem(obj_id=obj_id, x=x, y=y))
-        self._update(moved)
-        self._insert_new(component_id, fresh)
+        self._upsert(component_id, fresh, moved)
         return len(positions)
 
     def _update(self, changes_by_tid: dict[int, dict[str, Any]]) -> int:
@@ -140,20 +138,30 @@ class VisualAttributesStore:
             datamodel.T_VISUAL_ATTRIBUTES, changes_by_tid
         )
 
-    def _insert_new(self, component_id: int, items: list[VisualItem]) -> None:
-        """Insert items with distinct, unseen ``obj_id``s as one statement."""
-        if not items:
-            return
+    def _upsert(
+        self,
+        component_id: int,
+        fresh: list[VisualItem],
+        moved: dict[int, dict[str, Any]],
+    ) -> None:
+        """Insert ``fresh`` (distinct, unseen ``obj_id``s) and apply
+        ``moved`` as ONE commit of at most two statements: one WAL record,
+        one notification of the net delta, both or neither."""
         next_id = self._allocator.next_id
-        stored = self.database.insert_many(
-            datamodel.T_VISUAL_ATTRIBUTES,
-            [
-                item.to_row(component_id, next_id(datamodel.T_VISUAL_ATTRIBUTES))
-                for item in items
-            ],
-        )
+        rows = [
+            item.to_row(component_id, next_id(datamodel.T_VISUAL_ATTRIBUTES))
+            for item in fresh
+        ]
+        with self.database.transaction():
+            stored = (
+                self.database.insert_many(datamodel.T_VISUAL_ATTRIBUTES, rows)
+                if rows
+                else []
+            )
+            self._update(moved)
+        # Cached once committed: a failing update takes the insert with it.
         existing = self._index(component_id)
-        for item, row in zip(items, stored):
+        for item, row in zip(fresh, stored):
             existing[item.obj_id] = (row["id"], row[TID])
 
     def _index(self, component_id: int) -> dict[Any, tuple[int, int]]:

@@ -264,17 +264,28 @@ def preload(db, rows):
             db.insert("t", values)
 
 
-@given(schemas, st.lists(good_rows, min_size=5, max_size=12), statements)
+@given(
+    schemas,
+    st.lists(good_rows, min_size=5, max_size=12),
+    statements,
+    st.integers(1, 4),
+)
 @settings(max_examples=200, deadline=None)
-def test_batch_equals_row_at_a_time(shape, stock, script):
+def test_batch_equals_row_at_a_time(shape, stock, script, span):
     with tempfile.TemporaryDirectory() as tmp:
         batch_db, batch_mgr = open_twin(shape, Path(tmp) / "batch")
         loop_db, loop_mgr = open_twin(shape, Path(tmp) / "loop")
+        # A third twin runs the batch statements inside transactions that
+        # span up to ``span`` of them: the same rows, the same clock, the
+        # same ``recover()``, whatever the commit boundaries.
+        wrapped_db, wrapped_mgr = open_twin(shape, Path(tmp) / "wrapped")
         batch_changes = create(batch_db, shape)
         loop_changes = create(loop_db, shape)
-        preload(batch_db, stock)
-        preload(loop_db, stock)
+        create(wrapped_db, shape)
+        for database in (batch_db, loop_db, wrapped_db):
+            preload(database, stock)
         history = []
+        group, grouped = contextlib.ExitStack(), 0
         for statement, mode in script:
             before = state(batch_db)
             error = run(batch_db, statement, mode, batch=True)
@@ -296,16 +307,33 @@ def test_batch_equals_row_at_a_time(shape, stock, script):
                 assert str(error) == str(expected)
             assert state(batch_db) == state(loop_db)
             assert flatten(batch_changes) == flatten(loop_changes)
+            if mode == "rollback":
+                # Its own transaction, between two groups.
+                group.close()
+                grouped = 0
+                run(wrapped_db, statement, mode, batch=True)
+            else:
+                if not grouped:
+                    group.enter_context(wrapped_db.transaction())
+                # A failing statement costs the open transaction nothing.
+                wrapped_error = run(wrapped_db, statement, "auto", batch=True)
+                assert type(wrapped_error) is type(error)
+                grouped = (grouped + 1) % span
+                if not grouped:
+                    group.close()
+            assert state(wrapped_db) == state(batch_db)
+        group.close()
         if shape["durable"]:
-            batch_mgr.close()
-            loop_mgr.close()
-            # One bulk record per statement or one record per row: the
-            # log replays to the same tables (and the same clock) either way.
+            for manager in (batch_mgr, loop_mgr, wrapped_mgr):
+                manager.close()
+            # One bulk record per statement, one record per row or one
+            # record per transaction: the log replays to the same tables
+            # (and the same clock) either way.
             live = [list(r.items()) for r in batch_db.table("t").rows()]
-            recovered = [recover(Path(tmp) / name) for name in ("batch", "loop")]
+            recovered = [recover(Path(tmp) / name) for name in ("batch", "loop", "wrapped")]
             for database in recovered:
                 assert [list(r.items()) for r in database.table("t").rows()] == live
-            assert recovered[0].now() == recovered[1].now()
+            assert recovered[0].now() == recovered[1].now() == recovered[2].now()
 
 
 def test_updates_are_drawn_in_a_quarter_of_the_programs():
@@ -631,8 +659,9 @@ def test_failed_update_in_a_transaction_rolls_back_to_nothing(case):
 def test_failed_update_in_a_transaction_commits_only_what_succeeded(case, tmp_path):
     statement, error = FAILING_UPDATES[case]
     db, manager = _unique_db(tmp_path)
-    fired = []
-    db.on("t", ("update",), fired.append)
+    fired, committed = [], []
+    db.on("t", ("insert", "update", "delete"), fired.append)
+    db.add_commit_hook(committed.append)
     with db.transaction():
         db.insert("t", {"id": 4, "u": 4})
         with pytest.raises(error):
@@ -641,7 +670,15 @@ def test_failed_update_in_a_transaction_commits_only_what_succeeded(case, tmp_pa
     assert [(r["id"], r["u"]) for r in db.table("t").rows()] == [
         (1, 1), (2, 2), (3, 3), (4, 6),
     ]
-    assert [[after["id"] for _before, after in c.updated] for c in fired] == [[4]]
+    # The triggers see the transaction's net delta, once: the row arrives
+    # as it was left (insert + update -> insert of the last image) ...
+    (net,) = fired
+    assert [(r["id"], r["u"]) for r in net.inserted] == [(4, 6)]
+    assert not net.updated and not net.deleted
+    # ... while the log keeps the two statements that succeeded, in order.
+    ((inserted, updated),) = committed
+    assert [(r["id"], r["u"]) for r in inserted.inserted] == [(4, 4)]
+    assert [after["u"] for _before, after in updated.updated] == [6]
     assert db.now() == 5  # 3 + the insert + the update: the failure took no tick
     manager.close()
     recovered = recover(tmp_path)

@@ -102,9 +102,13 @@ class TestUpdate:
         rows = [table.insert({"id": i, "qty": i}) for i in (1, 2, 3)]
         pairs = table.update_many({3: {"qty": "30"}, 1: {"id": 10, "qty": 10}})
         assert [(b["qty"], a["qty"]) for b, a in pairs] == [(3, 30), (1, 10)]
-        assert pairs[0][1] is rows[2] and pairs[1][1] is rows[0]
+        # Copy on write: the stored dict is the after image, the dict it
+        # replaced -- what the insert returned -- is the before image, untouched.
+        assert pairs[0][1] is table.get(3) and pairs[1][1] is table.get(1)
+        assert pairs[0][0] is rows[2] and pairs[1][0] is rows[0]
+        assert rows[2]["qty"] == 3 and rows[0]["id"] == 1
         assert [a[UPDATED_AT] for _b, a in pairs] == [4, 5] and clock(0) == 5
-        assert table.by_key(10) is rows[0] and table.by_key(1) is None
+        assert table.by_key(10) is pairs[1][1] and table.by_key(1) is None
         assert table.update_many({}) == []
         # One row: update_row's own calls.
         ((before, after),) = table.update_many({2: {"name": "two"}})

@@ -1,4 +1,4 @@
-"""WAL framing, torn-tail detection, fsync policies, txn grouping."""
+"""WAL framing, torn-tail detection, fsync policies, the commit record."""
 
 import os
 
@@ -8,10 +8,8 @@ from repro.db.wal import (
     FSYNC_ALWAYS,
     FSYNC_INTERVAL,
     FSYNC_NEVER,
-    KIND_BEGIN,
     KIND_COMMIT,
     KIND_DDL,
-    KIND_OP,
     WriteAheadLog,
     committed_transactions,
     encode_record,
@@ -83,8 +81,7 @@ class TestFsyncPolicies:
     def test_always_syncs_every_commit(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "w.log", fsync=FSYNC_ALWAYS)
         for txn in range(3):
-            wal.append({"k": KIND_BEGIN, "x": txn})
-            wal.append({"k": KIND_COMMIT, "x": txn, "clk": txn})
+            wal.append({"k": KIND_COMMIT, "x": txn, "ops": [], "clk": txn})
             wal.commit_point()
         assert wal.syncs == 3
         assert wal.synced_offset == wal.offset
@@ -143,11 +140,12 @@ class TestFsyncPolicies:
             group_interval_ms=60_000,
         )
         for txn in range(20):
-            wal.append({"k": KIND_BEGIN, "x": txn})
-            wal.append({"k": KIND_COMMIT, "x": txn, "clk": txn})
+            wal.append({"k": KIND_DDL, "op": "create", "t": f"t{txn}", "clk": txn})
+            wal.append({"k": KIND_COMMIT, "x": txn, "ops": [], "clk": txn})
             wal.commit_point()
         wal.close()
         records, _ = read_wal(tmp_path / "w.log")
+        assert [r.kind for r in records] == [KIND_DDL, KIND_COMMIT] * 20
         xs = [r.payload["x"] for r in records if r.kind == KIND_COMMIT]
         assert xs == list(range(20))
         assert wal.commits == 20
@@ -206,21 +204,21 @@ class TestCrashPoints:
     def test_crash_before_append_leaves_no_trace(self, tmp_path):
         crash = CrashInjector(CrashPlan("wal.append", at=1))
         wal = WriteAheadLog(tmp_path / "w.log", crash=crash)
-        wal.append({"k": KIND_BEGIN, "x": 1})
+        wal.append({"k": KIND_COMMIT, "x": 1, "ops": [], "clk": 1})
         with pytest.raises(SimulatedCrash):
-            wal.append({"k": KIND_COMMIT, "x": 1, "clk": 1})
+            wal.append({"k": KIND_COMMIT, "x": 2, "ops": [], "clk": 2})
         records, _ = read_wal(tmp_path / "w.log")
-        assert [r.kind for r in records] == [KIND_BEGIN]
+        assert [r.payload["x"] for r in records] == [1]
 
     def test_torn_write_leaves_partial_record(self, tmp_path):
         crash = CrashInjector(CrashPlan("wal.append", at=1, torn_bytes=5))
         wal = WriteAheadLog(tmp_path / "w.log", crash=crash)
-        wal.append({"k": KIND_BEGIN, "x": 1})
+        wal.append({"k": KIND_COMMIT, "x": 1, "ops": [], "clk": 1})
         with pytest.raises(SimulatedCrash):
-            wal.append({"k": KIND_COMMIT, "x": 1, "clk": 1})
+            wal.append({"k": KIND_COMMIT, "x": 2, "ops": [], "clk": 2})
         size = os.path.getsize(tmp_path / "w.log")
         records, offset = read_wal(tmp_path / "w.log")
-        assert [r.kind for r in records] == [KIND_BEGIN]
+        assert [r.payload["x"] for r in records] == [1]
         assert offset < size  # the torn 5 bytes are detected as damage
 
     def test_power_loss_drops_unsynced_bytes(self, tmp_path):
@@ -251,31 +249,37 @@ class TestCrashPoints:
 class TestCommittedTransactions:
     def test_groups_in_commit_order(self, tmp_path):
         path = tmp_path / "w.log"
+        op = {"op": "i", "t": "t", "r": {}}
         payloads = [
-            {"k": KIND_BEGIN, "x": 1},
-            {"k": KIND_OP, "x": 1, "op": "i", "t": "t", "r": {}},
-            {"k": KIND_COMMIT, "x": 1, "clk": 5},
+            {"k": KIND_COMMIT, "x": 1, "ops": [op], "clk": 5},
             {"k": KIND_DDL, "op": "create", "t": "u", "clk": 6},
-            {"k": KIND_BEGIN, "x": 2},
-            {"k": KIND_COMMIT, "x": 2, "clk": 7},
+            {"k": KIND_COMMIT, "x": 2, "ops": [op, op], "clk": 7},
         ]
         path.write_bytes(b"".join(encode_record(p) for p in payloads))
         records, _ = read_wal(path)
         groups = list(committed_transactions(records))
         assert [clk for clk, _ in groups] == [5, 6, 7]
-        assert len(groups[0][1]) == 1  # the single op
+        assert [len(ops) for _, ops in groups] == [1, 1, 2]
         assert groups[1][1][0]["k"] == KIND_DDL
 
     def test_in_flight_transaction_is_dropped(self, tmp_path):
+        # Was: a begin without its commit.  A commit is one record now, so
+        # the crash's in-flight commit is a partial line the CRC cuts off.
         path = tmp_path / "w.log"
-        payloads = [
-            {"k": KIND_BEGIN, "x": 1},
-            {"k": KIND_COMMIT, "x": 1, "clk": 1},
-            {"k": KIND_BEGIN, "x": 2},  # crashed before committing
-            {"k": KIND_OP, "x": 2, "op": "i", "t": "t", "r": {}},
-        ]
-        path.write_bytes(b"".join(encode_record(p) for p in payloads))
-        records, _ = read_wal(path)
+        whole = encode_record({"k": KIND_COMMIT, "x": 1, "ops": [], "clk": 1})
+        in_flight = encode_record(
+            {"k": KIND_COMMIT, "x": 2, "ops": [{"op": "i", "t": "t", "r": {}}], "clk": 2}
+        )
+        path.write_bytes(whole + in_flight[:-7])
+        records, good = read_wal(path)
+        assert good == len(whole)
         groups = list(committed_transactions(records))
         assert len(groups) == 1
         assert groups[0][0] == 1
+
+    def test_a_record_kind_of_the_three_record_format_is_refused(self, tmp_path):
+        path = tmp_path / "w.log"
+        path.write_bytes(encode_record({"k": "b", "x": 1}))
+        records, _ = read_wal(path)
+        with pytest.raises(DatabaseError, match="unknown kind 'b'"):
+            list(committed_transactions(records))

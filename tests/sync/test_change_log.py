@@ -4,11 +4,12 @@
 when the event's tids are contiguous, else the ascending list -- and
 ``NotificationCenter.deltas_since`` is its one reader.  The oracle at the
 top replays generated scripts against a per-tid reference model folded
-from the ``ChangeSet``s a trigger of the test's own saw, under every
-propagation policy and across purges; below it, the counts that make the
-representation worth having, the replay cases one refresh window must
-get right, and the structural tripwire that keeps the per-tid write from
-coming back.
+from the statements' ``ChangeSet``s as a commit hook of the test's own
+saw them -- one statement, or the statements of one transaction, netted
+per table by the model itself -- under every propagation policy and
+across purges; below it, the counts that make the representation worth
+having, the replay cases one refresh window must get right, and the
+structural tripwire that keeps the per-tid write from coming back.
 """
 
 import random
@@ -18,9 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import datamodel
-from repro.db import Column, Database, col
+from repro.db import Column, Database, col, open_durable
 from repro.db.schema import TID
 from repro.db.types import INTEGER
+from repro.db.wal import FSYNC_NEVER
 from repro.errors import ConstraintViolation
 from repro.sync import (
     IMMEDIATE,
@@ -54,9 +56,10 @@ def make_db(*tables):
 # (a) statement-granular log == per-tid reference model
 class Model:
     """What the per-tid log held: one ``(seq_no, table, op, tids)`` entry
-    per recorded event, folded from the change sets a trigger registered
-    *after* the center's saw -- alone under an immediate policy, coalesced
-    since the last flush under a buffering one."""
+    per recorded event, folded from the statements each commit's hook
+    lists -- a commit's statements on one table netted into one delta,
+    recorded alone under an immediate policy, coalesced since the last
+    flush under a buffering one."""
 
     def __init__(self, db, center):
         self.db, self.center = db, center
@@ -67,12 +70,16 @@ class Model:
         self.ids = iter(range(1, 10_000))
         for name in TABLES:
             center.watch(name)
-            db.on(name, ("insert", "update", "delete"), self.saw)
+        db.add_commit_hook(self.committed)
 
-    def saw(self, change):
-        self.buffers[change.table].add(change)
-        if self.center.pending_ops(change.table) == 0:
-            self.fold(change.table)  # recorded inline, or flushed just now
+    def committed(self, changes):
+        # Statement order; the center's own rows (other tables) follow.
+        statements = [change for change in changes if change.table in TABLES]
+        for change in statements:
+            self.buffers[change.table].add(change)
+        for table in dict.fromkeys(change.table for change in statements):
+            if self.center.pending_ops(table) == 0:
+                self.fold(table)  # recorded inline, or flushed just now
 
     def fold(self, table):
         net = self.buffers[table].net_changeset()
@@ -249,15 +256,25 @@ def calls_into(db, method):
     return seen
 
 
-def test_a_bulk_statement_logs_one_row_and_purges_one_row():
-    db = make_db("t")
+def test_a_bulk_statement_logs_one_row_and_purges_one_row(tmp_path):
+    db, manager = open_durable(tmp_path, fsync=FSYNC_NEVER)
+    db.create_table(
+        "t", [Column("id", INTEGER, nullable=False), Column("v", INTEGER)], primary_key="id"
+    )
     center = NotificationCenter(db)
     center.watch("t")
     inserts, bulk_inserts = calls_into(db, "insert"), calls_into(db, "insert_many")
+    commits = []
+    db.add_commit_hook(lambda changes: commits.append([c.table for c in changes]))
+    appends = manager.stats()["wal_appends"]
     db.insert_many("t", [{"id": i, "v": 0} for i in range(1000)])
     logs = [datamodel.T_NOTIFICATION, T_CHANGED_ROWS]
     assert sorted(inserts) == sorted(logs)
     assert bulk_inserts == ["t"]
+    # The two log rows arrive in the statement's own commit: one hook
+    # call, one WAL record (it was three commits of three records each).
+    assert commits == [["t", *logs]]
+    assert manager.stats()["wal_appends"] == appends + 1
     (row,) = db.table(T_CHANGED_ROWS).rows()
     assert (row["lo"], row["hi"], row["tids"]) == (1, 1000, None)
     assert len(center.changes_since("t", 0)[1]) == 1000
@@ -270,6 +287,7 @@ def test_a_bulk_statement_logs_one_row_and_purges_one_row():
     assert center.purge() == 1
     assert sorted(deleted) == sorted((name, 1) for name in logs)
     assert all(len(db.table(name)) == 0 for name in logs)
+    manager.close()
 
 
 def test_refresh_applies_one_batch_per_event():
@@ -383,3 +401,23 @@ def test_a_failed_update_leaves_the_mirror_nothing_to_miss():
 def test_no_per_tid_log_write_and_no_op_tuple_apply_left_in_src():
     assert not _hits(r"insert_many\(", [SRC / "sync" / "notification.py"])
     assert not _hits(r"\.apply_ops\b|def apply_ops\(self", SRC.rglob("*.py"))
+
+
+def test_at_most_one_log_row_per_event_whatever_call_writes_it():
+    """The tripwire's intent, counted: a commit of many statements over
+    many tids adds one row per event to each log -- three here, one per
+    op kind of the table's net delta."""
+    db = make_db("t")
+    center = NotificationCenter(db)
+    center.watch("t")
+    db.insert_many("t", [{"id": i, "v": 0} for i in range(1, 101)])
+    before = [len(db.table(name)) for name in (datamodel.T_NOTIFICATION, T_CHANGED_ROWS)]
+    with db.transaction():
+        for tid in range(1, 41):
+            db.update_by_tid("t", tid, {"v": tid})
+        db.delete("t", col("id") > 90)
+        db.insert_many("t", [{"id": i, "v": 0} for i in range(200, 230)])
+    after = [len(db.table(name)) for name in (datamodel.T_NOTIFICATION, T_CHANGED_ROWS)]
+    assert [b - a for a, b in zip(before, after)] == [3, 3]
+    assert [op for _seq, op in center.notifications_since("t", 1)] == list(OPS)
+    center.close()

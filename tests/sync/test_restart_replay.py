@@ -9,7 +9,7 @@ remembers its position can replay exactly what it missed.
 
 import pytest
 
-from repro.db import open_durable
+from repro.db import col, open_durable
 from repro.sync import NotificationCenter, SyncClient, SyncServer
 
 
@@ -131,6 +131,42 @@ class TestRestartReplay:
         reattach(client, db3, server3)
         client.refresh("pts")
         assert {r["id"] for r in mirror.all_rows()} == {1, 2, 3, 4}
+
+    def test_restart_between_two_multi_statement_commits(self, durable_stack):
+        """A transaction is one commit: its rows and the net delta's log
+        rows are on disk together, so a server that dies between two of
+        them replays the first whole and numbers the second on from it."""
+        directory, db, _server, client = durable_stack
+        mirror = client.mirror("pts")
+        position = mirror.last_seq_no
+        with db.transaction():
+            db.insert("pts", {"id": 3, "x": 3.0})
+            db.update("pts", {"x": 9.0}, col("id") == 1)
+            db.update("pts", {"x": 3.5}, col("id") == 3)  # nets into the insert
+            db.delete("pts", col("id") == 2)
+
+        db2, center2, server2 = restart(directory)
+        missed = center2.notifications_since("pts", position)
+        assert [op for _seq, op in missed] == ["insert", "update", "delete"]
+        assert [seq for seq, _op in missed] == [position + 1, position + 2, position + 3]
+        reattach(client, db2, server2)
+        assert client.refresh("pts") == {"upserts": 2, "deletes": 1}
+        assert {r["id"]: r["x"] for r in mirror.all_rows()} == {1: 9.0, 3: 3.5}
+
+        with db2.transaction():
+            db2.insert("pts", {"id": 4, "x": 4.0})
+            db2.delete("pts", col("id") == 3)
+            db2.insert("pts", {"id": 5, "x": 5.0})
+            db2.delete("pts", col("id") == 5)  # annihilates its insert
+        db3, center3, server3 = restart(directory)
+        assert center3.notifications_since("pts", position + 3) == [
+            (position + 4, "insert"),
+            (position + 5, "delete"),
+        ]
+        reattach(client, db3, server3)
+        assert client.refresh("pts") == {"upserts": 1, "deletes": 1}
+        assert mirror.all_rows() == [dict(r) for r in db3.table("pts").rows()]
+        assert {r["id"] for r in mirror.all_rows()} == {1, 4}
 
     def test_drained_log_never_reissues_consumed_sequence_numbers(self, durable_stack):
         """A deployment that purges after every frame (Fig. 8, step 11)

@@ -1,11 +1,13 @@
-"""One store call is at most two statements, whatever the batch size.
+"""One store call is one commit of at most two statements, whatever the
+batch size.
 
 ``VisualAttributesStore.write`` is one ``insert_many`` for the new items
-and one ``update_by_tids`` for the existing ones; ``write_positions`` the
-same; ``select`` one ``update_by_tids``.  Counted where a statement
-leaves a mark: the commit hook (one WAL commit of user rows), the
-Notification row and its ``ediflow_changed_rows`` row, and the NOTIFY a
-socket client receives.
+and one ``update_by_tids`` for the existing ones in one transaction;
+``write_positions`` the same; ``select`` one ``update_by_tids``.  Counted
+where a commit leaves a mark: the commit hook (one call, whose list is
+the statements' rows then the Notification / ``ediflow_changed_rows``
+rows their trigger wrote), the WAL (one record), the center's listeners
+(one call with the net delta's events) and the socket (one frame).
 """
 
 import time
@@ -38,9 +40,31 @@ class Stack:
         self.client.on_notify(
             lambda table, op, seq_no: self.notified.append((table, op, seq_no))
         )
+        #: One entry per commit-hook call: its change sets as
+        #: ``(table, inserted, updated, deleted)`` counts, in list order.
         self.commits = []
-        self.db.add_commit_hook(
-            lambda changes: self.commits.extend(c for c in changes if c.table == T_ATTRS)
+        #: The user statements' change sets themselves, in log order.
+        self.statements = []
+
+        def committed(changes):
+            self.commits.append(
+                [
+                    (c.table, len(c.inserted), len(c.updated), len(c.deleted))
+                    for c in changes
+                ]
+            )
+            self.statements.extend(c for c in changes if c.table == T_ATTRS)
+
+        self.db.add_commit_hook(committed)
+        #: One entry per listener call / per frame the socket client read.
+        self.listened, self.frames = [], []
+        self.center.add_batch_listener(
+            lambda table, events: self.listened.append((table, list(events)))
+        )
+        note = self.client._note_frame_context
+        self.client._note_frame_context = lambda table, seq_no, message: (
+            self.frames.append(message["type"]),
+            note(table, seq_no, message),
         )
         self.seq = self.newest_seq()
 
@@ -66,6 +90,12 @@ class Stack:
             assert time.monotonic() < deadline, "the sentinel NOTIFY never arrived"
             time.sleep(0.001)
         return [(op, seq_no) for _table, op, seq_no in self.notified[:-1]]
+
+    def log_rows(self, count):
+        """What a commit's trigger adds to its list for ``count`` events."""
+        return [(datamodel.T_NOTIFICATION, 1, 0, 0)] * count + [
+            (T_CHANGED_ROWS, 1, 0, 0)
+        ] * count
 
     def close(self):
         self.client.close()
@@ -100,9 +130,10 @@ def items(new, existing):
     ],
 )
 def test_a_write_is_one_statement_per_kind(stack, new, existing, ops):
+    appends = stack.manager.stats()["wal_appends"]
     assert stack.store.write(1, items(new, existing)) == new + existing
     events = stack.events()
-    # One Notification seq-no and one change-log row per statement ...
+    # One Notification seq-no and one change-log row per op kind ...
     assert [e["op"] for e in events] == ops
     assert [e["seq_no"] for e in events] == list(
         range(stack.seq + 1, stack.seq + 1 + len(ops))
@@ -111,12 +142,19 @@ def test_a_write_is_one_statement_per_kind(stack, new, existing, ops):
     for event in events:
         if event["op"] == "update":
             assert (event["lo"], event["hi"], event["tids"]) == (1, existing, None)
-    # One WAL commit of user rows per statement.
-    assert [
-        (len(c.inserted), len(c.updated), len(c.deleted)) for c in stack.commits
-    ] == [(new, 0, 0)] * (new > 0) + [(0, existing, 0)] * (existing > 0)
-    # One NOTIFY per statement at the socket client.
-    assert stack.notifies() == [(e["op"], e["seq_no"]) for e in events]
+    # ONE commit: the hook is called once, with the statements' rows in
+    # statement order, then the rows their trigger wrote; one WAL record.
+    assert stack.commits == [
+        [(T_ATTRS, new, 0, 0)] * (new > 0)
+        + [(T_ATTRS, 0, existing, 0)] * (existing > 0)
+        + stack.log_rows(len(ops))
+    ] * bool(ops)
+    assert stack.manager.stats()["wal_appends"] == appends + bool(ops)
+    # One listener call with the net delta's events, one frame on the socket.
+    expected = [(e["op"], e["seq_no"]) for e in events]
+    assert stack.listened == [(T_ATTRS, expected)] * bool(ops)
+    assert stack.notifies() == expected
+    assert len(stack.frames) == bool(ops) + 1  # + the sentinel's
     # One refresh folds them all.
     stack.client.refresh(T_ATTRS)
     assert stack.mirror.all_rows() == [
@@ -128,14 +166,19 @@ def test_write_positions_is_one_update_and_one_insert(stack):
     positions = {obj_id: (obj_id * 2.0, 3.0) for obj_id in (8, 2, 5, 11, 12)}
     assert stack.store.write_positions(1, positions) == 5
     events = stack.events()
+    # One commit, one net delta: an event per op kind, insert first.
     assert [(e["op"], e["lo"], e["hi"], e["tids"]) for e in events] == [
-        ("update", 3, 9, [3, 6, 9]),
         ("insert", 11, 12, None),
+        ("update", 3, 9, [3, 6, 9]),
     ]
-    assert len(stack.commits) == 2
-    # Statement order is the caller's order.
-    assert [after["obj_id"] for _b, after in stack.commits[0].updated] == [8, 2, 5]
+    assert stack.commits == [
+        [(T_ATTRS, 2, 0, 0), (T_ATTRS, 0, 3, 0)] + stack.log_rows(2)
+    ]
+    # Within the UPDATE, the caller's order.
+    assert [after["obj_id"] for _b, after in stack.statements[1].updated] == [8, 2, 5]
+    assert [len(call[1]) for call in stack.listened] == [2]
     assert stack.notifies() == [(e["op"], e["seq_no"]) for e in events]
+    assert len(stack.frames) == 2  # the write's NOTIFYB, the sentinel's NOTIFY
     assert stack.store.get(1, 5).x == 10.0 and stack.store.get(1, 12).y == 3.0
 
 
@@ -146,8 +189,9 @@ def test_select_is_one_update_without_a_table_scan(stack, monkeypatch):
     monkeypatch.undo()
     (event,) = stack.events()
     assert (event["op"], event["tids"]) == ("update", [4, 6, 8])
-    (commit,) = stack.commits
-    assert [after[TID] for _before, after in commit.updated] == [4, 6, 8]
+    assert stack.commits == [[(T_ATTRS, 0, 3, 0)] + stack.log_rows(1)]
+    (statement,) = stack.statements
+    assert [after[TID] for _before, after in statement.updated] == [4, 6, 8]
     assert stack.notifies() == [("update", event["seq_no"])]
     assert stack.store.selected_ids(1) == [3, 5, 7]
     # Flipping back is again one statement; unknown ids flip nothing.
