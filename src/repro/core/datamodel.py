@@ -206,6 +206,10 @@ def install_core_schema(database: Database) -> None:
         primary_key="id",
         foreign_keys=[ForeignKey("component_id", T_VIS_COMPONENT, "id")],
     )
+    # The paper's ``(seq_no, ts, tn, op)`` plus which rows the event
+    # touched: the tids ``lo..hi``, all of them when ``tids`` is NULL,
+    # else exactly the ascending list ``tids`` (a list, not a tuple: WAL
+    # and snapshots are JSON).  The table is the change log.
     mk(
         T_NOTIFICATION,
         [
@@ -213,6 +217,9 @@ def install_core_schema(database: Database) -> None:
             Column("ts", TIMESTAMP, nullable=False),
             Column("table_name", TEXT, nullable=False),
             Column("op", TEXT, nullable=False),
+            Column("lo", INTEGER, nullable=False),
+            Column("hi", INTEGER, nullable=False),
+            Column("tids", ANY),
         ],
         primary_key="seq_no",
     )

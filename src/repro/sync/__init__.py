@@ -29,7 +29,7 @@ from .batching import (
 from .client import SyncClient
 from .faults import FaultPlan, FaultyTransport
 from .memtable import MemoryTable
-from .notification import NotificationCenter, T_CHANGED_ROWS
+from .notification import NotificationCenter
 from .refresher import RefreshDriver
 from .protocol import (
     DISCONNECT,
@@ -68,7 +68,6 @@ __all__ = [
     "RefreshDriver",
     "SyncClient",
     "SyncServer",
-    "T_CHANGED_ROWS",
     "Threshold",
     "decode",
     "encode",

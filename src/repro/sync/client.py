@@ -158,27 +158,32 @@ class SyncClient:
     def _on_local_notify(self, table: str, events: list[tuple[str, int]]) -> None:
         if table not in self._tables:
             return
-        self.notify_received += len(events)
         if OBS.enabled:
             OBS.metrics.counter("sync.client.messages", type="notify").inc(len(events))
+        self._intake(table, events)
+
+    def _intake(self, table: str, events: Sequence[tuple[str, int]]) -> None:
+        """Take in ``(op, seq_no)`` notifications of ``table``, however
+        they arrived (a NOTIFY or NOTIFYB frame, the center's listener, a
+        reconnect's replay): count them, raise the dirty flag, fire the
+        notify hooks.
+
+        Hooks are user code running on liveness-critical threads (the
+        socket read loop, the reconnector); their failures are contained,
+        one raising observer must not kill delivery for everyone else.
+        """
+        self.notify_received += len(events)
         with self._dirty_lock:
             self._dirty.add(table)
         for op, seq_no in events:
-            self._fire_notify_hooks(table, op, seq_no)
-
-    def _fire_notify_hooks(self, table: str, op: str, seq_no: int) -> None:
-        """Invoke notify hooks, containing their failures.
-
-        Hooks are user code running on liveness-critical threads (the
-        socket read loop, the reconnector); one raising observer must not
-        kill delivery for everyone else.
-        """
-        for hook in list(self._hooks):
-            try:
-                hook(table, op, seq_no)
-            except Exception:
-                self.hook_failures += 1
-                OBS.metrics.counter("sync.client.hook_failures", kind="notify").inc()
+            for hook in list(self._hooks):
+                try:
+                    hook(table, op, seq_no)
+                except Exception:
+                    self.hook_failures += 1
+                    OBS.metrics.counter(
+                        "sync.client.hook_failures", kind="notify"
+                    ).inc()
 
     # ------------------------------------------------------------------
     # Status surface
@@ -263,16 +268,9 @@ class SyncClient:
                 # Lowercase so socket and in-process paths share series.
                 OBS.metrics.counter("sync.client.messages", type=kind.lower()).inc()
             if kind == protocol.NOTIFY:
-                table = message["table"]
-                self.notify_received += 1
-                self._note_frame_context(
-                    table, message.get("seq_no", 0), message
-                )
-                with self._dirty_lock:
-                    self._dirty.add(table)
-                self._fire_notify_hooks(
-                    table, message.get("op", ""), message.get("seq_no", 0)
-                )
+                table, seq_no = message["table"], message.get("seq_no", 0)
+                self._note_frame_context(table, seq_no, message)
+                self._intake(table, [(message.get("op", ""), seq_no)])
             elif kind == protocol.NOTIFY_BATCH:
                 table = message["table"]
                 try:
@@ -282,12 +280,8 @@ class SyncClient:
                     # flag still forces a pull, so nothing is lost.
                     events = []
                 self.batch_notifies_received += 1
-                self.notify_received += len(events)
                 self._note_frame_context(table, message.get("hi", 0), message)
-                with self._dirty_lock:
-                    self._dirty.add(table)
-                for op, seq_no in events:
-                    self._fire_notify_hooks(table, op, seq_no)
+                self._intake(table, events)
             elif kind == protocol.PING:
                 # Count before sending: once the frame is on the wire the
                 # server (or a test polling its pongs_received) may observe
@@ -405,14 +399,9 @@ class SyncClient:
         client's last_seq_no" invariant guarantees they still exist)."""
         for table, memtable in list(self._tables.items()):
             missed = self.center.notifications_since(table, memtable.last_seq_no)
-            if not missed:
-                continue
-            with self._dirty_lock:
-                self._dirty.add(table)
-            for seq_no, op in missed:
-                self.notify_received += 1
-                self.replayed_notifications += 1
-                self._fire_notify_hooks(table, op, seq_no)
+            if missed:
+                self.replayed_notifications += len(missed)
+                self._intake(table, [(op, seq_no) for seq_no, op in missed])
 
     def _degrade(self, reason: str) -> None:
         """Fall back to polling the NotificationCenter in-process.
@@ -544,14 +533,14 @@ class SyncClient:
                 # images are of one committed state -- never part of a
                 # commit, never an open transaction's.
                 with self.database.lock:
-                    newest, events = self.center.deltas_since(
-                        table, memtable.last_seq_no
-                    )
+                    events = self.center.events_since(table, memtable.last_seq_no)
+                    newest = events[-1][0] if events else memtable.last_seq_no
+                    batches = [(op, tids) for _seq, op, tids in events]
                     if full:
-                        events = [("fill", base.tids())]  # the whole table, one batch
+                        batches = [("fill", base.tids())]  # the whole table, one batch
                     pulled: list[tuple[Sequence[int], Optional[list[Any]]]] = [
                         (tids, None if op == "delete" else list(map(base.get, tids)))
-                        for op, tids in events
+                        for op, tids in batches
                     ]
                 # Fold the delta in one event -- one commit's rows of a kind --
                 # at a time and in seq order, so a tid deleted and re-inserted
@@ -567,12 +556,16 @@ class SyncClient:
                     memtable.apply_batch(upserts, deletes)
                     stats["upserts"] += len(upserts)
                     stats["deletes"] += len(deletes)
+                moved = newest != memtable.last_seq_no
                 memtable.last_seq_no = newest
                 if traced:
                     self._join_notify_trace(span, table, newest)
                 with self._dirty_lock:
                     self._dirty.discard(table)
-                self.server.update_client_seq(self._cu_ids[table], memtable.last_seq_no)
+                if moved:
+                    # The ConnectedUser cursor already says so otherwise:
+                    # an idle refresh is no commit.
+                    self.server.update_client_seq(self._cu_ids[table], newest)
                 span.set_tag("upserts", stats["upserts"])
                 span.set_tag("deletes", stats["deletes"])
             if traced:

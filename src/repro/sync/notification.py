@@ -2,13 +2,14 @@
 
 "Whenever one such change happens, the corresponding trigger adds to the
 Notification table stored in the database one tuple of the form
-``(seq_no, ts, tn, op)``" (Section VI-C).  Alongside, the change log
-``ediflow_changed_rows`` keeps ONE row per notification, ``(seq_no,
-table_name, op, lo, hi, tids)``: the event touched the tids ``lo..hi``,
-all of them when ``tids`` is NULL (every ``insert_many``, every one-row
+``(seq_no, ts, tn, op)``" (Section VI-C).  That tuple is the change log:
+it also says which rows the event touched -- the tids ``lo..hi``, all of
+them when ``tids`` is NULL (every ``insert_many``, every one-row
 statement), else exactly the ascending list ``tids`` -- so clients can
-pull exactly the changed rows later (the notification itself stays
-minimal; the log is server-side state, never sent over the wire).
+pull exactly the changed rows later (what goes over the wire stays
+``(seq_no, tn, op)``; the tids are server-side state).  The row format
+is known to this module alone; :meth:`NotificationCenter.events_since`
+is its one reader.
 
 The center also fans each notification out to in-process listeners --
 the :class:`~repro.sync.server.SyncServer` registers one to push NOTIFY
@@ -46,14 +47,11 @@ from typing import Any, Callable, Optional, Sequence
 
 from ..core import datamodel
 from ..db.database import Database
-from ..db.schema import TID, Column
+from ..db.schema import TID
 from ..db.table import ChangeSet
-from ..db.types import ANY, INTEGER, TEXT
 from ..errors import SyncError
 from ..obs.runtime import OBS
 from .batching import DeltaCoalescer, PolicyGate, PropagationPolicy
-
-T_CHANGED_ROWS = "ediflow_changed_rows"
 
 #: Listener signature: (table_name, [(op, seq_no), ...]) -- one call per
 #: recorded event group (singletons included), in seq order.
@@ -66,31 +64,19 @@ class NotificationCenter:
     def __init__(self, database: Database) -> None:
         self.database = database
         datamodel.install_core_schema(database)
-        if not database.has_table(T_CHANGED_ROWS):
-            database.create_table(
-                T_CHANGED_ROWS,
-                [
-                    Column("seq_no", INTEGER, nullable=False),
-                    Column("table_name", TEXT, nullable=False),
-                    Column("op", TEXT, nullable=False),
-                    Column("lo", INTEGER, nullable=False),
-                    Column("hi", INTEGER, nullable=False),
-                    # A list, not a tuple: WAL and snapshots are JSON.
-                    Column("tids", ANY),
-                ],
-            )
-        elif database.table(T_CHANGED_ROWS).schema.has_column("tid"):
+        log = database.table(datamodel.T_NOTIFICATION)
+        if not log.schema.has_column("tids"):
             raise SyncError(
-                f"{T_CHANGED_ROWS} holds one row per tid, the shape of an "
-                "older version; this one logs one row per event"
+                f"{datamodel.T_NOTIFICATION} lacks the changed tids, the shape "
+                "of an older version that logged them in a second table; "
+                "this one keeps one log"
             )
-        # Replay queries (changes_since / notifications_since) are range
-        # scans on seq_no -- keep both tables sorted-indexed so a client
-        # pulling a small tail never pays for the whole log.
-        for name in (datamodel.T_NOTIFICATION, T_CHANGED_ROWS):
-            table = database.table(name)
-            if not table.has_index(f"ix_{name}_seq"):
-                table.create_index(f"ix_{name}_seq", ("seq_no",), sorted=True)
+        # Replay is a range scan on seq_no -- keep the log sorted-indexed
+        # so a client pulling a small tail never pays for the whole of it.
+        if not log.has_index(f"ix_{datamodel.T_NOTIFICATION}_seq"):
+            log.create_index(
+                f"ix_{datamodel.T_NOTIFICATION}_seq", ("seq_no",), sorted=True
+            )
         self._watched: set[str] = set()
         self._listeners: list[BatchListener] = []
         self._lock = threading.RLock()
@@ -115,7 +101,7 @@ class NotificationCenter:
     # ------------------------------------------------------------------
     def watch(self, table: str) -> None:
         """Install CREATE/UPDATE/DELETE monitoring on ``table``."""
-        if table in (datamodel.T_NOTIFICATION, T_CHANGED_ROWS):
+        if table == datamodel.T_NOTIFICATION:
             raise SyncError(f"cannot watch the notification machinery table {table!r}")
         with self._lock:
             if table in self._watched:
@@ -231,10 +217,9 @@ class NotificationCenter:
     def _record(
         self, change: ChangeSet, span: Any
     ) -> tuple[list[tuple[str, int]], list[BatchListener]]:
-        """Log ``change`` as one seq-no per op kind -- one Notification
-        row and one changed-rows row each -- and link each to ``span``;
-        returns the ``(op, seq_no)`` events and the listeners to hand
-        them to."""
+        """Log ``change`` as one seq-no, one Notification row, per op
+        kind and link each to ``span``; returns the ``(op, seq_no)``
+        events and the listeners to hand them to."""
         # Each event's tids are logged ascending (a coalesced delta or a
         # delete_by_tids may list them otherwise) and are distinct, so
         # ``hi - lo`` tells a contiguous run, stored as its bounds alone.
@@ -252,19 +237,21 @@ class NotificationCenter:
                 first = self._next_seq
                 self._next_seq += len(groups)
                 events = [(op, first + i) for i, (op, _tids) in enumerate(groups)]
-                # Each log's rows together, so the WAL spells each log's
-                # columns once per commit; row at a time: there are <= 3.
-                insert, table = self.database.insert, change.table
-                for op, seq_no in events:
-                    event = {"seq_no": seq_no, "table_name": table, "op": op}
-                    insert(
-                        datamodel.T_NOTIFICATION, {**event, "ts": self.database.now()}
-                    )
+                # Row at a time: there are <= 3.
                 for (op, seq_no), (_op, tids) in zip(events, groups):
-                    event = {"seq_no": seq_no, "table_name": table, "op": op}
                     lo, hi = tids[0], tids[-1]
-                    listed = None if hi - lo + 1 == len(tids) else tids
-                    insert(T_CHANGED_ROWS, {**event, "lo": lo, "hi": hi, "tids": listed})
+                    self.database.insert(
+                        datamodel.T_NOTIFICATION,
+                        {
+                            "seq_no": seq_no,
+                            "ts": self.database.now(),
+                            "table_name": change.table,
+                            "op": op,
+                            "lo": lo,
+                            "hi": hi,
+                            "tids": None if hi - lo + 1 == len(tids) else tids,
+                        },
+                    )
                 listeners = list(self._listeners)
         if OBS.enabled:
             # Register the notify context under (table, seq_no) so the
@@ -287,66 +274,49 @@ class NotificationCenter:
 
     # ------------------------------------------------------------------
     # Client pull support
-    def deltas_since(
+    def events_since(
         self, table: str, last_seq_no: int
-    ) -> tuple[int, list[tuple[str, Sequence[int]]]]:
-        """The events on ``table`` after ``last_seq_no``, one ``(op,
-        tids)`` each in seq order: the log's one reader.
+    ) -> list[tuple[int, str, Sequence[int]]]:
+        """The events on ``table`` after ``last_seq_no``, one ``(seq_no,
+        op, tids)`` each in seq order: the log's one reader.
 
         ``tids`` is ascending -- a ``range``, or the stored list (read
-        it, never change it).  Returns ``(newest_seq_no, events)``;
-        replaying the events in order yields the current state.  The
-        snapshot is taken under the database lock so a concurrent purge
-        (which deletes log rows) can never shift the scan mid-iteration.
+        it, never change it); replaying the events in order yields the
+        current state.  One slice of the sorted seq_no index the
+        constructor guarantees (a reconnecting client pulls a short tail
+        of a long log), taken under the database lock so a concurrent
+        purge (which deletes log rows) can never shift the scan
+        mid-iteration.  The purge horizon (step 11) keeps every event of
+        a table above the ``last_seq_no`` of each of its connected
+        clients, so a reconnecting client's replay is lossless.
         """
-        newest = last_seq_no
-        events: list[tuple[str, Sequence[int]]] = []
+        events: list[tuple[int, str, Sequence[int]]] = []
         with self.database.lock:
             with self._lock:
-                for row in self._rows_after(T_CHANGED_ROWS, last_seq_no):
+                log = self.database.table(datamodel.T_NOTIFICATION)
+                index = log.find_sorted_index("seq_no")
+                for seq_no, tid in index.slice(last_seq_no, None, include_low=False):
+                    row = log.get(tid)
                     if row["table_name"] == table:
-                        newest = row["seq_no"]
                         tids = row["tids"]
                         if tids is None:
                             tids = range(row["lo"], row["hi"] + 1)
-                        events.append((row["op"], tids))
-        return newest, events
+                        events.append((seq_no, row["op"], tids))
+        return events
 
     def changes_since(
         self, table: str, last_seq_no: int
     ) -> tuple[int, list[tuple[int, str]]]:
-        """:meth:`deltas_since` flattened to one ``(tid, op)`` per changed
-        row, in ``(seq_no, tid)`` order."""
-        newest, events = self.deltas_since(table, last_seq_no)
-        return newest, [(tid, op) for op, tids in events for tid in tids]
-
-    def _rows_after(self, table_name: str, last_seq_no: int) -> list[dict[str, Any]]:
-        """Rows of ``table_name`` with ``seq_no > last_seq_no``, in seq
-        order: one slice of the sorted seq_no index the constructor
-        guarantees (a reconnecting client pulls a short tail of a long
-        log).  Callers hold the database lock."""
-        table = self.database.table(table_name)
-        index = table.find_sorted_index("seq_no")
-        get = table.get
-        return [
-            get(tid) for _seq, tid in index.slice(last_seq_no, None, include_low=False)
-        ]
+        """:meth:`events_since` flattened to one ``(tid, op)`` per changed
+        row, in ``(seq_no, tid)`` order, behind the newest seq-no read."""
+        events = self.events_since(table, last_seq_no)
+        newest = events[-1][0] if events else last_seq_no
+        return newest, [(tid, op) for _seq, op, tids in events for tid in tids]
 
     def notifications_since(self, table: str, last_seq_no: int) -> list[tuple[int, str]]:
-        """All ``(seq_no, op)`` notifications on ``table`` after ``last_seq_no``.
-
-        Used by reconnecting clients to *replay* what they missed while
-        their transport was down: the purge horizon (step 11) keeps every
-        notification of a table above the ``last_seq_no`` of each of its
-        connected clients, so the replay is lossless.
-        """
-        with self.database.lock:
-            with self._lock:
-                return [
-                    (row["seq_no"], row["op"])
-                    for row in self._rows_after(datamodel.T_NOTIFICATION, last_seq_no)
-                    if row["table_name"] == table
-                ]
+        """:meth:`events_since` as the ``(seq_no, op)`` notifications a
+        client missed while its transport was down."""
+        return [(seq, op) for seq, op, _tids in self.events_since(table, last_seq_no)]
 
     def purge(self) -> int:
         """Drop the notifications their table's clients have all consumed.
@@ -360,7 +330,7 @@ class NotificationCenter:
         removed.
 
         Runs under the database lock (then the center lock) so it is
-        serialized against in-flight ``changes_since`` scans -- a refresh
+        serialized against in-flight :meth:`events_since` scans -- a refresh
         taking its seq snapshot can never observe a half-purged log.
         """
         with self.database.lock:
@@ -369,17 +339,11 @@ class NotificationCenter:
                 for row in self.database.table(datamodel.T_CONNECTED_USER).scan():
                     name, seq = row["table_name"], row["last_seq_no"]
                     horizons[name] = min(seq, horizons.get(name, seq))
-                removed = self._drop_consumed(datamodel.T_NOTIFICATION, horizons)
-                self._drop_consumed(T_CHANGED_ROWS, horizons)
-                return removed
-
-    def _drop_consumed(self, log_name: str, horizons: dict[str, int]) -> int:
-        """Delete, as one statement and in tid order as ``DELETE ...
-        WHERE`` lists them, the rows of one log table at or below their
-        table's horizon: one read per logged event."""
-        tids = sorted(
-            row[TID]
-            for row in self.database.table(log_name).scan()
-            if row["seq_no"] <= horizons.get(row["table_name"], row["seq_no"])
-        )
-        return self.database.delete_by_tids(log_name, tids)
+                # One statement, in tid order as ``DELETE ... WHERE``
+                # lists them: one read per logged event.
+                consumed = sorted(
+                    row[TID]
+                    for row in self.database.table(datamodel.T_NOTIFICATION).scan()
+                    if row["seq_no"] <= horizons.get(row["table_name"], row["seq_no"])
+                )
+                return self.database.delete_by_tids(datamodel.T_NOTIFICATION, consumed)

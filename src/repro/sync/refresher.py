@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 from ..errors import SyncError
 from ..obs.runtime import OBS
-from .client import SyncClient
+from .client import CLOSED, SyncClient
 
 #: Called after each automatic refresh: (table, stats-dict).
 RefreshListener = Callable[[str, dict[str, int]], None]
@@ -44,6 +44,11 @@ class RefreshDriver:
         # Counters (tests and dashboards read these).
         self.refreshes = 0
         self.coalesced_rows = 0
+        #: Refreshes that raised with the client still open, and the
+        #: latest such error: a display that stopped following its table
+        #: must not look like one whose table went quiet.
+        self.refresh_errors = 0
+        self.last_error: Optional[BaseException] = None
 
     # ------------------------------------------------------------------
     def on_refresh(self, listener: RefreshListener) -> None:
@@ -85,10 +90,16 @@ class RefreshDriver:
                     continue  # rate limit: let further NOTIFYs coalesce
                 try:
                     stats = self.client.refresh(table)
-                except Exception:
-                    # The client may be closing; stop quietly.
-                    self._stop.set()
-                    return
+                except Exception as exc:
+                    if self.client.status == CLOSED:
+                        self._stop.set()  # nothing left to follow
+                        return
+                    # The table stays dirty: retried once min_period passed.
+                    self.refresh_errors += 1
+                    self.last_error = exc
+                    OBS.metrics.counter("sync.refresher.errors", table=table).inc()
+                    self._last_refresh[table] = time.monotonic()
+                    continue
                 self._last_refresh[table] = time.monotonic()
                 self.refreshes += 1
                 self.coalesced_rows += stats.get("upserts", 0) + stats.get(

@@ -23,12 +23,9 @@ from repro.db.transactions import Transaction
 from repro.db.types import INTEGER
 from repro.db.wal import FSYNC_NEVER, KIND_COMMIT, read_wal
 from repro.errors import DatabaseError
-from repro.sync import T_CHANGED_ROWS, NotificationCenter
+from repro.sync import NotificationCenter
 
 from ..sync.test_policy_gate import SRC, _hits
-
-LOG_ROWS = [datamodel.T_NOTIFICATION, T_CHANGED_ROWS]
-
 
 class Boom(Exception):
     pass
@@ -86,8 +83,8 @@ def stack(tmp_path):
 
 def log_rows(events):
     """What the center's trigger adds for one net delta of ``events`` op
-    kinds: the Notification rows, then the changed-rows rows."""
-    return [(name, 1, 0, 0) for name in LOG_ROWS for _ in range(events)]
+    kinds: one Notification row each."""
+    return [(datamodel.T_NOTIFICATION, 1, 0, 0)] * events
 
 
 # ----------------------------------------------------------------------
@@ -139,8 +136,9 @@ def test_a_transaction_is_one_commit_and_one_net_delta_per_table(stack):
     ]
     assert stack.new_appends() == 1
     # The net insert carries the last image.
-    newest, events = stack.center.deltas_since("a", 1)
-    assert [(op, list(tids)) for op, tids in events] == [
+    assert [
+        (op, list(tids)) for _seq, op, tids in stack.center.events_since("a", 1)
+    ] == [
         ("insert", [4]),
         ("update", [3]),
         ("delete", [1]),
@@ -320,8 +318,9 @@ def test_one_wal_record_per_commit(stack):
     commits = [r.payload for r in records if r.kind == KIND_COMMIT]
     assert [sorted(p) for p in commits] == [["clk", "k", "ops", "x"]] * 2
     assert [[op["t"] for op in p["ops"]] for p in commits] == [
-        ["a", *LOG_ROWS],
-        ["a", "b", *LOG_ROWS, *LOG_ROWS],
+        ["a", datamodel.T_NOTIFICATION],
+        # The two tables' log rows are one run of inserts: one op.
+        ["a", "b", datamodel.T_NOTIFICATION],
     ]
 
 
@@ -350,7 +349,6 @@ def test_a_run_of_statements_on_one_table_is_one_op_of_the_record(stack):
         ("I", "a", 1),
         ("D", "a", 1),
         ("I", datamodel.T_NOTIFICATION, 1),
-        ("I", T_CHANGED_ROWS, 1),
     ]
     assert db.table("a").by_key(0)["v"] == 2
     stack.assert_recovers_to_live()

@@ -16,7 +16,6 @@ from repro.db.types import INTEGER, TEXT
 from repro.errors import DatabaseError
 from repro.obs import OBS
 from repro.sync import NotificationCenter
-from repro.sync.notification import T_CHANGED_ROWS
 
 
 def state_bytes(database, tmp_path, tag):
@@ -200,23 +199,22 @@ class TestNotificationTablesSurviveRestart:
         path = tmp_path / "s.snap"
         save_snapshot(db, path)
         restored = load_snapshot(path)
-        for table in (datamodel.T_NOTIFICATION, T_CHANGED_ROWS):
-            assert [dict(r) for r in restored.table(table).rows()] == [
-                dict(r) for r in db.table(table).rows()
-            ]
+        assert [dict(r) for r in restored.table(datamodel.T_NOTIFICATION).rows()] == [
+            dict(r) for r in db.table(datamodel.T_NOTIFICATION).rows()
+        ]
 
     def test_sequence_numbers_continue_after_recovery(self, tmp_path):
         directory = tmp_path / "data"
         db, manager = open_durable(directory)
         center = self._center_with_traffic(db)
-        top = max(r["seq_no"] for r in db.table(datamodel.T_NOTIFICATION).rows())
-        logged = [dict(r) for r in db.table(T_CHANGED_ROWS).rows()]
+        logged = [dict(r) for r in db.table(datamodel.T_NOTIFICATION).rows()]
+        top = max(r["seq_no"] for r in logged)
         assert [r["tids"] for r in logged] == [None, None, None, None, [1, 3]]
         changes = center.changes_since("pts", 0)
         manager.close()
 
         recovered = recover(directory)
-        assert [dict(r) for r in recovered.table(T_CHANGED_ROWS).rows()] == logged
+        assert [dict(r) for r in recovered.table(datamodel.T_NOTIFICATION).rows()] == logged
         center2 = NotificationCenter(recovered)
         assert center2.changes_since("pts", 0) == changes
         center2.watch("pts")

@@ -1,15 +1,16 @@
 """The change log is statement-granular; what it *says* is still per tid.
 
-``ediflow_changed_rows`` holds one row per recorded event -- a tid range
-when the event's tids are contiguous, else the ascending list -- and
-``NotificationCenter.deltas_since`` is its one reader.  The oracle at the
-top replays generated scripts against a per-tid reference model folded
-from the statements' ``ChangeSet``s as a commit hook of the test's own
-saw them -- one statement, or the statements of one transaction, netted
-per table by the model itself -- under every propagation policy and
-across purges; below it, the counts that make the representation worth
-having, the replay cases one refresh window must get right, and the
-structural tripwire that keeps the per-tid write from coming back.
+The Notification table is the change log: one row per recorded event --
+a tid range when the event's tids are contiguous, else the ascending
+list -- and ``NotificationCenter.events_since`` is its one reader.  The
+oracle at the top replays generated scripts against a per-tid reference
+model folded from the statements' ``ChangeSet``s as a commit hook of the
+test's own saw them -- one statement, or the statements of one
+transaction, netted per table by the model itself -- under every
+propagation policy and across purges; below it, the counts that make the
+representation worth having, the replay cases one refresh window must
+get right, and the structural tripwires that keep the per-tid write and
+the second log table from coming back.
 """
 
 import random
@@ -27,7 +28,6 @@ from repro.errors import ConstraintViolation
 from repro.sync import (
     IMMEDIATE,
     MANUAL,
-    T_CHANGED_ROWS,
     NotificationCenter,
     SyncClient,
     SyncServer,
@@ -38,6 +38,7 @@ from repro.sync.batching import DeltaCoalescer
 from .test_policy_gate import SRC, _hits
 
 TABLES = ("t", "u")
+LOG = datamodel.T_NOTIFICATION
 OPS = (datamodel.OP_INSERT, datamodel.OP_UPDATE, datamodel.OP_DELETE)
 
 
@@ -65,6 +66,7 @@ class Model:
         self.db, self.center = db, center
         self.log = []
         self.next_seq = 1
+        self.log_commits = []  # per commit: the log's (inserted, deleted) rows
         self.buffers = {name: DeltaCoalescer(name) for name in TABLES}
         self.clients = {name: [] for name in TABLES}
         self.ids = iter(range(1, 10_000))
@@ -74,6 +76,13 @@ class Model:
 
     def committed(self, changes):
         # Statement order; the center's own rows (other tables) follow.
+        self.log_commits.append(
+            [
+                (len(change.inserted), len(change.deleted))
+                for change in changes
+                if change.table == LOG
+            ]
+        )
         statements = [change for change in changes if change.table in TABLES]
         for change in statements:
             self.buffers[change.table].add(change)
@@ -157,18 +166,25 @@ class Model:
             for entry in self.log
             if self.clients[entry[1]] and entry[0] > min(self.clients[entry[1]])
         ]
-        assert self.center.purge() == len(self.log) - len(kept)
+        commits = len(self.log_commits)
+        dropped = len(self.log) - len(kept)
+        assert self.center.purge() == dropped
+        # One DELETE statement in one commit (none for an empty purge).
+        assert self.log_commits[commits:] == ([[(0, dropped)]] if dropped else [])
         self.log = kept
 
     # -- the comparison ------------------------------------------------
     def check(self, cursor):
-        stored = list(self.db.table(T_CHANGED_ROWS).rows())
+        # Exactly one Notification row per recorded event, and no other.
+        stored = list(self.db.table(LOG).rows())
         assert [
             (row["seq_no"], row["table_name"], row["op"]) for row in stored
         ] == [entry[:3] for entry in self.log]
         for row, (_seq, _table, _op, tids) in zip(stored, self.log):
             contiguous = tids == list(range(tids[0], tids[-1] + 1))
+            assert row["lo"] <= row["hi"]
             assert (row["lo"], row["hi"]) == (tids[0], tids[-1])
+            # NULL iff the event is the contiguous run lo..hi.
             assert row["tids"] == (None if contiguous else tids)
         for table in TABLES:
             for since in {0, cursor % self.next_seq, self.next_seq - 1}:
@@ -178,8 +194,13 @@ class Model:
                     newest,
                     [(tid, op) for _s, _t, op, tids in after for tid in tids],
                 )
+                events = self.center.events_since(table, since)
+                assert [(seq, op, list(tids)) for seq, op, tids in events] == [
+                    (seq, op, tids) for seq, _t, op, tids in after
+                ]
+                # The reconnect replay is the reader's (seq_no, op) projection.
                 assert self.center.notifications_since(table, since) == [
-                    (seq, op) for seq, _t, op, _tids in after
+                    (seq, op) for seq, op, _tids in events
                 ]
 
 
@@ -268,25 +289,23 @@ def test_a_bulk_statement_logs_one_row_and_purges_one_row(tmp_path):
     db.add_commit_hook(lambda changes: commits.append([c.table for c in changes]))
     appends = manager.stats()["wal_appends"]
     db.insert_many("t", [{"id": i, "v": 0} for i in range(1000)])
-    logs = [datamodel.T_NOTIFICATION, T_CHANGED_ROWS]
-    assert sorted(inserts) == sorted(logs)
+    assert inserts == [LOG]
     assert bulk_inserts == ["t"]
-    # The two log rows arrive in the statement's own commit: one hook
-    # call, one WAL record (it was three commits of three records each).
-    assert commits == [["t", *logs]]
+    # The log row arrives in the statement's own commit: one hook call,
+    # one WAL record.
+    assert commits == [["t", LOG]]
     assert manager.stats()["wal_appends"] == appends + 1
-    (row,) = db.table(T_CHANGED_ROWS).rows()
+    (row,) = db.table(LOG).rows()
     assert (row["lo"], row["hi"], row["tids"]) == (1, 1000, None)
     assert len(center.changes_since("t", 0)[1]) == 1000
 
-    deleted = []
-    inner = db.delete_by_tids
-    db.delete_by_tids = lambda table, tids: deleted.append((table, len(tids))) or inner(
-        table, tids
-    )
+    deletes = calls_into(db, "delete_by_tids")
     assert center.purge() == 1
-    assert sorted(deleted) == sorted((name, 1) for name in logs)
-    assert all(len(db.table(name)) == 0 for name in logs)
+    # One DELETE statement, one commit, one WAL record.
+    assert deletes == [LOG]
+    assert commits[1:] == [[LOG]]
+    assert manager.stats()["wal_appends"] == appends + 2
+    assert len(db.table(LOG)) == 0
     manager.close()
 
 
@@ -322,16 +341,15 @@ def test_a_coalesced_flush_of_scattered_tids_stores_one_list():
     center.set_policy("t", MANUAL)
     for tid in range(512, 0, -2):
         db.update_by_tid("t", tid, {"v": 1})
-    assert len(db.table(T_CHANGED_ROWS)) == 0
+    assert len(db.table(LOG)) == 0
     assert center.flush("t") == 256
-    (row,) = db.table(T_CHANGED_ROWS).rows()
+    (row,) = db.table(LOG).rows()
     assert row["op"] == "update"
     assert (row["lo"], row["hi"]) == (2, 512)
     assert row["tids"] == list(range(2, 513, 2))
-    newest, events = center.deltas_since("t", 0)
-    assert events == [("update", row["tids"])]
+    assert center.events_since("t", 0) == [(row["seq_no"], "update", row["tids"])]
     assert center.changes_since("t", 0) == (
-        newest,
+        row["seq_no"],
         [(tid, "update") for tid in range(2, 513, 2)],
     )
     center.close()
@@ -389,7 +407,7 @@ def test_a_failed_update_leaves_the_mirror_nothing_to_miss():
     # Tid 1 could move to id 9; tid 2 cannot follow it there.
     with pytest.raises(ConstraintViolation):
         db.update("t", {"id": 9}, col("id") >= 1)
-    assert len(db.table(T_CHANGED_ROWS)) == 0
+    assert len(db.table(LOG)) == 0
     assert client.refresh("t") == {"upserts": 0, "deletes": 0}
     assert_mirror_is_table(mirror, db)
     client.close()
@@ -397,27 +415,30 @@ def test_a_failed_update_leaves_the_mirror_nothing_to_miss():
 
 
 # ----------------------------------------------------------------------
-# The per-tid write and the per-row apply stay gone.
+# The per-tid write, the per-row apply and the second log table stay gone.
 def test_no_per_tid_log_write_and_no_op_tuple_apply_left_in_src():
     assert not _hits(r"insert_many\(", [SRC / "sync" / "notification.py"])
     assert not _hits(r"\.apply_ops\b|def apply_ops\(self", SRC.rglob("*.py"))
 
 
+def test_no_second_log_table_left_in_src():
+    assert not _hits(r"ediflow_changed_rows|T_CHANGED_ROWS", SRC.rglob("*.py"))
+
+
 def test_at_most_one_log_row_per_event_whatever_call_writes_it():
     """The tripwire's intent, counted: a commit of many statements over
-    many tids adds one row per event to each log -- three here, one per
-    op kind of the table's net delta."""
+    many tids adds one row per event to the log -- three here, one per op
+    kind of the table's net delta."""
     db = make_db("t")
     center = NotificationCenter(db)
     center.watch("t")
     db.insert_many("t", [{"id": i, "v": 0} for i in range(1, 101)])
-    before = [len(db.table(name)) for name in (datamodel.T_NOTIFICATION, T_CHANGED_ROWS)]
+    before = len(db.table(LOG))
     with db.transaction():
         for tid in range(1, 41):
             db.update_by_tid("t", tid, {"v": tid})
         db.delete("t", col("id") > 90)
         db.insert_many("t", [{"id": i, "v": 0} for i in range(200, 230)])
-    after = [len(db.table(name)) for name in (datamodel.T_NOTIFICATION, T_CHANGED_ROWS)]
-    assert [b - a for a, b in zip(before, after)] == [3, 3]
+    assert len(db.table(LOG)) - before == 3
     assert [op for _seq, op in center.notifications_since("t", 1)] == list(OPS)
     center.close()

@@ -5,13 +5,13 @@ and checks the *tables*.  This one runs the same sweep over a deployment
 with consumers -- a durable database, a ``NotificationCenter``, an
 in-process ``SyncServer`` and a client mirroring every watched table --
 and checks what a restarted server can still tell that client.  A commit
-is the user's rows **and** the Notification / ``ediflow_changed_rows``
-rows their trigger wrote, in one WAL record, so after any crash
+is the user's rows **and** the Notification rows their trigger wrote, in
+one WAL record, so after any crash
 
 * the recovered database is the oracle's state after exactly the commits
-  on disk (user tables, both logs and ``ConnectedUser`` alike);
-* ``notifications_since`` and ``deltas_since`` tell the same events, and
-  the seq-nos are gapless;
+  on disk (user tables, the log and ``ConnectedUser`` alike);
+* the log's reader tells every stored event, the seq-nos are gapless, and
+  ``notifications_since`` is its ``(seq_no, op)`` projection;
 * the surviving client, reattached, needs ONE refresh per table for its
   mirror to equal the recovered table.
 
@@ -27,13 +27,13 @@ from repro.db import Column, col, open_durable
 from repro.db.types import FLOAT, INTEGER
 from repro.db.wal import committed_transactions, read_wal
 from repro.faults import CrashInjector, CrashPlan, SimulatedCrash
-from repro.sync import T_CHANGED_ROWS, NotificationCenter, SyncClient, SyncServer
+from repro.sync import NotificationCenter, SyncClient, SyncServer
 from repro.vis import VisualAttributesStore, VisualItem
 
 T_ATTRS = datamodel.T_VISUAL_ATTRIBUTES
 MIRRORED = ("pts", "qs", T_ATTRS)
-LOGS = (datamodel.T_NOTIFICATION, T_CHANGED_ROWS)
-STATE_TABLES = (*MIRRORED, *LOGS, datamodel.T_CONNECTED_USER)
+LOG = datamodel.T_NOTIFICATION
+STATE_TABLES = (*MIRRORED, LOG, datamodel.T_CONNECTED_USER)
 
 
 class Abort(Exception):
@@ -182,23 +182,21 @@ def restart_and_check(directory, client, states, build_records):
     restarted = Deployment(directory)
     db, center = restarted.db, restarted.center
     try:
-        # A committed prefix: user rows, both logs, client positions.
+        # A committed prefix: user rows, the log, client positions.
         assert state(db) == states[commits], f"not the {commits}-commit prefix"
-        # The two logs tell the same events, gaplessly from 1.
-        logged = [
-            [(row["seq_no"], row["table_name"], row["op"]) for row in db.table(log).rows()]
-            for log in LOGS
-        ]
-        assert logged[0] == logged[1]
-        assert [seq for seq, _table, _op in logged[0]] == list(
-            range(1, len(logged[0]) + 1)
-        )
-        assert center._next_seq == len(logged[0]) + 1
+        # The log numbers its events gaplessly from 1 ...
+        logged = [(row["seq_no"], row["table_name"], row["op"]) for row in db.table(LOG).rows()]
+        assert [seq for seq, _table, _op in logged] == list(range(1, len(logged) + 1))
+        assert center._next_seq == len(logged) + 1
+        # ... and its reader tells each of them, under its table.
         for table in MIRRORED:
-            newest, events = center.deltas_since(table, 0)
-            told = center.notifications_since(table, 0)
-            assert [op for _seq, op in told] == [op for op, _tids in events]
-            assert newest == (told[-1][0] if told else 0)
+            events = center.events_since(table, 0)
+            assert [(seq, table, op) for seq, op, _tids in events] == [
+                entry for entry in logged if entry[1] == table
+            ]
+            assert center.notifications_since(table, 0) == [
+                (seq, op) for seq, op, _tids in events
+            ]
         # The surviving client: one refresh per table and it has caught up.
         client.database, client.server, client.center = db, restarted.server, center
         for table in MIRRORED:
@@ -209,8 +207,8 @@ def restart_and_check(directory, client, states, build_records):
             assert client.refresh(table) == {"upserts": 0, "deletes": 0}
         # ... and the restarted server numbers on from there.
         db.insert("pts", {"id": 50, "x": 50.0})
-        assert center.notifications_since("pts", len(logged[0])) == [
-            (len(logged[0]) + 1, "insert")
+        assert center.notifications_since("pts", len(logged)) == [
+            (len(logged) + 1, "insert")
         ]
         assert client.refresh("pts") == {"upserts": 1, "deletes": 0}
     finally:

@@ -1,12 +1,15 @@
 """Notification table, tombstones, listeners, purge (Section VI-C)."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.core import datamodel
-from repro.db import Column, col
-from repro.db.types import INTEGER, TEXT
+from repro.db import Column, col, open_durable
+from repro.db.persistence import load_snapshot
+from repro.db.types import ANY, INTEGER, TEXT, TIMESTAMP
 from repro.errors import SyncError
-from repro.sync import NotificationCenter, SyncClient, SyncServer, T_CHANGED_ROWS
+from repro.sync import NotificationCenter, SyncClient, SyncServer
 
 
 @pytest.fixture
@@ -27,7 +30,8 @@ class TestNotificationRows:
         assert row["table_name"] == "pts"
         assert row["op"] == "insert"
         assert row["seq_no"] == 1
-        assert set(rows[0]) == {"seq_no", "ts", "table_name", "op"}  # compact
+        # Compact: the paper's four columns plus the event's tids, once.
+        assert set(row) == {"seq_no", "ts", "table_name", "op", "lo", "hi", "tids"}
 
     def test_seq_nos_increase(self, setup):
         db, center = setup
@@ -47,7 +51,7 @@ class TestNotificationRows:
         db, center = setup
         db.execute("INSERT INTO pts (id, x) VALUES (1, 0.0), (2, 0.0)")
         # One row for the event; both tids are recoverable from it.
-        (changed,) = db.query(f"SELECT * FROM {T_CHANGED_ROWS}")
+        (changed,) = db.query(f"SELECT * FROM {datamodel.T_NOTIFICATION}")
         assert changed["seq_no"] == 1
         assert (changed["lo"], changed["hi"], changed["tids"]) == (1, 2, None)
         assert center.changes_since("pts", 0) == (1, [(1, "insert"), (2, "insert")])
@@ -74,15 +78,13 @@ class TestNotificationRows:
         db, center = setup
         with pytest.raises(SyncError):
             center.watch(datamodel.T_NOTIFICATION)
-        with pytest.raises(SyncError):
-            center.watch(T_CHANGED_ROWS)
 
     def test_seq_resumes_after_existing_rows(self, db):
         db.execute("CREATE TABLE pts (id INTEGER)")
         datamodel.install_core_schema(db)
         db.insert(
             datamodel.T_NOTIFICATION,
-            {"seq_no": 10, "ts": 1, "table_name": "pts", "op": "insert"},
+            {"seq_no": 10, "ts": 1, "table_name": "pts", "op": "insert", "lo": 1, "hi": 1},
         )
         center = NotificationCenter(db)  # seeds its counter past 10
         center.watch("pts")
@@ -180,7 +182,7 @@ class TestPurge:
         db, center = setup
         db.execute("INSERT INTO pts (id, x) VALUES (1, 0.0)")
         assert center.purge() == 1
-        assert db.query(f"SELECT * FROM {T_CHANGED_ROWS}") == []
+        assert db.query(f"SELECT * FROM {datamodel.T_NOTIFICATION}") == []
 
     def test_quiet_table_does_not_pin_the_log_of_a_busy_one(self, db):
         db.execute("CREATE TABLE a (id INTEGER PRIMARY KEY)")
@@ -198,7 +200,6 @@ class TestPurge:
         # nothing back: the horizon is per table.
         assert (quiet.last_seq_no, busy.last_seq_no) == (0, 100)
         assert len(db.table(datamodel.T_NOTIFICATION)) == 0
-        assert len(db.table(T_CHANGED_ROWS)) == 0
         client.close()
         server.close()
 
@@ -233,16 +234,88 @@ class TestPurge:
         assert center.purge() == 0
 
 
+SECOND_LOG = "ediflow_changed_rows"  # what versions before the one log kept
+EVENT_COLUMNS = [
+    Column("seq_no", INTEGER, nullable=False),
+    Column("table_name", TEXT, nullable=False),
+    Column("op", TEXT, nullable=False),
+    Column("lo", INTEGER, nullable=False),
+    Column("hi", INTEGER, nullable=False),
+    Column("tids", ANY),
+]
+PER_TID_COLUMNS = [
+    Column("seq_no", INTEGER, nullable=False),
+    Column("table_name", TEXT, nullable=False),
+    Column("tid", INTEGER, nullable=False),
+    Column("op", TEXT, nullable=False),
+]
+
+
+def install_two_log_shape(db, second_log_columns):
+    """The tables an older center created: the paper's four-column
+    Notification table and, beside it, the table of changed tids."""
+    db.create_table(
+        datamodel.T_NOTIFICATION,
+        [
+            Column("seq_no", INTEGER, nullable=False),
+            Column("ts", TIMESTAMP, nullable=False),
+            Column("table_name", TEXT, nullable=False),
+            Column("op", TEXT, nullable=False),
+        ],
+        primary_key="seq_no",
+    )
+    db.create_table(SECOND_LOG, second_log_columns)
+
+
 class TestStoredShape:
+    """Replace, not fork: a store an older version wrote is refused, not
+    read through a second path -- and nothing is created in it."""
+
     def test_per_tid_table_of_an_older_version_is_refused(self, db):
-        db.create_table(
-            T_CHANGED_ROWS,
-            [
-                Column("seq_no", INTEGER, nullable=False),
-                Column("table_name", TEXT, nullable=False),
-                Column("tid", INTEGER, nullable=False),
-                Column("op", TEXT, nullable=False),
-            ],
-        )
-        with pytest.raises(SyncError, match=T_CHANGED_ROWS):
+        install_two_log_shape(db, PER_TID_COLUMNS)
+        with pytest.raises(SyncError, match=datamodel.T_NOTIFICATION):
             NotificationCenter(db)
+
+    def test_a_wal_directory_holding_the_second_log_table_is_refused(self, tmp_path):
+        db, manager = open_durable(tmp_path)
+        install_two_log_shape(db, EVENT_COLUMNS)
+        db.insert(
+            datamodel.T_NOTIFICATION,
+            {"seq_no": 1, "ts": 1, "table_name": "pts", "op": "insert"},
+        )
+        db.insert(
+            SECOND_LOG,
+            {"seq_no": 1, "table_name": "pts", "op": "insert", "lo": 1, "hi": 2},
+        )
+        manager.close()
+        recovered, manager = open_durable(tmp_path)
+        assert recovered.has_table(SECOND_LOG)
+        with pytest.raises(SyncError, match="older version"):
+            NotificationCenter(recovered)
+        manager.close()
+
+    def test_a_snapshot_the_parent_commit_wrote_is_refused(self):
+        # Written by NotificationCenter at 83bee68: one watched table,
+        # an insert of two rows and a delete of one.
+        path = Path(__file__).parent / "data" / "two_log_snapshot_83bee68.jsonl"
+        db = load_snapshot(path)
+        assert db.has_table(SECOND_LOG)
+        assert len(db.table(datamodel.T_NOTIFICATION)) == 2
+        tables = set(db.table_names())
+        with pytest.raises(SyncError, match="older version"):
+            NotificationCenter(db)
+        assert set(db.table_names()) == tables
+
+    def test_a_fresh_center_creates_one_log_table_with_two_seq_no_indexes(self, db):
+        before = set(db.table_names())
+        NotificationCenter(db)
+        assert set(db.table_names()) - before == set(datamodel.CORE_TABLES)
+        assert not db.has_table(SECOND_LOG)
+        # seq_no is indexed twice in the whole store: the log's primary
+        # key and the sorted index its one reader slices.
+        assert [
+            name for name in db.table_names() if db.table(name).schema.has_column("seq_no")
+        ] == [datamodel.T_NOTIFICATION]
+        log = db.table(datamodel.T_NOTIFICATION)
+        assert log.find_hash_index("seq_no") is not None
+        assert log.find_sorted_index("seq_no") is not None

@@ -108,6 +108,30 @@ class TestDriver:
         time.sleep(0.05)
         driver.stop()  # must not hang or raise
 
+    def test_a_transient_refresh_error_is_counted_and_retried(self, stack, monkeypatch):
+        """One raising refresh with the client still open used to stop the
+        driver for good, silently: a frozen display that looks quiet."""
+        db, _server, client, mirror = stack
+        reader = client.center.events_since
+        failures = []
+
+        def flaky(table, last_seq_no):
+            if not failures:
+                failures.append(table)
+                raise OSError("transient")
+            return reader(table, last_seq_no)
+
+        monkeypatch.setattr(client.center, "events_since", flaky)
+        with RefreshDriver(client, max_rate=100.0) as driver:
+            db.insert("pts", {"id": 1, "x": 1})
+            assert wait_until(lambda: len(mirror) == 1)
+            assert driver.running()
+            assert driver.refresh_errors == 1
+            assert isinstance(driver.last_error, OSError)
+            assert driver.refreshes >= 1
+        assert failures == ["pts"]
+        assert client.dirty_tables() == set()
+
 
 class TestConcurrencyRegressions:
     """Races between the driver loop, explicit flushes, and purging."""

@@ -69,6 +69,28 @@ class TestRestartReplay:
         assert {r["id"]: r["x"] for r in mirror.all_rows()} == {1: 9.0, 3: 2.0}
         assert mirror.last_seq_no == max(seq for seq, _op in missed)
 
+    def test_a_refresh_that_pulled_nothing_is_no_commit(self, tmp_path):
+        """The ConnectedUser cursor is written when it moves: an idle
+        dashboard cycle costs no commit, no WAL record, no byte."""
+        db, manager = open_durable(tmp_path / "idle")
+        db.execute("CREATE TABLE pts (id INTEGER PRIMARY KEY, x FLOAT)")
+        server = SyncServer(db, NotificationCenter(db), use_sockets=False)
+        client = SyncClient(server)
+        client.mirror("pts")
+        db.execute("INSERT INTO pts (id, x) VALUES (1, 0.0)")
+        before = manager.stats()
+        assert client.refresh("pts") == {"upserts": 1, "deletes": 0}
+        moved = manager.stats()
+        assert moved["commits"] == before["commits"] + 1  # the cursor moved
+        for _ in range(10):
+            assert client.refresh("pts") == {"upserts": 0, "deletes": 0}
+        assert manager.stats() == moved
+        # What the purge horizon reads is where the client stands.
+        assert server.purge_notifications() == 1
+        client.close()
+        server.close()
+        manager.close()
+
     def test_changes_since_survives_restart_verbatim(self, durable_stack):
         directory, db, _server, client = durable_stack
         mirror = client.mirror("pts")

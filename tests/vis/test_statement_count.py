@@ -5,9 +5,9 @@ batch size.
 and one ``update_by_tids`` for the existing ones in one transaction;
 ``write_positions`` the same; ``select`` one ``update_by_tids``.  Counted
 where a commit leaves a mark: the commit hook (one call, whose list is
-the statements' rows then the Notification / ``ediflow_changed_rows``
-rows their trigger wrote), the WAL (one record), the center's listeners
-(one call with the net delta's events) and the socket (one frame).
+the statements' rows then the Notification rows their trigger wrote, one
+per event), the WAL (one record), the center's listeners (one call with
+the net delta's events) and the socket (one frame).
 """
 
 import time
@@ -17,8 +17,8 @@ import pytest
 from repro.core import datamodel
 from repro.db import open_durable
 from repro.db.schema import TID
-from repro.db.wal import FSYNC_NEVER
-from repro.sync import T_CHANGED_ROWS, NotificationCenter, SyncClient, SyncServer
+from repro.db.wal import FSYNC_NEVER, KIND_COMMIT, read_wal
+from repro.sync import NotificationCenter, SyncClient, SyncServer
 from repro.vis import VisualAttributesStore, VisualItem
 
 T_ATTRS = datamodel.T_VISUAL_ATTRIBUTES
@@ -27,6 +27,7 @@ STOCK = 10
 
 class Stack:
     def __init__(self, directory):
+        self.directory = directory
         self.db, self.manager = open_durable(directory, fsync=FSYNC_NEVER)
         self.center = NotificationCenter(self.db)
         self.server = SyncServer(
@@ -76,7 +77,7 @@ class Stack:
         """The change-log rows recorded since the stack was built."""
         return [
             row
-            for row in self.db.table(T_CHANGED_ROWS).rows()
+            for row in self.db.table(datamodel.T_NOTIFICATION).rows()
             if row["seq_no"] > self.seq
         ]
 
@@ -93,9 +94,7 @@ class Stack:
 
     def log_rows(self, count):
         """What a commit's trigger adds to its list for ``count`` events."""
-        return [(datamodel.T_NOTIFICATION, 1, 0, 0)] * count + [
-            (T_CHANGED_ROWS, 1, 0, 0)
-        ] * count
+        return [(datamodel.T_NOTIFICATION, 1, 0, 0)] * count
 
     def close(self):
         self.client.close()
@@ -133,7 +132,7 @@ def test_a_write_is_one_statement_per_kind(stack, new, existing, ops):
     appends = stack.manager.stats()["wal_appends"]
     assert stack.store.write(1, items(new, existing)) == new + existing
     events = stack.events()
-    # One Notification seq-no and one change-log row per op kind ...
+    # One Notification row, one seq-no, per op kind ...
     assert [e["op"] for e in events] == ops
     assert [e["seq_no"] for e in events] == list(
         range(stack.seq + 1, stack.seq + 1 + len(ops))
@@ -160,6 +159,23 @@ def test_a_write_is_one_statement_per_kind(stack, new, existing, ops):
     assert stack.mirror.all_rows() == [
         dict(row) for row in stack.db.table(T_ATTRS).rows()
     ]
+
+
+def test_a_two_kind_write_is_one_wal_record_with_two_log_rows(stack):
+    """A tick that inserts and moves items: the record carries the two
+    user statements and exactly two rows of bookkeeping (it was four)."""
+    tables = set(stack.db.table_names())
+    assert stack.store.write(1, items(3, 4)) == 7
+    stack.manager.wal.sync()
+    (wal_file,) = stack.directory.glob("wal-*.log")
+    records, _good = read_wal(wal_file)
+    ops = [r.payload for r in records if r.kind == KIND_COMMIT][-1]["ops"]
+    assert [
+        (op["op"], op["t"], len(op.get("tids", ())) or len(op["vals"]) // len(op["cols"]))
+        for op in ops
+    ] == [("I", T_ATTRS, 3), ("U", T_ATTRS, 4), ("I", datamodel.T_NOTIFICATION, 2)]
+    assert [e["op"] for e in stack.events()] == ["insert", "update"]
+    assert set(stack.db.table_names()) == tables
 
 
 def test_write_positions_is_one_update_and_one_insert(stack):
