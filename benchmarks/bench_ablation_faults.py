@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro.bench import SeriesTable, Timer
+from benchmarks.support import SeriesTable, Timer
 from repro.db import Column, Database
 from repro.db.types import FLOAT, INTEGER
 from repro.retry import RetryPolicy

@@ -13,7 +13,7 @@ up with the deleted fraction.
 
 import pytest
 
-from repro.bench import SeriesTable, Timer
+from benchmarks.support import SeriesTable, Timer
 from repro.db import Column, Database, col
 from repro.db.types import INTEGER
 from repro.workflow import WorkflowEngine

@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from repro.bench import SeriesTable, Timer
+from benchmarks.support import SeriesTable, Timer
 from repro.db import AggSpec, Column, Database, col
 from repro.db.types import INTEGER, TEXT
 from repro.ivm import AggregateView, Delta, apply_delta

@@ -13,7 +13,7 @@ linearly -- and far below k full recomputations.
 
 import pytest
 
-from repro.bench import SeriesTable, Timer, is_roughly_linear
+from benchmarks.support import SeriesTable, Timer, is_roughly_linear
 from repro.db import Database
 from repro.vis import ScatterPlot, ViewManager, VisualItem
 

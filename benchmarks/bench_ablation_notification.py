@@ -17,7 +17,7 @@ import json
 
 import pytest
 
-from repro.bench import SeriesTable, Timer
+from benchmarks.support import SeriesTable, Timer
 from repro.core import datamodel
 from repro.db import Column, Database
 from repro.db.types import FLOAT, INTEGER

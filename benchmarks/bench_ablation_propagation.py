@@ -15,7 +15,7 @@ report per-statement cost.
 
 import pytest
 
-from repro.bench import SeriesTable, Timer
+from benchmarks.support import SeriesTable, Timer
 from repro.db import Column, Database
 from repro.db.types import INTEGER
 from repro.workflow import (

@@ -12,24 +12,24 @@ shapes the paper's visual-analytics workloads lean on:
   projecting one column.
 * **aggregate**: ``GROUP BY`` with COUNT/SUM/AVG over a 50-group key.
 
-Each arm runs at every scale in ``SCALES``, both engines, best of
+Each arm runs at every scale in ``SCALES``, both engines, median of
 ``REPS``; results are asserted identical between engines before any
 timing is trusted.  The regression gate (vectorized aggregate at the
 largest scale at least ``AGGREGATE_GATE``x faster than the row engine)
 is asserted here and re-checked by CI from ``BENCH_columnar.json`` via
-``check_columnar_regression.py``.
+``run_gates.py --check columnar``.
 
 Scale with ``BENCH_COLUMNAR_ROWS`` (default 1M; CI smoke can run small,
 but the gate is only meaningful at the default scale).
 """
 
 import os
-import random
+import statistics
 import time
 
 import pytest
 
-from repro.bench import SeriesTable, speedup
+from benchmarks.support import AGGREGATE_SQL, GROUPS, SeriesTable, grouped_db, speedup
 from repro.db import Database, Vectorized
 from repro.db.algebra import Plan
 
@@ -37,7 +37,6 @@ MAX_ROWS = int(os.environ.get("BENCH_COLUMNAR_ROWS", "1000000"))
 SCALES = tuple(
     sorted({min(100_000, MAX_ROWS), MAX_ROWS})
 )
-GROUPS = 50
 REPS = 3
 #: The regression gate: the vectorized aggregate must beat the row
 #: engine by this factor at the largest scale.  CI re-checks the same
@@ -47,38 +46,19 @@ AGGREGATE_GATE = 10.0
 QUERIES = {
     "scan_count": "SELECT COUNT(*) AS n FROM big",
     "filter": "SELECT id FROM big WHERE val > 99",
-    "aggregate": (
-        "SELECT grp, COUNT(*) AS n, SUM(val) AS s, AVG(val) AS a "
-        "FROM big GROUP BY grp"
-    ),
+    "aggregate": AGGREGATE_SQL,
 }
 
 
-def _make_db(rows: int) -> Database:
-    db = Database()
-    db.execute(
-        "CREATE TABLE big (id INTEGER PRIMARY KEY, grp TEXT, val FLOAT)"
-    )
-    rng = random.Random(7)
-    db.insert_many(
-        "big",
-        [
-            {"id": i, "grp": f"g{i % GROUPS}", "val": rng.random() * 100}
-            for i in range(rows)
-        ],
-    )
-    return db
-
-
-def _best_of(db: Database, plan: Plan) -> tuple[float, list]:
-    """Best-of-REPS wall time for executing ``plan``."""
+def _median_ms(db: Database, plan: Plan) -> tuple[float, list]:
+    """Median-of-REPS wall time for executing ``plan``."""
     result = plan.to_list(db)  # warm: builds the column store
-    best = float("inf")
+    samples = []
     for _ in range(REPS):
         start = time.perf_counter()
         result = plan.to_list(db)
-        best = min(best, time.perf_counter() - start)
-    return best * 1000.0, result
+        samples.append((time.perf_counter() - start) * 1000.0)
+    return statistics.median(samples), result
 
 
 @pytest.fixture(scope="module")
@@ -89,14 +69,14 @@ def columnar_result(emit, emit_json):
     }
     grid: dict[tuple[str, int], dict[str, float]] = {}
     for rows in SCALES:
-        db = _make_db(rows)
+        db = grouped_db(rows)
         for name, sql in QUERIES.items():
             # The database picks the engine from table size at run time;
             # the bench times both sides of that choice directly.
             plan = db.plan(sql)
             assert isinstance(plan, Vectorized) and plan.chosen(db) is plan
-            row_ms, row_result = _best_of(db, plan.row_plan)
-            vec_ms, vec_result = _best_of(db, plan)
+            row_ms, row_result = _median_ms(db, plan.row_plan)
+            vec_ms, vec_result = _median_ms(db, plan)
             # Identical results are a precondition for trusting the
             # timings: same rows, same key order, same rounding.
             assert sorted(map(repr, row_result)) == sorted(

@@ -15,11 +15,12 @@ Two questions, each with a paper-shaped answer:
   committed batches, timing ``recover(dir)`` at each size, then
   checkpoint and show the redo pass is empty.
 
-Arms are interleaved and overhead is the best *same-repetition* ratio
-over ``BENCH_DURABILITY_REPS`` rounds (the telemetry-overhead bench's
-paired measurement): each round runs baseline and durable arms
-back-to-back, so machine drift between rounds cancels out of the ratio
-instead of inflating it.  Absolute times report the per-arm best.
+The gated pair (in-memory vs ``fsync=interval``) goes through
+``benchmarks.paired.paired_overhead``: each pair runs both pipelines back
+to back, so machine drift between pairs cancels out of the ratio, and the
+``durability`` gate holds the median pair to ``OVERHEAD_GATE``.  The
+``never`` / ``always`` policies are paired with each other the same way,
+for the table.
 
 Scale with ``BENCH_DURABILITY_BATCHES`` x ``BENCH_DURABILITY_ROWS``
 (default 6 x 500; CI smoke runs small).
@@ -31,13 +32,16 @@ import time
 
 import pytest
 
-from repro.bench import InsertPipeline, SeriesTable
 from repro.db import Database, open_durable, recover
 from repro.db.durability import _recover
 
+from benchmarks.fig8_pipeline import InsertPipeline
+from benchmarks.paired import Arm, paired_overhead
+from benchmarks.run_gates import GATES, OVERHEAD_BLOCK, overhead_line
+from benchmarks.support import SeriesTable
+
 BATCHES = int(os.environ.get("BENCH_DURABILITY_BATCHES", "6"))
 BATCH_ROWS = int(os.environ.get("BENCH_DURABILITY_ROWS", "500"))
-REPS = int(os.environ.get("BENCH_DURABILITY_REPS", "4"))
 #: The regression gate: fsync=interval WAL overhead on the insert
 #: pipeline, in percent.  CI re-checks the same number from the JSON.
 OVERHEAD_GATE = 25.0
@@ -47,8 +51,6 @@ OVERHEAD_GATE = 25.0
 #: bursts; steady-state commits never wait on the disk).
 GROUP_COMMITS = 256
 GROUP_INTERVAL_MS = 50.0
-
-ARMS = ("baseline", "never", "interval", "always")
 
 
 def _run_pipeline(database) -> float:
@@ -84,80 +86,68 @@ def _open_arm(arm: str, directory):
 # WAL overhead on the Figure-8 insert pipeline
 @pytest.fixture(scope="module")
 def overhead_result(emit, emit_json, tmp_path_factory):
-    best = {arm: float("inf") for arm in ARMS}
-    best_ratio = {arm: float("inf") for arm in ARMS}
     stats = {}
-    for rep in range(REPS):
-        sample = {}
-        for arm in ARMS:
-            if arm == "baseline":
-                ms = _run_pipeline(Database("fig8"))
-            else:
-                directory = tmp_path_factory.mktemp(f"{arm}-{rep}") / "data"
-                database, manager = _open_arm(arm, directory)
-                ms = _run_pipeline(database)
-                if ms < best[arm]:
-                    stats[arm] = manager.stats()
-                manager.close()
-            sample[arm] = ms
-            best[arm] = min(best[arm], ms)
-        # Pair each durable arm against the SAME round's baseline: the
-        # ratio is immune to machine drift between rounds.
-        for arm in ARMS:
-            best_ratio[arm] = min(best_ratio[arm], sample[arm] / sample["baseline"])
 
-    base = best["baseline"]
-    overheads = {arm: 100.0 * (best_ratio[arm] - 1.0) for arm in ARMS}
+    def durable(policy: str) -> Arm:
+        def arm() -> float:
+            directory = tmp_path_factory.mktemp(policy) / "data"
+            database, manager = _open_arm(policy, directory)
+            try:
+                return _run_pipeline(database)
+            finally:
+                stats[policy] = manager.stats()
+                manager.close()
+
+        return arm
+
+    interval = paired_overhead(
+        lambda: _run_pipeline(Database("fig8")),
+        durable("interval"),
+        GATES["durability"].pairs,
+    )
+    always_over_never = paired_overhead(durable("never"), durable("always"), 4)
+
+    medians = {
+        "baseline": interval.baseline_median,
+        "never": always_over_never.baseline_median,
+        "interval": interval.treated_median,
+        "always": always_over_never.treated_median,
+    }
     table = SeriesTable(
-        "batch_rows",
-        [f"{arm}_ms" for arm in ARMS] + ["interval_overhead_pct"],
+        "batch_rows", [f"{arm}_ms" for arm in medians] + ["interval_overhead_pct"]
     )
     table.add(
         BATCH_ROWS,
-        {f"{arm}_ms": best[arm] for arm in ARMS}
-        | {"interval_overhead_pct": overheads["interval"]},
+        {f"{arm}_ms": ms for arm, ms in medians.items()}
+        | {"interval_overhead_pct": 100.0 * interval.overhead},
     )
-
-    extra = {
-        "batches": BATCHES,
-        "batch_rows": BATCH_ROWS,
-        "reps": REPS,
-        "wal": {
-            arm: {k: s[k] for k in ("commits", "wal_appends", "wal_syncs", "wal_bytes")}
-            for arm, s in stats.items()
-        },
-        "overhead_gate": {
-            "policy": "interval",
-            "baseline_ms": base,
-            "durable_ms": best["interval"],
-            "overhead_pct": overheads["interval"],  # best same-round ratio
-            "required_max_pct": OVERHEAD_GATE,
-        },
-    }
+    block = interval.block(OVERHEAD_GATE / 100.0, "ms")
     emit(
         f"\n== WAL overhead on the Figure-8 insert pipeline, "
         f"{BATCHES} x {BATCH_ROWS} rows (sockets) =="
     )
-    for arm in ARMS:
-        emit(f"  {arm:<9} {best[arm]:9.1f} ms  overhead {overheads[arm]:6.1f}%")
-    emit(
-        f"fsync=interval overhead: {overheads['interval']:.1f}% "
-        f"(gate {OVERHEAD_GATE:.0f}%)"
+    for arm, ms in medians.items():
+        emit(f"  {arm:<9} {ms:9.1f} ms")
+    emit(f"fsync=interval over in-memory: {overhead_line(block)}")
+    emit_json(
+        "durability",
+        table,
+        extra={
+            "batches": BATCHES,
+            "batch_rows": BATCH_ROWS,
+            "wal": {
+                arm: {k: s[k] for k in ("commits", "wal_appends", "wal_syncs", "wal_bytes")}
+                for arm, s in stats.items()
+            },
+            OVERHEAD_BLOCK: block,
+        },
     )
-    emit_json("durability", table, extra=extra)
-    return best, overheads
-
-
-def test_interval_overhead_within_gate(overhead_result):
-    """Group-commit durability stays within the pipeline overhead gate."""
-    _best, overheads = overhead_result
-    assert overheads["interval"] <= OVERHEAD_GATE
+    return always_over_never
 
 
 def test_never_policy_not_slower_than_always(overhead_result):
     """No-fsync logging must not cost more than fsync-per-commit."""
-    best, _overheads = overhead_result
-    assert best["never"] <= best["always"] * 1.15  # generous noise margin
+    assert overhead_result.overhead >= 1 / 1.15 - 1  # generous noise margin
 
 
 # ----------------------------------------------------------------------

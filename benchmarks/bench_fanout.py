@@ -40,7 +40,7 @@ import time
 
 import pytest
 
-from repro.bench import SeriesTable, Timer
+from benchmarks.support import SeriesTable, Timer
 from repro.db import Column, Database
 from repro.db.types import INTEGER
 from repro.sync import NotificationCenter, SyncServer

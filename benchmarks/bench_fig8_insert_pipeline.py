@@ -12,9 +12,8 @@ shape: linearity of the total, and VisualAttributes-insert dominance.
 
 import pytest
 
-from repro.bench import (
-    FIG8_SERIES,
-    InsertPipeline,
+from benchmarks.fig8_pipeline import FIG8_SERIES, InsertPipeline
+from benchmarks.support import (
     SeriesTable,
     dominance_ratio,
     is_roughly_linear,
@@ -40,7 +39,7 @@ def fig8_table(emit, emit_json):
             samples = []
             for _ in range(repetitions):
                 gc.collect()
-                samples.append(pipeline.run_batch(size).as_dict())
+                samples.append(pipeline.run_batch(size))
             best = {
                 series: min(sample[series] for sample in samples)
                 for series in FIG8_SERIES

@@ -7,82 +7,52 @@ baseline on the columnar aggregate bench (the paper's hot
 visual-analytics query shape).
 
 Differencing two multi-second query streams drowns the ~4% signal in
-machine noise, so the gate measures the two quantities that compose it
-directly, each best-of-``REPS``:
+machine noise, so the bench measures the one thing sampling changes --
+what a *captured* query costs over a plain one -- with the one paired
+estimator (``benchmarks.paired.paired_overhead``):
 
-* **per_query_ms** -- one plain vectorized aggregate (the baseline);
-* **captured_ms** -- the same query executed through the in-band
+* **baseline arm** -- one plain vectorized aggregate;
+* **treated arm** -- the same query executed through the in-band
   sampled-capture path (capture returns the result rows, persists edges
   to the store, and the query runs once).
 
-Amortized overhead is then ``(captured_ms - per_query_ms) / (SAMPLE *
-per_query_ms)``: every sampling period pays one capture instead of one
-plain query.  A separate enabled stream still runs to assert the
-sampling machinery fires and captured rows are byte-identical to plain
-execution -- correctness is stream-tested, only the timing is composed.
+Every sampling period pays one capture instead of one plain query, so
+the amortized overhead is the pair ratio divided by ``SAMPLE``, and the
+10% amortized budget is ``0.10 * SAMPLE`` on the ratio itself -- which
+is what the ``lineage`` gate reads.  A separate enabled stream still runs
+to assert the sampling machinery fires and captured rows are
+byte-identical to plain execution -- correctness is stream-tested, only
+the timing is composed.
 
-Results land in ``BENCH_lineage.json`` with a ``lineage_gate`` block
-re-checked by ``check_lineage_regression.py``.  Scale with
-``BENCH_LINEAGE_ROWS`` (default 200k rows).
+Scale with ``BENCH_LINEAGE_ROWS`` (default 200k rows).
 """
 
 import os
-import random
-import time
 
 import pytest
 
-from repro.bench import SeriesTable
 from repro.db import Database
 from repro.lineage.manager import LineageManager
+
+from benchmarks.paired import paired_overhead, timed
+from benchmarks.run_gates import GATES, OVERHEAD_BLOCK, overhead_line
+from benchmarks.support import AGGREGATE_SQL as SQL, grouped_db
 
 ROWS = int(os.environ.get("BENCH_LINEAGE_ROWS", "200000"))
 #: Default sampling period of LineageManager -- the amortization window
 #: the gate assumes (read off the real default, not duplicated here).
 SAMPLE = LineageManager(Database("probe"), store=False).sample
-GROUPS = 50
-REPS = 5
 #: The gate: amortized sampled-capture overhead over the plain baseline,
 #: in percent.
 OVERHEAD_GATE_PCT = 10.0
 
-SQL = (
-    "SELECT grp, COUNT(*) AS n, SUM(val) AS s, AVG(val) AS a "
-    "FROM big GROUP BY grp"
-)
-
-
-def _make_db() -> Database:
-    db = Database()
-    db.execute("CREATE TABLE big (id INTEGER PRIMARY KEY, grp TEXT, val FLOAT)")
-    rng = random.Random(7)
-    db.insert_many(
-        "big",
-        [
-            {"id": i, "grp": f"g{i % GROUPS}", "val": rng.random() * 100}
-            for i in range(ROWS)
-        ],
-    )
-    return db
-
-
-def _best_of(fn) -> float:
-    best = float("inf")
-    for _ in range(REPS):
-        start = time.perf_counter()
-        fn()
-        best = min(best, (time.perf_counter() - start) * 1000.0)
-    return best
-
 
 @pytest.fixture(scope="module")
 def lineage_result(emit, emit_json):
-    db = _make_db()
+    db = grouped_db(ROWS)
     plan = db.plan(SQL)
     assert plan.chosen(db) is plan, "table too small for the vectorized engine"
     baseline = db.query(SQL)  # warm: column store + plan cache
-
-    per_query_ms = _best_of(lambda: db.query(SQL))
 
     # Correctness under the real sampled path: run a stream one sampling
     # period long, assert capture fired and the results never changed.
@@ -98,54 +68,36 @@ def lineage_result(emit, emit_json):
     # what a sampled SELECT pays (maybe_capture returns the rows, so the
     # query is not re-executed).
     store = mgr.store
-    captured_ms = _best_of(
-        lambda: store.record(SQL, "vectorized", mgr.capture(SQL, plan, record=False)[1], ["big"])
+    result = paired_overhead(
+        timed(lambda: db.query(SQL)),
+        timed(
+            lambda: store.record(
+                SQL, "vectorized", mgr.capture(SQL, plan, record=False)[1], ["big"]
+            )
+        ),
+        GATES["lineage"].pairs,
     )
     db.disable_lineage()
 
-    overhead_pct = (captured_ms - per_query_ms) / (SAMPLE * per_query_ms) * 100.0
-    full_ratio = captured_ms / per_query_ms
-
-    table = SeriesTable("rows", ["per_query_ms", "captured_ms"])
-    table.add(ROWS, {"per_query_ms": per_query_ms, "captured_ms": captured_ms})
-    emit(f"\n== lineage capture: vectorized aggregate, {ROWS} rows ==")
-    emit(table.format(unit="ms"))
+    block = result.block(OVERHEAD_GATE_PCT / 100.0 * SAMPLE, "ms")
     emit(
-        f"captured query: {full_ratio:.1f}x plain ({captured_ms:.1f} ms vs "
-        f"{per_query_ms:.1f} ms); amortized at 1/{SAMPLE} sampling: "
-        f"{overhead_pct:+.2f}% (gate {OVERHEAD_GATE_PCT:.0f}%)"
+        f"\n== lineage capture: vectorized aggregate, {ROWS} rows ==\n"
+        f"plain query:    {result.baseline_median:.2f} ms\n"
+        f"captured query: {result.treated_median:.2f} ms\n"
+        f"{overhead_line(block)}\n"
+        f"amortized at 1/{SAMPLE} sampling: {result.overhead / SAMPLE:+.2%} "
+        f"[{result.q1 / SAMPLE:+.2%}, {result.q3 / SAMPLE:+.2%}] "
+        f"(gate {OVERHEAD_GATE_PCT:.0f}%)"
     )
     emit_json(
         "lineage",
-        table,
-        extra={
-            "lineage_gate": {
-                "query": "aggregate",
-                "rows": ROWS,
-                "sample": SAMPLE,
-                "per_query_ms": per_query_ms,
-                "captured_ms": captured_ms,
-                "overhead_pct": overhead_pct,
-                "limit_pct": OVERHEAD_GATE_PCT,
-            },
-            "full_capture": {"ratio": full_ratio},
-        },
+        {"query": "aggregate", "rows": ROWS, "sample": SAMPLE},
+        extra={OVERHEAD_BLOCK: block},
     )
-    return {
-        "per_query_ms": per_query_ms,
-        "captured_ms": captured_ms,
-        "overhead_pct": overhead_pct,
-        "full_ratio": full_ratio,
-    }
-
-
-def test_sampled_capture_clears_overhead_gate(lineage_result):
-    """Default-config lineage stays within 10% of the no-lineage
-    baseline, amortized over the sampling period."""
-    assert lineage_result["overhead_pct"] <= OVERHEAD_GATE_PCT
+    return result
 
 
 def test_full_capture_is_bounded(lineage_result):
     """Unconditional capture pays the whole tax on every query; it should
     cost a modest constant factor over plain execution, not blow up."""
-    assert lineage_result["full_ratio"] < 60.0
+    assert lineage_result.treated_median / lineage_result.baseline_median < 60.0

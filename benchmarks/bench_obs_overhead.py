@@ -11,33 +11,25 @@ the SQL point query -- in absolute microseconds:
 * **enabled**: the public path with tracing on (spans + metrics), for
   context -- this one is allowed to cost real time.
 
-``disabled - floor`` is the statement layer's own cost with tracing off
-and must stay under ``STATEMENT_BUDGET_US``.  (The bench used to compare
-``execute`` with a private untraced twin that differed from it by one
-``if``; that difference was inside the timer's noise, so it gated
-nothing.  There is no twin any more.)
+``disabled`` over ``floor`` is the statement layer's own cost with tracing
+off.  The two arms go through ``benchmarks.paired.paired_overhead`` and
+the ``obs`` gate holds the median pair to ``STATEMENT_BUDGET_US``, stated
+relative to the floor arm's median like every overhead budget.  (The
+bench used to compare ``execute`` with a private untraced twin that
+differed from it by one ``if``; that difference was inside the timer's
+noise, so it gated nothing.  There is no twin any more.)
 
 Scale with ``BENCH_SQL_ROWS`` (default 100k; CI smoke runs small).
 """
 
-import gc
-import os
-import random
-
-import pytest
-
 import repro.obs as obs
-from repro.bench import Timer
-from repro.db import Column, Database
-from repro.db.types import INTEGER, TEXT
 
-ROWS = int(os.environ.get("BENCH_SQL_ROWS", "100000"))
-#: Iterations per timing sample; point queries are a few microseconds,
-#: so each sample aggregates enough work to swamp timer resolution.
+from benchmarks.paired import paired_overhead, timed
+from benchmarks.run_gates import GATES, OVERHEAD_BLOCK, overhead_line
+
+#: Iterations per arm run; point queries are a few microseconds, so each
+#: run aggregates enough work to swamp timer resolution.
 ITERS = 2000
-#: Best-of-N sampling: scheduler hiccups and GC pauses otherwise
-#: dominate single samples at this granularity.
-SAMPLES = 5
 #: What the statement layer (cache lookups, lock, no-op span, Result) may
 #: cost per statement with tracing off: ~3x what it measures today, so
 #: the gate trips on a second lookup or a stray allocation, not on a
@@ -45,42 +37,9 @@ SAMPLES = 5
 STATEMENT_BUDGET_US = 5.0
 
 
-@pytest.fixture(scope="module")
-def point_db():
-    rng = random.Random(7)
-    db = Database()
-    db.create_table(
-        "emp",
-        [
-            Column("id", INTEGER, nullable=False),
-            Column("dept", TEXT),
-            Column("salary", INTEGER),
-        ],
-        primary_key="id",
-    )
-    db.insert_many(
-        "emp",
-        [
-            {"id": i, "dept": f"d{rng.randrange(20)}", "salary": rng.randrange(100_000)}
-            for i in range(ROWS)
-        ],
-    )
-    return db
-
-
-def _best_of(fn, samples=SAMPLES):
-    """Minimum wall-clock ms over ``samples`` runs of ``fn``."""
-    best = float("inf")
-    for _ in range(samples):
-        gc.collect()
-        with Timer() as t:
-            fn()
-        best = min(best, t.ms)
-    return best
-
-
-def test_disabled_obs_overhead_under_budget(point_db, emit, emit_json):
-    sql = f"SELECT * FROM emp WHERE id = {ROWS // 2}"
+def test_disabled_obs_overhead(point_db, emit, emit_json):
+    rows = len(point_db.table("emp"))
+    sql = f"SELECT * FROM emp WHERE id = {rows // 2}"
     point_db.execute(sql)  # warm statement + plan caches
     plan = point_db.plan(sql)
 
@@ -94,43 +53,44 @@ def test_disabled_obs_overhead_under_budget(point_db, emit, emit_json):
         for _ in range(ITERS):
             execute(sql)
 
+    pairs = GATES["obs"].pairs
+    floor, execute = timed(run_floor, 1000 / ITERS), timed(run_execute, 1000 / ITERS)
     obs.disable()
-    floor_us = _best_of(run_floor) / ITERS * 1000
-    disabled_us = _best_of(run_execute) / ITERS * 1000
-    obs.enable()
+    off = paired_overhead(floor, execute, pairs)
+
+    def traced() -> float:
+        obs.enable()
+        try:
+            return execute()
+        finally:
+            obs.disable()
+
     try:
-        enabled_us = _best_of(run_execute) / ITERS * 1000
+        on = paired_overhead(execute, traced, pairs)  # context: not gated
     finally:
-        obs.disable()
         obs.reset()
 
-    statement_off_us = disabled_us - floor_us
-    statement_on_us = enabled_us - floor_us
+    floor_us, disabled_us = off.baseline_median, off.treated_median
+    block = off.block(STATEMENT_BUDGET_US / floor_us, "us")
     emit(
-        f"\n== Observability overhead: SQL point query x{ITERS} ({ROWS} rows) ==\n"
+        f"\n== Observability overhead: SQL point query x{ITERS} ({rows} rows) ==\n"
         f"floor (cached plan.to_list):   {floor_us:.2f} us/query\n"
         f"execute, tracing off:          {disabled_us:.2f} us/query "
-        f"(statement layer {statement_off_us:+.2f} us, "
-        f"{disabled_us / floor_us:.2f}x floor)\n"
-        f"execute, tracing + metrics on: {enabled_us:.2f} us/query "
-        f"(statement layer {statement_on_us:+.2f} us, "
-        f"{enabled_us / disabled_us:.2f}x tracing off)"
+        f"(statement layer {disabled_us - floor_us:+.2f} us of "
+        f"{STATEMENT_BUDGET_US:.1f} us)\n"
+        f"{overhead_line(block)}\n"
+        f"execute, tracing + metrics on: {on.treated_median:.2f} us/query "
+        f"({on.overhead:+.1%} over tracing off, "
+        f"[Q1, Q3] = [{on.q1:+.1%}, {on.q3:+.1%}])"
     )
     emit_json(
         "obs_overhead",
         {
-            "rows": ROWS,
+            "rows": rows,
             "iterations": ITERS,
-            "floor_us": floor_us,
-            "disabled_us": disabled_us,
-            "enabled_us": enabled_us,
-            "statement_off_us": statement_off_us,
-            "statement_on_us": statement_on_us,
             "budget_us": STATEMENT_BUDGET_US,
+            "enabled_us": on.treated_median,
+            "enabled_over_disabled": [on.q1, on.overhead, on.q3],
         },
-    )
-    assert statement_off_us < STATEMENT_BUDGET_US, (
-        f"the statement layer costs {statement_off_us:.2f} us with tracing off "
-        f"(budget {STATEMENT_BUDGET_US:.1f} us) -- "
-        f"floor {floor_us:.2f} us vs execute {disabled_us:.2f} us"
+        extra={OVERHEAD_BLOCK: block},
     )

@@ -30,7 +30,7 @@ import time
 
 import pytest
 
-from repro.bench import SeriesTable, Timer, speedup
+from benchmarks.support import SeriesTable, Timer, speedup
 from repro.db import Column, Database
 from repro.db.schema import TID
 from repro.db.types import INTEGER

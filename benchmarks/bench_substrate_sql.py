@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro.bench import Timer, speedup
+from benchmarks.support import Timer, speedup
 from repro.db import Column, Database
 from repro.db.types import INTEGER, TEXT
 

@@ -21,28 +21,23 @@ are never sampled or approximated: only their *persistence* is
 deduplicated (changed series between keyframes), so counters,
 histograms, and quantiles stay exact.
 
-The sink-vs-enabled delta must stay under 5%.
+The two arms go through ``benchmarks.paired.paired_overhead``: back to
+back, so both sides of each ratio see the same thermal/frequency
+conditions (CPU drift between two sequential blocks on shared hardware
+otherwise dwarfs the ~3% signal).  The ``telemetry`` gate holds the median
+pair to ``OVERHEAD_BUDGET``.
 
 Scale with ``BENCH_SQL_ROWS`` (default 100k; CI smoke runs small).
 """
 
-import gc
-import os
-import random
-
-import pytest
-
 import repro.obs as obs
-from repro.bench import Timer
-from repro.db import Column, Database
-from repro.db.types import INTEGER, TEXT
 from repro.obs.store import TelemetrySink
 
-ROWS = int(os.environ.get("BENCH_SQL_ROWS", "100000"))
-#: Iterations per timing sample (see bench_obs_overhead for rationale).
+from benchmarks.paired import paired_overhead, timed
+from benchmarks.run_gates import GATES, OVERHEAD_BLOCK, overhead_line
+
+#: Iterations per arm run (see bench_obs_overhead for rationale).
 ITERS = 8000
-#: Best-of-N sampling to shed scheduler hiccups and GC pauses.
-SAMPLES = 5
 #: One collect/flush cycle per this many queries.  Collection cadence
 #: is the sink's amortization lever: production sinks collect on a time
 #: interval (hundreds of ms), so one cycle per ~80 ms of query work is
@@ -56,42 +51,9 @@ SPAN_RETENTION = 8
 OVERHEAD_BUDGET = 0.05  # the sink may cost at most 5% on top of tracing
 
 
-@pytest.fixture(scope="module")
-def point_db():
-    rng = random.Random(7)
-    db = Database()
-    db.create_table(
-        "emp",
-        [
-            Column("id", INTEGER, nullable=False),
-            Column("dept", TEXT),
-            Column("salary", INTEGER),
-        ],
-        primary_key="id",
-    )
-    db.insert_many(
-        "emp",
-        [
-            {"id": i, "dept": f"d{rng.randrange(20)}", "salary": rng.randrange(100_000)}
-            for i in range(ROWS)
-        ],
-    )
-    return db
-
-
-def _best_of(fn, samples=SAMPLES):
-    """Minimum wall-clock ms over ``samples`` runs of ``fn``."""
-    best = float("inf")
-    for _ in range(samples):
-        gc.collect()
-        with Timer() as t:
-            fn()
-        best = min(best, t.ms)
-    return best
-
-
-def test_telemetry_sink_overhead_under_budget(point_db, emit, emit_json):
-    sql = f"SELECT * FROM emp WHERE id = {ROWS // 2}"
+def test_telemetry_sink_overhead(point_db, emit, emit_json):
+    rows = len(point_db.table("emp"))
+    sql = f"SELECT * FROM emp WHERE id = {rows // 2}"
     point_db.execute(sql)  # warm statement + plan caches
 
     def run_enabled():
@@ -111,26 +73,13 @@ def test_telemetry_sink_overhead_under_budget(point_db, emit, emit_json):
                 if (i + 1) % COLLECT_EVERY == 0:
                     sink.collect_and_flush()
 
-        # Pair the two variants back-to-back (alternating order) so both
-        # sides of each ratio see the same thermal/frequency conditions;
-        # CPU drift between two sequential best-of blocks on shared
-        # hardware otherwise dwarfs the ~3% signal.  The gate takes the
-        # cleanest observed pair -- the minimum ratio -- because noise
-        # only ever inflates the measured overhead.
         run_enabled()  # warm both code paths once
         run_with_sink()
-        pairs: list[tuple[float, float]] = []
-        for round_no in range(SAMPLES):
-            if round_no % 2 == 0:
-                e = _best_of(run_enabled, samples=1)
-                w = _best_of(run_with_sink, samples=1)
-            else:
-                w = _best_of(run_with_sink, samples=1)
-                e = _best_of(run_enabled, samples=1)
-            pairs.append((e, w))
-        overhead = min(w / e for e, w in pairs) - 1.0
-        enabled_ms = min(e for e, _ in pairs)
-        with_sink_ms = min(w for _, w in pairs)
+        result = paired_overhead(
+            timed(run_enabled, 1000 / ITERS),
+            timed(run_with_sink, 1000 / ITERS),
+            GATES["telemetry"].pairs,
+        )
         collections = sink.collections
         spans_stored = sink.counters()["spans_stored"]
         sampled_out = sink.sampled_out
@@ -140,11 +89,12 @@ def test_telemetry_sink_overhead_under_budget(point_db, emit, emit_json):
         obs.disable()
         obs.reset()
 
+    block = result.block(OVERHEAD_BUDGET, "us")
     emit(
-        f"\n== Telemetry sink overhead: SQL point query x{ITERS} ({ROWS} rows) ==\n"
-        f"tracing enabled, no sink:  {enabled_ms / ITERS * 1000:.2f} us/query\n"
-        f"tracing enabled + sink:    {with_sink_ms / ITERS * 1000:.2f} us/query "
-        f"(best-pair overhead {overhead * 100:+.1f}%)\n"
+        f"\n== Telemetry sink overhead: SQL point query x{ITERS} ({rows} rows) ==\n"
+        f"tracing enabled, no sink:  {result.baseline_median:.2f} us/query\n"
+        f"tracing enabled + sink:    {result.treated_median:.2f} us/query\n"
+        f"{overhead_line(block)}\n"
         f"collect cycles: {collections} (every {COLLECT_EVERY} queries), "
         f"{spans_stored} spans persisted, {sampled_out} sampled out "
         f"(rate {SPAN_SAMPLE}, retention {SPAN_RETENTION} collections)"
@@ -152,19 +102,11 @@ def test_telemetry_sink_overhead_under_budget(point_db, emit, emit_json):
     emit_json(
         "telemetry_overhead",
         {
-            "rows": ROWS,
+            "rows": rows,
             "iterations": ITERS,
             "collect_every": COLLECT_EVERY,
             "span_sample": SPAN_SAMPLE,
             "span_retention": SPAN_RETENTION,
-            "enabled_us": enabled_ms / ITERS * 1000,
-            "with_sink_us": with_sink_ms / ITERS * 1000,
-            "sink_overhead": overhead,
-            "budget": OVERHEAD_BUDGET,
         },
-    )
-    assert overhead < OVERHEAD_BUDGET, (
-        f"telemetry sink costs {overhead * 100:.1f}% "
-        f"(budget {OVERHEAD_BUDGET * 100:.0f}%) -- "
-        f"enabled {enabled_ms:.2f} ms vs with-sink {with_sink_ms:.2f} ms"
+        extra={OVERHEAD_BLOCK: block},
     )

@@ -16,7 +16,7 @@ the co-publication network and assert the speedup.
 import pytest
 
 from repro.apps import copub
-from repro.bench import SeriesTable, Timer, speedup
+from benchmarks.support import SeriesTable, Timer, speedup
 from repro.vis import LinLogLayout
 
 

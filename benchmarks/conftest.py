@@ -2,8 +2,9 @@
 
 ``emit`` prints around pytest's output capture so the paper-style series
 tables land in the terminal (and in ``bench_output.txt`` when tee'd) even
-without ``-s``.  Every emitted block is also appended to
-``benchmarks/results.txt`` for later inspection.
+without ``-s``.
+
+``point_db`` is the table the obs and telemetry overhead benches point-query.
 
 ``emit_json`` writes machine-readable ``BENCH_<name>.json`` files next to
 this conftest (rows, series, units, git revision) so dashboards and
@@ -11,13 +12,16 @@ regression tooling can consume results without scraping the text tables.
 """
 
 import json
+import os
+import random
 import subprocess
 from pathlib import Path
 from typing import Any, Optional
 
 import pytest
 
-RESULTS_FILE = Path(__file__).parent / "results.txt"
+from repro.db import Column, Database
+from repro.db.types import INTEGER, TEXT
 
 
 def _git_rev() -> Optional[str]:
@@ -40,7 +44,7 @@ def _git_rev() -> Optional[str]:
 def emit_json():
     """Write ``benchmarks/BENCH_<name>.json`` for a bench result.
 
-    Accepts a :class:`repro.bench.SeriesTable` (serialized with
+    Accepts a :class:`benchmarks.support.SeriesTable` (serialized with
     ``as_json``) or any JSON-ready mapping (stored under ``"data"``).
     Returns the written path.
     """
@@ -76,15 +80,30 @@ def emit(pytestconfig):
                 print(text)
         else:
             print(text)
-        with open(RESULTS_FILE, "a", encoding="utf-8") as out:
-            out.write(text + "\n")
 
     return _emit
 
 
-def pytest_sessionstart(session):
-    # Fresh results file per run.
-    try:
-        RESULTS_FILE.unlink()
-    except FileNotFoundError:
-        pass
+@pytest.fixture(scope="module")
+def point_db():
+    """``emp(id, dept, salary)`` with ``BENCH_SQL_ROWS`` rows (default 100k;
+    CI smoke runs small)."""
+    rng = random.Random(7)
+    db = Database()
+    db.create_table(
+        "emp",
+        [
+            Column("id", INTEGER, nullable=False),
+            Column("dept", TEXT),
+            Column("salary", INTEGER),
+        ],
+        primary_key="id",
+    )
+    db.insert_many(
+        "emp",
+        [
+            {"id": i, "dept": f"d{rng.randrange(20)}", "salary": rng.randrange(100_000)}
+            for i in range(int(os.environ.get("BENCH_SQL_ROWS", "100000")))
+        ],
+    )
+    return db

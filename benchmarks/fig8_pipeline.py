@@ -23,18 +23,17 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from typing import Optional
 
-from ..core import datamodel
-from ..db.database import Database
-from ..db.schema import Column
-from ..db.types import INTEGER, TEXT
-from ..sync.client import SyncClient
-from ..sync.notification import NotificationCenter
-from ..sync.server import SyncServer
-from ..vis.attributes import VisualAttributesStore, VisualItem
-from ..vis.display import Display
+from repro.core import datamodel
+from repro.db.database import Database
+from repro.db.schema import Column
+from repro.db.types import INTEGER, TEXT
+from repro.sync.client import SyncClient
+from repro.sync.notification import NotificationCenter
+from repro.sync.server import SyncServer
+from repro.vis.attributes import VisualAttributesStore, VisualItem
+from repro.vis.display import Display
 
 T_NODES = "pipeline_author"
 
@@ -49,38 +48,6 @@ FIG8_SERIES = (
 )
 
 
-@dataclass
-class BatchTiming:
-    """Per-step times (ms) for one inserted batch."""
-
-    batch_size: int
-    parse_author_msg: float
-    insert_visualattrs: float
-    parse_visattr_msg: float
-    extract_new_nodes: float
-    insert_into_display: float
-
-    @property
-    def total(self) -> float:
-        return (
-            self.parse_author_msg
-            + self.insert_visualattrs
-            + self.parse_visattr_msg
-            + self.extract_new_nodes
-            + self.insert_into_display
-        )
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "parse_author_msg": self.parse_author_msg,
-            "insert_visualattrs": self.insert_visualattrs,
-            "parse_visattr_msg": self.parse_visattr_msg,
-            "extract_new_nodes": self.extract_new_nodes,
-            "insert_into_display": self.insert_into_display,
-            "total": self.total,
-        }
-
-
 class InsertPipeline:
     """Two-machine notification pipeline over one database."""
 
@@ -88,11 +55,9 @@ class InsertPipeline:
         self,
         database: Optional[Database] = None,
         use_sockets: bool = True,
-        seed: int = 5,
-        component_id: int = 1,
     ) -> None:
         self.database = database or Database("fig8")
-        self.rng = random.Random(seed)
+        self.rng = random.Random(5)
         datamodel.install_core_schema(self.database)
         if not self.database.has_table(T_NODES):
             self.database.create_table(
@@ -106,7 +71,7 @@ class InsertPipeline:
         self.center = NotificationCenter(self.database)
         self.server = SyncServer(self.database, self.center, use_sockets=use_sockets)
         self.store = VisualAttributesStore(self.database)
-        self.component_id = component_id
+        self.component_id = 1
         # Machine 1: computes visual attributes from author changes.
         self.machine1 = SyncClient(self.server)
         self.machine1_nodes = self.machine1.mirror(T_NODES)
@@ -125,8 +90,9 @@ class InsertPipeline:
                 raise TimeoutError(f"no NOTIFY for {table!r} within 10s")
         return (time.perf_counter() - start) * 1000.0
 
-    def run_batch(self, batch_size: int) -> BatchTiming:
-        """Insert ``batch_size`` author tuples and time all five steps."""
+    def run_batch(self, batch_size: int) -> dict[str, float]:
+        """Insert ``batch_size`` author tuples and time all five steps:
+        one value (ms) per series of ``FIG8_SERIES``."""
         rows = []
         for _ in range(batch_size):
             rows.append({"id": self._next_node_id, "name": f"node-{self._next_node_id}"})
@@ -140,7 +106,6 @@ class InsertPipeline:
         start = time.perf_counter()
         self.machine1.refresh(T_NODES)
         t1 += (time.perf_counter() - start) * 1000.0
-        new_nodes = [r for r in rows]
 
         # Step 2: compute + insert the visual attributes (the layout
         # stand-in assigns positions; the dominant cost is the DB write).
@@ -153,7 +118,7 @@ class InsertPipeline:
                 color="#4e79a7",
                 label=row["name"],
             )
-            for row in new_nodes
+            for row in rows
         ]
         self.store.write(self.component_id, items)
         t2 = (time.perf_counter() - start) * 1000.0
@@ -190,14 +155,8 @@ class InsertPipeline:
         # notifications (protocol step 11) so the change log stays small.
         self.server.purge_notifications()
 
-        return BatchTiming(
-            batch_size=batch_size,
-            parse_author_msg=t1,
-            insert_visualattrs=t2,
-            parse_visattr_msg=t3,
-            extract_new_nodes=t4,
-            insert_into_display=t5,
-        )
+        steps = (t1, t2, t3, t4, t5)
+        return dict(zip(FIG8_SERIES, (*steps, sum(steps))))
 
     def close(self) -> None:
         self.machine1.close()

@@ -10,10 +10,17 @@ the CI matrix.
     python benchmarks/run_gates.py fanout          # one gate: bench + check
     python benchmarks/run_gates.py --check fanout  # verdict from the JSON only
     python benchmarks/run_gates.py --list          # enumerate gates
-    python benchmarks/run_gates.py --all           # every gate, stop on fail
+    python benchmarks/run_gates.py --all           # every gate, stop on FAIL
 
 Environment overrides in each gate are CI smoke scales; run the bench
 files directly (or export the variables yourself) for full-scale numbers.
+
+Two kinds of gate.  A *threshold* gate compares one measured value with a
+limit.  An *overhead* gate (``pairs`` set) reads the block
+``benchmarks/paired.py`` emits -- the median overhead over its pairs, the
+quartiles, the minimum detectable effect, both arm medians -- under the
+one rule of ``overhead_verdict``: a gate is never PASS on a reading it
+could not have failed; such a reading is UNRESOLVED (exit 3).
 """
 
 from __future__ import annotations
@@ -26,10 +33,17 @@ import subprocess
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
 REPO = Path(__file__).resolve().parent.parent
 
-COMPARE = {">=": operator.ge, "<=": operator.le, "<": operator.lt}
+COMPARE = {">=": operator.ge, "<=": operator.le}
+
+#: Key of the block every overhead bench emits (``PairedOverhead.block``).
+OVERHEAD_BLOCK = "overhead"
+
+#: Verdict -> exit code.  2 is a missing JSON or block.
+EXIT = {"PASS": 0, "FAIL": 1, "UNRESOLVED": 3}
 
 
 @dataclass(frozen=True)
@@ -41,20 +55,22 @@ class Gate:
     bench: str
     #: The bench writes ``benchmarks/BENCH_<result>.json``.
     result: str
+    #: Overhead gates: how many back-to-back pairs of its two arms the
+    #: bench runs (it reads the number from here); the verdict comes from
+    #: the JSON's ``overhead`` block.  0 on a threshold gate, which is
+    #: described by the five fields below instead.
+    pairs: int = 0
     #: Key of the gate block inside that JSON.
-    block: str
+    block: str = OVERHEAD_BLOCK
     #: Key (in the block) of the measured value.
-    measured: str
+    measured: str = ""
     #: Key (in the block) of the limit, or the limit itself.
-    limit: str | float
+    limit: str | float = 0.0
     #: How ``measured`` must compare to the limit: a ``COMPARE`` key.
-    direction: str
+    direction: str = ""
     #: Verdict line after ``PASS: ``/``FAIL: ``; ``str.format`` fields are
     #: ``measured``, ``limit``, ``g`` (the block) and ``p`` (the payload).
-    message: str
-    #: Key (in the block) that must also be > 0: a run that observed
-    #: nothing trivially costs nothing.
-    nonzero: str = ""
+    message: str = ""
     #: CI-scale environment overrides for the bench run.
     env: dict[str, str] = field(default_factory=dict)
     #: Correctness suites that must pass before the bench runs (the
@@ -102,36 +118,21 @@ GATES: dict[str, Gate] = {
         ),
         Gate(
             name="lineage",
-            description="amortized lineage capture must stay under 10%",
+            description=(
+                "a captured query's cost over a plain one (10% amortized "
+                "over the sampling period)"
+            ),
             bench="benchmarks/bench_lineage.py",
             result="lineage",
-            block="lineage_gate",
-            measured="overhead_pct",
-            limit="limit_pct",
-            direction="<=",
-            message=(
-                "lineage capture (1/{g[sample]} sampling) on the aggregate "
-                "bench at {g[rows]} rows: amortized {measured:+.2f}% over "
-                "baseline (limit {limit:.1f}%; plain {g[per_query_ms]:.2f} ms, "
-                "captured {g[captured_ms]:.2f} ms)"
-            ),
+            pairs=8,
             pre_tests=("tests/lineage", "tests/apps/test_telemetry_why.py"),
         ),
         Gate(
             name="durability",
-            description="fsync=interval must stay within 25% of in-memory",
+            description="fsync=interval must stay within 25% of in-memory on fig-8",
             bench="benchmarks/bench_durability.py",
             result="durability",
-            block="overhead_gate",
-            measured="overhead_pct",
-            limit="required_max_pct",
-            direction="<=",
-            message=(
-                "fsync={g[policy]} WAL overhead on the insert pipeline "
-                "({p[batches]} x {p[batch_rows]} rows): {measured:.1f}% "
-                "(max {limit:.1f}%; baseline {g[baseline_ms]:.1f} ms, "
-                "durable {g[durable_ms]:.1f} ms)"
-            ),
+            pairs=16,
         ),
         Gate(
             name="fanout",
@@ -160,20 +161,25 @@ GATES: dict[str, Gate] = {
             description="continuous profiling must cost under 5% on fig-8",
             bench="benchmarks/bench_profiler_overhead.py",
             result="profiler_overhead",
-            block="data",
-            measured="profiler_overhead",
-            limit="budget",
-            direction="<",
-            nonzero="flamegraph_lines",
-            message=(
-                "profiler overhead on the Figure-8 pipeline at {g[hz]} Hz: "
-                "{measured:+.1%} (budget {limit:.0%}; "
-                "baseline {g[baseline_ms]:.1f} ms, "
-                "profiled {g[profiled_ms]:.1f} ms, {g[samples]} samples, "
-                "{g[flamegraph_lines]} flamegraph lines)"
-            ),
+            pairs=16,
             env={"BENCH_PROFILER_BATCH": "300", "BENCH_PROFILER_BATCHES": "4"},
             pre_tests=("tests/obs/test_profiler.py", "tests/obs/test_slowlog.py"),
+        ),
+        Gate(
+            name="obs",
+            description="the statement layer, tracing off, must cost under 5 us",
+            bench="benchmarks/bench_obs_overhead.py",
+            result="obs_overhead",
+            pairs=8,
+            env={"BENCH_SQL_ROWS": "20000"},
+        ),
+        Gate(
+            name="telemetry",
+            description="the telemetry sink must cost under 5% on top of tracing",
+            bench="benchmarks/bench_telemetry_overhead.py",
+            result="telemetry_overhead",
+            pairs=16,
+            env={"BENCH_SQL_ROWS": "20000"},
         ),
     )
 }
@@ -207,9 +213,33 @@ def run_gate(gate: Gate) -> int:
     return check_gate(gate)
 
 
+def overhead_verdict(block: dict[str, Any]) -> str:
+    """The one rule for a paired-overhead block (``benchmarks/paired.py``).
+
+    The straddle test comes first: two identical arms can put their median
+    over a small budget by chance, and an A/A run must never FAIL."""
+    budget = block["budget"]
+    if block["q1"] <= budget <= block["q3"]:
+        return "UNRESOLVED"  # the pairs straddle the budget
+    if block["overhead"] > budget:
+        return "FAIL"
+    if block["mde"] > budget:
+        return "UNRESOLVED"  # under it, on pairs that could not have shown it
+    return "PASS"
+
+
+def overhead_line(b: dict[str, Any]) -> str:
+    return (
+        f"overhead {b['overhead']:+.1%} (median of {b['pairs']} pairs), "
+        f"[Q1, Q3] = [{b['q1']:+.1%}, {b['q3']:+.1%}], MDE {b['mde']:.1%}, "
+        f"budget {b['budget']:.1%}; baseline {b['baseline_median']:.2f} {b['unit']}, "
+        f"treated {b['treated_median']:.2f} {b['unit']}"
+    )
+
+
 def check_gate(gate: Gate) -> int:
-    """Verdict from the bench's JSON alone: 0 PASS, 1 FAIL, 2 when the
-    JSON or its gate block is missing."""
+    """Verdict from the bench's JSON alone: 0 PASS, 1 FAIL, 3 UNRESOLVED,
+    2 when the JSON or its gate block is missing."""
     path = REPO / "benchmarks" / f"BENCH_{gate.result}.json"
     if not path.exists():
         print(f"FAIL: {path} missing -- did {Path(gate.bench).stem} run?")
@@ -219,14 +249,16 @@ def check_gate(gate: Gate) -> int:
     if not isinstance(block, dict):
         print(f"FAIL: {path} has no {gate.block} block")
         return 2
-    measured = float(block[gate.measured])
-    limit = float(block[gate.limit] if isinstance(gate.limit, str) else gate.limit)
-    ok = COMPARE[gate.direction](measured, limit)
-    if gate.nonzero:
-        ok = ok and block.get(gate.nonzero, 0) > 0
-    line = gate.message.format(measured=measured, limit=limit, g=block, p=payload)
-    print(f"{'PASS' if ok else 'FAIL'}: {line}", flush=True)
-    return 0 if ok else 1
+    if gate.pairs:
+        verdict = overhead_verdict(block)
+        line = f"{gate.description}: {overhead_line(block)}"
+    else:
+        measured = float(block[gate.measured])
+        limit = float(block[gate.limit] if isinstance(gate.limit, str) else gate.limit)
+        verdict = "PASS" if COMPARE[gate.direction](measured, limit) else "FAIL"
+        line = gate.message.format(measured=measured, limit=limit, g=block, p=payload)
+    print(f"{verdict}: {line}", flush=True)
+    return EXIT[verdict]
 
 
 def main(argv: list[str]) -> int:
@@ -245,12 +277,14 @@ def main(argv: list[str]) -> int:
             print(f"{gate.name:12} {gate.description}")
         return 0
     if args.all:
+        worst = 0
         for gate in GATES.values():
             print(f"=== gate: {gate.name} ===", flush=True)
             code = run_gate(gate)
-            if code:
+            if code not in (0, EXIT["UNRESOLVED"]):
                 return code
-        return 0
+            worst = max(worst, code)  # an unresolved gate hides no later one
+        return worst
     if not args.gate:
         parser.error("pick a gate, --all, or --list")
     return (check_gate if args.check else run_gate)(GATES[args.gate])

@@ -1,22 +1,46 @@
-"""Benchmark harness: timing, result tables, and shape checks.
+"""What the slice benches share: timing, result tables, and shape checks.
 
 The paper's evaluation reports per-step times against growing input sizes
 (Figure 8) and convergence behavior (Section VII-B).  This module gives
 every bench the same vocabulary: a :class:`Timer`, a :class:`SeriesTable`
 that prints paper-style rows, and regression helpers asserting the
 *shape* of results (linearity, dominance, speedups) rather than absolute
-numbers.
+numbers.  It lives beside its only callers -- the program imports none of
+it -- and shares nothing with ``benchmarks/e2e``.
 """
 
 from __future__ import annotations
 
-import json
+import random
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
+
+from repro.db import Database
+
+#: The hot visual-analytics query shape (GROUP BY over ``GROUPS`` keys) the
+#: columnar and lineage benches share, and the table it runs over.
+GROUPS = 50
+AGGREGATE_SQL = (
+    "SELECT grp, COUNT(*) AS n, SUM(val) AS s, AVG(val) AS a "
+    "FROM big GROUP BY grp"
+)
+
+
+def grouped_db(rows: int) -> Database:
+    db = Database()
+    db.execute("CREATE TABLE big (id INTEGER PRIMARY KEY, grp TEXT, val FLOAT)")
+    rng = random.Random(7)
+    db.insert_many(
+        "big",
+        [
+            {"id": i, "grp": f"g{i % GROUPS}", "val": rng.random() * 100}
+            for i in range(rows)
+        ],
+    )
+    return db
 
 
 class Timer:
@@ -31,13 +55,6 @@ class Timer:
 
     def __exit__(self, *exc: Any) -> None:
         self.ms = (time.perf_counter() - self._start) * 1000.0
-
-
-def time_ms(fn: Callable[[], Any]) -> tuple[float, Any]:
-    """Run ``fn`` once; return (elapsed_ms, result)."""
-    start = time.perf_counter()
-    result = fn()
-    return (time.perf_counter() - start) * 1000.0, result
 
 
 @dataclass
@@ -78,11 +95,6 @@ class SeriesTable:
         lines.append(f"(values in {unit})")
         return "\n".join(lines)
 
-    def print(self, title: str = "", unit: str = "ms") -> None:
-        if title:
-            print(f"\n== {title} ==")
-        print(self.format(unit=unit))
-
     # ------------------------------------------------------------------
     # Machine-readable output
     def as_json(self) -> dict[str, Any]:
@@ -95,28 +107,6 @@ class SeriesTable:
                 for x, values in self.rows
             ],
         }
-
-    def write_json(
-        self,
-        path: str | Path,
-        name: str,
-        unit: str = "ms",
-        extra: Optional[dict[str, Any]] = None,
-    ) -> dict[str, Any]:
-        """Write the table as a ``BENCH_<name>.json``-style payload.
-
-        ``extra`` merges additional metadata (e.g. git revision) into the
-        payload; returns the payload for further use.
-        """
-        payload: dict[str, Any] = {"name": name, "unit": unit}
-        payload.update(self.as_json())
-        if extra:
-            payload.update(extra)
-        Path(path).write_text(
-            json.dumps(payload, indent=2, sort_keys=False) + "\n",
-            encoding="utf-8",
-        )
-        return payload
 
 
 # ---------------------------------------------------------------------------
@@ -170,21 +160,3 @@ def speedup(baseline: float, improved: float) -> float:
     if improved <= 0:
         return float("inf")
     return baseline / improved
-
-
-@dataclass
-class ExperimentRecord:
-    """One paper-vs-measured record for EXPERIMENTS.md."""
-
-    experiment: str
-    paper_claim: str
-    measured: str
-    holds: bool
-
-    def format(self) -> str:
-        status = "HOLDS" if self.holds else "DIVERGES"
-        return (
-            f"[{status}] {self.experiment}\n"
-            f"    paper:    {self.paper_claim}\n"
-            f"    measured: {self.measured}"
-        )

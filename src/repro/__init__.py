@@ -11,7 +11,6 @@ persistent DBMS.  This package rebuilds the entire system in Python:
 - ``repro.sync``      DBMS <-> visualization notification protocol
 - ``repro.vis``       headless visualization toolkit + LinLog layout
 - ``repro.apps``      the paper's three applications
-- ``repro.bench``     workload + reporting harness for the evaluation
 
 Quickstart::
 

@@ -529,39 +529,47 @@ class SyncClient:
                 memtable = self.table(table)
                 base = self.database.table(table)
                 stats = {"upserts": 0, "deletes": 0}
-                # One critical section: the notification horizon and the row
-                # images are of one committed state -- never part of a
-                # commit, never an open transaction's.
-                with self.database.lock:
-                    events = self.center.events_since(table, memtable.last_seq_no)
-                    newest = events[-1][0] if events else memtable.last_seq_no
-                    batches = [(op, tids) for _seq, op, tids in events]
-                    if full:
-                        batches = [("fill", base.tids())]  # the whole table, one batch
-                    pulled: list[tuple[Sequence[int], Optional[list[Any]]]] = [
-                        (tids, None if op == "delete" else list(map(base.get, tids)))
-                        for op, tids in batches
-                    ]
-                # Fold the delta in one event -- one commit's rows of a kind --
-                # at a time and in seq order, so a tid deleted and re-inserted
-                # replays right.
-                for tids, rows in pulled:
-                    upserts, deletes = [], tids
-                    if rows is not None:
-                        upserts, deletes = rows, []
-                        if None in upserts:
-                            # Changed, and gone by now: a later event deleted it.
-                            deletes = [t for t, row in zip(tids, upserts) if row is None]
-                            upserts = [row for row in upserts if row is not None]
-                    memtable.apply_batch(upserts, deletes)
-                    stats["upserts"] += len(upserts)
-                    stats["deletes"] += len(deletes)
-                moved = newest != memtable.last_seq_no
-                memtable.last_seq_no = newest
-                if traced:
-                    self._join_notify_trace(span, table, newest)
+                # Clear the flag before the pull, not after it: a commit
+                # before the pull is pulled, one after it raises the flag
+                # again (at worst a refresh that pulls nothing).
                 with self._dirty_lock:
                     self._dirty.discard(table)
+                try:
+                    # One critical section: the notification horizon and the row
+                    # images are of one committed state -- never part of a
+                    # commit, never an open transaction's.
+                    with self.database.lock:
+                        events = self.center.events_since(table, memtable.last_seq_no)
+                        newest = events[-1][0] if events else memtable.last_seq_no
+                        batches = [(op, tids) for _seq, op, tids in events]
+                        if full:
+                            batches = [("fill", base.tids())]  # the whole table, one batch
+                        pulled: list[tuple[Sequence[int], Optional[list[Any]]]] = [
+                            (tids, None if op == "delete" else list(map(base.get, tids)))
+                            for op, tids in batches
+                        ]
+                    # Fold the delta in one event -- one commit's rows of a kind --
+                    # at a time and in seq order, so a tid deleted and re-inserted
+                    # replays right.
+                    for tids, rows in pulled:
+                        upserts, deletes = [], tids
+                        if rows is not None:
+                            upserts, deletes = rows, []
+                            if None in upserts:
+                                # Changed, and gone by now: a later event deleted it.
+                                deletes = [t for t, row in zip(tids, upserts) if row is None]
+                                upserts = [row for row in upserts if row is not None]
+                        memtable.apply_batch(upserts, deletes)
+                        stats["upserts"] += len(upserts)
+                        stats["deletes"] += len(deletes)
+                    moved = newest != memtable.last_seq_no
+                    memtable.last_seq_no = newest
+                except BaseException:
+                    with self._dirty_lock:
+                        self._dirty.add(table)  # nothing consumed: still dirty
+                    raise
+                if traced:
+                    self._join_notify_trace(span, table, newest)
                 if moved:
                     # The ConnectedUser cursor already says so otherwise:
                     # an idle refresh is no commit.

@@ -189,9 +189,21 @@ class _AsyncConn:
         #: (loop thread only; lets no-op interest changes skip epoll_ctl).
         self.events = 0
         #: Send-queue high watermarks (saturation telemetry): the
-        #: deepest this queue has ever been, in frames and bytes.
+        #: deepest this queue has been seen at a drain, in frames and bytes.
         self.hiwat_frames = 0
         self.hiwat_bytes = 0
+
+    def note_depth(self) -> None:
+        """Record the high watermarks; caller holds ``lock``.
+
+        Called where the queue is about to shrink (the pump, an abort):
+        a queue only grows between two drains, so the depth seen there is
+        the maximum since the last one, and no enqueue path pays for it.
+        """
+        if len(self.outq) > self.hiwat_frames:
+            self.hiwat_frames = len(self.outq)
+        if self.queued_bytes > self.hiwat_bytes:
+            self.hiwat_bytes = self.queued_bytes
 
 
 class _EventLoop:
@@ -664,6 +676,7 @@ class SyncServer:
         ``kill_after`` frame ends its run (the cut must land exactly at
         that frame's boundary) and a not-yet-due frame is never merged.
         """
+        conn.note_depth()
         while conn.outq:
             frame = conn.outq[0]
             now = time.monotonic()
@@ -738,10 +751,6 @@ class SyncServer:
             for frame in frames:
                 conn.outq.append(frame)
                 conn.queued_bytes += len(frame.data) - frame.offset
-            if len(conn.outq) > conn.hiwat_frames:
-                conn.hiwat_frames = len(conn.outq)
-            if conn.queued_bytes > conn.hiwat_bytes:
-                conn.hiwat_bytes = conn.queued_bytes
             if was_idle:
                 status = self._pump_locked(conn)
                 if status == "dead":
@@ -768,6 +777,7 @@ class SyncServer:
 
     def _abort_queue_locked(self, conn: _AsyncConn) -> None:
         # Caller holds conn.lock.  Idempotent: a closing queue stays empty.
+        conn.note_depth()
         conn.closing = True
         for frame in conn.outq:
             if frame.link is not None:
@@ -1034,8 +1044,9 @@ class SyncServer:
                 depth_frames += depth
                 depth_bytes += conn.queued_bytes
                 max_depth = max(max_depth, depth)
-                hiwat_frames = max(hiwat_frames, conn.hiwat_frames)
-                hiwat_bytes = max(hiwat_bytes, conn.hiwat_bytes)
+                # A burst still queued has not met its first drain yet.
+                hiwat_frames = max(hiwat_frames, conn.hiwat_frames, depth)
+                hiwat_bytes = max(hiwat_bytes, conn.hiwat_bytes, conn.queued_bytes)
         return {
             "connections": connections,
             "depth_frames": depth_frames,

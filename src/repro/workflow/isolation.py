@@ -101,24 +101,14 @@ class _IsolatedTable:
         # visible (they necessarily carry timestamps past the snapshot).
         # The per-table creation-timestamp index bounds the scan to the
         # snapshot range instead of filtering every stored row.
-        find = getattr(table, "find_sorted_index", None)
-        created_index = find(CREATED_AT) if find is not None else None
-        if created_index is not None:
-            candidates = set(created_index.range(None, snapshot))
-            own = (ctx.own_tids or {}).get(name, ())
-            candidates.update(tid for tid in own if tid in table)
-            for tid in sorted(candidates):
-                if tid in hidden:
-                    continue
-                row = table.get(tid)
-                if row is not None:
-                    yield row
-            return
-        for row in table.rows():
-            tid = row[TID]
+        candidates = set(table.find_sorted_index(CREATED_AT).range(None, snapshot))
+        own = (ctx.own_tids or {}).get(name, ())
+        candidates.update(tid for tid in own if tid in table)
+        for tid in sorted(candidates):
             if tid in hidden:
                 continue
-            if row[CREATED_AT] <= snapshot or ctx.owns(name, tid):
+            row = table.get(tid)
+            if row is not None:
                 yield row
 
     def scan(self) -> Iterator[Row]:
@@ -216,32 +206,22 @@ class IsolationManager:
             return set()
         deletion = datamodel.deletion_table_name(table)
         deletion_table = self.database.table(deletion)
-        pid_index = deletion_table.find_hash_index("pid")
-        end_index = deletion_table.find_sorted_index("process_end")
+        # manage() indexed both columns.  (a) own deletions: hash probe on
+        # pid.  (b) deletions whose process finished before this instance
+        # started: sorted-index range on process_end (NULL ends are
+        # unindexed: an unfinished process hides nothing from others).
         hidden: set[int] = set()
-        if pid_index is not None and end_index is not None:
-            # (a) own deletions: hash probe on pid.  (b) deletions whose
-            # process finished before this instance started: sorted-index
-            # range on process_end (NULL ends are unindexed, matching the
-            # explicit None check of the scan path).
-            for entry_tid in pid_index.lookup(ctx.process_instance_id):
-                entry = deletion_table.get(entry_tid)
-                if entry is not None:
-                    hidden.add(entry["tid"])
-            for entry_tid in end_index.range(
-                None, ctx.start_time, include_high=False
-            ):
-                entry = deletion_table.get(entry_tid)
-                if entry is not None:
-                    hidden.add(entry["tid"])
-            return hidden
-        for entry in deletion_table.scan():
-            if entry["pid"] == ctx.process_instance_id:
+        for entry_tid in deletion_table.find_hash_index("pid").lookup(
+            ctx.process_instance_id
+        ):
+            entry = deletion_table.get(entry_tid)
+            if entry is not None:
                 hidden.add(entry["tid"])
-            elif (
-                entry["process_end"] is not None
-                and entry["process_end"] < ctx.start_time
-            ):
+        for entry_tid in deletion_table.find_sorted_index("process_end").range(
+            None, ctx.start_time, include_high=False
+        ):
+            entry = deletion_table.get(entry_tid)
+            if entry is not None:
                 hidden.add(entry["tid"])
         return hidden
 

@@ -1,16 +1,14 @@
-"""Benchmark harness utilities."""
+"""What the slice benches share (``benchmarks/support.py``)."""
 
 import pytest
 
-from repro.bench import (
-    ExperimentRecord,
+from benchmarks.support import (
     SeriesTable,
     Timer,
     dominance_ratio,
     is_roughly_linear,
     linear_fit,
     speedup,
-    time_ms,
 )
 
 
@@ -21,11 +19,6 @@ class TestTimer:
         with Timer() as timer:
             time.sleep(0.01)
         assert timer.ms >= 5
-
-    def test_time_ms_returns_result(self):
-        ms, value = time_ms(lambda: 42)
-        assert value == 42
-        assert ms >= 0
 
 
 class TestSeriesTable:
@@ -67,30 +60,6 @@ class TestJsonEmission:
             {"x": 20, "values": {"a": 2.0, "b": 10.0}},
         ]
 
-    def test_write_json_round_trips(self, tmp_path):
-        import json
-
-        path = tmp_path / "BENCH_demo.json"
-        self.make().write_json(path, "demo", unit="us", extra={"git_rev": "abc"})
-        payload = json.loads(path.read_text())
-        assert payload["name"] == "demo"
-        assert payload["unit"] == "us"
-        assert payload["git_rev"] == "abc"
-        assert payload["rows"] == self.make().as_json()["rows"]
-
-    def test_write_json_machine_readable_values(self, tmp_path):
-        """Every value in the payload is a plain JSON scalar -- no repr
-        leakage from floats or numpy-ish types."""
-        import json
-
-        path = tmp_path / "BENCH_x.json"
-        self.make().write_json(path, "x")
-        decoded = json.loads(path.read_text())
-        for row in decoded["rows"]:
-            assert isinstance(row["x"], (int, float))
-            for value in row["values"].values():
-                assert isinstance(value, (int, float))
-
 
 class TestShapeChecks:
     def test_linear_fit_exact(self):
@@ -122,10 +91,3 @@ class TestShapeChecks:
     def test_speedup(self):
         assert speedup(10.0, 2.0) == 5.0
         assert speedup(10.0, 0.0) == float("inf")
-
-    def test_experiment_record_format(self):
-        record = ExperimentRecord("Fig 8", "linear", "r2=0.99", True)
-        text = record.format()
-        assert "HOLDS" in text
-        record = ExperimentRecord("Fig 8", "linear", "r2=0.2", False)
-        assert "DIVERGES" in record.format()

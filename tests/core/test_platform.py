@@ -123,6 +123,27 @@ class TestFacade:
         assert instances[0]["status"] == "completed"
 
 
+    def test_redeploy_on_a_loaded_platform_indexes_the_deletion_table(self, tmp_path):
+        """``hidden_tids`` probes both indexes with no scan to fall back on."""
+        from repro.core import datamodel
+
+        platform = EdiFlow()
+        platform.execute("CREATE TABLE dst (v INTEGER)")
+        platform.procedures.register(Doubler())
+        platform.deploy_xml(PROCESS_XML)
+        path = tmp_path / "state.jsonl"
+        platform.save(path)
+        restored = EdiFlow.load(path)
+        restored.procedures.register(Doubler())
+        restored.deploy_xml(PROCESS_XML)
+        deletion = restored.database.table(datamodel.deletion_table_name("src"))
+        assert deletion.find_hash_index("pid") is not None
+        assert deletion.find_sorted_index("process_end") is not None
+        restored.execute("INSERT INTO src (v) VALUES (4)")
+        restored.run("double")
+        assert restored.query("SELECT v FROM dst") == [{"v": 8}]
+
+
 class TestPropagationFacade:
     """``set_propagation_policy`` / ``flush_propagation`` / ``shutdown``
     over the three propagation gates (Section V)."""

@@ -327,6 +327,34 @@ class TestAcceptFailureAccounting:
 class TestHealth:
     """SyncServer.health(): one saturation snapshot, published as gauges."""
 
+    def test_burst_broadcasts_move_the_high_watermark(self, monkeypatch):
+        """The burst path appends without the general submit call; the
+        watermark used to be recorded only there, so it under-read exactly
+        when a queue was deepest."""
+        from repro.sync import server as server_module
+
+        burst = 40
+        db, _center, server, client = make_stack()
+        try:
+            client.mirror("pts")
+            conn = server._endpoints[(client.host, client.port)].conn
+            conn.sock = _StubSock(conn.sock)
+            server.broadcast("pts", [("insert", 1)])  # idle plane: written inline
+            monkeypatch.setattr(server_module, "BURST_COST_PER_LINK_S", 3600.0)
+            for seq in range(2, burst + 2):
+                server.broadcast("pts", [("insert", seq)])
+            assert server.evictions == 0
+            assert server.queue_depths()["hiwat_frames"] >= burst
+            # Recorded at the drain, not only read off the standing queue.
+            conn.sock.blocked = False
+            assert wait_until(lambda: server.queued_frames() == 0)
+            queues = server.queue_depths()
+            assert queues["hiwat_frames"] >= burst
+            assert queues["hiwat_bytes"] > 0
+        finally:
+            client.close()
+            server.close()
+
     def test_async_snapshot_reports_loop_and_queues(self):
         db, center, server, client = make_stack()
         try:

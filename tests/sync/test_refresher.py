@@ -136,6 +136,31 @@ class TestDriver:
 class TestConcurrencyRegressions:
     """Races between the driver loop, explicit flushes, and purging."""
 
+    @pytest.mark.parametrize("stack", ["sockets"], indirect=True)  # NOTIFY frames raise the flag
+    def test_a_notify_that_lands_during_a_refresh_keeps_its_flag(self, stack, monkeypatch):
+        """``refresh`` used to clear the dirty flag after its pull, so a
+        commit between the pull and the clearing lost its flag: a driven
+        display stayed one tick behind a table that then went quiet."""
+        db, _server, client, mirror = stack
+        db.insert("pts", {"id": 1, "x": 1})
+        assert client.wait_dirty("pts")
+        fold = mirror.apply_batch
+
+        def fold_then_commit(upserts, deletes):
+            fold(upserts, deletes)
+            monkeypatch.setattr(mirror, "apply_batch", fold)
+            received = client.notify_received
+            db.insert("pts", {"id": 2, "x": 2})  # after the pull, inside the refresh
+            assert wait_until(lambda: client.notify_received > received)
+
+        monkeypatch.setattr(mirror, "apply_batch", fold_then_commit)
+        client.refresh("pts")
+        assert len(mirror) == 1
+        assert client.dirty_tables() == {"pts"}
+        client.refresh("pts")
+        assert len(mirror) == 2
+        assert client.dirty_tables() == set()
+
     def test_flush_vs_loop_never_double_applies(self, stack):
         """driver.flush and the _loop thread racing on one table must not
         both consume the same changes_since window (refreshes of a table
