@@ -2,7 +2,7 @@
 
 Section V of the paper defines three propagation policies -- immediate
 (P1), deferred to process completion (P2), and periodic (P3).  The
-batching layer (``repro.sync.batching``) implements them as per-table
+batching layer (``repro.db.policy``) implements them as per-edge
 configuration; these benchmarks measure the trade they buy:
 
 * **Burst-insert throughput**: one writer inserting ``BENCH_BATCH_ROWS``
@@ -113,11 +113,11 @@ def throughput_result(emit, emit_json):
                 n_clients, use_sockets=True
             )
             try:
-                center.set_policy("pts", _policy_for(batch))
+                center.subscriptions["pts"].set_policy(_policy_for(batch))
                 with Timer() as timer:
                     for i in range(ROWS):
                         db.insert("pts", {"id": i + 1, "x": i})
-                    center.flush("pts")
+                    center.subscriptions["pts"].flush()
                     for client in clients:
                         client.refresh("pts")
                 for mirror in mirrors:
@@ -176,9 +176,8 @@ def latency_result(emit, emit_json):
         mirror = mirrors[0]
         try:
             if batch > 1:
-                center.set_policy(
-                    "pts",
-                    Threshold(max_changes=batch, max_delay_ms=LATENCY_DELAY_MS),
+                center.subscriptions["pts"].set_policy(
+                    Threshold(max_changes=batch, max_delay_ms=LATENCY_DELAY_MS)
                 )
             samples = []
             with RefreshDriver(clients[0], max_rate=500.0, poll_interval=0.001):
@@ -235,9 +234,8 @@ def _run_workload_under(policy):
     client, mirror = clients[0], mirrors[0]
     registry = ViewRegistry(db)
     registry.register(SelectProjectView("all_pts", "pts"))
-    if policy.buffers:
-        registry.set_policy("all_pts", policy)
-    center.set_policy("pts", policy)
+    for edge in db.subscriptions("pts"):  # the mirror's and the view's
+        edge.set_policy(policy)
     display = Display(name="bench")
     try:
         n = min(ROWS, 2000)
@@ -247,8 +245,8 @@ def _run_workload_under(policy):
         for i in range(0, n, 2):  # churn: update every other row...
             db.update_by_tid("pts", tids[i], {"x": i * 10})
         db.delete_by_tids("pts", tids[::5])  # ...and delete every fifth
-        center.flush_all()
-        registry.flush_all()
+        for edge in db.subscriptions():
+            edge.flush()
         client.refresh("pts")
         display.apply_snapshot(
             {

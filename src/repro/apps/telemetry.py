@@ -178,8 +178,8 @@ def compute_coalesce_treemap(
 ) -> list[VisualItem]:
     """Per-table propagation savings as a treemap.
 
-    Cell area = operations eliminated before they reached the wire
-    (``sync.coalesced_away``); falls back to per-table write volume
+    Cell area = operations eliminated before they reached a consumer
+    (``db.coalesced_away``, every edge out of the table); falls back to per-table write volume
     (``db.writes``) when no batching policy has saved anything yet, so
     the view is never blank on a fresh system.
     """
@@ -193,7 +193,7 @@ def compute_coalesce_treemap(
                 out[table] = out.get(table, 0.0) + row["value"]
         return out
 
-    values = series("sync.coalesced_away")
+    values = series("db.coalesced_away")
     label_fmt = "{table}: {value:.0f} saved"
     if not values:
         values = series("db.writes")

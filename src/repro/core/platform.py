@@ -19,8 +19,8 @@ from typing import Any, Optional
 
 from ..db.database import Database
 from ..db.persistence import load_snapshot, save_snapshot
+from ..db.policy import PropagationPolicy
 from ..ivm.registry import ViewRegistry
-from ..sync.batching import PropagationPolicy
 from ..sync.notification import NotificationCenter
 from ..sync.server import SyncServer
 from ..vis.views import ViewManager
@@ -89,33 +89,18 @@ class EdiFlow:
         return self.database.query(sql, params)
 
     # -- propagation policies (Section V) ------------------------------------
+    # "A table's policy" means one thing: the policy of every edge out of
+    # it -- the mirror's notifications, each materialized view over it,
+    # its UP handlers -- that exists when the call is made.
     def set_propagation_policy(self, table: str, policy: PropagationPolicy) -> None:
-        """Apply one policy to ``table`` across the whole pipeline.
-
-        Configures both the notification center (mirror/display path) and
-        the workflow propagation manager (UP handler path); materialized
-        views opt in per view via ``materialized.set_policy``.
-        """
-        self.center.set_policy(table, policy)
-        self.propagation.set_policy(table, policy)
+        """Apply ``policy`` to every subscription on ``table``."""
+        for edge in self.database.subscriptions(table):
+            edge.set_policy(policy)
 
     def flush_propagation(self, table: Optional[str] = None) -> int:
-        """Flush buffered changes now; ``None`` flushes every table.
-
-        With a table: its notifications, its UP deltas and what every
-        materialized view over it has buffered from it.
-        """
-        if table is None:
-            return (
-                self.center.flush_all()
-                + self.propagation.flush_all()
-                + self.materialized.flush_all()
-            )
-        return (
-            self.center.flush(table)
-            + self.propagation.flush(table)
-            + self.materialized.flush_table(table)
-        )
+        """Flush every subscription on ``table`` (``None``: on every
+        table) now; returns the net operations delivered."""
+        return sum(edge.flush() for edge in self.database.subscriptions(table))
 
     # -- persistence ---------------------------------------------------------
     def save(self, path: str | Path) -> int:
@@ -134,8 +119,8 @@ class EdiFlow:
     def shutdown(self) -> None:
         """Stop the synchronization layer (open executions stay queryable).
 
-        Every propagation gate flushes what it still buffers and stops
-        its timer."""
+        Every subscription delivers what it still buffers and goes, and
+        with the last timed one the database's policy timer stops."""
         self.views.close()
         self.server.close()
         self.center.close()

@@ -44,7 +44,7 @@ from .sql.parser import parse
 from .sql.planner import _Scope, lower_expr, plan_select
 from .table import ChangeSet, DeltaCoalescer, Table
 from .transactions import Transaction, TransactionContext
-from .triggers import TriggerManager
+from .triggers import Subscription, TriggerManager
 from .types import type_from_name
 from .vector import running_plan
 
@@ -53,12 +53,20 @@ class Result:
     """Outcome of one statement.
 
     For SELECT: ``rows`` holds the result (list of dicts).  For mutations:
-    ``rowcount`` is the number of affected rows and ``rows`` is empty.
+    ``rowcount`` is the number of affected rows, ``rows`` is empty and
+    ``change`` is the statement's :class:`ChangeSet` (the one its commit
+    and triggers saw; read it, never change it).
     """
 
-    def __init__(self, rows: list[dict[str, Any]] | None = None, rowcount: int = 0) -> None:
+    def __init__(
+        self,
+        rows: list[dict[str, Any]] | None = None,
+        rowcount: int = 0,
+        change: ChangeSet | None = None,
+    ) -> None:
         self.rows = rows if rows is not None else []
         self.rowcount = rowcount
+        self.change = change
 
     def __iter__(self) -> Iterator[dict[str, Any]]:
         return iter(self.rows)
@@ -88,9 +96,9 @@ class Database:
     def __init__(self, name: str = "ediflow") -> None:
         self.name = name
         self._tables: dict[str, Table] = {}
-        self._triggers = TriggerManager()
         self._clock = 0
         self._lock = threading.RLock()
+        self._triggers = TriggerManager(self._lock, self._commit)
         self._current_transaction: Transaction | None = None
         # The commit being made (see _commit): its ordered change sets
         # while its triggers fire, and the effects they deferred.
@@ -334,6 +342,21 @@ class Database:
     def trigger_names(self) -> list[str]:
         return self._triggers.names()
 
+    def subscribe(
+        self, table: str, deliver: Callable[[ChangeSet], Any], name: str
+    ) -> Subscription:
+        """Install ``deliver`` as a consumer of ``table``'s changes: a
+        trigger named ``name`` on every event, whose handle carries the
+        edge's Section V policy (immediate until ``set_policy``)."""
+        with self._lock:
+            self.table(table)  # validate existence
+            return self._triggers.subscribe(name, table, deliver)
+
+    def subscriptions(self, table: str | None = None) -> list[Subscription]:
+        """Every consumer's edge out of ``table`` (``None``: every table)."""
+        with self._lock:
+            return self._triggers.subscriptions(table)
+
     # ------------------------------------------------------------------
     # Transactions
     def transaction(self) -> TransactionContext:
@@ -360,9 +383,14 @@ class Database:
             )
             OBS.metrics.counter("db.writes", table=change.table, op=op).inc()
 
-    def _commit(self, changes: list[ChangeSet]) -> None:
+    def _commit(
+        self,
+        changes: list[ChangeSet],
+        trigger_phase: Callable[[], None] | None = None,
+    ) -> None:
         """The one commit routine: an auto-committed statement's change
-        set (a list of one) or a transaction's, in statement order.
+        set (a list of one) or a transaction's, in statement order -- or
+        a policy flush's ``[]``, whose trigger phase is its delivery.
 
         Three phases, under the database lock.  *Trigger phase*: the
         commit's triggers fire, and every database write they make -- a
@@ -380,7 +408,9 @@ class Database:
         else:
             outer.extend(changes)  # a trigger's own write joins its commit
         try:
-            if len(changes) == 1:
+            if trigger_phase is not None:
+                trigger_phase()
+            elif len(changes) == 1:
                 self._triggers.fire(changes[0])
             else:
                 self._fire_net(changes)
@@ -390,7 +420,7 @@ class Database:
                 effects = self._deferred
                 if effects:
                     self._deferred = []
-                if self._commit_hooks:
+                if self._commit_hooks and changes:
                     self._notify_commit(changes)
                 for effect, args in effects:
                     effect(*args)
@@ -484,13 +514,20 @@ class Database:
         of tuples arrives and a single statement-level trigger notification
         is emitted for the whole batch.
         """
+        return self._insert_rows(table_name, rows).inserted
+
+    def _insert_rows(
+        self, table_name: str, rows: Iterable[Mapping[str, Any]]
+    ) -> ChangeSet:
+        """One INSERT statement; returns its change set."""
         span = OBS.span("db.write", {"table": table_name, "op": "insert"})
         with span, self._lock:
             # Statement atomicity is the table's: it validates the whole
             # batch before touching anything (see Table.insert_many).
             inserted = self.table(table_name).insert_many(rows)
-            self._dispatch(span, "insert", ChangeSet(table_name, inserted=inserted))
-            return inserted
+            change = ChangeSet(table_name, inserted=inserted)
+            self._dispatch(span, "insert", change)
+            return change
 
     def update(
         self,
@@ -503,14 +540,14 @@ class Database:
             self._update_rows(
                 table_name,
                 lambda table: dict.fromkeys(matching_tids(table, where), changes),
-            )
+            ).updated
         )
 
     def update_by_tid(
         self, table_name: str, tid: int, changes: Mapping[str, Any]
     ) -> dict[str, Any]:
         """Point update through the tid (used by sync write-back)."""
-        return self._update_rows(table_name, {tid: changes})[0][1]
+        return self._update_rows(table_name, {tid: changes}).updated[0][1]
 
     def update_by_tids(
         self, table_name: str, changes_by_tid: Mapping[int, Mapping[str, Any]]
@@ -518,17 +555,17 @@ class Database:
         """Update specific rows by tid, each with its own change map, as
         ONE statement; returns the affected count.  Every tid must be
         present, as :meth:`update_by_tid` demands of its one."""
-        return len(self._update_rows(table_name, changes_by_tid))
+        return len(self._update_rows(table_name, changes_by_tid).updated)
 
     def _update_rows(
         self,
         table_name: str,
         changes: Mapping[int, Mapping[str, Any]]
         | Callable[[Table], Mapping[int, Mapping[str, Any]]],
-    ) -> list[tuple[dict[str, Any], dict[str, Any]]]:
+    ) -> ChangeSet:
         """One UPDATE statement applying ``changes`` (tid -> change map, or
         a function of the table that finds them under the statement's
-        lock); returns the ``(before, after)`` pairs."""
+        lock); returns its change set."""
         span = OBS.span("db.write", {"table": table_name, "op": "update"})
         with span, self._lock:
             table = self.table(table_name)
@@ -536,32 +573,39 @@ class Database:
                 changes = changes(table)
             # Statement atomicity is the table's: it validates the whole
             # statement before touching anything (see Table.update_many).
-            updated = table.update_many(changes)
-            self._dispatch(span, "update", ChangeSet(table_name, updated=updated))
-            return updated
+            change = ChangeSet(table_name, updated=table.update_many(changes))
+            self._dispatch(span, "update", change)
+            return change
 
     def delete(self, table_name: str, where: Expression | None = None) -> int:
         """Delete all rows matching ``where``; returns the affected count."""
-        return self._delete_rows(table_name, lambda table: matching_tids(table, where))
+        return len(
+            self._delete_rows(
+                table_name, lambda table: matching_tids(table, where)
+            ).deleted
+        )
 
     def delete_by_tids(self, table_name: str, tids: Iterable[int]) -> int:
         """Delete specific rows by tid (used by deferred physical deletes)."""
         # Absent and repeated tids are skipped, as a loop would.
-        return self._delete_rows(
-            table_name,
-            lambda table: [tid for tid in dict.fromkeys(tids) if tid in table],
+        return len(
+            self._delete_rows(
+                table_name,
+                lambda table: [tid for tid in dict.fromkeys(tids) if tid in table],
+            ).deleted
         )
 
     def _delete_rows(
         self, table_name: str, tids_of: Callable[[Table], Iterable[int]]
-    ) -> int:
-        """One DELETE statement over ``tids_of(table)`` (distinct, all present)."""
+    ) -> ChangeSet:
+        """One DELETE statement over ``tids_of(table)`` (distinct, all
+        present); returns its change set."""
         span = OBS.span("db.write", {"table": table_name, "op": "delete"})
         with span, self._lock:
             table = self.table(table_name)
-            deleted = table.delete_many(tids_of(table))
-            self._dispatch(span, "delete", ChangeSet(table_name, deleted=deleted))
-            return len(deleted)
+            change = ChangeSet(table_name, deleted=table.delete_many(tids_of(table)))
+            self._dispatch(span, "delete", change)
+            return change
 
     # ------------------------------------------------------------------
     # SQL interface.  Every statement takes one path: prepare (text ->
@@ -837,8 +881,8 @@ class Database:
                         for column, expr in zip(columns, value_tuple)
                     }
                 )
-        inserted = self.insert_many(stmt.table, rows_to_insert)
-        return Result(rowcount=len(inserted))
+        change = self._insert_rows(stmt.table, rows_to_insert)
+        return Result(rowcount=len(change.inserted), change=change)
 
     def _execute_update(self, stmt: UpdateStmt, params: Sequence[Any]) -> Result:
         scope = _Scope(self, params)
@@ -849,21 +893,23 @@ class Database:
         assignments = [
             (name, lower_expr(expr, scope)) for name, expr in stmt.assignments
         ]
-        updated = self._update_rows(
+        change = self._update_rows(
             stmt.table,
             lambda table: {
                 row[TID]: {name: expr.eval(row) for name, expr in assignments}
                 for row in map(table.get, matching_tids(table, where))
             },
         )
-        return Result(rowcount=len(updated))
+        return Result(rowcount=len(change.updated), change=change)
 
     def _execute_delete(self, stmt: DeleteStmt, params: Sequence[Any]) -> Result:
         scope = _Scope(self, params)
         scope.add_table(stmt.table, None)
         where = lower_expr(stmt.where, scope) if stmt.where is not None else None
-        count = self.delete(stmt.table, where)
-        return Result(rowcount=count)
+        change = self._delete_rows(
+            stmt.table, lambda table: matching_tids(table, where)
+        )
+        return Result(rowcount=len(change.deleted), change=change)
 
     def _execute_create(self, stmt: CreateTableStmt) -> Result:
         columns: list[Column] = []

@@ -80,7 +80,7 @@ class DeltaCoalescer:
     so a burst of 10k inserts followed by 10k deletes nets to zero work.
     Two windows use it: a transaction (the commit routine hands each
     table's triggers its net delta once) and a propagation policy's buffer
-    (:class:`~repro.sync.batching.PolicyGate`).  Not thread-safe on its
+    (:class:`~repro.db.policy.PolicyGate`).  Not thread-safe on its
     own -- owners guard it with their own lock.  ``raw_ops`` counts
     operations as they arrived; the difference to the net size is what
     coalescing saved.

@@ -1,30 +1,31 @@
-"""View registry: wires base-table triggers to maintenance.
+"""View registry: wires base-table subscriptions to maintenance.
 
-Registering a view installs statement-level triggers on each of its base
-tables; every subsequent change set is converted to a delta and folded
-into the view incrementally.  The registry records counters so benchmarks
-(ablation A1) can report maintenance vs recomputation work.
+Registering a view subscribes it to each of its base tables
+(:meth:`~repro.db.database.Database.subscribe`); every subsequent change
+set is converted to a delta and folded into the view incrementally.  The
+registry records counters so benchmarks (ablation A1) can report
+maintenance vs recomputation work.
 
-Views participate in the propagation policies of Section V through the
-registry's :class:`~repro.sync.batching.PolicyGate`, keyed by ``(view,
-base table)``: under a non-immediate policy
-(:meth:`ViewRegistry.set_policy`) the trigger path hands change sets to
-the gate, and a flush folds the whole batch into the view as **one**
-combined delta -- one ``apply_delta`` call, one maintenance span,
+Views take part in the propagation policies of Section V through those
+edges, one per ``(view, base table)``: under a non-immediate policy
+(``registry.subscriptions[view][i].set_policy(p)``) the database's gate
+buffers the changes, and a flush folds the whole batch into the view as
+**one** combined delta -- one ``apply_delta`` call, one maintenance span,
 however many statements fed it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any
 
 from ..db.database import Database
 from ..db.table import ChangeSet
-from ..errors import DatabaseError, ViewError
+from ..db.triggers import Subscription
+from ..errors import ViewError
 from ..obs.runtime import OBS
 from ..obs.trace import NULL_SPAN
-from ..sync.batching import IMMEDIATE, DeltaCoalescer, PolicyGate, PropagationPolicy
 from .delta import Delta
 from .maintenance import apply_delta
 from .view import ViewDefinition
@@ -37,10 +38,6 @@ class ViewStats:
     recomputes: int = 0
     deltas_applied: int = 0
     delta_rows: int = 0
-    #: Flushes of buffered (non-immediate policy) batches.
-    batched_flushes: int = 0
-    #: Raw operations removed by coalescing before application.
-    coalesced_ops: int = 0
 
 
 class ViewRegistry:
@@ -50,27 +47,23 @@ class ViewRegistry:
         self._database = database
         self._views: dict[str, ViewDefinition] = {}
         self._stats: dict[str, ViewStats] = {}
-        self._trigger_names: dict[str, list[str]] = {}
-        # Propagation policies, keyed (view, base table): one view may
-        # span tables, and each buffers its own delta.
-        self._gate = PolicyGate(database.lock, self._deliver_flush)
+        #: View name -> its edges, one per base table (each buffers under
+        #: its own policy: one view may span tables).
+        self.subscriptions: dict[str, list[Subscription]] = {}
 
     def register(self, view: ViewDefinition, populate: bool = True) -> ViewDefinition:
-        """Add a view, install its triggers, and (by default) populate it."""
+        """Add a view, subscribe it to its base tables, and (by default)
+        populate it."""
         if view.name in self._views:
             raise ViewError(f"view {view.name!r} already registered")
         self._views[view.name] = view
         self._stats[view.name] = ViewStats()
-        triggers: list[str] = []
-        for table in sorted(view.base_tables()):
-            name = self._database.on(
-                table,
-                ("insert", "update", "delete"),
-                self._make_handler(view, table),
-                name=f"ivm_{view.name}_{table}",
+        self.subscriptions[view.name] = [
+            self._database.subscribe(
+                table, partial(self._apply, view), f"ivm_{view.name}_{table}"
             )
-            triggers.append(name)
-        self._trigger_names[view.name] = triggers
+            for table in sorted(view.base_tables())
+        ]
         # Lineage-enabled views become provenance-queryable through the
         # database's lineage manager (when capture is on).
         manager = getattr(self._database, "lineage", None)
@@ -80,81 +73,15 @@ class ViewRegistry:
             self.recompute(view.name)
         return view
 
-    # ------------------------------------------------------------------
-    # Propagation policies
-    def _keys(self, view_name: str) -> list[tuple[str, str]]:
-        """The gate keys of ``view_name`` (none for an unknown view)."""
-        view = self._views.get(view_name)
-        if view is None:
-            return []
-        return [(view_name, table) for table in sorted(view.base_tables())]
-
-    def set_policy(self, view_name: str, policy: PropagationPolicy) -> None:
-        """Configure how base-table changes reach ``view_name``.
-
-        Anything buffered under the old policy is flushed first, so a
-        policy switch never strands deltas.
-        """
-        self.view(view_name)  # must exist
-        for key in self._keys(view_name):
-            self._gate.set_policy(key, policy)
-
-    def policy(self, view_name: str) -> PropagationPolicy:
-        keys = self._keys(view_name)
-        return self._gate.policy(keys[0]) if keys else IMMEDIATE
-
-    def pending_ops(self, view_name: str) -> int:
-        """Buffered raw operations awaiting a flush for ``view_name``."""
-        return sum(self._gate.pending_ops(key) for key in self._keys(view_name))
-
-    def flush_view(self, view_name: str) -> int:
-        """Apply buffered deltas of ``view_name`` as combined batches.
-
-        Returns the number of net operations applied.  One call per base
-        table: a flush of 10k coalesced inserts costs one ``apply_delta``
-        invocation instead of 10k trigger firings.
-        """
-        return sum(self._gate.flush(key) for key in self._keys(view_name))
-
-    def flush_table(self, table: str) -> int:
-        """Apply what is buffered from ``table`` to every view over it."""
-        return sum(
-            self._gate.flush((name, table))
-            for name, view in list(self._views.items())
-            if table in view.base_tables()
-        )
-
-    def flush_all(self) -> int:
-        """Flush every view with buffered deltas; returns total net ops."""
-        return self._gate.flush_all()
-
     def close(self) -> None:
-        """Flush every view and stop the gate's timer."""
-        self._gate.close()
+        """Stop maintaining every view, applying what its edges still buffer."""
+        for name in list(self.subscriptions):
+            for edge in self.subscriptions.pop(name):
+                edge.close()
 
     # ------------------------------------------------------------------
-    def _make_handler(self, view: ViewDefinition, table: str):
-        key = (view.name, table)
-
-        def handler(change: ChangeSet) -> None:
-            # Trigger context: database lock held.
-            if not self._gate.offer(key, change):
-                self._apply_now(view, change)
-
-        return handler
-
-    def _deliver_flush(self, key: tuple[str, str], coalescer: DeltaCoalescer) -> int:
-        # The gate's delivery: database lock held, gate lock not.
-        view = self._views[key[0]]
-        stats = self._stats[view.name]
-        stats.coalesced_ops += coalescer.coalesced_away()
-        if coalescer.is_empty():
-            return 0  # batch annihilated itself; savings counted
-        stats.batched_flushes += 1
-        self._apply_now(view, coalescer.net_changeset())
-        return coalescer.net_ops()
-
-    def _apply_now(self, view: ViewDefinition, change: ChangeSet) -> None:
+    def _apply(self, view: ViewDefinition, change: ChangeSet) -> None:
+        # The edge's delivery, immediate or flushed: database lock held.
         traced = OBS.enabled
         span = NULL_SPAN
         if traced:
@@ -175,26 +102,15 @@ class ViewRegistry:
     def unregister(self, name: str) -> None:
         if name not in self._views:
             raise ViewError(f"no view named {name!r}")
-        for trigger in self._trigger_names.pop(name, []):
-            try:
-                self._database.drop_trigger(trigger)
-            except DatabaseError:
-                # Table may have been dropped, taking triggers with it.
-                # Count the skip instead of swallowing it invisibly.
-                if OBS.enabled:
-                    OBS.metrics.counter(
-                        "ivm.trigger_drop_errors", view=name
-                    ).inc()
+        # Closing applies what an edge still buffers, so the view and its
+        # counters go only after.
+        for edge in self.subscriptions.pop(name, []):
+            edge.close()
         manager = getattr(self._database, "lineage", None)
         if manager is not None:
             manager.unregister_view(name)
-        # Under the database lock, as every delivery is: a flush already
-        # on its way (the gate's timer) runs wholly before or finds nothing.
-        with self._database.lock:
-            for key in self._keys(name):
-                self._gate.drop(key)
-            del self._views[name]
-            del self._stats[name]
+        del self._views[name]
+        del self._stats[name]
 
     def view(self, name: str) -> ViewDefinition:
         try:

@@ -15,7 +15,7 @@ instead of being a bolt-on:
 **Span attribution.**  The :class:`~repro.obs.trace.Tracer` keeps a
 cross-thread registry of each thread's context stack, so every sample is
 attributed to the innermost *open* span on the sampled thread.  The
-aggregates therefore answer "how much self-time did ``sync.flush``
+aggregates therefore answer "how much self-time did ``db.flush``
 accumulate, and on which stacks" -- and when a sampled span finishes, a
 tracer finish-hook stamps ``self_time_ms`` / ``profile_samples`` into
 its tags, so the existing ``sys_spans`` pipeline carries profile data

@@ -27,7 +27,7 @@ Two paths feed the log:
    those over ``budget_ms`` are kept (a SELECT comes with a callable
    that re-runs its plan for operator rows);
 2. a tracer finish hook catches *any other* over-budget span
-   (``sync.flush``, ``ivm.delta_apply``, ...) -- those entries carry
+   (``db.flush``, ``ivm.delta_apply``, ...) -- those entries carry
    profile stacks but no operator rows.
 
 Lock discipline: finish hooks run on whatever thread closed the span,

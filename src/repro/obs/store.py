@@ -40,8 +40,8 @@ and stacks, ``span_retention`` for spans and their events.  Workflow
 timeline rows have no generation and are never aged.
 
 The system tables are watched by the sink's own
-:class:`~repro.sync.notification.NotificationCenter` under a
-:class:`~repro.sync.batching.Threshold` policy, so dashboards attach
+:class:`~repro.sync.notification.NotificationCenter`, each edge under a
+:class:`~repro.db.policy.Threshold` policy, so dashboards attach
 through the *normal* sync machinery (SyncServer/SyncClient, mirrors,
 view registry) and receive batched NOTIFYB frames per flush cycle.
 
@@ -52,8 +52,8 @@ itself instrumented; unguarded, every flush would create spans that the
 next flush persists, forever.  Two independent layers prevent that:
 
 1. every sink operation runs inside :meth:`Tracer.suppress`, so spans
-   created *on the sink's thread* (db.write, db.trigger, sync.notify,
-   sync.flush on the telemetry database) are no-op ``NullSpan``\\ s and
+   created *on the sink's thread* (db.write, db.trigger, db.flush,
+   sync.notify on the telemetry database) are no-op ``NullSpan``\\ s and
    never reach the ring buffer;
 2. :meth:`collect` drops any drained span tagged with a system table
    (:func:`~repro.obs.systable.is_system_table`; belt and braces: a
@@ -77,9 +77,9 @@ from typing import Any, Optional
 
 from ..db.database import Database
 from ..db.expression import col
+from ..db.policy import Threshold
 from ..db.schema import Column
 from ..db.types import FLOAT, INTEGER, TEXT
-from ..sync.batching import Threshold
 from ..sync.notification import NotificationCenter
 from .runtime import OBS, ObsRuntime
 from .systable import SysTable, is_system_table
@@ -256,8 +256,7 @@ class TelemetrySink:
         }
         self.center = NotificationCenter(self.database)
         for table in SYSTEM_TABLES:
-            self.center.watch(table)
-            self.center.set_policy(table, DEFAULT_POLICY)
+            self.center.watch(table).set_policy(DEFAULT_POLICY)
         #: Full-registry snapshot (keyframe) every N collections; between
         #: keyframes only changed series are persisted.  Must stay below
         #: RETENTION so every series has a retained row.
@@ -502,7 +501,7 @@ class TelemetrySink:
         Returns total net operations shipped.
         """
         with self.runtime.tracer.suppress():
-            return self.center.flush_all()
+            return sum(edge.flush() for edge in self._edges())
 
     def collect_and_flush(self) -> dict[str, int]:
         """One full cycle: drain + snapshot, then push to dashboards."""
@@ -513,7 +512,10 @@ class TelemetrySink:
     @property
     def flush_cycles(self) -> int:
         """Completed notification flushes (the dashboard's heartbeat)."""
-        return self.center.flushes
+        return sum(edge.flushes for edge in self._edges())
+
+    def _edges(self) -> list[Any]:
+        return list(self.center.subscriptions.values())
 
     def counters(self) -> dict[str, int]:
         """Lifetime sink counters (for tests, examples, and debugging)."""

@@ -10,22 +10,24 @@ Typical socket-mode use::
     client.refresh("visual_attributes")       # step 8: pull
     client.write_back("visual_attributes", tid, "x", 4.2)   # step 9
 
-Propagation policies (Section V) are per-table::
+Propagation policies (Section V) belong to a watched table's edge::
 
-    center.set_policy("visual_attributes", Threshold(max_changes=256))
-    center.set_policy("annotations", MANUAL)   # flush on activity end
+    center.watch("visual_attributes").set_policy(Threshold(max_changes=256))
+    center.watch("annotations").set_policy(MANUAL)   # flush on activity end
+
+The policy names are re-exported here; they and the gate that applies
+them live in :mod:`repro.db.policy`, beside the triggers they govern.
 """
 
-from .batching import (
-    DeltaCoalescer,
+from ..db.policy import (
     IMMEDIATE,
-    Immediate,
     MANUAL,
+    Immediate,
     Manual,
-    PolicyGate,
     PropagationPolicy,
     Threshold,
 )
+from ..db.table import DeltaCoalescer
 from .client import SyncClient
 from .faults import FaultPlan, FaultyTransport
 from .memtable import MemoryTable
@@ -62,7 +64,6 @@ __all__ = [
     "NotificationCenter",
     "PING",
     "PONG",
-    "PolicyGate",
     "PropagationPolicy",
     "REPLY",
     "RefreshDriver",

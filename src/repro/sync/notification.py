@@ -21,37 +21,36 @@ coalesced), the center logs it as at most one seq-no per op kind -- rows
 that join that commit, one WAL record with the user's -- and the
 listeners are called once, after the log (``Database.after_commit``).
 
-Propagation policies (Section V's P1/P2/P3) are configured per table via
-:meth:`NotificationCenter.set_policy` and applied by the center's
-:class:`~repro.sync.batching.PolicyGate`: under a non-immediate policy
-the trigger path hands the change set to the gate, and a flush records
-the net delta the same way -- one seq-no batch, one commit, fanned out to
-the listeners in a single call.
+Watching a table is subscribing to it (:meth:`Database.subscribe`), and
+Section V's policies (P1/P2/P3) are the edge's:
+``center.watch(t).set_policy(p)``, or ``center.subscriptions[t]``.
+Under a buffering policy the database's gate delivers the net delta
+later, to the same :meth:`NotificationCenter._deliver`, as a commit of
+its own -- one seq-no batch, fanned out to the listeners in one call.
 
 Locking: the database fires triggers while holding its global lock, so
-the write path enters here as ``db lock -> gate lock`` / ``db lock ->
-center lock``.  Every center method that may run on another thread and
-touch both (flush, purge, the replay readers) therefore acquires the
-*database* lock first -- one consistent order, no deadlock, and replay
-scans see a stable snapshot instead of racing a concurrent purge (the
-RefreshDriver/purge race).  Sequence numbers are allocated in
-``_record`` under the database lock, which serializes every write path,
-so they are gapless and monotonic across tables and writer threads.
+the write path enters here as ``db lock -> center lock``.  Every center
+method that may run on another thread and touch both (watch, purge, the
+replay readers) therefore acquires the *database* lock first -- one
+consistent order, no deadlock, and replay scans see a stable snapshot
+instead of racing a concurrent purge (the RefreshDriver/purge race).
+Sequence numbers are allocated in ``_record`` under the database lock,
+which serializes every write path, so they are gapless and monotonic
+across tables and writer threads.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Sequence
 
 from ..core import datamodel
 from ..db.database import Database
 from ..db.schema import TID
 from ..db.table import ChangeSet
+from ..db.triggers import Subscription
 from ..errors import SyncError
 from ..obs.runtime import OBS
-from .batching import DeltaCoalescer, PolicyGate, PropagationPolicy
 
 #: Listener signature: (table_name, [(op, seq_no), ...]) -- one call per
 #: recorded event group (singletons included), in seq order.
@@ -77,15 +76,11 @@ class NotificationCenter:
             log.create_index(
                 f"ix_{datamodel.T_NOTIFICATION}_seq", ("seq_no",), sorted=True
             )
-        self._watched: set[str] = set()
+        #: Watched table -> its edge (the handle on its policy).
+        self.subscriptions: dict[str, Subscription] = {}
         self._listeners: list[BatchListener] = []
         self._lock = threading.RLock()
         self._next_seq = self._initial_seq()
-        # Propagation policies (P1/P2/P3), keyed by table.
-        self._gate = PolicyGate(database.lock, self._deliver_flush)
-        # Counters (tests and dashboards read these).
-        self.flushes = 0
-        self.coalesced_ops = 0
 
     def _initial_seq(self) -> int:
         """One past every seq-no already handed out: the newest still
@@ -99,32 +94,28 @@ class NotificationCenter:
         return highest + 1
 
     # ------------------------------------------------------------------
-    def watch(self, table: str) -> None:
-        """Install CREATE/UPDATE/DELETE monitoring on ``table``."""
+    def watch(self, table: str) -> Subscription:
+        """Install CREATE/UPDATE/DELETE monitoring on ``table``; returns
+        its edge (the same one when already watched)."""
         if table == datamodel.T_NOTIFICATION:
             raise SyncError(f"cannot watch the notification machinery table {table!r}")
-        with self._lock:
-            if table in self._watched:
-                return
-            self.database.table(table)  # must exist
-            self.database.on(
-                table,
-                ("insert", "update", "delete"),
-                self._on_change,
-                name=f"notify_{table}",
-            )
-            self._watched.add(table)
+        with self.database.lock, self._lock:
+            edge = self.subscriptions.get(table)
+            if edge is None:
+                edge = self.subscriptions[table] = self.database.subscribe(
+                    table, self._deliver, f"notify_{table}"
+                )
+            return edge
 
     def unwatch(self, table: str) -> None:
-        self.flush(table)
+        """Deliver what ``table``'s edge still buffers and stop watching."""
         with self._lock:
-            if table not in self._watched:
-                return
-            self.database.drop_trigger(f"notify_{table}")
-            self._watched.discard(table)
+            edge = self.subscriptions.pop(table, None)
+        if edge is not None:
+            edge.close()
 
     def watched_tables(self) -> list[str]:
-        return sorted(self._watched)
+        return sorted(self.subscriptions)
 
     def add_batch_listener(self, listener: BatchListener) -> None:
         """Register a listener receiving one call per recorded batch."""
@@ -136,83 +127,20 @@ class NotificationCenter:
             if listener in self._listeners:
                 self._listeners.remove(listener)
 
-    # ------------------------------------------------------------------
-    # Propagation policies: the gate's, keyed by table.
-    def set_policy(self, table: str, policy: PropagationPolicy) -> None:
-        """Configure how changes of ``table`` propagate (P1/P2/P3).
-
-        Switching policies never strands queued changes: anything pending
-        under the old policy is flushed first.
-        """
-        self._gate.set_policy(table, policy)
-
-    def policy(self, table: str) -> PropagationPolicy:
-        return self._gate.policy(table)
-
-    def pending_ops(self, table: Optional[str] = None) -> int:
-        """Buffered (not yet flushed) raw operations for ``table``; with
-        no argument, for every table -- the plane's backlog."""
-        return self._gate.pending_ops(table)
-
-    def due_tables(self) -> list[str]:
-        """Tables whose buffered changes have exceeded their time bound."""
-        return sorted(self._gate.due())
-
-    def flush(self, table: str) -> int:
-        """Record and fan out the net delta buffered for ``table``.
-
-        Returns the number of net operations shipped (0 when nothing was
-        pending).  Safe to call from any thread and at any time,
-        including under an immediate policy (no-op).
-        """
-        return self._gate.flush(table)
-
-    def flush_all(self) -> int:
-        """Flush every table with buffered changes; returns total net ops."""
-        return self._gate.flush_all()
-
     def close(self) -> None:
-        """Flush everything and stop the gate's timer."""
-        self._gate.close()
+        """Unwatch every table, delivering what its edge still buffers."""
+        for table in list(self.subscriptions):
+            self.unwatch(table)
 
     # ------------------------------------------------------------------
-    def _on_change(self, change: ChangeSet) -> None:
-        # Trigger context: the database lock is held here, so taking the
-        # gate/center locks respects the global db -> center order.  The
-        # change is a commit's net delta on the table: its log rows join
-        # that commit, the listeners hear of it once it is logged.
-        if self._gate.offer(change.table, change):
-            return
+    def _deliver(self, change: ChangeSet) -> None:
+        # The edge's delivery, immediate or flushed: the database lock is
+        # held and a commit is being made, so the log rows join it and
+        # the listeners hear of them once it is logged.
         with OBS.span("sync.notify", {"table": change.table}) as span:
             events, listeners = self._record(change, span)
             span.set_tag("notifications", len(events))
         self.database.after_commit(self._fan_out, change.table, events, listeners)
-
-    def _deliver_flush(self, table: str, coalescer: DeltaCoalescer) -> int:
-        # The gate's delivery: database lock held, gate lock not.
-        away = coalescer.coalesced_away()
-        self.coalesced_ops += away
-        if away and OBS.enabled:
-            OBS.metrics.counter("sync.coalesced_away", table=table).inc(away)
-        if coalescer.is_empty():
-            # The batch annihilated itself (e.g. insert+delete per tid):
-            # nothing to record, but the savings still count.
-            return 0
-        net_ops = coalescer.net_ops()
-        started = time.perf_counter()
-        # One commit for the flush's log rows, wherever it runs: its own,
-        # or -- a count bound reached inside a trigger -- that commit's.
-        with OBS.span("sync.flush", {"table": table, "ops": net_ops}) as span:
-            with self.database.transaction():
-                events, listeners = self._record(coalescer.net_changeset(), span)
-        if OBS.enabled:
-            OBS.metrics.histogram("sync.batch_size", table=table).observe(net_ops)
-            OBS.metrics.histogram("sync.flush_ms", table=table).observe(
-                (time.perf_counter() - started) * 1000.0
-            )
-        self.flushes += 1
-        self.database.after_commit(self._fan_out, table, events, listeners)
-        return net_ops
 
     def _record(
         self, change: ChangeSet, span: Any

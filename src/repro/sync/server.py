@@ -1072,7 +1072,9 @@ class SyncServer:
         loop = self._loop
         loop_stats = loop.stats() if loop is not None else None
         queues = self.queue_depths()
-        pending_ops = self.center.pending_ops()
+        pending_ops = sum(
+            edge.pending_ops() for edge in list(self.center.subscriptions.values())
+        )
         snapshot: dict[str, Any] = {
             "use_sockets": self.use_sockets,
             "clients": self.client_count(),

@@ -152,7 +152,7 @@ class WorkflowEngine:
         self.live_activities: dict[int, LiveActivity] = {}
         self.finished_activities: list[FinishedActivity] = []
         self._lock = threading.RLock()
-        self._propagation = None  # set by PropagationManager.attach
+        self._propagation: Any = None  # a PropagationManager sets itself here
         self.record_provenance = True
 
     def _flush_propagation(self) -> None:
@@ -163,7 +163,8 @@ class WorkflowEngine:
         """
         propagation = self._propagation
         if propagation is not None:
-            propagation.flush_all()
+            for edge in list(propagation.subscriptions.values()):
+                edge.flush()
 
     # ------------------------------------------------------------------
     # Deployment
@@ -652,9 +653,12 @@ class WorkflowEngine:
         clean = [
             {k: v for k, v in row.items() if not k.startswith("__")} for row in rows
         ]
-        inserted = self.database.insert_many(table, clean)
+        # The rows and their provenance are one commit (one WAL record):
+        # a crash cannot keep rows that recover() could not compensate.
+        with self.database.transaction():
+            inserted = self.database.insert_many(table, clean)
+            self.record_created(table, [row[TID] for row in inserted], env)
         env.isolation.record_own(table, (row[TID] for row in inserted))
-        self.record_created(table, [row[TID] for row in inserted], env)
 
     def record_created(
         self, table: str, tids: Sequence[int], env: ProcessEnv
@@ -664,7 +668,8 @@ class WorkflowEngine:
         This is both the compensation undo-log and -- after a crash --
         the source :meth:`recover` rebuilds own-row visibility from, so
         every activity write path (procedure ``write_rows`` *and* raw-SQL
-        INSERTs through ``ProcessEnv.execute``) must land here.
+        INSERTs through ``ProcessEnv.execute``) must land here, in the
+        same transaction as the rows.
         """
         if not self.record_provenance or not tids:
             return

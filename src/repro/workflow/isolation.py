@@ -269,25 +269,6 @@ class IsolationManager:
         statement = self.database.statement(sql)
         if isinstance(statement, SelectStmt):
             return self.database.execute_from(_IsolatedSource(self, ctx), sql, params)
-        if isinstance(statement, InsertStmt) and ctx.own_tids is not None:
-            # Record inserted tids so the instance sees its own writes.
-            collected: list[int] = []
-            trigger = self.database.on(
-                statement.table,
-                "insert",
-                lambda change: collected.extend(r[TID] for r in change.inserted),
-            )
-            try:
-                result = self.database.execute(sql, params)
-            finally:
-                self.database.drop_trigger(trigger)
-            ctx.record_own(statement.table, collected)
-            # Surface what landed so the caller (ProcessEnv.execute) can
-            # write durable createdBy provenance -- in-memory own_tids
-            # alone would not survive a crash + recover().
-            result.inserted_table = statement.table
-            result.inserted_tids = collected
-            return result
         if isinstance(statement, DeleteStmt) and statement.table in self._managed:
             scope = _Scope(self.database, params)
             scope.add_table(statement.table, None)
@@ -298,7 +279,11 @@ class IsolationManager:
             )
             count = self.logical_delete(statement.table, where, ctx)
             return Result(rowcount=count)
-        return self.database.execute(sql, params)
+        result = self.database.execute(sql, params)
+        if isinstance(statement, InsertStmt):
+            # The instance sees its own writes.
+            ctx.record_own(statement.table, (r[TID] for r in result.change.inserted))
+        return result
 
     def logical_delete(
         self, table: str, where: Expression | None, ctx: IsolationContext

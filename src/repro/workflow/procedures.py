@@ -21,6 +21,7 @@ import threading
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from ..db.database import Database
+from ..db.schema import TID
 from ..errors import ProcedureError, WorkflowError
 from ..ivm.delta import Delta
 from ..retry import RetryPolicy
@@ -137,15 +138,18 @@ class ProcessEnv:
 
         DELETE statements are intercepted by the isolation layer and
         turned into deletion-table entries (Section VI-A).  INSERTed rows
-        get durable ``createdBy`` provenance, so they stay visible to
-        this enactment across a crash + recover() and are compensated if
-        this activity dies mid-run.
+        get durable ``createdBy`` provenance in the statement's own
+        commit, so they stay visible to this enactment across a crash +
+        recover() and are compensated if this activity dies mid-run.
         """
         sql, bound = self.resolve_sql(sql, params)
-        result = self.engine.isolation.execute(sql, bound, self.isolation)
-        tids = getattr(result, "inserted_tids", None)
-        if tids:
-            self.engine.record_created(result.inserted_table, tids, self)
+        with self.database.transaction():
+            result = self.engine.isolation.execute(sql, bound, self.isolation)
+            change = result.change
+            if change is not None and change.inserted:
+                self.engine.record_created(
+                    change.table, [row[TID] for row in change.inserted], self
+                )
         return result
 
     def write_rows(self, table: str, rows: Sequence[Row]) -> None:

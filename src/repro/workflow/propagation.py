@@ -18,18 +18,25 @@ The trigger calls EdiFlow routines implementing the desired behavior"
 
 The default, with no UP statement, is option 1 of Section V: new data is
 ignored by every instance started before the update.
+
+The trigger of a relation is its subscription
+(:meth:`~repro.db.database.Database.subscribe`), and Section V's P1/P2/P3
+are that edge's policy: ``propagation.subscriptions[relation]``.  A
+manual-policy relation flushes whenever an activity completes (P2,
+deferred-to-completion): the engine flushes every UP edge from its
+completion hooks.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Optional
 
 from ..db.table import ChangeSet
+from ..db.triggers import Subscription
 from ..errors import PropagationError
 from ..ivm.delta import Delta
-from ..sync.batching import DeltaCoalescer, PolicyGate, PropagationPolicy
 from .engine import WorkflowEngine
 from .model import CallProcedure, ProcessDefinition, UpdatePropagation
 
@@ -54,58 +61,16 @@ class PropagationManager:
         self.database = engine.database
         #: relation -> list of (definition, UP statement)
         self._routes: dict[str, list[tuple[ProcessDefinition, UpdatePropagation]]] = {}
-        self._installed: set[str] = set()
+        #: relation -> its UP trigger, the handle on its policy.
+        self.subscriptions: dict[str, Subscription] = {}
         self.log: list[PropagationLog] = []
-        self._reentrancy = threading.local()
-        # Propagation policies (Section V), keyed by relation.
-        # Manual-policy relations flush when an activity completes (P2,
-        # deferred-to-completion) -- the engine calls :meth:`flush_all`
-        # from its completion hooks.
-        self._gate = PolicyGate(self.database.lock, self._deliver_flush)
-        self.flushes = 0
         engine._propagation = self
 
-    # ------------------------------------------------------------------
-    # Propagation policies: the gate's, keyed by relation.
-    def set_policy(self, relation: str, policy: PropagationPolicy) -> None:
-        """Configure how changes of ``relation`` reach UP handlers.
-
-        Pending changes flush before the switch so none are stranded.
-        """
-        self._gate.set_policy(relation, policy)
-
-    def policy(self, relation: str) -> PropagationPolicy:
-        return self._gate.policy(relation)
-
-    def pending_ops(self, relation: str) -> int:
-        return self._gate.pending_ops(relation)
-
-    def flush(self, relation: str) -> int:
-        """Deliver the buffered net delta of ``relation`` to its routes.
-
-        Returns the number of net operations delivered.  Called by the
-        engine whenever an activity or execution completes, so handlers
-        registered with scope ``ra`` still see the live instances; with
-        nothing buffered (the usual case there) the database lock is
-        not touched.
-        """
-        return self._gate.flush(relation)
-
-    def flush_all(self) -> int:
-        """Flush every relation with buffered changes; returns net ops."""
-        return self._gate.flush_all()
-
     def close(self) -> None:
-        """Flush every relation and stop the gate's timer."""
-        self._gate.close()
-
-    def _deliver_flush(self, relation: str, coalescer: DeltaCoalescer) -> int:
-        # The gate's delivery: database lock held, gate lock not.
-        if coalescer.is_empty():
-            return 0
-        self.flushes += 1
-        self._route(relation, coalescer.net_changeset())
-        return coalescer.net_ops()
+        """Remove every UP trigger, delivering what its edge still buffers."""
+        for relation, edge in list(self.subscriptions.items()):
+            edge.close()  # its last delivery still routes through the map
+            del self.subscriptions[relation]
 
     # ------------------------------------------------------------------
     def compile(self, definition: ProcessDefinition) -> None:
@@ -120,46 +85,29 @@ class PropagationManager:
                     "which is not a procedure call and has no delta handlers"
                 )
             self._routes.setdefault(up.relation, []).append((definition, up))
-            if up.relation not in self._installed:
-                self.database.on(
-                    up.relation,
-                    ("insert", "update", "delete"),
-                    self._make_trigger(up.relation),
-                    name=f"up_{up.relation}",
+            if up.relation not in self.subscriptions:
+                self.subscriptions[up.relation] = self.database.subscribe(
+                    up.relation, partial(self._route, up.relation), f"up_{up.relation}"
                 )
-                self._installed.add(up.relation)
-
-    def _make_trigger(self, relation: str):
-        def trigger(change: ChangeSet) -> None:
-            self.on_change(relation, change)
-
-        return trigger
 
     # ------------------------------------------------------------------
-    def on_change(self, relation: str, change: ChangeSet) -> None:
-        """Route one change set to every UP route for ``relation``.
-
-        Under a buffering policy the change is coalesced instead; the
-        net delta reaches the handlers on flush (threshold overflow or
-        activity completion) as ONE delivery.
-        """
-        if getattr(self._reentrancy, "active", None) == relation:
-            # A handler is writing the very relation it reacts to; do not
-            # loop (the TriggerManager depth guard is the hard backstop).
-            return
-        if not self._gate.offer(relation, change):
-            self._route(relation, change)
-
     def _route(self, relation: str, change: ChangeSet) -> None:
+        """Deliver one delta of ``relation`` -- a statement's, or the net
+        delta its edge buffered -- to every UP route for it."""
         delta = Delta.from_changeset(change)
         if delta.is_empty():
             return
-        self._reentrancy.active = relation
+        # A handler writing the very relation it reacts to must not loop
+        # (the trigger depth guard is the hard backstop): the edge is off
+        # while its handlers run, so those writes reach neither it nor
+        # its buffer.
+        edge = self.subscriptions[relation]
+        edge.enabled = False
         try:
             for definition, up in self._routes.get(relation, ()):
                 self._apply(definition, up, delta)
         finally:
-            self._reentrancy.active = None
+            edge.enabled = True
 
     def _apply(
         self, definition: ProcessDefinition, up: UpdatePropagation, delta: Delta

@@ -138,8 +138,8 @@ class TestLatencyScatter:
 class TestCoalesceTreemap:
     def test_cell_area_tracks_savings(self):
         rows = [
-            metric_row("sync.coalesced_away", "value", 30.0, table="a", kind="counter"),
-            metric_row("sync.coalesced_away", "value", 10.0, table="b", kind="counter"),
+            metric_row("db.coalesced_away", "value", 30.0, table="a", kind="counter"),
+            metric_row("db.coalesced_away", "value", 10.0, table="b", kind="counter"),
         ]
         items = compute_coalesce_treemap(rows, width=100, height=100)
         area = {i.obj_id: i.width * i.height for i in items}

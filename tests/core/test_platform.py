@@ -145,29 +145,71 @@ class TestFacade:
 
 
 class TestPropagationFacade:
-    """``set_propagation_policy`` / ``flush_propagation`` / ``shutdown``
-    over the three propagation gates (Section V)."""
+    """``set_propagation_policy`` / ``flush_propagation`` / ``shutdown``:
+    a table's policy is the policy of every edge out of it (Section V)."""
 
     @staticmethod
     def platform_with_view():
+        """``t`` feeds a mirror, two views and an UP handler; ``other``
+        feeds a mirror and a view of its own."""
         from repro.ivm import SelectProjectView
+        from repro.workflow import (
+            CallProcedure,
+            ProcessDefinition,
+            RelationDecl,
+            UpdatePropagation,
+            seq,
+        )
 
         platform = EdiFlow()
         platform.execute("CREATE TABLE t (a INTEGER)")
         platform.execute("CREATE TABLE other (a INTEGER)")
         platform.center.watch("t")
+        platform.center.watch("other")
         view = platform.materialized.register(SelectProjectView("all", "t"))
+        platform.materialized.register(SelectProjectView("evens", "t"))
+        platform.materialized.register(SelectProjectView("others", "other"))
+        platform.procedures.register(Doubler())
+        platform.deploy(
+            ProcessDefinition(
+                "on_t",
+                seq(CallProcedure("c", "doubler", inputs=["t"], outputs=[])),
+                relations=[RelationDecl("t")],
+                procedures=["doubler"],
+                propagations=[UpdatePropagation("t", "c", "fa-rp")],
+            )
+        )
         return platform, view
 
+    @staticmethod
+    def edges(platform):
+        """Every edge, by frontend: mirror, views, UP handlers."""
+        return {
+            "notify": platform.center.subscriptions,
+            "views": platform.materialized.subscriptions,
+            "up": platform.propagation.subscriptions,
+        }
+
     def test_set_policy_reaches_notifications_and_up_handlers(self):
+        """... and every view over the table: one meaning, all its edges,
+        nothing on another table."""
         from repro.sync import IMMEDIATE, MANUAL
 
         platform, _view = self.platform_with_view()
+        edges = self.edges(platform)
         platform.set_propagation_policy("t", MANUAL)
-        assert platform.center.policy("t") is MANUAL
-        assert platform.propagation.policy("t") is MANUAL
-        # Views opt in per view, not per table.
-        assert platform.materialized.policy("all") is IMMEDIATE
+        on_t = [
+            edges["notify"]["t"],
+            *edges["views"]["all"],
+            *edges["views"]["evens"],
+            edges["up"]["t"],
+        ]
+        assert sorted(edge.name for edge in on_t) == sorted(
+            edge.name for edge in platform.database.subscriptions("t")
+        )
+        assert all(edge.policy() is MANUAL for edge in on_t)
+        on_other = [edges["notify"]["other"], *edges["views"]["others"]]
+        assert all(edge.policy() is IMMEDIATE for edge in on_other)
         platform.shutdown()
 
     def test_flush_one_table_reaches_the_views_over_it(self):
@@ -175,29 +217,33 @@ class TestPropagationFacade:
 
         platform, view = self.platform_with_view()
         platform.set_propagation_policy("t", MANUAL)
-        platform.materialized.set_policy("all", MANUAL)
+        platform.set_propagation_policy("other", MANUAL)
         platform.execute("INSERT INTO t (a) VALUES (1)")
-        assert platform.flush_propagation("other") == 0
-        assert len(view) == 0 and platform.materialized.pending_ops("all") == 1
-        # One net op on the notification plane, one on the view's.
-        assert platform.flush_propagation("t") == 2
-        assert platform.materialized.pending_ops("all") == 0
+        platform.execute("INSERT INTO other (a) VALUES (2)")
+        on_t = platform.database.subscriptions("t")
+        assert [edge.pending_ops() for edge in on_t] == [1] * 4
+        assert len(view) == 0
+        # One net op per edge out of t: mirror, two views, UP handlers.
+        assert platform.flush_propagation("t") == 4
+        assert [edge.pending_ops() for edge in on_t] == [0] * 4
         assert view.rows() == [{"a": 1}]
         assert len(platform.center.changes_since("t", 0)[1]) == 1
+        # ... and exactly those: other's edges still hold their change.
+        on_other = platform.database.subscriptions("other")
+        assert [edge.pending_ops() for edge in on_other] == [1, 1]
         platform.shutdown()
 
     def test_flush_everything(self):
         from repro.sync import MANUAL
 
         platform, view = self.platform_with_view()
-        platform.center.watch("other")
         for table in ("t", "other"):
             platform.set_propagation_policy(table, MANUAL)
-        platform.materialized.set_policy("all", MANUAL)
         platform.execute("INSERT INTO t (a) VALUES (1)")
         platform.execute("INSERT INTO other (a) VALUES (2)")
-        assert platform.flush_propagation() == 3  # t, other, the view
-        assert platform.center.pending_ops() == 0
+        assert platform.flush_propagation() == 6  # four edges on t, two on other
+        edges = platform.database.subscriptions()
+        assert all(edge.pending_ops() == 0 for edge in edges)
         assert len(view) == 1
         platform.shutdown()
 
@@ -215,10 +261,38 @@ class TestPropagationFacade:
         platform, view = self.platform_with_view()
         timed = Threshold(max_changes=100, max_delay_ms=60_000.0)
         platform.set_propagation_policy("t", timed)
-        platform.materialized.set_policy("all", timed)
-        # One timer per gate: notifications, UP handlers, views.
-        assert len(gate_timers() - before) == 3
+        # One timer for the database, however many edges are timed.
+        assert len(gate_timers() - before) == 1
         platform.execute("INSERT INTO t (a) VALUES (1)")
         platform.shutdown()
         assert gate_timers() - before == set()
         assert len(view) == 1  # shutdown flushed what was still buffered
+        assert platform.database.subscriptions() == []
+
+    def test_telemetry_policy_stays_on_the_sinks_edges(self):
+        """Policies are per edge, not per table: the sink's timerless
+        Threshold is on its center's ``sys_*`` edges only, and dashboard
+        views over the same tables of the same database stay immediate."""
+        from repro.apps.telemetry import TelemetryDashboard
+        from repro.obs import ObsRuntime
+        from repro.obs.store import (
+            DEFAULT_POLICY,
+            SYS_PROFILES,
+            SYS_SPANS,
+            TelemetrySink,
+        )
+        from repro.sync import IMMEDIATE
+
+        sink = TelemetrySink(ObsRuntime())
+        dashboard = TelemetryDashboard(sink)
+        try:
+            for table in (SYS_SPANS, SYS_PROFILES):
+                edges = sink.database.subscriptions(table)
+                mine = sink.center.subscriptions[table]
+                assert mine in edges and mine.policy() is DEFAULT_POLICY
+                views = [edge for edge in edges if edge is not mine]
+                assert views, f"no dashboard view over {table}"
+                assert all(edge.policy() is IMMEDIATE for edge in views)
+        finally:
+            dashboard.close()
+            sink.close()

@@ -23,7 +23,7 @@ from repro.db.transactions import Transaction
 from repro.db.types import INTEGER
 from repro.db.wal import FSYNC_NEVER, KIND_COMMIT, read_wal
 from repro.errors import DatabaseError
-from repro.sync import NotificationCenter
+from repro.sync import MANUAL, NotificationCenter, Threshold
 
 from ..sync.test_policy_gate import SRC, _hits
 
@@ -178,6 +178,35 @@ def test_a_trigger_that_opens_a_transaction_joins_too(stack):
     assert [c for c in hook[1] if c[0] == "b"] == [("b", 1, 0, 0), ("b", 0, 1, 0)]
     # ... and its two statements reached b's triggers as one net insert.
     assert ("listener", "b", ["insert"]) in listeners
+    assert stack.new_appends() == 1
+    stack.assert_recovers_to_live()
+
+
+def test_a_policy_flush_is_one_commit_with_its_fan_out_after_it(stack):
+    """A buffering edge's net delta reaches the center through the
+    database's gate: the flush's log rows are one commit (one hook call,
+    one WAL record) and the listeners hear of them after it -- flushed by
+    a caller, or inside the commit whose change crossed a count bound."""
+    db, edges = stack.db, stack.center.subscriptions
+    edges["a"].set_policy(MANUAL)
+    edges["b"].set_policy(Threshold(max_changes=2, max_delay_ms=None))
+    db.insert_many("a", [{"id": i, "v": 0} for i in range(3)])
+    db.update("a", {"v": 1}, col("id") == 0)
+    db.insert("b", {"id": 1, "v": 0})
+    stack.timeline.clear()
+    stack.new_appends()
+    assert edges["a"].flush() == 3  # the update folded into its insert
+    assert stack.timeline == [
+        ("hook", log_rows(1)),
+        ("listener", "a", ["insert"]),
+    ]
+    assert stack.new_appends() == 1
+    stack.timeline.clear()
+    db.insert("b", {"id": 2, "v": 0})  # the crossing change
+    assert stack.timeline == [
+        ("hook", [("b", 1, 0, 0)] + log_rows(1)),
+        ("listener", "b", ["insert"]),
+    ]
     assert stack.new_appends() == 1
     stack.assert_recovers_to_live()
 

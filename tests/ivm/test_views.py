@@ -303,28 +303,30 @@ class TestRegistry:
 
 
 class TestRegistryPolicies:
-    """Propagation policies on materialized views (Section V)."""
+    """Propagation policies on materialized views (Section V): each is
+    the policy of the view's edge out of a base table."""
 
     def test_threshold_applies_one_combined_delta(self, db, registry):
-        from repro.sync.batching import Threshold
+        from repro.sync import Threshold
 
         view = registry.register(SelectProjectView("all", "orders"))
-        registry.set_policy("all", Threshold(max_changes=100, max_delay_ms=None))
+        (edge,) = registry.subscriptions["all"]
+        edge.set_policy(Threshold(max_changes=100, max_delay_ms=None))
         for i in range(10):
             db.insert("orders", {"id": i + 1, "customer": "c", "amount": i})
         assert len(view) == 0  # buffered, not yet applied
-        assert registry.pending_ops("all") == 10
-        assert registry.flush_view("all") == 10
+        assert edge.pending_ops() == 10
+        assert edge.flush() == 10
         assert len(view) == 10
-        stats = registry.stats("all")
-        assert stats.deltas_applied == 1  # ONE combined delta
-        assert stats.batched_flushes == 1
+        assert registry.stats("all").deltas_applied == 1  # ONE combined delta
+        assert edge.flushes == 1
 
     def test_threshold_count_overflow_autoflushes(self, db, registry):
-        from repro.sync.batching import Threshold
+        from repro.sync import Threshold
 
         view = registry.register(SelectProjectView("all", "orders"))
-        registry.set_policy("all", Threshold(max_changes=3, max_delay_ms=None))
+        (edge,) = registry.subscriptions["all"]
+        edge.set_policy(Threshold(max_changes=3, max_delay_ms=None))
         db.insert("orders", {"id": 1, "customer": "a", "amount": 1})
         db.insert("orders", {"id": 2, "customer": "b", "amount": 2})
         assert len(view) == 0
@@ -332,18 +334,19 @@ class TestRegistryPolicies:
         assert len(view) == 3  # third change crossed the threshold
 
     def test_insert_delete_coalesces_to_nothing(self, db, registry):
-        from repro.sync.batching import MANUAL
+        from repro.sync import MANUAL
 
         view = registry.register(SelectProjectView("all", "orders"))
-        registry.set_policy("all", MANUAL)
+        (edge,) = registry.subscriptions["all"]
+        edge.set_policy(MANUAL)
         db.insert("orders", {"id": 1, "customer": "a", "amount": 1})
         db.delete("orders", col("id") == 1)
-        assert registry.flush_view("all") == 0
+        assert edge.flush() == 0
         assert len(view) == 0
-        assert registry.stats("all").coalesced_ops == 2
+        assert edge.coalesced_ops == 2
 
     def test_aggregate_view_batches_correctly(self, db, registry):
-        from repro.sync.batching import MANUAL
+        from repro.sync import MANUAL
 
         view = registry.register(
             AggregateView(
@@ -353,19 +356,26 @@ class TestRegistryPolicies:
                 aggregates=[AggSpec("SUM", col("amount"), "total")],
             )
         )
-        registry.set_policy("by_customer", MANUAL)
+        for edge in registry.subscriptions["by_customer"]:
+            edge.set_policy(MANUAL)
         for i in range(4):
             db.insert("orders", {"id": i + 1, "customer": "a", "amount": 10})
         db.insert("orders", {"id": 9, "customer": "b", "amount": 7})
-        registry.flush_view("by_customer")
+        assert sum(edge.flush() for edge in registry.subscriptions["by_customer"]) == 5
         totals = {r["customer"]: r["total"] for r in view.rows()}
         assert totals == {"a": 40, "b": 7}
 
     def test_unregister_drops_buffered_deltas(self, db, registry):
-        from repro.sync.batching import MANUAL
+        """Unregistering closes the view's edges: nothing stays buffered
+        for a consumer that is gone, and later changes reach no one."""
+        from repro.sync import MANUAL
 
-        registry.register(SelectProjectView("all", "orders"))
-        registry.set_policy("all", MANUAL)
+        view = registry.register(SelectProjectView("all", "orders"))
+        (edge,) = registry.subscriptions["all"]
+        edge.set_policy(MANUAL)
         db.insert("orders", {"id": 1, "customer": "a", "amount": 1})
         registry.unregister("all")
-        assert registry.flush_all() == 0  # nothing strands, nothing crashes
+        assert edge.pending_ops() == 0 and edge.flush() == 0
+        assert db.subscriptions("orders") == [] and "all" not in registry.subscriptions
+        db.insert("orders", {"id": 2, "customer": "b", "amount": 2})
+        assert len(view) == 1  # what was buffered at the close, and no more

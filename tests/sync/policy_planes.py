@@ -5,7 +5,8 @@ feeding a consumer on every plane Section V's policies apply to: an
 in-process mirror (sync), a select-all materialized view (ivm) and a
 running activity with a delta handler (workflow).  Each plane answers the
 same five questions, so one contract and one equivalence script can be
-asked of all three.
+asked of all three.  The policy questions are asked of the plane's edge
+out of ``t`` -- its subscription, the one handle every plane has.
 """
 
 import threading
@@ -33,25 +34,30 @@ def visible(rows):
     return sorted((row["id"], row["v"]) for row in rows)
 
 
-class MirrorPlane:
+class Plane:
+    """The policy half every plane shares: its edge out of ``t``."""
+
+    edge = None
+
+    def set_policy(self, policy):
+        self.edge.set_policy(policy)
+
+    def pending(self):
+        return self.edge.pending_ops()
+
+    def flush(self):
+        return self.edge.flush()
+
+
+class MirrorPlane(Plane):
     """sync: NotificationCenter -> in-process client -> R_M."""
 
     def __init__(self, platform):
-        self.center = platform.center
-        self.center.watch("t")
+        self.edge = platform.center.watch("t")
         self.arrived = threading.Event()
         self.client = SyncClient(platform.server)
         self.mirror = self.client.mirror("t")
         self.client.on_notify(lambda table, op, seq_no: self.arrived.set())
-
-    def set_policy(self, policy):
-        self.center.set_policy("t", policy)
-
-    def pending(self):
-        return self.center.pending_ops("t")
-
-    def flush(self):
-        return self.center.flush("t")
 
     def rows(self):
         """R_M after pulling whatever the log holds (``changes_since``)."""
@@ -62,29 +68,21 @@ class MirrorPlane:
         self.client.close()
 
 
-class ViewPlane:
+class ViewPlane(Plane):
     """ivm: ViewRegistry -> ``SELECT * FROM t`` materialized."""
 
     def __init__(self, platform):
-        self.registry = platform.materialized
-        self.view = self.registry.register(SelectProjectView("all", "t"))
+        registry = platform.materialized
+        self.view = registry.register(SelectProjectView("all", "t"))
+        (self.edge,) = registry.subscriptions["all"]
         self.arrived = threading.Event()
-        apply_now = self.registry._apply_now
+        deliver = self.edge.fn
 
-        def signalling(view, change):
-            apply_now(view, change)
+        def signalling(change):
+            deliver(change)
             self.arrived.set()
 
-        self.registry._apply_now = signalling
-
-    def set_policy(self, policy):
-        self.registry.set_policy("all", policy)
-
-    def pending(self):
-        return self.registry.pending_ops("all")
-
-    def flush(self):
-        return self.registry.flush_view("all")
+        self.edge.fn = signalling
 
     def rows(self):
         return visible(self.view.rows())
@@ -116,12 +114,11 @@ class _Folder(Procedure):
         return None
 
 
-class HandlerPlane:
+class HandlerPlane(Plane):
     """workflow: UP (t, fold, ra) -> the running handler of ``fold``."""
 
     def __init__(self, platform):
         self.platform = platform
-        self.propagation = platform.propagation
         self.arrived = threading.Event()
         self.folder = _Folder(self.arrived)
         platform.procedures.register(self.folder)
@@ -135,15 +132,7 @@ class HandlerPlane:
             )
         )
         self.execution = platform.run("p")
-
-    def set_policy(self, policy):
-        self.propagation.set_policy("t", policy)
-
-    def pending(self):
-        return self.propagation.pending_ops("t")
-
-    def flush(self):
-        return self.propagation.flush("t")
+        self.edge = platform.propagation.subscriptions["t"]
 
     def rows(self):
         return visible(self.folder.state.values())

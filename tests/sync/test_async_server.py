@@ -378,7 +378,7 @@ class TestHealth:
             assert 1 <= queues["hiwat_frames"] <= queues["limit_frames"]
             assert queues["hiwat_bytes"] > 0
             assert health["pending_ops"] == 0  # immediate: nothing buffered
-            center.set_policy("pts", MANUAL)
+            center.subscriptions["pts"].set_policy(MANUAL)
             db.insert("pts", {"id": 100, "x": 0.0})
             db.insert("pts", {"id": 101, "x": 0.0})
             assert server.health()["pending_ops"] == 2

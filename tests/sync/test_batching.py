@@ -194,37 +194,38 @@ class TestCenterPolicies:
         center.watch("t")
         batches = []
         center.add_batch_listener(lambda table, events: batches.append(events))
-        center.set_policy("t", Threshold(max_changes=100, max_delay_ms=None))
+        edge = center.subscriptions["t"]
+        edge.set_policy(Threshold(max_changes=100, max_delay_ms=None))
         for i in range(10):
             db.insert("t", {"id": i, "v": str(i)})
-        assert center.pending_ops("t") == 10
+        assert center.subscriptions["t"].pending_ops() == 10
         assert batches == []
-        shipped = center.flush("t")
+        shipped = center.subscriptions["t"].flush()
         assert shipped == 10
         # 10 coalesced inserts become ONE seq-no (one op kind), one call.
         assert len(batches) == 1 and len(batches[0]) == 1
-        assert center.pending_ops("t") == 0
+        assert center.subscriptions["t"].pending_ops() == 0
         center.close()
 
     def test_insert_delete_burst_flushes_to_zero(self, db):
         db.create_table("t", [Column("id", INTEGER)])
         center = NotificationCenter(db)
         center.watch("t")
-        center.set_policy("t", MANUAL)
+        center.subscriptions["t"].set_policy(MANUAL)
         rows = [db.insert("t", {"id": i}) for i in range(50)]
         for r in rows:
             db.delete_by_tids("t", [r[TID]])
-        assert center.flush("t") == 0  # everything coalesced away
-        assert center.coalesced_ops == 100
+        assert center.subscriptions["t"].flush() == 0  # everything coalesced away
+        assert center.subscriptions["t"].coalesced_ops == 100
         center.close()
 
     def test_timer_flushes_aged_batches(self, db):
         db.create_table("t", [Column("id", INTEGER)])
         center = NotificationCenter(db)
         center.watch("t")
-        center.set_policy("t", Threshold(max_changes=10**6, max_delay_ms=20.0))
+        center.watch("t").set_policy(Threshold(max_changes=10**6, max_delay_ms=20.0))
         db.insert("t", {"id": 1})
-        assert wait_until(lambda: center.pending_ops("t") == 0, timeout=2.0)
+        assert wait_until(lambda: center.subscriptions["t"].pending_ops() == 0, timeout=2.0)
         _newest, changes = center.changes_since("t", 0)
         assert len(changes) == 1
         center.close()
@@ -233,7 +234,7 @@ class TestCenterPolicies:
         db.create_table("t", [Column("id", INTEGER)])
         center = NotificationCenter(db)
         center.watch("t")
-        center.set_policy("t", MANUAL)
+        center.subscriptions["t"].set_policy(MANUAL)
         db.insert("t", {"id": 1})
         center.close()
         _newest, changes = center.changes_since("t", 0)
@@ -249,11 +250,12 @@ class TestBatchedNotifyEndToEnd:
         # the batch window nets an *update* (not a coalesced insert) and
         # the flush carries two op kinds -> two seqs -> one NOTIFYB.
         seed = db.insert("pts", {"id": 100, "x": -1})
-        server.center.set_policy("pts", Threshold(max_changes=64, max_delay_ms=None))
+        edge = server.center.subscriptions["pts"]
+        edge.set_policy(Threshold(max_changes=64, max_delay_ms=None))
         for i in range(10):
             db.insert("pts", {"id": i + 1, "x": i})
         db.update_by_tid("pts", seed[TID], {"x": 99})
-        server.center.flush("pts")
+        server.center.subscriptions["pts"].flush()
         assert wait_until(lambda: client.batch_notifies_received >= 1)
         assert client.wait_dirty("pts")
         client.refresh("pts")
@@ -263,9 +265,9 @@ class TestBatchedNotifyEndToEnd:
 
     def test_single_event_flush_uses_plain_notify(self, stack):
         db, server, client, mirror = stack
-        server.center.set_policy("pts", MANUAL)
+        server.center.subscriptions["pts"].set_policy(MANUAL)
         db.insert("pts", {"id": 1, "x": 1})
-        server.center.flush("pts")
+        server.center.subscriptions["pts"].flush()
         assert wait_until(lambda: client.notify_received >= 1)
         assert client.batch_notifies_received == 0  # one event, one NOTIFY
 
@@ -301,11 +303,11 @@ class TestBatchedNotifyEndToEnd:
         try:
             server.register_client("pts", "127.0.0.1", port)
             seed = db.insert("pts", {"id": 100})
-            center.set_policy("pts", MANUAL)
+            center.subscriptions["pts"].set_policy(MANUAL)
             for i in range(5):
                 db.insert("pts", {"id": i})
             db.update_by_tid("pts", seed[TID], {"id": 101})
-            center.flush("pts")
+            center.subscriptions["pts"].flush()
             # Two seq-nos (insert batch + delete batch) -> two NOTIFYs,
             # zero NOTIFYB frames.
             assert wait_until(
@@ -322,13 +324,14 @@ class TestBatchedNotifyEndToEnd:
     def test_reconnect_mid_batch_replays_without_double_apply(self, stack):
         """A client detached across a flush must converge exactly once."""
         db, server, client, mirror = stack
-        server.center.set_policy("pts", Threshold(max_changes=10**6, max_delay_ms=None))
+        edge = server.center.subscriptions["pts"]
+        edge.set_policy(Threshold(max_changes=10**6, max_delay_ms=None))
         for i in range(20):
             db.insert("pts", {"id": i + 1, "x": i})
         # Kill the transport while the batch is still buffered server-side.
         endpoint = server._endpoints[(client.host, client.port)]
         endpoint.conn.transport.close()
-        server.center.flush("pts")  # delivery fails -> missed_count grows
+        server.center.subscriptions["pts"].flush()  # delivery fails -> missed_count grows
         assert wait_until(lambda: client.status == "connected" and client.reconnects >= 1)
         assert wait_until(lambda: client.wait_dirty("pts", timeout=0.1) or True)
         client.refresh("pts")
@@ -341,14 +344,14 @@ class TestBatchedNotifyEndToEnd:
 
     def test_evict_detached_with_buffered_batches(self, stack):
         db, server, client, mirror = stack
-        server.center.set_policy("pts", MANUAL)
+        server.center.subscriptions["pts"].set_policy(MANUAL)
         endpoint = server._endpoints[(client.host, client.port)]
         # Stop the client from auto-reconnecting so the link stays down.
         client.auto_reconnect = False
         endpoint.conn.transport.close()
         for i in range(5):
             db.insert("pts", {"id": i + 1, "x": i})
-        server.center.flush("pts")
+        server.center.subscriptions["pts"].flush()
         assert wait_until(lambda: server.detached_count() >= 1)
         assert server.evict_detached(max_age=0.0) == 1
         assert server.client_count() == 0

@@ -27,13 +27,13 @@ from repro.db.wal import FSYNC_NEVER
 from repro.errors import ConstraintViolation
 from repro.sync import (
     IMMEDIATE,
+    DeltaCoalescer,
     MANUAL,
     NotificationCenter,
     SyncClient,
     SyncServer,
     Threshold,
 )
-from repro.sync.batching import DeltaCoalescer
 
 from .test_policy_gate import SRC, _hits
 
@@ -87,7 +87,7 @@ class Model:
         for change in statements:
             self.buffers[change.table].add(change)
         for table in dict.fromkeys(change.table for change in statements):
-            if self.center.pending_ops(table) == 0:
+            if self.center.subscriptions[table].pending_ops() == 0:
                 self.fold(table)  # recorded inline, or flushed just now
 
     def fold(self, table):
@@ -136,7 +136,7 @@ class Model:
             except Rollback:
                 pass
         elif kind == "flush":
-            self.center.flush(args[0])
+            self.center.subscriptions[args[0]].flush()
             self.fold(args[0])
         elif kind == "clients":
             table, positions = args
@@ -247,8 +247,8 @@ def test_the_log_says_what_the_per_tid_log_said(script, policy_t, policy_u):
     db = make_db(*TABLES)
     center = NotificationCenter(db)
     model = Model(db, center)
-    center.set_policy("t", policy_t)
-    center.set_policy("u", policy_u)
+    center.subscriptions["t"].set_policy(policy_t)
+    center.subscriptions["u"].set_policy(policy_u)
     try:
         for step, cursor in script:
             model.run(step)
@@ -338,11 +338,11 @@ def test_a_coalesced_flush_of_scattered_tids_stores_one_list():
     center.watch("t")
     db.insert_many("t", [{"id": i, "v": 0} for i in range(1, 513)])
     center.purge()
-    center.set_policy("t", MANUAL)
+    center.subscriptions["t"].set_policy(MANUAL)
     for tid in range(512, 0, -2):
         db.update_by_tid("t", tid, {"v": 1})
     assert len(db.table(LOG)) == 0
-    assert center.flush("t") == 256
+    assert center.subscriptions["t"].flush() == 256
     (row,) = db.table(LOG).rows()
     assert row["op"] == "update"
     assert (row["lo"], row["hi"]) == (2, 512)

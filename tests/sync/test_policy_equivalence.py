@@ -62,7 +62,6 @@ class Policed(Deployment):
         """Toggle between the deployment's policy and immediate."""
         self.current = self.home if self.current is IMMEDIATE else IMMEDIATE
         self.platform.set_propagation_policy("t", self.current)
-        self.platform.materialized.set_policy("all", self.current)
 
     def run(self, step):
         kind, *args = step

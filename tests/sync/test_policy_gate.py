@@ -1,9 +1,10 @@
 """``PolicyGate`` alone: a fake ``deliver``, a plain ``RLock`` as outer lock.
 
-The gate is Section V's mechanism (buffer -> coalesce -> flush -> timer),
-shared by the sync, ivm and workflow planes; what each plane adds on top
-is pinned by ``test_policy_contract.py``.  The structural tests at the
-bottom keep it the *only* copy.
+The gate is Section V's mechanism (buffer -> coalesce -> flush -> timer).
+A database owns one, keyed by trigger, and every consumer -- the sync,
+ivm and workflow planes -- subscribes through it; what the planes share
+on top is pinned by ``test_policy_contract.py``.  The structural tests at
+the bottom keep it the *only* copy.
 """
 
 import ast
@@ -16,15 +17,16 @@ import pytest
 
 from repro.db.schema import TID
 from repro.db.table import ChangeSet
-from repro.sync.batching import (
-    IMMEDIATE,
-    MANUAL,
-    DeltaCoalescer,
-    PolicyGate,
-    Threshold,
-)
+from repro.db.policy import IMMEDIATE, MANUAL, PolicyGate, Threshold
+from repro.db.table import DeltaCoalescer
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+GATE = SRC / "db" / "policy.py"
+FRONTENDS = [
+    SRC / "sync" / "notification.py",
+    SRC / "ivm" / "registry.py",
+    SRC / "workflow" / "propagation.py",
+]
 TIMER_NAME = "policy-gate-timer"
 
 
@@ -54,11 +56,19 @@ class Harness:
         return coalescer.net_ops()
 
 
+def close(gate, *keys):
+    """What closing edges does: flush, forget, and reap the timer."""
+    for key in keys:
+        gate.flush(key)
+        gate.drop(key)
+    gate.reap()
+
+
 @pytest.fixture
 def harness():
     h = Harness()
     yield h
-    h.gate.close()
+    close(h.gate, *list(h.gate._policies))
 
 
 def timers():
@@ -96,11 +106,11 @@ class TestOffer:
         harness.gate.offer(("v", "b"), insert(1, "b"))
         harness.gate.offer(("v", "b"), insert(2, "b"))
         assert harness.gate.pending_ops(("v", "a")) == 1
-        assert harness.gate.pending_ops() == 3
+        assert harness.gate.pending_ops(("v", "b")) == 2
         assert harness.gate.flush(("v", "a")) == 1
-        assert harness.gate.pending_ops() == 2
-        assert harness.gate.flush_all() == 2
-        assert harness.gate.pending_ops() == 0
+        assert harness.gate.pending_ops(("v", "b")) == 2
+        assert harness.gate.flush(("v", "b")) == 2
+        assert harness.gate.pending_ops(("v", "b")) == 0
 
 
 class TestFlush:
@@ -138,7 +148,7 @@ class TestFlush:
             result = []
             prober = threading.Thread(
                 target=lambda: result.append(
-                    (harness.gate.flush("t"), harness.gate.flush_all())
+                    (harness.gate.flush("t"), harness.gate.flush("u"))
                 )
             )
             prober.start()
@@ -181,9 +191,9 @@ class TestFlush:
         gate.offer("t", insert(1))
         gate.set_policy("t", IMMEDIATE)
         assert gate.pending_ops("t") == 1
-        assert gate.due() == ["t"]
-        assert gate.flush_all() == 1
-        assert gate.due() == []
+        assert gate._deadline("t") == 0.0
+        assert gate.flush("t") == 1
+        assert gate.pending_ops("t") == 0
 
     def test_drop_discards_policy_and_buffer(self, harness):
         harness.gate.set_policy("t", MANUAL)
@@ -191,7 +201,7 @@ class TestFlush:
         harness.gate.drop("t")
         assert harness.gate.pending_ops("t") == 0
         assert harness.gate.policy("t") is IMMEDIATE
-        assert harness.gate.flush_all() == 0 and harness.delivered == []
+        assert harness.gate.flush("t") == 0 and harness.delivered == []
 
 
 class TestTimer:
@@ -218,7 +228,7 @@ class TestTimer:
         harness.gate.offer("t", insert(1))
         assert harness.arrived.wait(5.0)
         assert [key for key, _tids, _away in harness.delivered] == ["t"]
-        assert harness.gate.due() == []
+        assert harness.gate.pending_ops("t") == 0
         assert harness.gate.pending_ops("m") == 1
 
     def test_timer_picks_up_a_change_left_without_a_policy(self):
@@ -240,19 +250,26 @@ class TestTimer:
             assert straggler.wait(5.0)
             assert gate.pending_ops("t") == 0
         finally:
-            gate.close()
+            close(gate, "t", "u")
 
     def test_close_flushes_and_joins(self):
+        """Closing the last timed key joins the timer; the next timed
+        policy starts a fresh one.  A timed key left open keeps it."""
         h = Harness()
-        h.gate.set_policy("t", Threshold(max_changes=10**6, max_delay_ms=60_000.0))
+        timed = Threshold(max_changes=10**6, max_delay_ms=60_000.0)
+        h.gate.set_policy("t", timed)
+        h.gate.set_policy("u", timed)
         h.gate.offer("t", insert(1))
         timer = h.gate._timer
         assert timer is not None and timer.is_alive()
-        h.gate.close()
+        close(h.gate, "t")
         assert h.delivered == [("t", [1], 0)]
-        assert not timer.is_alive()
-        # Closed for good: a later timed policy starts nothing.
-        h.gate.set_policy("u", Threshold(max_changes=2, max_delay_ms=5.0))
+        assert timer.is_alive()  # "u" still has a time bound
+        close(h.gate, "u")
+        assert not timer.is_alive() and h.gate._timer is None
+        h.gate.set_policy("v", Threshold(max_changes=2, max_delay_ms=5.0))
+        assert h.gate._timer is not None and h.gate._timer is not timer
+        close(h.gate, "v")
         assert h.gate._timer is None
 
 
@@ -285,7 +302,8 @@ class TestConcurrency:
 
         def churn():
             while not stop.is_set():
-                gate.flush_all()
+                for key in keys:
+                    gate.flush(key)
                 gate.set_policy("b", MANUAL)
                 gate.set_policy("b", IMMEDIATE)
                 gate.set_policy("b", timed)
@@ -304,7 +322,7 @@ class TestConcurrency:
             assert not any(t.is_alive() for t in [*threads, churner])
         finally:
             sys.setswitchinterval(interval)
-            gate.close()
+            close(gate, *keys)
         assert sorted(delivered) == list(range(writers * per_writer))
 
 
@@ -327,7 +345,7 @@ def _hits(pattern, paths):
 
 
 def test_policy_state_lives_only_in_the_gate():
-    others = [p for p in SRC.rglob("*.py") if p != SRC / "sync" / "batching.py"]
+    others = [p for p in SRC.rglob("*.py") if p != GATE]
     assert not _hits(r"\._policies\b|\.max_delay_ms\b", others)
     # One coalescer, beside ChangeSet, and the two windows that net with
     # it: a policy's buffer (the gate), a transaction (the commit routine).
@@ -335,7 +353,11 @@ def test_policy_state_lives_only_in_the_gate():
         return sorted({hit.split(":")[0] for hit in _hits(pattern, SRC.rglob("*.py"))})
 
     assert files(r"^class DeltaCoalescer\b") == ["db/table.py"]
-    assert files(r"DeltaCoalescer\(") == ["db/database.py", "sync/batching.py"]
+    assert files(r"DeltaCoalescer\(") == ["db/database.py", "db/policy.py"]
+    # One gate, the database's: constructed once, beside the triggers.
+    (constructed,) = _hits(r"PolicyGate\(", SRC.rglob("*.py"))
+    assert constructed.startswith("db/")
+    assert not _hits(r"_deliver_flush", SRC.rglob("*.py"))
     for path in others:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.AnnAssign):
@@ -345,16 +367,31 @@ def test_policy_state_lives_only_in_the_gate():
                 ), f"{path.relative_to(SRC)}:{node.lineno} keeps its own policy table"
 
 
+def test_frontends_define_no_policy_method_and_install_no_trigger():
+    """A consumer is its ``deliver``: the policy methods are its edge's,
+    and consumers subscribe -- only ``repro.db`` calls ``.on(``."""
+    wrappers = {
+        "set_policy",
+        "flush_all",
+        "flush_view",
+        "flush_table",
+        "pending_ops",
+        "due_tables",
+    }
+    for path in FRONTENDS:
+        defined = {
+            node.name
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef)
+        }
+        assert not defined & wrappers, f"{path.relative_to(SRC)}: {defined & wrappers}"
+    outside_db = [p for p in SRC.rglob("*.py") if SRC / "db" not in p.parents]
+    assert not _hits(r"\.on\(", outside_db)
+
+
 def test_layers_start_no_threads_and_keep_no_shards():
-    layers = [
-        SRC / "sync" / "notification.py",
-        SRC / "ivm" / "registry.py",
-        SRC / "workflow" / "propagation.py",
-    ]
-    assert not _hits(r"threading\.Thread\(", layers)
-    assert not _hits(
-        r"(?i)shard", [SRC / "sync" / "notification.py", SRC / "sync" / "batching.py"]
-    )
+    assert not _hits(r"threading\.Thread\(", FRONTENDS)
+    assert not _hits(r"(?i)shard", [SRC / "sync" / "notification.py", GATE])
     assert not _hits(r"shard_stats|\"shards\"", [SRC / "sync" / "server.py"])
     assert not _hits(
         r"BatchBuffer|\badd_listener\b|\bremove_listener\b", SRC.rglob("*.py")

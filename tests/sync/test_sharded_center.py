@@ -2,21 +2,21 @@
 
 The center once split its buffering into CRC32-mapped shards, each with
 its own lock, buffer and timer thread.  The shards are gone (never
-measured; see EXPERIMENTS.md) and one :class:`~repro.sync.PolicyGate`
-buffers every table, but what these tests pinned was never about the
-mapping: globally gapless sequence numbers across tables and writer
-threads, lossless per-table replay, per-table ``pending_ops`` and flush
-isolation, a timer that exists only under a timed policy, and a ``close``
-that joins it.  They keep their names so the history of each check is
-one ``git log`` away; "shard" in a name below reads "table".
+measured; see EXPERIMENTS.md) and one :class:`~repro.db.policy.PolicyGate`
+buffers every table (now the database's, keyed by each table's edge), but
+what these tests pinned was never about the mapping: globally gapless
+sequence numbers across tables and writer threads, lossless per-table
+replay, per-table ``pending_ops`` and flush isolation, a timer that exists
+only under a timed policy, and a ``close`` that joins it.  They keep their
+names so the history of each check is one ``git log`` away; "shard" in a
+name below reads "table".
 """
 
 import threading
 
 from repro.db import Column, Database
 from repro.db.types import FLOAT, INTEGER
-from repro.sync import NotificationCenter
-from repro.sync.batching import IMMEDIATE, MANUAL, Threshold
+from repro.sync import IMMEDIATE, MANUAL, NotificationCenter, Threshold
 
 
 def make_db(tables):
@@ -78,18 +78,19 @@ class TestPerShardFlushing:
             buffered = []
             for name in ("t0", "t1", "t2", "t3"):
                 center.watch(name)
-                center.set_policy(name, MANUAL)
+                center.subscriptions[name].set_policy(MANUAL)
             for name in ("t0", "t1", "t2", "t3"):
                 db.insert(name, {"id": 1, "x": 1.0})
                 buffered.append(name)
-            per_table = {t: center.pending_ops(t) for t in buffered}
+            per_table = {t: center.subscriptions[t].pending_ops() for t in buffered}
             assert all(v == 1 for v in per_table.values())
             # Flushing one table drains only its own entry.
-            assert center.flush("t0") == 1
-            assert center.pending_ops("t0") == 0
-            assert center.pending_ops("t1") == 1
-            assert center.pending_ops() == 3
-            assert center.flushes == 1
+            assert center.subscriptions["t0"].flush() == 1
+            assert center.subscriptions["t0"].pending_ops() == 0
+            assert center.subscriptions["t1"].pending_ops() == 1
+            edges = center.subscriptions.values()
+            assert sum(edge.pending_ops() for edge in edges) == 3
+            assert sum(edge.flushes for edge in edges) == 1
         finally:
             center.close()
 
@@ -100,10 +101,11 @@ class TestPerShardFlushing:
         try:
             for t in tables:
                 center.watch(t)
-                center.set_policy(t, MANUAL)
+                center.subscriptions[t].set_policy(MANUAL)
                 db.insert(t, {"id": 1, "x": 1.0})
-            assert center.flush_all() == len(tables)
-            assert center.pending_ops() == 0
+            edges = center.subscriptions.values()
+            assert sum(edge.flush() for edge in edges) == len(tables)
+            assert sum(edge.pending_ops() for edge in edges) == 0
         finally:
             center.close()
 
@@ -114,18 +116,21 @@ class TestPerShardFlushing:
         try:
             for t in ("timed", "counted", "manual"):
                 center.watch(t)
-            center.set_policy("manual", MANUAL)
-            center.set_policy("counted", Threshold(max_changes=100, max_delay_ms=None))
-            assert center._gate._timer is None
-            center.set_policy("timed", Threshold(max_changes=100, max_delay_ms=20.0))
-            assert center._gate._timer.is_alive()
+            center.subscriptions["manual"].set_policy(MANUAL)
+            counted = Threshold(max_changes=100, max_delay_ms=None)
+            center.subscriptions["counted"].set_policy(counted)
+            gate = db._triggers.gate
+            assert gate._timer is None
+            timed = Threshold(max_changes=100, max_delay_ms=20.0)
+            center.subscriptions["timed"].set_policy(timed)
+            assert gate._timer.is_alive()
             # And the timer actually fires: the buffered change flushes
             # by age without any further writes.
             flushed = threading.Event()
             center.add_batch_listener(lambda table, events: flushed.set())
             db.insert("timed", {"id": 1, "x": 1.0})
             assert flushed.wait(5.0)
-            assert center.pending_ops("timed") == 0
+            assert center.subscriptions["timed"].pending_ops() == 0
             assert center.notifications_since("timed", 0)
         finally:
             center.close()
@@ -135,9 +140,9 @@ class TestPerShardFlushing:
         center = NotificationCenter(db)
         try:
             center.watch("pts")
-            assert center.policy("pts") is IMMEDIATE
+            assert center.subscriptions["pts"].policy() is IMMEDIATE
             db.insert("pts", {"id": 1, "x": 1.0})
-            assert center.pending_ops("pts") == 0
+            assert center.subscriptions["pts"].pending_ops() == 0
             assert len(center.notifications_since("pts", 0)) == 1
         finally:
             center.close()
@@ -154,7 +159,9 @@ class TestConcurrency:
         try:
             for t in tables:
                 center.watch(t)
-                center.set_policy(t, Threshold(max_changes=5, max_delay_ms=None))
+                center.subscriptions[t].set_policy(
+                    Threshold(max_changes=5, max_delay_ms=None)
+                )
             errors = []
 
             def writer(table):
@@ -170,7 +177,8 @@ class TestConcurrency:
             for th in threads:
                 th.join()
             assert not errors
-            center.flush_all()
+            for edge in center.subscriptions.values():
+                edge.flush()
             seqs = []
             for t in tables:
                 notes = center.notifications_since(t, 0)
@@ -188,8 +196,10 @@ class TestConcurrency:
         center = NotificationCenter(db)
         for t in tables:
             center.watch(t)
-            center.set_policy(t, Threshold(max_changes=100, max_delay_ms=10.0))
-        timer = center._gate._timer
+            center.subscriptions[t].set_policy(
+                Threshold(max_changes=100, max_delay_ms=10.0)
+            )
+        timer = db._triggers.gate._timer
         assert timer.is_alive()
         center.close()
         assert not timer.is_alive()

@@ -284,3 +284,18 @@ class TestIsolatedStatementsTakeTheStatementPath:
         operators = json.loads(select["operators"])
         assert operators[0][1] == 3
         assert any(label == "Scan items" and n == 3 for label, n in operators)
+
+    def test_an_isolated_insert_leaves_the_trigger_catalog_alone(
+        self, items, engine, ctx
+    ):
+        """Own-row visibility reads the statement's change set off its
+        ``Result``: no trigger is installed, not even for the statement."""
+        during = []
+        items.on("items", "insert", lambda change: during.append(items.trigger_names()))
+        before = items.trigger_names()
+        result = engine.isolation.execute(
+            "INSERT INTO items (id, v) VALUES (10, 10), (11, 11)", [], ctx
+        )
+        assert during == [before] and items.trigger_names() == before
+        assert [row["id"] for row in result.change.inserted] == [10, 11]
+        assert ctx.own_tids["items"] == {row[TID] for row in result.change.inserted}

@@ -318,17 +318,18 @@ class TestPropagationPolicies:
     def test_manual_policy_defers_to_activity_completion(
         self, source, engine, propagation
     ):
-        from repro.sync.batching import MANUAL
+        from repro.sync import MANUAL
 
         recorder = Recorder()
         deploy(engine, recorder, ["ra"], detached=True)
-        propagation.set_policy("src", MANUAL)
+        edge = propagation.subscriptions["src"]
+        edge.set_policy(MANUAL)
         execution = engine.run("p")
         for i in range(5):
             source.execute(f"INSERT INTO src (id, v) VALUES ({i + 1}, {i})")
         # Nothing delivered while the unit of work is open.
         assert recorder.running_deltas == []
-        assert propagation.pending_ops("src") == 5
+        assert edge.pending_ops() == 5
         # Completion flushes: the still-live 'ra' instance gets ONE net
         # delta covering the whole batch.
         engine.close(execution)
@@ -336,11 +337,13 @@ class TestPropagationPolicies:
         assert len(recorder.running_deltas[0].inserted) == 5
 
     def test_threshold_policy_flushes_on_count(self, source, engine, propagation):
-        from repro.sync.batching import Threshold
+        from repro.sync import Threshold
 
         recorder = Recorder()
         deploy(engine, recorder, ["ra"], detached=True)
-        propagation.set_policy("src", Threshold(max_changes=3, max_delay_ms=None))
+        propagation.subscriptions["src"].set_policy(
+            Threshold(max_changes=3, max_delay_ms=None)
+        )
         execution = engine.run("p")
         source.execute("INSERT INTO src (id, v) VALUES (1, 1)")
         source.execute("INSERT INTO src (id, v) VALUES (2, 2)")
@@ -351,17 +354,18 @@ class TestPropagationPolicies:
         engine.close(execution)
 
     def test_coalescing_delivers_net_delta(self, source, engine, propagation):
-        from repro.sync.batching import MANUAL
+        from repro.sync import MANUAL
 
         recorder = Recorder()
         deploy(engine, recorder, ["ra"], detached=True)
-        propagation.set_policy("src", MANUAL)
+        edge = propagation.subscriptions["src"]
+        edge.set_policy(MANUAL)
         execution = engine.run("p")
         source.execute("INSERT INTO src (id, v) VALUES (1, 1)")
         source.execute("UPDATE src SET v = 9 WHERE id = 1")
         source.execute("INSERT INTO src (id, v) VALUES (2, 2)")
         source.execute("DELETE FROM src WHERE id = 2")
-        flushed = propagation.flush("src")
+        flushed = edge.flush()
         # insert+update -> one insert carrying the final image;
         # insert+delete -> annihilated.
         assert flushed == 1

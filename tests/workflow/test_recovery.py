@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core import datamodel
-from repro.db import Database, open_durable, recover as recover_db
-from repro.faults import SimulatedCrash
+from repro.db import FSYNC_NEVER, Database, open_durable, recover as recover_db
+from repro.faults import CrashInjector, CrashPlan, SimulatedCrash
 from repro.workflow import (
     AskUser,
     Assign,
@@ -72,13 +72,19 @@ def out_values(db):
     return sorted(r["v"] for r in db.query("SELECT v FROM out"))
 
 
-def oracle_run():
-    """The uninterrupted run's final output table."""
+def app_state(db):
+    """Both tables an enactment of ``p`` writes: ``src`` (raw SQL) and
+    ``out`` (procedure outputs)."""
+    return sorted(r["v"] for r in db.query("SELECT v FROM src")), out_values(db)
+
+
+def oracle_run(state=out_values):
+    """The uninterrupted run's final output table (or ``state``)."""
     db = Database()
     make_app_tables(db)
     engine = build_engine(db)
     engine.run("p")
-    return out_values(db)
+    return state(db)
 
 
 class TestEngineRecovery:
@@ -268,6 +274,40 @@ class TestDurableRecovery:
         execution = engine2.recover()[0]
         assert execution.instance.is_completed()
         assert out_values(db2) == oracle_run()
+
+    def test_crash_at_every_wal_append_of_a_run_resumes_to_the_oracle(
+        self, tmp_path
+    ):
+        """Kill the enactment at each WAL append it makes, recover, resume:
+        the tables end as the uninterrupted run's.  An activity's rows and
+        their ``createdBy`` provenance are one commit, so no boundary
+        keeps rows that ``recover()`` cannot compensate (the re-run would
+        duplicate them)."""
+
+        def open_app(directory, crash):
+            db, manager = open_durable(directory, fsync=FSYNC_NEVER, crash=crash)
+            make_app_tables(db)
+            return manager, build_engine(db)
+
+        counting = CrashInjector()
+        manager, engine = open_app(tmp_path / "count", counting)
+        setup = counting.counts["wal.append"]
+        engine.run("p")
+        appends = counting.counts["wal.append"] - setup
+        manager.close()
+        assert appends > 10
+        expected = oracle_run(app_state)
+        for at in range(setup, setup + appends):
+            directory = tmp_path / f"crash-{at}"
+            injector = CrashInjector(CrashPlan("wal.append", at=at))
+            _manager, engine = open_app(directory, injector)
+            with pytest.raises(SimulatedCrash):
+                engine.run("p")
+            db2 = recover_db(directory)
+            engine2 = build_engine(db2)
+            if not engine2.recover():
+                engine2.run("p")  # died before the instance was durable
+            assert app_state(db2) == expected, f"crash at wal.append #{at}"
 
     def test_redeploy_adopts_existing_catalog_rows(self, tmp_path):
         directory = tmp_path / "data"
