@@ -5,8 +5,8 @@ visualization host (Section VI-C): it owns a listening socket, registers
 its memory tables with the DBMS server, accepts the DBMS's call-back
 connection, and counts NOTIFY messages.  The visualization software
 "may decide what are the appropriate moments to refresh the display"
-(step 8) -- so NOTIFYs only raise a dirty flag; :meth:`refresh` performs
-the actual pull.
+(step 8) -- so a NOTIFY only raises a dirty flag, which wakes whoever
+waits on it; :meth:`refresh` performs the actual pull.
 
 The client talks to the database through direct method calls (standing in
 for JDBC): in the paper's deployment the client host holds a DB
@@ -37,7 +37,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from ..db.database import Database
 from ..errors import SyncError
@@ -104,7 +104,10 @@ class SyncClient:
         self._tables: dict[str, MemoryTable] = {}
         self._cu_ids: dict[str, int] = {}
         self._dirty: set[str] = set()
-        self._dirty_lock = threading.Lock()
+        # Notified on every raised flag; ``_intakes`` counts them, so a
+        # waiter that read the set can tell whether one landed since.
+        self._dirty_lock = threading.Condition()
+        self._intakes = 0
         # Per-table refresh serialization: the RefreshDriver's loop and an
         # explicit flush() may call refresh concurrently; without this
         # both would take the same changes_since snapshot and apply it
@@ -122,7 +125,8 @@ class SyncClient:
         self._stream: Optional[protocol.MessageStream] = None
         self.port = 0
         self._closed = False
-        self._state_lock = threading.Lock()
+        # Guards ``status`` (see _set_status) and wakes wait_status.
+        self._state_lock = threading.Condition()
         self._last_rx = time.monotonic()
         self._monitor: Optional[threading.Thread] = None
         self._monitor_stop = threading.Event()
@@ -147,12 +151,12 @@ class SyncClient:
         #: registry it needs no shared memory with the server side.
         self._frame_contexts: dict[str, tuple[int, tuple[int, int, int]]] = {}
         if server.use_sockets:
-            self.status = IDLE
+            self._set_status(IDLE)
             self._open_listener()
         else:
             # In-process transport: dirty flags come straight from the
             # notification center instead of a socket reader thread.
-            self.status = POLLING
+            self._set_status(POLLING)
             self.center.add_batch_listener(self._on_local_notify)
 
     def _on_local_notify(self, table: str, events: list[tuple[str, int]]) -> None:
@@ -168,13 +172,22 @@ class SyncClient:
         reconnect's replay): count them, raise the dirty flag, fire the
         notify hooks.
 
+        The flag is raised once the database lock is free: the sending
+        commit publishes under it, so a refresher woken earlier would only
+        take the GIL from the writer and then block on that lock.  With
+        heartbeats on, the wait is bounded by one interval -- this reader
+        answers the PINGs too.
+
         Hooks are user code running on liveness-critical threads (the
         socket read loop, the reconnector); their failures are contained,
         one raising observer must not kill delivery for everyone else.
         """
         self.notify_received += len(events)
-        with self._dirty_lock:
-            self._dirty.add(table)
+        bound = self.server.heartbeat_interval
+        held = self.database.lock.acquire(timeout=-1 if bound is None else bound)
+        self._flag((table,))
+        if held:
+            self.database.lock.release()
         for op, seq_no in events:
             for hook in list(self._hooks):
                 try:
@@ -184,6 +197,13 @@ class SyncClient:
                     OBS.metrics.counter(
                         "sync.client.hook_failures", kind="notify"
                     ).inc()
+
+    def _flag(self, tables: Iterable[str]) -> None:
+        """Raise dirty flags and wake every waiter (RefreshDriver, wait_dirty)."""
+        with self._dirty_lock:
+            self._dirty.update(tables)
+            self._intakes += 1
+            self._dirty_lock.notify_all()
 
     # ------------------------------------------------------------------
     # Status surface
@@ -200,8 +220,15 @@ class SyncClient:
         """Register a callback fired on every connection-state change."""
         self._status_hooks.append(hook)
 
-    def _set_status(self, status: str, reason: str) -> None:
-        self.status = status
+    def _set_status(self, status: str) -> None:
+        """The one writer of ``status``; wakes :meth:`wait_status`.  Callers
+        that test-and-set hold ``_state_lock`` (reentrant) around it and
+        announce the change with :meth:`_fire_status_hooks` outside it."""
+        with self._state_lock:
+            self.status = status
+            self._state_lock.notify_all()
+
+    def _fire_status_hooks(self, status: str, reason: str) -> None:
         for hook in list(self._status_hooks):
             # Status hooks run on the reader/reconnector threads; a hook
             # that raises must not abort recovery or skip later hooks.
@@ -329,16 +356,15 @@ class SyncClient:
             stale = self._stream
             self._stream = None
             self.connection_lost_reason = reason
-            self.status = RECONNECTING
+            self._set_status(RECONNECTING)
         # Rare event: always counted, enabled or not.
         OBS.metrics.counter("sync.client.connection_lost").inc()
         if stale is not None:
             stale.close()
         # A dead link means *unknown* staleness: flag every mirror so
         # dirty_tables()/RefreshDriver consumers pull rather than trust.
-        with self._dirty_lock:
-            self._dirty.update(self._tables)
-        self._set_status(RECONNECTING, reason)
+        self._flag(self._tables)
+        self._fire_status_hooks(RECONNECTING, reason)
         if self.auto_reconnect:
             self._reconnector = threading.Thread(
                 target=self._reconnect_loop, daemon=True
@@ -361,11 +387,12 @@ class SyncClient:
             with self._state_lock:
                 if self._closed:
                     return
-                self.status = CONNECTED
                 self.reconnects += 1
+                self._set_status(CONNECTED)
             OBS.metrics.counter("sync.client.reconnects").inc()
             self._replay_missed()
-            self._set_status(CONNECTED, f"reconnected on attempt {attempt.number}")
+            reason = f"reconnected on attempt {attempt.number}"
+            self._fire_status_hooks(CONNECTED, reason)
             return
         self._degrade(
             f"reconnect failed after {policy.max_attempts} attempts: {last_error}"
@@ -413,11 +440,11 @@ class SyncClient:
         with self._state_lock:
             if self._closed or self.status == DEGRADED:
                 return
-            self.status = DEGRADED
+            self._set_status(DEGRADED)
         OBS.metrics.counter("sync.client.degrades").inc()
         self.center.add_batch_listener(self._on_local_notify)
         self._replay_missed()
-        self._set_status(DEGRADED, reason)
+        self._fire_status_hooks(DEGRADED, reason)
 
     # ------------------------------------------------------------------
     def mirror(
@@ -465,7 +492,7 @@ class SyncClient:
                 del self._tables[table]
                 raise result["error"]
             self._cu_ids[table] = result["cu_id"]
-            self.status = CONNECTED
+            self._set_status(CONNECTED)
         else:
             self._cu_ids[table] = self.server.register_client(
                 table, self.host, self.port, self.user_id
@@ -490,23 +517,16 @@ class SyncClient:
             return set(self._dirty)
 
     def wait_dirty(self, table: str, timeout: float = 5.0) -> bool:
-        """Poll until ``table`` is flagged dirty (testing convenience)."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._dirty_lock:
-                if table in self._dirty:
-                    return True
-            time.sleep(0.001)
-        return False
+        """Block until ``table`` is flagged dirty; False after ``timeout``
+        seconds.  The raised flag itself wakes the caller."""
+        with self._dirty_lock:
+            return self._dirty_lock.wait_for(lambda: table in self._dirty, timeout)
 
     def wait_status(self, status: str, timeout: float = 5.0) -> bool:
-        """Poll until the client reaches ``status`` (testing convenience)."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if self.status == status:
-                return True
-            time.sleep(0.001)
-        return False
+        """Block until the client reaches ``status``; False after
+        ``timeout`` seconds.  The status change itself wakes the caller."""
+        with self._state_lock:
+            return self._state_lock.wait_for(lambda: self.status == status, timeout)
 
     def refresh(self, table: str, full: bool = False) -> dict[str, int]:
         """Step 8: pull changed rows from R_D and fold them into R_M.
@@ -565,8 +585,7 @@ class SyncClient:
                     moved = newest != memtable.last_seq_no
                     memtable.last_seq_no = newest
                 except BaseException:
-                    with self._dirty_lock:
-                        self._dirty.add(table)  # nothing consumed: still dirty
+                    self._flag((table,))  # nothing consumed: still dirty
                     raise
                 if traced:
                     self._join_notify_trace(span, table, newest)
@@ -679,7 +698,7 @@ class SyncClient:
                 return
             self._closed = True
             was_polling = self.status in (POLLING, DEGRADED)
-            self.status = CLOSED
+            self._set_status(CLOSED)
         self._monitor_stop.set()
         if was_polling:
             self.center.remove_batch_listener(self._on_local_notify)

@@ -4,9 +4,9 @@
 10 times per second" (Section I) and "the visualization software may
 decide what are the appropriate moments to refresh the display"
 (Section VI-C, step 8).  A :class:`RefreshDriver` is that decision,
-packaged: it watches a client's dirty flags from a background thread and
-pulls at most ``max_rate`` times per second per table -- NOTIFY bursts
-coalesce into single refreshes, idle tables cost nothing.
+packaged: a background thread, woken by the NOTIFY that raises a dirty
+flag, pulls at most ``max_rate`` times per second per table -- NOTIFY
+bursts coalesce into single refreshes, idle tables cost nothing.
 """
 
 from __future__ import annotations
@@ -24,7 +24,12 @@ RefreshListener = Callable[[str, dict[str, int]], None]
 
 
 class RefreshDriver:
-    """Background auto-refresher for one :class:`SyncClient`."""
+    """Background auto-refresher for one :class:`SyncClient`.
+
+    ``poll_interval`` only bounds an idle wait: an intake, :meth:`stop`
+    or a rate-limited table falling due wakes the thread, so no latency
+    depends on it.
+    """
 
     def __init__(
         self,
@@ -65,6 +70,8 @@ class RefreshDriver:
     def stop(self, timeout: float = 2.0) -> None:
         """Stop the driver and wait for the thread to exit."""
         self._stop.set()
+        with self.client._dirty_lock:
+            self.client._dirty_lock.notify_all()
         if self._thread is not None:
             self._thread.join(timeout=timeout)
             self._thread = None
@@ -81,17 +88,22 @@ class RefreshDriver:
 
     # ------------------------------------------------------------------
     def _loop(self) -> None:
+        client, changed = self.client, self.client._dirty_lock
         while not self._stop.is_set():
-            now = time.monotonic()
-            refreshed_any = False
-            for table in self.client.dirty_tables():
-                last = self._last_refresh.get(table, 0.0)
-                if now - last < self.min_period:
+            # The intake count is read with the set: a NOTIFY landing after
+            # this read changes it, so the wait below cannot miss it.
+            with changed:
+                seen, dirty = client._intakes, set(client._dirty)
+            wake_at = time.monotonic() + self.poll_interval
+            for table in dirty:
+                due = self._last_refresh.get(table, 0.0) + self.min_period
+                if time.monotonic() < due:
+                    wake_at = min(wake_at, due)
                     continue  # rate limit: let further NOTIFYs coalesce
                 try:
-                    stats = self.client.refresh(table)
+                    stats = client.refresh(table)
                 except Exception as exc:
-                    if self.client.status == CLOSED:
+                    if client.status == CLOSED:
                         self._stop.set()  # nothing left to follow
                         return
                     # The table stays dirty: retried once min_period passed.
@@ -105,10 +117,12 @@ class RefreshDriver:
                 self.coalesced_rows += stats.get("upserts", 0) + stats.get(
                     "deletes", 0
                 )
-                refreshed_any = True
                 self._notify_listeners(table, stats)
-            if not refreshed_any:
-                self._stop.wait(self.poll_interval)
+            with changed:
+                changed.wait_for(
+                    lambda: client._intakes != seen or self._stop.is_set(),
+                    wake_at - time.monotonic(),
+                )
 
     def _notify_listeners(self, table: str, stats: dict[str, int]) -> None:
         """Fan stats out to listeners, inside the refresh's trace.

@@ -561,6 +561,8 @@ class SyncServer:
                 self.center.watch(row["table_name"])
         self.center.add_batch_listener(self.broadcast)
         self._closed = False
+        #: Notified when a send queue empties once closing (see close()).
+        self._drained = threading.Condition()
         self._loop: Optional[_EventLoop] = None
         #: monotonic time of the last socket broadcast; back-to-back
         #: broadcasts (relative to the fan-out's inline-write cost) skip
@@ -719,6 +721,7 @@ class SyncServer:
                     return "dead"
                 if not sent:
                     break
+        self._queue_emptied()
         return "alive"
 
     def _submit_frames(
@@ -784,6 +787,14 @@ class SyncServer:
                 frame.link.missed_count += frame.events
         conn.outq.clear()
         conn.queued_bytes = 0
+        self._queue_emptied()
+
+    def _queue_emptied(self) -> None:
+        """A queue emptied (``conn.lock`` held, so the drain never takes
+        it under ``_drained``): wake a closing server's drain."""
+        if self._closed:
+            with self._drained:
+                self._drained.notify_all()
 
     def _frames_for_conn(
         self, conn: _AsyncConn, messages: list[dict[str, Any]], encoded: list[bytes]
@@ -1295,15 +1306,10 @@ class SyncServer:
             if not kill_now and frames:
                 self._submit_frames(conn, frames)
             live.append(conn)
-        deadline = time.monotonic() + self.drain_timeout
-        while time.monotonic() < deadline:
-            pending = 0
-            for conn in live:
-                with conn.lock:
-                    pending += len(conn.outq)
-            if not pending:
-                break
-            time.sleep(0.005)
+        with self._drained:
+            self._drained.wait_for(
+                lambda: not any(conn.outq for conn in live), self.drain_timeout
+            )
         loop = self._loop
         if loop is not None:
             loop.stop()

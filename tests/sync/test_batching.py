@@ -333,7 +333,7 @@ class TestBatchedNotifyEndToEnd:
         endpoint.conn.transport.close()
         server.center.subscriptions["pts"].flush()  # delivery fails -> missed_count grows
         assert wait_until(lambda: client.status == "connected" and client.reconnects >= 1)
-        assert wait_until(lambda: client.wait_dirty("pts", timeout=0.1) or True)
+        assert client.wait_dirty("pts")
         client.refresh("pts")
         assert wait_until(lambda: len(mirror) == 20)
         # Replay must not double-apply: every row arrived as one insert.

@@ -67,6 +67,25 @@ def faulted_stack(plans, **client_kwargs):
     return db, server, client, transports
 
 
+def hold_status(client, status):
+    """Park the client in ``status`` until the returned event is set.
+
+    A status hook runs on the thread that made the change, before that
+    thread moves on (the reconnector starts after the RECONNECTING
+    hooks), so ``wait_status`` on a transient state cannot miss it.
+    """
+    release = threading.Event()
+    client.on_status(lambda new, _reason: new == status and release.wait(10.0))
+    return release
+
+
+def await_reconnect(client, release):
+    """Wait for the loss, let recovery go on, wait for it to land."""
+    assert client.wait_status(client_mod.RECONNECTING, timeout=10.0), "loss never seen"
+    release.set()
+    assert client.wait_status(client_mod.CONNECTED, timeout=10.0), "never reconnected"
+
+
 def contents(client):
     return sorted((r["id"], r["x"]) for r in client.table("pts").all_rows())
 
@@ -101,6 +120,7 @@ class TestReconnectAndCatchUp:
         statuses = []
         client.on_notify(lambda table, op, seq: events.append((table, op, seq)))
         client.on_status(lambda status, reason: statuses.append((status, time.monotonic())))
+        release = hold_status(client, client_mod.RECONNECTING)
         try:
             client.mirror("pts")
             lost_at = time.monotonic()
@@ -108,11 +128,8 @@ class TestReconnectAndCatchUp:
                 db.insert("pts", {"id": i, "x": float(i)})
             # Detection + reconnection: the client must come back as
             # CONNECTED (the second callback connection runs clean).
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline and client.reconnects == 0:
-                time.sleep(0.005)
-            assert client.reconnects >= 1, "client never reconnected"
-            assert client.wait_status(client_mod.CONNECTED, timeout=5.0)
+            await_reconnect(client, release)
+            assert client.reconnects >= 1
             assert client.connection_lost_reason is not None
             # Detection happened within a few heartbeat windows, not on
             # some unrelated slow path.
@@ -137,21 +154,37 @@ class TestReconnectAndCatchUp:
             client.close()
             server.close()
 
+    def test_wait_status_is_woken_by_the_change(self):
+        """``wait_status`` returns once the reconnect after a transport
+        kill lands, and a status never reached times out on schedule."""
+        db, server, client, _transports = faulted_stack([FaultPlan(disconnect_at=2)])
+        release = hold_status(client, client_mod.RECONNECTING)
+        try:
+            client.mirror("pts")
+            for i in range(3):
+                db.insert("pts", {"id": i, "x": float(i)})
+            await_reconnect(client, release)
+            assert client.reconnects == 1
+            started = time.monotonic()
+            assert not client.wait_status("nope", timeout=0.2)
+            assert 0.19 <= time.monotonic() - started < 1.0
+        finally:
+            client.close()
+            server.close()
+
     def test_silent_link_detected_by_heartbeat_timeout(self):
         """A link that stays open but delivers nothing (every message
         dropped) must be declared dead by liveness monitoring alone."""
         db, server, client, transports = faulted_stack(
             [FaultPlan(drop=frozenset(range(1, 100000)))]
         )
+        release = hold_status(client, client_mod.RECONNECTING)
         try:
             client.mirror("pts")
             lost_at = time.monotonic()
             for i in range(4):
                 db.insert("pts", {"id": i, "x": float(i)})
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline and client.reconnects == 0:
-                time.sleep(0.005)
-            assert client.reconnects >= 1, "silent link never detected"
+            await_reconnect(client, release)
             detected_after = time.monotonic() - lost_at
             # Generous CI bound; nominal detection is one timeout (~0.3 s).
             assert detected_after < 8.0
@@ -165,14 +198,12 @@ class TestReconnectAndCatchUp:
         """last_seq_no keeps protecting unconsumed notifications through
         the outage; after catch-up the purge horizon advances again."""
         db, server, client, _transports = faulted_stack([FaultPlan(disconnect_at=2)])
+        release = hold_status(client, client_mod.RECONNECTING)
         try:
             client.mirror("pts")
             for i in range(5):
                 db.insert("pts", {"id": i, "x": float(i)})
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline and client.reconnects == 0:
-                time.sleep(0.005)
-            assert client.reconnects >= 1
+            await_reconnect(client, release)
             # Before the client consumed, nothing may purge past it.
             assert db.query(f"SELECT * FROM {datamodel.T_NOTIFICATION}") != []
             client.refresh("pts")

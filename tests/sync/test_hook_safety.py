@@ -8,8 +8,6 @@ land, and reconnection still completes.  Failures are counted on
 ``client.hook_failures`` and the ``sync.client.hook_failures`` metric.
 """
 
-import time
-
 import pytest
 
 import repro.obs as obs
@@ -24,6 +22,8 @@ from repro.sync import (
     SyncServer,
 )
 from repro.sync import client as client_mod
+
+from .test_fault_tolerance import await_reconnect, hold_status
 
 HB = 0.05
 
@@ -125,15 +125,13 @@ class TestStatusHookContainment:
         statuses = []
         client.on_status(lambda *a: (_ for _ in ()).throw(RuntimeError("bad hook")))
         client.on_status(lambda status, reason: statuses.append(status))
+        release = hold_status(client, client_mod.RECONNECTING)
         try:
             client.mirror("pts")
             for i in range(4):
                 db.insert("pts", {"id": i, "x": float(i)})
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline and client.reconnects == 0:
-                time.sleep(0.005)
+            await_reconnect(client, release)
             assert client.reconnects >= 1, "client never reconnected"
-            assert client.wait_status(client_mod.CONNECTED, timeout=5.0)
             # Every transition the broken hook saw, the healthy one saw too,
             # and each raised exactly once per transition.
             assert client_mod.CONNECTED in statuses
