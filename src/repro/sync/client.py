@@ -114,8 +114,6 @@ class SyncClient:
         # twice.
         self._refresh_locks: dict[str, threading.Lock] = {}
         self._refresh_locks_guard = threading.Lock()
-        #: Capabilities negotiated with the server (socket mode only).
-        self.server_caps: frozenset[str] = frozenset()
         self.notify_received = 0
         self.batch_notifies_received = 0
         self._hooks: list[NotifyHook] = []
@@ -267,9 +265,7 @@ class SyncClient:
             raise SyncError(f"listener unusable: {exc}") from None
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         stream = protocol.MessageStream(sock)
-        self.server_caps = protocol.client_handshake(
-            stream, caps=[protocol.CAP_BATCH, protocol.CAP_TRACE]
-        )
+        protocol.client_handshake(stream)
         self._stream = stream
         self._last_rx = time.monotonic()
         self._reader = threading.Thread(
@@ -398,27 +394,43 @@ class SyncClient:
             f"reconnect failed after {policy.max_attempts} attempts: {last_error}"
         )
 
-    def _reattach(self) -> None:
-        """One reconnection attempt: rendezvous accept() with the server's
-        connect-back, exactly like the initial registration."""
+    def _rendezvous(self, call: Callable[[], Any], timeout: float) -> Any:
+        """Run ``call`` -- a server request that connects back to this
+        client -- on a helper thread while this thread accepts the
+        call-back connection (``timeout`` bounds the accept); returns
+        what ``call`` returned.
+
+        A failure on either side raises, the server's in preference, and
+        only once the server is done: a registration it rolled back leaves
+        no ConnectedUser row behind the raise.
+        """
         result: dict[str, Any] = {}
 
-        def kick() -> None:
+        def run() -> None:
             try:
-                result["ok"] = self.server.reconnect_client(self.host, self.port)
+                result["value"] = call()
             except Exception as exc:
                 result["error"] = exc
 
-        thread = threading.Thread(target=kick, daemon=True)
+        thread = threading.Thread(target=run, daemon=True)
         thread.start()
+        failure: Optional[Exception] = None
         try:
-            self._accept_callback_connection(timeout=2.0)
-        except SyncError:
-            thread.join(timeout=1.0)
-            raise result.get("error", SyncError("reconnect rendezvous failed"))
+            self._accept_callback_connection(timeout=timeout)
+        except (OSError, SyncError) as exc:
+            failure = exc
         thread.join(timeout=5.0)
-        if "error" in result:
-            raise result["error"]
+        failure = result.get("error", failure)
+        if failure is not None:
+            raise failure
+        return result["value"]
+
+    def _reattach(self) -> None:
+        """One reconnection attempt: rendezvous accept() with the server's
+        connect-back, exactly like the initial registration."""
+        self._rendezvous(
+            lambda: self.server.reconnect_client(self.host, self.port), timeout=2.0
+        )
 
     def _replay_missed(self) -> None:
         """Seq-no catch-up: re-deliver every notification that fired while
@@ -463,35 +475,18 @@ class SyncClient:
             self.server.use_sockets and self._stream is None and self.status == IDLE
         )
         if first_socket_table:
-            # Register, then accept the call-back connection the server
-            # opens during register_client.  Registration happens in a
-            # helper thread so accept() and connect() can rendezvous.
-            result: dict[str, Any] = {}
-
-            def register() -> None:
-                try:
-                    result["cu_id"] = self.server.register_client(
-                        table, self.host, self.port, self.user_id
-                    )
-                except Exception as exc:  # pragma: no cover - plumbing
-                    result["error"] = exc
-
-            thread = threading.Thread(target=register, daemon=True)
-            thread.start()
+            # Register, and accept the call-back connection the server
+            # opens during register_client.
             try:
-                self._accept_callback_connection()
+                self._cu_ids[table] = self._rendezvous(
+                    lambda: self.server.register_client(
+                        table, self.host, self.port, self.user_id
+                    ),
+                    timeout=5.0,
+                )
             except Exception:
-                # Let the server finish rolling back the registration
-                # before surfacing the failure, so no ConnectedUser row
-                # outlives a mirror() that raised.
-                thread.join(timeout=5.0)
                 del self._tables[table]
                 raise
-            thread.join(timeout=5.0)
-            if "error" in result:
-                del self._tables[table]
-                raise result["error"]
-            self._cu_ids[table] = result["cu_id"]
             self._set_status(CONNECTED)
         else:
             self._cu_ids[table] = self.server.register_client(
@@ -623,9 +618,8 @@ class SyncClient:
     ) -> None:
         """Remember the newest frame-carried trace context for ``table``.
 
-        Called from the socket read loop on every NOTIFY/NOTIFYB; a peer
-        without the ``trace`` capability (or with tracing off) sends no
-        ``ctx`` field and this is a no-op.
+        Called from the socket read loop on every NOTIFY/NOTIFYB; with
+        tracing off the server sends no ``ctx`` field and this is a no-op.
         """
         ctx = protocol.frame_trace_context(message)
         if ctx is None:
@@ -643,9 +637,9 @@ class SyncClient:
         Preferred bridge: the ``ctx`` field the server puts on
         NOTIFY/NOTIFYB frames (works across real sockets, no shared
         memory).  Fallback: the in-process link registry keyed
-        ``(table, seq_no)`` -- polling mode, legacy servers, replayed
-        notifications.  Either bridge's origin timestamp yields the
-        NOTIFY -> mirror-applied latency.
+        ``(table, seq_no)`` -- polling mode, replayed notifications, a
+        refresh that outran its frame.  Either bridge's origin timestamp
+        yields the NOTIFY -> mirror-applied latency.
         """
         with self._dirty_lock:
             stored = self._frame_contexts.get(table)

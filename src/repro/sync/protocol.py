@@ -31,8 +31,7 @@ REPLY = "REPLY"
 NOTIFY = "NOTIFY"
 # Batched-notification extension: one frame carrying every (op, seq_no)
 # of a flush for one table, so a 4096-row burst costs one message
-# instead of thousands.  Only sent to peers that advertised the "batch"
-# capability in their HELLO; everyone else gets per-event NOTIFYs.
+# instead of thousands.  A flush of one event rides a plain NOTIFY.
 NOTIFY_BATCH = "NOTIFYB"
 DISCONNECT = "DISCONNECT"
 # Liveness extension (not in the paper): the DBMS pings each callback
@@ -43,16 +42,6 @@ PONG = "PONG"
 
 #: Protocol magic exchanged during the handshake (steps 5-6).
 MAGIC = "ediflow-sync-1"
-
-#: Optional capabilities a peer may advertise in its HELLO.
-CAP_BATCH = "batch"
-#: Trace-context propagation: a peer advertising "trace" receives a
-#: ``ctx`` field on NOTIFY/NOTIFYB frames -- ``{"t": trace_id,
-#: "s": span_id, "n": sent_ns}`` -- so its refresh spans join the
-#: server-side propagation trace across the socket (no shared link
-#: registry required).  Legacy peers never see the field.
-CAP_TRACE = "trace"
-SUPPORTED_CAPS = frozenset({CAP_BATCH, CAP_TRACE})
 
 #: Generous bound on one serialized message; protects against garbage peers.
 MAX_MESSAGE_BYTES = 1 << 16
@@ -77,37 +66,24 @@ def decode(line: bytes) -> dict[str, Any]:
     return message
 
 
-def hello(caps: Optional[list[str]] = None) -> dict[str, Any]:
-    message: dict[str, Any] = {"type": HELLO, "magic": MAGIC}
-    if caps:
-        message["caps"] = sorted(caps)
-    return message
+def hello() -> dict[str, Any]:
+    return {"type": HELLO, "magic": MAGIC}
 
 
-def reply(caps: Optional[list[str]] = None) -> dict[str, Any]:
-    message: dict[str, Any] = {"type": REPLY, "magic": MAGIC}
-    if caps:
-        message["caps"] = sorted(caps)
-    return message
-
-
-def peer_caps(message: dict[str, Any]) -> frozenset[str]:
-    """Capabilities a HELLO/REPLY advertises, restricted to known ones.
-
-    Pre-capability peers send no ``caps`` key at all; a malformed value
-    degrades to the empty set rather than failing the handshake --
-    capabilities only ever *add* behavior.
-    """
-    raw = message.get("caps")
-    if not isinstance(raw, list):
-        return frozenset()
-    return frozenset(c for c in raw if isinstance(c, str)) & SUPPORTED_CAPS
+def reply() -> dict[str, Any]:
+    return {"type": REPLY, "magic": MAGIC}
 
 
 def trace_context(
     trace_id: int, span_id: int, sent_ns: int
 ) -> dict[str, int]:
-    """The compact ``ctx`` frame field carrying a span identity."""
+    """The compact ``ctx`` frame field carrying a span identity.
+
+    While tracing, NOTIFY/NOTIFYB frames carry it -- ``{"t": trace_id,
+    "s": span_id, "n": sent_ns}`` -- so the receiver's refresh spans join
+    the server-side propagation trace across the socket (no shared link
+    registry required).
+    """
     return {"t": trace_id, "s": span_id, "n": sent_ns}
 
 
@@ -158,7 +134,7 @@ def notify_batch(
 
     ``lo``/``hi`` carry the covered seq-no range so a receiver can
     advance its cursor and detect gaps without unpacking every event.
-    ``ctx`` (trace-capable peers only) carries the flush span's context.
+    ``ctx`` (while tracing) carries the flush span's context.
     """
     if not events:
         raise ProtocolError("a NOTIFYB frame needs at least one event")
@@ -244,32 +220,17 @@ class MessageStream:
         self._sock.close()
 
 
-def client_handshake(
-    stream: MessageStream,
-    timeout: float = 5.0,
-    caps: Optional[list[str]] = None,
-) -> frozenset[str]:
-    """Client side of steps 5-6: send HELLO, await REPLY.
-
-    Returns the capabilities the server echoed back (the negotiated
-    set); an old server that ignores ``caps`` yields the empty set.
-    """
-    stream.send(hello(caps))
+def client_handshake(stream: MessageStream, timeout: float = 5.0) -> None:
+    """Client side of steps 5-6: send HELLO, await REPLY."""
+    stream.send(hello())
     message = stream.receive(timeout)
     if message.get("type") != REPLY or message.get("magic") != MAGIC:
         raise ProtocolError(f"bad handshake reply: {message!r}")
-    return peer_caps(message)
 
 
-def server_handshake(stream: MessageStream, timeout: float = 5.0) -> frozenset[str]:
-    """Server side of steps 5-6: await HELLO, send REPLY.
-
-    Returns the client's advertised capabilities; the REPLY echoes the
-    intersection with our own so both sides agree on the negotiated set.
-    """
+def server_handshake(stream: MessageStream, timeout: float = 5.0) -> None:
+    """Server side of steps 5-6: await HELLO, send REPLY."""
     message = stream.receive(timeout)
     if message.get("type") != HELLO or message.get("magic") != MAGIC:
         raise ProtocolError(f"bad handshake hello: {message!r}")
-    caps = peer_caps(message)
-    stream.send(reply(sorted(caps)))
-    return caps
+    stream.send(reply())

@@ -101,28 +101,35 @@ class RefreshDriver:
                     wake_at = min(wake_at, due)
                     continue  # rate limit: let further NOTIFYs coalesce
                 try:
-                    stats = client.refresh(table)
+                    self._refresh(table)
                 except Exception as exc:
                     if client.status == CLOSED:
                         self._stop.set()  # nothing left to follow
                         return
-                    # The table stays dirty: retried once min_period passed.
+                    # A failed pull leaves the table dirty: retried once
+                    # min_period passed.
                     self.refresh_errors += 1
                     self.last_error = exc
                     OBS.metrics.counter("sync.refresher.errors", table=table).inc()
-                    self._last_refresh[table] = time.monotonic()
-                    continue
-                self._last_refresh[table] = time.monotonic()
-                self.refreshes += 1
-                self.coalesced_rows += stats.get("upserts", 0) + stats.get(
-                    "deletes", 0
-                )
-                self._notify_listeners(table, stats)
             with changed:
                 changed.wait_for(
                     lambda: client._intakes != seen or self._stop.is_set(),
                     wake_at - time.monotonic(),
                 )
+
+    def _refresh(self, table: str) -> dict[str, int]:
+        """One refresh of ``table`` with its bookkeeping -- the rate-limit
+        clock, the counters, the listeners -- shared by the loop and
+        :meth:`flush`.  A failed refresh still restarts the clock, then
+        raises."""
+        try:
+            stats = self.client.refresh(table)
+        finally:
+            self._last_refresh[table] = time.monotonic()
+        self.refreshes += 1
+        self.coalesced_rows += stats.get("upserts", 0) + stats.get("deletes", 0)
+        self._notify_listeners(table, stats)
+        return stats
 
     def _notify_listeners(self, table: str, stats: dict[str, int]) -> None:
         """Fan stats out to listeners, inside the refresh's trace.
@@ -141,8 +148,6 @@ class RefreshDriver:
 
     # ------------------------------------------------------------------
     def flush(self, table: str) -> dict[str, int]:
-        """Refresh ``table`` immediately, bypassing the rate limit."""
-        stats = self.client.refresh(table)
-        self._last_refresh[table] = time.monotonic()
-        self.refreshes += 1
-        return stats
+        """Refresh ``table`` immediately, bypassing the rate limit; the
+        listeners hear it like any refresh of the loop."""
+        return self._refresh(table)

@@ -14,20 +14,23 @@ endpoint -- the ConnectedUser rows and their ``last_seq_no`` survive, so
 notifications keep accumulating on the server and the purge horizon
 (step 11) protects everything the client has not consumed.  A detached
 client later calls :meth:`reconnect_client` to attach a fresh stream and
-replays what it missed from ``NotificationCenter.changes_since``.  Links
-are dropped permanently only by explicit :meth:`unregister_client` /
-:meth:`close` (or an operator calling :meth:`evict_detached`).
+replays what it missed from ``NotificationCenter.notifications_since``.
+Links are dropped permanently only by explicit :meth:`unregister_client`
+/ :meth:`close` (or an operator calling :meth:`evict_detached`).  The
+server counts no deliveries: the Notification log and each client's
+``last_seq_no`` are the one record of what a client has consumed.
 
 Delivery: a single-threaded :mod:`selectors` event loop owns every
-callback socket in non-blocking mode.  A flush encodes each
+callback socket in non-blocking mode.  A flush encodes its one
 NOTIFY/NOTIFYB frame **once** and hands the same bytes to every
 subscriber's bounded per-connection send queue; the notifying thread
-opportunistically writes inline when the queue is empty (so accounting
-stays synchronous on healthy links) and the loop finishes partial
-writes when the kernel pushes back.  A queue that exceeds its frame or
-byte bound means the client reads slower than the system writes: the
-connection is **evicted** (counted in :attr:`SyncServer.evictions`) and
-the client falls back to the ordinary reconnect/replay machinery.
+opportunistically writes inline when the queue is empty (a healthy
+link's frame is written before the commit returns) and the loop
+finishes partial writes when the kernel pushes back.  A queue that
+exceeds its frame or byte bound means the client reads slower than the
+system writes: the connection is **evicted** (counted in
+:attr:`SyncServer.evictions`) and the client falls back to the ordinary
+reconnect/replay machinery.
 PINGs, PONGs and DISCONNECTs ride the same loop -- the server starts no
 thread other than ``ediflow-sync-loop``.
 """
@@ -62,8 +65,8 @@ TransportFactory = Callable[[protocol.MessageStream], Any]
 #: the notifying thread: the queues build for a moment and the pump
 #: flushes many frames per ``send()`` syscall.  At one or two mirrors
 #: the window is tens of microseconds (every realistic write path stays
-#: inline, accounting stays synchronous); at 1k mirrors a burst switches
-#: to queued coalescing after the first flush.
+#: inline); at 1k mirrors a burst switches to queued coalescing after
+#: the first flush.
 BURST_COST_PER_LINK_S = 50e-6
 #: Upper bound on one coalesced write (matches the protocol's frame cap;
 #: large enough to merge hundreds of NOTIFYs, small enough to keep a
@@ -85,9 +88,6 @@ class _Endpoint:
     last_ping_at: float = 0.0
     #: When the endpoint detached (for :meth:`SyncServer.evict_detached`).
     detached_at: Optional[float] = None
-    #: Capabilities the client advertised in its HELLO; a peer without
-    #: ``batch`` receives per-event NOTIFYs even for flushed batches.
-    caps: frozenset[str] = frozenset()
     #: The event-loop connection state (it owns the live transport), or
     #: ``None`` while detached.
     conn: Optional["_AsyncConn"] = None
@@ -102,39 +102,24 @@ class _ClientLink:
     host: str
     port: int
     endpoint: Optional[_Endpoint]
-    #: NOTIFYs successfully delivered (in-process: dispatched).
-    notify_count: int = 0
-    #: NOTIFYs that could not be pushed because the endpoint was down;
-    #: the client recovers them from ``changes_since`` on reconnect.
-    missed_count: int = 0
 
 
 class _OutFrame:
-    """One queued write: a byte chunk, its progress, and who to credit.
+    """One queued write: a byte chunk and its progress.
 
     ``data`` is shared across every subscriber of a broadcast (encoded
-    once); ``offset`` tracks partial writes.  When the chunk finishes,
-    ``link.notify_count += events`` -- attribution rides the *last* chunk
-    of a delivery so multi-frame deliveries stay all-or-nothing.
-    ``kill_after`` severs the connection once the chunk is flushed
-    (fault-injected truncation); ``not_before`` delays the write
-    (fault-injected latency).
+    once); ``offset`` tracks partial writes.  ``kill_after`` severs the
+    connection once the chunk is flushed (fault-injected truncation);
+    ``not_before`` delays the write (fault-injected latency).
     """
 
-    __slots__ = ("data", "offset", "link", "events", "kill_after", "not_before")
+    __slots__ = ("data", "offset", "kill_after", "not_before")
 
     def __init__(
-        self,
-        data: bytes,
-        link: Optional[_ClientLink] = None,
-        events: int = 0,
-        kill_after: bool = False,
-        not_before: float = 0.0,
+        self, data: bytes, kill_after: bool = False, not_before: float = 0.0
     ) -> None:
         self.data = data
         self.offset = 0
-        self.link = link
-        self.events = events
         self.kill_after = kill_after
         self.not_before = not_before
 
@@ -579,12 +564,9 @@ class SyncServer:
 
     # ------------------------------------------------------------------
     # Connection plumbing
-    def _open_callback(self, host: str, port: int) -> tuple[Any, frozenset[str]]:
-        """Connect back to a client listener and handshake (steps 5-6).
-
-        Returns ``(transport, caps)`` where ``caps`` is what the client
-        advertised in its HELLO (empty for pre-capability peers).
-        """
+    def _open_callback(self, host: str, port: int) -> Any:
+        """Connect back to a client listener and handshake (steps 5-6);
+        returns the transport."""
         transport: Optional[Any] = None
         try:
             sock = socket.create_connection((host, port), timeout=5.0)
@@ -593,14 +575,14 @@ class SyncServer:
             if self.transport_factory is not None:
                 transport = self.transport_factory(transport)
             # Step 5/6: the DBMS expects HELLO and answers REPLY.
-            caps = protocol.server_handshake(transport, timeout=5.0)
+            protocol.server_handshake(transport, timeout=5.0)
         except (OSError, SyncError) as exc:
             if transport is not None:
                 transport.close()
             raise SyncError(
                 f"cannot connect back to client at {host}:{port}: {exc}"
             ) from None
-        return transport, caps
+        return transport
 
     def _ensure_loop(self) -> _EventLoop:
         with self._lock:
@@ -626,7 +608,7 @@ class SyncServer:
         """Idempotently take a (suspected dead) transport out of service.
 
         The registration -- ConnectedUser rows, ``last_seq_no`` horizon,
-        link bookkeeping -- survives; only the socket goes away.  When
+        links -- survives; only the socket goes away.  When
         ``expected`` is given, the detach only proceeds if the endpoint
         still carries that connection (a concurrent reconnect must not be
         torn down by the failure notice of its predecessor).
@@ -645,7 +627,7 @@ class SyncServer:
 
     def _retire_conn(self, conn: _AsyncConn) -> None:
         """Tear down a connection no endpoint points at any more: stop
-        accepting frames, convert queued deliveries to misses, close."""
+        accepting frames, drop the queued ones, close."""
         with conn.lock:
             self._abort_queue_locked(conn)
         loop = self._loop
@@ -715,8 +697,6 @@ class SyncServer:
                 if done.offset < len(done.data):
                     return "blocked"
                 conn.outq.popleft()
-                if done.link is not None:
-                    done.link.notify_count += done.events
                 if done.kill_after:
                     return "dead"
                 if not sent:
@@ -733,11 +713,10 @@ class SyncServer:
     ) -> str:
         """Queue frames for one connection, writing inline when possible.
 
-        Returns ``"ok"`` (sent or queued; delivery accounting happens as
-        chunks complete), ``"dead"`` (socket failed mid-submit; every
-        queued delivery was converted to a miss), ``"evicted"`` (queue
-        bound exceeded, ditto), or ``"closed"`` (connection was already
-        aborted; nothing queued, caller owns accounting).
+        Returns ``"ok"`` (sent or queued), ``"dead"`` (socket failed
+        mid-submit; the queue was dropped), ``"evicted"`` (queue bound
+        exceeded, ditto), or ``"closed"`` (connection was already
+        aborted; nothing queued).
 
         ``inline=False`` skips the opportunistic write even on an idle
         queue (burst broadcasts: leave the frames for the loop's
@@ -782,9 +761,6 @@ class SyncServer:
         # Caller holds conn.lock.  Idempotent: a closing queue stays empty.
         conn.note_depth()
         conn.closing = True
-        for frame in conn.outq:
-            if frame.link is not None:
-                frame.link.missed_count += frame.events
         conn.outq.clear()
         conn.queued_bytes = 0
         self._queue_emptied()
@@ -797,28 +773,26 @@ class SyncServer:
                 self._drained.notify_all()
 
     def _frames_for_conn(
-        self, conn: _AsyncConn, messages: list[dict[str, Any]], encoded: list[bytes]
+        self, conn: _AsyncConn, message: dict[str, Any], data: bytes
     ) -> tuple[list[_OutFrame], bool]:
-        """Byte chunks for one delivery, fault-perturbed when applicable.
+        """Byte chunks for one message (``data`` is its encoding),
+        fault-perturbed when applicable.
 
         Returns ``(frames, kill_now)``; ``kill_now`` means the connection
         must die without flushing anything (fault-injected disconnect).
         A fault-injected truncation instead marks the last chunk
-        ``kill_after`` so the partial bytes reach the wire first.
+        ``kill_after`` so the partial bytes reach the wire first.  No
+        frames and no kill: the fault plan dropped or held the message.
         """
         if conn.faults is None:
-            return [_OutFrame(data) for data in encoded], False
-        frames: list[_OutFrame] = []
-        for message in messages:
-            chunks, kill, delay = conn.faults.perturb(message)
-            not_before = time.monotonic() + delay if delay else 0.0
-            for chunk in chunks:
-                frames.append(_OutFrame(chunk, not_before=not_before))
-            if kill:
-                if frames:
-                    frames[-1].kill_after = True
-                    return frames, False
+            return [_OutFrame(data)], False
+        chunks, kill, delay = conn.faults.perturb(message)
+        not_before = time.monotonic() + delay if delay else 0.0
+        frames = [_OutFrame(chunk, not_before=not_before) for chunk in chunks]
+        if kill:
+            if not frames:
                 return [], True
+            frames[-1].kill_after = True
         return frames, False
 
     def _on_frame(self, conn: _AsyncConn, message: dict[str, Any]) -> None:
@@ -858,7 +832,7 @@ class SyncServer:
             endpoint.last_ping_at = time.monotonic()
             message = protocol.ping(endpoint.ping_seq)
             frames, kill_now = self._frames_for_conn(
-                conn, [message], [protocol.encode(message)]
+                conn, message, protocol.encode(message)
             )
             if kill_now:
                 self._conn_dead(conn)
@@ -913,14 +887,14 @@ class SyncServer:
                 endpoint = self._endpoints.get((host, port))
             if endpoint is None:
                 try:
-                    transport, caps = self._open_callback(host, port)
+                    transport = self._open_callback(host, port)
                 except SyncError:
                     # Failed connection or handshake: no trace left behind.
                     self.database.delete(
                         datamodel.T_CONNECTED_USER, col("id") == cu_id
                     )
                     raise
-                endpoint = _Endpoint(host, port, caps=caps)
+                endpoint = _Endpoint(host, port)
                 self._attach(endpoint, transport)
                 with self._lock:
                     self._endpoints[(host, port)] = endpoint
@@ -945,11 +919,10 @@ class SyncServer:
             endpoint = self._endpoints.get((host, port))
         if endpoint is None:
             raise SyncError(f"no registered client at {host}:{port}")
-        transport, caps = self._open_callback(host, port)
+        transport = self._open_callback(host, port)
         with self._lock:
             stale = endpoint.conn
             endpoint.conn = None
-            endpoint.caps = caps
         if stale is not None:
             self._retire_conn(stale)
         self._attach(endpoint, transport)
@@ -1138,17 +1111,13 @@ class SyncServer:
         listener (one call per flush) and fan-out benchmarks, which drive
         the plane without paying the storage engine's per-row cost.
 
-        Batch-capable peers get a single NOTIFYB frame covering all
-        events; legacy peers get one NOTIFY per event -- same
-        information, more messages.  The frame bytes for each capability
-        variant are built exactly once per call and shared by every
-        subscriber's queue entries; a healthy client on an idle queue
-        gets its bytes written inline on this thread (so accounting stays
-        synchronous), everyone else is drained by the event loop.  A send
-        failure detaches the endpoint (keeping the registration) instead
-        of unregistering the client; ``notify_count`` counts only
-        *successful* deliveries (per event), ``missed_count`` the ones
-        the client will replay from ``changes_since`` after reconnecting.
+        Every subscriber gets the same frame -- a NOTIFY for one event, a
+        NOTIFYB for several, with the newest event's span context while
+        tracing -- encoded exactly once per call.  A healthy client on an
+        idle queue gets the bytes written inline on this thread, everyone
+        else is drained by the event loop.  A send failure detaches the
+        endpoint (keeping the registration); nothing counts deliveries,
+        the reconnecting client replays the log from its ``last_seq_no``.
 
         Back-to-back broadcasts (arriving faster than the fan-out can be
         written inline) skip the inline write entirely: this thread only
@@ -1160,55 +1129,31 @@ class SyncServer:
         if not events:
             return
         with self._lock:
-            links = [link for link in self._links.values() if link.table == table]
-        cache: dict[
-            tuple[bool, bool], tuple[list[dict[str, Any]], list[bytes]]
-        ] = {}
+            endpoints = [
+                link.endpoint
+                for link in self._links.values()
+                if link.table == table and link.endpoint is not None
+            ]
+        if not endpoints:
+            return  # in-process mode: the center's own listeners deliver
+        ctx = self._trace_ctx(table, events[-1][1]) if OBS.enabled else None
+        if len(events) == 1:
+            ((op, seq_no),) = events
+            message = protocol.notify(table, seq_no, op, ctx=ctx)
+        else:
+            message = protocol.notify_batch(table, events, ctx=ctx)
+        data = protocol.encode(message)
         now = time.monotonic()
-        window = len(links) * BURST_COST_PER_LINK_S
+        window = len(endpoints) * BURST_COST_PER_LINK_S
         inline = (now - self._last_broadcast) >= window
         self._last_broadcast = now
-        n = len(events)
-        dead: list[tuple[_AsyncConn, _Endpoint]] = []
-        evicted: list[tuple[_AsyncConn, _Endpoint]] = []
+        dead: list[_AsyncConn] = []
+        evicted: list[_AsyncConn] = []
         pending: list[_AsyncConn] = []
-        for link in links:
-            endpoint = link.endpoint
-            if endpoint is None:
-                # In-process mode: delivery happens via the center's own
-                # listener fan-out; count the dispatches.
-                link.notify_count += n
-                continue
+        for endpoint in endpoints:
             conn = endpoint.conn
             if conn is None:
-                link.missed_count += n
-                continue
-            # Trace-capable peers get the notify/flush span context on
-            # the frame itself, so their refresh spans join the
-            # server-side trace across the socket (no shared memory).
-            want_trace = OBS.enabled and protocol.CAP_TRACE in endpoint.caps
-            use_batch = protocol.CAP_BATCH in endpoint.caps and n > 1
-            key = (use_batch, want_trace)
-            cached = cache.get(key)
-            if cached is None:
-                if use_batch:
-                    ctx = (
-                        self._trace_ctx(table, events[-1][1]) if want_trace else None
-                    )
-                    messages = [protocol.notify_batch(table, events, ctx=ctx)]
-                else:
-                    messages = [
-                        protocol.notify(
-                            table,
-                            s,
-                            op,
-                            ctx=self._trace_ctx(table, s) if want_trace else None,
-                        )
-                        for op, s in events
-                    ]
-                cached = (messages, [protocol.encode(m) for m in messages])
-                cache[key] = cached
-            messages, encoded = cached
+                continue  # detached: the reconnect replays it from the log
             if not inline and conn.faults is None:
                 # Burst fast path (no fault wrapper): append the shared
                 # bytes under the conn lock without the general-purpose
@@ -1216,59 +1161,39 @@ class SyncServer:
                 # call overhead is the fan-out cost.
                 with conn.lock:
                     if conn.closing:
-                        link.missed_count += n
-                        dead.append((conn, endpoint))
+                        dead.append(conn)
                         continue
-                    frame = None
-                    for data in encoded:
-                        frame = _OutFrame(data)
-                        conn.outq.append(frame)
-                        conn.queued_bytes += len(data)
-                    frame.link = link
-                    frame.events = n
+                    conn.outq.append(_OutFrame(data))
+                    conn.queued_bytes += len(data)
                     if (
                         len(conn.outq) > self.max_queue_frames
                         or conn.queued_bytes > self.max_queue_bytes
                     ):
                         self._abort_queue_locked(conn)
-                        evicted.append((conn, endpoint))
+                        evicted.append(conn)
                         continue
                     if not conn.want_write:
                         conn.want_write = True
                         pending.append(conn)
                 continue
-            frames, kill_now = self._frames_for_conn(conn, messages, encoded)
-            delivery_fails = kill_now or bool(frames and frames[-1].kill_after)
-            if delivery_fails:
-                link.missed_count += n
-            elif frames:
-                frames[-1].link = link
-                frames[-1].events = n
-            else:
-                # The fault plan dropped or held every chunk: the wire
-                # ate it, not us, so it counts as sent.
-                link.notify_count += n
-                continue
+            frames, kill_now = self._frames_for_conn(conn, message, data)
             if not frames:
-                dead.append((conn, endpoint))
+                if kill_now:
+                    dead.append(conn)
                 continue
             status = self._submit_frames(conn, frames, inline=inline, pending=pending)
-            if status == "closed":
-                if not delivery_fails:
-                    link.missed_count += n
-                dead.append((conn, endpoint))
-            elif status == "evicted":
-                evicted.append((conn, endpoint))
-            elif status == "dead":
-                dead.append((conn, endpoint))
+            if status == "evicted":
+                evicted.append(conn)
+            elif status != "ok":
+                dead.append(conn)
         if pending:
             loop = self._loop
             if loop is not None:
                 loop.submit(lambda: loop.service_conns(pending))
-        for conn, _endpoint in dead:
+        for conn in dead:
             self._conn_dead(conn)
-        for conn, endpoint in evicted:
-            self._note_eviction(endpoint)
+        for conn in evicted:
+            self._note_eviction(conn.endpoint)
             self._conn_dead(conn)
 
     # ------------------------------------------------------------------
@@ -1300,9 +1225,7 @@ class SyncServer:
             endpoint.conn = None
             if conn is None:
                 continue
-            frames, kill_now = self._frames_for_conn(
-                conn, [goodbye], [goodbye_bytes]
-            )
+            frames, kill_now = self._frames_for_conn(conn, goodbye, goodbye_bytes)
             if not kill_now and frames:
                 self._submit_frames(conn, frames)
             live.append(conn)

@@ -1,12 +1,20 @@
 """Tripwires for what this tree deleted: ``repro.bench``, the best-pair
-estimators, and the tracked ``benchmarks/results.txt``."""
+estimators, the tracked ``benchmarks/results.txt``, and the sync
+server's per-link delivery counters and HELLO capability negotiation."""
 
 import ast
+import re
 import subprocess
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[2]
 BENCHES = sorted((REPO / "benchmarks").glob("bench_*.py"))
+#: The second set of books (per-link delivery counters) and the second
+#: dialect (capability negotiation) the notification plane once kept.
+GONE_FROM_SYNC = re.compile(
+    r"\b(notify_count|missed_count|peer_caps|CAP_BATCH|CAP_TRACE"
+    r"|SUPPORTED_CAPS|server_caps)\b"
+)
 
 
 def python_files():
@@ -68,3 +76,61 @@ def test_results_txt_is_ignored_and_untracked():
         assert tracked.stdout.strip() == ""
     conftest = (REPO / "benchmarks" / "conftest.py").read_text(encoding="utf-8")
     assert "results.txt" not in conftest
+
+
+def books_and_dialect(source):
+    """``(line, name)`` of every deleted counter or capability name."""
+    return [
+        (number, match.group())
+        for number, line in enumerate(source.splitlines(), 1)
+        for match in GONE_FROM_SYNC.finditer(line)
+    ]
+
+
+def required_hello_args(source):
+    """Parameters of ``def hello`` without a default (None: no hello)."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name == "hello":
+            args = node.args
+            positional = args.posonlyargs + args.args
+            required = positional[: len(positional) - len(args.defaults)]
+            required += [
+                arg
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is None
+            ]
+            return [arg.arg for arg in required]
+    return None
+
+
+def test_no_delivery_counter_or_capability_under_src():
+    """The log plus each client's ``last_seq_no`` is the one record of
+    what a client consumed, and every peer speaks one dialect."""
+    offenders = [
+        f"{path.relative_to(REPO)}:{line}: {name}"
+        for path in sorted((REPO / "src" / "repro").rglob("*.py"))
+        for line, name in books_and_dialect(path.read_text(encoding="utf-8"))
+    ]
+    assert not offenders
+
+
+def test_hello_takes_no_required_argument():
+    """Both benchmark fleets handshake with a bare ``protocol.hello()``."""
+    protocol = REPO / "src" / "repro" / "sync" / "protocol.py"
+    assert required_hello_args(protocol.read_text(encoding="utf-8")) == []
+
+
+def test_the_sync_tripwires_fire_on_planted_offenders():
+    planted = (
+        "def hello(caps):\n"
+        "    link.notify_count += 1\n"
+        "    return peer_caps(caps) & SUPPORTED_CAPS\n"
+    )
+    assert books_and_dialect(planted) == [
+        (2, "notify_count"),
+        (3, "peer_caps"),
+        (3, "SUPPORTED_CAPS"),
+    ]
+    assert required_hello_args(planted) == ["caps"]
+    assert required_hello_args("def hello(*, caps):\n    pass\n") == ["caps"]
+    assert required_hello_args("def hello(caps=None):\n    pass\n") == []

@@ -1,6 +1,5 @@
-"""The event-loop server engine: encode-once fan-out accounting,
-bounded send queues with slow-client eviction, and graceful drain on
-shutdown.
+"""The event-loop server engine: encode-once fan-out, bounded send
+queues with slow-client eviction, and graceful drain on shutdown.
 
 The protocol-level behavior (reconnect, replay, batching, traces) is
 covered by the rest of the suite; this file pins the contracts of the
@@ -12,7 +11,9 @@ import time
 
 import pytest
 
+from repro.core import datamodel
 from repro.db import Column, Database
+from repro.db.schema import TID
 from repro.db.types import FLOAT, INTEGER
 from repro.errors import SyncError
 from repro.retry import RetryPolicy
@@ -81,8 +82,14 @@ class _StubSock:
 
 
 def attach_raw_peers(server, n, caps):
-    """Register ``n`` hand-rolled callback peers (no SyncClient) that all
-    advertise ``caps``; returns their connected sockets."""
+    """Register ``n`` hand-rolled callback peers (no SyncClient); returns
+    their connected sockets.  Each sends the fleet's bare HELLO, plus --
+    when ``caps`` is non-empty -- the ``caps`` list older peers put in
+    theirs, which the server reads nothing from."""
+    hello = protocol.hello()
+    if caps:
+        hello["caps"] = caps
+    connected = server.connected_count()
     listeners = []
     for _ in range(n):
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -102,12 +109,25 @@ def attach_raw_peers(server, n, caps):
     socks = []
     for listener in listeners:
         sock, _ = listener.accept()
-        sock.sendall(protocol.encode(protocol.hello(caps)))
+        sock.sendall(protocol.encode(hello))
         socks.append(sock)
         listener.close()
     registrar.join(timeout=10.0)
-    assert server.connected_count() == n
+    assert server.connected_count() == connected + n
     return socks
+
+
+def read_lines(sock, n):
+    """The first ``n`` newline-framed lines a raw peer received, each
+    with its newline: byte for byte what the server wrote."""
+    sock.settimeout(5.0)
+    data = b""
+    while data.count(b"\n") < n:
+        chunk = sock.recv(65536)
+        if not chunk:
+            break
+        data += chunk
+    return [line + b"\n" for line in data.split(b"\n")[:n]]
 
 
 class TestAsyncEngine:
@@ -137,65 +157,70 @@ class TestAsyncEngine:
         db, _center, server, client = make_stack()
         try:
             client.mirror("pts")
-            link = next(iter(server._links.values()))
             db.insert("pts", {"id": 1, "x": 1.0})
-            # No sleeping: the idle-queue inline write credits the link
-            # before insert() returns.
-            assert link.notify_count == 1
-            assert link.missed_count == 0
+            # No sleeping: the idle-queue inline write put the frame on
+            # the wire before insert() returned, nothing is left queued.
+            assert server.queued_frames() == 0
+            assert wait_until(lambda: client.notify_received == 1)
         finally:
             client.close()
             server.close()
 
     @pytest.mark.parametrize(
-        "caps, per_event", [([protocol.CAP_BATCH], False), ([], True)]
+        "caps, with_client", [([], False), (["batch", "trace"], False), ([], True)]
     )
     def test_broadcast_encodes_per_variant_not_per_client(
-        self, monkeypatch, caps, per_event
+        self, monkeypatch, caps, with_client
     ):
-        """Encode-once is a count: one ``protocol.encode`` per frame of
-        the capability variant, however many subscribers share it."""
+        """Encode-once is a count: one ``protocol.encode`` per broadcast,
+        whose bytes every peer gets -- the fleet's bare HELLO, an older
+        peer's ``caps`` list and a ``SyncClient`` among raw peers alike.
+        A ``MANUAL`` flush of a two-op-kind delta is one NOTIFYB."""
         db = make_db()
-        server = SyncServer(
-            db, NotificationCenter(db), use_sockets=True, heartbeat_interval=None
-        )
-        clients = 8
-        socks = attach_raw_peers(server, clients, caps)
-        encoded = []
-        real_encode = protocol.encode
+        center = NotificationCenter(db)
+        server = SyncServer(db, center, use_sockets=True, heartbeat_interval=None)
+        seed = db.insert("pts", {"id": 100, "x": -1.0})  # unwatched: no frame
+        client = SyncClient(server) if with_client else None
+        if client is not None:
+            client.mirror("pts")
+        socks = attach_raw_peers(server, 1 if with_client else 8, caps)
+        center.subscriptions["pts"].set_policy(MANUAL)
+        for i in range(5):
+            db.insert("pts", {"id": i, "x": float(i)})
+        db.update_by_tid("pts", seed[TID], {"x": 99.0})
+        real_encode, real_decode = protocol.encode, protocol.decode
+        encoded, client_lines = [], []
 
         def counting_encode(message):
-            encoded.append(message["type"])
-            return real_encode(message)
+            encoded.append(real_encode(message))
+            return encoded[-1]
+
+        def recording_decode(line):
+            client_lines.append(line + b"\n")
+            return real_decode(line)
 
         monkeypatch.setattr(protocol, "encode", counting_encode)
-        events = [("insert", 1), ("insert", 2), ("insert", 3)]
+        monkeypatch.setattr(protocol, "decode", recording_decode)
         try:
-            server.broadcast("pts", events)
-            assert len(encoded) == (len(events) if per_event else 1)
-            assert wait_until(
-                lambda: sum(link.notify_count for link in server._links.values())
-                == clients * len(events)
-            )
+            center.subscriptions["pts"].flush()
+            (frame,) = encoded
+            message = real_decode(frame)
+            assert message["type"] == protocol.NOTIFY_BATCH
+            assert [op for op, _seq in protocol.batch_events(message)] == [
+                "insert",
+                "update",
+            ]
+            for sock in socks:
+                assert read_lines(sock, 2)[1] == frame  # after the REPLY
+            if client is not None:
+                assert wait_until(lambda: client.batch_notifies_received == 1)
+                assert client_lines == [frame]
         finally:
+            if client is not None:
+                client.close()
             server.close()
             for sock in socks:
                 sock.close()
-
-    def test_in_process_links_count_dispatches_per_event(self):
-        """``use_sockets=False`` links have no endpoint: the center's
-        listener and ``broadcast()`` both credit ``len(events)``."""
-        db = make_db()
-        server = SyncServer(db, NotificationCenter(db), use_sockets=False)
-        try:
-            link = server._links[server.register_client("pts", "127.0.0.1", 1)]
-            db.insert("pts", {"id": 1, "x": 1.0})
-            assert link.notify_count == 1
-            server.broadcast("pts", [("insert", 2), ("insert", 3), ("insert", 4)])
-            assert link.notify_count == 4
-            assert link.missed_count == 0
-        finally:
-            server.close()
 
     def test_slow_client_is_evicted_at_queue_bound(self):
         db, _center, server, client = make_stack(max_queue_frames=16)
@@ -204,13 +229,12 @@ class TestAsyncEngine:
             endpoint = server._endpoints[(client.host, client.port)]
             conn = endpoint.conn
             assert conn is not None
-            link = next(iter(server._links.values()))
             conn.sock = _StubSock(conn.sock)
             # Frames pile up in the bounded queue...
             for i in range(10):
                 db.insert("pts", {"id": i, "x": float(i)})
             assert server.queued_frames() == 10
-            assert link.notify_count == 0
+            assert client.notify_received == 0
             # ...until the bound trips and the slow client is evicted.
             for i in range(10, 30):
                 db.insert("pts", {"id": i, "x": float(i)})
@@ -219,20 +243,20 @@ class TestAsyncEngine:
             # client may re-attach (on a fresh, unstubbed socket) before
             # we look -- possibly even mid-loop, in which case the tail
             # of the inserts is delivered live.  The race-free
-            # invariants: exactly one registered link, the bounded
-            # queue's worth of frames (and everything sent while
-            # detached) became replayable misses, and every
-            # notification is accounted for exactly once.
+            # invariants: exactly one registered link, and the dropped
+            # queue leaves nothing behind.
             assert server.detached_count() + server.connected_count() == 1
             assert wait_until(lambda: server.queued_frames() == 0)
-            assert link.missed_count > server.max_queue_frames
-            assert link.notify_count + link.missed_count == 30
             # The registration survived eviction: the client reconnects
-            # through the ordinary machinery and replays what it missed.
+            # through the ordinary machinery and replays what it missed
+            # from the log, by its last_seq_no.
             assert server.client_count() == 1
             assert wait_until(lambda: client.reconnects >= 1)
+            assert wait_until(lambda: client.replayed_notifications >= 1)
             client.refresh("pts")
             assert contents(client) == [(i, float(i)) for i in range(30)]
+            (cursor,) = db.table(datamodel.T_CONNECTED_USER).scan()
+            assert cursor["last_seq_no"] == client.table("pts").last_seq_no > 0
         finally:
             client.close()
             server.close()

@@ -71,6 +71,22 @@ class TestDriver:
         assert stats["upserts"] == 1
         assert len(mirror) == 1
 
+    def test_flush_reaches_the_listeners(self, stack):
+        """``flush`` used to skip the loop's bookkeeping: a display bound
+        to a ``RefreshDriver`` never showed a flushed change, and the
+        running loop found the table clean afterwards."""
+        db, _server, client, _mirror = stack
+        heard = []
+        driver = RefreshDriver(client, max_rate=0.1)
+        driver.on_refresh(lambda table, stats: heard.append((table, stats)))
+        db.insert("pts", {"id": 1, "x": 1})
+        if client.server.use_sockets:
+            assert client.wait_dirty("pts")
+        stats = driver.flush("pts")
+        assert heard == [("pts", stats)]
+        assert driver.refreshes == 1
+        assert driver.coalesced_rows == 1
+
     def test_start_stop_idempotent(self, stack):
         _db, _server, client, _mirror = stack
         driver = RefreshDriver(client)

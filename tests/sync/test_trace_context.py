@@ -1,11 +1,10 @@
 """Cross-socket trace-context propagation (the ``ctx`` frame field).
 
 The in-process link registry cannot cross a real socket: producer and
-consumer share no memory in a true client/server deployment.  The
-``trace`` capability moves the span context onto the NOTIFY/NOTIFYB
-frames themselves, so the Figure-8 propagation chain stitches across
-the wire -- and legacy peers that never advertise the capability keep
-syncing exactly as before.
+consumer share no memory in a true client/server deployment.  While
+tracing, the span context rides on the NOTIFY/NOTIFYB frames
+themselves -- to every peer, whatever its HELLO said -- so the Figure-8
+propagation chain stitches across the wire.
 """
 
 import time
@@ -83,16 +82,6 @@ class TestFrameEncoding:
         message = protocol.notify("nodes", 3, "insert")
         message["ctx"] = ctx
         assert protocol.frame_trace_context(message) is None
-
-    def test_trace_capability_negotiated(self):
-        hello = protocol.hello([protocol.CAP_BATCH, protocol.CAP_TRACE])
-        assert protocol.peer_caps(hello) == frozenset(
-            {protocol.CAP_BATCH, protocol.CAP_TRACE}
-        )
-        # Unknown capabilities are ignored, not fatal.
-        assert protocol.peer_caps(protocol.hello(["trace", "future-cap"])) == frozenset(
-            {protocol.CAP_TRACE}
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +178,7 @@ class TestSocketPropagation:
 
     def test_frames_carry_ctx_only_while_tracing(self, socket_pipeline):
         db, client, mirror = socket_pipeline
-        # Tracing off: trace-capable peers still get plain frames.
+        # Tracing off: every peer gets plain frames.
         before = client.notify_received
         db.insert("nodes", {"id": 1, "label": "a"})
         assert wait_for(lambda: client.notify_received > before)
@@ -201,29 +190,29 @@ class TestSocketPropagation:
 class TestLegacyPeer:
     @pytest.fixture
     def legacy_handshake(self, monkeypatch):
-        """A client that never advertises the trace capability."""
-        original = protocol.client_handshake
+        """A client whose HELLO still advertises an old ``caps`` list
+        without ``trace``: the server reads nothing from it."""
 
-        def handshake(stream, timeout=5.0, caps=None):
-            return original(stream, timeout=timeout, caps=[protocol.CAP_BATCH])
+        def handshake(stream, timeout=5.0):
+            stream.send(dict(protocol.hello(), caps=["batch"]))
+            assert stream.receive(timeout)["type"] == protocol.REPLY
 
         monkeypatch.setattr(
             "repro.sync.client.protocol.client_handshake", handshake
         )
 
-    def test_legacy_peer_gets_no_ctx_and_still_syncs(
+    def test_legacy_peer_gets_ctx_and_still_syncs(
         self, legacy_handshake, socket_pipeline, enabled_obs
     ):
         db, client, mirror = socket_pipeline
-        assert protocol.CAP_TRACE not in client.server_caps
         before = client.notify_received
         db.insert_many("nodes", [{"id": i, "label": f"n{i}"} for i in range(4)])
         assert wait_for(lambda: client.notify_received > before)
-        # No frame ever carried a context...
-        assert client._frame_contexts == {}
-        # ...and the data path is unaffected.
+        # The frame carried the context like any other peer's...
+        assert set(client._frame_contexts) == {"nodes"}
+        clear_link_registry()
+        # ...so the refresh joins the trace through it, and syncs.
         client.refresh("nodes")
         assert len(mirror.all_rows()) == 4
         (refresh,) = obs.tracer().spans_named("sync.mirror_refresh")
-        # In-process link registry still bridges (same-process fallback).
-        assert refresh.tags.get("ctx_source") in ("link", None)
+        assert refresh.tags["ctx_source"] == "frame"
