@@ -569,20 +569,20 @@ class Table:
         return rows
 
     def restore_row(self, row: dict[str, Any]) -> None:
-        """Re-insert a previously deleted row image (transaction rollback)."""
+        """Re-insert a deleted row image (rollback, WAL redo); takes
+        ownership of ``row``, as :meth:`bulk_restore` does."""
         tid = row[TID]
         if tid in self._rows:
             raise DatabaseError(f"{self.name}: tid {tid} already present")
-        self._rows[tid] = dict(row)
-        stored = self._rows[tid]
+        self._rows[tid] = row
         for idx in self._indexes.values():
-            idx.add(tid, stored)
-        self._created_index.add(tid, stored)
+            idx.add(tid, row)
+        self._created_index.add(tid, row)
         self._next_tid = max(self._next_tid, tid + 1)
         if self._store is not None:
             # append() flags the store stale when tid arrives out of order
             # (rollback restores); the next columnar scan rebuilds.
-            self._store.append(stored)
+            self._store.append(row)
 
     def bulk_restore(
         self,

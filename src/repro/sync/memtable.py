@@ -4,7 +4,9 @@
 activity needs to maintain portions of a table in memory, to refresh the
 visualisation fast" (Section VI-C).  A :class:`MemoryTable` is such a
 portion: a client-side dict of rows keyed by tid, refreshed by *pulling*
-changed rows after a NOTIFY, and *pushing* local edits back to R_D.
+changed rows after a NOTIFY, and *pushing* local edits back to R_D.  It
+holds the table's own row images, which its readers share read-only:
+writers copy on write (``Table.update_*``, :meth:`~MemoryTable.stage_write`).
 
 The mirror may be partial: a ``fraction`` or a ``predicate`` restricts
 which rows it keeps, supporting the paper's multi-device scenario ("an
@@ -14,12 +16,12 @@ iphone showing 10% of the data, a laptop 30%, the WILD wall all of it").
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from ..db.schema import TID
 from ..errors import SyncError
 
-Row = dict[str, Any]
+Row = Mapping[str, Any]
 
 #: Row filter deciding membership in a partial mirror.
 RowPredicate = Callable[[Row], bool]
@@ -102,14 +104,13 @@ class MemoryTable:
         if not self.accepts(row):
             self.rows.pop(tid, None)
             return
-        image = dict(row)
         if tid not in self.rows:
             self.applied_inserts += 1
-        elif self._is_own_echo(tid, image):
+        elif self._is_own_echo(tid, row):
             self.skipped_self_updates += 1
         else:
             self.applied_updates += 1
-        self.rows[tid] = image
+        self.rows[tid] = row
 
     def _upsert_many(self, upserts: Sequence[Row]) -> None:
         """What :meth:`_upsert_one` per row leaves, a batch at a time."""
@@ -123,7 +124,7 @@ class MemoryTable:
                     upserts.append(row)
                 else:
                     rows.pop(row[TID], None)
-        images = {row[TID]: dict(row) for row in upserts}
+        images = {row[TID]: row for row in upserts}
         if len(images) < len(upserts):
             # A tid listed twice replays in order, one row at a time
             # (nothing above has touched the mirror for such a batch).
@@ -170,19 +171,18 @@ class MemoryTable:
         with self._lock:
             if tid not in self.rows:
                 raise SyncError(f"R_M for {self.table!r} holds no row with tid {tid}")
-            self.rows[tid][column] = value
+            self.rows[tid] = {**self.rows[tid], column: value}  # copy on write
             self._pending_writes[(tid, column)] = value
 
     # ------------------------------------------------------------------
-    # Reads
+    # Reads: the held images themselves, read-only
     def get(self, tid: int) -> Optional[Row]:
         with self._lock:
-            row = self.rows.get(tid)
-            return dict(row) if row is not None else None
+            return self.rows.get(tid)
 
     def all_rows(self) -> list[Row]:
         with self._lock:
-            return [dict(row) for row in self.rows.values()]
+            return list(self.rows.values())
 
     def tids(self) -> list[int]:
         with self._lock:

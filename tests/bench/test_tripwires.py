@@ -1,6 +1,7 @@
 """Tripwires for what this tree deleted: ``repro.bench``, the best-pair
-estimators, the tracked ``benchmarks/results.txt``, and the sync
-server's per-link delivery counters and HELLO capability negotiation."""
+estimators, the tracked ``benchmarks/results.txt``, the sync server's
+per-link delivery counters and HELLO capability negotiation, and the
+row copies a mirror and a rollback made of images they can share."""
 
 import ast
 import re
@@ -15,6 +16,13 @@ GONE_FROM_SYNC = re.compile(
     r"\b(notify_count|missed_count|peer_caps|CAP_BATCH|CAP_TRACE"
     r"|SUPPORTED_CAPS|server_caps)\b"
 )
+
+#: Where a row image is shared, not copied: a whole file, or one function.
+SHARED_IMAGES = [
+    ("src/repro/sync/memtable.py", None),
+    ("src/repro/sync/client.py", "SyncClient.refresh"),
+    ("src/repro/db/table.py", "Table.restore_row"),
+]
 
 
 def python_files():
@@ -134,3 +142,50 @@ def test_the_sync_tripwires_fire_on_planted_offenders():
     assert required_hello_args(planted) == ["caps"]
     assert required_hello_args("def hello(*, caps):\n    pass\n") == ["caps"]
     assert required_hello_args("def hello(caps=None):\n    pass\n") == []
+
+
+def dict_calls(source, scope=None):
+    """Lines of the ``dict(...)`` calls in ``source``, or only in the
+    method ``scope`` (``"Class.method"``) when one is named."""
+    tree = ast.parse(source)
+    if scope is not None:
+        cls, name = scope.split(".")
+        (tree,) = [
+            node
+            for top in tree.body
+            if isinstance(top, ast.ClassDef) and top.name == cls
+            for node in top.body
+            if isinstance(node, ast.FunctionDef) and node.name == name
+        ]
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "dict"
+    ]
+
+
+def test_no_row_copy_where_images_are_shared():
+    """Rows are values: writers copy on write, so a mirror holds the
+    table's own images and a rollback puts its before image back."""
+    offenders = [
+        f"{path}:{line}"
+        for path, scope in SHARED_IMAGES
+        for line in dict_calls((REPO / path).read_text(encoding="utf-8"), scope)
+    ]
+    assert not offenders
+
+
+def test_the_row_copy_tripwire_fires_on_planted_offenders():
+    planted = (
+        "class Table:\n"
+        "    def get(self, tid):\n"
+        "        return dict(self.rows[tid])\n"
+        "    def restore_row(self, row):\n"
+        "        self.rows[row['t']] = stored = dict(row)\n"
+        "        return {**stored}\n"
+    )
+    assert dict_calls(planted) == [3, 5]
+    assert dict_calls(planted, "Table.restore_row") == [5]
+    assert dict_calls(planted, "Table.get") == [3]

@@ -1,12 +1,14 @@
-"""In-memory mirrors: upserts, deletes, partial mirrors, echo suppression."""
+"""In-memory mirrors: upserts, deletes, partial mirrors, echo suppression,
+and the row images a mirror shares with its table."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.db import Database
 from repro.db.schema import TID
 from repro.errors import SyncError
-from repro.sync import MemoryTable
+from repro.sync import MemoryTable, NotificationCenter, SyncClient, SyncServer
 
 
 def row(tid, **values):
@@ -32,12 +34,14 @@ class TestApply:
         rm.apply_delete(1)  # idempotent
         assert rm.applied_deletes == 1
 
-    def test_reads_are_copies(self):
+    def test_reads_share_the_held_image(self):
         rm = MemoryTable("t")
-        rm.apply_upsert(row(1, x=1))
-        copy = rm.get(1)
-        copy["x"] = 999
-        assert rm.get(1)["x"] == 1
+        image = row(1, x=1)
+        rm.apply_upsert(image)
+        assert rm.get(1) is image
+        assert rm.all_rows()[0] is image
+        rm.apply_batch([row(2, x=2), row(3, x=3)], [])
+        assert all(r is rm.get(r[TID]) for r in rm.all_rows())
 
     def test_iteration_and_len(self):
         rm = MemoryTable("t")
@@ -109,6 +113,15 @@ class TestEchoSuppression:
         assert rm.applied_updates == 1
         assert rm.get(1)["y"] == "b"
 
+    def test_stage_write_copies_on_write(self):
+        rm = MemoryTable("t")
+        image = row(1, x=1, y="a")
+        rm.apply_upsert(image)
+        earlier = rm.get(1)
+        rm.stage_write(1, "x", 42)
+        assert image == earlier == row(1, x=1, y="a")
+        assert rm.get(1) == row(1, x=42, y="a")
+
     def test_stage_write_unknown_tid(self):
         rm = MemoryTable("t")
         with pytest.raises(SyncError):
@@ -176,3 +189,77 @@ def test_batch_apply_equals_per_row_apply(script, kind):
                 batched.stage_write(tid, column, value)
                 per_row.stage_write(tid, column, value)
         assert state(batched) == state(per_row)
+
+
+# ----------------------------------------------------------------------
+# Rows are values: a mirror holds the table's own images, a writer copies
+# on write, and a rollback puts back the change set's before image.
+@pytest.fixture(params=["inprocess", "sockets"])
+def shared(request):
+    db = Database()
+    db.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, v INTEGER, w INTEGER)")
+    db.execute("INSERT INTO t (k, v, w) VALUES (1, 10, 0), (2, 20, 0), (3, 30, 0)")
+    center = NotificationCenter(db)
+    server = SyncServer(db, center, use_sockets=request.param == "sockets")
+    client = SyncClient(server)
+    yield db, client, client.mirror("t")
+    client.close()
+    server.close()
+    center.close()
+
+
+def refresh(client, table):
+    if client.server.use_sockets:
+        assert client.wait_dirty(table, timeout=5.0)
+    client.refresh(table)
+
+
+class TestSharedImages:
+    def test_a_refresh_holds_the_tables_own_images(self, shared):
+        db, client, mirror = shared
+        table = db.table("t")
+        assert all(mirror.get(tid) is table.get(tid) for tid in table.tids())
+        db.execute("UPDATE t SET v = 99 WHERE k = 2")
+        db.insert_many("t", [{"k": 4, "v": 40, "w": 0}, {"k": 5, "v": 50, "w": 0}])
+        refresh(client, "t")
+        assert mirror.tids() == table.tids()
+        assert all(mirror.get(tid) is table.get(tid) for tid in table.tids())
+
+    def test_write_back_changes_no_shared_image(self, shared):
+        db, client, mirror = shared
+        table = db.table("t")
+        tid = table.tids()[0]
+        image = mirror.get(tid)
+        kept = dict(image)
+        client.write_back("t", tid, "v", 11)
+        # The table's old image is what a reader still holds: unchanged.
+        assert image == kept
+        assert mirror.get(tid)["v"] == table.get(tid)["v"] == 11
+        refresh(client, "t")
+        # The echo only confirms the local edit (TestEchoSuppression).
+        assert (mirror.skipped_self_updates, mirror.applied_updates) == (1, 0)
+        assert mirror.get(tid) is table.get(tid)
+        assert image == kept
+
+    @pytest.mark.parametrize(
+        "sql, before_image",
+        [
+            ("DELETE FROM t WHERE k = 2", lambda change: change.deleted[0]),
+            ("UPDATE t SET v = 21 WHERE k = 2", lambda change: change.updated[0][0]),
+        ],
+        ids=["delete", "update"],
+    )
+    def test_a_rollback_puts_back_the_before_image(self, shared, sql, before_image):
+        db, client, mirror = shared
+        table = db.table("t")
+        held = table.by_key(2)
+        with pytest.raises(RuntimeError):
+            with db.transaction():
+                before = before_image(db.execute(sql).change)
+                raise RuntimeError("roll back")
+        assert before is held
+        assert table.by_key(2) is before
+        assert table.get(before[TID]) is before
+        assert before["v"] == 20
+        client.refresh("t")
+        assert mirror.get(before[TID]) is before
