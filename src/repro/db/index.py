@@ -8,9 +8,11 @@ Two kinds are provided:
   time-based isolation predicates of Section VI-A, which filter rows by
   creation timestamp, and for Notification ``seq_no`` scans in VI-C).
 
-Indexes map key values to sets of tuple identifiers (tids); the owning
-table resolves tids to rows.  NULL keys are indexed under a sentinel so
-uniqueness checks can skip them (SQL semantics: NULLs never collide).
+A hash index maps a key to its tuple identifier (tid), or to a set of
+tids once the key holds two; a sorted index keeps ``(key, tid)`` pairs.
+The owning table resolves tids to rows.  NULL keys are indexed under a
+sentinel so uniqueness checks can skip them (SQL semantics: NULLs never
+collide).
 
 Both kinds expose the same maintenance surface -- ``add``/``remove`` for
 one row and ``add_many``/``remove_many`` for one statement's rows -- and
@@ -34,14 +36,45 @@ def _key_of(value: Any) -> Hashable:
     return _NULL if value is None else value
 
 
+def _put(buckets: dict[Hashable, int | set[int]], key: Hashable, tid: int) -> None:
+    """File ``tid`` under ``key``: the tid itself while the key holds one,
+    a set once it holds two."""
+    entry = buckets.setdefault(key, tid)
+    if entry is tid:
+        return
+    if type(entry) is set:
+        entry.add(tid)
+    elif entry != tid:
+        buckets[key] = {entry, tid}
+
+
+def _drop(buckets: dict[Hashable, int | set[int]], key: Hashable, tid: int) -> None:
+    """Inverse of :func:`_put`: a set left with one tid becomes the tid,
+    a key left with none goes."""
+    entry = buckets.get(key)
+    if type(entry) is set:
+        entry.discard(tid)
+        if len(entry) == 1:
+            (buckets[key],) = entry
+    elif entry == tid:
+        del buckets[key]
+
+
 class HashIndex:
-    """Equality index: key value -> set of tids."""
+    """Equality index: key value -> tid, or a set of tids once the key
+    holds two.
+
+    The representation is canonical (a set holds two tids or more), so
+    ``_buckets`` depends only on what is indexed, and a key is held
+    exactly when it is in ``_buckets`` -- membership, not the entry's
+    truthiness, is the test (tid 0 is falsy).
+    """
 
     def __init__(self, table_name: str, columns: tuple[str, ...], unique: bool = False) -> None:
         self.table_name = table_name
         self.columns = columns
         self.unique = unique
-        self._buckets: dict[Hashable, set[int]] = {}
+        self._buckets: dict[Hashable, int | set[int]] = {}
 
     # ------------------------------------------------------------------
     def key(self, row: dict[str, Any]) -> Hashable:
@@ -71,27 +104,23 @@ class HashIndex:
             f"unique constraint on {self.table_name}({cols}) violated by key {key!r}"
         )
 
+    def _tids(self, key: Hashable) -> frozenset[int]:
+        entry = self._buckets.get(key)
+        if entry is None:
+            return frozenset()
+        return frozenset(entry) if type(entry) is set else frozenset((entry,))
+
     # ------------------------------------------------------------------
     def add(self, tid: int, row: dict[str, Any]) -> None:
         key = self.key(row)
-        # Check uniqueness BEFORE creating the bucket: a violation must not
-        # leave an empty bucket behind (retry loops would accumulate garbage
-        # keys otherwise).
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            self._buckets[key] = {tid}
-            return
-        if self.unique and bucket and not self._is_null_key(key):
+        # Check uniqueness BEFORE filing the tid: a violation must leave
+        # the index as it was.
+        if self.unique and key in self._buckets and not self._is_null_key(key):
             raise self._violation(key)
-        bucket.add(tid)
+        _put(self._buckets, key, tid)
 
     def remove(self, tid: int, row: dict[str, Any]) -> None:
-        key = self.key(row)
-        bucket = self._buckets.get(key)
-        if bucket is not None:
-            bucket.discard(tid)
-            if not bucket:
-                del self._buckets[key]
+        _drop(self._buckets, self.key(row), tid)
 
     def check_insert(self, row: dict[str, Any]) -> None:
         """Raise if adding ``row`` would violate uniqueness (without adding)."""
@@ -100,7 +129,7 @@ class HashIndex:
         key = self.key(row)
         if self._is_null_key(key):
             return
-        if self._buckets.get(key):
+        if key in self._buckets:
             raise self._violation(key)
 
     # ------------------------------------------------------------------
@@ -123,7 +152,7 @@ class HashIndex:
         for position, key in enumerate(keys):
             if self._is_null_key(key):
                 continue
-            if key in seen or buckets.get(key):
+            if key in seen or key in buckets:
                 return position, self._violation(key)
             seen.add(key)
         return None
@@ -146,7 +175,7 @@ class HashIndex:
         claimed: set[Hashable] = set()
         for position, old, new in moves:
             if not self._is_null_key(new) and (
-                new in claimed or (buckets.get(new) and new not in released)
+                new in claimed or (new in buckets and new not in released)
             ):
                 return position, self._violation(new)
             released.add(old)
@@ -159,31 +188,28 @@ class HashIndex:
         log being replayed)."""
         buckets = self._buckets
         for key, tid in zip(self._keys(rows), tids):
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = {tid}
-            else:
-                bucket.add(tid)
+            # One dict operation when the key is new (every row of a
+            # unique index); _put handles a key that already holds tids.
+            if buckets.setdefault(key, tid) is not tid:
+                _put(buckets, key, tid)
 
     def remove_many(self, tids: Iterable[int], rows: Sequence[dict[str, Any]]) -> None:
         buckets = self._buckets
         for key, tid in zip(self._keys(rows), tids):
-            bucket = buckets.get(key)
-            if bucket is not None:
-                bucket.discard(tid)
-                if not bucket:
-                    del buckets[key]
+            if buckets.get(key) == tid:  # the key's only tid
+                del buckets[key]
+            else:
+                _drop(buckets, key, tid)
 
     # ------------------------------------------------------------------
     def lookup(self, value: Any) -> frozenset[int]:
         """Tids whose indexed key equals ``value`` (single-column form)."""
         if len(self.columns) != 1:
             raise ValueError("use lookup_tuple for composite indexes")
-        return frozenset(self._buckets.get(_key_of(value), ()))
+        return self._tids(_key_of(value))
 
     def lookup_tuple(self, values: Iterable[Any]) -> frozenset[int]:
-        key = tuple(_key_of(v) for v in values)
-        return frozenset(self._buckets.get(key, ()))
+        return self._tids(tuple(_key_of(v) for v in values))
 
     def bucket_size(self, values: Iterable[Any]) -> int:
         """Exact number of tids stored under the key (cheap cost estimate)."""
@@ -192,11 +218,13 @@ class HashIndex:
             key: Hashable = _key_of(value)
         else:
             key = tuple(_key_of(v) for v in values)
-        bucket = self._buckets.get(key)
-        return len(bucket) if bucket else 0
+        entry = self._buckets.get(key)
+        if entry is None:
+            return 0
+        return len(entry) if type(entry) is set else 1
 
     def __len__(self) -> int:
-        return sum(len(b) for b in self._buckets.values())
+        return sum(len(e) if type(e) is set else 1 for e in self._buckets.values())
 
 
 class SortedIndex:

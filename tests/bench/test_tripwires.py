@@ -1,7 +1,8 @@
 """Tripwires for what this tree deleted: ``repro.bench``, the best-pair
 estimators, the tracked ``benchmarks/results.txt``, the sync server's
-per-link delivery counters and HELLO capability negotiation, and the
-row copies a mirror and a rollback made of images they can share."""
+per-link delivery counters and HELLO capability negotiation, the
+row copies a mirror and a rollback made of images they can share, and
+the one-element ``{tid}`` set a hash index kept per key."""
 
 import ast
 import re
@@ -189,3 +190,33 @@ def test_the_row_copy_tripwire_fires_on_planted_offenders():
     assert dict_calls(planted) == [3, 5]
     assert dict_calls(planted, "Table.restore_row") == [5]
     assert dict_calls(planted, "Table.get") == [3]
+
+
+def one_element_sets(source):
+    """Lines of the one-element set displays (``{tid}``) in ``source``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Set) and len(node.elts) == 1
+    ]
+
+
+def test_no_one_element_set_where_the_hash_index_files_tids():
+    """A key maps to its tid; a set is built only once a key holds two.
+    The whole module is read: ``HashIndex`` files tids through its
+    module-level helpers."""
+    source = (REPO / "src" / "repro" / "db" / "index.py").read_text(encoding="utf-8")
+    assert one_element_sets(source) == []
+
+
+def test_the_one_element_set_tripwire_fires_on_planted_offenders():
+    planted = (
+        "def _put(buckets, key, tid):\n"
+        "    buckets[key] = {buckets[key], tid}\n"
+        "class HashIndex:\n"
+        "    def add(self, tid, key):\n"
+        "        if key not in self.buckets:\n"
+        "            self.buckets[key] = {tid}\n"
+        "        return {tid for tid in self.buckets}, set(), {0}\n"
+    )
+    assert one_element_sets(planted) == [6, 7]

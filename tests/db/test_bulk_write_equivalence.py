@@ -33,6 +33,7 @@ from repro.errors import (
     SchemaError,
     TypeMismatchError,
 )
+from tests.db.test_index import tids_by_key
 
 
 # ----------------------------------------------------------------------
@@ -221,7 +222,7 @@ def state(db):
     indexes = {}
     for name, index in list(table._indexes.items()) + [("created", table._created_index)]:
         if isinstance(index, HashIndex):
-            indexes[name] = {key: set(tids) for key, tids in index._buckets.items()}
+            indexes[name] = tids_by_key(index)
         else:
             assert isinstance(index, SortedIndex)
             indexes[name] = list(index._entries)

@@ -1,9 +1,24 @@
 """Hash and sorted index behavior."""
 
-import pytest
+import itertools
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.db import INTEGER, TEXT, Column, Database
 from repro.db.index import HashIndex, SortedIndex
+from repro.db.schema import TID
 from repro.errors import ConstraintViolation
+
+
+def tids_by_key(index):
+    """``{key: set of tids}`` of a hash index, whatever its entries hold
+    (a key's tid, or a set of tids once the key holds two)."""
+    return {
+        key: set(entry) if isinstance(entry, set) else {entry}
+        for key, entry in index._buckets.items()
+    }
 
 
 class TestHashIndex:
@@ -47,6 +62,17 @@ class TestHashIndex:
         idx = HashIndex("t", ("a", "b"))
         with pytest.raises(ValueError):
             idx.lookup(1)
+
+    def test_refiling_a_held_tid_keeps_one_entry(self):
+        idx = HashIndex("t", ("k",))
+        tid = 10**12
+        again = int(str(tid))  # equal, but another object
+        assert again is not tid
+        idx.add(tid, {"k": "a"})
+        idx.add(again, {"k": "a"})
+        assert idx._buckets == {"a": tid}
+        idx.remove(tid, {"k": "a"})
+        assert idx._buckets == {}
 
     def test_check_insert_does_not_add(self):
         idx = HashIndex("t", ("k",), unique=True)
@@ -164,7 +190,7 @@ class TestStatementAtATime:
         idx = HashIndex("t", ("k",), unique=True)
         for tid, key in enumerate(["a", "b", "c", None], start=1):
             idx.add(tid, {"k": key})
-        held = {key: set(tids) for key, tids in idx._buckets.items()}
+        held = tids_by_key(idx)
         null = idx.key({"k": None})
         # A chain onto released keys, a fresh key, a NULL: all free.
         chain = [(0, "c", "d"), (1, "b", "c"), (2, "a", "b"), (3, null, null)]
@@ -177,5 +203,151 @@ class TestStatementAtATime:
         assert idx.first_move_violation([(0, "a", "b"), (1, "b", "a")])[0] == 0
         moves = [(0, "a", "z"), (1, "b", "a"), (2, "c", "a")]
         assert idx.first_move_violation(moves)[0] == 2
-        assert idx._buckets == held  # nothing was moved
+        assert tids_by_key(idx) == held  # nothing was moved
 
+
+# ----------------------------------------------------------------------
+# The entry representation against a reference dict of sets
+VALUES = (None, 0, 1)
+POOL = range(6)  # tids, 0 included
+
+
+def first_violation_model(model, keys):
+    """The documented rule of ``first_violation`` on the model's keys."""
+    seen = set()
+    for position, values in enumerate(keys):
+        if None in values:
+            continue
+        if values in seen or values in model:
+            return position
+        seen.add(values)
+    return None
+
+
+def first_move_violation_model(model, moves):
+    """The documented rule of ``first_move_violation`` on the model's keys."""
+    released, claimed = set(), set()
+    for position, old, new in moves:
+        if None not in new and (new in claimed or (new in model and new not in released)):
+            return position
+        released.add(old)
+        claimed.add(new)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(unique=st.booleans(), width=st.sampled_from([1, 2]), data=st.data())
+def test_hash_index_agrees_with_a_dict_of_sets(unique, width, data):
+    columns = ("a", "b")[:width]
+    domain = list(itertools.product(VALUES, repeat=width))
+    values_of = st.sampled_from(domain)
+
+    def row(values):
+        return dict(zip(columns, values))
+
+    idx = HashIndex("t", columns, unique=unique)
+    model = {}  # key values -> set of tids
+    indexed = {}  # tid -> key values
+
+    def file(tid, values):
+        model.setdefault(values, set()).add(tid)
+        indexed[tid] = values
+
+    def unfile(tid):
+        values = indexed.pop(tid)
+        model[values].discard(tid)
+        if not model[values]:
+            del model[values]
+
+    def taken(values):
+        return unique and None not in values and values in model
+
+    for _ in range(data.draw(st.integers(1, 30), label="steps")):
+        free = [tid for tid in POOL if tid not in indexed]
+        op = data.draw(st.sampled_from(["add", "remove", "add_many", "remove_many"]))
+        if op == "add":
+            # A held tid comes back under its own key: a no-op, or a
+            # violation where the key is taken.
+            tid = data.draw(st.sampled_from(POOL))
+            values = indexed[tid] if tid in indexed else data.draw(values_of)
+            if taken(values):
+                with pytest.raises(ConstraintViolation):
+                    idx.add(tid, row(values))
+            else:
+                idx.add(tid, row(values))
+                file(tid, values)
+        elif op == "remove":
+            # The row a tid is filed under, or a stale one (a no-op).
+            tid, values = data.draw(st.sampled_from(POOL)), data.draw(values_of)
+            if tid in indexed and data.draw(st.booleans()):
+                values = indexed[tid]
+            idx.remove(tid, row(values))
+            if indexed.get(tid) == values:
+                unfile(tid)
+        elif op == "add_many" and free:
+            tids = data.draw(st.lists(st.sampled_from(free), unique=True, min_size=1))
+            batch = [data.draw(values_of) for _ in tids]
+            # A unique index takes a statement only once it passes the check.
+            if not unique or first_violation_model(model, batch) is None:
+                idx.add_many(tids, [row(values) for values in batch])
+                for tid, values in zip(tids, batch):
+                    file(tid, values)
+        elif op == "remove_many" and indexed:
+            tids = data.draw(st.lists(st.sampled_from(sorted(indexed)), unique=True))
+            idx.remove_many(tids, [row(indexed[tid]) for tid in tids])
+            for tid in tids:
+                unfile(tid)
+
+        assert tids_by_key(idx) == {idx.key(row(v)): tids for v, tids in model.items()}
+        for values, tids in model.items():
+            entry = idx._buckets[idx.key(row(values))]
+            assert isinstance(entry, int) == (len(tids) == 1)
+        for values in domain:
+            expected = frozenset(model.get(values, ()))
+            found = idx.lookup(values[0]) if width == 1 else idx.lookup_tuple(values)
+            assert found == expected
+            assert idx.bucket_size(values) == len(expected)
+            if taken(values):
+                with pytest.raises(ConstraintViolation):
+                    idx.check_insert(row(values))
+            else:
+                idx.check_insert(row(values))
+        assert len(idx) == len(indexed)
+        probe = data.draw(st.lists(values_of, max_size=4), label="probe")
+        found = idx.first_violation([row(values) for values in probe])
+        assert (found and found[0]) == first_violation_model(model, probe)
+        pairs = data.draw(st.lists(st.tuples(values_of, values_of), max_size=4), label="moves")
+        moves = [(position, old, new) for position, (old, new) in enumerate(pairs)]
+        keyed = [(p, idx.key(row(old)), idx.key(row(new))) for p, old, new in moves]
+        found = idx.first_move_violation(keyed)
+        assert (found and found[0]) == first_move_violation_model(model, moves)
+
+
+def test_tid_zero_holds_its_key():
+    """An entry is a tid, and tid 0 is falsy: held means present."""
+    idx = HashIndex("t", ("k",), unique=True)
+    idx.add(0, {"k": "a"})
+    assert idx._buckets == {"a": 0}
+    with pytest.raises(ConstraintViolation):
+        idx.check_insert({"k": "a"})
+    with pytest.raises(ConstraintViolation):
+        idx.add(1, {"k": "a"})
+    assert idx.first_violation([{"k": "b"}, {"k": "a"}])[0] == 1
+    assert idx.first_move_violation([(0, "b", "a")])[0] == 0
+    idx.remove(0, {"k": "a"})
+    assert idx._buckets == {}
+
+
+def test_insert_many_files_each_row_under_its_own_tid():
+    """One statement of 1,000 distinct keys: every primary-key entry is
+    the row's own tid object, no set."""
+    db = Database()
+    db.create_table(
+        "t", [Column("id", INTEGER, nullable=False), Column("v", TEXT)], primary_key="id"
+    )
+    db.insert_many("t", [{"id": i, "v": str(i)} for i in range(1000)])
+    table = db.table("t")
+    buckets = table.index("pk_t")._buckets
+    assert len(buckets) == 1000
+    for row in table.rows():
+        assert buckets[row["id"]] is row[TID]
