@@ -21,6 +21,7 @@ completed}`` for both activity and process instances.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any
 
 from ..db.database import Database
@@ -258,24 +259,25 @@ class IdAllocator:
 
     The embedded engine has no AUTOINCREMENT; this helper issues dense ids
     seeded from the current table contents so it also works on snapshots.
+    Allocators on one database draw from its ``sequences``, so two
+    components (say, two sync servers) never hand out the same id.
     """
 
     def __init__(self, database: Database) -> None:
         self._database = database
-        self._next: dict[str, int] = {}
+        self._next = database.sequences
 
     def next_id(self, table: str, column: str = "id") -> int:
         key = f"{table}.{column}"
-        if key not in self._next:
+        counter = self._next.get(key)
+        if counter is None:
             highest = 0
             for row in self._database.table(table).scan():
                 value = row.get(column)
                 if isinstance(value, int) and value > highest:
                     highest = value
-            self._next[key] = highest + 1
-        value = self._next[key]
-        self._next[key] = value + 1
-        return value
+            counter = self._next.setdefault(key, itertools.count(highest + 1))
+        return next(counter)
 
 
 def record_provenance(

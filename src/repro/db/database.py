@@ -122,6 +122,9 @@ class Database:
         # traced statements pay one attribute check until
         # enable_slowlog() installs a log.
         self._slowlog: Any = None
+        #: ``"table.column"`` -> id counter: one set of sequences per
+        #: database, shared by every ``repro.core.datamodel.IdAllocator``.
+        self.sequences: dict[str, Iterator[int]] = {}
 
     # ------------------------------------------------------------------
     # Lineage

@@ -13,19 +13,19 @@ for JDBC): in the paper's deployment the client host holds a DB
 connection too; here both ends share the process, while the *notification
 path* still crosses a real TCP socket when ``use_sockets=True``.
 
-Fault tolerance (beyond the paper): the client watches the callback
-connection's liveness -- any inbound message (NOTIFY or the server's
-PING, which it answers with PONG) refreshes a deadline; when the stream
-errors out or falls silent past ``heartbeat_timeout``, the client
+Fault tolerance (beyond the paper): the callback connection's one thread
+is its reader.  Any inbound message (NOTIFY or the server's PING, which
+it answers with PONG) restarts its ``heartbeat_timeout`` receive
+deadline; when the stream errors out, closes or falls silent past it, it
 
 1. marks every mirror dirty and flips ``status`` to ``"reconnecting"``
    (satellite of the paper's step 8: a frozen link must never look like
-   a quiet one);
+   a quiet one), then runs the status hooks;
 2. re-attaches via :meth:`SyncServer.reconnect_client` under an
-   exponential-backoff :class:`~repro.retry.RetryPolicy`, then *replays*
-   every notification it missed from the server-side Notification table
-   (``seq_no > last_seq_no`` -- the same invariant that protects those
-   rows from purging);
+   exponential-backoff :class:`~repro.retry.RetryPolicy` (the new stream
+   gets its own reader), *replays* every notification it missed from the
+   server-side Notification table (``seq_no > last_seq_no`` -- the same
+   invariant that protects those rows from purging), and exits;
 3. failing that, **degrades to polling**: it subscribes to the
    :class:`NotificationCenter` in-process (the ``use_sockets=False``
    path) so dirty flags and :meth:`refresh` keep working, and flags the
@@ -125,10 +125,6 @@ class SyncClient:
         self._closed = False
         # Guards ``status`` (see _set_status) and wakes wait_status.
         self._state_lock = threading.Condition()
-        self._last_rx = time.monotonic()
-        self._monitor: Optional[threading.Thread] = None
-        self._monitor_stop = threading.Event()
-        self._reconnector: Optional[threading.Thread] = None
         self.connection_lost_reason: Optional[str] = None
         # Counters (tests and dashboards read these).
         self.reconnects = 0
@@ -137,8 +133,7 @@ class SyncClient:
         #: Real (non-shutdown) accept failures on the callback listener.
         self.accept_failures = 0
         #: Hook invocations that raised (and were contained); a failing
-        #: observer must never take the read-loop or reconnect thread
-        #: down with it.
+        #: observer must never take the reader down with it.
         self.hook_failures = 0
         #: table -> span context of the last completed refresh, so later
         #: pipeline stages (layout, display) can join the trace.
@@ -176,8 +171,8 @@ class SyncClient:
         heartbeats on, the wait is bounded by one interval -- this reader
         answers the PINGs too.
 
-        Hooks are user code running on liveness-critical threads (the
-        socket read loop, the reconnector); their failures are contained,
+        Hooks are user code running on the liveness-critical thread (the
+        socket reader, also during recovery); their failures are contained,
         one raising observer must not kill delivery for everyone else.
         """
         self.notify_received += len(events)
@@ -228,8 +223,8 @@ class SyncClient:
 
     def _fire_status_hooks(self, status: str, reason: str) -> None:
         for hook in list(self._status_hooks):
-            # Status hooks run on the reader/reconnector threads; a hook
-            # that raises must not abort recovery or skip later hooks.
+            # Status hooks run on the reader, mid-recovery; a hook that
+            # raises must not abort recovery or skip later hooks.
             try:
                 hook(status, reason)
             except Exception:
@@ -245,7 +240,7 @@ class SyncClient:
         self._listener = listener
         self.port = listener.getsockname()[1]
 
-    def _accept_callback_connection(self, timeout: float = 5.0) -> None:
+    def _accept_callback_connection(self, timeout: float) -> protocol.MessageStream:
         """Accept the DBMS's call-back connection and handshake (step 6)."""
         assert self._listener is not None
         try:
@@ -266,26 +261,21 @@ class SyncClient:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         stream = protocol.MessageStream(sock)
         protocol.client_handshake(stream)
-        self._stream = stream
-        self._last_rx = time.monotonic()
-        self._reader = threading.Thread(
-            target=self._read_loop, args=(stream,), daemon=True
-        )
-        self._reader.start()
-        self._ensure_monitor()
+        return stream
 
     def _read_loop(self, stream: protocol.MessageStream) -> None:
-        while not self._closed:
+        """The link's one thread: read until the stream errors, closes or
+        stays silent past ``heartbeat_timeout``, then recover it and exit."""
+        lost: Optional[str] = None
+        while lost is None and not self._closed:
             try:
-                message = stream.receive(timeout=None)
+                message = stream.receive(timeout=self.heartbeat_timeout)
             except Exception as exc:
-                # Never swallow a transport death silently: unless this
-                # client is closing (or the loop belongs to a superseded
-                # stream), hand off to connection-loss recovery.
-                if not self._closed and stream is self._stream:
-                    self._connection_lost(f"read failed: {exc}")
-                return
-            self._last_rx = time.monotonic()
+                # receive() re-raises the socket's timeout as a protocol
+                # error; that timeout is the heartbeat deadline.
+                silent = isinstance(exc.__context__, socket.timeout)
+                lost = "heartbeat timeout" if silent else f"read failed: {exc}"
+                break
             kind = message["type"]
             if OBS.enabled:
                 # Lowercase so socket and in-process paths share series.
@@ -315,38 +305,20 @@ class SyncClient:
                 try:
                     stream.send(protocol.pong(message.get("seq", 0)))
                 except OSError as exc:
-                    if not self._closed and stream is self._stream:
-                        self._connection_lost(f"pong send failed: {exc}")
-                    return
+                    lost = f"pong send failed: {exc}"
             elif kind == protocol.DISCONNECT:
-                if not self._closed and stream is self._stream:
-                    self._connection_lost("server sent DISCONNECT")
-                return
+                lost = "server sent DISCONNECT"
+        if lost is not None and not self._closed and stream is self._stream:
+            self._connection_lost(lost)
 
     # ------------------------------------------------------------------
-    # Liveness monitor
-    def _ensure_monitor(self) -> None:
-        if self.heartbeat_timeout is None or self._monitor is not None:
-            return
-        self._monitor = threading.Thread(target=self._monitor_loop, daemon=True)
-        self._monitor.start()
-
-    def _monitor_loop(self) -> None:
-        assert self.heartbeat_timeout is not None
-        interval = max(self.heartbeat_timeout / 4.0, 0.01)
-        while not self._monitor_stop.wait(interval):
-            if self._closed:
-                return
-            if self.status != CONNECTED:
-                continue
-            if time.monotonic() - self._last_rx > self.heartbeat_timeout:
-                self._connection_lost("heartbeat timeout")
-
-    # ------------------------------------------------------------------
-    # Connection-loss recovery
+    # Connection-loss recovery, run by the lost link's reader
     def _connection_lost(self, reason: str) -> None:
-        """Idempotent entry point for every detected transport death."""
+        """Recover from a transport death: flag, announce, reconnect or degrade."""
         with self._state_lock:
+            # A successor reader that lost its stream before the recovery
+            # that started it said CONNECTED lets that recovery land first.
+            self._state_lock.wait_for(lambda: self.status != RECONNECTING)
             if self._closed or self.status not in (CONNECTED, IDLE):
                 return
             stale = self._stream
@@ -362,10 +334,7 @@ class SyncClient:
         self._flag(self._tables)
         self._fire_status_hooks(RECONNECTING, reason)
         if self.auto_reconnect:
-            self._reconnector = threading.Thread(
-                target=self._reconnect_loop, daemon=True
-            )
-            self._reconnector.start()
+            self._reconnect_loop()
         else:
             self._degrade(f"auto_reconnect disabled ({reason})")
 
@@ -376,7 +345,11 @@ class SyncClient:
             if self._closed:
                 return
             try:
-                self._reattach()
+                # Rendezvous with the server's connect-back, exactly like
+                # the initial registration.
+                self._rendezvous(
+                    lambda: self.server.reconnect_client(self.host, self.port), 2.0
+                )
             except Exception as exc:
                 last_error = exc
                 continue
@@ -398,7 +371,8 @@ class SyncClient:
         """Run ``call`` -- a server request that connects back to this
         client -- on a helper thread while this thread accepts the
         call-back connection (``timeout`` bounds the accept); returns
-        what ``call`` returned.
+        what ``call`` returned.  Once the helper is done, the accepted
+        stream gets its reader.
 
         A failure on either side raises, the server's in preference, and
         only once the server is done: a registration it rolled back leaves
@@ -414,23 +388,24 @@ class SyncClient:
 
         thread = threading.Thread(target=run, daemon=True)
         thread.start()
+        stream: Optional[protocol.MessageStream] = None
         failure: Optional[Exception] = None
         try:
-            self._accept_callback_connection(timeout=timeout)
+            stream = self._accept_callback_connection(timeout=timeout)
         except (OSError, SyncError) as exc:
             failure = exc
         thread.join(timeout=5.0)
         failure = result.get("error", failure)
         if failure is not None:
+            if stream is not None:
+                stream.close()
             raise failure
-        return result["value"]
-
-    def _reattach(self) -> None:
-        """One reconnection attempt: rendezvous accept() with the server's
-        connect-back, exactly like the initial registration."""
-        self._rendezvous(
-            lambda: self.server.reconnect_client(self.host, self.port), timeout=2.0
+        self._stream = stream
+        self._reader = threading.Thread(
+            target=self._read_loop, args=(stream,), daemon=True
         )
+        self._reader.start()
+        return result["value"]
 
     def _replay_missed(self) -> None:
         """Seq-no catch-up: re-deliver every notification that fired while
@@ -693,7 +668,6 @@ class SyncClient:
             self._closed = True
             was_polling = self.status in (POLLING, DEGRADED)
             self._set_status(CLOSED)
-        self._monitor_stop.set()
         if was_polling:
             self.center.remove_batch_listener(self._on_local_notify)
         for table, cu_id in self._cu_ids.items():

@@ -72,6 +72,11 @@ BURST_COST_PER_LINK_S = 50e-6
 #: large enough to merge hundreds of NOTIFYs, small enough to keep a
 #: single ``send()`` from monopolizing the loop).
 COALESCE_BYTES = protocol.MAX_MESSAGE_BYTES
+#: Bytes queued for one client past which it is evicted (as past
+#: ``max_queue_frames`` frames).
+MAX_QUEUE_BYTES = 4 << 20
+#: Seconds :meth:`SyncServer.close` waits for the send queues to drain.
+DRAIN_TIMEOUT = 2.0
 
 
 @dataclass
@@ -500,11 +505,12 @@ class SyncServer:
 
     ``heartbeat_interval=None`` disables the ping tick; dead links are
     then detected on the next failed NOTIFY send or on a read EOF (the
-    event loop always watches readability).
+    event loop always watches readability).  Otherwise a peer silent for
+    six intervals is dead.
 
-    ``max_queue_frames`` / ``max_queue_bytes`` bound each client's send
-    queue: exceeding either evicts the client (slow-consumer protection;
-    see :attr:`evictions`).
+    ``max_queue_frames`` / :data:`MAX_QUEUE_BYTES` bound each client's
+    send queue: exceeding either evicts the client (slow-consumer
+    protection; see :attr:`evictions`).
     """
 
     def __init__(
@@ -513,23 +519,18 @@ class SyncServer:
         center: Optional[NotificationCenter] = None,
         use_sockets: bool = True,
         heartbeat_interval: Optional[float] = 0.5,
-        heartbeat_timeout: Optional[float] = None,
         transport_factory: Optional[TransportFactory] = None,
         max_queue_frames: int = 1024,
-        max_queue_bytes: int = 4 << 20,
-        drain_timeout: float = 2.0,
     ) -> None:
         self.database = database
         self.center = center or NotificationCenter(database)
         self.use_sockets = use_sockets
         self.heartbeat_interval = heartbeat_interval
-        if heartbeat_timeout is None and heartbeat_interval is not None:
-            heartbeat_timeout = heartbeat_interval * 6
-        self.heartbeat_timeout = heartbeat_timeout
+        self.heartbeat_timeout = (
+            None if heartbeat_interval is None else heartbeat_interval * 6
+        )
         self.transport_factory = transport_factory
         self.max_queue_frames = max_queue_frames
-        self.max_queue_bytes = max_queue_bytes
-        self.drain_timeout = drain_timeout
         self._links: dict[int, _ClientLink] = {}
         #: (host, port) -> shared callback endpoint; one per client
         #: process even when it mirrors several tables.
@@ -741,7 +742,7 @@ class SyncServer:
             if conn.outq:
                 if (
                     len(conn.outq) > self.max_queue_frames
-                    or conn.queued_bytes > self.max_queue_bytes
+                    or conn.queued_bytes > MAX_QUEUE_BYTES
                 ):
                     self._abort_queue_locked(conn)
                     return "evicted"
@@ -1010,7 +1011,7 @@ class SyncServer:
 
         Current depths say how far behind clients are *right now*; the
         high watermarks say how close the worst burst came to the
-        eviction bounds (``max_queue_frames`` / ``max_queue_bytes``) --
+        eviction bounds (``max_queue_frames`` / :data:`MAX_QUEUE_BYTES`) --
         a ``hiwat_frames`` near the limit means the next burst evicts.
         """
         with self._lock:
@@ -1039,7 +1040,7 @@ class SyncServer:
             "hiwat_frames": hiwat_frames,
             "hiwat_bytes": hiwat_bytes,
             "limit_frames": self.max_queue_frames,
-            "limit_bytes": self.max_queue_bytes,
+            "limit_bytes": MAX_QUEUE_BYTES,
         }
 
     def health(self) -> dict[str, Any]:
@@ -1167,7 +1168,7 @@ class SyncServer:
                     conn.queued_bytes += len(data)
                     if (
                         len(conn.outq) > self.max_queue_frames
-                        or conn.queued_bytes > self.max_queue_bytes
+                        or conn.queued_bytes > MAX_QUEUE_BYTES
                     ):
                         self._abort_queue_locked(conn)
                         evicted.append(conn)
@@ -1231,7 +1232,7 @@ class SyncServer:
             live.append(conn)
         with self._drained:
             self._drained.wait_for(
-                lambda: not any(conn.outq for conn in live), self.drain_timeout
+                lambda: not any(conn.outq for conn in live), DRAIN_TIMEOUT
             )
         loop = self._loop
         if loop is not None:

@@ -1,8 +1,10 @@
 """Tripwires for what this tree deleted: ``repro.bench``, the best-pair
 estimators, the tracked ``benchmarks/results.txt``, the sync server's
 per-link delivery counters and HELLO capability negotiation, the
-row copies a mirror and a rollback made of images they can share, and
-the one-element ``{tid}`` set a hash index kept per key."""
+row copies a mirror and a rollback made of images they can share, the
+one-element ``{tid}`` set a hash index kept per key, the sync client's
+liveness monitor and reconnector threads, and the sync server's knobs
+nobody set."""
 
 import ast
 import re
@@ -220,3 +222,85 @@ def test_the_one_element_set_tripwire_fires_on_planted_offenders():
         "        return {tid for tid in self.buckets}, set(), {0}\n"
     )
     assert one_element_sets(planted) == [6, 7]
+
+
+#: Where ``sync/client.py`` may start a thread: the rendezvous starts the
+#: helper that runs the server's side and, once it is done, the accepted
+#: stream's reader.
+THREAD_SITES = {"_rendezvous"}
+#: ``SyncServer`` values that became derived or module constants.
+SERVER_CONSTANTS = {"heartbeat_timeout", "max_queue_bytes", "drain_timeout"}
+
+
+def thread_starts_and_liveness_names(source):
+    """``(functions constructing a threading.Thread, names defined that
+    start with _monitor or are _reconnector)`` in ``source``."""
+    starts, names = set(), set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+            names.add(node.name)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "attr", getattr(func, "id", None)) == "Thread":
+                starts.add(function)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    gone = {n for n in names if n.startswith("_monitor") or n == "_reconnector"}
+    return starts, gone
+
+
+def server_constant_params(source):
+    """``SyncServer.__init__`` parameters that must stay constants."""
+    return sorted(
+        arg.arg
+        for top in ast.parse(source).body
+        if isinstance(top, ast.ClassDef) and top.name == "SyncServer"
+        for node in top.body
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+        for arg in node.args.args + node.args.kwonlyargs
+        if arg.arg in SERVER_CONSTANTS
+    )
+
+
+def test_a_client_link_is_one_thread():
+    """The reader owns the heartbeat deadline and the reconnect: no
+    monitor thread, no reconnector thread."""
+    source = (REPO / "src/repro/sync/client.py").read_text(encoding="utf-8")
+    starts, gone = thread_starts_and_liveness_names(source)
+    assert starts <= THREAD_SITES
+    assert gone == set()
+
+
+def test_the_server_knobs_nobody_set_stay_constants():
+    source = (REPO / "src/repro/sync/server.py").read_text(encoding="utf-8")
+    assert server_constant_params(source) == []
+
+
+def test_the_link_thread_tripwires_fire_on_planted_offenders():
+    planted = (
+        "import threading\n"
+        "from threading import Thread\n"
+        "class SyncClient:\n"
+        "    def _rendezvous(self):\n"
+        "        threading.Thread(target=print).start()\n"
+        "    def _ensure_monitor(self):\n"
+        "        self._monitor = threading.Thread(target=self._monitor_loop)\n"
+        "    def _connection_lost(self):\n"
+        "        self._reconnector = Thread(target=print)\n"
+        "class SyncServer:\n"
+        "    def __init__(self, db, heartbeat_interval=0.5, *, drain_timeout=2.0,\n"
+        "                 max_queue_bytes=1):\n"
+        "        self.heartbeat_timeout = heartbeat_interval\n"
+    )
+    starts, gone = thread_starts_and_liveness_names(planted)
+    assert starts - THREAD_SITES == {"_ensure_monitor", "_connection_lost"}
+    assert gone == {"_monitor", "_reconnector"}
+    assert server_constant_params(planted) == ["drain_timeout", "max_queue_bytes"]

@@ -132,18 +132,18 @@ def read_lines(sock, n):
 
 class TestAsyncEngine:
     def test_no_liveness_threads_even_with_heartbeats_on(self):
-        """Heartbeats ride the event loop: no per-client reader threads,
-        no dedicated heartbeat thread."""
+        """Heartbeats ride the event loop on the server, and the reader's
+        receive deadline on the client: two threads in all, the loop and
+        the client's reader."""
         before = set(threading.enumerate())
         db, _center, server, client = make_stack(heartbeat_interval=0.05)
         try:
             client.mirror("pts")
-            started_by_server = [
-                t.name
-                for t in threading.enumerate()
-                if t not in before and t not in (client._reader, client._monitor)
-            ]
-            assert started_by_server == ["ediflow-sync-loop"]
+            started = [t for t in threading.enumerate() if t not in before]
+            assert len(started) == 2
+            assert client._reader in started
+            (loop,) = [t for t in started if t is not client._reader]
+            assert loop.name == "ediflow-sync-loop"
             # Liveness still works: pings flow and PONGs come back.
             assert wait_until(
                 lambda: server.pings_sent >= 2 and server.pongs_received >= 2

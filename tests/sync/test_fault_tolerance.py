@@ -44,7 +44,7 @@ def make_db():
     return db
 
 
-def faulted_stack(plans, **client_kwargs):
+def faulted_stack(plans, heartbeat_interval=HB, **client_kwargs):
     """Socket stack whose Nth callback connection runs plans[N]; later
     connections (i.e. after a reconnect) run clean."""
     db = make_db()
@@ -59,7 +59,11 @@ def faulted_stack(plans, **client_kwargs):
         return transport
 
     server = SyncServer(
-        db, center, use_sockets=True, heartbeat_interval=HB, transport_factory=factory
+        db,
+        center,
+        use_sockets=True,
+        heartbeat_interval=heartbeat_interval,
+        transport_factory=factory,
     )
     client_kwargs.setdefault("reconnect", fast_reconnect())
     client_kwargs.setdefault("heartbeat_timeout", HB * 5)
@@ -71,8 +75,9 @@ def hold_status(client, status):
     """Park the client in ``status`` until the returned event is set.
 
     A status hook runs on the thread that made the change, before that
-    thread moves on (the reconnector starts after the RECONNECTING
-    hooks), so ``wait_status`` on a transient state cannot miss it.
+    thread moves on (the lost link's reader reconnects after the
+    RECONNECTING hooks), so ``wait_status`` on a transient state cannot
+    miss it.
     """
     release = threading.Event()
     client.on_status(lambda new, _reason: new == status and release.wait(10.0))
@@ -84,6 +89,24 @@ def await_reconnect(client, release):
     assert client.wait_status(client_mod.RECONNECTING, timeout=10.0), "loss never seen"
     release.set()
     assert client.wait_status(client_mod.CONNECTED, timeout=10.0), "never reconnected"
+
+
+def client_threads(before):
+    """Threads started since ``before``, other than the server's loop."""
+    return [
+        t
+        for t in threading.enumerate()
+        if t not in before and t.name != "ediflow-sync-loop"
+    ]
+
+
+def wait_until(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.005)
+    return True
 
 
 def contents(client):
@@ -194,6 +217,40 @@ class TestReconnectAndCatchUp:
             client.close()
             server.close()
 
+    def test_client_deadline_alone_detects_a_silent_link(self):
+        """The server never pings, so it never detaches a silent peer
+        either: the client's reader deadline alone declares the link dead,
+        and recovery reconnects, replays and converges."""
+        db, server, client, _transports = faulted_stack(
+            [FaultPlan(drop=frozenset(range(1, 100000)))],  # all but the REPLY
+            heartbeat_interval=None,
+            heartbeat_timeout=0.3,
+        )
+        lost = []
+        client.on_status(
+            lambda status, reason: status == client_mod.RECONNECTING
+            and lost.append((reason, time.monotonic()))
+        )
+        release = hold_status(client, client_mod.RECONNECTING)
+        try:
+            started = time.monotonic()
+            client.mirror("pts")
+            for i in range(4):
+                db.insert("pts", {"id": i, "x": float(i)})
+            await_reconnect(client, release)
+            reason, at = lost[0]
+            assert reason == "heartbeat timeout"
+            # Nominal detection is one deadline (0.3 s) after the REPLY.
+            assert 0.3 <= at - started < 1.5
+            assert client.reconnects >= 1
+            assert client.replayed_notifications >= 4
+            client.refresh("pts")
+            table = sorted((r["id"], r["x"]) for r in db.table("pts").rows())
+            assert contents(client) == table == uninterrupted_contents(4)
+        finally:
+            client.close()
+            server.close()
+
     def test_reconnect_preserves_purge_invariant(self):
         """last_seq_no keeps protecting unconsumed notifications through
         the outage; after catch-up the purge horizon advances again."""
@@ -296,15 +353,47 @@ class TestHeartbeats:
         try:
             client.mirror("pts")
             assert client.heartbeat_timeout is None
-            assert client._monitor is None
-            started_by_server = [
-                t.name
-                for t in threading.enumerate()
-                if t not in before and t is not client._reader
-            ]
-            assert started_by_server == ["ediflow-sync-loop"]
+            # The client runs one thread, its reader; the server its loop.
+            assert client_threads(before) == [client._reader]
+            started = [t.name for t in threading.enumerate() if t not in before]
+            assert len(started) == 2 and "ediflow-sync-loop" in started
             db.insert("pts", {"id": 1, "x": 1.0})
             assert client.wait_dirty("pts", timeout=5.0)
+        finally:
+            client.close()
+            server.close()
+
+    def test_a_link_is_one_thread_and_two_while_reconnecting(self):
+        """Heartbeats on: the reader alone watches the deadline.  During a
+        reconnect the lost link's reader runs beside the rendezvous helper,
+        then beside its successor, and exits."""
+        before = set(threading.enumerate())
+        db, server, client, _transports = faulted_stack([FaultPlan(disconnect_at=2)])
+        counts = {}
+
+        def sample(point):
+            counts.setdefault(point, []).append(len(client_threads(before)))
+
+        reconnect_client = server.reconnect_client
+
+        def counted_reconnect(host, port):
+            sample("rendezvous")
+            return reconnect_client(host, port)
+
+        server.reconnect_client = counted_reconnect
+        client.on_status(lambda status, _reason: sample(status))
+        release = hold_status(client, client_mod.RECONNECTING)
+        try:
+            client.mirror("pts")
+            assert client_threads(before) == [client._reader]
+            for i in range(3):
+                db.insert("pts", {"id": i, "x": float(i)})
+            await_reconnect(client, release)
+            assert wait_until(lambda: client_threads(before) == [client._reader])
+            assert counts[client_mod.RECONNECTING] == [1]
+            assert max(counts["rendezvous"]) == 2
+            assert counts[client_mod.CONNECTED] == [2]
+            assert client.reconnects == 1
         finally:
             client.close()
             server.close()
@@ -331,6 +420,23 @@ class TestServerBookkeepingUnderFaults:
         assert results.count(False) == 7
         assert db.query(f"SELECT * FROM {datamodel.T_CONNECTED_USER}") == []
         server.close()
+
+    def test_two_servers_on_one_database_hand_out_distinct_ids(self):
+        """ConnectedUser ids come from the database's one set of id
+        counters, not from a counter per server."""
+        db = make_db()
+        center = NotificationCenter(db)
+        first = SyncServer(db, center, use_sockets=False)
+        second = SyncServer(db, center, use_sockets=False)
+        ids = [
+            server.register_client("pts", "127.0.0.1", port)
+            for port, server in enumerate([first, second, first], 1)
+        ]
+        assert ids == [1, 2, 3]
+        rows = db.table(datamodel.T_CONNECTED_USER).rows()
+        assert sorted(row["id"] for row in rows) == ids
+        first.close()
+        second.close()
 
     def test_notify_count_increments_only_after_successful_send(self):
         """The server counts no deliveries: the client counts what it

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import datamodel
+from repro.db import Database
 from repro.errors import EnactmentError, WorkflowError
 from repro.workflow import ProcessDefinition, UpdateTable, seq
 from repro.workflow.instance import ActivityInstance, ProcessInstance
@@ -116,6 +117,18 @@ class TestDataModel:
         allocator = datamodel.IdAllocator(db)
         assert allocator.next_id(datamodel.T_GROUP) == 42
         assert allocator.next_id(datamodel.T_GROUP) == 43
+
+    def test_id_allocators_on_one_database_share_its_counters(self, db, engine):
+        first, second = datamodel.IdAllocator(db), datamodel.IdAllocator(db)
+        ids = [
+            allocator.next_id(datamodel.T_VISUALIZATION)
+            for allocator in (first, second, first, second)
+        ]
+        assert ids == list(range(ids[0], ids[0] + 4))
+        # Another database keeps counters of its own.
+        other = Database()
+        datamodel.install_core_schema(other)
+        assert datamodel.IdAllocator(other).next_id(datamodel.T_VISUALIZATION) == 1
 
     def test_provenance_helpers(self, db, engine):
         from repro.db import TID
