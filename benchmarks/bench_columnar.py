@@ -14,10 +14,14 @@ shapes the paper's visual-analytics workloads lean on:
 
 Each arm runs at every scale in ``SCALES``, both engines, median of
 ``REPS``; results are asserted identical between engines before any
-timing is trusted.  The regression gate (vectorized aggregate at the
-largest scale at least ``AGGREGATE_GATE``x faster than the row engine)
-is asserted here and re-checked by CI from ``BENCH_columnar.json`` via
-``run_gates.py --check columnar``.
+timing is trusted.  Every vectorized rep runs a freshly translated plan
+(built outside the timer): a re-run plan merges the per-chunk partials
+its aggregate kept instead of folding the chunks, which is what the
+informational ``repeat_ms`` column times.  The regression gate
+(vectorized aggregate at the largest scale at least
+``AGGREGATE_GATE``x faster than the row engine) is asserted here and
+re-checked by CI from ``BENCH_columnar.json`` via ``run_gates.py
+--check columnar``.
 
 Scale with ``BENCH_COLUMNAR_ROWS`` (default 1M; CI smoke can run small,
 but the gate is only meaningful at the default scale).
@@ -26,11 +30,12 @@ but the gate is only meaningful at the default scale).
 import os
 import statistics
 import time
+from typing import Callable
 
 import pytest
 
 from benchmarks.support import AGGREGATE_SQL, GROUPS, SeriesTable, grouped_db, speedup
-from repro.db import Database, Vectorized
+from repro.db import Database, Vectorized, vectorize_plan
 from repro.db.algebra import Plan
 
 MAX_ROWS = int(os.environ.get("BENCH_COLUMNAR_ROWS", "1000000"))
@@ -43,6 +48,10 @@ REPS = 3
 #: number from the emitted JSON.
 AGGREGATE_GATE = 10.0
 
+#: ``repeat_ms`` is informational: the same vectorized plan re-run on the
+#: unchanged table, which its aggregate serves from the partials it kept.
+COLUMNS = ("row_ms", "vector_ms", "speedup_x", "repeat_ms")
+
 QUERIES = {
     "scan_count": "SELECT COUNT(*) AS n FROM big",
     "filter": "SELECT id FROM big WHERE val > 99",
@@ -50,11 +59,13 @@ QUERIES = {
 }
 
 
-def _median_ms(db: Database, plan: Plan) -> tuple[float, list]:
-    """Median-of-REPS wall time for executing ``plan``."""
-    result = plan.to_list(db)  # warm: builds the column store
+def _median_ms(db: Database, make_plan: Callable[[], Plan]) -> tuple[float, list]:
+    """Median-of-REPS wall time for executing the plan ``make_plan()``
+    returns, each rep's plan made before its timer starts."""
+    result = make_plan().to_list(db)  # warm: builds the column store
     samples = []
     for _ in range(REPS):
+        plan = make_plan()
         start = time.perf_counter()
         result = plan.to_list(db)
         samples.append((time.perf_counter() - start) * 1000.0)
@@ -64,7 +75,7 @@ def _median_ms(db: Database, plan: Plan) -> tuple[float, list]:
 @pytest.fixture(scope="module")
 def columnar_result(emit, emit_json):
     tables = {
-        name: SeriesTable("rows", ["row_ms", "vector_ms", "speedup_x"])
+        name: SeriesTable("rows", list(COLUMNS))
         for name in QUERIES
     }
     grid: dict[tuple[str, int], dict[str, float]] = {}
@@ -75,8 +86,11 @@ def columnar_result(emit, emit_json):
             # the bench times both sides of that choice directly.
             plan = db.plan(sql)
             assert isinstance(plan, Vectorized) and plan.chosen(db) is plan
-            row_ms, row_result = _median_ms(db, plan.row_plan)
-            vec_ms, vec_result = _median_ms(db, plan)
+            row_ms, row_result = _median_ms(db, lambda: plan.row_plan)
+            vec_ms, vec_result = _median_ms(
+                db, lambda: vectorize_plan(plan.row_plan)
+            )
+            repeat_ms, _ = _median_ms(db, lambda: plan)
             # Identical results are a precondition for trusting the
             # timings: same rows, same key order, same rounding.
             assert sorted(map(repr, row_result)) == sorted(
@@ -86,6 +100,7 @@ def columnar_result(emit, emit_json):
                 "row_ms": row_ms,
                 "vector_ms": vec_ms,
                 "speedup_x": speedup(row_ms, vec_ms),
+                "repeat_ms": repeat_ms,
             }
             grid[(name, rows)] = cell
             tables[name].add(rows, cell)
@@ -103,6 +118,7 @@ def columnar_result(emit, emit_json):
             "row_ms": gate_cell["row_ms"],
             "vector_ms": gate_cell["vector_ms"],
             "speedup": gate_cell["speedup_x"],
+            "repeat_ms": gate_cell["repeat_ms"],
             "required": AGGREGATE_GATE,
         },
     }
@@ -115,8 +131,7 @@ def columnar_result(emit, emit_json):
     )
     merged = SeriesTable(
         "rows",
-        [f"{name}_{col}" for name in QUERIES for col in
-         ("row_ms", "vector_ms", "speedup_x")],
+        [f"{name}_{col}" for name in QUERIES for col in COLUMNS],
     )
     for rows in SCALES:
         merged.add(
@@ -124,7 +139,7 @@ def columnar_result(emit, emit_json):
             {
                 f"{name}_{col}": grid[(name, rows)][col]
                 for name in QUERIES
-                for col in ("row_ms", "vector_ms", "speedup_x")
+                for col in COLUMNS
             },
         )
     emit_json("columnar", merged, extra=extra)

@@ -1119,10 +1119,18 @@ def operator_rows(plan: Plan, counters: dict[int, int]) -> list[tuple[str, int]]
     same pre-order walk ``format_plan`` renders, so span attributes and
     the printed plan describe the operators identically.
     """
-    out = [(plan_node_label(plan), counters.get(id(plan), 0))]
+    out = [(_analyzed_label(plan), counters.get(id(plan), 0))]
     for child in plan.children():
         out.extend(operator_rows(child, counters))
     return out
+
+
+def _analyzed_label(plan: Plan) -> str:
+    """The label plus what the operator reports of its last execution
+    (``analyze_note``; the vectorized aggregate's reused chunks)."""
+    note = getattr(plan, "analyze_note", None)
+    label = plan_node_label(plan)
+    return label if note is None else f"{label} {note()}"
 
 
 def format_plan(
@@ -1132,13 +1140,15 @@ def format_plan(
 
     When ``counters`` (from :func:`instrument_plan`) is given, each line is
     suffixed with ``(rows=N)`` -- the number of rows the operator produced
-    during execution (EXPLAIN ANALYZE output).
+    during execution (EXPLAIN ANALYZE output) -- after any note the
+    operator keeps of that execution (``reused=k/n chunks``).
     """
     pad = "  " * indent
-    suffix = ""
-    if counters is not None:
-        suffix = f" (rows={counters.get(id(plan), 0)})"
-    lines = [f"{pad}{plan_node_label(plan)}{suffix}"]
+    if counters is None:
+        line = plan_node_label(plan)
+    else:
+        line = f"{_analyzed_label(plan)} (rows={counters.get(id(plan), 0)})"
+    lines = [f"{pad}{line}"]
     for child in plan.children():
         lines.append(format_plan(child, indent + 1, counters))
     return "\n".join(lines)

@@ -24,6 +24,14 @@ a column scan is byte-identical to ``Table.rows()``.  When the dead
 fraction grows past :data:`COMPACT_FRACTION` the store compacts itself by
 rebuilding from the row storage.
 
+Each chunk carries a *stamp*: an int drawn from one process-wide
+counter when the chunk is created and again whenever an update or a
+delete writes into it.  Appends only ever reach the tail chunk, so a
+full chunk's stamp names its content for good -- the vectorized
+aggregate keys the per-group partials it keeps on it (see
+:class:`repro.db.vector.VAggregate`).  A rebuild (staleness, compaction)
+draws fresh stamps for every chunk.
+
 Each column also carries an advisory *type tag* -- a bitmask of the value
 kinds ever observed (int/float/str/bool/NULL/other).  Tags only widen, so
 a tag proving "numeric, never NULL" lets the vectorized aggregate skip
@@ -33,6 +41,7 @@ guarded path, never correctness.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Iterable, Iterator
 
 from .schema import CREATED_AT, TID, UPDATED_AT
@@ -48,6 +57,10 @@ COMPACT_FRACTION = 0.25
 #: Minimum absolute tombstone count before compaction is considered, so
 #: small tables never churn.
 COMPACT_MIN_DEAD = 1024
+
+#: Chunk stamps, shared by every store: a stamp is never reused, so one
+#: never names two contents (another table's, or a dropped one's).
+_STAMPS = itertools.count(1)
 
 # -- column type tags (bitmask; widen-only) ----------------------------
 K_NULL = 1
@@ -109,6 +122,7 @@ class ColumnStore:
         "_chunks",
         "_dead",
         "_dead_counts",
+        "_stamps",
         "_pos",
         "_last_tid",
         "_stale",
@@ -126,6 +140,7 @@ class ColumnStore:
         self._chunks: list[dict[str, list[Any]]] = []
         self._dead: list[int] = []
         self._dead_counts: list[int] = []
+        self._stamps: list[int] = []
         self._pos: dict[int, tuple[int, int]] = {}
         self._last_tid = 0
         self._stale = False
@@ -161,6 +176,7 @@ class ColumnStore:
         self._chunks.append(chunk)
         self._dead.append(0)
         self._dead_counts.append(0)
+        self._stamps.append(next(_STAMPS))
         return chunk
 
     def append(self, row: dict[str, Any]) -> None:
@@ -200,6 +216,7 @@ class ColumnStore:
             chunk[name][offset] = value
             types[name] |= value_tag(value)
         chunk[UPDATED_AT][offset] = row[UPDATED_AT]
+        self._stamps[ci] = next(_STAMPS)
 
     def delete(self, tid: int) -> None:
         """Tombstone one row (the validity bitmap clears its bit)."""
@@ -212,6 +229,7 @@ class ColumnStore:
         ci, offset = pos
         self._dead[ci] |= 1 << offset
         self._dead_counts[ci] += 1
+        self._stamps[ci] = next(_STAMPS)
 
     def bulk_append(self, rows: list[dict[str, Any]]) -> None:
         """Append many rows (recovery bulk load) with column-wise loops."""
@@ -274,6 +292,7 @@ class ColumnStore:
         self._chunks = []
         self._dead = []
         self._dead_counts = []
+        self._stamps = []
         self._pos = {}
         self._last_tid = 0
         self.types = {name: 0 for name in self.names}
@@ -305,7 +324,15 @@ class ColumnStore:
     # ------------------------------------------------------------------
     # Scans
     def batches(self) -> Iterator[tuple[dict[str, list[Any]], int]]:
-        """Yield ``(columns, n)`` per chunk, tombstones compressed away.
+        """Yield ``(columns, n)`` per chunk: :meth:`scan` without stamps."""
+        for columns, n, _ in self.scan():
+            yield columns, n
+
+    def scan(self) -> Iterator[tuple[dict[str, list[Any]], int, int | None]]:
+        """Yield ``(columns, n, stamp)`` per chunk, tombstones compressed
+        away.  ``stamp`` is the chunk's stamp when the chunk is full (its
+        content can change only by an update or a delete, which re-stamp
+        it) and None for the tail chunk, which appends still grow.
 
         Chunks with no tombstones are yielded zero-copy (the live column
         lists themselves); consumers must treat them as read-only, the
@@ -317,9 +344,10 @@ class ColumnStore:
             n = len(chunk[TID])
             if n == 0:
                 continue
+            stamp = self._stamps[ci] if n == CHUNK_ROWS else None
             dead = self._dead[ci]
             if dead == 0:
-                yield chunk, n
+                yield chunk, n, stamp
                 continue
             live = [i for i in range(n) if not dead >> i & 1]
             if not live:
@@ -327,4 +355,5 @@ class ColumnStore:
             yield (
                 {name: [col[i] for i in live] for name, col in chunk.items()},
                 len(live),
+                stamp,
             )

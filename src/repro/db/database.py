@@ -822,7 +822,8 @@ class Database:
     def _execute_explain(
         self, stmt: ExplainStmt, params: Sequence[Any], span: Any
     ) -> Result:
-        plan = self._plan(stmt.select, params, self)
+        plan = self._prepare(stmt.sql, params, self)[1]
+        assert plan is not None
         if stmt.lineage:
             return self._execute_explain_lineage(plan)
         text = self._explain(plan, span, stmt.analyze)

@@ -212,9 +212,11 @@ class ExplainStmt:
     """``EXPLAIN [ANALYZE | LINEAGE] SELECT ...`` -- show the plan the
     optimizer picks for a query.  ANALYZE runs it and annotates operator
     row counts; LINEAGE runs it with tuple-lineage capture and returns
-    one row per (output row, source tuple) provenance edge."""
+    one row per (output row, source tuple) provenance edge.  ``sql`` is
+    the SELECT's own text, so EXPLAIN runs the plan that text caches."""
 
     select: SelectStmt
+    sql: str
     analyze: bool = False
     lineage: bool = False
 

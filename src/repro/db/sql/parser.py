@@ -56,6 +56,7 @@ _AGGREGATES = ("COUNT", "SUM", "AVG", "MIN", "MAX")
 
 class _Parser:
     def __init__(self, text: str) -> None:
+        self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
         self.param_count = 0
@@ -140,8 +141,12 @@ class _Parser:
                     "EXPLAIN supports SELECT statements only",
                     self.current.position,
                 )
+            start = self.current.position
             stmt: Statement = ExplainStmt(
-                self.parse_select(), analyze=analyze, lineage=lineage
+                self.parse_select(),
+                self.text[start:],
+                analyze=analyze,
+                lineage=lineage,
             )
         elif self.check_keyword("SELECT"):
             stmt = self.parse_select()

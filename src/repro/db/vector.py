@@ -65,7 +65,7 @@ from .algebra import (
     evaluate_predicate,
     sort_key_total,
 )
-from .columnar import K_NULL
+from .columnar import K_BOOL, K_INT, K_NULL
 from .schema import TID
 from .expression import (
     And,
@@ -110,9 +110,14 @@ class Batch:
     ``(table, tid)`` pairs naming the base tuples that produced that row.
     Operators thread it through exactly like a column (filtered, sliced,
     reordered, concatenated on joins, unioned on aggregation).
+
+    ``origin`` is the stamp of the full column chunk this batch is a pure
+    function of, for a fixed plan (see :mod:`repro.db.columnar`), or None.
+    :class:`VScan` sets it; :class:`VFilter` and :class:`VProject` pass
+    it on; every other operator's output has none.
     """
 
-    __slots__ = ("columns", "n", "kinds", "lin")
+    __slots__ = ("columns", "n", "kinds", "lin", "origin")
 
     def __init__(
         self,
@@ -120,11 +125,13 @@ class Batch:
         n: int,
         kinds: dict[str, int] | None = None,
         lin: list[tuple] | None = None,
+        origin: int | None = None,
     ) -> None:
         self.columns = columns
         self.n = n
         self.kinds = kinds
         self.lin = lin
+        self.origin = origin
 
 
 def batch_rows(batch: Batch) -> list[Row]:
@@ -481,7 +488,7 @@ class VScan(VOp):
         tname = self.table_name
         emit: list[tuple[str, str]] | None = None
         kinds: dict[str, int] | None = None
-        for cols, n in store.batches():
+        for cols, n, stamp in store.scan():
             if emit is None:
                 emit = []
                 for name in store.names:
@@ -502,7 +509,7 @@ class VScan(VOp):
                 # Chunks always carry the hidden tid column even when the
                 # emit pruning drops it: lineage seeds are nearly free.
                 lin = [((tname, tid),) for tid in cols[TID]]
-            yield Batch({key: cols[src] for key, src in emit}, n, kinds, lin)
+            yield Batch({key: cols[src] for key, src in emit}, n, kinds, lin, stamp)
 
 
 class VFilter(VOp):
@@ -560,7 +567,7 @@ class VFilter(VOp):
             self._count(counters, len(live))
             blin = batch.lin
             lin = [blin[i] for i in live] if blin is not None else None
-            yield Batch(columns, len(live), batch.kinds, lin)
+            yield Batch(columns, len(live), batch.kinds, lin, batch.origin)
 
 
 class VProject(VOp):
@@ -611,6 +618,7 @@ class VProject(VOp):
                 batch.n,
                 self._project_kinds(batch.kinds),
                 batch.lin,
+                batch.origin,
             )
 
 
@@ -926,6 +934,17 @@ class VHashJoin(VOp):
             yield Batch(columns, len(pair_l), None, lin)
 
 
+#: Kinds whose SUM/AVG partials merge exactly: integer addition is
+#: associative, so a kept chunk total added to the running one equals the
+#: left fold over the chunk's values.  Float addition is not.
+MERGEABLE_SUM_KINDS = K_INT | K_BOOL | K_NULL
+
+#: A chunk's partial is kept only while it has at most this many groups
+#: per row: a GROUP BY on a key would otherwise pin an O(rows) memo on a
+#: cached plan.
+MEMO_MAX_GROUPS_PER_ROW = 0.25
+
+
 class VAggregate(VOp):
     """GROUP BY + aggregates over column chunks.
 
@@ -936,7 +955,19 @@ class VAggregate(VOp):
     yields NULL for the whole group, and groups emit in first-occurrence
     order.  Fast paths: group counts come free from the partition lists;
     a no-NULL column type tag skips the NULL pre-filter; DISTINCT specs
-    fall back to a per-value ``_AggState`` loop.
+    fall back to a per-value ``_AggState`` loop.  No GROUP BY is the
+    one-key ``()`` case of the same per-batch fold.
+
+    Chunk memo: the operator keeps, per chunk stamp (``Batch.origin``),
+    the per-group partial it folded from that full chunk, and a re-run of
+    the (cached) plan merges a kept partial instead of folding the chunk
+    again.  Only specs whose partials merge exactly take this route:
+    COUNT, COUNT(*), MIN, MAX, and SUM/AVG over a column tagged within
+    :data:`MERGEABLE_SUM_KINDS`; DISTINCT, any other SUM/AVG, lineage
+    capture, and a lone COUNT(*) without GROUP BY (an O(1) fold) fold
+    every batch.  Each execution replaces the memo with the
+    partials it used, so it holds ints and partials, never chunks, and
+    forgets a compacted or rebuilt store's chunks on the next run.
     """
 
     def __init__(
@@ -972,6 +1003,10 @@ class VAggregate(VOp):
         # identical ColumnRef projections share the list object), so the
         # shared-column path re-checks by list identity per batch.
         self._arg_names = sorted(names) if names and not general else None
+        # stamp -> partial ({key: [star, states]}) from the last execution.
+        self._memo: dict[int, dict[Any, list[Any]]] = {}
+        #: (chunks merged from the memo, batches seen) by the last execution.
+        self.reused = (0, 0)
 
     @property
     def explain_label(self) -> str:
@@ -980,6 +1015,10 @@ class VAggregate(VOp):
             for s in self.aggregates
         ]
         return f"VAggregate group_by={self.group_by} aggs={aggs}"
+
+    def analyze_note(self) -> str:
+        """EXPLAIN ANALYZE detail: chunks the last run took from the memo."""
+        return f"reused={self.reused[0]}/{self.reused[1]} chunks"
 
     def children(self) -> tuple[VOp, ...]:
         return (self.child,)
@@ -1057,6 +1096,173 @@ class VAggregate(VOp):
             return cols[0]
         return list(zip(*cols))
 
+    def _mergeable(self, batch: Batch) -> bool:
+        """True when merging kept partials equals folding (see the class
+        docstring).  Type tags are store-wide and fixed for one scan, so
+        the first batch decides for the whole execution."""
+        for spec in self.aggregates:
+            if spec.distinct:
+                return False
+            if spec.func not in ("SUM", "AVG"):
+                continue
+            if not isinstance(spec.arg, ColumnRef):
+                return False
+            kind = _resolve_with_kind(batch, spec.arg.name)[1]
+            if kind is None or kind & ~MERGEABLE_SUM_KINDS:
+                return False
+        return True
+
+    def _merge(
+        self, groups: dict[Any, list[Any]], partial: dict[Any, list[Any]]
+    ) -> None:
+        """Combine a kept partial into ``groups`` as if its chunk had been
+        folded there; ``partial`` itself is left untouched."""
+        specs = self.aggregates
+        for key, (star, parts) in partial.items():
+            entry = groups.get(key)
+            if entry is None:
+                # A fresh state merged with a part equals the part.
+                groups[key] = [star, [p if p is None else p[:] for p in parts]]
+                continue
+            entry[0] += star
+            for spec, state, part in zip(specs, entry[1], parts):
+                if part is None or not part[0]:
+                    continue  # COUNT(*), or no non-NULL value in the chunk
+                state[0] += part[0]
+                func = spec.func
+                if func == "COUNT" or not state[2]:
+                    continue
+                if not part[2]:  # the chunk poisoned its group
+                    state[1] = None
+                    state[2] = False
+                elif func in ("SUM", "AVG"):
+                    state[1] += part[1]  # ints: exact in any grouping
+                elif state[1] is None:
+                    state[1] = part[1]
+                else:
+                    try:
+                        state[1] = (min if func == "MIN" else max)(state[1], part[1])
+                    except TypeError:
+                        state[1] = None
+                        state[2] = False
+
+    def _fold_batch(
+        self,
+        groups: dict[Any, list[Any]],
+        batch: Batch,
+        glins: dict[Any, list[tuple]] | None = None,
+    ) -> None:
+        """Fold one batch into ``groups`` (key -> [star, states], in
+        first-occurrence order).  ``glins`` collects lineage per group;
+        capture needs row positions, so it rides the general partition
+        path (results are identical on every path; only the accumulation
+        strategy differs)."""
+        specs = self.aggregates
+        blin = batch.lin if glins is not None else None
+        if not self.group_by:
+            entry = groups.get(())
+            if entry is None:
+                entry = groups[()] = [0, self._new_states()]
+            entry[0] += batch.n
+            if blin is not None and glins is not None:
+                lst = glins.setdefault((), [])
+                for lin in blin:
+                    lst.extend(lin)
+            if self._star_only:
+                return
+            for spec, fn, state in zip(specs, self._argfns, entry[1]):
+                if fn is None:
+                    continue
+                if isinstance(spec.arg, ColumnRef) and not spec.distinct:
+                    col, kind = _resolve_with_kind(batch, spec.arg.name)
+                else:
+                    col, kind = fn(batch), None
+                if kind is not None and not kind & K_NULL:
+                    values = col
+                else:
+                    values = [v for v in col if v is not None]
+                self._accumulate(spec, state, values)
+            return
+        keys = self._group_keys(batch)
+        if self._star_only and blin is None:
+            # Counts come straight from a C-speed Counter; new keys enter
+            # `groups` in first-occurrence order.
+            counts: Counter = Counter()
+            counts.update(keys)
+            for key, n in counts.items():
+                entry = groups.get(key)
+                if entry is None:
+                    groups[key] = [n, self._new_states()]
+                else:
+                    entry[0] += n
+            return
+        # Shared-column fast path: all agg arguments resolve to ONE value
+        # list (by identity -- the planner's per-spec `__agg_in_N`
+        # projections of the same ColumnRef share the list object), so
+        # partition values directly instead of partitioning indexes and
+        # picking per spec.
+        arg_names = self._arg_names
+        col = None
+        no_nulls = False
+        if arg_names is not None and blin is None:
+            resolved = [_resolve_with_kind(batch, n) for n in arg_names]
+            if len({id(c) for c, _ in resolved}) == 1:
+                col = resolved[0][0]
+                kinds_seen = [k for _, k in resolved if k is not None]
+                no_nulls = bool(kinds_seen) and not any(
+                    k & K_NULL for k in kinds_seen
+                )
+        if col is not None:
+            bucket: dict[Any, list[Any]] = {}
+            appends: dict[Any, Callable[[Any], None]] = {}
+            for key, value in zip(keys, col):
+                try:
+                    appends[key](value)
+                except KeyError:
+                    lst = [value]
+                    bucket[key] = lst
+                    appends[key] = lst.append
+            for key, raw in bucket.items():
+                entry = groups.get(key)
+                if entry is None:
+                    entry = groups[key] = [0, self._new_states()]
+                entry[0] += len(raw)
+                values = raw if no_nulls else [v for v in raw if v is not None]
+                for spec, state in zip(specs, entry[1]):
+                    if spec.arg is not None:
+                        self._accumulate(spec, state, values)
+            return
+        # General path: index partition, one pick per spec column.
+        positions: dict[Any, list[int]] = {}
+        pos_appends: dict[Any, Callable[[int], None]] = {}
+        for i, key in enumerate(keys):
+            try:
+                pos_appends[key](i)
+            except KeyError:
+                lst = [i]
+                positions[key] = lst
+                pos_appends[key] = lst.append
+        argcols = [fn(batch) if fn is not None else None for fn in self._argfns]
+        for key, idxs in positions.items():
+            entry = groups.get(key)
+            if entry is None:
+                entry = groups[key] = [0, self._new_states()]
+            entry[0] += len(idxs)
+            if blin is not None and glins is not None:
+                lst = glins.setdefault(key, [])
+                for i in idxs:
+                    lst.extend(blin[i])
+            picked_cache: dict[int, list[Any]] = {}
+            for spec, col, state in zip(specs, argcols, entry[1]):
+                if col is None:
+                    continue
+                ckey = id(col)
+                picked = picked_cache.get(ckey)
+                if picked is None:
+                    picked = [v for i in idxs if (v := col[i]) is not None]
+                    picked_cache[ckey] = picked
+                self._accumulate(spec, state, picked)
+
     def batches(
         self,
         source: TableProvider,
@@ -1066,125 +1272,40 @@ class VAggregate(VOp):
         specs = self.aggregates
         group_by = self.group_by
         single = len(group_by) == 1
-        # groups: key -> [star, states]; insertion order = first occurrence.
         groups: dict[Any, list[Any]] = {}
-        # Lineage capture needs row positions per group, so it rides the
-        # general partition path below (results are identical on every
-        # path; only the accumulation strategy differs).
-        glins: dict[Any, list[tuple]] = {}
-
-        if not group_by:
-            star = 0
-            states = self._new_states()
-            for batch in self.child.batches(source, counters, lineage):
-                star += batch.n
-                if lineage and batch.lin is not None:
-                    lst = glins.setdefault((), [])
-                    for entry in batch.lin:
-                        lst.extend(entry)
-                if self._star_only:
-                    continue
-                for spec, fn, state in zip(specs, self._argfns, states):
-                    if fn is None:
-                        continue
-                    if isinstance(spec.arg, ColumnRef) and not spec.distinct:
-                        col, kind = _resolve_with_kind(batch, spec.arg.name)
-                    else:
-                        col, kind = fn(batch), None
-                    if kind is not None and not kind & K_NULL:
-                        values = col
-                    else:
-                        values = [v for v in col if v is not None]
-                    self._accumulate(spec, state, values)
-            groups[()] = [star, states]
-        else:
-            arg_names = self._arg_names
-            for batch in self.child.batches(source, counters, lineage):
-                keys = self._group_keys(batch)
-                blin = batch.lin if lineage else None
-                if self._star_only and blin is None:
-                    # Counts come straight from a C-speed Counter; new
-                    # keys enter `groups` in first-occurrence order.
-                    counts: Counter = Counter()
-                    counts.update(keys)
-                    for key, n in counts.items():
-                        entry = groups.get(key)
-                        if entry is None:
-                            groups[key] = [n, self._new_states()]
-                        else:
-                            entry[0] += n
-                    continue
-                # Shared-column fast path: all agg arguments resolve to
-                # ONE value list (by identity -- the planner's per-spec
-                # `__agg_in_N` projections of the same ColumnRef share
-                # the list object), so partition values directly instead
-                # of partitioning indexes and picking per spec.
-                col = None
-                no_nulls = False
-                if arg_names is not None and blin is None:
-                    resolved = [_resolve_with_kind(batch, n) for n in arg_names]
-                    if len({id(c) for c, _ in resolved}) == 1:
-                        col = resolved[0][0]
-                        kinds_seen = [k for _, k in resolved if k is not None]
-                        no_nulls = bool(kinds_seen) and not any(
-                            k & K_NULL for k in kinds_seen
-                        )
-                if col is not None:
-                    bucket: dict[Any, list[Any]] = {}
-                    appends: dict[Any, Callable[[Any], None]] = {}
-                    for key, value in zip(keys, col):
-                        try:
-                            appends[key](value)
-                        except KeyError:
-                            lst = [value]
-                            bucket[key] = lst
-                            appends[key] = lst.append
-                    for key, raw in bucket.items():
-                        entry = groups.get(key)
-                        if entry is None:
-                            entry = groups[key] = [0, self._new_states()]
-                        entry[0] += len(raw)
-                        values = raw if no_nulls else [
-                            v for v in raw if v is not None
-                        ]
-                        for spec, state in zip(specs, entry[1]):
-                            if spec.arg is not None:
-                                self._accumulate(spec, state, values)
-                    continue
-                # General path: index partition, one pick per spec column.
-                positions: dict[Any, list[int]] = {}
-                pos_appends: dict[Any, Callable[[int], None]] = {}
-                for i, key in enumerate(keys):
-                    try:
-                        pos_appends[key](i)
-                    except KeyError:
-                        lst = [i]
-                        positions[key] = lst
-                        pos_appends[key] = lst.append
-                argcols = [
-                    fn(batch) if fn is not None else None for fn in self._argfns
-                ]
-                for key, idxs in positions.items():
-                    entry = groups.get(key)
-                    if entry is None:
-                        entry = groups[key] = [0, self._new_states()]
-                    entry[0] += len(idxs)
-                    if blin is not None:
-                        lst = glins.setdefault(key, [])
-                        for i in idxs:
-                            lst.extend(blin[i])
-                    picked_cache: dict[int, list[Any]] = {}
-                    for spec, col, state in zip(specs, argcols, entry[1]):
-                        if col is None:
-                            continue
-                        ckey = id(col)
-                        picked = picked_cache.get(ckey)
-                        if picked is None:
-                            picked = [
-                                v for i in idxs if (v := col[i]) is not None
-                            ]
-                            picked_cache[ckey] = picked
-                        self._accumulate(spec, state, picked)
+        glins: dict[Any, list[tuple]] | None = {} if lineage else None
+        memo = self._memo
+        kept: dict[int, dict[Any, list[Any]]] = {}
+        # A global COUNT(*) folds a chunk in O(1): nothing worth keeping.
+        trivial = self._star_only and not group_by
+        use_memo: bool | None = False if lineage or trivial else None
+        reused = seen = 0
+        for batch in self.child.batches(source, counters, lineage):
+            seen += 1
+            if use_memo is None:
+                use_memo = self._mergeable(batch)
+            stamp = batch.origin
+            if not use_memo or stamp is None:
+                self._fold_batch(groups, batch, glins)
+                continue
+            partial = memo.get(stamp)
+            if partial is not None:
+                reused += 1
+            else:
+                partial = {}
+                self._fold_batch(partial, batch)
+                if len(partial) > batch.n * MEMO_MAX_GROUPS_PER_ROW:
+                    # Keyed on (nearly) unique values: keep nothing and
+                    # fold the rest of this run straight into `groups`.
+                    use_memo = False
+            if use_memo:
+                kept[stamp] = partial
+            self._merge(groups, partial)
+        if not lineage:
+            self._memo = kept
+            self.reused = (reused, seen)
+        if not group_by and not groups:
+            groups[()] = [0, self._new_states()]  # empty input: one row
 
         out_rows: list[Row] = []
         out_lins: list[tuple] = []
@@ -1198,7 +1319,7 @@ class VAggregate(VOp):
                 out[spec.name] = self._result(spec, state, star)
             if self.having is None or evaluate_predicate(self.having, out):
                 out_rows.append(out)
-                if lineage:
+                if glins is not None:
                     out_lins.append(tuple(glins.get(key, ())))
         result = rows_to_batch(out_rows)
         if result is not None:

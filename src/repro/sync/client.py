@@ -162,23 +162,22 @@ class SyncClient:
     def _intake(self, table: str, events: Sequence[tuple[str, int]]) -> None:
         """Take in ``(op, seq_no)`` notifications of ``table``, however
         they arrived (a NOTIFY or NOTIFYB frame, the center's listener, a
-        reconnect's replay): count them, raise the dirty flag, fire the
-        notify hooks.
+        reconnect's replay): count them and raise the dirty flag, as one
+        step, then fire the notify hooks.
 
-        The flag is raised once the database lock is free: the sending
-        commit publishes under it, so a refresher woken earlier would only
-        take the GIL from the writer and then block on that lock.  With
-        heartbeats on, the wait is bounded by one interval -- this reader
-        answers the PINGs too.
+        The count and the flag land once the database lock is free: the
+        sending commit publishes under it, so a refresher woken earlier
+        would only take the GIL from the writer and then block on that
+        lock.  With heartbeats on, the wait is bounded by one interval --
+        this reader answers the PINGs too.
 
         Hooks are user code running on the liveness-critical thread (the
         socket reader, also during recovery); their failures are contained,
         one raising observer must not kill delivery for everyone else.
         """
-        self.notify_received += len(events)
         bound = self.server.heartbeat_interval
         held = self.database.lock.acquire(timeout=-1 if bound is None else bound)
-        self._flag((table,))
+        self._flag((table,), received=len(events))
         if held:
             self.database.lock.release()
         for op, seq_no in events:
@@ -191,9 +190,12 @@ class SyncClient:
                         "sync.client.hook_failures", kind="notify"
                     ).inc()
 
-    def _flag(self, tables: Iterable[str]) -> None:
-        """Raise dirty flags and wake every waiter (RefreshDriver, wait_dirty)."""
+    def _flag(self, tables: Iterable[str], received: int = 0) -> None:
+        """Raise dirty flags and wake every waiter (RefreshDriver,
+        wait_dirty); ``received`` notifications are counted in the same
+        step, so a reader of ``notify_received`` finds their flags up."""
         with self._dirty_lock:
+            self.notify_received += received
             self._dirty.update(tables)
             self._intakes += 1
             self._dirty_lock.notify_all()

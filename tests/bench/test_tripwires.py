@@ -4,7 +4,9 @@ per-link delivery counters and HELLO capability negotiation, the
 row copies a mirror and a rollback made of images they can share, the
 one-element ``{tid}`` set a hash index kept per key, the sync client's
 liveness monitor and reconnector threads, and the sync server's knobs
-nobody set."""
+nobody set; and for what the aggregate memo relies on: every write into
+a column chunk re-stamps it, and the memo is keyed by stamps, never by
+chunks."""
 
 import ast
 import re
@@ -304,3 +306,103 @@ def test_the_link_thread_tripwires_fire_on_planted_offenders():
     assert starts - THREAD_SITES == {"_ensure_monitor", "_connection_lost"}
     assert gone == {"_monitor", "_reconnector"}
     assert server_constant_params(planted) == ["drain_timeout", "max_queue_bytes"]
+
+
+def _subscript_targets(node):
+    """Subscript targets of the assignments under ``node``."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Assign):
+            targets = sub.targets
+        elif isinstance(sub, ast.AugAssign):
+            targets = [sub.target]
+        else:
+            continue
+        yield from (t for t in targets if isinstance(t, ast.Subscript))
+
+
+def _classes(source, name):
+    return [
+        node
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef) and node.name == name
+    ]
+
+
+def unstamped_chunk_writes(source):
+    """``ColumnStore`` methods that write into a chunk column
+    (``chunk[name][i] = v``) or the tombstone mask (``self._dead[ci] |=
+    bit``) without re-stamping the chunk (``self._stamps[ci] = ...``)."""
+    offenders = []
+    for cls in _classes(source, "ColumnStore"):
+        for fn in cls.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            bases = [
+                (t, ast.unparse(t.value)) for t in _subscript_targets(fn)
+            ]
+            writes = [
+                t for t, base in bases
+                if isinstance(t.value, ast.Subscript) or base == "self._dead"
+            ]
+            if writes and not any(base == "self._stamps" for _, base in bases):
+                offenders.append(fn.name)
+    return offenders
+
+
+def memo_keys(source):
+    """The keys ``VAggregate`` files partials under in the dict it keeps
+    as ``self._memo``, each local name resolved to what it was bound to."""
+    keys = []
+    for cls in _classes(source, "VAggregate"):
+        bound = {
+            node.targets[0].id: ast.unparse(node.value)
+            for node in ast.walk(cls)
+            if isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+        }
+        kept = {"self._memo"} | {
+            ast.unparse(node.value)
+            for node in ast.walk(cls)
+            if isinstance(node, ast.Assign)
+            and any(ast.unparse(t) == "self._memo" for t in node.targets)
+        }
+        for target in _subscript_targets(cls):
+            if ast.unparse(target.value) in kept:
+                key = ast.unparse(target.slice)
+                keys.append(bound.get(key, key))
+    return keys
+
+
+def test_every_chunk_write_re_stamps_and_the_memo_keeps_only_stamps():
+    """A kept partial is as good as its chunk's stamp: a write that left
+    the stamp alone would let a re-run merge a stale partial, and a memo
+    keyed by chunks would pin them past a compaction."""
+    db = REPO / "src" / "repro" / "db"
+    columnar = (db / "columnar.py").read_text(encoding="utf-8")
+    assert unstamped_chunk_writes(columnar) == []
+    keys = memo_keys((db / "vector.py").read_text(encoding="utf-8"))
+    assert keys and all(key == "batch.origin" for key in keys)
+
+
+def test_the_chunk_stamp_tripwires_fire_on_planted_offenders():
+    planted = (
+        "class ColumnStore:\n"
+        "    def update(self, ci, offset, value):\n"
+        "        self._chunks[ci]['x'][offset] = value\n"
+        "    def delete(self, ci, offset):\n"
+        "        self._dead[ci] |= 1 << offset\n"
+        "    def fine(self, ci, offset, chunk):\n"
+        "        chunk['x'][offset] = 0\n"
+        "        self._stamps[ci] = 7\n"
+        "class VAggregate:\n"
+        "    def batches(self, batch, partial):\n"
+        "        kept = {}\n"
+        "        stamp = batch.origin\n"
+        "        kept[stamp] = partial\n"
+        "        kept[id(batch.columns)] = partial\n"
+        "        self._memo = kept\n"
+        "        self._memo[batch] = partial\n"
+    )
+    assert unstamped_chunk_writes(planted) == ["update", "delete"]
+    assert memo_keys(planted) == ["batch.origin", "id(batch.columns)", "batch"]

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.db import Database
+from repro.db import Database, columnar
 from repro.errors import DatabaseError
+from tests.db.engines import forced_engine
 
 
 @pytest.fixture
@@ -118,3 +119,34 @@ class TestExplainAnalyzeSpans:
     def test_disabled_tracing_still_counts_rows(self, populated):
         text = populated.explain("SELECT * FROM emp", analyze=True)
         assert "(rows=10)" in text
+
+
+class TestExplainAnalyzeReuse:
+    """The vectorized aggregate reports the chunks it merged from the
+    partials it kept, instead of folding them again."""
+
+    SQL = "SELECT dept, COUNT(*) AS n, SUM(salary) AS s FROM emp GROUP BY dept"
+
+    def aggregate_line(self, db):
+        text = db.explain(self.SQL, analyze=True)
+        (line,) = [ln.strip() for ln in text.splitlines() if "VAggregate" in ln]
+        return line
+
+    def test_first_run_reuses_nothing_and_a_tail_insert_refolds_one(
+        self, db, monkeypatch
+    ):
+        monkeypatch.setattr(columnar, "CHUNK_ROWS", 32)
+        db.insert_many(
+            "emp",
+            [{"id": i, "dept": f"d{i % 3}", "salary": i} for i in range(100)],
+        )  # three full chunks and a tail of four
+        with forced_engine("vector"):
+            assert "reused=0/4 chunks (rows=3)" in self.aggregate_line(db)
+            db.insert("emp", {"id": 100, "dept": "d1", "salary": 7})
+            assert "reused=3/4 chunks (rows=3)" in self.aggregate_line(db)
+            sql_form = db.query(f"EXPLAIN ANALYZE {self.SQL}")
+            assert any("reused=3/4 chunks" in r["plan"] for r in sql_form)
+
+    def test_plain_explain_reports_no_reuse(self, db):
+        with forced_engine("vector"):
+            assert "reused" not in db.explain(self.SQL)

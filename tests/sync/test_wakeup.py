@@ -12,6 +12,7 @@ import ast
 import sys
 import threading
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,45 @@ def test_a_notify_hook_runs_once_the_sending_commit_released_the_database():
             db.insert("pts", {"id": i, "x": i})
             assert heard.wait(5.0)
         assert free.count(True) == 200
+    finally:
+        client.close()
+        server.close()
+
+
+class WatchedLock:
+    """Stands in for ``db.lock``: says when a thread starts waiting on it."""
+
+    def __init__(self, lock):
+        self.lock = lock
+        self.waiting = threading.Event()
+
+    def acquire(self, *args, **kwargs):
+        self.waiting.set()
+        return self.lock.acquire(*args, **kwargs)
+
+    def release(self):
+        self.lock.release()
+
+
+def test_the_notify_count_and_the_dirty_flag_land_together(monkeypatch):
+    """A reader of ``notify_received`` must find the flags of what it
+    counted: both move only once the sending commit released the
+    database, in one step."""
+    db, server, client, _mirror = make_stack(False, heartbeat_interval=None)
+    watched = WatchedLock(db.lock)
+    monkeypatch.setattr(client, "database", types.SimpleNamespace(lock=watched))
+    before = client.notify_received
+    assert "pts" not in client.dirty_tables()
+    intake = threading.Thread(target=client._intake, args=("pts", [("insert", 1)]))
+    try:
+        with db.lock:
+            intake.start()
+            assert watched.waiting.wait(5.0)
+            assert client.notify_received == before
+            assert "pts" not in client.dirty_tables()
+        intake.join(5.0)
+        assert client.notify_received == before + 1
+        assert "pts" in client.dirty_tables()
     finally:
         client.close()
         server.close()
