@@ -28,7 +28,13 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Protocol, Sequence
 
 from ..errors import DatabaseError, UnknownTableError
-from .expression import ColumnRef, Expression, evaluate_predicate
+from .expression import (
+    Binding,
+    ColumnRef,
+    Expression,
+    evaluate_predicate,
+    slot_value,
+)
 from .schema import TID
 from .table import Table
 
@@ -204,13 +210,77 @@ class Scan(TableLeaf):
         return f"Scan({self.table_name!r})"
 
 
-class IndexScan(TableLeaf):
-    """Point lookup through a hash index: ``WHERE col = value``.
+class IndexLeaf(TableLeaf):
+    """A probe through an index on one stored table.
 
-    Falls back to a full scan when the source cannot serve the index
-    (e.g. isolation-filtered views wrap tables without exposing indexes)
-    -- the result is identical either way, only the cost differs.
+    Its keys are values or ``?`` slots (:class:`~repro.db.expression.Param`)
+    read when the probe runs, so a cached plan serves every binding; a
+    key bound to NULL selects nothing (no comparison with NULL is true).
+    Every probe falls back to a filtered scan when the source cannot
+    serve the index (isolation-filtered views wrap tables without
+    exposing indexes) -- the result is identical, only the cost differs.
+
+    ``rivals`` are the slot leaves the router weighed against this one.
+    The choice stays the one made for the binding that planned it, but a
+    rival's estimate still runs for each binding, so a value no index
+    could be probed with raises here exactly as it would while planning.
     """
+
+    rivals: tuple["IndexLeaf", ...] = ()
+
+    def _index(self, table: Table) -> Any | None:
+        """The index serving this probe on ``table``, or None."""
+        raise NotImplementedError
+
+    def _keys(self) -> tuple[Any, ...] | None:
+        """This execution's keys, or None when one is bound to NULL."""
+        raise NotImplementedError
+
+    def _count(self, index: Any, keys: tuple[Any, ...]) -> int:
+        raise NotImplementedError
+
+    def _probe(self, index: Any, keys: tuple[Any, ...]) -> Iterable[int]:
+        raise NotImplementedError
+
+    def _matches(self, row: Row, keys: tuple[Any, ...]) -> bool:
+        """The fallback scan's test of one row."""
+        raise NotImplementedError
+
+    def estimate(self, table: Table) -> int | None:
+        """Exact rows this probe selects now, or None without the index."""
+        index = self._index(table)
+        if index is None:
+            return None
+        keys = self._keys()
+        return 0 if keys is None else self._count(index, keys)
+
+    def tids(self, table: Table) -> Iterable[int]:
+        """The selected tids, unordered; ``table`` must serve the index."""
+        keys = self._keys()
+        return () if keys is None else self._probe(self._index(table), keys)
+
+    def _stored(self, table: Table) -> Iterator[Row]:
+        for rival in self.rivals:
+            rival.estimate(table)
+        keys = self._keys()
+        if keys is None:
+            return
+        index = self._index(table)
+        if index is None:
+            for row in table.rows():
+                if self._matches(row, keys):
+                    yield row
+            return
+        get = table.get
+        # Sorted tids keep output in tid order, byte-identical to a full scan.
+        for tid in sorted(self._probe(index, keys)):
+            row = get(tid)
+            if row is not None:
+                yield row
+
+
+class IndexScan(IndexLeaf):
+    """Point lookup through a hash index: ``WHERE col = value``."""
 
     def __init__(
         self, table: str, column: str, value: Any, alias: str | None = None
@@ -220,32 +290,32 @@ class IndexScan(TableLeaf):
         self.value = value
         self.alias = alias
 
-    def _stored(self, table: Table) -> Iterator[Row]:
+    def _index(self, table: Table) -> Any | None:
         find = getattr(table, "find_hash_index", None)
-        index = find(self.column) if find is not None else None
-        if index is None:
-            # Fallback: filtered scan (correctness over speed).
-            for row in table.rows():
-                if row.get(self.column) == self.value:
-                    yield row
-            return
-        get = table.get
-        # Sorted tids keep output in tid order, byte-identical to a full scan.
-        for tid in sorted(index.lookup(self.value)):
-            row = get(tid)
-            if row is not None:
-                yield row
+        return find(self.column) if find is not None else None
+
+    def _keys(self) -> tuple[Any, ...] | None:
+        value = slot_value(self.value)
+        return None if value is None else (value,)
+
+    def _count(self, index: Any, keys: tuple[Any, ...]) -> int:
+        return index.bucket_size(keys)
+
+    def _probe(self, index: Any, keys: tuple[Any, ...]) -> Iterable[int]:
+        return index.lookup(keys[0])
+
+    def _matches(self, row: Row, keys: tuple[Any, ...]) -> bool:
+        return row.get(self.column) == keys[0]
 
     def __repr__(self) -> str:
         return f"IndexScan({self.table_name}.{self.column} = {self.value!r})"
 
 
-class CompositeIndexScan(TableLeaf):
+class CompositeIndexScan(IndexLeaf):
     """Composite-key equality probe through a multi-column hash index.
 
     ``WHERE a = x AND b = y`` with a hash index on ``(a, b)`` resolves to
-    one ``lookup_tuple`` probe.  Falls back to a filtered scan when the
-    source cannot serve the index.
+    one ``lookup_tuple`` probe.
     """
 
     def __init__(
@@ -262,25 +332,29 @@ class CompositeIndexScan(TableLeaf):
         self.values = tuple(values)
         self.alias = alias
 
-    def _stored(self, table: Table) -> Iterator[Row]:
-        index = None
-        for idx in getattr(table, "hash_indexes", lambda: ())():
-            if frozenset(idx.columns) == frozenset(self.columns):
-                index = idx
-                break
-        if index is None:
-            wanted = dict(zip(self.columns, self.values))
-            for row in table.rows():
-                if all(row.get(c) == v for c, v in wanted.items()):
-                    yield row
-            return
-        by_name = dict(zip(self.columns, self.values))
-        ordered = [by_name[c] for c in index.columns]
-        get = table.get
-        for tid in sorted(index.lookup_tuple(ordered)):
-            row = get(tid)
-            if row is not None:
-                yield row
+    def _index(self, table: Table) -> Any | None:
+        wanted = frozenset(self.columns)
+        for index in getattr(table, "hash_indexes", lambda: ())():
+            if frozenset(index.columns) == wanted:
+                return index
+        return None
+
+    def _keys(self) -> tuple[Any, ...] | None:
+        keys = tuple(slot_value(v) for v in self.values)
+        return None if None in keys else keys
+
+    def _ordered(self, index: Any, keys: tuple[Any, ...]) -> list[Any]:
+        by_name = dict(zip(self.columns, keys))
+        return [by_name[c] for c in index.columns]
+
+    def _count(self, index: Any, keys: tuple[Any, ...]) -> int:
+        return index.bucket_size(self._ordered(index, keys))
+
+    def _probe(self, index: Any, keys: tuple[Any, ...]) -> Iterable[int]:
+        return index.lookup_tuple(self._ordered(index, keys))
+
+    def _matches(self, row: Row, keys: tuple[Any, ...]) -> bool:
+        return all(row.get(c) == v for c, v in zip(self.columns, keys))
 
     def __repr__(self) -> str:
         pairs = ", ".join(
@@ -289,14 +363,12 @@ class CompositeIndexScan(TableLeaf):
         return f"CompositeIndexScan({self.table_name}: {pairs})"
 
 
-class RangeIndexScan(TableLeaf):
+class RangeIndexScan(IndexLeaf):
     """Range probe through a sorted index: ``WHERE col >= low AND col <= high``.
 
     Backs the isolation-predicate scans of Section VI-A (creation-timestamp
     ranges) and the ``seq_no`` scans of VI-C.  Bounds are optional on
-    either side; inclusivity is tracked per bound.  Falls back to a
-    filtered scan when the source cannot serve the index -- identical
-    result, only the cost differs.
+    either side (None: unbounded); inclusivity is tracked per bound.
     """
 
     def __init__(
@@ -317,39 +389,42 @@ class RangeIndexScan(TableLeaf):
         self.include_high = include_high
         self.alias = alias
 
-    def _matches(self, value: Any) -> bool:
+    def _index(self, table: Table) -> Any | None:
+        find = getattr(table, "find_sorted_index", None)
+        return find(self.column) if find is not None else None
+
+    def _keys(self) -> tuple[Any, ...] | None:
+        low, high = slot_value(self.low), slot_value(self.high)
+        if (low is None and self.low is not None) or (
+            high is None and self.high is not None
+        ):
+            return None  # a slot bound to NULL: no row is in range
+        return low, high
+
+    def _count(self, index: Any, keys: tuple[Any, ...]) -> int:
+        return index.count_range(*keys, self.include_low, self.include_high)
+
+    def _probe(self, index: Any, keys: tuple[Any, ...]) -> Iterable[int]:
+        return index.range(*keys, self.include_low, self.include_high)
+
+    def _matches(self, row: Row, keys: tuple[Any, ...]) -> bool:
+        value = row.get(self.column)
         if value is None:
             return False  # range predicates never match NULL
-        if self.low is not None:
+        low, high = keys
+        if low is not None:
             if self.include_low:
-                if value < self.low:
+                if value < low:
                     return False
-            elif value <= self.low:
+            elif value <= low:
                 return False
-        if self.high is not None:
+        if high is not None:
             if self.include_high:
-                if value > self.high:
+                if value > high:
                     return False
-            elif value >= self.high:
+            elif value >= high:
                 return False
         return True
-
-    def _stored(self, table: Table) -> Iterator[Row]:
-        find = getattr(table, "find_sorted_index", None)
-        index = find(self.column) if find is not None else None
-        if index is None:
-            for row in table.rows():
-                if self._matches(row.get(self.column)):
-                    yield row
-            return
-        get = table.get
-        tids = sorted(
-            index.range(self.low, self.high, self.include_low, self.include_high)
-        )
-        for tid in tids:
-            row = get(tid)
-            if row is not None:
-                yield row
 
     def bounds_repr(self) -> str:
         lo = "(-inf" if self.low is None else ("[" if self.include_low else "(") + repr(self.low)
@@ -391,6 +466,35 @@ class RowSource(Plan):
 
     def __repr__(self) -> str:
         return f"RowSource({self.label}, n={len(self._rows)})"
+
+
+class Bound(Plan):
+    """``child`` run with one execution's ``?`` values bound.
+
+    What :meth:`repro.db.database.Database.plan` hands out for a
+    parameterized SELECT: the child is the shared (cached) plan, which a
+    binding never writes; the values ride on this wrapper instead.
+    """
+
+    def __init__(self, child: Plan, values: Sequence[Any]) -> None:
+        self.child = child
+        self.values = tuple(values)
+
+    @property
+    def explain_label(self) -> str:
+        return f"Bound {list(self.values)!r}"
+
+    def rows(self, source: TableProvider, lineage: bool = False) -> Iterator[Row]:
+        # Materialized inside the binding: a row pulled after it closed
+        # would read whatever binding the caller had then.
+        with Binding(self.values):
+            return iter(list(self.child.rows(source, lineage)))
+
+    def children(self) -> tuple[Plan, ...]:
+        return (self.child,)
+
+    def output_columns(self, source: TableProvider) -> set[str] | None:
+        return self.child.output_columns(source)
 
 
 class Select(Plan):
@@ -1210,7 +1314,7 @@ def instrument_plan(plan: Plan) -> tuple[Plan, dict[int, int]]:
 
 
 #: Operators that reach rows through an index rather than a table scan.
-_INDEXED_OPERATORS = (IndexScan, CompositeIndexScan, RangeIndexScan, IndexNestedLoopJoin)
+_INDEXED_OPERATORS = (IndexLeaf, IndexNestedLoopJoin)
 
 
 def plan_access_kind(plan: Plan) -> str:

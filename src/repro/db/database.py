@@ -19,6 +19,7 @@ from ..errors import DatabaseError, SchemaError, UnknownTableError
 from ..obs.runtime import OBS
 from ..obs.trace import NULL_SPAN
 from .algebra import (
+    Bound,
     Plan,
     TableProvider,
     format_plan,
@@ -26,8 +27,8 @@ from .algebra import (
     operator_rows,
     plan_access_kind,
 )
-from .expression import Expression
-from .plancache import LRUCache, plan_cachable
+from .expression import Binding, Expression
+from .plancache import LRUCache, param_count, plan_cachable
 from .routing import matching_tids
 from .schema import HIDDEN_FIELDS, TID, Column, ForeignKey, TableSchema
 from .sql.ast import (
@@ -198,8 +199,8 @@ class Database:
         ``(table, tid)`` pairs behind ``rows[i]``.  Requires
         :meth:`enable_lineage`.
         """
-        with self._lock:
-            return self._lineage_manager().capture(sql, self.plan(sql, params))
+        with self._lock, Binding(params):
+            return self._lineage_manager().capture(sql, self._select_plan(sql, params))
 
     def _lineage_manager(self) -> Any:
         if self._lineage is None:
@@ -618,8 +619,10 @@ class Database:
 
         ``?`` placeholders are bound to ``params`` positionally.  Parsed
         ASTs are cached on the SQL text, so a hot statement tokenizes
-        once; parameter-free SELECT plans are cached too (see
-        :mod:`repro.db.plancache`).
+        once, and so are SELECT plans: a ``?`` is a slot each execution
+        binds, so one plan serves every binding -- except where planning
+        itself reads a value (``IN (SELECT ...)``, ``IN (?, ...)``,
+        ``LIMIT ?``; see :mod:`repro.db.plancache`).
         """
         return self.execute_from(self, sql, params)
 
@@ -632,11 +635,12 @@ class Database:
         database whatever the source.
 
         The one statement path: prepare, then run under a ``db.execute``
-        span -- the shared no-op while tracing is off.
+        span -- the shared no-op while tracing is off -- with ``params``
+        bound for the whole statement.
         """
         traced = OBS.enabled
         span = OBS.tracer.span("db.execute") if traced else NULL_SPAN
-        with span, self._lock:
+        with span, self._lock, Binding(params):
             statement, plan = self._prepare(sql, params, source)
             if traced:
                 kind = type(statement).__name__.removesuffix("Stmt").lower()
@@ -665,7 +669,7 @@ class Database:
                     span,
                     None
                     if plan is None
-                    else lambda: operator_rows(*self._analyze(plan, source)),
+                    else lambda: operator_rows(*self._analyze(plan, source, params)),
                 )
         return result
 
@@ -687,8 +691,10 @@ class Database:
 
         The plan is made only for a SELECT with a ``source`` to read, and
         cached only when that is the database itself (what a snapshot
-        shows differs per caller).  Planning reads tables -- index sizes,
-        ``IN (SELECT ...)`` materialisation -- so the caller holds the lock.
+        shows differs per caller).  A cached plan's ``?`` slots are bound
+        by whoever runs it; it is never re-planned for new values.
+        Planning reads tables -- index sizes, ``IN (SELECT ...)``
+        materialisation -- so the caller holds the lock.
         """
         statement = self._statement_cache.get(sql)
         if statement is None:
@@ -698,9 +704,13 @@ class Database:
             return statement, None
         if source is not self:
             return statement, self._plan(statement, params, source)
-        plan = self._plan_cache.get(sql)
-        if plan is None:
-            plan = self._plan(statement, params, self, cache_as=sql)
+        cached = self._plan_cache.get(sql)
+        if cached is None:
+            return statement, self._plan(statement, params, self, cache_as=sql)
+        plan, slots = cached
+        if len(params) < slots:
+            # Too few values: planning raises the error a fresh plan would.
+            self._plan(statement, params, self)
         return statement, plan
 
     def _plan(
@@ -717,7 +727,7 @@ class Database:
         """
         plan = plan_select(select, source, params)
         if cache_as is not None and plan_cachable(select):
-            self._plan_cache.put(cache_as, plan)
+            self._plan_cache.put(cache_as, (plan, param_count(select)))
         return plan
 
     def _run(self, statement: Statement, params: Sequence[Any], span: Any) -> Result:
@@ -768,9 +778,19 @@ class Database:
                 )
 
     def plan(self, sql: str, params: Sequence[Any] = ()) -> Plan:
-        """Compile a SELECT to an algebra plan without executing it."""
+        """Compile a SELECT to an algebra plan without executing it.
+
+        With ``params`` the (shared) plan comes wrapped in a
+        :class:`~repro.db.algebra.Bound` that runs it with those values.
+        """
         with self._lock:
-            plan = self._prepare(sql, params, self)[1]
+            plan = self._select_plan(sql, params)
+        return Bound(plan, params) if params else plan
+
+    def _select_plan(self, sql: str, params: Sequence[Any]) -> Plan:
+        """The plan of a SELECT, through the caches (the caller holds the
+        lock, and binds ``params`` to run it)."""
+        plan = self._prepare(sql, params, self)[1]
         if plan is None:
             raise DatabaseError("plan() accepts SELECT statements only")
         return plan
@@ -787,21 +807,25 @@ class Database:
         """
         span = OBS.span("db.explain", {"analyze": True}) if analyze else NULL_SPAN
         with span, self._lock:
-            return self._explain(self.plan(sql, params), span, analyze)
+            plan = self._select_plan(sql, params)
+            return self._explain(plan, params, span, analyze)
 
     def _analyze(
-        self, plan: Plan, source: TableProvider
+        self, plan: Plan, source: TableProvider, params: Sequence[Any]
     ) -> tuple[Plan, dict[int, int]]:
-        """Execute ``plan`` under per-operator row counters; returns it as
-        it ran against ``source`` (engine resolved) with the counters."""
-        with self._lock:
+        """Execute ``plan`` with ``params`` bound, under per-operator row
+        counters; returns it as it ran against ``source`` (engine
+        resolved) with the counters."""
+        with self._lock, Binding(params):
             plan = running_plan(plan, source)
             instrumented, counters = instrument_plan(plan)
             for _ in instrumented.rows(source):
                 pass
         return plan, counters
 
-    def _explain(self, plan: Plan, span: Any, analyze: bool) -> str:
+    def _explain(
+        self, plan: Plan, params: Sequence[Any], span: Any, analyze: bool
+    ) -> str:
         """EXPLAIN [ANALYZE] text of ``plan`` on the engine that runs now.
 
         ANALYZE also hangs the counters off ``span``: one event per
@@ -810,7 +834,7 @@ class Database:
         """
         if not analyze:
             return format_plan(running_plan(plan, self))
-        plan, counters = self._analyze(plan, self)
+        plan, counters = self._analyze(plan, self, params)
         operators = operator_rows(plan, counters)
         span.set_tag("operators", len(operators))
         for index, (label, rows) in enumerate(operators):
@@ -826,7 +850,7 @@ class Database:
         assert plan is not None
         if stmt.lineage:
             return self._execute_explain_lineage(plan)
-        text = self._explain(plan, span, stmt.analyze)
+        text = self._explain(plan, params, span, stmt.analyze)
         return Result(rows=[{"plan": line} for line in text.splitlines()])
 
     def _execute_explain_lineage(self, plan: Plan) -> Result:

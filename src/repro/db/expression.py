@@ -16,9 +16,10 @@ selection keeps a row only when its predicate evaluates to ``True``.
 from __future__ import annotations
 
 import operator
+from contextvars import ContextVar
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from ..errors import UnknownColumnError
+from ..errors import DatabaseError, UnknownColumnError
 
 Row = Mapping[str, Any]
 
@@ -107,6 +108,84 @@ class Literal(Expression):
 
     def __repr__(self) -> str:
         return f"Literal({self.value!r})"
+
+
+#: The parameter values of the execution running on this thread (or
+#: task): what every :class:`Param` reads.  Set by :class:`Binding`.
+_BINDING: ContextVar[Sequence[Any]] = ContextVar("repro_binding", default=())
+
+
+class Binding:
+    """Context manager binding ``values`` to the ``?`` slots of whatever
+    runs inside it; nested bindings restore the outer one on exit.
+
+    One plan serves every execution of its SQL text, so a binding is a
+    property of the execution, never written into the plan.
+    """
+
+    __slots__ = ("values", "_token")
+
+    def __init__(self, values: Sequence[Any]) -> None:
+        self.values = values
+
+    def __enter__(self) -> "Binding":
+        self._token = _BINDING.set(self.values)
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        _BINDING.reset(self._token)
+
+
+class Param(Expression):
+    """The ``?`` at position ``index`` of a statement: a slot that reads
+    the value its execution bound (see :class:`Binding`), so the plan
+    holding it is the same for every binding."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, index: int) -> None:
+        self.index = index
+
+    def current(self) -> Any:
+        """The value bound to this slot right now."""
+        values = _BINDING.get()
+        try:
+            return values[self.index]
+        except IndexError:
+            raise too_few_params(self.index, len(values)) from None
+
+    def eval(self, row: Row) -> Any:
+        return self.current()
+
+    def __repr__(self) -> str:
+        return f"${self.index + 1}"
+
+
+def too_few_params(index: int, supplied: int) -> DatabaseError:
+    return DatabaseError(
+        f"statement has a '?' at index {index} but only "
+        f"{supplied} parameter(s) were supplied"
+    )
+
+
+def slot_value(key: Any) -> Any:
+    """An index leaf's key as this execution sees it: the value itself,
+    or the value bound to it when it is a :class:`Param`."""
+    return key.current() if isinstance(key, Param) else key
+
+
+def has_param(expr: Expression) -> bool:
+    """True when ``expr`` may read a ``?`` slot: a :class:`Lambda` is
+    opaque (the planner's LIKE closes over its pattern), so it counts."""
+    if isinstance(expr, Param):
+        return True
+    if isinstance(expr, (Comparison, And, Or, Arithmetic)):
+        return has_param(expr.left) or has_param(expr.right)
+    if isinstance(expr, (Not, IsNull, Negate, InList, InSet)):
+        return has_param(expr.operand)
+    if isinstance(expr, FunctionCall):
+        return any(has_param(arg) for arg in expr.args)
+    return isinstance(expr, Lambda)
 
 
 class ColumnRef(Expression):

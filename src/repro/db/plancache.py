@@ -9,10 +9,16 @@ text, remove that:
 * the **statement cache** maps SQL text -> parsed AST.  ASTs are frozen
   dataclasses and depend only on the text, so this cache never needs
   invalidation.
-* the **plan cache** maps SQL text -> optimized algebra plan.  Only
-  *cachable* SELECTs are stored: no ``?`` parameters (bound to literals at
-  plan time) and no ``IN (SELECT ...)`` subqueries (materialized to a data
-  snapshot at plan time).  Plans name tables but resolve them at execution,
+* the **plan cache** maps SQL text -> optimized algebra plan.  A ``?`` in
+  an expression is planned as a slot (:class:`repro.db.expression.Param`)
+  that each execution binds to its own values, so one plan serves every
+  binding: the dashboard's point and range queries plan once per text.
+  Only what is fixed *while planning* keeps a SELECT out of the cache
+  (:func:`plan_cachable`): ``IN (SELECT ...)`` (materialized to a data
+  snapshot), ``IN (?, ...)`` lists and ``LIMIT ?`` / ``OFFSET ?``.  A
+  slot plan keeps the access path chosen for the binding that planned
+  it, as a literal plan keeps its own until evicted; routing never
+  changes results.  Plans name tables but resolve them at execution,
   so the cache is evicted wholesale on CREATE/DROP TABLE; index creation
   after caching leaves plans stale-but-correct (they keep their full-scan
   shape until evicted) because every routed leaf falls back gracefully.
@@ -22,7 +28,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Hashable
+from typing import Any, Hashable, Iterator
 
 from .sql.ast import (
     SelectStmt,
@@ -87,50 +93,72 @@ class LRUCache:
         }
 
 
-def _expr_cachable(expr: SqlExpr | None) -> bool:
+def _subexprs(expr: SqlExpr | None) -> Iterator[SqlExpr]:
+    """``expr`` and every expression nested in it (not into subqueries)."""
     if expr is None:
-        return True
-    if isinstance(expr, SqlParam):
-        return False
+        return
+    yield expr
+    children: tuple[SqlExpr | None, ...] = ()
     if isinstance(expr, SqlIn):
-        if expr.subquery is not None:
-            return False
-        return _expr_cachable(expr.operand) and all(
-            _expr_cachable(v) for v in expr.values or ()
-        )
-    if isinstance(expr, SqlUnary):
-        return _expr_cachable(expr.operand)
-    if isinstance(expr, SqlBinary):
-        return _expr_cachable(expr.left) and _expr_cachable(expr.right)
-    if isinstance(expr, SqlIsNull):
-        return _expr_cachable(expr.operand)
-    if isinstance(expr, SqlBetween):
-        return (
-            _expr_cachable(expr.operand)
-            and _expr_cachable(expr.low)
-            and _expr_cachable(expr.high)
-        )
-    if isinstance(expr, SqlLike):
-        return _expr_cachable(expr.operand) and _expr_cachable(expr.pattern)
-    if isinstance(expr, SqlCall):
-        return all(_expr_cachable(a) for a in expr.args)
-    return True  # literals and column refs
+        children = (expr.operand, *(expr.values or ()))
+    elif isinstance(expr, (SqlUnary, SqlIsNull)):
+        children = (expr.operand,)
+    elif isinstance(expr, SqlBinary):
+        children = (expr.left, expr.right)
+    elif isinstance(expr, SqlBetween):
+        children = (expr.operand, expr.low, expr.high)
+    elif isinstance(expr, SqlLike):
+        children = (expr.operand, expr.pattern)
+    elif isinstance(expr, SqlCall):
+        children = tuple(expr.args)
+    for child in children:
+        yield from _subexprs(child)
+
+
+def _has_param(expr: SqlExpr | None) -> bool:
+    return any(isinstance(e, SqlParam) for e in _subexprs(expr))
+
+
+def _selects(stmt: SelectStmt) -> Iterator[SelectStmt]:
+    """``stmt`` and the SELECTs chained to it by UNION / EXCEPT."""
+    while True:
+        yield stmt
+        if stmt.compound is None:
+            return
+        stmt = stmt.compound[1]
+
+
+def _expressions(stmt: SelectStmt) -> Iterator[SqlExpr]:
+    """Every expression of ``stmt`` outside LIMIT / OFFSET, nested ones too."""
+    for select in _selects(stmt):
+        roots: list[SqlExpr | None] = [item.expr for item in select.items]
+        roots += [select.where, select.having, *select.group_by]
+        roots += [order.expr for order in select.order_by]
+        for root in roots:
+            yield from _subexprs(root)
 
 
 def plan_cachable(stmt: SelectStmt) -> bool:
-    """True when the compiled plan depends only on the SQL text.
+    """True when one plan of ``stmt`` serves every execution of its text.
 
-    ``?`` parameters are baked into the plan as literals, and ``IN
-    (SELECT ...)`` subqueries are materialized to a value-set snapshot at
-    plan time -- both make the plan call-specific, so such statements are
-    replanned on every execution.
+    A ``?`` in an expression is a slot the execution binds, so it does
+    not stop caching.  What does is a value fixed *while planning*: an
+    ``IN (SELECT ...)`` (materialized to a value-set snapshot), a ``?``
+    among the values of an ``IN (...)`` list, and a ``?`` as LIMIT or
+    OFFSET -- such statements are planned on every execution.
     """
-    exprs: list[SqlExpr | None] = [item.expr for item in stmt.items]
-    exprs += [stmt.where, stmt.having, stmt.limit, stmt.offset]
-    exprs += list(stmt.group_by)
-    exprs += [order.expr for order in stmt.order_by]
-    if not all(_expr_cachable(e) for e in exprs):
-        return False
-    if stmt.compound is not None and not plan_cachable(stmt.compound[1]):
-        return False
+    for select in _selects(stmt):
+        if _has_param(select.limit) or _has_param(select.offset):
+            return False
+    for expr in _expressions(stmt):
+        if isinstance(expr, SqlIn) and (
+            expr.subquery is not None or any(map(_has_param, expr.values or ()))
+        ):
+            return False
     return True
+
+
+def param_count(stmt: SelectStmt) -> int:
+    """How many ``?`` values a cachable ``stmt`` reads."""
+    indexes = [e.index for e in _expressions(stmt) if isinstance(e, SqlParam)]
+    return max(indexes, default=-1) + 1

@@ -12,9 +12,10 @@ way to produce candidate rows:
   the implicit per-table creation-timestamp index the isolation layer
   (Section VI-A) filters on -- -> :class:`~repro.db.algebra.RangeIndexScan`
 
-Candidates compete on *exact* cardinality estimates (``bucket_size`` /
-``count_range`` are O(1)/O(log n) against live index state); the minimum
-wins.  The same machinery backs the SQL planner's SELECT leaves, the
+A ``?`` slot stands wherever a literal may (the leaf reads its value
+when it runs).  Candidates compete on *exact* cardinality estimates
+(``bucket_size`` / ``count_range`` are O(1)/O(log n) against live index
+state) for the binding being planned; the minimum wins.  The same machinery backs the SQL planner's SELECT leaves, the
 UPDATE/DELETE paths in :mod:`repro.db.database` (via :func:`matching_tids`),
 and the isolation/notification scans.
 
@@ -35,6 +36,7 @@ from .algebra import (
     CompositeIndexScan,
     Distinct,
     HashJoin,
+    IndexLeaf,
     IndexNestedLoopJoin,
     IndexScan,
     KeepAll,
@@ -54,6 +56,7 @@ from .expression import (
     Comparison,
     Expression,
     Literal,
+    Param,
     evaluate_predicate,
 )
 from .schema import HIDDEN_FIELDS, TID
@@ -90,32 +93,44 @@ def _strip_qualifier(name: str, names: tuple[str, ...]) -> str:
     return name
 
 
-def _column_literal(
+def _column_key(
     comp: Comparison, columns: set[str], qualifiers: tuple[str, ...]
 ) -> tuple[str, str, Any] | None:
-    """Decompose ``col OP literal`` (either orientation) or give up.
+    """Decompose ``col OP key`` (either orientation) or give up.
 
-    Returns ``(column, op, value)`` with the comparison re-oriented so the
-    column is on the left.  NULL literals are rejected: ``col OP NULL`` is
-    never True, and hash/sorted indexes treat NULLs specially.
+    ``key`` is a literal's value or a ``?`` slot (:class:`Param`): a slot
+    is index-eligible wherever a literal is, and the leaf reads its value
+    when it runs.  Returns ``(column, op, key)`` with the comparison
+    re-oriented so the column is on the left.  NULL literals are rejected:
+    ``col OP NULL`` is never True, and hash/sorted indexes treat NULLs
+    specially (a leaf whose slot is bound to NULL selects nothing).
     """
     left, op, right = comp.left, comp.op, comp.right
-    if isinstance(left, Literal) and isinstance(right, ColumnRef):
+    if isinstance(left, (Literal, Param)) and isinstance(right, ColumnRef):
         left, right = right, left
         op = _FLIP.get(op, op)
-    if not (isinstance(left, ColumnRef) and isinstance(right, Literal)):
+    if not isinstance(left, ColumnRef):
         return None
-    if right.value is None:
+    if isinstance(right, Param):
+        key: Any = right
+    elif isinstance(right, Literal) and right.value is not None:
+        key = right.value
+    else:
         return None
     name = _strip_qualifier(left.name, qualifiers)
     if name not in columns:
         return None
-    return name, op, right.value
+    return name, op, key
 
 
 @dataclass
 class _Bounds:
-    """Accumulated range bounds for one column (tightest wins)."""
+    """Accumulated range bounds for one column (tightest wins).
+
+    Literal bounds on one side narrow to the tightest; a slot's value is
+    unknown until it runs, so a side holding a slot takes no second bound
+    (that conjunct stays residual).
+    """
 
     low: Any = None
     high: Any = None
@@ -126,51 +141,60 @@ class _Bounds:
     def __post_init__(self) -> None:
         self.conjuncts = []
 
-    def narrow_low(self, value: Any, inclusive: bool) -> None:
-        if self.low is None or value > self.low or (
-            value == self.low and not inclusive
-        ):
+    def narrow_low(self, value: Any, inclusive: bool) -> bool:
+        if self.low is None:
             self.low, self.include_low = value, inclusive
+            return True
+        if isinstance(value, Param) or isinstance(self.low, Param):
+            return False
+        if value > self.low or (value == self.low and not inclusive):
+            self.low, self.include_low = value, inclusive
+        return True
 
-    def narrow_high(self, value: Any, inclusive: bool) -> None:
-        if self.high is None or value < self.high or (
-            value == self.high and not inclusive
-        ):
+    def narrow_high(self, value: Any, inclusive: bool) -> bool:
+        if self.high is None:
             self.high, self.include_high = value, inclusive
+            return True
+        if isinstance(value, Param) or isinstance(self.high, Param):
+            return False
+        if value < self.high or (value == self.high and not inclusive):
+            self.high, self.include_high = value, inclusive
+        return True
 
 
 @dataclass
 class _Candidate:
     estimate: int
-    plan: Plan
+    leaf: IndexLeaf
     consumed: list[Expression]
-    tids: Any  # zero-arg callable producing an iterable of tids
+    slotted: bool  # a key is a ``?`` slot
 
 
 def _analyze(
     conjuncts: list[Expression], columns: set[str], qualifiers: tuple[str, ...]
 ) -> tuple[dict[str, tuple[Any, Expression]], dict[str, _Bounds]]:
-    """Split conjuncts into per-column equality values and range bounds."""
+    """Split conjuncts into per-column equality keys and range bounds."""
     equals: dict[str, tuple[Any, Expression]] = {}
     bounds: dict[str, _Bounds] = {}
     for conjunct in conjuncts:
         if not isinstance(conjunct, Comparison):
             continue
-        decomposed = _column_literal(conjunct, columns, qualifiers)
+        decomposed = _column_key(conjunct, columns, qualifiers)
         if decomposed is None:
             continue
-        column, op, value = decomposed
+        column, op, key = decomposed
         if op == "=":
             # First equality wins; a contradictory second one stays residual.
-            equals.setdefault(column, (value, conjunct))
+            equals.setdefault(column, (key, conjunct))
         elif op in ("<", "<=", ">", ">="):
             try:
                 b = bounds.setdefault(column, _Bounds())
                 if op in (">", ">="):
-                    b.narrow_low(value, op == ">=")
+                    narrowed = b.narrow_low(key, op == ">=")
                 else:
-                    b.narrow_high(value, op == "<=")
-                b.conjuncts.append(conjunct)
+                    narrowed = b.narrow_high(key, op == "<=")
+                if narrowed:
+                    b.conjuncts.append(conjunct)
             except TypeError:
                 # Uncomparable bound values (mixed types): leave residual.
                 bounds.pop(column, None)
@@ -183,7 +207,8 @@ def _candidates(
     alias: str | None,
     conjuncts: list[Expression],
 ) -> list[_Candidate]:
-    """All index access paths applicable to ``conjuncts``, with estimates."""
+    """All index access paths applicable to ``conjuncts``, with estimates
+    for the binding being planned."""
     schema = getattr(table, "schema", None)
     if schema is None:
         return []
@@ -192,82 +217,52 @@ def _candidates(
     equals, bounds = _analyze(conjuncts, columns, qualifiers)
 
     out: list[_Candidate] = []
+
+    def add(leaf: IndexLeaf, consumed: list[Expression], keys: Iterable[Any]) -> None:
+        slotted = any(isinstance(key, Param) for key in keys)
+        out.append(_Candidate(leaf.estimate(table), leaf, consumed, slotted))
+
     find_hash = getattr(table, "find_hash_index", None)
     find_sorted = getattr(table, "find_sorted_index", None)
     hash_indexes = getattr(table, "hash_indexes", None)
 
     if find_hash is not None:
-        for column, (value, conjunct) in equals.items():
-            index = find_hash(column)
-            if index is None:
-                continue
-            out.append(
-                _Candidate(
-                    estimate=index.bucket_size((value,)),
-                    plan=IndexScan(table_name, column, value, alias=alias),
-                    consumed=[conjunct],
-                    tids=lambda index=index, value=value: index.lookup(value),
-                )
-            )
+        for column, (key, conjunct) in equals.items():
+            if find_hash(column) is not None:
+                add(IndexScan(table_name, column, key, alias=alias), [conjunct], [key])
 
     if hash_indexes is not None and len(equals) > 1:
         for index in hash_indexes():
             cols = index.columns
             if len(cols) < 2 or not all(c in equals for c in cols):
                 continue
-            values = tuple(equals[c][0] for c in cols)
-            out.append(
-                _Candidate(
-                    estimate=index.bucket_size(values),
-                    plan=CompositeIndexScan(table_name, cols, values, alias=alias),
-                    consumed=[equals[c][1] for c in cols],
-                    tids=lambda index=index, values=values: index.lookup_tuple(values),
-                )
-            )
+            keys = tuple(equals[c][0] for c in cols)
+            leaf = CompositeIndexScan(table_name, cols, keys, alias=alias)
+            add(leaf, [equals[c][1] for c in cols], keys)
 
     if find_sorted is not None:
         for column, b in bounds.items():
-            index = find_sorted(column)
-            if index is None:
+            if find_sorted(column) is None:
                 continue
-            out.append(
-                _Candidate(
-                    estimate=index.count_range(
-                        b.low, b.high, b.include_low, b.include_high
-                    ),
-                    plan=RangeIndexScan(
-                        table_name,
-                        column,
-                        low=b.low,
-                        high=b.high,
-                        include_low=b.include_low,
-                        include_high=b.include_high,
-                        alias=alias,
-                    ),
-                    consumed=list(b.conjuncts),
-                    tids=lambda index=index, b=b: index.range(
-                        b.low, b.high, b.include_low, b.include_high
-                    ),
-                )
+            leaf = RangeIndexScan(
+                table_name,
+                column,
+                low=b.low,
+                high=b.high,
+                include_low=b.include_low,
+                include_high=b.include_high,
+                alias=alias,
             )
+            add(leaf, list(b.conjuncts), [b.low, b.high])
         # Equality on a sorted-index column without a hash index: degenerate
         # range [v, v] (e.g. an exact-timestamp probe on __created__).
-        for column, (value, conjunct) in equals.items():
+        for column, (key, conjunct) in equals.items():
             if find_hash is not None and find_hash(column) is not None:
                 continue
-            index = find_sorted(column)
-            if index is None:
+            if find_sorted(column) is None:
                 continue
-            out.append(
-                _Candidate(
-                    estimate=index.count_range(value, value),
-                    plan=RangeIndexScan(
-                        table_name, column, low=value, high=value, alias=alias
-                    ),
-                    consumed=[conjunct],
-                    tids=lambda index=index, value=value: index.range(value, value),
-                )
-            )
+            leaf = RangeIndexScan(table_name, column, low=key, high=key, alias=alias)
+            add(leaf, [conjunct], [key])
     return out
 
 
@@ -285,14 +280,20 @@ def route_scan(
 
     Returns ``(leaf_plan, residual_conjuncts, estimate)`` or None when no
     index applies (caller keeps its full scan).  Residual conjuncts must be
-    re-applied on top of the leaf by the caller.
+    re-applied on top of the leaf by the caller.  The leaf keeps the
+    losing candidates that hold a slot as its ``rivals`` (see
+    :class:`~repro.db.algebra.IndexLeaf`).
     """
-    best = _best(_candidates(table, table_name, alias, conjuncts))
+    candidates = _candidates(table, table_name, alias, conjuncts)
+    best = _best(candidates)
     if best is None:
         return None
+    rivals = tuple(c.leaf for c in candidates if c is not best and c.slotted)
+    if rivals:
+        best.leaf.rivals = rivals
     consumed_ids = {id(c) for c in best.consumed}
     residual = [c for c in conjuncts if id(c) not in consumed_ids]
-    return best.plan, residual, best.estimate
+    return best.leaf, residual, best.estimate
 
 
 def candidate_tids(table: Any, predicate: Expression | None) -> Iterable[int] | None:
@@ -308,7 +309,7 @@ def candidate_tids(table: Any, predicate: Expression | None) -> Iterable[int] | 
     best = _best(_candidates(table, table_name, None, conjuncts))
     if best is None:
         return None
-    return best.tids()
+    return best.leaf.tids(table)
 
 
 def matching_tids(table: Any, predicate: Expression | None) -> list[int]:
@@ -353,7 +354,7 @@ def estimate_rows(plan: Plan, database: Any) -> int | None:
         # _IsolatedTable and friends may have O(n) __len__; only trust
         # the real storage class.
         return len(table) if isinstance(table, Table) else None
-    if isinstance(plan, (IndexScan, CompositeIndexScan, RangeIndexScan)):
+    if isinstance(plan, IndexLeaf):
         try:
             table = database.table(plan.table_name)
         except UnknownTableError:
@@ -362,23 +363,7 @@ def estimate_rows(plan: Plan, database: Any) -> int | None:
                     "db.estimate_unknown_table", table=plan.table_name
                 ).inc()
             return None
-        if not isinstance(table, Table):
-            return None
-        if isinstance(plan, IndexScan):
-            index = table.find_hash_index(plan.column)
-            return index.bucket_size((plan.value,)) if index else None
-        if isinstance(plan, CompositeIndexScan):
-            for index in table.hash_indexes():
-                if frozenset(index.columns) == frozenset(plan.columns):
-                    by_name = dict(zip(plan.columns, plan.values))
-                    return index.bucket_size([by_name[c] for c in index.columns])
-            return None
-        index = table.find_sorted_index(plan.column)
-        if index is None:
-            return None
-        return index.count_range(
-            plan.low, plan.high, plan.include_low, plan.include_high
-        )
+        return plan.estimate(table) if isinstance(table, Table) else None
     if isinstance(plan, RowSource):
         return len(plan)
     if isinstance(plan, Limit):
@@ -515,7 +500,7 @@ def _route_tree(plan: Plan, database: Any) -> Plan:
         scan = plan.child
         try:
             table = database.table(scan.table_name)
-        except Exception:
+        except UnknownTableError:
             return plan
         conjuncts = split_conjuncts(plan.predicate)
         routed = route_scan(table, scan.table_name, scan.alias, conjuncts)
@@ -543,7 +528,7 @@ def _maybe_index_join(join: HashJoin, database: Any) -> Plan:
     column = _strip_qualifier(join.right_on, (right.alias or "", right.table_name))
     try:
         table = database.table(right.table_name)
-    except Exception:
+    except UnknownTableError:
         return join
     if not isinstance(table, Table) or table.find_hash_index(column) is None:
         return join

@@ -34,6 +34,7 @@ from ..algebra import (
 from ..expression import (
     And,
     Arithmetic,
+    Binding,
     ColumnRef,
     Comparison,
     Expression,
@@ -46,6 +47,8 @@ from ..expression import (
     Negate,
     Not,
     Or,
+    Param,
+    too_few_params,
 )
 from .ast import (
     AGGREGATE_FUNCS,
@@ -122,13 +125,10 @@ def lower_expr(expr: SqlExpr, scope: _Scope) -> Expression:
     if isinstance(expr, SqlLiteral):
         return Literal(expr.value)
     if isinstance(expr, SqlParam):
-        try:
-            return Literal(scope.params[expr.index])
-        except IndexError:
-            raise DatabaseError(
-                f"statement has a '?' at index {expr.index} but only "
-                f"{len(scope.params)} parameter(s) were supplied"
-            ) from None
+        # A slot, not the value: the plan is the same for every binding.
+        if expr.index >= len(scope.params):
+            raise too_few_params(expr.index, len(scope.params))
+        return Param(expr.index)
     if isinstance(expr, SqlColumn):
         return ColumnRef(scope.resolve(expr))
     if isinstance(expr, SqlUnary):
@@ -170,6 +170,8 @@ def lower_expr(expr: SqlExpr, scope: _Scope) -> Expression:
         if expr.subquery is not None:
             # Materialize the subquery once.  Section VI-A's rewritten
             # queries (tid NOT IN (SELECT tid FROM R_delta ...)) hit this.
+            # Its ``?``s are read here, at plan time: such a statement is
+            # planned per call (plancache.plan_cachable).
             sub_plan = plan_select(expr.subquery, scope.database, scope.params)
             values: set[Any] = set()
             for row in sub_plan.rows(scope.database):
@@ -179,9 +181,7 @@ def lower_expr(expr: SqlExpr, scope: _Scope) -> Expression:
                 if value is not None:
                     values.add(value)
             return InSet(operand, values, negate=expr.negate)
-        literal_values = [
-            lower_expr(v, scope).eval({}) for v in expr.values or ()
-        ]
+        literal_values = [_plan_time_value(v, scope) for v in expr.values or ()]
         return InList(operand, literal_values, negate=expr.negate)
     if isinstance(expr, SqlCall):
         if expr.name in AGGREGATE_FUNCS:
@@ -190,6 +190,14 @@ def lower_expr(expr: SqlExpr, scope: _Scope) -> Expression:
             )
         return FunctionCall(expr.name, [lower_expr(a, scope) for a in expr.args])
     raise DatabaseError(f"cannot lower SQL expression {expr!r}")
+
+
+def _plan_time_value(expr: SqlExpr, scope: _Scope) -> Any:
+    """Evaluate ``expr`` while planning: the values of an ``IN (...)`` list
+    and LIMIT / OFFSET counts are fixed in the plan, so a ``?`` among them
+    makes the statement one that is planned per call
+    (:func:`repro.db.plancache.plan_cachable` refuses exactly these)."""
+    return lower_expr(expr, scope).eval({})
 
 
 def _item_name(item: SelectItem, index: int) -> str:
@@ -221,7 +229,19 @@ def plan_select(
     join selection.  Pass ``optimize=False`` to get the naive tree --
     useful for equivalence testing, since optimization never changes
     results, only cost.
+
+    Every ``?`` in an expression becomes a :class:`Param` slot, so the
+    plan serves any binding; ``params`` is the binding planning runs
+    under (index estimates, ``IN (SELECT ...)``, ``IN (?, ...)``, LIMIT).
+    The caller binds again whenever it runs the plan.
     """
+    with Binding(params):
+        return _plan(stmt, database, params, optimize)
+
+
+def _plan(
+    stmt: SelectStmt, database: Any, params: Sequence[Any], optimize: bool
+) -> Plan:
     scope = _Scope(database, params)
     plan: Plan
     if stmt.table is None:
@@ -272,8 +292,8 @@ def plan_select(
     if stmt.order_by and not sorted_early:
         plan = _plan_sort(stmt.order_by, stmt.items, plan, scope, alias_map)
     if stmt.limit is not None:
-        count = lower_expr(stmt.limit, scope).eval({})
-        offset = lower_expr(stmt.offset, scope).eval({}) if stmt.offset else 0
+        count = _plan_time_value(stmt.limit, scope)
+        offset = _plan_time_value(stmt.offset, scope) if stmt.offset else 0
         plan = Limit(plan, int(count), int(offset or 0))
     if stmt.compound is not None:
         op, rhs_stmt = stmt.compound
@@ -305,9 +325,9 @@ def plan_select(
                 keys.append((order.expr.name, order.ascending))
             plan = Sort(plan, keys)
         if trailing_limit is not None:
-            count = lower_expr(trailing_limit, scope).eval({})
+            count = _plan_time_value(trailing_limit, scope)
             offset = (
-                lower_expr(trailing_offset, scope).eval({})
+                _plan_time_value(trailing_offset, scope)
                 if trailing_offset is not None
                 else 0
             )

@@ -81,9 +81,11 @@ from .expression import (
     Negate,
     Not,
     Or,
+    Param,
     _ARITH_OPS,
     _CMP_OPS,
     _FUNCTIONS,
+    has_param,
 )
 from .table import Table
 
@@ -219,6 +221,19 @@ _CMP_COL_LIT_NULLS: dict[str, Callable[[list, Any], list]] = {
 }
 
 
+def _scalar(expr: Expression) -> Callable[[], Any] | None:
+    """A reader of ``expr``'s one value when it reads no column: a
+    literal's constant, or the value bound to a ``?`` slot, read each
+    time the compiled closure runs (never captured here: one compiled
+    plan serves every binding)."""
+    if isinstance(expr, Literal):
+        value = expr.value
+        return lambda: value
+    if isinstance(expr, Param):
+        return expr.current
+    return None
+
+
 def compile_expr(expr: Expression) -> VecFn:
     """Compile a row expression into a whole-column evaluator.
 
@@ -227,13 +242,9 @@ def compile_expr(expr: Expression) -> VecFn:
     Raises :class:`Unvectorizable` for :class:`Lambda` and unknown
     expression types.
     """
-    if isinstance(expr, Literal):
-        value = expr.value
-
-        def lit(batch: Batch, value: Any = value) -> list:
-            return [value] * batch.n
-
-        return lit
+    scalar = _scalar(expr)
+    if scalar is not None:
+        return lambda batch: [scalar()] * batch.n
     if isinstance(expr, ColumnRef):
         name = expr.name
 
@@ -243,10 +254,13 @@ def compile_expr(expr: Expression) -> VecFn:
         return ref
     if isinstance(expr, Comparison):
         op = _CMP_OPS[expr.op]
-        if isinstance(expr.right, Literal):
-            rv = expr.right.value
-            if rv is None:
-                return _boolean(lambda batch: [None] * batch.n)
+        if any(
+            isinstance(side, Literal) and side.value is None
+            for side in (expr.left, expr.right)
+        ):
+            return _boolean(lambda batch: [None] * batch.n)
+        right = _scalar(expr.right)
+        if right is not None:
             if isinstance(expr.left, ColumnRef):
                 name = expr.left.name
                 fast = _CMP_COL_LIT_NONULL[expr.op]
@@ -255,10 +269,13 @@ def compile_expr(expr: Expression) -> VecFn:
                 def cmp_col_lit(
                     batch: Batch,
                     name: str = name,
-                    rv: Any = rv,
+                    right: Callable[[], Any] = right,
                     fast: Any = fast,
                     slow: Any = slow,
                 ) -> list:
+                    rv = right()
+                    if rv is None:
+                        return [None] * batch.n
                     col, kind = _resolve_with_kind(batch, name)
                     if kind is not None and not kind & K_NULL:
                         # Type tag proves no NULL was ever stored: skip
@@ -269,17 +286,25 @@ def compile_expr(expr: Expression) -> VecFn:
                 return _boolean(cmp_col_lit)
             lf = compile_expr(expr.left)
 
-            def cmp_lit(batch: Batch, lf: VecFn = lf, op: Any = op, rv: Any = rv) -> list:
+            def cmp_lit(
+                batch: Batch, lf: VecFn = lf, op: Any = op, right: Callable[[], Any] = right
+            ) -> list:
+                rv = right()
+                if rv is None:
+                    return [None] * batch.n
                 return [None if a is None else op(a, rv) for a in lf(batch)]
 
             return _boolean(cmp_lit)
-        if isinstance(expr.left, Literal):
-            lv = expr.left.value
-            if lv is None:
-                return _boolean(lambda batch: [None] * batch.n)
+        left = _scalar(expr.left)
+        if left is not None:
             rf = compile_expr(expr.right)
 
-            def cmp_lit_l(batch: Batch, rf: VecFn = rf, op: Any = op, lv: Any = lv) -> list:
+            def cmp_lit_l(
+                batch: Batch, rf: VecFn = rf, op: Any = op, left: Callable[[], Any] = left
+            ) -> list:
+                lv = left()
+                if lv is None:
+                    return [None] * batch.n
                 return [None if b is None else op(lv, b) for b in rf(batch)]
 
             return _boolean(cmp_lit_l)
@@ -964,8 +989,10 @@ class VAggregate(VOp):
     again.  Only specs whose partials merge exactly take this route:
     COUNT, COUNT(*), MIN, MAX, and SUM/AVG over a column tagged within
     :data:`MERGEABLE_SUM_KINDS`; DISTINCT, any other SUM/AVG, lineage
-    capture, and a lone COUNT(*) without GROUP BY (an O(1) fold) fold
-    every batch.  Each execution replaces the memo with the
+    capture, a lone COUNT(*) without GROUP BY (an O(1) fold), and an
+    aggregate over a ``?`` slot (a filter, projection or argument reading
+    one: the partial then depends on the binding, not only on the chunk)
+    fold every batch.  Each execution replaces the memo with the
     partials it used, so it holds ints and partials, never chunks, and
     forgets a compacted or rebuilt store's chunks on the next run.
     """
@@ -1003,6 +1030,12 @@ class VAggregate(VOp):
         # identical ColumnRef projections share the list object), so the
         # shared-column path re-checks by list identity per batch.
         self._arg_names = sorted(names) if names and not general else None
+        # A partial folded under one binding of a ``?`` slot is not the
+        # partial of the next: with a slot below, every chunk is folded.
+        self._memoizable = not (
+            _reads_slot(child)
+            or any(s.arg is not None and has_param(s.arg) for s in aggregates)
+        )
         # stamp -> partial ({key: [star, states]}) from the last execution.
         self._memo: dict[int, dict[Any, list[Any]]] = {}
         #: (chunks merged from the memo, batches seen) by the last execution.
@@ -1278,7 +1311,9 @@ class VAggregate(VOp):
         kept: dict[int, dict[Any, list[Any]]] = {}
         # A global COUNT(*) folds a chunk in O(1): nothing worth keeping.
         trivial = self._star_only and not group_by
-        use_memo: bool | None = False if lineage or trivial else None
+        use_memo: bool | None = (
+            False if lineage or trivial or not self._memoizable else None
+        )
         reused = seen = 0
         for batch in self.child.batches(source, counters, lineage):
             seen += 1
@@ -1340,6 +1375,16 @@ def _walk(root: VOp) -> Iterator[VOp]:
         node = stack.pop()
         yield node
         stack.extend(node.children())
+
+
+def _reads_slot(root: VOp) -> bool:
+    """True when a filter or projection under ``root`` reads a ``?`` slot."""
+    for op in _walk(root):
+        if isinstance(op, VFilter) and has_param(op.predicate):
+            return True
+        if isinstance(op, VProject) and any(has_param(e) for _, e in op.items):
+            return True
+    return False
 
 
 #: Base-table rows below which the row engine wins: a batch pipeline's

@@ -34,7 +34,7 @@ from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from ..core import datamodel
 from ..db.database import Database, Result
-from ..db.expression import Expression, col
+from ..db.expression import Binding, Expression, col
 from ..db.routing import matching_tids
 from ..db.schema import CREATED_AT, TID, Column
 from ..db.sql.ast import DeleteStmt, InsertStmt, SelectStmt
@@ -277,7 +277,8 @@ class IsolationManager:
                 if statement.where is not None
                 else None
             )
-            count = self.logical_delete(statement.table, where, ctx)
+            with Binding(params):
+                count = self.logical_delete(statement.table, where, ctx)
             return Result(rowcount=count)
         result = self.database.execute(sql, params)
         if isinstance(statement, InsertStmt):

@@ -406,3 +406,149 @@ def test_the_chunk_stamp_tripwires_fire_on_planted_offenders():
     )
     assert unstamped_chunk_writes(planted) == ["update", "delete"]
     assert memo_keys(planted) == ["batch.origin", "id(batch.columns)", "batch"]
+
+
+# ----------------------------------------------------------------------
+# Plan once, bind many: a ``?`` is a slot in the plan, never a value
+PLANNER = REPO / "src" / "repro" / "db" / "sql" / "planner.py"
+
+#: Each argument ``_plan_time_value`` may evaluate while planning, with a
+#: statement holding a ``?`` exactly there (which must not be cached).
+PLAN_TIME_SITES = {
+    "v": "SELECT * FROM t WHERE k IN (1, ?)",
+    "stmt.limit": "SELECT * FROM t LIMIT ?",
+    "stmt.offset": "SELECT * FROM t LIMIT 1 OFFSET ?",
+    "trailing_limit": "SELECT k FROM t UNION SELECT k FROM t LIMIT ?",
+    "trailing_offset": "SELECT k FROM t UNION SELECT k FROM t LIMIT 1 OFFSET ?",
+}
+
+
+def _mentions_params(node):
+    return any(
+        (isinstance(n, ast.Name) and n.id == "params")
+        or (isinstance(n, ast.Attribute) and n.attr == "params")
+        for n in ast.walk(node)
+    )
+
+
+def literals_from_params(source):
+    """Lines that build a ``Literal`` from, or read a value out of, the
+    parameter values."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        literal = (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "Literal"
+            and _mentions_params(node)
+        )
+        if literal or (isinstance(node, ast.Subscript) and _mentions_params(node.value)):
+            hits.append(node.lineno)
+    return sorted(set(hits))
+
+
+def plan_time_evaluations(source):
+    """``.eval({})`` calls outside ``_plan_time_value``, and the arguments
+    ``_plan_time_value`` is called with."""
+    tree = ast.parse(source)
+    helper = next(
+        (n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_plan_time_value"),
+        None,
+    )
+    inside = {id(n) for n in ast.walk(helper)} if helper is not None else set()
+    stray, sites = [], []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr == "eval"
+            and len(node.args) == 1
+            and isinstance(node.args[0], ast.Dict)
+            and not node.args[0].keys
+            and id(node) not in inside
+        ):
+            stray.append(node.lineno)
+        if isinstance(func, ast.Name) and func.id == "_plan_time_value":
+            sites.append(ast.unparse(node.args[0]))
+    return stray, sites
+
+
+def broad_handlers(source):
+    """Lines of ``except:`` / ``except Exception`` handlers, and of
+    ``except BaseException`` ones that neither re-raise nor store."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        names = {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)} if node.type else set()
+        if node.type is None or "Exception" in names:
+            hits.append(node.lineno)
+        elif "BaseException" in names:
+            body = [n for stmt in node.body for n in ast.walk(stmt)]
+            reraises = any(isinstance(n, ast.Raise) and n.exc is None for n in body)
+            stores = node.name is not None and any(
+                isinstance(n, ast.Name) and n.id == node.name and isinstance(n.ctx, ast.Load)
+                for n in body
+            )
+            if not (reraises or stores):
+                hits.append(node.lineno)
+    return hits
+
+
+def test_the_planner_bakes_no_parameter_into_the_plan():
+    """A ``?`` in an expression lowers to a ``Param`` slot: a plan that
+    held a bound value as a ``Literal`` could not be cached."""
+    assert literals_from_params(PLANNER.read_text(encoding="utf-8")) == []
+
+
+def test_every_plan_time_value_is_one_the_plan_cache_refuses():
+    from repro.db.plancache import plan_cachable
+    from repro.db.sql.parser import parse
+
+    stray, sites = plan_time_evaluations(PLANNER.read_text(encoding="utf-8"))
+    assert stray == []
+    assert sites and set(sites) <= set(PLAN_TIME_SITES)
+    for sql in PLAN_TIME_SITES.values():
+        assert not plan_cachable(parse(sql)), sql
+
+
+def test_the_db_package_swallows_no_exception_wholesale():
+    """A broken catalog must surface, not become a full scan: no bare or
+    ``Exception``-wide handler under ``src/repro/db``."""
+    offenders = []
+    for path in sorted((REPO / "src" / "repro" / "db").rglob("*.py")):
+        for line in broad_handlers(path.read_text(encoding="utf-8")):
+            offenders.append(f"{path.relative_to(REPO)}:{line}")
+    assert offenders == []
+
+
+def test_the_plan_once_tripwires_fire_on_planted_offenders():
+    planted = (
+        "def lower_expr(expr, scope):\n"
+        "    if isinstance(expr, SqlParam):\n"
+        "        return Literal(scope.params[expr.index])\n"
+        "    value = scope.params[0]\n"
+        "def _plan_time_value(expr, scope):\n"
+        "    return lower_expr(expr, scope).eval({})\n"
+        "def plan(stmt, scope):\n"
+        "    where = lower_expr(stmt.where, scope).eval({})\n"
+        "    count = _plan_time_value(stmt.limit, scope)\n"
+        "    having = _plan_time_value(stmt.having, scope)\n"
+    )
+    assert literals_from_params(planted) == [3, 4]
+    stray, sites = plan_time_evaluations(planted)
+    assert stray == [8]
+    assert sites == ["stmt.limit", "stmt.having"]
+    assert not set(sites) <= set(PLAN_TIME_SITES)
+    handlers = (
+        "try:\n    a()\nexcept Exception:\n    pass\n"
+        "try:\n    a()\nexcept:\n    pass\n"
+        "try:\n    a()\nexcept (KeyError, Exception):\n    pass\n"
+        "try:\n    a()\nexcept BaseException:\n    cleanup()\n"
+        "try:\n    a()\nexcept BaseException:\n    cleanup()\n    raise\n"
+        "try:\n    a()\nexcept BaseException as exc:\n    self.error = exc\n"
+        "try:\n    a()\nexcept UnknownTableError:\n    pass\n"
+    )
+    assert broad_handlers(handlers) == [3, 7, 11, 15]

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.db import Column, Database, LRUCache
-from repro.db.plancache import plan_cachable
+from repro.errors import DatabaseError
+from repro.db.plancache import param_count, plan_cachable
 from repro.db.sql.parser import parse
 from repro.db.types import INTEGER, TEXT
 
@@ -62,10 +63,12 @@ class TestCachability:
     def test_plain_select_cachable(self):
         assert plan_cachable(parse("SELECT * FROM t WHERE id = 1"))
 
-    def test_params_not_cachable(self):
-        # Parameters are bound at plan time (baked into the tree as
-        # literals), so a parameterized plan must never be reused.
-        assert not plan_cachable(parse("SELECT * FROM t WHERE id = ?"))
+    def test_params_in_expressions_cachable(self):
+        # A ``?`` in an expression is a slot each execution binds, so the
+        # plan does not depend on the values.
+        stmt = parse("SELECT * FROM t WHERE id = ? AND name >= ?")
+        assert plan_cachable(stmt)
+        assert param_count(stmt) == 2
 
     def test_in_subquery_not_cachable(self):
         # IN (SELECT ...) is materialized to a value-set snapshot at plan
@@ -77,13 +80,30 @@ class TestCachability:
     def test_in_literal_list_cachable(self):
         assert plan_cachable(parse("SELECT * FROM t WHERE id IN (1, 2, 3)"))
 
-    def test_param_in_select_items_not_cachable(self):
-        assert not plan_cachable(parse("SELECT id + ? FROM t"))
+    def test_param_in_select_items_cachable(self):
+        assert plan_cachable(parse("SELECT id + ? FROM t"))
 
-    def test_param_in_compound_not_cachable(self):
-        assert not plan_cachable(
-            parse("SELECT id FROM t UNION SELECT id FROM t WHERE id = ?")
-        )
+    def test_param_in_compound_cachable(self):
+        stmt = parse("SELECT id FROM t WHERE id > ? UNION SELECT id FROM t WHERE id = ?")
+        assert plan_cachable(stmt)
+        assert param_count(stmt) == 2
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT * FROM t WHERE id IN (?, 2)",
+            "SELECT * FROM t WHERE NOT (id IN (1, ?))",
+            "SELECT * FROM t WHERE id IN (SELECT id FROM t WHERE id > ?)",
+            "SELECT * FROM t LIMIT ?",
+            "SELECT * FROM t LIMIT 2 OFFSET ?",
+            "SELECT id FROM t UNION SELECT id FROM t LIMIT ?",
+            "SELECT id FROM t UNION SELECT id FROM t WHERE id IN (?)",
+        ],
+    )
+    def test_values_read_while_planning_not_cachable(self, sql):
+        # IN (?, ...) lists and LIMIT / OFFSET counts are fixed in the
+        # plan, so their statements are planned per call.
+        assert not plan_cachable(parse(sql))
 
 
 class TestDatabaseCaches:
@@ -108,12 +128,43 @@ class TestDatabaseCaches:
         # The cached plan re-executes against live indexes/tables.
         assert len(db.query(sql)) == 3
 
-    def test_parameterized_statement_not_plan_cached(self, db):
+    def test_parameterized_statement_plan_cached_once(self, db):
+        sql = "SELECT * FROM t WHERE id = ?"
         size_before = db.cache_info()["plans"]["size"]
-        assert db.query("SELECT * FROM t WHERE id = ?", [4])[0]["id"] == 4
+        assert db.query(sql, [4])[0]["id"] == 4
+        assert db.cache_info()["plans"]["size"] == size_before + 1
+        plan = db.plan(sql, [9]).child
+        # ...and rebinding is correct per call, on the one plan.
+        for key in (9, 0, 19, 20, None):
+            expected = [] if key in (20, None) else [{"id": key, "name": f"n{key}"}]
+            assert db.query(sql, [key]) == expected
+        assert db.plan(sql, [1]).child is plan
+        assert db.cache_info()["plans"]["misses"] == 1
+
+    def test_cached_slot_plan_needs_every_value(self, db):
+        # No row has id 99, so the second slot is never read: the cached
+        # entry's count of values raises what planning would.
+        sql = "SELECT * FROM t WHERE id = ? AND name = ?"
+        db.query(sql, [1, "n1"])
+        with pytest.raises(DatabaseError, match="index 1 but only 1"):
+            db.query(sql, [99])
+
+    @pytest.mark.parametrize(
+        "sql, calls",
+        [
+            ("SELECT id FROM t WHERE id IN (?, ?)", [([1, 2], [1, 2]), ([5, 3], [3, 5])]),
+            ("SELECT id FROM t ORDER BY id LIMIT ?", [([2], [0, 1]), ([1], [0])]),
+            (
+                "SELECT id FROM t WHERE id IN (SELECT id FROM t WHERE id > ?)",
+                [([17], [18, 19]), ([18], [19])],
+            ),
+        ],
+    )
+    def test_plan_time_values_stay_uncached(self, db, sql, calls):
+        size_before = db.cache_info()["plans"]["size"]
+        for params, ids in calls:
+            assert [r["id"] for r in db.query(sql, params)] == ids
         assert db.cache_info()["plans"]["size"] == size_before
-        # ...but the parse IS cached, and rebinding works per call.
-        assert db.query("SELECT * FROM t WHERE id = ?", [9])[0]["id"] == 9
 
     def test_create_table_evicts_plans(self, db):
         db.query("SELECT * FROM t")

@@ -22,7 +22,9 @@ from repro.db.algebra import (
     Sort,
     plan_access_kind,
 )
-from repro.db.expression import Lambda, col
+from repro.db.expression import Binding, Lambda, col
+from repro.db.sql.parser import parse
+from repro.db.sql.planner import plan_select
 from repro.db.vector import VECTOR_MIN_ROWS, running_plan
 
 from tests.db.engines import assert_engines_agree, forced_engine
@@ -44,6 +46,10 @@ def db():
 
 AGG_SQL = (
     "SELECT dept, COUNT(*) AS n, SUM(salary) AS s FROM emp GROUP BY dept"
+)
+PARAM_AGG_SQL = (
+    "SELECT dept, COUNT(*) AS n, SUM(salary) AS s FROM emp "
+    "WHERE salary > ? GROUP BY dept"
 )
 
 
@@ -108,6 +114,7 @@ class TestRunTimeChoice:
         grow(db, 20_000)
         assert len(db.query(AGG_SQL)) == 5
         assert access_of_last_select(traced) == "vectorized"
+        assert rebind_param_agg(db, traced, "vectorized") == [20_000, 15_909, 9, 0]
         analyzed = db.explain(AGG_SQL, analyze=True)
         assert "VScan emp (rows=20000)" in analyzed
         # EXPLAIN through SQL, the method and execute share one plan.
@@ -120,8 +127,25 @@ class TestRunTimeChoice:
         assert access_of_last_select(traced) == "scan"
         assert "Vectorized" not in db.explain(AGG_SQL)
         assert "Scan emp (rows=4095)" in db.explain(AGG_SQL, analyze=True)
-        # All of it on the one plan cached while the table was empty.
-        assert db.cache_info()["plans"]["misses"] == 1
+        assert rebind_param_agg(db, traced, "scan") == [4095, 4, 0, 0]
+        # All of it on one plan per SQL text, cached while the table was
+        # empty (AGG_SQL) or at its largest (PARAM_AGG_SQL).
+        assert db.cache_info()["plans"]["misses"] == 2
+
+
+def rebind_param_agg(db, traced, access):
+    """One cached parametric aggregate, re-bound across values keeping
+    all rows, most, a few or none, equals a plan made for each value;
+    returns how many rows each value kept."""
+    kept = []
+    for floor in (-1, 4090, 19_990, 10**9):
+        plan = plan_select(parse(PARAM_AGG_SQL), db, [floor])
+        with Binding([floor]):
+            expected = plan.to_list(db)
+        assert db.query(PARAM_AGG_SQL, [floor]) == expected
+        assert access_of_last_select(traced) == access
+        kept.append(sum(row["n"] for row in expected))
+    return kept
 
 
 class TestExplainIntegration:
