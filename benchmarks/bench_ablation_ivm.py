@@ -18,7 +18,7 @@ import pytest
 from benchmarks.support import SeriesTable, Timer
 from repro.db import AggSpec, Column, Database, col
 from repro.db.types import INTEGER, TEXT
-from repro.ivm import AggregateView, Delta, apply_delta
+from repro.ivm import AggregateView, Delta
 
 BASE_SIZES = (1_000, 5_000, 20_000, 50_000)
 DELTA_SIZE = 50
@@ -58,7 +58,7 @@ def ivm_table(emit, emit_json):
             for _ in range(DELTA_SIZE)
         ]
         with Timer() as t_ivm:
-            apply_delta(view, Delta.insertions("votes", delta_rows))
+            view.apply(Delta.insertions("votes", delta_rows))
         with Timer() as t_re:
             view.recompute(db)
         table.add(
@@ -79,7 +79,7 @@ def ivm_table(emit, emit_json):
 def test_a1_ivm_always_beats_recompute(ivm_table, benchmark):
     db, view, rng = build(5_000)
     delta_rows = [{"state": "s1", "n": 1} for _ in range(DELTA_SIZE)]
-    benchmark(apply_delta, view, Delta.insertions("votes", delta_rows))
+    benchmark(view.apply, Delta.insertions("votes", delta_rows))
     assert all(s > 1.0 for s in ivm_table.series("speedup"))
 
 
@@ -97,7 +97,7 @@ def test_a1_ivm_cost_independent_of_base_size(ivm_table, benchmark):
         view = AggregateView(
             "x", "votes", ["state"], [AggSpec("COUNT", None, "c")]
         )
-        apply_delta(view, Delta.insertions("votes", [{"state": "a", "n": 1}] * 100))
+        view.apply(Delta.insertions("votes", [{"state": "a", "n": 1}] * 100))
 
     benchmark(kernel)
     costs = ivm_table.series("ivm_ms")

@@ -425,17 +425,6 @@ class TelemetryDashboard:
             key=lambda r: (r["span_name"] is None, -(r["self_ms"] or 0.0)),
         )
 
-    def format_hot_spans(self, limit: int = 12) -> str:
-        """A terminal-friendly rendering of the hottest-spans view."""
-        lines = [f"{'span':<28}{'samples':>9}{'self ms':>12}"]
-        for row in self.hot_spans()[:limit]:
-            name = row["span_name"] if row["span_name"] is not None else "<no span>"
-            lines.append(
-                f"{name:<28}{int(row['samples'] or 0):>9}"
-                f"{(row['self_ms'] or 0.0):>12.2f}"
-            )
-        return "\n".join(lines)
-
     def format_summary(self, limit: int = 12) -> str:
         """A terminal-friendly rendering of the span-stats view."""
         lines = [f"{'span':<28}{'count':>8}{'total ms':>12}{'max ms':>10}"]

@@ -93,10 +93,6 @@ class ProtocolError(SyncError):
     """A peer sent a message that violates the wire protocol."""
 
 
-class ConnectionLostError(SyncError):
-    """The notification transport died and could not (yet) be restored."""
-
-
 class VisError(ReproError):
     """Errors raised by the visualization toolkit."""
 

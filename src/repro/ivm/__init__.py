@@ -10,10 +10,12 @@ Public surface::
         aggregates=[AggSpec("SUM", col("count"), "total")],
     ))
     # ... inserts into `votes` now maintain the view automatically.
+
+Each view shape has one fold, ``view.apply(delta)``; ``view.recompute(db)``
+is that fold applied to every row of the view's base tables.
 """
 
 from .delta import Delta, row_key
-from .maintenance import apply_delta
 from .registry import ViewRegistry, ViewStats
 from .view import AggregateView, JoinView, SelectProjectView, ViewDefinition
 
@@ -25,6 +27,5 @@ __all__ = [
     "ViewDefinition",
     "ViewRegistry",
     "ViewStats",
-    "apply_delta",
     "row_key",
 ]

@@ -50,23 +50,14 @@ class Delta:
     def __len__(self) -> int:
         return len(self.inserted) + len(self.deleted)
 
-    def inverted(self) -> "Delta":
-        """The delta that undoes this one."""
-        return Delta(
-            table=self.table,
-            inserted=list(self.deleted),
-            deleted=list(self.inserted),
-        )
-
 
 def partition_rows(rows: Iterable[Row], group_by: Sequence[str]) -> dict[tuple, list[Row]]:
     """Partition rows by their group key, preserving first-seen group order
     and within-group row order.
 
-    Batch aggregate maintenance folds each partition with one
-    :meth:`AggregateView.apply_group_rows` call instead of one
-    :meth:`apply_row` call per row; preserving row order keeps float SUM
-    accumulation identical to the per-row path.
+    Aggregate maintenance folds each partition with one
+    :meth:`AggregateView.apply_group_rows` call; preserving row order keeps
+    float SUM accumulation the left fold of the rows in delta order.
     """
     groups: dict[tuple, list[Row]] = {}
     for row in rows:

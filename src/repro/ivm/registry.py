@@ -10,7 +10,7 @@ Views take part in the propagation policies of Section V through those
 edges, one per ``(view, base table)``: under a non-immediate policy
 (``registry.subscriptions[view][i].set_policy(p)``) the database's gate
 buffers the changes, and a flush folds the whole batch into the view as
-**one** combined delta -- one ``apply_delta`` call, one maintenance span,
+**one** combined delta -- one ``view.apply`` call, one maintenance span,
 however many statements fed it.
 """
 
@@ -27,7 +27,6 @@ from ..errors import ViewError
 from ..obs.runtime import OBS
 from ..obs.trace import NULL_SPAN
 from .delta import Delta
-from .maintenance import apply_delta
 from .view import ViewDefinition
 
 
@@ -88,7 +87,7 @@ class ViewRegistry:
             tags = {"view": view.name, "table": change.table}
             span = OBS.tracer.span("ivm.delta_apply", tags=tags)
         with span:
-            applied = apply_delta(view, Delta.from_changeset(change), self._database)
+            applied = view.apply(Delta.from_changeset(change))
             stats = self._stats[view.name]
             stats.deltas_applied += 1
             stats.delta_rows += applied

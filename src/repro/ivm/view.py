@@ -10,8 +10,10 @@ Three view shapes cover everything EdiFlow's applications need:
   contribution metrics are exactly this shape).
 
 Views store their result as a counted multiset so that duplicate tuples
-delete correctly (classic counting algorithm of Gupta-Mumick).  The
-maintenance algorithms live in :mod:`repro.ivm.maintenance`.
+delete correctly (classic counting algorithm of Gupta-Mumick).  Each shape
+has one fold, :meth:`ViewDefinition.apply`, which takes a delta against a
+base table in time proportional to the delta; :meth:`ViewDefinition.recompute`
+is that same fold applied to every row of the base tables.
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ from ..db.algebra import AggSpec
 from ..db.expression import ColumnRef, Expression, evaluate_predicate
 from ..db.schema import TID
 from ..errors import ViewError
-from .delta import Row, row_key
+from .delta import Delta, Row, partition_rows, row_key
 
 
 class ViewDefinition:
-    """Base class: which tables feed the view, and how to recompute it."""
+    """Base class: which tables feed the view, and the fold that maintains it."""
 
     name: str
     #: Optional bidirectional lineage index (see :meth:`enable_lineage`).
@@ -36,8 +38,24 @@ class ViewDefinition:
     def base_tables(self) -> set[str]:
         raise NotImplementedError
 
-    def recompute(self, database: Any) -> None:
+    def apply(self, delta: Delta) -> int:
+        """Fold ``delta`` into the view; returns how many delta rows (join
+        combinations, for :class:`JoinView`) it folded in.  Rows the view's
+        predicate filters out do not count; a delta on a table the view
+        does not read folds nothing."""
         raise NotImplementedError
+
+    def clear(self) -> None:
+        """Empty the view's state (not its lineage index)."""
+        raise NotImplementedError
+
+    def recompute(self, database: Any) -> None:
+        """Rebuild from scratch: the incremental fold over every base row."""
+        self.clear()
+        if self.lineage is not None:
+            self.lineage.clear()
+        for table in sorted(self.base_tables()):
+            self.apply(Delta.insertions(table, database.table(table).rows()))
 
     def rows(self) -> list[Row]:
         raise NotImplementedError
@@ -94,29 +112,8 @@ class _MultisetStorage:
         self._counts.clear()
         self._samples.clear()
 
-    def add(self, row: Row, count: int = 1) -> None:
-        key = row_key(row)
-        self._counts[key] += count
-        self._samples.setdefault(
-            key, {k: v for k, v in row.items() if not k.startswith("__")}
-        )
-
-    def remove(self, row: Row, count: int = 1) -> None:
-        key = row_key(row)
-        current = self._counts.get(key, 0)
-        if current < count:
-            raise ViewError(
-                f"view multiset underflow removing {dict(key)!r} "
-                f"(have {current}, removing {count})"
-            )
-        if current == count:
-            del self._counts[key]
-            del self._samples[key]
-        else:
-            self._counts[key] = current - count
-
     def add_many(self, rows: Sequence[Row]) -> None:
-        """Fold a batch of rows in; equivalent to ``add`` per row in order."""
+        """Fold rows in, one count each."""
         counts = self._counts
         samples = self._samples
         for row in rows:
@@ -126,7 +123,7 @@ class _MultisetStorage:
                 samples[key] = {k: v for k, v in row.items() if not k.startswith("__")}
 
     def remove_many(self, rows: Sequence[Row]) -> None:
-        """Fold a batch of rows out; equivalent to ``remove`` per row in order."""
+        """Fold rows out, one count each, in order; underflow raises."""
         counts = self._counts
         samples = self._samples
         for row in rows:
@@ -150,17 +147,8 @@ class _MultisetStorage:
             out.extend(dict(sample) for _ in range(count))
         return out
 
-    def distinct_rows(self) -> list[Row]:
-        return [dict(self._samples[key]) for key in self._counts]
-
     def __len__(self) -> int:
         return sum(self._counts.values())
-
-    def __contains__(self, row: Row) -> bool:
-        return self._counts.get(row_key(row), 0) > 0
-
-    def count(self, row: Row) -> int:
-        return self._counts.get(row_key(row), 0)
 
 
 def _project(row: Row, items: Sequence[tuple[str, Expression]] | None) -> Row:
@@ -188,17 +176,32 @@ class SelectProjectView(ViewDefinition):
     def base_tables(self) -> set[str]:
         return {self.table}
 
-    def recompute(self, database: Any) -> None:
+    def clear(self) -> None:
         self.storage.clear()
+
+    def apply(self, delta: Delta) -> int:
+        """Project the qualifying rows, then fold insertions in and
+        deletions out of the multiset."""
+        if delta.table != self.table:
+            return 0
+        where = self.where
+        inserted = delta.inserted
+        deleted = delta.deleted
+        if where is not None:
+            inserted = [row for row in inserted if evaluate_predicate(where, row)]
+            deleted = [row for row in deleted if evaluate_predicate(where, row)]
+        inserted_projected = [_project(row, self.project) for row in inserted]
+        deleted_projected = [_project(row, self.project) for row in deleted]
+        self.storage.add_many(inserted_projected)
+        self.storage.remove_many(deleted_projected)
         lineage = self.lineage
         if lineage is not None:
-            lineage.clear()
-        for row in database.table(self.table).rows():
-            if evaluate_predicate(self.where, row):
-                projected = _project(row, self.project)
-                self.storage.add(projected)
-                if lineage is not None:
-                    lineage.add(row_key(projected), ((self.table, row.get(TID)),))
+            table = self.table
+            for row, projected in zip(inserted, inserted_projected):
+                lineage.add(row_key(projected), ((table, row.get(TID)),))
+            for row, projected in zip(deleted, deleted_projected):
+                lineage.remove(row_key(projected), ((table, row.get(TID)),))
+        return len(inserted) + len(deleted)
 
     def _lineage_key(self, row: Row) -> Any:
         return row_key(row)
@@ -261,32 +264,92 @@ class JoinView(ViewDefinition):
     def _image(row: Row) -> Row:
         return {k: v for k, v in row.items() if not k.startswith("__")}
 
-    def recompute(self, database: Any) -> None:
+    def clear(self) -> None:
         self.storage.clear()
         self.left_rows.clear()
         self.right_rows.clear()
+
+    def apply(self, delta: Delta) -> int:
+        """Join each delta row against the other side's current rows
+        (deletions first), then file it in its own side's map."""
+        if delta.table == self.left:
+            side, other, key_col, from_left = self.left_rows, self.right_rows, self.left_on, True
+        elif delta.table == self.right:
+            side, other, key_col, from_left = self.right_rows, self.left_rows, self.right_on, False
+        else:
+            return 0
+        applied = 0
+        for row in delta.deleted:
+            applied += self._fold_row(side, other, key_col, row, from_left, -1)
+        for row in delta.inserted:
+            applied += self._fold_row(side, other, key_col, row, from_left, +1)
+        return applied
+
+    def _fold_row(
+        self,
+        side: dict[Any, list[tuple[Row, Any]]],
+        other: dict[Any, list[tuple[Row, Any]]],
+        key_col: str,
+        row: Row,
+        from_left: bool,
+        sign: int,
+    ) -> int:
+        """Fold one delta row on one side; returns the combinations touched."""
+        key = row[key_col]
+        tid = row.get(TID)
+        combos: list[Row] = []
+        pairs: list[tuple[tuple[str, Any], tuple[str, Any]]] = []
+        if key is not None:
+            for other_row, other_tid in other.get(key, ()):
+                if from_left:
+                    combined = self.combine(row, other_row)
+                    pair = ((self.left, tid), (self.right, other_tid))
+                else:
+                    combined = self.combine(other_row, row)
+                    pair = ((self.left, other_tid), (self.right, tid))
+                if combined is not None:
+                    combos.append(combined)
+                    pairs.append(pair)
         lineage = self.lineage
-        if lineage is not None:
-            lineage.clear()
-        for row in database.table(self.left).rows():
-            self.left_rows.setdefault(row[self.left_on], []).append(
-                (self._image(row), row.get(TID))
-            )
-        for row in database.table(self.right).rows():
-            self.right_rows.setdefault(row[self.right_on], []).append(
-                (self._image(row), row.get(TID))
-            )
-        for key, lrows in self.left_rows.items():
-            for rrow, rtid in self.right_rows.get(key, ()):
-                for lrow, ltid in lrows:
-                    combined = self.combine(lrow, rrow)
-                    if combined is not None:
-                        self.storage.add(combined)
-                        if lineage is not None:
-                            lineage.add(
-                                row_key(combined),
-                                ((self.left, ltid), (self.right, rtid)),
-                            )
+        if sign > 0:
+            self.storage.add_many(combos)
+            if lineage is not None:
+                for combined, pair in zip(combos, pairs):
+                    lineage.add(row_key(combined), pair)
+        else:
+            self.storage.remove_many(combos)
+            if lineage is not None:
+                for combined, pair in zip(combos, pairs):
+                    lineage.remove(row_key(combined), pair)
+        # Maintain the side map itself.  Entries are (visible image, tid);
+        # deletes match by tid when the delta row carries one (recomputed
+        # state and delta images then agree even though delta rows are full
+        # internal images), falling back to image equality for tid-less rows.
+        image = self._image(row)
+        bucket = side.setdefault(key, [])
+        if sign > 0:
+            bucket.append((image, tid))
+        else:
+            idx = None
+            if tid is not None:
+                for i, (_, t) in enumerate(bucket):
+                    if t == tid:
+                        idx = i
+                        break
+            if idx is None:
+                for i, (img, _) in enumerate(bucket):
+                    if img == image:
+                        idx = i
+                        break
+            if idx is None:
+                raise ViewError(
+                    f"join view {self.name!r}: deleting a row never seen on "
+                    f"{'left' if from_left else 'right'} side: {image!r}"
+                )
+            del bucket[idx]
+            if not bucket:
+                del side[key]
+        return len(combos)
 
     def _lineage_key(self, row: Row) -> Any:
         return row_key(row)
@@ -333,68 +396,42 @@ class AggregateView(ViewDefinition):
         self.aggregates = list(aggregates)
         self.where = where
         self.groups: dict[tuple[Any, ...], _GroupState] = {}
-        for spec in self.aggregates:
-            if spec.arg is not None and not isinstance(spec.arg, ColumnRef):
-                # Arbitrary expressions are fine -- they are evaluated over
-                # base rows -- this is just a sanity note, not a limitation.
-                pass
 
     def base_tables(self) -> set[str]:
         return {self.table}
 
-    # -- maintenance primitives (called by maintenance.py) ---------------
+    def clear(self) -> None:
+        self.groups.clear()
+
+    def apply(self, delta: Delta) -> int:
+        """Partition the qualifying rows per group and fold each partition
+        with one :meth:`apply_group_rows` call, deletions first."""
+        if delta.table != self.table:
+            return 0
+        where = self.where
+        deleted = delta.deleted
+        inserted = delta.inserted
+        if where is not None:
+            deleted = [row for row in deleted if evaluate_predicate(where, row)]
+            inserted = [row for row in inserted if evaluate_predicate(where, row)]
+        for key, rows in partition_rows(deleted, self.group_by).items():
+            self.apply_group_rows(key, rows, -1)
+        for key, rows in partition_rows(inserted, self.group_by).items():
+            self.apply_group_rows(key, rows, +1)
+        return len(deleted) + len(inserted)
+
     def _group_key(self, row: Row) -> tuple[Any, ...]:
         return tuple(row[g] for g in self.group_by)
 
     def apply_row(self, row: Row, sign: int) -> None:
         """Fold one base row in (+1) or out (-1) of its group."""
-        key = self._group_key(row)
-        state = self.groups.get(key)
-        if state is None:
-            if sign < 0:
-                raise ViewError(
-                    f"aggregate view {self.name!r}: deleting from unknown group {key!r}"
-                )
-            state = _GroupState(len(self.aggregates))
-            self.groups[key] = state
-        if self.lineage is not None:
-            src = ((self.table, row.get(TID)),)
-            if sign > 0:
-                self.lineage.add(key, src)
-            else:
-                self.lineage.remove(key, src)
-        state.count_star += sign
-        for i, spec in enumerate(self.aggregates):
-            if spec.arg is None:
-                continue
-            value = spec.arg.eval(row)
-            if value is None:
-                continue
-            state.counts[i] += sign
-            if spec.func in ("SUM", "AVG"):
-                state.sums[i] += sign * value
-            elif spec.func in ("MIN", "MAX"):
-                vc = state.value_counts[i]
-                if vc is None:
-                    vc = Counter()
-                    state.value_counts[i] = vc
-                vc[value] += sign
-                if vc[value] <= 0:
-                    del vc[value]
-        if state.count_star < 0:
-            raise ViewError(
-                f"aggregate view {self.name!r}: group {key!r} count underflow"
-            )
-        if state.count_star == 0:
-            del self.groups[key]
+        self.apply_group_rows(self._group_key(row), [row], sign)
 
     def apply_group_rows(self, key: tuple[Any, ...], rows: Sequence[Row], sign: int) -> None:
-        """Fold a batch of same-group base rows in (+1) or out (-1).
+        """Fold same-group base rows in (+1) or out (-1).
 
-        Equivalent to calling :meth:`apply_row` once per row in order:
-        per-slot accumulation stays a left fold in row order, so float SUM
-        rounding and MIN/MAX multiset contents match the per-row path
-        exactly.
+        Per-slot accumulation is a left fold in row order, so float SUM
+        rounding depends only on the order the rows arrive in.
         """
         if not rows:
             return
@@ -427,15 +464,17 @@ class AggregateView(ViewDefinition):
                 continue
             state.counts[i] += sign * len(values)
             if spec.func in ("SUM", "AVG"):
+                # A left fold from the current total, not ``sum``: that
+                # compensates float rounding on Python >= 3.12, so a total
+                # would depend on where the deltas' batch boundaries fell.
+                total = state.sums[i]
                 if sign > 0:
-                    # Left fold from the current total -- same float
-                    # rounding as per-row ``sums[i] += value``.
-                    state.sums[i] = sum(values, state.sums[i])
+                    for value in values:
+                        total += value
                 else:
-                    total = state.sums[i]
                     for value in values:
                         total -= value
-                    state.sums[i] = total
+                state.sums[i] = total
             elif spec.func in ("MIN", "MAX"):
                 vc = state.value_counts[i]
                 if vc is None:
@@ -454,14 +493,6 @@ class AggregateView(ViewDefinition):
             )
         if state.count_star == 0:
             del self.groups[key]
-
-    def recompute(self, database: Any) -> None:
-        self.groups.clear()
-        if self.lineage is not None:
-            self.lineage.clear()
-        for row in database.table(self.table).rows():
-            if evaluate_predicate(self.where, row):
-                self.apply_row(row, +1)
 
     def _lineage_key(self, row: Row) -> Any:
         return tuple(row[g] for g in self.group_by)

@@ -76,6 +76,3 @@ class VisualizationManager:
 
     def write_items(self, component_id: int, items: list[VisualItem]) -> int:
         return self.attributes.write(component_id, items)
-
-    def read_items(self, component_id: int) -> list[VisualItem]:
-        return self.attributes.read(component_id)

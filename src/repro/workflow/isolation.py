@@ -61,10 +61,6 @@ class IsolationContext:
     snapshot_time: Optional[int]
     own_tids: Optional[dict[str, set[int]]] = None
 
-    @classmethod
-    def unrestricted(cls, process_instance_id: int = 0, start_time: int = 0) -> "IsolationContext":
-        return cls(process_instance_id, start_time, None)
-
     def owns(self, table: str, tid: int) -> bool:
         if self.own_tids is None:
             return False
@@ -174,9 +170,6 @@ class IsolationManager:
 
     def is_managed(self, table: str) -> bool:
         return table in self._managed
-
-    def managed_tables(self) -> list[str]:
-        return sorted(self._managed)
 
     # -- engine lifecycle hooks ---------------------------------------------
     def process_started(self, pid: int, start_time: int) -> None:

@@ -4,7 +4,8 @@ per-link delivery counters and HELLO capability negotiation, the
 row copies a mirror and a rollback made of images they can share, the
 one-element ``{tid}`` set a hash index kept per key, the sync client's
 liveness monitor and reconnector threads, and the sync server's knobs
-nobody set; and for what the aggregate memo relies on: every write into
+nobody set, and the IVM dispatch module with its per-row folds and their
+size switch; and for what the aggregate memo relies on: every write into
 a column chunk re-stamps it, and the memo is keyed by stamps, never by
 chunks."""
 
@@ -552,3 +553,116 @@ def test_the_plan_once_tripwires_fire_on_planted_offenders():
         "try:\n    a()\nexcept UnknownTableError:\n    pass\n"
     )
     assert broad_handlers(handlers) == [3, 7, 11, 15]
+
+
+IVM = REPO / "src" / "repro" / "ivm"
+
+
+def maintenance_module(root):
+    """The path of the IVM dispatch module under ``root``, if it exists."""
+    path = root / "src" / "repro" / "ivm" / "maintenance.py"
+    return path if path.exists() else None
+
+
+def delta_size_switches(source):
+    """Lines comparing ``len(...)`` of a delta, or naming a ``*_MIN``
+    constant: a size switch between two folds."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id.endswith("_MIN"):
+            hits.append(node.lineno)
+        elif isinstance(node, ast.Compare):
+            for side in [node.left, *node.comparators]:
+                if (
+                    isinstance(side, ast.Call)
+                    and isinstance(side.func, ast.Name)
+                    and side.func.id == "len"
+                    and "delta" in ast.unparse(side.args[0]).lower()
+                ):
+                    hits.append(node.lineno)
+    return sorted(set(hits))
+
+
+def recompute_definitions(source):
+    """Lines of every ``def recompute`` in ``source``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and node.name == "recompute"
+    ]
+
+
+def apply_row_body(source):
+    """``AggregateView.apply_row``'s statements after its docstring."""
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.ClassDef) and top.name == "AggregateView":
+            for node in top.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "apply_row":
+                    body = node.body
+                    if ast.get_docstring(node) is not None:
+                        body = body[1:]
+                    return [ast.unparse(stmt) for stmt in body]
+    return None
+
+
+def is_one_group_fold(body):
+    """True when ``body`` is exactly one ``self.apply_group_rows(...)`` call."""
+    return body is not None and len(body) == 1 and body[0].startswith("self.apply_group_rows(")
+
+
+def test_a_view_has_one_fold_and_no_dispatch_module():
+    """Each view shape folds a delta in its own ``apply``; there is no
+    dispatch module, no per-row path and no size switch between the two."""
+    assert maintenance_module(REPO) is None
+    offenders = [
+        f"{path.relative_to(REPO)}:{line}"
+        for path in sorted(IVM.rglob("*.py"))
+        for line in delta_size_switches(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+
+
+def test_recompute_is_the_fold_over_the_whole_table():
+    """One ``recompute`` (the base class's) and a per-row ``apply_row``
+    that is only a one-row group fold."""
+    source = (IVM / "view.py").read_text(encoding="utf-8")
+    assert len(recompute_definitions(source)) == 1
+    assert is_one_group_fold(apply_row_body(source))
+
+
+def test_the_one_fold_tripwires_fire_on_planted_offenders(tmp_path):
+    planted = tmp_path / "src" / "repro" / "ivm" / "maintenance.py"
+    planted.parent.mkdir(parents=True)
+    planted.write_text("def apply_delta(view, delta):\n    pass\n", encoding="utf-8")
+    assert maintenance_module(tmp_path) == planted
+    switches = (
+        "_BATCH_MIN = 64\n"
+        "def apply(view, delta):\n"
+        "    if len(delta) >= _BATCH_MIN:\n"
+        "        return batch(view, delta)\n"
+        "    if 8 < len(delta.inserted):\n"
+        "        pass\n"
+        "    if len(rows) > 1:\n"
+        "        pass\n"
+    )
+    assert delta_size_switches(switches) == [1, 3, 5]
+    views = (
+        "class ViewDefinition:\n"
+        "    def recompute(self, database):\n"
+        "        pass\n"
+        "class AggregateView(ViewDefinition):\n"
+        "    def recompute(self, database):\n"
+        "        pass\n"
+        "    def apply_row(self, row, sign):\n"
+        '        """Fold one row."""\n'
+        "        key = self._group_key(row)\n"
+        "        self.apply_group_rows(key, [row], sign)\n"
+    )
+    assert recompute_definitions(views) == [2, 5]
+    assert apply_row_body(views) == [
+        "key = self._group_key(row)",
+        "self.apply_group_rows(key, [row], sign)",
+    ]
+    assert not is_one_group_fold(apply_row_body(views))
+    assert not is_one_group_fold(["self.apply_delta(row, sign)"])
+    assert is_one_group_fold(["self.apply_group_rows(self._group_key(row), [row], sign)"])

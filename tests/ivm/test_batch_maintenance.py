@@ -1,21 +1,24 @@
-"""Batch view maintenance must be indistinguishable from per-row.
+"""A view's one fold must equal a plain left fold written out here.
 
-Deltas at or above ``_BATCH_MIN`` rows take the batch path
-(`apply_group_rows`, `add_many`/`remove_many`); these tests drive both
-paths over the same deltas and assert identical view state -- including
-float SUM rounding, MIN/MAX multiset contents, and group lifecycle
-(creation, deletion at zero, underflow errors).
+``AggregateView.apply`` partitions a delta per group and folds each
+partition with one ``apply_group_rows`` call; ``SelectProjectView.apply``
+projects the delta and folds it with ``add_many``/``remove_many``.  These
+tests drive both over deltas of many sizes and compare the view's state
+with :func:`left_fold` / :func:`multiset_fold`, which fold one row at a
+time into plain accumulators -- including float SUM rounding, MIN/MAX
+multiset contents, and group lifecycle (creation, deletion at zero,
+underflow errors).
 """
 
 import random
+from collections import Counter
 
 import pytest
 
 from repro.db.algebra import AggSpec
 from repro.db.expression import col, evaluate_predicate
 from repro.errors import ViewError
-from repro.ivm.delta import Delta, partition_rows
-from repro.ivm.maintenance import _BATCH_MIN, apply_delta
+from repro.ivm.delta import Delta, partition_rows, row_key
 from repro.ivm.view import AggregateView, SelectProjectView
 
 
@@ -50,8 +53,8 @@ def agg_view():
     )
 
 
-def snapshot(view):
-    return sorted(map(repr, (sorted(r.items()) for r in view.rows())))
+def chunks(rows, size):
+    return [rows[i : i + size] for i in range(0, len(rows), size)]
 
 
 def state_snapshot(view):
@@ -62,82 +65,137 @@ def state_snapshot(view):
     return out
 
 
+def left_fold(view, deltas):
+    """The reference aggregate state: each delta's qualifying deletions,
+    then its insertions, folded in one row at a time with ``+=``/``-=``."""
+    n = len(view.aggregates)
+    groups = {}
+    for delta in deltas:
+        for sign, rows in ((-1, delta.deleted), (+1, delta.inserted)):
+            for row in rows:
+                if not evaluate_predicate(view.where, row):
+                    continue
+                key = tuple(row[g] for g in view.group_by)
+                if key not in groups:
+                    assert sign > 0, "the reference never deletes from an unknown group"
+                    groups[key] = [0, [0] * n, [0] * n, [None] * n]
+                state = groups[key]
+                state[0] += sign
+                for i, spec in enumerate(view.aggregates):
+                    if spec.arg is None:
+                        continue
+                    value = row[spec.arg.name]
+                    if value is None:
+                        continue
+                    state[2][i] += sign
+                    if spec.func in ("SUM", "AVG"):
+                        if sign > 0:
+                            state[1][i] += value
+                        else:
+                            state[1][i] -= value
+                    elif spec.func in ("MIN", "MAX"):
+                        if state[3][i] is None:
+                            state[3][i] = Counter()
+                        state[3][i][value] += sign
+                        if state[3][i][value] == 0:
+                            del state[3][i][value]
+                if state[0] == 0:
+                    del groups[key]
+    return [
+        (key, s[0], s[1], s[2], [None if vc is None else sorted(vc.items()) for vc in s[3]])
+        for key, s in sorted(groups.items(), key=repr)
+    ]
+
+
+def multiset_fold(view, deltas):
+    """The reference select-project contents: a Counter of projected rows."""
+    counts = Counter()
+    for delta in deltas:
+        for sign, rows in ((+1, delta.inserted), (-1, delta.deleted)):
+            for row in rows:
+                if evaluate_predicate(view.where, row):
+                    counts[row_key({name: e.eval(row) for name, e in view.project})] += sign
+    return sorted(
+        repr(dict(key)) for key, count in counts.items() for _ in range(count)
+    )
+
+
+def contents(view):
+    return sorted(repr(dict(row_key(r))) for r in view.rows())
+
+
 class TestAggregateBatchEquivalence:
     def test_insert_batch_matches_per_row(self):
         rows = make_rows(300)
-        batch, perrow = agg_view(), agg_view()
-        apply_delta(batch, Delta.insertions("t", rows))
-        for row in rows:
-            if evaluate_predicate(perrow.where, row):
-                perrow.apply_row(row, +1)
-        assert state_snapshot(batch) == state_snapshot(perrow)
-        assert snapshot(batch) == snapshot(perrow)
+        for size in (1, 8, 50, 64, 300):
+            view = agg_view()
+            deltas = [Delta.insertions("t", part) for part in chunks(rows, size)]
+            for delta in deltas:
+                view.apply(delta)
+            assert state_snapshot(view) == left_fold(view, deltas), size
 
     def test_delete_batch_matches_per_row(self):
         rows = make_rows(300, seed=2)
-        batch, perrow = agg_view(), agg_view()
-        apply_delta(batch, Delta.insertions("t", rows))
-        apply_delta(perrow, Delta.insertions("t", rows))
         victim = rows[::2]
-        apply_delta(batch, Delta.deletions("t", victim))
-        small = Delta.deletions("t", victim)
-        # Force the per-row path by splitting below _BATCH_MIN.
-        for i in range(0, len(victim), _BATCH_MIN - 1):
-            apply_delta(perrow, Delta.deletions("t", victim[i : i + _BATCH_MIN - 1]))
-        assert state_snapshot(batch) == state_snapshot(perrow)
+        for size in (1, 7, 63, 150):
+            view = agg_view()
+            deltas = [Delta.insertions("t", rows)]
+            deltas += [Delta.deletions("t", part) for part in chunks(victim, size)]
+            for delta in deltas:
+                view.apply(delta)
+            assert state_snapshot(view) == left_fold(view, deltas), size
 
     def test_float_sum_rounding_identical(self):
         rows = [
             {"g": "g", "v": x, "__tid__": i + 1}
             for i, x in enumerate([0.1] * 70 + [1e15, -1e15] + [0.1] * 70)
         ]
-        batch, perrow = agg_view(), agg_view()
-        apply_delta(batch, Delta.insertions("t", rows))
+        view = agg_view()
+        deltas = [Delta.insertions("t", rows), Delta.deletions("t", rows[:3])]
+        for delta in deltas:
+            view.apply(delta)
+        # Bit-for-bit, not math.isclose: the same left fold rounds the same.
+        assert state_snapshot(view) == left_fold(view, deltas)
+        whole = agg_view()
+        whole.apply(Delta.insertions("t", rows))
+        one_by_one = agg_view()
         for row in rows:
-            if evaluate_predicate(perrow.where, row):
-                perrow.apply_row(row, +1)
-        # Bit-for-bit, not math.isclose: same left fold, same rounding.
-        assert state_snapshot(batch) == state_snapshot(perrow)
+            one_by_one.apply(Delta.insertions("t", [row]))
+        assert state_snapshot(whole) == state_snapshot(one_by_one)
 
     def test_group_deleted_at_zero(self):
         rows = make_rows(200, seed=3, groups=3)
         view = agg_view()
-        apply_delta(view, Delta.insertions("t", rows))
-        apply_delta(view, Delta.deletions("t", rows))
+        view.apply(Delta.insertions("t", rows))
+        view.apply(Delta.deletions("t", rows))
+        assert view.groups == {}
+        view.apply(Delta.insertions("t", rows[:1]))
+        view.apply(Delta.deletions("t", rows[:1]))
         assert view.groups == {}
 
     def test_mixed_update_delta(self):
         rows = make_rows(400, seed=4)
-        view_b, view_r = agg_view(), agg_view()
-        apply_delta(view_b, Delta.insertions("t", rows))
-        apply_delta(view_r, Delta.insertions("t", rows))
-        delta = Delta(
-            table="t",
-            deleted=rows[100:300],
-            inserted=[dict(r, v=1) for r in rows[100:300]],
-        )
-        assert len(delta) >= _BATCH_MIN
-        applied_b = apply_delta(view_b, delta)
-        # True per-row reference for the SAME delta: every deletion before
-        # every insertion, in delta order (what _maintain_aggregate does
-        # below _BATCH_MIN).
-        applied_r = 0
-        for row in delta.deleted:
-            if evaluate_predicate(view_r.where, row):
-                view_r.apply_row(row, -1)
-                applied_r += 1
-        for row in delta.inserted:
-            if evaluate_predicate(view_r.where, row):
-                view_r.apply_row(row, +1)
-                applied_r += 1
-        assert applied_b == applied_r
-        assert state_snapshot(view_b) == state_snapshot(view_r)
+        for lo, hi in ((100, 300), (5, 6)):
+            view = agg_view()
+            delta = Delta(
+                table="t",
+                deleted=rows[lo:hi],
+                inserted=[dict(r, v=1) for r in rows[lo:hi]],
+            )
+            deltas = [Delta.insertions("t", rows), delta]
+            view.apply(deltas[0])
+            applied = view.apply(delta)
+            assert applied == sum(
+                evaluate_predicate(view.where, row) for row in delta.deleted + delta.inserted
+            )
+            assert state_snapshot(view) == left_fold(view, deltas)
 
     def test_unknown_group_delete_raises(self):
-        view = agg_view()
-        rows = [{"g": "zz", "v": 1, "__tid__": i} for i in range(_BATCH_MIN)]
-        with pytest.raises(ViewError, match="unknown group"):
-            apply_delta(view, Delta.deletions("t", rows))
+        for size in (1, 64):
+            view = agg_view()
+            rows = [{"g": "zz", "v": 1, "__tid__": i} for i in range(size)]
+            with pytest.raises(ViewError, match="unknown group"):
+                view.apply(Delta.deletions("t", rows))
 
     def test_apply_group_rows_empty_is_noop(self):
         view = agg_view()
@@ -146,33 +204,32 @@ class TestAggregateBatchEquivalence:
 
 
 class TestSelectProjectBatchEquivalence:
-    def make_views(self):
-        mk = lambda: SelectProjectView(
+    def make_view(self):
+        return SelectProjectView(
             "sp", "t", where=col("v") > 0, project=[("g", col("g")), ("v", col("v"))]
         )
-        return mk(), mk()
 
     def test_insert_and_delete_batches(self):
         rows = make_rows(250, seed=5)
-        batch, perrow = self.make_views()
-        apply_delta(batch, Delta.insertions("t", rows))
-        for i in range(0, len(rows), _BATCH_MIN - 1):
-            apply_delta(perrow, Delta.insertions("t", rows[i : i + _BATCH_MIN - 1]))
-        assert sorted(map(repr, batch.rows())) == sorted(map(repr, perrow.rows()))
-        apply_delta(batch, Delta.deletions("t", rows[::3]))
-        victims = rows[::3]
-        for i in range(0, len(victims), _BATCH_MIN - 1):
-            apply_delta(perrow, Delta.deletions("t", victims[i : i + _BATCH_MIN - 1]))
-        assert sorted(map(repr, batch.rows())) == sorted(map(repr, perrow.rows()))
+        for size in (1, 8, 63, 250):
+            view = self.make_view()
+            deltas = [Delta.insertions("t", part) for part in chunks(rows, size)]
+            deltas += [Delta.deletions("t", part) for part in chunks(rows[::3], size)]
+            for i, delta in enumerate(deltas):
+                view.apply(delta)
+                assert contents(view) == multiset_fold(view, deltas[: i + 1]), size
 
     def test_underflow_message_identical(self):
-        batch, perrow = self.make_views()
-        rows = [{"g": "g", "v": 1, "__tid__": i} for i in range(_BATCH_MIN)]
-        with pytest.raises(ViewError) as err_batch:
-            apply_delta(batch, Delta.deletions("t", rows))
-        with pytest.raises(ViewError) as err_row:
-            perrow.storage.remove({"g": "g", "v": 1})
-        assert str(err_batch.value) == str(err_row.value)
+        messages = set()
+        for size in (1, 64):
+            view = self.make_view()
+            rows = [{"g": "g", "v": 1, "__tid__": i} for i in range(size)]
+            with pytest.raises(ViewError) as err:
+                view.apply(Delta.deletions("t", rows))
+            messages.add(str(err.value))
+        assert messages == {
+            "view multiset underflow removing {'g': 'g', 'v': 1} (have 0, removing 1)"
+        }
 
 
 class TestPartitionRows:

@@ -1,4 +1,4 @@
-"""Delta construction and inversion."""
+"""Delta construction and row identity."""
 
 from repro.db.table import ChangeSet
 from repro.ivm import Delta, row_key
@@ -29,12 +29,6 @@ class TestFromChangeset:
         assert ins.inserted and not ins.deleted
         dels = Delta.deletions("t", [{"a": 1}])
         assert dels.deleted and not dels.inserted
-
-    def test_inverted(self):
-        delta = Delta("t", inserted=[{"a": 1}], deleted=[{"a": 2}])
-        inverse = delta.inverted()
-        assert inverse.inserted == [{"a": 2}]
-        assert inverse.deleted == [{"a": 1}]
 
 
 class TestRowKey:

@@ -11,7 +11,6 @@ from repro.ivm import (
     JoinView,
     SelectProjectView,
     ViewRegistry,
-    apply_delta,
 )
 
 
@@ -263,7 +262,7 @@ class TestAggregateView:
     def test_delete_from_unknown_group_raises(self, db, registry):
         view = self.make(db, registry)
         with pytest.raises(ViewError):
-            apply_delta(view, Delta.deletions("orders", [{"customer": "ghost", "amount": 1}]))
+            view.apply(Delta.deletions("orders", [{"customer": "ghost", "amount": 1}]))
 
 
 class TestRegistry:
