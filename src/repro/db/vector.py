@@ -12,8 +12,9 @@ Three invariants keep both engines interchangeable:
 * **Byte-identical results.**  Every vectorized operator replicates the
   row engine's observable semantics exactly -- NULL handling, group
   first-occurrence order, ``{**lrow, **rrow}`` join overlap rules, SUM
-  accumulation order (``sum(vals, total)`` is the same left fold the row
-  engine performs), tie-keeping MIN/MAX, dict key order of emitted rows.
+  accumulation order (the row engine's left fold, written out; C
+  ``sum()`` only over integer columns, where every grouping is exact),
+  tie-keeping MIN/MAX, dict key order of emitted rows.
   ``tests/db/engines.py`` holds the oracle that runs both and diffs.
 * **Silent translation fallback.**  :func:`vectorize_plan` returns None
   for plans it cannot translate (index scans, lambdas, set operations);
@@ -974,7 +975,9 @@ class VAggregate(VOp):
     """GROUP BY + aggregates over column chunks.
 
     Accumulation replicates :class:`~repro.db.algebra._AggState` exactly:
-    ``sum(values, total)`` is the row engine's left fold, ``min(cur,
+    SUM/AVG is the row engine's left fold (``total += v``; C ``sum()``
+    only over a column tagged within :data:`MERGEABLE_SUM_KINDS`, since
+    CPython >= 3.12's compensates float rounding), ``min(cur,
     min(values))`` keeps the earliest value on ties like the strict ``<``
     update does, poisoning (non-summable SUM, incomparable MIN/MAX)
     yields NULL for the whole group, and groups emit in first-occurrence
@@ -995,6 +998,11 @@ class VAggregate(VOp):
     fold every batch.  Each execution replaces the memo with the
     partials it used, so it holds ints and partials, never chunks, and
     forgets a compacted or rebuilt store's chunks on the next run.
+
+    Prefix: the stamps of the last execution's leading run of kept chunks
+    and the groups merged from exactly those.  A re-run whose leading
+    batches carry those stamps starts from a copy of that state (never
+    mutated once published); a changed stamp merges the matched partials.
     """
 
     def __init__(
@@ -1038,8 +1046,12 @@ class VAggregate(VOp):
         )
         # stamp -> partial ({key: [star, states]}) from the last execution.
         self._memo: dict[int, dict[Any, list[Any]]] = {}
-        #: (chunks merged from the memo, batches seen) by the last execution.
+        # (stamps, groups) of the last execution's leading run of kept chunks.
+        self._prefix: tuple[tuple[int, ...], dict[Any, list[Any]]] = ((), {})
+        #: (chunks taken from the memo, batches seen) by the last execution.
         self.reused = (0, 0)
+        #: Partials the last execution merged one by one (not via the prefix).
+        self.merged = 0
 
     @property
     def explain_label(self) -> str:
@@ -1050,8 +1062,9 @@ class VAggregate(VOp):
         return f"VAggregate group_by={self.group_by} aggs={aggs}"
 
     def analyze_note(self) -> str:
-        """EXPLAIN ANALYZE detail: chunks the last run took from the memo."""
-        return f"reused={self.reused[0]}/{self.reused[1]} chunks"
+        """EXPLAIN ANALYZE detail: the last run's merges and memo hits."""
+        k, n = self.reused
+        return f"merged={self.merged}, reused={k}/{n} chunks"
 
     def children(self) -> tuple[VOp, ...]:
         return (self.child,)
@@ -1072,8 +1085,9 @@ class VAggregate(VOp):
         return states
 
     @staticmethod
-    def _accumulate(spec: Any, state: Any, values: list[Any]) -> None:
-        """Fold non-None ``values`` (in row order) into ``state``."""
+    def _accumulate(spec: Any, state: Any, values: list[Any], exact: bool) -> None:
+        """Fold non-None ``values`` (in row order) into ``state``; ``exact``
+        lets SUM/AVG use C ``sum()`` (see :meth:`_exact_sums`)."""
         if not values:
             return
         if spec.distinct:
@@ -1086,7 +1100,13 @@ class VAggregate(VOp):
             return
         if func in ("SUM", "AVG"):
             try:
-                state[1] = sum(values, state[1])
+                if exact:
+                    state[1] = sum(values, state[1])
+                else:
+                    total = state[1]
+                    for value in values:
+                        total += value
+                    state[1] = total
             except TypeError:
                 state[1] = None
                 state[2] = False
@@ -1129,55 +1149,70 @@ class VAggregate(VOp):
             return cols[0]
         return list(zip(*cols))
 
+    def _exact_sums(self, batch: Batch) -> list[bool]:
+        """Per spec, False for a SUM/AVG over anything but a column tagged
+        within :data:`MERGEABLE_SUM_KINDS`: only integer addition is exact
+        in any grouping, so only there may C ``sum()`` stand in for the
+        left fold, or a kept partial for its chunk."""
+        return [
+            s.func not in ("SUM", "AVG")
+            or isinstance(s.arg, ColumnRef)
+            and (kind := _resolve_with_kind(batch, s.arg.name)[1]) is not None
+            and not kind & ~MERGEABLE_SUM_KINDS
+            for s in self.aggregates
+        ]
+
     def _mergeable(self, batch: Batch) -> bool:
         """True when merging kept partials equals folding (see the class
         docstring).  Type tags are store-wide and fixed for one scan, so
         the first batch decides for the whole execution."""
-        for spec in self.aggregates:
-            if spec.distinct:
-                return False
-            if spec.func not in ("SUM", "AVG"):
-                continue
-            if not isinstance(spec.arg, ColumnRef):
-                return False
-            kind = _resolve_with_kind(batch, spec.arg.name)[1]
-            if kind is None or kind & ~MERGEABLE_SUM_KINDS:
-                return False
-        return True
-
-    def _merge(
-        self, groups: dict[Any, list[Any]], partial: dict[Any, list[Any]]
-    ) -> None:
-        """Combine a kept partial into ``groups`` as if its chunk had been
-        folded there; ``partial`` itself is left untouched."""
         specs = self.aggregates
-        for key, (star, parts) in partial.items():
-            entry = groups.get(key)
-            if entry is None:
-                # A fresh state merged with a part equals the part.
-                groups[key] = [star, [p if p is None else p[:] for p in parts]]
-                continue
-            entry[0] += star
-            for spec, state, part in zip(specs, entry[1], parts):
-                if part is None or not part[0]:
-                    continue  # COUNT(*), or no non-NULL value in the chunk
-                state[0] += part[0]
-                func = spec.func
-                if func == "COUNT" or not state[2]:
+        return not any(s.distinct for s in specs) and all(self._exact_sums(batch))
+
+    def _merge(self, groups: dict[Any, list[Any]], *partials: dict[Any, Any]) -> None:
+        """Combine kept partials into ``groups`` as if their chunks had been
+        folded there, in order; the partials themselves are left untouched."""
+        specs = self.aggregates
+        for partial in partials:
+            for key, (star, parts) in partial.items():
+                entry = groups.get(key)
+                if entry is None:
+                    # A fresh state merged with a part equals the part.
+                    groups[key] = [star, [p if p is None else p[:] for p in parts]]
                     continue
-                if not part[2]:  # the chunk poisoned its group
-                    state[1] = None
-                    state[2] = False
-                elif func in ("SUM", "AVG"):
-                    state[1] += part[1]  # ints: exact in any grouping
-                elif state[1] is None:
-                    state[1] = part[1]
-                else:
-                    try:
-                        state[1] = (min if func == "MIN" else max)(state[1], part[1])
-                    except TypeError:
+                entry[0] += star
+                for spec, state, part in zip(specs, entry[1], parts):
+                    if part is None or not part[0]:
+                        continue  # COUNT(*), or no non-NULL value in the chunk
+                    state[0] += part[0]
+                    func = spec.func
+                    if func == "COUNT" or not state[2]:
+                        continue
+                    if not part[2]:  # the chunk poisoned its group
                         state[1] = None
                         state[2] = False
+                    elif func in ("SUM", "AVG"):
+                        state[1] += part[1]  # ints: exact in any grouping
+                    elif state[1] is None:
+                        state[1] = part[1]
+                    else:
+                        try:
+                            state[1] = (min if func == "MIN" else max)(state[1], part[1])
+                        except TypeError:
+                            state[1] = None
+                            state[2] = False
+
+    def _snapshot(
+        self, kept: dict[int, Any], groups: dict[Any, list[Any]], held: int
+    ) -> tuple[tuple[int, ...], dict[Any, list[Any]]]:
+        """The prefix for the leading run ``kept`` merged into ``groups``:
+        the current one if the run is its ``held`` matched stamps and no
+        more, else a copy of ``groups``."""
+        if held == len(kept) == len(self._prefix[0]):
+            return self._prefix
+        state: dict[Any, list[Any]] = {}
+        self._merge(state, groups)  # into no groups: a copy
+        return tuple(kept), state
 
     def _fold_batch(
         self,
@@ -1203,7 +1238,8 @@ class VAggregate(VOp):
                     lst.extend(lin)
             if self._star_only:
                 return
-            for spec, fn, state in zip(specs, self._argfns, entry[1]):
+            exact = self._exact_sums(batch)
+            for spec, fn, state, ex in zip(specs, self._argfns, entry[1], exact):
                 if fn is None:
                     continue
                 if isinstance(spec.arg, ColumnRef) and not spec.distinct:
@@ -1214,7 +1250,7 @@ class VAggregate(VOp):
                     values = col
                 else:
                     values = [v for v in col if v is not None]
-                self._accumulate(spec, state, values)
+                self._accumulate(spec, state, values, ex)
             return
         keys = self._group_keys(batch)
         if self._star_only and blin is None:
@@ -1229,6 +1265,7 @@ class VAggregate(VOp):
                 else:
                     entry[0] += n
             return
+        exact = self._exact_sums(batch)
         # Shared-column fast path: all agg arguments resolve to ONE value
         # list (by identity -- the planner's per-spec `__agg_in_N`
         # projections of the same ColumnRef share the list object), so
@@ -1261,9 +1298,9 @@ class VAggregate(VOp):
                     entry = groups[key] = [0, self._new_states()]
                 entry[0] += len(raw)
                 values = raw if no_nulls else [v for v in raw if v is not None]
-                for spec, state in zip(specs, entry[1]):
+                for spec, state, ex in zip(specs, entry[1], exact):
                     if spec.arg is not None:
-                        self._accumulate(spec, state, values)
+                        self._accumulate(spec, state, values, ex)
             return
         # General path: index partition, one pick per spec column.
         positions: dict[Any, list[int]] = {}
@@ -1286,7 +1323,7 @@ class VAggregate(VOp):
                 for i in idxs:
                     lst.extend(blin[i])
             picked_cache: dict[int, list[Any]] = {}
-            for spec, col, state in zip(specs, argcols, entry[1]):
+            for spec, col, state, ex in zip(specs, argcols, entry[1], exact):
                 if col is None:
                     continue
                 ckey = id(col)
@@ -1294,7 +1331,7 @@ class VAggregate(VOp):
                 if picked is None:
                     picked = [v for i in idxs if (v := col[i]) is not None]
                     picked_cache[ckey] = picked
-                self._accumulate(spec, state, picked)
+                self._accumulate(spec, state, picked, ex)
 
     def batches(
         self,
@@ -1314,13 +1351,27 @@ class VAggregate(VOp):
         use_memo: bool | None = (
             False if lineage or trivial or not self._memoizable else None
         )
-        reused = seen = 0
+        pstamps, pstate = self._prefix if use_memo is None else ((), {})
+        held = 0  # leading batches matching `pstamps`: their merge waits
+        prefix = None  # published once the leading run of kept chunks ends
+        reused = seen = merged = 0
         for batch in self.child.batches(source, counters, lineage):
             seen += 1
             if use_memo is None:
                 use_memo = self._mergeable(batch)
             stamp = batch.origin
+            if held == seen - 1 and held < len(pstamps):
+                if use_memo and stamp == pstamps[held]:
+                    held += 1
+                    kept[stamp] = memo[stamp]
+                    if held == len(pstamps):
+                        self._merge(groups, pstate)  # into no groups: a copy
+                    continue
+                self._merge(groups, *kept.values())  # the prefix broke
+                merged += held
             if not use_memo or stamp is None:
+                if prefix is None:
+                    prefix = self._snapshot(kept, groups, held)
                 self._fold_batch(groups, batch, glins)
                 continue
             partial = memo.get(stamp)
@@ -1335,10 +1386,18 @@ class VAggregate(VOp):
                     use_memo = False
             if use_memo:
                 kept[stamp] = partial
+            elif prefix is None:
+                prefix = self._snapshot(kept, groups, held)
             self._merge(groups, partial)
+            merged += 1
+        if held == seen and held < len(pstamps):  # ended inside the prefix
+            self._merge(groups, *kept.values())
+            merged += held
         if not lineage:
             self._memo = kept
-            self.reused = (reused, seen)
+            self._prefix = prefix or self._snapshot(kept, groups, held)
+            self.reused = (reused + held, seen)
+            self.merged = merged
         if not group_by and not groups:
             groups[()] = [0, self._new_states()]  # empty input: one row
 

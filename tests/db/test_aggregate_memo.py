@@ -1,20 +1,28 @@
-"""The vectorized aggregate's chunk memo against the row engine.
+"""The vectorized aggregate's chunk memo and prefix against the row engine.
 
 ``VAggregate`` keeps, per full column chunk, the per-group partial it
 folded from it, keyed by the chunk's stamp; a re-run of the cached plan
-merges kept partials and folds only the chunks whose stamp changed.  This
+merges kept partials and folds only the chunks whose stamp changed.
+Beside the memo it keeps a *prefix*: the stamps of the leading run of
+kept chunks and the groups merged from them, which a re-run whose
+leading stamps are unchanged copies instead of merging those partials
+(``merged`` counts the partials a run still merged one by one).  The
 model test shrinks chunks to 32 rows and drives one table through seeded
 sequences of inserts, updates and deletes inside full chunks, rolled-back
 transactions, compactions and a drop/re-create.  After every step each
 query, run through ``db.query`` on its cached plan, must equal its row
-plan exactly: the same rows, in the same key order, to the float bit.
+plan exactly -- the same rows, in the same key order, to the float bit --
+and no prefix state published earlier may have changed.  Float SUM/AVG
+must stay the row engine's left fold also under a compensating ``sum()``
+(CPython >= 3.12's), emulated here by :func:`compensated_sum`.
 """
 
+import math
 import random
 
 import pytest
 
-from repro.db import Database, Vectorized, columnar
+from repro.db import Database, Vectorized, columnar, vector, vectorize_plan
 from repro.db.vector import VAggregate, _walk
 from tests.db.engines import forced_engine
 
@@ -75,6 +83,27 @@ def aggregate_of(db, sql):
     return next(op for op in _walk(plan.root) if isinstance(op, VAggregate))
 
 
+def compensated_sum(values, start=0):
+    """CPython 3.12's ``sum()``: once the total is a float, float items are
+    added with Neumaier compensation, int items as plain doubles."""
+    total, comp = start, 0.0
+    for value in values:
+        if type(total) is not float or type(value) not in (float, int):
+            if comp and math.isfinite(comp):
+                total, comp = total + comp, 0.0
+            total = total + value
+        elif type(value) is int:
+            total += float(value)
+        else:
+            t = total + value
+            if abs(total) >= abs(value):
+                comp += (total - t) + value
+            else:
+                comp += (value - t) + total
+            total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
 class Model:
     """One table under seeded mutations; ``check`` diffs every query."""
 
@@ -83,6 +112,8 @@ class Model:
         self.db = Database()
         self.next_id = 0
         self.reused = {sql: 0 for sql in MEMO_QUERIES + FOLD_QUERIES}
+        # id -> (prefix state, its text when published): never mutated.
+        self.published = {}
         self.recreate()
 
     def row(self):
@@ -147,7 +178,12 @@ class Model:
             got = self.db.query(sql)
             plan = self.db.plan(sql)
             assert exact(got) == exact(plan.row_plan.to_list(self.db)), sql
-            self.reused[sql] += aggregate_of(self.db, sql).reused[0]
+            op = aggregate_of(self.db, sql)
+            self.reused[sql] += op.reused[0]
+            state = op._prefix[1]
+            self.published.setdefault(id(state), (state, repr(state)))
+        for state, text in self.published.values():
+            assert repr(state) == text, "a published prefix state changed"
 
     def run(self, steps):
         moves = [self.insert] * 4 + [self.update] * 3 + [self.delete] * 2 + [
@@ -195,3 +231,121 @@ def test_a_key_group_by_keeps_no_partial(small_chunks):
     model.db.query(sql)
     model.db.query(sql)
     assert aggregate_of(model.db, sql)._memo == {}
+
+
+def test_an_append_only_re_run_starts_from_the_prefix(small_chunks):
+    model = Model(7)  # 200 rows: 6 full chunks and a tail of 8
+    db, sql = model.db, MEMO_QUERIES[0]
+    db.query(sql)
+    op = aggregate_of(db, sql)
+    assert (op.reused, op.merged, len(op._prefix[0])) == ((0, 7), 6, 6)
+    prefix = op._prefix
+    model.insert(1)
+    db.query(sql)
+    assert (op.reused, op.merged) == ((6, 7), 0)
+    assert op._prefix is prefix  # an unchanged leading run: no new copy
+    model.insert(24)  # the tail fills: a seventh full chunk, folded once
+    db.query(sql)
+    assert (op.reused, op.merged, len(op._prefix[0])) == ((6, 8), 1, 7)
+    model.insert(1)
+    db.query(sql)
+    assert (op.reused, op.merged) == ((7, 8), 0)
+
+
+@pytest.mark.parametrize("chunk", range(6))
+def test_a_re_stamped_chunk_breaks_the_prefix_there(small_chunks, chunk):
+    model = Model(7)
+    db, sql = model.db, MEMO_QUERIES[0]
+    db.query(sql)
+    op = aggregate_of(db, sql)
+    db.execute("UPDATE t SET i = i + 1 WHERE id = ?", [chunk * 32 + 1])
+    got = db.query(sql)
+    assert exact(got) == exact(db.plan(sql).row_plan.to_list(db))
+    # The `chunk` matched partials, the re-folded chunk, the 5 - chunk after.
+    assert (op.reused, op.merged) == ((5, 7), 6)
+    db.query(sql)
+    assert (op.reused, op.merged) == ((6, 7), 0)
+
+
+def rollback_an_update(db):
+    with pytest.raises(Boom):
+        with db.transaction():
+            db.execute("UPDATE t SET i = i + 1 WHERE id = 1")
+            raise Boom
+
+
+def compact_in_place(db):
+    db.execute("DELETE FROM t WHERE id <= 67")  # a quarter of 267 stored rows
+    db.insert_many("t", [{"id": 1000 + k, "g": k % 3, "i": k} for k in range(67)])
+
+
+@pytest.mark.parametrize("rebuild", [rollback_an_update, compact_in_place])
+def test_a_rebuild_drops_the_prefix(small_chunks, rebuild):
+    model = Model(7)
+    db, sql = model.db, MEMO_QUERIES[0]
+    db.query(sql)
+    op = aggregate_of(db, sql)
+    old = op._prefix[0]
+    rebuild(db)  # 200 live rows again, every chunk under a fresh stamp
+    db.query(sql)
+    assert (op.reused, op.merged, len(op._prefix[0])) == ((0, 7), 6, 6)
+    assert set(old).isdisjoint(op._prefix[0])
+    db.query(sql)
+    assert (op.reused, op.merged) == ((6, 7), 0)
+
+
+def test_lineage_and_an_uncached_plan_leave_memo_and_prefix(small_chunks):
+    model = Model(7)
+    db, sql = model.db, MEMO_QUERIES[0]
+    db.query(sql)
+    op = aggregate_of(db, sql)
+    memo, prefix = op._memo, op._prefix
+    plan = db.plan(sql)
+    rows, _ = plan.to_list_lineage(db)
+    assert exact(rows) == exact(plan.row_plan.to_list(db))
+    assert db.query(f"EXPLAIN LINEAGE {sql}")
+    fresh = vectorize_plan(plan.row_plan)
+    assert exact(fresh.to_list(db)) == exact(rows)
+    fresh_op = next(op for op in _walk(fresh.root) if isinstance(op, VAggregate))
+    assert (fresh_op.reused, fresh_op.merged) == ((0, 7), 6)
+    assert op._memo is memo and op._prefix is prefix
+    db.query(sql)
+    assert (op.reused, op.merged) == ((6, 7), 0)
+
+
+@pytest.mark.parametrize(
+    "move", ["UPDATE t SET g = 7 WHERE id = 40", "DELETE FROM t WHERE id = 40"]
+)
+def test_a_group_whose_first_row_leaves_the_prefix_keeps_row_order(
+    small_chunks, move
+):
+    db = Database()
+    db.execute(CREATE)
+    # Group 9 first occurs in chunk 1 (id 40), then only in the tail (id 70).
+    rows = [{"id": k, "g": 9 if k in (40, 70) else k % 3, "i": k} for k in range(1, 73)]
+    db.insert_many("t", rows)
+    sql = "SELECT g, COUNT(*) AS c, SUM(i) AS si FROM t GROUP BY g"
+    db.query(sql)
+    db.execute(move)
+    got = db.query(sql)
+    assert exact(got) == exact(db.plan(sql).row_plan.to_list(db))
+    assert got[-1]["g"] == 9
+    op = aggregate_of(db, sql)  # chunk 0's partial, then chunk 1 re-folded
+    assert (op.reused, op.merged) == ((1, 3), 2)
+
+
+@pytest.mark.parametrize("summer", [sum, compensated_sum])
+def test_float_sum_is_the_row_engines_left_fold(small_chunks, monkeypatch, summer):
+    monkeypatch.setattr(vector, "sum", summer, raising=False)
+    db = Database()
+    db.execute(CREATE)
+    db.insert_many("t", [{"id": k, "f": f} for k, f in enumerate([1e16, 1.0, -1e16])])
+    for sql in ["SELECT SUM(f) AS s, AVG(f) AS a FROM t", FOLD_QUERIES[1]]:
+        got = db.query(sql)
+        assert exact(got) == exact(db.plan(sql).row_plan.to_list(db)), sql
+    assert db.query("SELECT SUM(f) AS s FROM t") == [{"s": 0.0}]
+
+
+def test_float_aggregates_match_under_a_compensating_sum(small_chunks, monkeypatch):
+    monkeypatch.setattr(vector, "sum", compensated_sum, raising=False)
+    Model(1).run(30)

@@ -147,6 +147,21 @@ class TestExplainAnalyzeReuse:
             sql_form = db.query(f"EXPLAIN ANALYZE {self.SQL}")
             assert any("reused=3/4 chunks" in r["plan"] for r in sql_form)
 
+    def test_a_re_run_merges_only_after_a_changed_chunk(self, db, monkeypatch):
+        monkeypatch.setattr(columnar, "CHUNK_ROWS", 32)
+        db.insert_many(
+            "emp",
+            [{"id": i, "dept": f"d{i % 3}", "salary": i} for i in range(100)],
+        )
+        with forced_engine("vector"):
+            assert "merged=3, reused=0/4 chunks" in self.aggregate_line(db)
+            db.insert("emp", {"id": 100, "dept": "d1", "salary": 7})
+            # The three full chunks come back as one copy of their groups.
+            assert "merged=0, reused=3/4 chunks" in self.aggregate_line(db)
+            db.execute("UPDATE emp SET salary = 0 WHERE id = 40")  # chunk 1
+            # Chunk 0's partial, chunk 1 re-folded, chunk 2's partial.
+            assert "merged=3, reused=2/4 chunks" in self.aggregate_line(db)
+
     def test_plain_explain_reports_no_reuse(self, db):
         with forced_engine("vector"):
             assert "reused" not in db.explain(self.SQL)
