@@ -22,7 +22,7 @@ completed}`` for both activity and process instances.
 from __future__ import annotations
 
 import itertools
-from typing import Any
+from typing import Any, Iterator
 
 from ..db.database import Database
 from ..db.schema import Column, ForeignKey
@@ -268,6 +268,18 @@ class IdAllocator:
         self._next = database.sequences
 
     def next_id(self, table: str, column: str = "id") -> int:
+        return next(self._counter(table, column))
+
+    def next_ids(self, table: str, n: int, column: str = "id") -> list[int]:
+        """``n`` ids, as ``n`` calls of :meth:`next_id` would give them
+        when nothing else draws; another allocator drawing at the same
+        time may interleave, but no id is handed out twice."""
+        if n <= 0:
+            return []
+        counter = self._counter(table, column)
+        return [next(counter), *itertools.islice(counter, n - 1)]
+
+    def _counter(self, table: str, column: str) -> Iterator[int]:
         key = f"{table}.{column}"
         counter = self._next.get(key)
         if counter is None:
@@ -277,7 +289,7 @@ class IdAllocator:
                 if isinstance(value, int) and value > highest:
                     highest = value
             counter = self._next.setdefault(key, itertools.count(highest + 1))
-        return next(counter)
+        return counter
 
 
 def record_provenance(

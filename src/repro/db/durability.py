@@ -244,15 +244,18 @@ def _columnar(
 ) -> None:
     """Log uniform row dicts as one cols list + a flat value array.
 
-    Every stored row of a table is built by ``validate_row`` (schema
-    order, then the hidden fields), so all rows share one key order and
-    ``values()`` projects them faithfully.  The values land in a single
-    flat list (row-major, ``len(cols)``-sized strides): one flat array
-    JSON-encodes measurably faster than thousands of per-row lists, and
-    this sits on the hot commit path of every durable write.  Rows that
-    continue the commit's previous op -- same kind, same table: a loop of
-    one-row statements in a transaction, the notification log's rows --
-    extend its array instead of spelling the columns again.
+    Every stored row of a table is built by ``validate_row`` or, for an
+    exact multi-row INSERT, copied by ``validate_rows`` from rows that
+    already name the columns in schema order.  Either way it holds the
+    schema's columns in schema order, then the hidden fields, so all rows
+    share one key order and ``values()`` projects them faithfully.  The
+    values land in a single flat list (row-major, ``len(cols)``-sized
+    strides): one flat array JSON-encodes measurably faster than
+    thousands of per-row lists, and this sits on the hot commit path of
+    every durable write.  Rows that continue the commit's previous op --
+    same kind, same table: a loop of one-row statements in a transaction,
+    the notification log's rows -- extend its array instead of spelling
+    the columns again.
     """
     values = [value for row in rows for value in row.values()]
     last = op_list[-1] if op_list else None

@@ -8,10 +8,13 @@ endowed with a primary key".  Relationships become foreign-key columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Iterable, Mapping, Sequence
 
 from ..errors import ConstraintViolation, SchemaError, TypeMismatchError
-from .types import ColumnType, type_from_name
+from .types import ANY, ColumnType, type_from_name
+
+_NONE = type(None)
 
 #: Hidden per-row fields maintained by the engine itself.  ``tid`` is the
 #: tuple identifier used by deletion tables (Section VI-A), the timestamps
@@ -110,6 +113,28 @@ class TableSchema:
             name: (exact, validate, nullable)
             for name, exact, validate, nullable, _default in self._row_plan
         }
+        # The statement plan, for validate_rows: (getter, value types
+        # stored unchanged) per column that needs a check -- the types are
+        # None for ANY NOT NULL, meaning anything but NULL; a nullable ANY
+        # column needs no check.  A type with no exact Python type whose
+        # coerce still checks (TIMESTAMP's range) makes the schema
+        # ineligible: its statements always go row by row.
+        self._statement_keys = {tuple(self._by_name)}
+        eligible = all(c.type.exact is not None or c.type == ANY for c in self.columns)
+        self._statement_plan = (
+            tuple(
+                (
+                    itemgetter(c.name),
+                    None
+                    if c.type.exact is None
+                    else frozenset((c.type.exact, _NONE) if c.nullable else (c.type.exact,)),
+                )
+                for c in self.columns
+                if c.type.exact is not None or not c.nullable
+            )
+            if eligible
+            else None
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -161,6 +186,31 @@ class TableSchema:
                     )
             row[name] = value
         return row
+
+    def validate_rows(
+        self, rows: Sequence[Mapping[str, Any]]
+    ) -> list[dict[str, Any]] | None:
+        """The stored rows of an *exact* statement, else None.
+
+        A statement of two or more rows is exact when every row names the
+        schema's columns in schema order and every value would pass
+        :meth:`validate_row` unchanged (``type(value)`` is its column's
+        exact type, or NULL where the column allows it).  Its stored rows
+        are then plain copies, checked a column at a time; any other
+        statement goes through :meth:`validate_row` row by row, which
+        alone coerces, fills defaults and words errors.  Key order is
+        part of the check: the WAL logs a commit's rows under the key
+        order of its first row.
+        """
+        plan = self._statement_plan
+        if plan is None or len(rows) < 2 or set(map(tuple, rows)) != self._statement_keys:
+            return None
+        stored = list(map(dict, rows))
+        for getter, allowed in plan:
+            types = set(map(type, map(getter, stored)))
+            if not (_NONE not in types if allowed is None else types <= allowed):
+                return None
+        return stored
 
     def validate_update(self, values: Mapping[str, Any]) -> dict[str, Any]:
         """Validate a partial row used by UPDATE: only the given columns.

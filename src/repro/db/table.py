@@ -324,19 +324,25 @@ class Table:
         before anything is touched, so a failing statement leaves no
         trace -- no tid, no clock tick, no index entry -- and raises what
         the first offending row, in statement order, would have raised.
-        Then ``n`` tids and ``n`` clock ticks are reserved in one step and
-        each index and the column store are maintained once.
+        An exact statement (:meth:`TableSchema.validate_rows`) is
+        validated a column at a time, any other row by row.  Then ``n``
+        tids and ``n`` clock ticks are reserved in one step and each index
+        and the column store are maintained once.
         """
-        validate = self.schema.validate_row
-        stored: list[dict[str, Any]] = []
+        if not isinstance(rows, (list, tuple)):
+            rows = list(rows)
         failure: DatabaseError | None = None
-        try:
-            for values in rows:
-                stored.append(validate(values))
-        except DatabaseError as exc:
-            # Rows before this one may still collide; a collision comes
-            # first in statement order, so it is the error to raise.
-            failure = exc
+        stored = self.schema.validate_rows(rows)
+        if stored is None:
+            validate = self.schema.validate_row
+            stored = []
+            try:
+                for values in rows:
+                    stored.append(validate(values))
+            except DatabaseError as exc:
+                # Rows before this one may still collide; a collision comes
+                # first in statement order, so it is the error to raise.
+                failure = exc
         if len(stored) == 1 and failure is None:
             # A one-row statement is insert(): the per-row index calls
             # cost less than setting up the per-statement ones.

@@ -11,6 +11,7 @@ procedure fills it once, and any number of display views render from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Iterable, Optional, Sequence
 
 from ..core import datamodel
@@ -19,7 +20,12 @@ from ..db.expression import col
 from ..db.schema import TID
 
 
-@dataclass
+_ITEM_FIELDS = itemgetter(
+    "obj_id", "x", "y", "width", "height", "color", "label", "selected"
+)
+
+
+@dataclass(slots=True)
 class VisualItem:
     """One entity's visual attributes within one component."""
 
@@ -48,16 +54,8 @@ class VisualItem:
 
     @classmethod
     def from_row(cls, row: dict[str, Any]) -> "VisualItem":
-        return cls(
-            obj_id=row["obj_id"],
-            x=row["x"],
-            y=row["y"],
-            width=row["width"],
-            height=row["height"],
-            color=row["color"],
-            label=row["label"],
-            selected=bool(row["selected"]),
-        )
+        obj_id, x, y, width, height, color, label, selected = _ITEM_FIELDS(row)
+        return cls(obj_id, x, y, width, height, color, label, bool(selected))
 
 
 class VisualAttributesStore:
@@ -67,7 +65,10 @@ class VisualAttributesStore:
     transaction of an ``insert_many`` and an ``update_by_tids``, so one
     call is one commit -- one WAL record, one notification frame carrying
     its net delta -- whatever the batch size: the write path Figure 8
-    measures ("Inserting tuples in VisualAttributes table").
+    measures ("Inserting tuples in VisualAttributes table").  The new
+    rows' ids are drawn in one step from the database's shared id
+    sequence (:meth:`~repro.core.datamodel.IdAllocator.next_ids`), so
+    two stores on one database never hand out the same id.
     """
 
     def __init__(self, database: Database) -> None:
@@ -147,11 +148,8 @@ class VisualAttributesStore:
         """Insert ``fresh`` (distinct, unseen ``obj_id``s) and apply
         ``moved`` as ONE commit of at most two statements: one WAL record,
         one notification of the net delta, both or neither."""
-        next_id = self._allocator.next_id
-        rows = [
-            item.to_row(component_id, next_id(datamodel.T_VISUAL_ATTRIBUTES))
-            for item in fresh
-        ]
+        ids = self._allocator.next_ids(datamodel.T_VISUAL_ATTRIBUTES, len(fresh))
+        rows = [item.to_row(component_id, item_id) for item, item_id in zip(fresh, ids)]
         with self.database.transaction():
             stored = (
                 self.database.insert_many(datamodel.T_VISUAL_ATTRIBUTES, rows)

@@ -41,15 +41,7 @@ class Display:
         """Fold VisualAttributes rows into the display list."""
         traced = OBS.enabled
         with OBS.span("vis.display.apply", {"display": self.name}) as span:
-            count = 0
-            for row in rows:
-                item = VisualItem.from_row(row)
-                if item.obj_id in self.items:
-                    self.updated += 1
-                else:
-                    self.inserted += 1
-                self.items[item.obj_id] = item
-                count += 1
+            count = self.apply_items(map(VisualItem.from_row, rows))
             span.set_tag("rows", count)
         if traced:
             OBS.metrics.histogram("vis.display_apply_ms", display=self.name).observe(
@@ -58,14 +50,21 @@ class Display:
         return count
 
     def apply_items(self, items: Iterable[VisualItem]) -> int:
+        """Fold visual items into the display list; the last item of an
+        ``obj_id`` wins.  An item whose ``obj_id`` is already shown counts
+        as updated, any other as inserted."""
+        shown = self.items
+        before = len(shown)
         count = 0
-        for item in items:
-            if item.obj_id in self.items:
-                self.updated += 1
-            else:
-                self.inserted += 1
-            self.items[item.obj_id] = item
-            count += 1
+        try:
+            for item in items:
+                shown[item.obj_id] = item
+                count += 1
+        finally:
+            # Counted from what was folded, even if a row failed to convert.
+            inserted = len(shown) - before
+            self.inserted += inserted
+            self.updated += count - inserted
         return count
 
     def remove_objects(self, obj_ids: Iterable[Any]) -> int:

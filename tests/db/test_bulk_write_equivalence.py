@@ -10,7 +10,11 @@ agree on every row dict (key order and hidden fields included), every
 index, the column store, the trigger change sets once concatenated, and
 -- for durable twins -- on what ``recover()`` rebuilds.  A statement that
 fails must fail with the error the loop's first offending row raises and
-leave no trace.
+leave no trace.  Most INSERTs carry full rows in schema order -- the
+*exact* statements ``TableSchema.validate_rows`` checks a column at a time
+and copies -- and some of them have one row permuted, carrying a hidden
+field or holding a value ``validate_row`` would coerce or refuse, each of
+which must send the statement back to the row-by-row path.
 """
 
 import contextlib
@@ -22,9 +26,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db import BOOLEAN, FLOAT, INTEGER, TEXT, Column, Database, col
+from repro.db import ANY, BOOLEAN, FLOAT, INTEGER, TEXT, TIMESTAMP, Column, Database, col
 from repro.db import open_durable, recover
 from repro.db.index import HashIndex, SortedIndex
+from repro.db.schema import HIDDEN_FIELDS
 from repro.db.wal import FSYNC_NEVER
 from repro.errors import (
     ConstraintViolation,
@@ -45,6 +50,9 @@ schemas = st.fixed_dictionaries(
         "sorted_s": st.booleans(),
         "column_store": st.booleans(),
         "durable": st.booleans(),
+        # A TIMESTAMP column (range-checked, no exact type) takes every
+        # statement of the table off the column-at-a-time path.
+        "ts": st.sampled_from([False, False, False, True]),
     }
 )
 
@@ -57,6 +65,7 @@ others = {
     "s": st.sampled_from([None, 0.5, 2, 2.5, -1.0, "4.5"]),
     "d": st.sampled_from([None, 1, 2]),
     "flag": st.sampled_from([True, False, 1]),
+    "any": st.sampled_from([None, 0, "p", 2.5, True]),
 }
 good_rows = st.fixed_dictionaries({"id": ids}, optional=others)
 bad_rows = st.sampled_from(
@@ -76,6 +85,52 @@ def inserts(draw):
     rows = draw(st.lists(good_rows, max_size=10))
     if draw(st.integers(0, 5)) == 0:
         rows.insert(draw(st.integers(0, len(rows))), draw(bad_rows))
+    return ("insert", rows)
+
+
+def column_names(ts):
+    return ("id", "a", "b", "s", "d", "flag", *(("ts",) if ts else ()), "any")
+
+
+# Full rows: every column, in schema order, each value of its column's
+# exact type (or NULL where allowed) -- what ``validate_rows`` stores
+# without a call.  Wider key pools than above, so that most of these
+# statements commit and a row stored wrongly shows.  ``-5`` is an int
+# that TIMESTAMP's range check refuses.
+exact_values = {
+    "id": st.integers(0, 400),
+    "a": st.one_of(st.none(), st.integers(0, 99)),
+    "b": st.sampled_from([None, "p", "q", "r"]),
+    "s": st.sampled_from([None, 0.5, 2.5, -1.0]),
+    "d": st.sampled_from([None, 1, 2]),
+    "flag": st.booleans(),
+    "ts": st.sampled_from([None, 0, 3, -5]),
+    "any": st.sampled_from([None, 0, "p", 2.5, True]),
+}
+# One value a full row may carry that ``validate_row`` would not store
+# unchanged: a bool or a string in an INTEGER column, an int in a FLOAT one.
+spoilers = st.sampled_from(
+    [("id", True), ("a", True), ("d", True), ("d", "3"), ("id", "3"), ("s", 2)]
+)
+
+
+@st.composite
+def full_inserts(draw, ts):
+    """Two or more full rows; in 3 statements of 10 one row is permuted,
+    carries a hidden field or holds a spoiler."""
+    names = column_names(ts)
+    full = st.tuples(*(exact_values[name] for name in names))
+    rows = [dict(zip(names, values)) for values in draw(st.lists(full, min_size=2, max_size=10))]
+    at = draw(st.integers(0, len(rows) - 1))
+    variant = draw(st.sampled_from(["exact"] * 7 + ["permuted", "hidden", "spoiled"]))
+    if variant == "permuted":
+        order = draw(st.permutations(names))
+        rows[at] = {name: rows[at][name] for name in order}
+    elif variant == "hidden":
+        rows[at][draw(st.sampled_from(HIDDEN_FIELDS))] = draw(st.integers(0, 99))
+    elif variant == "spoiled":
+        name, value = draw(spoilers)
+        rows[at][name] = value
     return ("insert", rows)
 
 
@@ -103,21 +158,33 @@ updates_sql = st.tuples(
     st.just("update_sql"),
     st.tuples(st.sampled_from(["a", "id", "s"]), st.sampled_from([1, -1]), wheres),
 )
-statements = st.lists(
-    st.tuples(
-        st.one_of(
-            inserts(),
-            inserts(),
-            deletes_where,
-            deletes_tids,
-            updates_where,
-            updates_tids,
-            updates_sql,
+
+
+def statements(ts=False):
+    # Repeated alternatives weight the draw: most INSERTs have full rows.
+    return st.lists(
+        st.tuples(
+            st.one_of(
+                full_inserts(ts),
+                full_inserts(ts),
+                full_inserts(ts),
+                full_inserts(ts),
+                full_inserts(ts),
+                inserts(),
+                deletes_where,
+                deletes_tids,
+                updates_where,
+                updates_tids,
+                updates_sql,
+            ),
+            st.sampled_from(["auto", "commit", "rollback"]),
         ),
-        st.sampled_from(["auto", "commit", "rollback"]),
-    ),
-    max_size=7,
-)
+        max_size=7,
+    )
+
+
+# A schema and a script of statements for it.
+programs = schemas.flatmap(lambda shape: st.tuples(st.just(shape), statements(shape["ts"])))
 
 
 class _Rollback(Exception):
@@ -134,6 +201,8 @@ def create(db, shape):
             Column("s", FLOAT),
             Column("d", INTEGER, default=7),
             Column("flag", BOOLEAN, nullable=False, default=False),
+            *([Column("ts", TIMESTAMP)] if shape["ts"] else []),
+            Column("any", ANY),
         ],
         primary_key="id" if shape["pk"] else None,
         unique=[("a", "b")] if shape["unique_ab"] else (),
@@ -266,13 +335,13 @@ def preload(db, rows):
 
 
 @given(
-    schemas,
+    programs,
     st.lists(good_rows, min_size=5, max_size=12),
-    statements,
     st.integers(1, 4),
 )
 @settings(max_examples=200, deadline=None)
-def test_batch_equals_row_at_a_time(shape, stock, script, span):
+def test_batch_equals_row_at_a_time(program, stock, span):
+    shape, script = program
     with tempfile.TemporaryDirectory() as tmp:
         batch_db, batch_mgr = open_twin(shape, Path(tmp) / "batch")
         loop_db, loop_mgr = open_twin(shape, Path(tmp) / "loop")
@@ -340,13 +409,44 @@ def test_batch_equals_row_at_a_time(shape, stock, script, span):
 def test_updates_are_drawn_in_a_quarter_of_the_programs():
     drawn = []
 
-    @given(statements)
+    @given(statements())
     @settings(max_examples=200, derandomize=True, database=None)
     def draw(script):
         drawn.append(any(kind.startswith("update") for (kind, _arg), _mode in script))
 
     draw()
     assert sum(drawn) >= len(drawn) / 4
+
+
+def test_most_insert_statements_take_the_column_at_a_time_path():
+    """Most drawn INSERTs are exact, so the oracle above holds the
+    column-at-a-time path to the loop; each way out of it is drawn too.
+    An exact statement's rows are what ``validate_row`` makes of them,
+    key order included."""
+    schema = {}
+    for ts in (False, True):
+        db = Database()
+        create(db, {"pk": False, "unique_ab": False, "sorted_s": False,
+                    "column_store": False, "ts": ts})
+        schema[ts] = db.table("t").schema
+    exact = {False: [], True: []}
+
+    @given(programs)
+    @settings(max_examples=200, derandomize=True, database=None)
+    def draw(program):
+        shape, script = program
+        for (kind, rows), _mode in script:
+            if kind == "insert":
+                stored = schema[shape["ts"]].validate_rows(rows)
+                exact[shape["ts"]].append(stored is not None)
+                if stored is not None:
+                    assert [list(row.items()) for row in stored] == [
+                        list(schema[False].validate_row(row).items()) for row in rows
+                    ]
+
+    draw()
+    assert sum(exact[False]) > len(exact[False]) / 2
+    assert exact[True] and not any(exact[True])
 
 
 # ----------------------------------------------------------------------

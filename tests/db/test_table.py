@@ -5,12 +5,11 @@ import pytest
 from repro.db import Column, TableSchema
 from repro.db.schema import CREATED_AT, TID, UPDATED_AT
 from repro.db.table import Table
-from repro.db.types import INTEGER, TEXT
-from repro.errors import ConstraintViolation, DatabaseError, SchemaError
+from repro.db.types import ANY, BOOLEAN, FLOAT, INTEGER, TEXT, TIMESTAMP
+from repro.errors import ConstraintViolation, DatabaseError, SchemaError, TypeMismatchError
 
 
-@pytest.fixture
-def clock():
+def _new_clock():
     state = {"t": 0}
 
     def tick(n=1):
@@ -18,6 +17,11 @@ def clock():
         return state["t"]
 
     return tick
+
+
+@pytest.fixture
+def clock():
+    return _new_clock()
 
 
 @pytest.fixture
@@ -237,3 +241,109 @@ class TestStatementAtATime:
         with pytest.raises(DatabaseError):
             table.delete_many(tids)
         assert table.tids() == [1, 2] and table.by_key(1)[TID] == 1
+
+
+# ----------------------------------------------------------------------
+# Exact statements: stored as copies, checked a column at a time
+def _attrs_schema(with_ts=False):
+    """VisualAttributes-shaped: ``obj_id`` is ``ANY NOT NULL``."""
+    return TableSchema(
+        "attrs",
+        [
+            Column("id", INTEGER, nullable=False),
+            Column("obj_id", ANY, nullable=False),
+            Column("x", FLOAT),
+            Column("label", TEXT),
+            Column("selected", BOOLEAN, default=False),
+            *([Column("ts", TIMESTAMP)] if with_ts else []),
+        ],
+    )
+
+
+def _full_rows(with_ts=False):
+    extra = {"ts": 4} if with_ts else {}
+    return [
+        {"id": 1, "obj_id": "a", "x": 0.5, "label": "p", "selected": False, **extra},
+        {"id": 2, "obj_id": (2, 3), "x": None, "label": None, "selected": True, **extra},
+        {"id": 3, "obj_id": 3, "x": 1.5, "label": "q", "selected": None, **extra},
+    ]
+
+
+def _twin_outcomes(schema, rows):
+    """What ``insert_many`` and a loop of ``insert`` make of ``rows``:
+    the stored rows (key order included) or the error, per twin.  A
+    failing ``insert_many`` must leave an empty table behind."""
+    outcomes = []
+    for batch in (True, False):
+        table = Table(schema, _new_clock())
+        try:
+            if batch:
+                table.insert_many(rows)
+            else:
+                for values in rows:
+                    table.insert(values)
+        except DatabaseError as exc:
+            assert not batch or len(table) == 0
+            outcomes.append((type(exc), str(exc)))
+        else:
+            outcomes.append([list(row.items()) for row in table.rows()])
+    return outcomes
+
+
+def _spoil(index, **values):
+    rows = _full_rows()
+    rows[index] = {**rows[index], **values}
+    return rows
+
+
+def _permuted(index):
+    rows = _full_rows()
+    rows[index] = dict(reversed(rows[index].items()))
+    return rows
+
+
+class TestExactStatements:
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            _full_rows(),
+            _permuted(1),  # stored in schema order, not the row's
+            _spoil(2, **{TID: 9}),  # a hidden field is dropped
+            _spoil(1, id=True),  # bool is not INTEGER
+            _spoil(1, x=2),  # an int is stored as a float
+            _spoil(2, id="3"),  # a string is parsed
+            _spoil(1, obj_id=None),  # ANY NOT NULL
+            _spoil(1, selected=None) + [{"id": 4, "obj_id": 4}],  # a default
+        ],
+        ids=["exact", "permuted", "hidden", "bool", "int-float", "str", "null", "default"],
+    )
+    def test_insert_many_stores_what_a_loop_of_insert_stores(self, rows):
+        batch, loop = _twin_outcomes(_attrs_schema(), rows)
+        assert batch == loop
+
+    def test_only_exact_statements_are_copied(self):
+        schema = _attrs_schema()
+        stored = schema.validate_rows(_full_rows())
+        assert [list(row.items()) for row in stored] == [
+            list(row.items()) for row in _full_rows()
+        ]
+        for rows in (_full_rows()[:1], _permuted(0), _spoil(0, id=True), _spoil(2, x=1)):
+            assert schema.validate_rows(rows) is None
+
+    def test_any_not_null_refuses_null_in_an_otherwise_exact_statement(self, clock):
+        table = Table(_attrs_schema(), clock)
+        rows = _full_rows()
+        rows[1]["obj_id"] = None
+        assert table.schema.validate_rows(rows) is None
+        with pytest.raises(ConstraintViolation, match="attrs.obj_id is NOT NULL"):
+            table.insert_many(rows)
+        assert len(table) == 0 and clock(0) == 0
+
+    def test_a_timestamp_column_keeps_every_statement_on_validate_row(self):
+        schema = _attrs_schema(with_ts=True)
+        assert schema.validate_rows(_full_rows(with_ts=True)) is None
+        for bad in (-5, "x"):
+            rows = _full_rows(with_ts=True)
+            rows[2]["ts"] = bad
+            batch, loop = _twin_outcomes(schema, rows)
+            assert batch == loop and batch[0] is TypeMismatchError

@@ -120,6 +120,35 @@ class TestDisplay:
         assert display.updated == 1
         assert len(display) == 1
 
+    def test_null_selected_displays_as_false(self):
+        display = Display()
+        display.apply_rows(
+            [{"obj_id": 1, "x": 1.0, "y": 2.0, "width": None, "height": None,
+              "color": "#111111", "label": "n", "selected": None}]
+        )
+        assert display.items[1] == VisualItem(1, 1.0, 2.0, None, None, "#111111", "n", False)
+        assert display.items[1].selected is False
+
+    def test_reapplied_batch_counts_as_updates(self):
+        display = Display()
+        rows = [
+            {"obj_id": i, "x": float(i), "y": 0.0, "width": None, "height": None,
+             "color": None, "label": None, "selected": False}
+            for i in (1, 2, 3, 2)
+        ]
+        # The second obj_id 2 of the batch is already shown: an update.
+        assert display.apply_rows(rows) == 4
+        assert (display.inserted, display.updated, len(display)) == (3, 1, 3)
+        assert display.apply_rows(rows[:3]) == 3
+        assert (display.inserted, display.updated, len(display)) == (3, 4, 3)
+
+    def test_visual_item_is_slotted(self):
+        item = VisualItem(obj_id=1)
+        assert "__slots__" in vars(VisualItem)
+        assert not hasattr(item, "__dict__")
+        with pytest.raises(AttributeError):
+            item.extra = 1
+
     def test_remove(self):
         display = Display()
         display.apply_items([VisualItem(obj_id=1), VisualItem(obj_id=2)])

@@ -1,0 +1,77 @@
+"""The Figure-8 batch takes the column-at-a-time write path.
+
+A deterministic count of the per-row calls the path avoids: a
+fig8-shaped 1,000-row ``insert_many`` into ``nodes`` and a 1,000-item
+``VisualAttributesStore.write`` call ``TableSchema.validate_row`` not at
+all, and the store draws its ids in one step.  One coercible value
+sends the whole statement back to ``validate_row``, row by row.
+"""
+
+import pytest
+
+from repro.core import datamodel
+from repro.db import INTEGER, TEXT, Column, Database, TableSchema
+from repro.vis import VisualAttributesStore, VisualItem
+
+ROWS = 1000
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    counts = {"validate_row": 0, "next_id": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(TableSchema, "validate_row")
+    counted(datamodel.IdAllocator, "next_id")
+    return counts
+
+
+@pytest.fixture
+def db():
+    db = Database()
+    datamodel.install_core_schema(db)
+    db.create_table(
+        "nodes",
+        [Column("id", INTEGER, nullable=False), Column("name", TEXT, nullable=False)],
+        primary_key="id",
+    )
+    return db
+
+
+def node_rows(first=1):
+    return [{"id": i, "name": f"node-{i}"} for i in range(first, first + ROWS)]
+
+
+def test_fig8_nodes_statement_calls_no_validate_row(db, calls):
+    db.insert_many("nodes", node_rows())
+    assert calls["validate_row"] == 0
+    assert len(db.table("nodes")) == ROWS
+
+
+def test_fig8_attributes_write_calls_no_validate_row_and_draws_ids_once(db, calls):
+    store = VisualAttributesStore(db)
+    items = [
+        VisualItem(obj_id=i, x=i / 2, y=i / 3, color="#4e79a7", label=f"node-{i}")
+        for i in range(ROWS)
+    ]
+    assert store.write(1, items) == ROWS
+    assert calls["validate_row"] == 0
+    assert calls["next_id"] <= 1
+    ids = [row["id"] for row in db.table(datamodel.T_VISUAL_ATTRIBUTES).rows()]
+    assert len(set(ids)) == ROWS
+
+
+def test_one_coercible_value_validates_every_row(db, calls):
+    rows = node_rows()
+    rows[500] = {"id": "501", "name": "node-501"}
+    db.insert_many("nodes", rows)
+    assert calls["validate_row"] == ROWS
+    assert db.table("nodes").by_key(501)["id"] == 501
