@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Protocol, Sequence
 
 from ..errors import DatabaseError, UnknownTableError
+from .aggstate import _DedupSet, new_states, put_results
 from .expression import (
     Binding,
     ColumnRef,
@@ -804,71 +805,6 @@ class AggSpec:
             raise DatabaseError("DISTINCT requires an aggregate argument")
 
 
-class _AggState:
-    """Running state for one aggregate within one group."""
-
-    __slots__ = (
-        "count",
-        "total",
-        "minimum",
-        "maximum",
-        "seen",
-        "summable",
-        "comparable",
-    )
-
-    def __init__(self, distinct: bool = False) -> None:
-        self.count = 0
-        self.total: Any = 0
-        self.minimum: Any = None
-        self.maximum: Any = None
-        # _DedupSet so COUNT(DISTINCT x) survives unhashable cell values
-        # (lists/dicts in ANY-typed columns) via its linear fallback.
-        self.seen: "_DedupSet | None" = _DedupSet() if distinct else None
-        self.summable = True
-        self.comparable = True
-
-    def add(self, value: Any) -> None:
-        if value is None:
-            return
-        if self.seen is not None and not self.seen.add(value):
-            return
-        self.count += 1
-        if self.summable:
-            try:
-                self.total += value
-            except TypeError:
-                # Non-numeric input poisons SUM/AVG for the whole group:
-                # both yield NULL instead of a partial (wrong) total.
-                self.summable = False
-                self.total = None
-        if self.comparable:
-            try:
-                if self.minimum is None or value < self.minimum:
-                    self.minimum = value
-                if self.maximum is None or value > self.maximum:
-                    self.maximum = value
-            except TypeError:
-                # Mutually incomparable values (e.g. int vs str): MIN/MAX
-                # have no defined answer for the group, so yield NULL.
-                self.comparable = False
-                self.minimum = None
-                self.maximum = None
-
-    def result(self, func: str) -> Any:
-        if func == "COUNT":
-            return self.count
-        if self.count == 0:
-            return None
-        if func == "SUM":
-            return self.total if self.summable else None
-        if func == "AVG":
-            return self.total / self.count if self.summable else None
-        if func == "MIN":
-            return self.minimum if self.comparable else None
-        return self.maximum if self.comparable else None
-
-
 class Aggregate(Plan):
     """GROUP BY + aggregates.  Empty ``group_by`` yields one global row.
 
@@ -889,36 +825,29 @@ class Aggregate(Plan):
         self.having = having
 
     def rows(self, source: TableProvider, lineage: bool = False) -> Iterator[Row]:
-        groups: dict[tuple[Any, ...], tuple[Row, list[_AggState], int]] = {}
+        specs = self.aggregates
+        # key -> [star, states], in first-occurrence order.
+        groups: dict[tuple[Any, ...], list[Any]] = {}
         group_lins: dict[tuple[Any, ...], list[tuple[str, Any]]] = {}
         group_refs = [ColumnRef(g) for g in self.group_by]
         for row in self.child.rows(source, lineage):
             key = tuple(ref.eval(row) for ref in group_refs)
             entry = groups.get(key)
             if entry is None:
-                entry = (
-                    row,
-                    [_AggState(s.distinct) for s in self.aggregates],
-                    0,
-                )
-                groups[key] = entry
-            first_row, states, star = entry
-            groups[key] = (first_row, states, star + 1)
+                entry = groups[key] = [0, new_states(specs)]
+            entry[0] += 1
             if lineage:
                 group_lins.setdefault(key, []).extend(row[LIN])
-            for spec, state in zip(self.aggregates, states):
-                if spec.arg is not None:
+            for spec, state in zip(specs, entry[1]):
+                if state is not None:
                     state.add(spec.arg.eval(row))
         if not groups and not self.group_by:
             # Global aggregate over an empty input still yields one row.
-            groups[()] = ({}, [_AggState(s.distinct) for s in self.aggregates], 0)
-        for key, (first_row, states, star) in groups.items():
-            out: Row = {g: v for g, v in zip(self.group_by, key)}
-            for spec, state in zip(self.aggregates, states):
-                if spec.func == "COUNT" and spec.arg is None:
-                    out[spec.name] = star
-                else:
-                    out[spec.name] = state.result(spec.func)
+            groups[()] = [0, new_states(specs)]
+        names = [s.name for s in specs]
+        for key, (star, states) in groups.items():
+            out: Row = dict(zip(self.group_by, key))
+            put_results(out, names, star, states)
             if lineage:
                 out[LIN] = tuple(group_lins.get(key, ()))
             if self.having is None or evaluate_predicate(self.having, out):
@@ -1019,44 +948,6 @@ class Limit(Plan):
 
 def _row_key(row: Row) -> tuple[tuple[str, Any], ...]:
     return tuple(sorted((k, v) for k, v in row.items() if not k.startswith("__")))
-
-
-class _DedupSet:
-    """Set-semantics membership that tolerates unhashable keys.
-
-    Hashable keys take the O(1) set path; a key whose hash raises
-    ``TypeError`` (rows holding lists/dicts in ANY-typed columns) falls
-    back to a linear equality scan over the unhashable tail.  Dedup is
-    by ``==`` either way, matching what a plain set does for hashables.
-    """
-
-    __slots__ = ("_seen", "_linear")
-
-    def __init__(self) -> None:
-        self._seen: set[Any] = set()
-        self._linear: list[Any] = []
-
-    def add(self, key: Any) -> bool:
-        """Record ``key``; returns True when it was not seen before."""
-        try:
-            if key in self._seen:
-                return False
-            self._seen.add(key)
-            return True
-        except TypeError:
-            if key in self._linear:
-                return False
-            self._linear.append(key)
-            return True
-
-    def __contains__(self, key: Any) -> bool:
-        try:
-            return key in self._seen
-        except TypeError:
-            return key in self._linear
-
-    def __len__(self) -> int:
-        return len(self._seen) + len(self._linear)
 
 
 class Distinct(Plan):

@@ -32,10 +32,9 @@ of them; the oracle's property tests avoid them):
 * ``AND``/``OR`` evaluate both sides column-at-a-time, so a right-hand
   side the row engine would have short-circuited past may raise here
   (predicate reordering).
-* A MIN-only (or MAX-only) aggregate performs only ``<`` (only ``>``)
-  comparisons, where the row engine's shared state performs both; exotic
-  values with asymmetric comparison support can poison one engine and
-  not the other.
+* MIN/MAX over values with no total order (NaN, sets) may pick another
+  extreme on a memo-served re-run: merging a chunk's kept extreme is not
+  comparing its values one at a time, as both engines' fold does.
 """
 
 from __future__ import annotations
@@ -61,12 +60,11 @@ from .algebra import (
     Select,
     Sort,
     TableProvider,
-    _AggState,
-    _DedupSet,
     evaluate_predicate,
     sort_key_total,
 )
-from .columnar import K_BOOL, K_INT, K_NULL
+from .aggstate import MERGEABLE_SUM_KINDS, _DedupSet, new_states, put_results
+from .columnar import K_NULL
 from .schema import TID
 from .expression import (
     And,
@@ -960,11 +958,6 @@ class VHashJoin(VOp):
             yield Batch(columns, len(pair_l), None, lin)
 
 
-#: Kinds whose SUM/AVG partials merge exactly: integer addition is
-#: associative, so a kept chunk total added to the running one equals the
-#: left fold over the chunk's values.  Float addition is not.
-MERGEABLE_SUM_KINDS = K_INT | K_BOOL | K_NULL
-
 #: A chunk's partial is kept only while it has at most this many groups
 #: per row: a GROUP BY on a key would otherwise pin an O(rows) memo on a
 #: cached plan.
@@ -974,35 +967,33 @@ MEMO_MAX_GROUPS_PER_ROW = 0.25
 class VAggregate(VOp):
     """GROUP BY + aggregates over column chunks.
 
-    Accumulation replicates :class:`~repro.db.algebra._AggState` exactly:
-    SUM/AVG is the row engine's left fold (``total += v``; C ``sum()``
-    only over a column tagged within :data:`MERGEABLE_SUM_KINDS`, since
-    CPython >= 3.12's compensates float rounding), ``min(cur,
-    min(values))`` keeps the earliest value on ties like the strict ``<``
-    update does, poisoning (non-summable SUM, incomparable MIN/MAX)
-    yields NULL for the whole group, and groups emit in first-occurrence
-    order.  Fast paths: group counts come free from the partition lists;
-    a no-NULL column type tag skips the NULL pre-filter; DISTINCT specs
-    fall back to a per-value ``_AggState`` loop.  No GROUP BY is the
-    one-key ``()`` case of the same per-batch fold.
+    Each group folds through the row engine's own
+    :class:`~repro.db.aggstate.AggState`, one ``add_many`` per spec per
+    batch partition (C ``sum()`` only over a column tagged within
+    :data:`MERGEABLE_SUM_KINDS`, see :meth:`_exact_sums`), and groups emit
+    in first-occurrence order.  Fast paths: group counts come free from
+    the partition lists; a no-NULL column type tag skips the NULL
+    pre-filter.  No GROUP BY is the one-key ``()`` case of the same
+    per-batch fold.
 
     Chunk memo: the operator keeps, per chunk stamp (``Batch.origin``),
     the per-group partial it folded from that full chunk, and a re-run of
-    the (cached) plan merges a kept partial instead of folding the chunk
-    again.  Only specs whose partials merge exactly take this route:
-    COUNT, COUNT(*), MIN, MAX, and SUM/AVG over a column tagged within
-    :data:`MERGEABLE_SUM_KINDS`; DISTINCT, any other SUM/AVG, lineage
-    capture, a lone COUNT(*) without GROUP BY (an O(1) fold), and an
-    aggregate over a ``?`` slot (a filter, projection or argument reading
-    one: the partial then depends on the binding, not only on the chunk)
-    fold every batch.  Each execution replaces the memo with the
+    the (cached) plan merges a kept partial (``AggState.merge``) instead
+    of folding the chunk again.  Only specs whose partials merge exactly
+    take this route: COUNT, COUNT(*), MIN, MAX, and SUM/AVG over a column
+    tagged within :data:`MERGEABLE_SUM_KINDS`; DISTINCT, any other
+    SUM/AVG, lineage capture, a lone COUNT(*) without GROUP BY (an O(1)
+    fold), and an aggregate over a ``?`` slot (a filter, projection or
+    argument reading one: the partial then depends on the binding, not
+    only on the chunk) fold every batch.  Each execution replaces the memo with the
     partials it used, so it holds ints and partials, never chunks, and
     forgets a compacted or rebuilt store's chunks on the next run.
 
     Prefix: the stamps of the last execution's leading run of kept chunks
     and the groups merged from exactly those.  A re-run whose leading
-    batches carry those stamps starts from a copy of that state (never
-    mutated once published); a changed stamp merges the matched partials.
+    batches carry those stamps starts from a copy of that state
+    (``AggState.copy``; never mutated once published); a changed stamp
+    merges the matched partials.
     """
 
     def __init__(
@@ -1069,79 +1060,6 @@ class VAggregate(VOp):
     def children(self) -> tuple[VOp, ...]:
         return (self.child,)
 
-    # -- per-spec accumulator plumbing ---------------------------------
-    def _new_states(self) -> list[Any]:
-        states: list[Any] = []
-        for spec in self.aggregates:
-            if spec.arg is None:
-                states.append(None)  # COUNT(*): the star count suffices
-            elif spec.distinct:
-                states.append(_AggState(distinct=True))
-            else:
-                # [count, value, ok] -- value/ok meaning depends on func:
-                # SUM/AVG: running total + summable; MIN/MAX: best +
-                # comparable; COUNT: value unused.
-                states.append([0, 0 if spec.func in ("SUM", "AVG") else None, True])
-        return states
-
-    @staticmethod
-    def _accumulate(spec: Any, state: Any, values: list[Any], exact: bool) -> None:
-        """Fold non-None ``values`` (in row order) into ``state``; ``exact``
-        lets SUM/AVG use C ``sum()`` (see :meth:`_exact_sums`)."""
-        if not values:
-            return
-        if spec.distinct:
-            for v in values:
-                state.add(v)
-            return
-        state[0] += len(values)
-        func = spec.func
-        if func == "COUNT" or not state[2]:
-            return
-        if func in ("SUM", "AVG"):
-            try:
-                if exact:
-                    state[1] = sum(values, state[1])
-                else:
-                    total = state[1]
-                    for value in values:
-                        total += value
-                    state[1] = total
-            except TypeError:
-                state[1] = None
-                state[2] = False
-        elif func == "MIN":
-            try:
-                best = min(values)
-                state[1] = best if state[1] is None else min(state[1], best)
-            except TypeError:
-                state[1] = None
-                state[2] = False
-        else:  # MAX
-            try:
-                best = max(values)
-                state[1] = best if state[1] is None else max(state[1], best)
-            except TypeError:
-                state[1] = None
-                state[2] = False
-
-    @staticmethod
-    def _result(spec: Any, state: Any, star: int) -> Any:
-        if spec.arg is None:
-            return star
-        if spec.distinct:
-            return state.result(spec.func)
-        count = state[0]
-        if spec.func == "COUNT":
-            return count
-        if count == 0:
-            return None
-        if spec.func == "SUM":
-            return state[1] if state[2] else None
-        if spec.func == "AVG":
-            return state[1] / count if state[2] else None
-        return state[1] if state[2] else None
-
     def _group_keys(self, batch: Batch) -> list[Any]:
         """Raw per-row group keys (scalar for one column, tuple beyond)."""
         cols = [_resolve(batch, g) for g in self.group_by]
@@ -1169,38 +1087,20 @@ class VAggregate(VOp):
         specs = self.aggregates
         return not any(s.distinct for s in specs) and all(self._exact_sums(batch))
 
-    def _merge(self, groups: dict[Any, list[Any]], *partials: dict[Any, Any]) -> None:
+    @staticmethod
+    def _merge(groups: dict[Any, list[Any]], *partials: dict[Any, Any]) -> None:
         """Combine kept partials into ``groups`` as if their chunks had been
         folded there, in order; the partials themselves are left untouched."""
-        specs = self.aggregates
         for partial in partials:
             for key, (star, parts) in partial.items():
                 entry = groups.get(key)
                 if entry is None:
-                    # A fresh state merged with a part equals the part.
-                    groups[key] = [star, [p if p is None else p[:] for p in parts]]
+                    groups[key] = [star, [p if p is None else p.copy() for p in parts]]
                     continue
                 entry[0] += star
-                for spec, state, part in zip(specs, entry[1], parts):
-                    if part is None or not part[0]:
-                        continue  # COUNT(*), or no non-NULL value in the chunk
-                    state[0] += part[0]
-                    func = spec.func
-                    if func == "COUNT" or not state[2]:
-                        continue
-                    if not part[2]:  # the chunk poisoned its group
-                        state[1] = None
-                        state[2] = False
-                    elif func in ("SUM", "AVG"):
-                        state[1] += part[1]  # ints: exact in any grouping
-                    elif state[1] is None:
-                        state[1] = part[1]
-                    else:
-                        try:
-                            state[1] = (min if func == "MIN" else max)(state[1], part[1])
-                        except TypeError:
-                            state[1] = None
-                            state[2] = False
+                for state, part in zip(entry[1], parts):
+                    if state is not None:
+                        state.merge(part)
 
     def _snapshot(
         self, kept: dict[int, Any], groups: dict[Any, list[Any]], held: int
@@ -1230,7 +1130,7 @@ class VAggregate(VOp):
         if not self.group_by:
             entry = groups.get(())
             if entry is None:
-                entry = groups[()] = [0, self._new_states()]
+                entry = groups[()] = [0, new_states(specs)]
             entry[0] += batch.n
             if blin is not None and glins is not None:
                 lst = glins.setdefault((), [])
@@ -1250,7 +1150,7 @@ class VAggregate(VOp):
                     values = col
                 else:
                     values = [v for v in col if v is not None]
-                self._accumulate(spec, state, values, ex)
+                state.add_many(values, ex)
             return
         keys = self._group_keys(batch)
         if self._star_only and blin is None:
@@ -1261,7 +1161,7 @@ class VAggregate(VOp):
             for key, n in counts.items():
                 entry = groups.get(key)
                 if entry is None:
-                    groups[key] = [n, self._new_states()]
+                    groups[key] = [n, new_states(specs)]
                 else:
                     entry[0] += n
             return
@@ -1295,12 +1195,12 @@ class VAggregate(VOp):
             for key, raw in bucket.items():
                 entry = groups.get(key)
                 if entry is None:
-                    entry = groups[key] = [0, self._new_states()]
+                    entry = groups[key] = [0, new_states(specs)]
                 entry[0] += len(raw)
                 values = raw if no_nulls else [v for v in raw if v is not None]
-                for spec, state, ex in zip(specs, entry[1], exact):
-                    if spec.arg is not None:
-                        self._accumulate(spec, state, values, ex)
+                for state, ex in zip(entry[1], exact):
+                    if state is not None:
+                        state.add_many(values, ex)
             return
         # General path: index partition, one pick per spec column.
         positions: dict[Any, list[int]] = {}
@@ -1316,14 +1216,14 @@ class VAggregate(VOp):
         for key, idxs in positions.items():
             entry = groups.get(key)
             if entry is None:
-                entry = groups[key] = [0, self._new_states()]
+                entry = groups[key] = [0, new_states(specs)]
             entry[0] += len(idxs)
             if blin is not None and glins is not None:
                 lst = glins.setdefault(key, [])
                 for i in idxs:
                     lst.extend(blin[i])
             picked_cache: dict[int, list[Any]] = {}
-            for spec, col, state, ex in zip(specs, argcols, entry[1], exact):
+            for col, state, ex in zip(argcols, entry[1], exact):
                 if col is None:
                     continue
                 ckey = id(col)
@@ -1331,7 +1231,7 @@ class VAggregate(VOp):
                 if picked is None:
                     picked = [v for i in idxs if (v := col[i]) is not None]
                     picked_cache[ckey] = picked
-                self._accumulate(spec, state, picked, ex)
+                state.add_many(picked, ex)
 
     def batches(
         self,
@@ -1399,18 +1299,14 @@ class VAggregate(VOp):
             self.reused = (reused + held, seen)
             self.merged = merged
         if not group_by and not groups:
-            groups[()] = [0, self._new_states()]  # empty input: one row
+            groups[()] = [0, new_states(specs)]  # empty input: one row
 
+        names = [s.name for s in specs]
         out_rows: list[Row] = []
         out_lins: list[tuple] = []
         for key, (star, states) in groups.items():
-            if group_by:
-                key_tuple = (key,) if single else key
-                out: Row = {g: v for g, v in zip(group_by, key_tuple)}
-            else:
-                out = {}
-            for spec, state in zip(specs, states):
-                out[spec.name] = self._result(spec, state, star)
+            out: Row = dict(zip(group_by, (key,) if single else key))
+            put_results(out, names, star, states)
             if self.having is None or evaluate_predicate(self.having, out):
                 out_rows.append(out)
                 if glins is not None:

@@ -5,9 +5,12 @@ Three view shapes cover everything EdiFlow's applications need:
 * :class:`SelectProjectView` -- sigma/pi over one base table;
 * :class:`JoinView` -- equi-join of two base tables with optional
   selection and projection;
-* :class:`AggregateView` -- GROUP BY with COUNT/SUM/AVG/MIN/MAX over one
-  base table (the US-election vote aggregates and the Wikipedia
-  contribution metrics are exactly this shape).
+* :class:`AggregateView` -- GROUP BY with COUNT/SUM/AVG/MIN/MAX, DISTINCT
+  or not, over one base table (the US-election vote aggregates and the
+  Wikipedia contribution metrics are exactly this shape).  Its groups
+  fold through :mod:`repro.db.aggstate`, the SQL engines' aggregate
+  state: a value that cannot be folded poisons its aggregate to NULL
+  until that value's row is deleted.
 
 Views store their result as a counted multiset so that duplicate tuples
 delete correctly (classic counting algorithm of Gupta-Mumick).  Each shape
@@ -21,6 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, Sequence
 
+from ..db.aggstate import ViewAggState, new_states, put_results
 from ..db.algebra import AggSpec
 from ..db.expression import ColumnRef, Expression, evaluate_predicate
 from ..db.schema import TID
@@ -361,25 +365,18 @@ class JoinView(ViewDefinition):
         return len(self.storage)
 
 
-class _GroupState:
-    """Incremental state of one group in an aggregate view."""
-
-    __slots__ = ("count_star", "sums", "counts", "value_counts")
-
-    def __init__(self, n_aggs: int) -> None:
-        self.count_star = 0
-        self.sums: list[Any] = [0] * n_aggs
-        self.counts = [0] * n_aggs
-        # For MIN/MAX: multiset of observed values per aggregate slot.
-        self.value_counts: list[Counter[Any] | None] = [None] * n_aggs
-
-
 class AggregateView(ViewDefinition):
     """Materialized ``SELECT group_by..., aggs... FROM table WHERE ...``.
 
-    SUM/COUNT/AVG maintain in O(1) per delta row.  MIN/MAX keep a counted
-    multiset of values per group, so deletions of the current extremum
-    find the next one without touching the base table.
+    Each group folds through the aggregate state the SQL engines use,
+    extended with removal (:class:`~repro.db.aggstate.ViewAggState`), so
+    the view reads what a fresh GROUP BY would.  SUM/COUNT/AVG maintain in
+    O(1) per delta row.  MIN/MAX keep a counted multiset of values per
+    group and re-fold it on a delete, so deleting the current extremum
+    finds the next one without touching the base table; DISTINCT keeps
+    one too, and folds a value only while a copy of it is in the group.
+    A value SUM/AVG or MIN/MAX cannot fold (a str among ints) reads as
+    NULL, as in SQL, never as an error, until its row is deleted.
     """
 
     def __init__(
@@ -395,7 +392,8 @@ class AggregateView(ViewDefinition):
         self.group_by = list(group_by)
         self.aggregates = list(aggregates)
         self.where = where
-        self.groups: dict[tuple[Any, ...], _GroupState] = {}
+        # key -> [count of rows, one ViewAggState per spec (None: COUNT(*))]
+        self.groups: dict[tuple[Any, ...], list[Any]] = {}
 
     def base_tables(self) -> set[str]:
         return {self.table}
@@ -428,105 +426,63 @@ class AggregateView(ViewDefinition):
         self.apply_group_rows(self._group_key(row), [row], sign)
 
     def apply_group_rows(self, key: tuple[Any, ...], rows: Sequence[Row], sign: int) -> None:
-        """Fold same-group base rows in (+1) or out (-1).
-
-        Per-slot accumulation is a left fold in row order, so float SUM
-        rounding depends only on the order the rows arrive in.
-        """
+        """Fold same-group base rows in (+1) or out (-1), in row order."""
         if not rows:
             return
-        state = self.groups.get(key)
-        if state is None:
+        entry = self.groups.get(key)
+        if entry is None:
             if sign < 0:
                 raise ViewError(
                     f"aggregate view {self.name!r}: deleting from unknown group {key!r}"
                 )
-            state = _GroupState(len(self.aggregates))
-            self.groups[key] = state
+            entry = self.groups[key] = [0, new_states(self.aggregates, ViewAggState)]
         if self.lineage is not None:
             srcs = [(self.table, row.get(TID)) for row in rows]
             if sign > 0:
                 self.lineage.add(key, srcs)
             else:
                 self.lineage.remove(key, srcs)
-        state.count_star += sign * len(rows)
+        entry[0] += sign * len(rows)
         first = rows[0]
-        for i, spec in enumerate(self.aggregates):
-            arg = spec.arg
-            if arg is None:
+        for spec, state in zip(self.aggregates, entry[1]):
+            if state is None:
                 continue
+            arg = spec.arg
             if isinstance(arg, ColumnRef) and arg.name in first:
                 name = arg.name
                 values = [v for row in rows if (v := row[name]) is not None]
             else:
                 values = [v for row in rows if (v := arg.eval(row)) is not None]
-            if not values:
-                continue
-            state.counts[i] += sign * len(values)
-            if spec.func in ("SUM", "AVG"):
-                # A left fold from the current total, not ``sum``: that
-                # compensates float rounding on Python >= 3.12, so a total
-                # would depend on where the deltas' batch boundaries fell.
-                total = state.sums[i]
-                if sign > 0:
-                    for value in values:
-                        total += value
-                else:
-                    for value in values:
-                        total -= value
-                state.sums[i] = total
-            elif spec.func in ("MIN", "MAX"):
-                vc = state.value_counts[i]
-                if vc is None:
-                    vc = Counter()
-                    state.value_counts[i] = vc
-                if sign > 0:
-                    vc.update(values)
-                else:
-                    vc.subtract(values)
-                    for value in set(values):
-                        if vc[value] <= 0:
-                            del vc[value]
-        if state.count_star < 0:
+            if sign > 0:
+                state.add_many(values)
+            else:
+                state.remove_many(values)
+        if entry[0] < 0:
             raise ViewError(
                 f"aggregate view {self.name!r}: group {key!r} count underflow"
             )
-        if state.count_star == 0:
+        if entry[0] == 0:
             del self.groups[key]
 
     def _lineage_key(self, row: Row) -> Any:
         return tuple(row[g] for g in self.group_by)
 
     def rows(self) -> list[Row]:
+        names = [s.name for s in self.aggregates]
         out: list[Row] = []
-        for key, state in self.groups.items():
+        for key, (star, states) in self.groups.items():
             row: Row = dict(zip(self.group_by, key))
-            for i, spec in enumerate(self.aggregates):
-                row[spec.name] = self._result(state, i, spec)
+            put_results(row, names, star, states)
             out.append(row)
         return out
 
-    def _result(self, state: _GroupState, i: int, spec: AggSpec) -> Any:
-        if spec.func == "COUNT":
-            return state.count_star if spec.arg is None else state.counts[i]
-        if state.counts[i] == 0:
-            return None
-        if spec.func == "SUM":
-            return state.sums[i]
-        if spec.func == "AVG":
-            return state.sums[i] / state.counts[i]
-        vc = state.value_counts[i]
-        assert vc is not None
-        return min(vc) if spec.func == "MIN" else max(vc)
-
     def group(self, *key: Any) -> Row | None:
         """Result row for one group key, or None if the group is empty."""
-        state = self.groups.get(tuple(key))
-        if state is None:
+        entry = self.groups.get(key)
+        if entry is None:
             return None
         row: Row = dict(zip(self.group_by, key))
-        for i, spec in enumerate(self.aggregates):
-            row[spec.name] = self._result(state, i, spec)
+        put_results(row, [s.name for s in self.aggregates], *entry)
         return row
 
     def __len__(self) -> int:

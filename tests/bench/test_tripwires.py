@@ -4,10 +4,11 @@ per-link delivery counters and HELLO capability negotiation, the
 row copies a mirror and a rollback made of images they can share, the
 one-element ``{tid}`` set a hash index kept per key, the sync client's
 liveness monitor and reconnector threads, and the sync server's knobs
-nobody set, and the IVM dispatch module with its per-row folds and their
-size switch; and for what the aggregate memo relies on: every write into
-a column chunk re-stamps it, and the memo is keyed by stamps, never by
-chunks."""
+nobody set, the IVM dispatch module with its per-row folds and their
+size switch, and the second and third aggregate group states (the row
+engine's, IVM's, and the batch engine's state lists); and for what the
+aggregate memo relies on: every write into a column chunk re-stamps it,
+and the memo is keyed by stamps, never by chunks."""
 
 import ast
 import re
@@ -666,3 +667,79 @@ def test_the_one_fold_tripwires_fire_on_planted_offenders(tmp_path):
     assert not is_one_group_fold(apply_row_body(views))
     assert not is_one_group_fold(["self.apply_delta(row, sign)"])
     assert is_one_group_fold(["self.apply_group_rows(self._group_key(row), [row], sign)"])
+
+
+#: Names of the aggregate group-state copies that ``repro.db.aggstate``
+#: replaced: the row engine's and IVM's state classes and the batch
+#: engine's list-state plumbing.
+GONE_AGG_STATES = {"_AggState", "_GroupState", "_accumulate", "_new_states"}
+
+
+def second_agg_states(source):
+    """``(line, name)`` of every class or function named like a deleted
+    aggregate state."""
+    return sorted(
+        (node.lineno, node.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in GONE_AGG_STATES
+    )
+
+
+def sum_kind_assignments(source):
+    """Lines that assign ``MERGEABLE_SUM_KINDS`` (as a name or attribute)."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        if any(
+            getattr(t, "id", None) == "MERGEABLE_SUM_KINDS"
+            or getattr(t, "attr", None) == "MERGEABLE_SUM_KINDS"
+            for t in targets
+        ):
+            hits.append(node.lineno)
+    return sorted(hits)
+
+
+def test_one_aggregate_state_and_one_exactness_rule():
+    """The row engine, the batch engine and IVM views fold through
+    ``repro.db.aggstate``; its exactness rule is set there and only there."""
+    sources = {
+        str(path.relative_to(REPO)): path.read_text(encoding="utf-8")
+        for path in sorted((REPO / "src" / "repro").rglob("*.py"))
+    }
+    offenders = [
+        f"{name}:{line}: {found}"
+        for name, text in sources.items()
+        for line, found in second_agg_states(text)
+    ]
+    assert offenders == []
+    assigning = [name for name, text in sources.items() if sum_kind_assignments(text)]
+    assert assigning == ["src/repro/db/aggstate.py"]
+
+
+def test_the_aggregate_state_tripwires_fire_on_planted_offenders():
+    planted = (
+        "MERGEABLE_SUM_KINDS = 7\n"
+        "class _AggState:\n"
+        "    pass\n"
+        "class VAggregate:\n"
+        "    def _new_states(self):\n"
+        "        vector.MERGEABLE_SUM_KINDS: int = 3\n"
+        "    def _accumulate(self, state):\n"
+        "        kinds = MERGEABLE_SUM_KINDS\n"
+        "class _GroupState:\n"
+        "    MERGEABLE_SUM_KINDS |= 1\n"
+    )
+    assert second_agg_states(planted) == [
+        (2, "_AggState"),
+        (5, "_new_states"),
+        (7, "_accumulate"),
+        (9, "_GroupState"),
+    ]
+    assert sum_kind_assignments(planted) == [1, 6, 10]
+    fine = "from .aggstate import MERGEABLE_SUM_KINDS\ndef merge(self, part):\n    pass\n"
+    assert second_agg_states(fine) == [] and sum_kind_assignments(fine) == []

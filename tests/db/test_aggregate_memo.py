@@ -22,7 +22,7 @@ import random
 
 import pytest
 
-from repro.db import Database, Vectorized, columnar, vector, vectorize_plan
+from repro.db import Database, Vectorized, aggstate, columnar, vectorize_plan
 from repro.db.vector import VAggregate, _walk
 from tests.db.engines import forced_engine
 
@@ -102,6 +102,14 @@ def compensated_sum(values, start=0):
                 comp += (value - t) + total
             total = t
     return total + comp if comp and math.isfinite(comp) else total
+
+
+def use_sum(monkeypatch, summer):
+    """Make ``summer`` the ``sum()`` the aggregate fold calls.  ``sum`` is
+    a builtin, not a module attribute, hence ``raising=False``; the assert
+    fails loudly if the fold stops calling it here."""
+    assert "sum" in aggstate.AggState._fold.__code__.co_names
+    monkeypatch.setattr(aggstate, "sum", summer, raising=False)
 
 
 class Model:
@@ -336,7 +344,7 @@ def test_a_group_whose_first_row_leaves_the_prefix_keeps_row_order(
 
 @pytest.mark.parametrize("summer", [sum, compensated_sum])
 def test_float_sum_is_the_row_engines_left_fold(small_chunks, monkeypatch, summer):
-    monkeypatch.setattr(vector, "sum", summer, raising=False)
+    use_sum(monkeypatch, summer)
     db = Database()
     db.execute(CREATE)
     db.insert_many("t", [{"id": k, "f": f} for k, f in enumerate([1e16, 1.0, -1e16])])
@@ -347,5 +355,5 @@ def test_float_sum_is_the_row_engines_left_fold(small_chunks, monkeypatch, summe
 
 
 def test_float_aggregates_match_under_a_compensating_sum(small_chunks, monkeypatch):
-    monkeypatch.setattr(vector, "sum", compensated_sum, raising=False)
+    use_sum(monkeypatch, compensated_sum)
     Model(1).run(30)

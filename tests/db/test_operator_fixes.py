@@ -5,8 +5,10 @@ Covers three defects fixed together with the planner work:
 1. HashJoin LEFT-join null padding when the right child is a derived
    plan (subquery/projection) rather than a base table -- padding must
    come from the right plan's actual output columns, not the catalog.
-2. ``_AggState`` silently treating non-numeric SUM/AVG input as zero --
-   it now yields NULL for the whole group instead of a partial total.
+2. The row engine's aggregate state (now ``repro.db.aggstate.AggState``,
+   shared by both engines and IVM views) silently treating non-numeric
+   SUM/AVG input as zero -- it now yields NULL for the whole group
+   instead of a partial total.
 3. ``HashIndex.add`` leaving an empty bucket behind when a unique
    violation aborted the insert.
 

@@ -58,11 +58,21 @@ def chunks(rows, size):
 
 
 def state_snapshot(view):
+    """The view's groups in :func:`left_fold`'s shape: (key, row count,
+    SUM/AVG totals, non-NULL value counts, MIN/MAX multisets) per spec."""
     out = []
-    for key, state in sorted(view.groups.items(), key=repr):
-        vcs = [None if vc is None else sorted(vc.items()) for vc in state.value_counts]
-        out.append((key, state.count_star, list(state.sums), list(state.counts), vcs))
+    for key, (star, states) in sorted(view.groups.items(), key=repr):
+        funcs = [s and s.func for s in states]
+        sums = [s.value if f in ("SUM", "AVG") else 0 for s, f in zip(states, funcs)]
+        counts = [0 if s is None else s.count for s in states]
+        vcs = [multiset(s.counts) if f in ("MIN", "MAX") else None for s, f in zip(states, funcs)]
+        out.append((key, star, sums, counts, vcs))
     return out
+
+
+def multiset(counts):
+    """A MIN/MAX value multiset, sorted; None when empty or never made."""
+    return sorted(counts.items()) if counts else None
 
 
 def left_fold(view, deltas):
@@ -102,7 +112,7 @@ def left_fold(view, deltas):
                 if state[0] == 0:
                     del groups[key]
     return [
-        (key, s[0], s[1], s[2], [None if vc is None else sorted(vc.items()) for vc in s[3]])
+        (key, s[0], s[1], s[2], [multiset(vc) for vc in s[3]])
         for key, s in sorted(groups.items(), key=repr)
     ]
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.db import AggSpec, Column, Database, col
-from repro.db.types import INTEGER, TEXT
+from repro.db.types import ANY, INTEGER, TEXT
 from repro.errors import ViewError
 from repro.ivm import (
     AggregateView,
@@ -263,6 +263,114 @@ class TestAggregateView:
         view = self.make(db, registry)
         with pytest.raises(ViewError):
             view.apply(Delta.deletions("orders", [{"customer": "ghost", "amount": 1}]))
+
+
+class TestAggregateViewAgreesWithSql:
+    """Each case once diverged: the view read, or raised, what a fresh
+    GROUP BY does not.  A view over an ANY column must read what SQL and
+    a recompute read, after every insert and delete."""
+
+    def make(self, *specs):
+        db = Database()
+        db.create_table(
+            "pts",
+            [Column("id", INTEGER, nullable=False), Column("g", TEXT), Column("v", ANY)],
+            primary_key="id",
+        )
+        registry = ViewRegistry(db)
+        view = registry.register(AggregateView("by_g", "pts", ["g"], list(specs)))
+        return db, registry, view
+
+    def agrees(self, db, registry, view, select):
+        shown = registry.rows("by_g")
+        assert shown == db.query(f"SELECT g, {select} FROM pts GROUP BY g")
+        view.recompute(db)
+        assert view.rows() == shown
+        return shown
+
+    def test_distinct_folds_each_value_once(self):
+        db, registry, view = self.make(
+            AggSpec("COUNT", col("v"), "n", distinct=True),
+            AggSpec("SUM", col("v"), "s", distinct=True),
+            AggSpec("AVG", col("v"), "m", distinct=True),
+        )
+        select = "COUNT(DISTINCT v) AS n, SUM(DISTINCT v) AS s, AVG(DISTINCT v) AS m"
+        db.insert_many("pts", [{"id": i, "g": "a", "v": 5} for i in range(3)])
+        assert self.agrees(db, registry, view, select) == [
+            {"g": "a", "n": 1, "s": 5, "m": 5.0}
+        ]
+        db.insert("pts", {"id": 3, "g": "a", "v": 7})
+        db.delete("pts", col("id") == 0)  # two copies of 5 remain
+        assert self.agrees(db, registry, view, select) == [
+            {"g": "a", "n": 2, "s": 12, "m": 6.0}
+        ]
+        db.delete("pts", col("id") <= 2)  # the last copies of 5 leave
+        assert self.agrees(db, registry, view, select) == [
+            {"g": "a", "n": 1, "s": 7, "m": 7.0}
+        ]
+
+    def test_a_value_sum_cannot_fold_reads_null_and_never_raises(self):
+        db, registry, view = self.make(
+            AggSpec("COUNT", None, "c"),
+            AggSpec("SUM", col("v"), "s"),
+            AggSpec("AVG", col("v"), "m"),
+        )
+        db.insert("pts", {"id": 0, "g": "a", "v": 1})
+        db.insert("pts", {"id": 1, "g": "a", "v": "x"})
+        assert self.agrees(db, registry, view, "COUNT(*) AS c, SUM(v) AS s, AVG(v) AS m") == [
+            {"g": "a", "c": 2, "s": None, "m": None}
+        ]
+
+    def test_deleting_the_poisoning_row_unpoisons_the_group(self):
+        db, registry, view = self.make(
+            AggSpec("COUNT", None, "c"),
+            AggSpec("SUM", col("v"), "s"),
+            AggSpec("AVG", col("v"), "m"),
+        )
+        select = "COUNT(*) AS c, SUM(v) AS s, AVG(v) AS m"
+        db.insert_many(
+            "pts",
+            [{"id": 0, "g": "a", "v": 1}, {"id": 1, "g": "a", "v": "x"}, {"id": 2, "g": "a", "v": 2}],
+        )
+        assert self.agrees(db, registry, view, select)[0]["s"] is None
+        db.delete("pts", col("id") == 1)
+        assert self.agrees(db, registry, view, select) == [
+            {"g": "a", "c": 2, "s": 3, "m": 1.5}
+        ]
+
+    def test_min_max_over_incomparable_values_read_null(self):
+        db, registry, view = self.make(
+            AggSpec("MIN", col("v"), "lo"), AggSpec("MAX", col("v"), "hi")
+        )
+        select = "MIN(v) AS lo, MAX(v) AS hi"
+        db.insert("pts", {"id": 0, "g": "a", "v": 1})
+        db.insert("pts", {"id": 1, "g": "a", "v": "x"})
+        assert self.agrees(db, registry, view, select) == [{"g": "a", "lo": None, "hi": None}]
+        db.delete("pts", col("id") == 1)
+        assert self.agrees(db, registry, view, select) == [{"g": "a", "lo": 1, "hi": 1}]
+
+    def test_unhashable_values_are_counted_by_equality(self):
+        db, registry, view = self.make(
+            AggSpec("COUNT", col("v"), "n", distinct=True),
+            AggSpec("SUM", col("v"), "s", distinct=True),
+            AggSpec("MIN", col("v"), "lo"),
+            AggSpec("MAX", col("v"), "hi"),
+        )
+        select = "COUNT(DISTINCT v) AS n, SUM(DISTINCT v) AS s, MIN(v) AS lo, MAX(v) AS hi"
+        values = [[1], [1], [2], 3]
+        db.insert_many("pts", [{"id": i, "g": "a", "v": v} for i, v in enumerate(values)])
+        assert self.agrees(db, registry, view, select) == [
+            {"g": "a", "n": 3, "s": None, "lo": None, "hi": None}
+        ]
+        db.delete("pts", col("id") == 0)  # one copy of [1] remains
+        db.delete("pts", col("id") == 3)
+        assert self.agrees(db, registry, view, select) == [
+            {"g": "a", "n": 2, "s": None, "lo": [1], "hi": [2]}
+        ]
+        db.delete("pts", col("id") == 1)
+        assert self.agrees(db, registry, view, select) == [
+            {"g": "a", "n": 1, "s": None, "lo": [2], "hi": [2]}
+        ]
 
 
 class TestRegistry:
