@@ -1,19 +1,63 @@
 """Headless display: the terminal stage of the visualization pipeline.
 
 A :class:`Display` stands in for one screen of the paper's deployment
-(laptop, iPhone, or one WILD tile).  It keeps a display list of visual
-items keyed by object id and can render to SVG for inspection.  The
-Figure-8 experiment's final step -- "inserting new nodes into the display
-screen" -- is :meth:`apply_rows`.
+(laptop, iPhone, or one WILD tile).  It keeps a display list keyed by
+object id and can render to SVG for inspection.  The Figure-8
+experiment's final step -- "inserting new nodes into the display screen"
+-- is :meth:`apply_rows`.
+
+The display list holds the VisualAttributes row images it is given, as
+they are: a mirror's rows are shared, read-only images (a writer copies
+on write), so holding one is a snapshot of the row, and a batch costs one
+``dict.update``.  :attr:`Display.items` reads the list as
+:class:`~repro.vis.attributes.VisualItem` objects, each built when it is
+read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from contextlib import contextmanager
+from operator import itemgetter
 from typing import Any, Iterable, Iterator
 
 from ..obs.runtime import OBS
 from .attributes import VisualItem
+
+_OBJ_ID = itemgetter("obj_id")
+
+
+class ShownItems(Mapping):
+    """A read-only view of a display list: ``obj_id -> VisualItem``,
+    each item built from its row when it is read."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: dict[Any, Mapping[str, Any]]) -> None:
+        self._rows = rows
+
+    def __getitem__(self, obj_id: Any) -> VisualItem:
+        return VisualItem.from_row(self._rows[obj_id])
+
+    def __contains__(self, obj_id: object) -> bool:
+        return obj_id in self._rows
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+
+def _folded(rows: list[Mapping[str, Any]]) -> int:
+    """How many leading ``rows`` a failed fold took: those before the
+    first row without a hashable ``obj_id``."""
+    for position, row in enumerate(rows):
+        try:
+            hash(row["obj_id"])
+        except Exception:
+            return position
+    return len(rows)
 
 
 class Display:
@@ -23,7 +67,9 @@ class Display:
         self.name = name
         self.width = width
         self.height = height
-        self.items: dict[Any, VisualItem] = {}
+        #: obj_id -> the row image last applied for it.
+        self._rows: dict[Any, Mapping[str, Any]] = {}
+        self.items = ShownItems(self._rows)
         # Render bookkeeping (benchmarks read these).
         self.inserted = 0
         self.updated = 0
@@ -37,11 +83,14 @@ class Display:
         self._txn_refresh_requested = False
 
     # ------------------------------------------------------------------
-    def apply_rows(self, rows: Iterable[dict[str, Any]]) -> int:
-        """Fold VisualAttributes rows into the display list."""
+    def apply_rows(self, rows: Iterable[Mapping[str, Any]]) -> int:
+        """Fold VisualAttributes rows into the display list; the last row
+        of an ``obj_id`` wins.  The rows are held as they are (read-only
+        images).  A row whose ``obj_id`` is already shown counts as
+        updated, any other as inserted."""
         traced = OBS.enabled
         with OBS.span("vis.display.apply", {"display": self.name}) as span:
-            count = self.apply_items(map(VisualItem.from_row, rows))
+            count = self._fold(rows if type(rows) is list else list(rows))
             span.set_tag("rows", count)
         if traced:
             OBS.metrics.histogram("vis.display_apply_ms", display=self.name).observe(
@@ -50,18 +99,21 @@ class Display:
         return count
 
     def apply_items(self, items: Iterable[VisualItem]) -> int:
-        """Fold visual items into the display list; the last item of an
-        ``obj_id`` wins.  An item whose ``obj_id`` is already shown counts
-        as updated, any other as inserted."""
-        shown = self.items
+        """Fold visual items into the display list, as the rows they
+        stand for (see :meth:`apply_rows`)."""
+        return self._fold([item.to_row() for item in items])
+
+    def _fold(self, rows: list[Mapping[str, Any]]) -> int:
+        shown = self._rows
         before = len(shown)
-        count = 0
+        count = len(rows)
         try:
-            for item in items:
-                shown[item.obj_id] = item
-                count += 1
+            shown.update(zip(map(_OBJ_ID, rows), rows))
+        except BaseException:
+            count = _folded(rows)
+            raise
         finally:
-            # Counted from what was folded, even if a row failed to convert.
+            # Counted from what was folded, even if a row failed mid-batch.
             inserted = len(shown) - before
             self.inserted += inserted
             self.updated += count - inserted
@@ -70,16 +122,16 @@ class Display:
     def remove_objects(self, obj_ids: Iterable[Any]) -> int:
         count = 0
         for obj_id in obj_ids:
-            if self.items.pop(obj_id, None) is not None:
+            if self._rows.pop(obj_id, None) is not None:
                 self.removed += 1
                 count += 1
         return count
 
     def clear(self) -> None:
-        self.items.clear()
+        self._rows.clear()
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self._rows)
 
     # ------------------------------------------------------------------
     def refresh(self) -> int:
@@ -134,8 +186,9 @@ class Display:
     # ------------------------------------------------------------------
     def bounds(self) -> tuple[float, float, float, float]:
         """(min_x, min_y, max_x, max_y) over placed items."""
-        xs = [i.x for i in self.items.values() if i.x is not None]
-        ys = [i.y for i in self.items.values() if i.y is not None]
+        shown = list(self.items.values())
+        xs = [i.x for i in shown if i.x is not None]
+        ys = [i.y for i in shown if i.y is not None]
         if not xs or not ys:
             return (0.0, 0.0, 1.0, 1.0)
         return (min(xs), min(ys), max(xs), max(ys))

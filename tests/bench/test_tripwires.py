@@ -5,10 +5,13 @@ row copies a mirror and a rollback made of images they can share, the
 one-element ``{tid}`` set a hash index kept per key, the sync client's
 liveness monitor and reconnector threads, and the sync server's knobs
 nobody set, the IVM dispatch module with its per-row folds and their
-size switch, and the second and third aggregate group states (the row
-engine's, IVM's, and the batch engine's state lists); and for what the
-aggregate memo relies on: every write into a column chunk re-stamps it,
-and the memo is keyed by stamps, never by chunks."""
+size switch, the second and third aggregate group states (the row
+engine's, IVM's, and the batch engine's state lists), and the per-row
+objects of the Figure-8 screen (a ``VisualItem`` per displayed row, a
+``(row id, tid)`` tuple per cached item, a ``(key, tid)`` tuple per
+sorted-index entry); and for what the aggregate memo relies on: every
+write into a column chunk re-stamps it, and the memo is keyed by stamps,
+never by chunks."""
 
 import ast
 import re
@@ -743,3 +746,111 @@ def test_the_aggregate_state_tripwires_fire_on_planted_offenders():
     assert sum_kind_assignments(planted) == [1, 6, 10]
     fine = "from .aggstate import MERGEABLE_SUM_KINDS\ndef merge(self, part):\n    pass\n"
     assert second_agg_states(fine) == [] and sum_kind_assignments(fine) == []
+
+
+VIS = REPO / "src" / "repro" / "vis"
+
+
+def method_bodies(source, class_name):
+    """``{method name: FunctionDef}`` of one class in ``source``."""
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.ClassDef) and top.name == class_name:
+            return {n.name: n for n in top.body if isinstance(n, ast.FunctionDef)}
+    return {}
+
+
+def item_builders_under_apply_rows(source):
+    """Lines naming ``VisualItem`` or ``from_row`` in ``Display.apply_rows``
+    or in any ``Display`` method it reaches through ``self.<method>(...)``."""
+    methods = method_bodies(source, "Display")
+    todo, seen, hits = ["apply_rows"], set(), []
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in methods:
+            continue
+        seen.add(name)
+        for node in ast.walk(methods[name]):
+            if isinstance(node, ast.Name) and node.id == "VisualItem":
+                hits.append(node.lineno)
+            elif isinstance(node, ast.Attribute):
+                if node.attr == "from_row":
+                    hits.append(node.lineno)
+                elif isinstance(node.value, ast.Name) and node.value.id == "self":
+                    todo.append(node.attr)
+    return sorted(set(hits))
+
+
+def pair_lists_in_index(source):
+    """Lines of ``src/repro/db/index.py`` naming the ``(key, tid)`` pair list."""
+    return [n for n, line in enumerate(source.splitlines(), 1) if "_entries" in line]
+
+
+def tuples_in_cache_fill(source):
+    """Lines of ``VisualAttributesStore._upsert`` that build a tuple or
+    loop per item."""
+    upsert = method_bodies(source, "VisualAttributesStore").get("_upsert")
+    if upsert is None:
+        return []
+    return sorted(
+        node.lineno
+        for statement in upsert.body
+        for node in ast.walk(statement)
+        if (isinstance(node, ast.Tuple) and isinstance(node.ctx, ast.Load))
+        or isinstance(node, ast.For)
+    )
+
+
+def test_the_figure8_screen_builds_no_per_row_object():
+    """The display holds the rows it is given, the store caches a tid per
+    item, and a sorted index is two flat lists."""
+    display = (VIS / "display.py").read_text(encoding="utf-8")
+    assert "apply_rows" in method_bodies(display, "Display")
+    assert item_builders_under_apply_rows(display) == []
+    index = (REPO / "src" / "repro" / "db" / "index.py").read_text(encoding="utf-8")
+    assert pair_lists_in_index(index) == []
+    attributes = (VIS / "attributes.py").read_text(encoding="utf-8")
+    assert "_upsert" in method_bodies(attributes, "VisualAttributesStore")
+    assert tuples_in_cache_fill(attributes) == []
+
+
+def test_the_figure8_screen_tripwires_fire_on_planted_offenders():
+    # The parent's Display: apply_rows converted every row to an item.
+    parent_display = (
+        "class Display:\n"
+        "    def apply_rows(self, rows):\n"
+        "        with OBS.span('vis.display.apply') as span:\n"
+        "            count = self.apply_items(map(VisualItem.from_row, rows))\n"
+        "        return count\n"
+    )
+    assert item_builders_under_apply_rows(parent_display) == [4]
+    # An item built one call away from apply_rows is found too.
+    indirect = (
+        "class Display:\n"
+        "    def apply_rows(self, rows):\n"
+        "        return self._fold(rows)\n"
+        "    def _fold(self, rows):\n"
+        "        self._rows.update((r['obj_id'], VisualItem(**r)) for r in rows)\n"
+        "    def render(self):\n"
+        "        return VisualItem.from_row(self._rows[0])\n"
+    )
+    assert item_builders_under_apply_rows(indirect) == [5]
+    parent_index = (
+        "class SortedIndex:\n"
+        "    def __init__(self, table_name, column):\n"
+        "        self._entries: list[tuple[Any, int]] = []\n"
+    )
+    assert pair_lists_in_index(parent_index) == [3]
+    parent_store = (
+        "class VisualAttributesStore:\n"
+        "    def _upsert(self, component_id, fresh, moved: dict[int, dict]):\n"
+        "        existing = self._index(component_id)\n"
+        "        for item, row in zip(fresh, stored):\n"
+        "            existing[item.obj_id] = (row['id'], row[TID])\n"
+    )
+    assert tuples_in_cache_fill(parent_store) == [4, 5]
+    one_pass = (
+        "class VisualAttributesStore:\n"
+        "    def _upsert(self, component_id, fresh, moved):\n"
+        "        self._index(component_id).update((i.obj_id, r[TID]) for i, r in pairs)\n"
+    )
+    assert tuples_in_cache_fill(one_pass) == [3]

@@ -294,7 +294,7 @@ def state(db):
             indexes[name] = tids_by_key(index)
         else:
             assert isinstance(index, SortedIndex)
-            indexes[name] = list(index._entries)
+            indexes[name] = index.slice()
     store = None
     if table.has_column_store():
         cs = table.column_store()

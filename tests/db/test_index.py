@@ -165,9 +165,9 @@ class TestStatementAtATime:
             return index
 
         one, many = self.twins(make)
-        assert many._entries == one._entries
+        assert many.slice() == one.slice()
         many.remove_many(range(1, len(self.ROWS) + 1), self.ROWS)
-        assert many._entries == sorted(existing)
+        assert many.slice() == sorted(existing)
 
     def test_first_violation_is_the_first_row_in_statement_order(self):
         idx = HashIndex("t", ("k",), unique=True)
@@ -351,3 +351,109 @@ def test_insert_many_files_each_row_under_its_own_tid():
     assert len(buckets) == 1000
     for row in table.rows():
         assert buckets[row["id"]] is row[TID]
+
+
+#: Keys a sorted index property test draws from: duplicates are likely.
+SORTED_KEYS = st.integers(0, 6)
+
+
+def model_slice(model, low, high, include_low, include_high):
+    """The ``(key, tid)`` entries of ``sorted(model)`` inside the range."""
+
+    def inside(key):
+        if low is not None and (key < low or (key == low and not include_low)):
+            return False
+        return high is None or not (key > high or (key == high and not include_high))
+
+    return [entry for entry in sorted(model) if inside(entry[0])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_sorted_index_agrees_with_a_sorted_list_of_pairs(data):
+    idx = SortedIndex("t", "k")
+    model = set()  # (key, tid) pairs; NULL keys are never indexed
+    gone = set()  # pairs removed one at a time, free to come back
+    next_tid = [1]
+
+    def fresh_tids(n):
+        tids = list(range(next_tid[0], next_tid[0] + n))
+        next_tid[0] += n
+        return tids
+
+    def keys_for(shape, n):
+        """``n`` keys that sort after the index, before it, or anywhere
+        (NULLs included)."""
+        held = sorted(model)
+        if shape == "in-order" and held:
+            keys = st.integers(held[-1][0], 8)
+        elif shape == "prepend" and held:
+            keys = st.integers(-2, held[0][0])
+        else:
+            return data.draw(st.lists(st.one_of(SORTED_KEYS, st.none()), min_size=n, max_size=n))
+        return sorted(data.draw(st.lists(keys, min_size=n, max_size=n)))
+
+    ops = ["add", "remove", "add_many", "remove_many", "purge"]
+    for _ in range(data.draw(st.integers(1, 25), label="steps")):
+        op = data.draw(st.sampled_from(ops))
+        if op == "add":
+            # A new row, or a removed one coming back (a rollback restores
+            # a row under its old tid, below the newest of its key).
+            if gone and data.draw(st.booleans()):
+                key, tid = data.draw(st.sampled_from(sorted(gone)))
+            else:
+                (tid,) = fresh_tids(1)
+                key = data.draw(st.one_of(SORTED_KEYS, st.none()))
+            idx.add(tid, {"k": key})
+            if key is not None:
+                model.add((key, tid))
+                gone.discard((key, tid))
+        elif op == "remove":
+            # An indexed entry, or a stale pair (a no-op).
+            if model and data.draw(st.booleans()):
+                key, tid = data.draw(st.sampled_from(sorted(model)))
+            else:
+                key = data.draw(st.one_of(SORTED_KEYS, st.none()))
+                tid = data.draw(st.integers(1, next_tid[0]))
+            idx.remove(tid, {"k": key})
+            if (key, tid) in model:
+                model.discard((key, tid))
+                gone.add((key, tid))
+        elif op == "add_many":
+            shape = data.draw(st.sampled_from(["in-order", "prepend", "interleaved"]))
+            n = data.draw(st.integers(1, 8))
+            keys, tids = keys_for(shape, n), fresh_tids(n)
+            if data.draw(st.booleans()):
+                tids.reverse()  # an UPDATE's moves come in any tid order
+            idx.add_many(tids, [{"k": key} for key in keys])
+            model.update((key, tid) for key, tid in zip(keys, tids) if key is not None)
+        elif op == "remove_many" and model:
+            # Held pairs, and maybe a held tid under a stale key (a no-op).
+            dropped = data.draw(st.lists(st.sampled_from(sorted(model)), unique=True))
+            if data.draw(st.booleans()):
+                _key, tid = data.draw(st.sampled_from(sorted(model)))
+                stale = data.draw(SORTED_KEYS.filter(lambda key: (key, tid) not in model))
+                dropped.append((stale, tid))
+            rows = [{"k": key} for key, _tid in dropped]
+            idx.remove_many([tid for _key, tid in dropped], rows)
+            model.difference_update(dropped)
+        elif op == "purge" and model:
+            # The log's purge: a prefix of the index, NULL rows beside it.
+            prefix = sorted(model)[: data.draw(st.integers(1, len(model)))]
+            rows = [{"k": key} for key, _tid in prefix] + [{"k": None}]
+            idx.remove_many([tid for _key, tid in prefix] + [next_tid[0]], rows)
+            model.difference_update(prefix)
+
+        held = sorted(model)
+        assert idx.slice() == held
+        assert len(idx) == len(held)
+        assert idx.min_key() == (held[0][0] if held else None)
+        assert idx.max_key() == (held[-1][0] if held else None)
+        bound = st.one_of(st.none(), st.integers(-3, 9), st.floats(-3, 9))
+        low, high = data.draw(bound, label="low"), data.draw(bound, label="high")
+        for include_low, include_high in itertools.product((True, False), repeat=2):
+            expected = model_slice(model, low, high, include_low, include_high)
+            args = (low, high, include_low, include_high)
+            assert idx.slice(*args) == expected
+            assert list(idx.range(*args)) == [tid for _key, tid in expected]
+            assert idx.count_range(*args) == len(expected)

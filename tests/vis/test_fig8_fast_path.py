@@ -4,14 +4,16 @@ A deterministic count of the per-row calls the path avoids: a
 fig8-shaped 1,000-row ``insert_many`` into ``nodes`` and a 1,000-item
 ``VisualAttributesStore.write`` call ``TableSchema.validate_row`` not at
 all, and the store draws its ids in one step.  One coercible value
-sends the whole statement back to ``validate_row``, row by row.
+sends the whole statement back to ``validate_row``, row by row.  The
+display builds no ``VisualItem`` for a 1,000-row batch, and the store's
+cache holds one tid per item.
 """
 
 import pytest
 
 from repro.core import datamodel
 from repro.db import INTEGER, TEXT, Column, Database, TableSchema
-from repro.vis import VisualAttributesStore, VisualItem
+from repro.vis import Display, VisualAttributesStore, VisualItem
 
 ROWS = 1000
 
@@ -75,3 +77,44 @@ def test_one_coercible_value_validates_every_row(db, calls):
     db.insert_many("nodes", rows)
     assert calls["validate_row"] == ROWS
     assert db.table("nodes").by_key(501)["id"] == 501
+
+
+def attribute_rows(first=0):
+    return [
+        {
+            "id": i + 1, "component_id": 1, "obj_id": i, "x": i / 2, "y": i / 3,
+            "width": None, "height": None, "color": "#4e79a7",
+            "label": f"node-{i}", "selected": False,
+        }
+        for i in range(first, first + ROWS)
+    ]
+
+
+def test_fig8_display_apply_builds_no_visual_item(monkeypatch):
+    """The display holds the rows it is given; an item is built only
+    when it is read."""
+    built = [0]
+    from_row = VisualItem.from_row
+
+    def counted(row):
+        built[0] += 1
+        return from_row(row)
+
+    monkeypatch.setattr(VisualItem, "from_row", counted)
+    display = Display("machine2")
+    rows = attribute_rows()
+    assert display.apply_rows(rows) == ROWS
+    assert built[0] == 0
+    assert display.items[7].label == "node-7"
+    assert built[0] == 1
+
+
+def test_fig8_store_cache_holds_tids(db):
+    store = VisualAttributesStore(db)
+    items = [VisualItem(obj_id=i, x=i / 2, y=i / 3) for i in range(ROWS)]
+    store.write(1, items)
+    cache = store._cache[1]
+    assert len(cache) == ROWS
+    assert all(type(tid) is int for tid in cache.values())
+    table = db.table(datamodel.T_VISUAL_ATTRIBUTES)
+    assert all(table.get(cache[row["obj_id"]]) is row for row in table.rows())
