@@ -37,6 +37,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
+from itertools import chain
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from ..db.database import Database
@@ -503,8 +504,10 @@ class SyncClient:
     def refresh(self, table: str, full: bool = False) -> dict[str, int]:
         """Step 8: pull changed rows from R_D and fold them into R_M.
 
-        Returns counters: pulled inserts/updates/deletes.  With
-        ``full=True``, the entire table is pulled (initial fill).
+        Returns counters: ``upserts``, the changed rows pulled (each
+        once, however many events touched it), and ``deletes``, the
+        changed rows gone by now.  With ``full=True``, the entire table is
+        pulled (initial fill).
 
         This path never touches the notification socket -- it reads the
         database directly -- so it keeps working while the client is
@@ -520,7 +523,6 @@ class SyncClient:
             with OBS.span("sync.mirror_refresh", {"table": table, "full": full}) as span:
                 memtable = self.table(table)
                 base = self.database.table(table)
-                stats = {"upserts": 0, "deletes": 0}
                 # Clear the flag before the pull, not after it: a commit
                 # before the pull is pulled, one after it raises the flag
                 # again (at worst a refresh that pulls nothing).
@@ -529,31 +531,30 @@ class SyncClient:
                 try:
                     # One critical section: the notification horizon and the row
                     # images are of one committed state -- never part of a
-                    # commit, never an open transaction's.
+                    # commit, never an open transaction's.  So a changed row's
+                    # image now is all a replay of its events would leave:
+                    # each is read, and folded, once.
                     with self.database.lock:
                         events = self.center.events_since(table, memtable.last_seq_no)
                         newest = events[-1][0] if events else memtable.last_seq_no
-                        batches = [(op, tids) for _seq, op, tids in events]
                         if full:
-                            batches = [("fill", base.tids())]  # the whole table, one batch
-                        pulled: list[tuple[Sequence[int], Optional[list[Any]]]] = [
-                            (tids, None if op == "delete" else list(map(base.get, tids)))
-                            for op, tids in batches
-                        ]
-                    # Fold the delta in one event -- one commit's rows of a kind --
-                    # at a time and in seq order, so a tid deleted and re-inserted
-                    # replays right.
-                    for tids, rows in pulled:
-                        upserts, deletes = [], tids
-                        if rows is not None:
-                            upserts, deletes = rows, []
-                            if None in upserts:
-                                # Changed, and gone by now: a later event deleted it.
-                                deletes = [t for t, row in zip(tids, upserts) if row is None]
-                                upserts = [row for row in upserts if row is not None]
-                        memtable.apply_batch(upserts, deletes)
-                        stats["upserts"] += len(upserts)
-                        stats["deletes"] += len(deletes)
+                            # The whole table, and what the mirror holds
+                            # that the table no longer has.
+                            tids: Iterable[int] = dict.fromkeys(
+                                chain(base.tids(), memtable.tids())
+                            )
+                        elif len(events) == 1:
+                            tids = events[0][2]
+                        else:
+                            tids = dict.fromkeys(chain.from_iterable(e[2] for e in events))
+                        upserts: list[Any] = list(map(base.get, tids))
+                    deletes: Sequence[int] = ()
+                    if None in upserts:
+                        # Changed, and gone by now.
+                        deletes = [t for t, row in zip(tids, upserts) if row is None]
+                        upserts = [row for row in upserts if row is not None]
+                    memtable.apply_batch(upserts, deletes)
+                    stats = {"upserts": len(upserts), "deletes": len(deletes)}
                     moved = newest != memtable.last_seq_no
                     memtable.last_seq_no = newest
                 except BaseException:
@@ -653,13 +654,26 @@ class SyncClient:
     def write_back(self, table: str, tid: int, column: str, value: Any) -> None:
         """Step 9: propagate a local R_M edit to R_D.
 
-        The DBMS-side trigger will emit a NOTIFY for this change; the
-        memtable remembers the pending write so the echo is processed
-        "in a smart way to avoid redundant work".
+        The database is written first; once that UPDATE committed, the
+        mirror holds the image it returned.  The DBMS-side trigger will
+        emit a NOTIFY for this change, and the refresh it prompts finds
+        that very image held: the echo is processed "in a smart way to
+        avoid redundant work".  A write the database rejects leaves the
+        mirror as it was.  The table's refresh lock spans both steps, so
+        no refresh folds an older image over the new one in between.
+
+        While a transaction block is open the UPDATE may return before
+        its commit: the mirror then leaves the edit to the refresh after
+        the commit (after a rollback there is nothing to pull).
         """
         memtable = self.table(table)
-        memtable.stage_write(tid, column, value)
-        self.database.update_by_tid(table, tid, {column: value})
+        if memtable.get(tid) is None:
+            raise SyncError(f"R_M for {table!r} holds no row with tid {tid}")
+        if self.database.in_transaction():
+            self.database.update_by_tid(table, tid, {column: value})
+            return
+        with self._refresh_lock(table):
+            memtable.hold(self.database.update_by_tid(table, tid, {column: value}))
 
     # ------------------------------------------------------------------
     def close(self) -> None:

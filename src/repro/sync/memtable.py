@@ -5,8 +5,10 @@ activity needs to maintain portions of a table in memory, to refresh the
 visualisation fast" (Section VI-C).  A :class:`MemoryTable` is such a
 portion: a client-side dict of rows keyed by tid, refreshed by *pulling*
 changed rows after a NOTIFY, and *pushing* local edits back to R_D.  It
-holds the table's own row images, which its readers share read-only:
-writers copy on write (``Table.update_*``, :meth:`~MemoryTable.stage_write`).
+holds only images the table committed -- the table's own row dicts, which
+its readers share read-only (writers copy on write, ``Table.update_*``).
+A local edit reaches the mirror as the image its committed UPDATE
+returned, so the echo of that edit is the image the mirror already holds.
 
 The mirror may be partial: a ``fraction`` or a ``predicate`` restricts
 which rows it keeps, supporting the paper's multi-device scenario ("an
@@ -50,14 +52,12 @@ class MemoryTable:
         self.rows: dict[int, Row] = {}
         self.last_seq_no = 0
         self._lock = threading.RLock()
-        #: (tid, column) -> value written locally and not yet re-observed;
-        #: lets refresh skip redundant reapplication of our own edits
-        #: (protocol step 9's "smart" processing).
-        self._pending_writes: dict[tuple[int, str], Any] = {}
         # Counters for tests/benchmarks.
         self.applied_inserts = 0
         self.applied_updates = 0
         self.applied_deletes = 0
+        #: Images offered that the mirror already held: the echo of its
+        #: own write-back (protocol step 9's "smart" processing).
         self.skipped_self_updates = 0
 
     # ------------------------------------------------------------------
@@ -71,7 +71,7 @@ class MemoryTable:
         return True
 
     # ------------------------------------------------------------------
-    # Applying pulled changes (called by the sync client)
+    # Applying committed images (called by the sync client)
     def apply_upsert(self, row: Row) -> None:
         self.apply_batch([row], [])
 
@@ -79,100 +79,41 @@ class MemoryTable:
         self.apply_batch([], [tid])
 
     def apply_batch(self, upserts: Sequence[Row], deletes: Iterable[int]) -> None:
-        """Fold pulled row images, then deletions, in under ONE lock
+        """Fold committed row images, then deletions, in under ONE lock
         acquisition -- the one apply path; readers never observe a
         half-applied batch.
 
-        A row the partial mirror does not accept leaves it; an image of a
-        row already held is an update, or -- when it only confirms this
-        mirror's own pending writes -- a skipped self-update.
+        A row the partial mirror does not accept leaves it; of a tid
+        listed twice, the last image counts.  An image of a held row is an
+        update, unless it *is* the held image: then it is the echo of this
+        mirror's own write-back, and skipped.
         """
         with self._lock:
-            if len(upserts) == 1:
-                # A one-row batch takes the per-row steps: they cost less
-                # than setting up the per-batch ones.
-                self._upsert_one(upserts[0])
-            elif upserts:
-                self._upsert_many(upserts)
             rows = self.rows
+            images = {row[TID]: row for row in upserts}
+            if self.predicate is not None or self.fraction < 1.0:
+                rejected = [t for t, row in images.items() if not self.accepts(row)]
+                for tid in rejected:
+                    del images[tid]
+                    rows.pop(tid, None)
+            held = rows.keys() & images.keys()
+            echoes = sum(rows[tid] is images[tid] for tid in held) if held else 0
+            self.skipped_self_updates += echoes
+            self.applied_updates += len(held) - echoes
+            self.applied_inserts += len(images) - len(held)
+            rows.update(images)
             for tid in deletes:
                 if rows.pop(tid, None) is not None:
                     self.applied_deletes += 1
 
-    def _upsert_one(self, row: Row) -> None:
-        tid = row[TID]
-        if not self.accepts(row):
-            self.rows.pop(tid, None)
-            return
-        if tid not in self.rows:
-            self.applied_inserts += 1
-        elif self._is_own_echo(tid, row):
-            self.skipped_self_updates += 1
-        else:
-            self.applied_updates += 1
-        self.rows[tid] = row
-
-    def _upsert_many(self, upserts: Sequence[Row]) -> None:
-        """What :meth:`_upsert_one` per row leaves, a batch at a time."""
-        rows = self.rows
-        partial = self.predicate is not None or self.fraction < 1.0
-        if partial and len({row[TID] for row in upserts}) == len(upserts):
-            # Membership, decided once per batch: a rejected row leaves.
-            offered, upserts = upserts, []
-            for row in offered:
-                if self.accepts(row):
-                    upserts.append(row)
-                else:
-                    rows.pop(row[TID], None)
-        images = {row[TID]: row for row in upserts}
-        if len(images) < len(upserts):
-            # A tid listed twice replays in order, one row at a time
-            # (nothing above has touched the mirror for such a batch).
-            for row in upserts:
-                self._upsert_one(row)
-            return
-        held = rows.keys() & images.keys()
-        echoes = 0
-        if held and self._pending_writes:
-            # Own-echo suppression concerns only tids written locally.
-            for tid in held.intersection(tid for tid, _ in self._pending_writes):
-                echoes += self._is_own_echo(tid, images[tid])
-        self.skipped_self_updates += echoes
-        self.applied_updates += len(held) - echoes
-        self.applied_inserts += len(images) - len(held)
-        rows.update(images)
-
-    def _is_own_echo(self, tid: int, image: Row) -> bool:
-        """True when the pulled image of a held row only confirms our own
-        pending writes."""
-        pending = {
-            (ptid, column): value
-            for (ptid, column), value in self._pending_writes.items()
-            if ptid == tid
-        }
-        if not pending:
-            return False
-        for (ptid, column), value in pending.items():
-            if image.get(column) != value:
-                return False  # a concurrent remote change won; apply normally
-        current = self.rows[tid]
-        for key, value in image.items():
-            if key.startswith("__") or (tid, key) in pending:
-                continue
-            if current.get(key) != value:
-                return False  # something else changed alongside our write
-        for key in pending:
-            del self._pending_writes[key]
-        return True
-
-    # ------------------------------------------------------------------
-    # Local edits (to be pushed back by the client)
-    def stage_write(self, tid: int, column: str, value: Any) -> None:
+    def hold(self, image: Row) -> None:
+        """Hold ``image``, the committed image of this mirror's own
+        write-back: a local edit, not a pulled change, so no counter
+        moves -- and the refresh that pulls its echo finds it held."""
         with self._lock:
-            if tid not in self.rows:
-                raise SyncError(f"R_M for {self.table!r} holds no row with tid {tid}")
-            self.rows[tid] = {**self.rows[tid], column: value}  # copy on write
-            self._pending_writes[(tid, column)] = value
+            updates = self.applied_updates
+            self.apply_batch([image], [])
+            self.applied_updates = updates
 
     # ------------------------------------------------------------------
     # Reads: the held images themselves, read-only

@@ -85,7 +85,12 @@ class VisualAttributesStore:
         #: current by this store's own writes.  The store assumes it is
         #: the only writer of the VisualAttributes table (it is, in every
         #: EdiFlow deployment: procedures go through it).  Caching the tid
-        #: makes updates and :meth:`get` point operations instead of scans.
+        #: makes updates and every read of one component point operations
+        #: instead of scans.  An entry is filled when the store's own
+        #: transaction block exits, which inside an enclosing transaction
+        #: is not the commit: so an entry is trusted only while its tid
+        #: holds that item's row (:meth:`_tid`), and dropped otherwise --
+        #: the item is then new again.
         self._cache: dict[int, dict[Any, int]] = {}
 
     @property
@@ -107,8 +112,10 @@ class VisualAttributesStore:
         moved: dict[int, dict[str, Any]] = {}
         latest = {item.obj_id: item for item in items}
         for key, item in latest.items():
-            if key in existing:
-                moved[existing[key]] = {
+            # A new item (most, in a Figure-8 batch) costs one dict probe.
+            tid = self._tid(existing, component_id, key) if key in existing else None
+            if tid is not None:
+                moved[tid] = {
                     "x": item.x,
                     "y": item.y,
                     "width": item.width,
@@ -130,8 +137,9 @@ class VisualAttributesStore:
         fresh: list[VisualItem] = []
         moved: dict[int, dict[str, Any]] = {}
         for obj_id, (x, y) in positions.items():
-            if obj_id in existing:
-                moved[existing[obj_id]] = {"x": x, "y": y}
+            tid = self._tid(existing, component_id, obj_id) if obj_id in existing else None
+            if tid is not None:
+                moved[tid] = {"x": x, "y": y}
             else:
                 fresh.append(VisualItem(obj_id=obj_id, x=x, y=y))
         self._upsert(component_id, fresh, moved)
@@ -177,21 +185,39 @@ class VisualAttributesStore:
             self._cache[component_id] = cached
         return cached
 
+    def _tid(self, existing: dict[Any, int], component_id: int, obj_id: Any) -> Optional[int]:
+        """The cached tid of ``obj_id``, if the table holds that item's row
+        under it; otherwise the entry is dropped (the item is new again)."""
+        tid = existing.get(obj_id)
+        if tid is not None:
+            row = self.database.table(datamodel.T_VISUAL_ATTRIBUTES).get(tid)
+            if (
+                row is not None
+                and row["component_id"] == component_id
+                and row["obj_id"] == obj_id
+            ):
+                return tid
+            del existing[obj_id]
+        return None
+
+    def _rows(self, component_id: int) -> list[dict[str, Any]]:
+        """One component's rows, in cache order, each entry checked by
+        :meth:`_tid`: no scan once the cache is warm."""
+        existing = self._index(component_id)
+        tids = [self._tid(existing, component_id, obj_id) for obj_id in list(existing)]
+        get = self.database.table(datamodel.T_VISUAL_ATTRIBUTES).get
+        return [get(tid) for tid in tids if tid is not None]
+
     # ------------------------------------------------------------------
     def read(self, component_id: int) -> list[VisualItem]:
-        return [
-            VisualItem.from_row(row)
-            for row in self.database.table(datamodel.T_VISUAL_ATTRIBUTES).scan()
-            if row["component_id"] == component_id
-        ]
+        return [VisualItem.from_row(row) for row in self._rows(component_id)]
 
     def get(self, component_id: int, obj_id: Any) -> Optional[VisualItem]:
         """One item, read through the ``obj_id -> tid`` cache."""
-        tid = self._index(component_id).get(obj_id)
+        tid = self._tid(self._index(component_id), component_id, obj_id)
         if tid is None:
             return None
-        row = self.database.table(datamodel.T_VISUAL_ATTRIBUTES).get(tid)
-        return None if row is None else VisualItem.from_row(row)
+        return VisualItem.from_row(self.database.table(datamodel.T_VISUAL_ATTRIBUTES).get(tid))
 
     def select(self, component_id: int, obj_ids: Iterable[Any], selected: bool = True) -> int:
         """Flip the selection flag -- "whether the data instance is
@@ -199,18 +225,16 @@ class VisualAttributesStore:
         typically triggers the recomputation of the other components)"."""
         existing = self._index(component_id)
         tids = sorted(
-            existing[obj_id] for obj_id in set(obj_ids) if obj_id in existing
+            tid
+            for tid in (self._tid(existing, component_id, o) for o in set(obj_ids))
+            if tid is not None
         )
         return self._update(dict.fromkeys(tids, {"selected": selected}))
 
     def selected_ids(self, component_id: int) -> list[Any]:
         """Obj ids currently selected on one component (brush sources
         feed these to forward-lineage queries)."""
-        return [
-            row["obj_id"]
-            for row in self.database.table(datamodel.T_VISUAL_ATTRIBUTES).scan()
-            if row["component_id"] == component_id and row["selected"]
-        ]
+        return [row["obj_id"] for row in self._rows(component_id) if row["selected"]]
 
     def remove(self, component_id: int, obj_ids: Iterable[Any]) -> int:
         wanted = set(obj_ids)

@@ -68,11 +68,7 @@ class VisualizationManager:
         """Which objects are currently selected in a component -- the
         paper's example catalog query: "which is the R tuple currently
         selected by the user from the visualization component VC1"."""
-        return [
-            row["obj_id"]
-            for row in self.database.table(datamodel.T_VISUAL_ATTRIBUTES).scan()
-            if row["component_id"] == component_id and row["selected"]
-        ]
+        return self.attributes.selected_ids(component_id)
 
     def write_items(self, component_id: int, items: list[VisualItem]) -> int:
         return self.attributes.write(component_id, items)

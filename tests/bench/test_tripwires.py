@@ -9,7 +9,9 @@ size switch, the second and third aggregate group states (the row
 engine's, IVM's, and the batch engine's state lists), and the per-row
 objects of the Figure-8 screen (a ``VisualItem`` per displayed row, a
 ``(row id, tid)`` tuple per cached item, a ``(key, tid)`` tuple per
-sorted-index entry); and for what the aggregate memo relies on: every
+sorted-index entry), and the mirror's bookkeeping from before it held
+only committed images (pending writes, the echo scan, the one-row upsert,
+a fold per event); and for what the aggregate memo relies on: every
 write into a column chunk re-stamps it, and the memo is keyed by stamps,
 never by chunks."""
 
@@ -854,3 +856,88 @@ def test_the_figure8_screen_tripwires_fire_on_planted_offenders():
         "        self._index(component_id).update((i.obj_id, r[TID]) for i, r in pairs)\n"
     )
     assert tuples_in_cache_fill(one_pass) == [3]
+
+
+SYNC = REPO / "src" / "repro" / "sync"
+#: What a mirror kept before it held only images the table committed.
+GONE_FROM_MIRROR = re.compile(r"\b(_pending_writes|stage_write|_is_own_echo|_upsert_one)\b")
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def mirror_bookkeeping(source):
+    """Lines of ``source`` naming the mirror's pending-write bookkeeping."""
+    return [n for n, line in enumerate(source.splitlines(), 1) if GONE_FROM_MIRROR.search(line)]
+
+
+def refresh_applies(source):
+    """Lines of the ``apply_batch`` calls in ``SyncClient.refresh``, and
+    the lines of those inside a loop."""
+    refresh = method_bodies(source, "SyncClient").get("refresh")
+    if refresh is None:
+        return [], []
+
+    def applies(node):
+        return {
+            n.lineno
+            for n in ast.walk(node)
+            if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Attribute)
+            and n.func.attr == "apply_batch"
+        }
+
+    looped = set()
+    for node in ast.walk(refresh):
+        if isinstance(node, LOOPS):
+            looped |= applies(node)
+    return sorted(applies(refresh)), sorted(looped)
+
+
+def test_a_refresh_folds_once_and_the_mirror_keeps_no_pending_writes():
+    for path in sorted(SYNC.glob("*.py")):
+        assert mirror_bookkeeping(path.read_text(encoding="utf-8")) == [], path
+    client = (SYNC / "client.py").read_text(encoding="utf-8")
+    calls, looped = refresh_applies(client)
+    assert len(calls) == 1
+    assert looped == []
+
+
+def test_the_one_fold_tripwires_fire_on_planted_offenders_and_the_old_mirror():
+    # The former refresh: one apply_batch per event, in seq order.
+    per_event = (
+        "class SyncClient:\n"
+        "    def refresh(self, table, full=False):\n"
+        "        with self._refresh_lock(table):\n"
+        "            for tids, rows in pulled:\n"
+        "                memtable.apply_batch(upserts, deletes)\n"
+    )
+    assert refresh_applies(per_event) == ([5], [5])
+    twice = (
+        "class SyncClient:\n"
+        "    def refresh(self, table, full=False):\n"
+        "        memtable.apply_batch(upserts, [])\n"
+        "        memtable.apply_batch([], deletes)\n"
+    )
+    assert refresh_applies(twice) == ([3, 4], [])
+    in_a_comprehension = (
+        "class SyncClient:\n"
+        "    def refresh(self, table, full=False):\n"
+        "        [memtable.apply_batch([row], []) for row in rows]\n"
+    )
+    assert refresh_applies(in_a_comprehension) == ([3], [3])
+    # The former mirror and write-back.
+    old_mirror = (
+        "class MemoryTable:\n"
+        "    def __init__(self, table):\n"
+        "        self._pending_writes: dict[tuple[int, str], Any] = {}\n"
+        "    def apply_batch(self, upserts, deletes):\n"
+        "        if len(upserts) == 1:\n"
+        "            self._upsert_one(upserts[0])\n"
+        "    def _is_own_echo(self, tid, image):\n"
+        "        return False\n"
+        "    def stage_write(self, tid, column, value):\n"
+        "        pass\n"
+        "class SyncClient:\n"
+        "    def write_back(self, table, tid, column, value):\n"
+        "        memtable.stage_write(tid, column, value)\n"
+    )
+    assert mirror_bookkeeping(old_mirror) == [3, 6, 7, 9, 13]

@@ -309,7 +309,7 @@ def test_a_bulk_statement_logs_one_row_and_purges_one_row(tmp_path):
     manager.close()
 
 
-def test_refresh_applies_one_batch_per_event():
+def test_refresh_applies_one_batch_per_refresh():
     db = make_db("t")
     server = SyncServer(db, NotificationCenter(db), use_sockets=False)
     client = SyncClient(server)
@@ -323,9 +323,10 @@ def test_refresh_applies_one_batch_per_event():
         (len(upserts), len(deletes))
     ) or inner(upserts, deletes)
     mirror.apply_upsert = singles.append
-    assert client.refresh("t") == {"upserts": 1005, "deletes": 8}
-    # insert (3 of its rows are gone by now), update (2 gone), delete.
-    assert batches == [(997, 3), (8, 2), (0, 3)]
+    assert client.refresh("t") == {"upserts": 997, "deletes": 3}
+    # Three events, 1,000 distinct tids: each changed row is read and
+    # folded once, and 3 of them are gone by now.
+    assert batches == [(997, 3)]
     assert singles == []
     assert mirror.tids() == db.table("t").tids()
     client.close()
@@ -393,8 +394,8 @@ def test_update_then_delete_of_one_tid_replays_to_the_table():
     db.update("t", {"v": 1}, col("id") >= 4)
     db.delete("t", col("id") == 4)
     db.insert("t", {"id": 6, "v": 6})
-    # The update's image of tid 4 is gone by now: a delete, twice over.
-    assert client.refresh("t") == {"upserts": 2, "deletes": 2}
+    # Tid 4 was updated, then deleted: one changed row, gone by now.
+    assert client.refresh("t") == {"upserts": 2, "deletes": 1}
     assert mirror.applied_deletes == 1
     assert_mirror_is_table(mirror, db)
     client.close()

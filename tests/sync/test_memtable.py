@@ -1,13 +1,17 @@
-"""In-memory mirrors: upserts, deletes, partial mirrors, echo suppression,
-and the row images a mirror shares with its table."""
+"""In-memory mirrors: upserts, deletes, partial mirrors, write-back and
+its echo, and the row images a mirror shares with its table."""
+
+import sys
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db import Database
-from repro.db.schema import TID
-from repro.errors import SyncError
+from repro.db.schema import TID, UPDATED_AT
+from repro.errors import DatabaseError, SyncError
 from repro.sync import MemoryTable, NotificationCenter, SyncClient, SyncServer
 
 
@@ -85,68 +89,225 @@ class TestPartialMirrors:
         assert len(rm) == 0
 
 
+# ----------------------------------------------------------------------
+# Step 9: the database is written first, the mirror then holds the image
+# the committed UPDATE returned, and that image -- offered again by the
+# refresh the write's NOTIFY prompts -- is recognized by identity.
+@pytest.fixture
+def written():
+    db = Database()
+    db.execute(
+        "CREATE TABLE t (k INTEGER PRIMARY KEY, x INTEGER NOT NULL, y INTEGER)"
+    )
+    db.execute("INSERT INTO t (k, x, y) VALUES (1, 1, 0), (2, 2, 0), (3, 3, 0)")
+    center = NotificationCenter(db)
+    server = SyncServer(db, center, use_sockets=False)
+    client = SyncClient(server)
+    yield db, client, client.mirror("t")
+    client.close()
+    server.close()
+    center.close()
+
+
 class TestEchoSuppression:
-    def test_own_write_echo_skipped(self):
-        rm = MemoryTable("t")
-        rm.apply_upsert(row(1, x=1, y="a"))
-        rm.stage_write(1, "x", 42)
-        # The DB echoes the row back with our own value.
-        rm.apply_upsert(row(1, x=42, y="a"))
-        assert rm.skipped_self_updates == 1
-        assert rm.applied_updates == 0
+    def test_own_write_echo_skipped(self, written):
+        db, client, rm = written
+        client.write_back("t", 1, "x", 42)
+        image = db.table("t").get(1)
+        assert rm.get(1) is image
+        assert (rm.skipped_self_updates, rm.applied_updates) == (0, 0)
+        # The refresh pulls the write's echo: the image the mirror holds.
+        assert client.refresh("t") == {"upserts": 1, "deletes": 0}
+        assert (rm.skipped_self_updates, rm.applied_updates) == (1, 0)
+        assert rm.get(1) is image and image["x"] == 42
+        # hold() itself: an image held is an echo, a new one an update.
+        rm.hold({**image, "x": 43})
+        held = rm.get(1)
+        rm.apply_upsert(held)
+        assert (rm.skipped_self_updates, rm.applied_updates) == (2, 0)
+        rm.apply_upsert({**held, "x": 44})
+        assert (rm.skipped_self_updates, rm.applied_updates) == (2, 1)
+
+    def test_concurrent_remote_change_wins(self, written):
+        db, client, rm = written
+        client.write_back("t", 1, "x", 42)
+        db.update_by_tid("t", 1, {"x": 7})  # a remote writer overwrites it
+        client.refresh("t")
+        assert rm.get(1)["x"] == 7
+        assert rm.get(1) is db.table("t").get(1)
+        assert (rm.skipped_self_updates, rm.applied_updates) == (0, 1)
+
+    def test_other_column_changed_alongside(self, written):
+        db, client, rm = written
+        client.write_back("t", 1, "x", 42)
+        db.update_by_tid("t", 1, {"y": 5})  # y changed remotely too
+        client.refresh("t")
+        assert (rm.get(1)["x"], rm.get(1)["y"]) == (42, 5)
+        assert (rm.skipped_self_updates, rm.applied_updates) == (0, 1)
+
+    def test_write_back_copies_on_write(self, written):
+        db, client, rm = written
+        before = db.table("t").get(1)
+        assert rm.get(1) is before
+        kept = dict(before)
+        client.write_back("t", 1, "x", 42)
+        # The table's before image -- what a reader was handed -- is as it was.
+        assert before == kept
+        assert rm.get(1) is db.table("t").get(1) is not before
         assert rm.get(1)["x"] == 42
 
-    def test_concurrent_remote_change_wins(self):
-        rm = MemoryTable("t")
-        rm.apply_upsert(row(1, x=1, y="a"))
-        rm.stage_write(1, "x", 42)
-        # Echo carries a different value: remote overwrote ours.
-        rm.apply_upsert(row(1, x=7, y="a"))
-        assert rm.get(1)["x"] == 7
-        assert rm.applied_updates == 1
-
-    def test_other_column_changed_alongside(self):
-        rm = MemoryTable("t")
-        rm.apply_upsert(row(1, x=1, y="a"))
-        rm.stage_write(1, "x", 42)
-        rm.apply_upsert(row(1, x=42, y="b"))  # y changed remotely too
-        assert rm.applied_updates == 1
-        assert rm.get(1)["y"] == "b"
-
-    def test_stage_write_copies_on_write(self):
-        rm = MemoryTable("t")
-        image = row(1, x=1, y="a")
-        rm.apply_upsert(image)
-        earlier = rm.get(1)
-        rm.stage_write(1, "x", 42)
-        assert image == earlier == row(1, x=1, y="a")
-        assert rm.get(1) == row(1, x=42, y="a")
-
-    def test_stage_write_unknown_tid(self):
-        rm = MemoryTable("t")
+    def test_write_back_unknown_tid(self, written):
+        db, client, rm = written
         with pytest.raises(SyncError):
-            rm.stage_write(99, "x", 1)
+            client.write_back("t", 99, "x", 1)
+        # A row the table has but a partial mirror does not hold.
+        partial = SyncClient(client.server)
+        try:
+            half = partial.mirror("t", predicate=lambda r: r["x"] > 1)
+            with pytest.raises(SyncError):
+                partial.write_back("t", 1, "x", 5)
+            assert db.table("t").get(1)["x"] == 1
+            assert half.tids() == [2, 3]
+        finally:
+            partial.close()
+
+
+class TestWriteBackFaults:
+    """A write-back leaves the mirror no image the table did not commit,
+    and no bookkeeping behind."""
+
+    @pytest.mark.parametrize(
+        "column, value", [("x", None), ("y", "abc")], ids=["not-null", "type"]
+    )
+    def test_a_rejected_write_back_leaves_the_mirror_as_it_was(
+        self, written, column, value
+    ):
+        db, client, rm = written
+        image = rm.get(1)
+        with pytest.raises(DatabaseError):
+            client.write_back("t", 1, column, value)
+        assert rm.get(1) is image is db.table("t").get(1)
+        client.refresh("t")
+        assert all(rm.get(tid) is db.table("t").get(tid) for tid in (1, 2, 3))
+
+    @pytest.mark.parametrize("commit", [True, False], ids=["commit", "rollback"])
+    def test_a_write_back_inside_a_transaction_waits_for_its_commit(
+        self, written, commit
+    ):
+        db, client, rm = written
+        image = rm.get(1)
+        try:
+            with db.transaction():
+                client.write_back("t", 1, "x", 42)
+                assert rm.get(1) is image
+                if not commit:
+                    raise RuntimeError("roll back")
+        except RuntimeError:
+            pass
+        client.refresh("t")
+        assert rm.get(1) is db.table("t").get(1)
+        assert rm.get(1)["x"] == (42 if commit else 1)
+
+    def test_no_bookkeeping_outlives_overwritten_or_deleted_rows(self):
+        db = Database()
+        db.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, x INTEGER)")
+        db.insert_many("t", [{"k": k, "x": 0} for k in range(200)])
+        center = NotificationCenter(db)
+        server = SyncServer(db, center, use_sockets=False)
+        client = SyncClient(server)
+        rm = client.mirror("t")
+        tids = rm.tids()
+        for tid in tids[:100]:
+            client.write_back("t", tid, "x", 1)
+        db.update_by_tids("t", dict.fromkeys(tids[:50], {"x": 2}))
+        db.delete_by_tids("t", tids[50:100])
+        client.refresh("t")
+        assert rm.tids() == db.table("t").tids()
+        # The rows are the mirror's only per-row state.
+        per_row = {
+            name: value
+            for name, value in vars(rm).items()
+            if name != "rows" and isinstance(value, (dict, list, set)) and value
+        }
+        assert per_row == {}
+        # A remote write of the value an overwritten write-back once
+        # carried is a remote change, not an echo.
+        db.update_by_tid("t", tids[0], {"x": 1})
+        client.refresh("t")
+        assert rm.skipped_self_updates == 0
+        client.close()
+        server.close()
+        center.close()
+
+    def test_no_refresh_folds_an_older_image_over_a_write_back(self, written):
+        """A refresher and a remote writer race the write-backs; once a
+        write-back returns, the mirror never again holds an older image
+        of its row (the refresh lock spans the write and the hold)."""
+        db, client, rm = written
+        stop = threading.Event()
+        regressions = []
+        fold = rm.apply_batch
+
+        def slow_fold(upserts, deletes):
+            time.sleep(0.0002)  # widens a refresh's read -> fold window
+            fold(upserts, deletes)
+
+        rm.apply_batch = slow_fold
+
+        def refresher():
+            while not stop.is_set():
+                client.refresh("t")
+
+        def remote():
+            while not stop.is_set():
+                db.update_by_tids("t", {2: {"y": 1}, 3: {"y": 1}})
+
+        threads = [threading.Thread(target=f) for f in (refresher, remote)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for value in range(300):
+                client.write_back("t", 1, "x", value)
+                stamp = db.table("t").get(1)[UPDATED_AT]
+                for _ in range(3):
+                    if rm.get(1)[UPDATED_AT] < stamp:
+                        regressions.append(value)
+                    time.sleep(0)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(10.0)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert regressions == []
+        client.refresh("t")
+        assert all(rm.get(tid) is db.table("t").get(tid) for tid in (1, 2, 3))
 
 
 # ----------------------------------------------------------------------
 # Batch apply == per-row apply: ``apply_batch`` is the one apply path and
-# ``apply_upsert`` / ``apply_delete`` its one-row callers, so a batch must
-# leave exactly what its rows, applied one call at a time, leave.
+# ``apply_upsert`` / ``apply_delete`` / ``hold`` its one-row callers, so a
+# batch of distinct tids (what a refresh offers) must leave exactly what
+# its rows, applied one call at a time, leave.
 tids = st.integers(1, 12)
 images = st.builds(
     lambda tid, x, y: row(tid, x=x, y=y), tids, st.integers(0, 2), st.integers(0, 1)
 )
 actions = st.lists(
     st.one_of(
-        # A tid may repeat inside one batch, among upserts and deletes alike.
         st.tuples(
-            st.just("batch"), st.lists(images, max_size=8), st.lists(tids, max_size=4)
+            st.just("batch"),
+            st.lists(images, max_size=8, unique_by=lambda image: image[TID]),
+            st.lists(tids, max_size=4),
         ),
-        # A local edit: a later image confirms it, overrides it, or brings
-        # a change of the other column along.
+        # A write-back's committed image: a copy of the held one.
         st.tuples(
-            st.just("stage"), tids, st.sampled_from(["x", "y"]), st.integers(0, 2)
+            st.just("hold"), tids, st.sampled_from(["x", "y"]), st.integers(0, 2)
         ),
+        # The held images offered again, as the echo of a write-back is.
+        st.tuples(st.just("echo"), st.lists(tids, max_size=4, unique=True)),
     ),
     max_size=25,
 )
@@ -167,12 +328,11 @@ def state(rm):
         rm.applied_updates,
         rm.applied_deletes,
         rm.skipped_self_updates,
-        rm._pending_writes,
     )
 
 
 @given(actions, mirrors)
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=500, deadline=None)
 def test_batch_apply_equals_per_row_apply(script, kind):
     batched, per_row = MemoryTable("t", **kind), MemoryTable("t", **kind)
     for action in script:
@@ -183,12 +343,19 @@ def test_batch_apply_equals_per_row_apply(script, kind):
                 per_row.apply_upsert(image)
             for tid in deletes:
                 per_row.apply_delete(tid)
-        else:
+        elif action[0] == "hold":
             _kind, tid, column, value = action
             if batched.get(tid) is not None:
-                batched.stage_write(tid, column, value)
-                per_row.stage_write(tid, column, value)
+                image = {**batched.get(tid), column: value}
+                batched.hold(image)
+                per_row.hold(image)
+        else:
+            held = [batched.get(tid) for tid in action[1] if batched.get(tid)]
+            batched.apply_batch(held, [])
+            for image in held:
+                per_row.apply_upsert(image)
         assert state(batched) == state(per_row)
+        assert all(per_row.rows[tid] is image for tid, image in batched.rows.items())
 
 
 # ----------------------------------------------------------------------

@@ -1,14 +1,14 @@
 """Rows are values: no row image anyone was handed is ever mutated.
 
 A table, its change sets and its mirrors share one dict per row image;
-writers copy on write (``Table.update_*``, ``MemoryTable.stage_write``)
-and a rollback puts the change set's before image back.  A random mix of
-statements -- SQL and table API, one-row and set-at-a-time, committed and
-rolled back -- refreshes of a full and a partial mirror, and write-backs
-must leave every image handed out earlier (by ``Table.get``,
-``MemoryTable.get`` / ``all_rows``, a ``Result.change`` or a commit hook)
-exactly as it was, and each mirror holding the table's images at
-quiescence.
+writers copy on write (``Table.update_*``; a write-back's mirror holds the
+image its committed UPDATE returned) and a rollback puts the change set's
+before image back.  A random mix of statements -- SQL and table API,
+one-row and set-at-a-time, committed and rolled back -- refreshes of a
+full and a partial mirror, and write-backs must leave every image handed
+out earlier (by ``Table.get``, ``MemoryTable.get`` / ``all_rows``, a
+``Result.change`` or a commit hook) exactly as it was, and each mirror
+holding the table's images at quiescence.
 """
 
 import copy

@@ -110,6 +110,50 @@ class TestVisualAttributesStore:
         rows = db.query(f"SELECT * FROM {datamodel.T_VISUAL_ATTRIBUTES}")
         assert sorted((row["obj_id"], row["x"]) for row in rows) == [("a", 5.0), ("b", 2.0)]
 
+    @pytest.mark.parametrize("call", ["write", "write_positions", "select"])
+    def test_a_rolled_back_write_leaves_no_trusted_cache_entry(self, db, store, call):
+        store.write(1, [VisualItem(obj_id="b", x=0.0)])
+        with pytest.raises(RuntimeError):
+            with db.transaction():
+                store.write(1, [VisualItem(obj_id="a", x=1.0)])
+                raise RuntimeError("abort")
+        # The cache named "a" when the store's own block exited; the
+        # enclosing transaction took the row back.
+        assert store.get(1, "a") is None
+        if call == "write":
+            store.write(1, [VisualItem(obj_id="a", x=2.0)])
+        elif call == "write_positions":
+            store.write_positions(1, {"a": (2.0, 0.0)})
+        else:
+            assert store.select(1, ["a", "b"]) == 1
+            store.write(1, [VisualItem(obj_id="a", x=2.0)])
+        assert store.get(1, "a").x == 2.0
+        assert [item.obj_id for item in store.read(1)] == ["b", "a"]
+        rows = db.query(f"SELECT * FROM {datamodel.T_VISUAL_ATTRIBUTES}")
+        assert sorted((row["obj_id"], row["x"]) for row in rows) == [("a", 2.0), ("b", 0.0)]
+
+    def test_one_components_reads_scan_nothing_with_a_warm_cache(
+        self, db, store, monkeypatch
+    ):
+        store.write(1, [VisualItem(obj_id=i, x=float(i)) for i in range(5)])
+        store.write(2, [VisualItem(obj_id=i) for i in range(3)])
+        store.select(1, [3, 1])
+        store.remove(1, [2])
+        for component in (1, 2, 3):
+            store.read(component)  # warms each component's cache
+        table = type(db.table(datamodel.T_VISUAL_ATTRIBUTES))
+        scans = []
+        scan = table.scan
+        monkeypatch.setattr(table, "scan", lambda self: scans.append(1) or scan(self))
+        assert [(i.obj_id, i.x) for i in store.read(1)] == [
+            (0, 0.0), (1, 1.0), (3, 3.0), (4, 4.0)
+        ]
+        assert store.selected_ids(1) == [1, 3]
+        assert [i.obj_id for i in store.read(2)] == [0, 1, 2]
+        assert store.selected_ids(2) == []
+        assert store.read(3) == [] and store.selected_ids(3) == []
+        assert scans == []
+
     def test_empty_write(self, store):
         assert store.write(1, []) == 0
 
@@ -137,6 +181,7 @@ class TestVisualizationManager:
         manager.write_items(comp, [VisualItem(obj_id="a"), VisualItem(obj_id="b")])
         manager.attributes.select(comp, ["b"])
         assert manager.selected_objects(comp) == ["b"]
+        assert manager.selected_objects(comp) == manager.attributes.selected_ids(comp)
 
 
 class TestDisplay:
