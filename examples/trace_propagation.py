@@ -51,7 +51,7 @@ def main() -> None:
         result = LinLogLayout(graph).run(max_iterations=10)
         Display("wall").apply_rows(
             [
-                VisualItem(obj_id=n, x=x, y=y).to_row(1, n)
+                VisualItem(obj_id=n, x=x, y=y).to_row(1)
                 for n, (x, y) in result.positions.items()
             ]
         )

@@ -240,7 +240,7 @@ class TreemapVotes(Procedure):
         party = env.lookup("party") if _has_var(env, "party") else "DEM"
         items = compute_treemap(agg, party, self.width, self.height)
         self.last_items = items
-        return [[item.to_row(0, i + 1) for i, item in enumerate(items)]]
+        return [[item.to_row(0) for item in items]]
 
     def on_delta_running(self, env: ProcessEnv, delta: Delta) -> Optional[Tables]:
         # Re-derive the picture from the (already-folded) aggregate table.
@@ -397,7 +397,6 @@ def build_process(detached_visualization: bool = True) -> ProcessDefinition:
             RelationDecl(
                 "election_visual",
                 columns=(
-                    ("id", "INTEGER"),
                     ("component_id", "INTEGER"),
                     ("obj_id", "ANY"),
                     ("x", "FLOAT"),

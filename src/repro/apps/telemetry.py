@@ -379,20 +379,16 @@ class TelemetryDashboard:
             metric_rows = self.metric_mirror.all_rows()
             stack_rows = self.stack_mirror.all_rows()
             self.waterfall.apply_snapshot(
-                r.to_row(0, i + 1)
-                for i, r in enumerate(compute_span_waterfall(span_rows))
+                r.to_row(0) for r in compute_span_waterfall(span_rows)
             )
             self.latency.apply_snapshot(
-                r.to_row(1, i + 1)
-                for i, r in enumerate(compute_latency_points(metric_rows))
+                r.to_row(1) for r in compute_latency_points(metric_rows)
             )
             self.savings.apply_snapshot(
-                r.to_row(2, i + 1)
-                for i, r in enumerate(compute_coalesce_treemap(metric_rows))
+                r.to_row(2) for r in compute_coalesce_treemap(metric_rows)
             )
             self.flame.apply_snapshot(
-                r.to_row(3, i + 1)
-                for i, r in enumerate(compute_flame_icicle(stack_rows))
+                r.to_row(3) for r in compute_flame_icicle(stack_rows)
             )
         self.refreshes += 1
         return {

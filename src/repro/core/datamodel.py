@@ -193,7 +193,6 @@ def install_core_schema(database: Database) -> None:
     mk(
         T_VISUAL_ATTRIBUTES,
         [
-            Column("id", INTEGER, nullable=False),
             Column("component_id", INTEGER, nullable=False),
             Column("obj_id", ANY, nullable=False),  # id of the rendered entity
             Column("x", FLOAT),
@@ -204,7 +203,6 @@ def install_core_schema(database: Database) -> None:
             Column("label", TEXT),
             Column("selected", BOOLEAN, default=False),
         ],
-        primary_key="id",
         foreign_keys=[ForeignKey("component_id", T_VIS_COMPONENT, "id")],
     )
     # The paper's ``(seq_no, ts, tn, op)`` plus which rows the event
@@ -269,15 +267,6 @@ class IdAllocator:
 
     def next_id(self, table: str, column: str = "id") -> int:
         return next(self._counter(table, column))
-
-    def next_ids(self, table: str, n: int, column: str = "id") -> list[int]:
-        """``n`` ids, as ``n`` calls of :meth:`next_id` would give them
-        when nothing else draws; another allocator drawing at the same
-        time may interleave, but no id is handed out twice."""
-        if n <= 0:
-            return []
-        counter = self._counter(table, column)
-        return [next(counter), *itertools.islice(counter, n - 1)]
 
     def _counter(self, table: str, column: str) -> Iterator[int]:
         key = f"{table}.{column}"

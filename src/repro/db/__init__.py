@@ -49,7 +49,7 @@ from .expression import (
     col,
 )
 from .persistence import load_snapshot, save_snapshot
-from .schema import CREATED_AT, TID, UPDATED_AT, Column, ForeignKey, TableSchema
+from .schema import CREATED_AT, TID, Column, ForeignKey, TableSchema
 from .table import ChangeSet, Table
 from .types import ANY, BOOLEAN, FLOAT, INTEGER, TEXT, TIMESTAMP, ColumnType
 from .vector import Batch, Unvectorizable, Vectorized, batch_rows, rows_to_batch, vectorize_plan
@@ -112,7 +112,6 @@ __all__ = [
     "TIMESTAMP",
     "Table",
     "TableSchema",
-    "UPDATED_AT",
     "Union",
     "Unvectorizable",
     "Vectorized",

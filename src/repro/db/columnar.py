@@ -2,7 +2,7 @@
 
 A :class:`ColumnStore` is a chunked, column-oriented projection of one
 table's rows: typed parallel arrays per column (plain Python lists, one
-per column per chunk), a tid column, and a per-chunk validity bitmap for
+per column per chunk), the tid column, and a per-chunk validity bitmap for
 deletions.  It exists so the vectorized executor (:mod:`repro.db.vector`)
 can stream column chunks instead of per-row dicts -- list comprehensions
 and builtins over parallel arrays run at C speed, where per-row dict
@@ -44,7 +44,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Iterable, Iterator
 
-from .schema import CREATED_AT, TID, UPDATED_AT
+from .schema import TID
 
 #: Rows per chunk.  Big enough to amortize per-chunk Python overhead,
 #: small enough that a selective filter's compressed output stays cache
@@ -110,10 +110,11 @@ def column_tag(values: list[Any]) -> int:
 class ColumnStore:
     """Chunked column-major mirror of one table's row storage.
 
-    The store holds every stored column *including* the hidden engine
-    fields (``__tid__``, ``__created__``, ``__updated__``) in the same
-    order row dicts carry them, so transposing a chunk back to rows
-    reproduces the row engine's dict key order exactly.
+    The store holds every key of a stored row image -- the schema's
+    columns, then the tid (``__tid__``) -- in the order row dicts carry
+    them, so transposing a chunk back to rows reproduces the row
+    engine's dict key order exactly.  Creation stamps are not in the
+    image, so they are not here either.
     """
 
     __slots__ = (
@@ -132,11 +133,7 @@ class ColumnStore:
 
     def __init__(self, table: Any) -> None:
         self._table = table
-        self.names: tuple[str, ...] = tuple(table.schema.column_names) + (
-            TID,
-            CREATED_AT,
-            UPDATED_AT,
-        )
+        self.names: tuple[str, ...] = tuple(table.schema.column_names) + (TID,)
         self._chunks: list[dict[str, list[Any]]] = []
         self._dead: list[int] = []
         self._dead_counts: list[int] = []
@@ -201,7 +198,7 @@ class ColumnStore:
 
     def update(self, tid: int, row: dict[str, Any], changed: Iterable[str]) -> None:
         """Mirror an in-place row update (same tid): the ``changed``
-        columns and the update stamp are all an UPDATE writes."""
+        columns are all an UPDATE writes."""
         if self._stale:
             return
         pos = self._pos.get(tid)
@@ -215,7 +212,6 @@ class ColumnStore:
             value = row[name]
             chunk[name][offset] = value
             types[name] |= value_tag(value)
-        chunk[UPDATED_AT][offset] = row[UPDATED_AT]
         self._stamps[ci] = next(_STAMPS)
 
     def delete(self, tid: int) -> None:

@@ -242,10 +242,10 @@ class Database:
     def tick(self, n: int = 1) -> int:
         """Advance the logical clock ``n`` ticks and return the last.
 
-        Every row mutation takes one tick (a multi-row statement reserves
-        its ``n`` here in one step), so creation/update timestamps are
-        unique and totally ordered -- the property time-based isolation
-        (Section VI-A) depends on.
+        Every inserted row takes one tick (a multi-row statement reserves
+        its ``n`` here in one step), so creation timestamps are unique and
+        totally ordered -- the property time-based isolation (Section
+        VI-A) depends on.
         """
         with self._lock:
             self._clock += n

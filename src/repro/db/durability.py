@@ -48,7 +48,7 @@ from ..faults import CrashInjector
 from ..obs.runtime import OBS
 from .database import Database
 from .persistence import load_snapshot, save_snapshot
-from .schema import TID, TableSchema
+from .schema import CREATED_AT, TID, TableSchema
 from .table import ChangeSet
 from .wal import (
     FSYNC_ALWAYS,
@@ -102,14 +102,26 @@ class RecoveryInfo:
 
 # ----------------------------------------------------------------------
 # Redo application (bypasses triggers, transactions and the clock: the
-# images carry their original tids and timestamps).
-def _restore(table: Any, row: dict[str, Any]) -> None:
+# images carry their original tids, an insert its creation stamps).
+def _restore(table: Any, row: dict[str, Any], created: int | None) -> None:
     if table.get(row[TID]) is not None:
         table.delete_row(row[TID])
-    table.restore_row(row)
+    table.restore_row(row, created)
 
 
-def _bulk_insert(table: Any, cols: list[str], vals: list[Any]) -> bool:
+def _without_stamps(cols: list[str], vals: list[Any]) -> tuple[list, list, list]:
+    """An "I"/"U" op logged while the image held its stamps (``__created__``
+    and an update stamp) as ``(cols, vals, created)`` without them."""
+    width = len(cols)
+    keep = [i for i, c in enumerate(cols) if c == TID or not c.startswith("__")]
+    created = vals[cols.index(CREATED_AT) :: width]
+    vals = [row[i] for row in zip(*[iter(vals)] * width) for i in keep]
+    return [cols[i] for i in keep], vals, created
+
+
+def _bulk_insert(
+    table: Any, cols: list[str], vals: list[Any], created: list[int]
+) -> bool:
     """Land a committed columnar "I" record as a single bulk load.
 
     The writer's flat row-major array is sliced into per-column lists
@@ -126,16 +138,17 @@ def _bulk_insert(table: Any, cols: list[str], vals: list[Any]) -> bool:
     width = len(cols)
     columns = {name: vals[i::width] for i, name in enumerate(cols)}
     rows = [dict(zip(cols, values)) for values in zip(*[iter(vals)] * width)]
-    return bulk(rows, columns=columns)
+    return bulk(rows, created, columns=columns)
 
 
 def _apply_op(database: Database, op: dict[str, Any]) -> int:
     """Redo one WAL operation; returns the number of rows it touched.
 
-    The writer emits *columnar* group ops ("I"/"U" with ``cols`` plus a
-    flat ``vals`` array read back in ``cols``-sized strides, "D" with a
-    tid list); per-row ``rows`` lists and the lowercase single-row forms
-    ("i"/"u"/"d") remain readable for hand-built logs.
+    The writer emits *columnar* group ops: "I"/"U" with ``cols`` plus a
+    flat ``vals`` array read back in ``cols``-sized strides -- an "I"
+    also lists its rows' creation stamps under ``c`` -- and "D" with a
+    tid list.  An op logged while the stamps were image columns is read
+    through :func:`_without_stamps`.
     """
     if op.get("k") == KIND_DDL:
         if op["op"] == "create":
@@ -148,35 +161,23 @@ def _apply_op(database: Database, op: dict[str, Any]) -> int:
     table = database.table(op["t"])
     kind = op["op"]
     if kind in ("I", "U"):
-        cols = op["cols"]
-        if "vals" in op:
-            if kind == "I" and _bulk_insert(table, cols, op["vals"]):
-                return len(op["vals"]) // len(cols)
-            # zip(*[iter]*width) regroups the flat array into rows at C
-            # speed -- the inverse of the writer's flattening.
-            rows = list(zip(*[iter(op["vals"])] * len(cols)))
-        else:
-            rows = op["rows"]
-        for values in rows:
-            _restore(table, dict(zip(cols, values)))
+        cols, vals, created = op["cols"], op["vals"], op.get("c")
+        if CREATED_AT in cols:
+            cols, vals, created = _without_stamps(cols, vals)
+        if kind == "I" and _bulk_insert(table, cols, vals, created):
+            return len(vals) // len(cols)
+        # zip(*[iter]*width) regroups the flat array into rows at C speed
+        # -- the inverse of the writer's flattening.
+        rows = list(zip(*[iter(vals)] * len(cols)))
+        for values, stamp in zip(rows, created or [None] * len(rows)):
+            _restore(table, dict(zip(cols, values)), stamp)
         return len(rows)
-    if kind == "D":
-        for tid in op["tids"]:
-            if tid in table:
-                table.delete_row(tid)
-        return len(op["tids"])
-    if kind == "i":
-        row = dict(op["r"])
-        if table.get(row[TID]) is None:
-            table.restore_row(row)
-    elif kind == "u":
-        _restore(table, dict(op["r"]))
-    elif kind == "d":
-        if op["tid"] in table:
-            table.delete_row(op["tid"])
-    else:  # pragma: no cover - format invariant
+    if kind != "D":  # pragma: no cover - format invariant
         raise DatabaseError(f"unknown WAL op kind {kind!r}")
-    return 1
+    for tid in op["tids"]:
+        if tid in table:
+            table.delete_row(tid)
+    return len(op["tids"])
 
 
 def _recover(directory: Path) -> RecoveryInfo:
@@ -247,8 +248,8 @@ def _columnar(
     Every stored row of a table is built by ``validate_row`` or, for an
     exact multi-row INSERT, copied by ``validate_rows`` from rows that
     already name the columns in schema order.  Either way it holds the
-    schema's columns in schema order, then the hidden fields, so all rows
-    share one key order and ``values()`` projects them faithfully.  The
+    schema's columns in schema order, then the tid, so all rows share
+    one key order and ``values()`` projects them faithfully.  The
     values land in a single flat list (row-major, ``len(cols)``-sized
     strides): one flat array JSON-encodes measurably faster than
     thousands of per-row lists, and this sits on the hot commit path of
@@ -345,9 +346,15 @@ class DurabilityManager:
             ops = 0
             for change in changes:
                 table = change.table
-                if change.inserted:
-                    _columnar(op_list, "I", table, change.inserted)
-                    ops += len(change.inserted)
+                inserted = change.inserted
+                if inserted:
+                    _columnar(op_list, "I", table, inserted)
+                    # One statement's tids are consecutive: their creation
+                    # stamps are one slice, listed beside the op's values.
+                    n, first = len(inserted), inserted[0][TID] - 1
+                    stamps = self.database.table(table).created[first : first + n]
+                    op_list[-1].setdefault("c", []).extend(stamps)
+                    ops += len(inserted)
                 if change.updated:
                     afters = [after for _before, after in change.updated]
                     _columnar(op_list, "U", table, afters)

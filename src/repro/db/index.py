@@ -4,9 +4,11 @@ Two kinds are provided:
 
 * :class:`HashIndex` -- equality lookups (used for primary keys, unique
   constraints, and hash joins on foreign keys).
-* :class:`SortedIndex` -- range lookups over an ordered key (used for the
-  time-based isolation predicates of Section VI-A, which filter rows by
-  creation timestamp, and for Notification ``seq_no`` scans in VI-C).
+* :class:`SortedIndex` -- range lookups over an ordered key (used for
+  Notification ``seq_no`` scans in VI-C); :class:`StampIndex` is its
+  read-only form over keys that ascend with tid, a table's creation
+  stamps, which the time-based isolation predicates of Section VI-A
+  filter rows by.
 
 A hash index maps a key to its tuple identifier (tid), or to a set of
 tids once the key holds two; a sorted index keeps its keys and their tids
@@ -232,9 +234,9 @@ class SortedIndex:
     """Ordered index over a single column supporting range scans.
 
     Maintained as two parallel lists, ``_keys`` and ``_tids``, sorted by
-    ``(key, tid)``: keys that grow with time (creation stamps, ``seq_no``)
-    are appended, and a range is a slice of ``_tids``.  NULL keys are not
-    indexed (range predicates never match NULL).
+    ``(key, tid)``: keys that grow with time (``seq_no``) are appended,
+    and a range is a slice of ``_tids``.  NULL keys are not indexed
+    (range predicates never match NULL).
     """
 
     unique = False
@@ -301,8 +303,8 @@ class SortedIndex:
 
     def add_many(self, tids: Iterable[int], rows: Sequence[dict[str, Any]]) -> None:
         """Index a statement's rows: one splice of each list when they
-        all fall into one gap -- at the end, when keys grow with time (the
-        creation index, ``seq_no``) -- an insert each otherwise."""
+        all fall into one gap -- at the end, when keys grow with time
+        (``seq_no``) -- an insert each otherwise."""
         batch_keys, batch_tids = self._sorted_batch(tids, rows)
         if not batch_keys:
             return
@@ -397,3 +399,17 @@ class SortedIndex:
 
     def __len__(self) -> int:
         return len(self._tids)
+
+
+class StampIndex(SortedIndex):
+    """A read-only :class:`SortedIndex` over a table's creation stamps:
+    ``stamps[tid - 1]`` is tid's key and keys ascend with tid, so the tids
+    are ``1..len(stamps)`` and there is no entry per row.  A range may
+    name deleted tids; readers skip them, as ``table.get`` misses."""
+
+    def __init__(self, table_name: str, column: str, stamps: list[Any]) -> None:
+        self.table_name = table_name
+        self.column = column
+        self.columns = (column,)
+        self._keys = stamps
+        self._tids = range(1, len(stamps) + 1)  # type: ignore[assignment]

@@ -5,11 +5,12 @@ explicit snapshots.  The format is line-oriented JSON:
 
     {"kind": "header",  "name": ..., "clock": ...}
     {"kind": "schema",  "schema": {...}}          # one per table
-    {"kind": "row", "table": ..., "tid": ..., "created": ..., "updated": ...,
+    {"kind": "row", "table": ..., "tid": ..., "created": ...,
      "values": {...}}                             # one per row
 
-Hidden fields round-trip so tids and timestamps (and therefore the
-time-based isolation story) survive a restart.  Values must be
+Tids and creation stamps round-trip, so the time-based isolation story
+survives a restart.  A row record an older writer left an ``updated``
+field in loads the same (the field is ignored).  Values must be
 JSON-serializable; :class:`~repro.db.types.AnyType` columns holding
 non-JSON values fail loudly at save time rather than corrupting the file.
 """
@@ -23,7 +24,7 @@ from pathlib import Path
 
 from ..errors import DatabaseError
 from .database import Database
-from .schema import CREATED_AT, TID, UPDATED_AT, TableSchema
+from .schema import TID, TableSchema
 from .wal import fsync_dir
 
 FORMAT_VERSION = 1
@@ -66,8 +67,7 @@ def save_snapshot(database: Database, path: str | Path) -> int:
                         "kind": "row",
                         "table": table_name,
                         "tid": row[TID],
-                        "created": row[CREATED_AT],
-                        "updated": row[UPDATED_AT],
+                        "created": table.created[row[TID] - 1],
                         "values": values,
                     }
                     try:
@@ -128,9 +128,7 @@ def load_snapshot(path: str | Path) -> Database:
                 table = database.table(record["table"])
                 image = dict(record["values"])
                 image[TID] = record["tid"]
-                image[CREATED_AT] = record["created"]
-                image[UPDATED_AT] = record["updated"]
-                table.restore_row(image)
+                table.restore_row(image, record["created"])
             else:
                 raise DatabaseError(
                     f"{path}:{line_no}: unknown snapshot record kind {kind!r}"

@@ -9,7 +9,7 @@ way to produce candidate rows:
   -> :class:`~repro.db.algebra.CompositeIndexScan`
 * range conjuncts (``<``, ``<=``, ``>``, ``>=``, and the ``BETWEEN``
   lowering) on a :class:`~repro.db.index.SortedIndex` column -- including
-  the implicit per-table creation-timestamp index the isolation layer
+  every table's creation stamps (a read-only ``StampIndex``) the isolation layer
   (Section VI-A) filters on -- -> :class:`~repro.db.algebra.RangeIndexScan`
 
 A ``?`` slot stands wherever a literal may (the leaf reads its value

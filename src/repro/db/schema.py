@@ -16,13 +16,14 @@ from .types import ANY, ColumnType, type_from_name
 
 _NONE = type(None)
 
-#: Hidden per-row fields maintained by the engine itself.  ``tid`` is the
-#: tuple identifier used by deletion tables (Section VI-A), the timestamps
-#: implement time-based isolation.
+#: Hidden names the engine maintains.  ``tid`` is the tuple identifier
+#: used by deletion tables (Section VI-A), the one hidden key of a stored
+#: row image.  The creation stamp that implements time-based isolation is
+#: not in the image: the table keeps it by tid, and ``CREATED_AT`` names
+#: it to the planner and the isolation predicates.
 TID = "__tid__"
 CREATED_AT = "__created__"
-UPDATED_AT = "__updated__"
-HIDDEN_FIELDS = (TID, CREATED_AT, UPDATED_AT)
+HIDDEN_FIELDS = (TID, CREATED_AT)
 
 
 @dataclass(frozen=True)

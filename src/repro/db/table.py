@@ -1,12 +1,14 @@
 """Row storage for one relation.
 
-A :class:`Table` owns its rows, assigns tuple identifiers (tids), stamps
-creation/update logical timestamps (used by the time-based isolation of
+A :class:`Table` owns its rows, assigns tuple identifiers (tids), keeps
+each tid's creation logical timestamp (used by the time-based isolation of
 Section VI-A), and maintains its indexes.  It is deliberately unaware of
 triggers and transactions -- those live in :mod:`repro.db.database` so that
 every mutation path (SQL or programmatic) funnels through one place.
 
-Rows are plain dicts.  Scans yield the *internal* dict objects for speed;
+Rows are plain dicts holding the schema's columns, in schema order, and
+the tid under ``__tid__``; the creation stamps live beside them, in one
+list indexed by tid.  Scans yield the *internal* dict objects for speed;
 callers must treat them as immutable and perform writes through the table
 API only.
 """
@@ -18,8 +20,8 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import ConstraintViolation, DatabaseError, SchemaError, SyncError
 from .columnar import ColumnStore
-from .index import HashIndex, SortedIndex
-from .schema import CREATED_AT, TID, UPDATED_AT, TableSchema
+from .index import HashIndex, SortedIndex, StampIndex
+from .schema import CREATED_AT, TID, TableSchema
 
 
 @dataclass
@@ -189,7 +191,11 @@ class Table:
         self.schema = schema
         self._clock = clock
         self._rows: dict[int, dict[str, Any]] = {}
-        self._next_tid = 1
+        #: Read-only: tid ``t``'s creation stamp is ``created[t - 1]``, for
+        #: every tid ever assigned (the next is ``len(created) + 1``).  Tid
+        #: and stamp ascend together; nothing is pruned, so a rollback or a
+        #: WAL redo of a known tid finds its stamp.
+        self.created: list[int] = []
         self._store: ColumnStore | None = None
         self._indexes: dict[str, HashIndex | SortedIndex] = {}
         #: Every column some index of ``_indexes`` is over.
@@ -200,9 +206,6 @@ class Table:
             )
         for i, cols in enumerate(schema.unique):
             self.create_index(f"uq_{schema.name}_{i}", cols, unique=True)
-        # Every table gets a sorted index on creation time: the isolation
-        # machinery (Section VI-A) constantly filters by it.
-        self._created_index = SortedIndex(schema.name, CREATED_AT)
 
     # ------------------------------------------------------------------
     @property
@@ -253,12 +256,13 @@ class Table:
     def find_sorted_index(self, column: str) -> SortedIndex | None:
         """Sorted index on ``column``, if any.
 
-        Every table implicitly carries a sorted index on its creation
-        timestamp (the isolation predicates of Section VI-A scan it), so
-        asking for ``CREATED_AT`` always succeeds.
+        Every table's creation stamps are a sorted index (the isolation
+        predicates of Section VI-A scan it): tid order is creation order,
+        so asking for ``CREATED_AT`` always succeeds, with a view of
+        :attr:`created` as it is now.
         """
         if column == CREATED_AT:
-            return self._created_index
+            return StampIndex(self.name, CREATED_AT, self.created)
         for idx in self._indexes.values():
             if isinstance(idx, SortedIndex) and idx.column == column:
                 return idx
@@ -295,22 +299,17 @@ class Table:
     # ------------------------------------------------------------------
     # Mutations (called by Database; do not invoke triggers themselves)
     def insert(self, values: Mapping[str, Any]) -> dict[str, Any]:
-        """Insert one row; returns the stored row (with hidden fields)."""
+        """Insert one row; returns the stored row (with its tid)."""
         return self._insert_validated(self.schema.validate_row(values))
 
     def _insert_validated(self, row: dict[str, Any]) -> dict[str, Any]:
         for idx in self._indexes.values():
             idx.check_insert(row)
-        tid = self._next_tid
-        self._next_tid += 1
-        now = self._clock()
-        row[TID] = tid
-        row[CREATED_AT] = now
-        row[UPDATED_AT] = now
+        self.created.append(self._clock())
+        row[TID] = tid = len(self.created)
         self._rows[tid] = row
         for idx in self._indexes.values():
             idx.add(tid, row)
-        self._created_index.add(tid, row)
         if self._store is not None:
             self._store.append(row)
         return row
@@ -326,8 +325,8 @@ class Table:
         the first offending row, in statement order, would have raised.
         An exact statement (:meth:`TableSchema.validate_rows`) is
         validated a column at a time, any other row by row.  Then ``n``
-        tids and ``n`` clock ticks are reserved in one step and each index
-        and the column store are maintained once.
+        tids and ``n`` clock ticks (the stamps) are reserved in one step and
+        each index and the column store are maintained once.
         """
         if not isinstance(rows, (list, tuple)):
             rows = list(rows)
@@ -357,13 +356,12 @@ class Table:
             return stored
         # The tid list is shared by the rows, the row map and the indexes
         # (one int object per tid, as insert() has it).
-        tids = list(range(self._next_tid, self._next_tid + count))
-        self._next_tid += count
+        first = len(self.created) + 1
+        tids = list(range(first, first + count))
         last = self._clock(count)
-        for tid, now, row in zip(tids, range(last - count + 1, last + 1), stored):
+        self.created.extend(range(last - count + 1, last + 1))
+        for tid, row in zip(tids, stored):
             row[TID] = tid
-            row[CREATED_AT] = now
-            row[UPDATED_AT] = now
         self._attach(tids, stored)
         return stored
 
@@ -390,7 +388,6 @@ class Table:
         self._rows.update(zip(tids, rows))
         for idx in self._indexes.values():
             idx.add_many(tids, rows)
-        self._created_index.add_many(tids, rows)
         if self._store is not None:
             if columns is not None:
                 self._store.bulk_append_columns(columns, len(rows))
@@ -426,7 +423,6 @@ class Table:
         # transaction (its insert, its update) logs at commit.
         before, row = row, dict(row)
         row.update(clean)
-        row[UPDATED_AT] = self._clock()
         self._rows[tid] = row
         for idx, _old, _new in moves:
             idx.remove(tid, before)
@@ -445,10 +441,9 @@ class Table:
         give.  Every tid is resolved and every change map validated (one
         shared by consecutive rows, once), and the statement's key moves
         are replayed on each touched unique index, before anything is
-        touched: a failing statement leaves no trace -- no clock tick, no
-        changed row -- and raises what its first offending row, in
-        statement order, would have raised.  Then ``n`` clock ticks are
-        reserved in one step, the rows written, and each touched index
+        touched: a failing statement leaves no trace -- no changed row --
+        and raises what its first offending row, in statement order, would
+        have raised.  Then the rows are written, and each touched index
         and the column store maintained once.
         """
         if len(changes_by_tid) == 1:
@@ -498,10 +493,8 @@ class Table:
             return []
         # Copy on write, as in update_row.
         befores, rows = rows, [dict(row) for row in rows]
-        stop = self._clock(count) + 1
-        for tid, row, clean, now in zip(tids, rows, cleans, range(stop - count, stop)):
+        for tid, row, clean in zip(tids, rows, cleans):
             row.update(clean)
-            row[UPDATED_AT] = now
             stored[tid] = row
         for idx, moved in moves.items():
             at = [position for position, _old, _new in moved]
@@ -544,7 +537,6 @@ class Table:
             raise DatabaseError(f"{self.name}: no row with tid {tid}") from None
         for idx in self._indexes.values():
             idx.remove(tid, row)
-        self._created_index.remove(tid, row)
         if self._store is not None:
             self._store.delete(tid)
         return row
@@ -568,23 +560,25 @@ class Table:
             del stored[tid]
         for idx in self._indexes.values():
             idx.remove_many(tids, rows)
-        self._created_index.remove_many(tids, rows)
         if self._store is not None:
             for tid in tids:
                 self._store.delete(tid)
         return rows
 
-    def restore_row(self, row: dict[str, Any]) -> None:
-        """Re-insert a deleted row image (rollback, WAL redo); takes
-        ownership of ``row``, as :meth:`bulk_restore` does."""
+    def restore_row(self, row: dict[str, Any], created: int | None = None) -> None:
+        """Re-insert a deleted row image (rollback, WAL redo, snapshot
+        load); takes ownership of ``row``, as :meth:`bulk_restore` does.
+        A tid new to the table needs its stamp, ``created``."""
         tid = row[TID]
         if tid in self._rows:
             raise DatabaseError(f"{self.name}: tid {tid} already present")
+        if created is not None:
+            self._record_created([tid], [created])
+        elif tid > len(self.created):
+            raise DatabaseError(f"{self.name}: no creation stamp for tid {tid}")
         self._rows[tid] = row
         for idx in self._indexes.values():
             idx.add(tid, row)
-        self._created_index.add(tid, row)
-        self._next_tid = max(self._next_tid, tid + 1)
         if self._store is not None:
             # append() flags the store stale when tid arrives out of order
             # (rollback restores); the next columnar scan rebuilds.
@@ -593,17 +587,19 @@ class Table:
     def bulk_restore(
         self,
         rows: list[dict[str, Any]],
+        created: Sequence[int],
         columns: dict[str, list[Any]] | None = None,
     ) -> bool:
         """Restore many row images at once (WAL recovery bulk load).
 
-        ``rows`` must carry hidden fields and strictly increasing tids
-        none of which are present; returns False without touching the
-        table when that doesn't hold, so the caller can fall back to
-        per-row :meth:`restore_row`.  Takes ownership of the row dicts.
-        When ``columns`` (parallel per-column arrays for the same rows)
-        is provided and a column store is active, the store is fed the
-        arrays directly instead of re-transposing the rows.
+        ``rows`` must carry strictly increasing tids none of which are
+        present, and ``created`` their creation stamps; returns False
+        without touching the table when that doesn't hold, so the caller
+        can fall back to per-row :meth:`restore_row`.  Takes ownership of
+        the row dicts.  When ``columns`` (parallel per-column arrays for
+        the same rows) is provided and a column store is active, the
+        store is fed the arrays directly instead of re-transposing the
+        rows.
         """
         if not rows:
             return True
@@ -616,9 +612,20 @@ class Table:
             last = tid
         if self._first_violation(rows) is not None:
             return False  # per-row restore raises at the colliding row
-        self._attach([row[TID] for row in rows], rows, columns)
-        self._next_tid = max(self._next_tid, last + 1)
+        tids = [row[TID] for row in rows]
+        self._record_created(tids, created)
+        self._attach(tids, rows, columns)
         return True
+
+    def _record_created(self, tids: Sequence[int], stamps: Sequence[int]) -> None:
+        """Record restored tids' stamps.  A tid no log or snapshot holds
+        (a rolled-back statement's) takes the next stamp: one between its
+        neighbours', so the list stays sorted."""
+        created = self.created
+        for tid, stamp in zip(tids, stamps):
+            if tid > len(created):
+                created.extend([stamp] * (tid - len(created)))
+            created[tid - 1] = stamp
 
     # ------------------------------------------------------------------
     # Reads
@@ -651,13 +658,14 @@ class Table:
     def created_between(
         self, low: int | None = None, high: int | None = None
     ) -> Iterator[dict[str, Any]]:
-        """Rows with creation timestamp in ``[low, high]`` (bounds optional).
+        """Rows with creation timestamp in ``[low, high]`` (bounds optional),
+        in tid order: a bisect of :attr:`created`.
 
         This backs time-based isolation: a process instance started at
         ``t0`` sees ``created_between(None, t0)`` minus deleted tids.
         """
-        for tid in self._created_index.range(low, high):
-            yield self._rows[tid]
+        tids = self.find_sorted_index(CREATED_AT).range(low, high)
+        return filter(None, map(self._rows.get, tids))
 
     def clear(self) -> list[dict[str, Any]]:
         """Remove all rows; returns the removed row images."""

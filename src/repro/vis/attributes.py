@@ -40,13 +40,10 @@ class VisualItem:
     label: Optional[str] = None
     selected: bool = False
 
-    def to_row(
-        self, component_id: int | None = None, item_id: int | None = None
-    ) -> dict[str, Any]:
-        """The item as a VisualAttributes row (``id`` and ``component_id``
-        are None for an item no store holds)."""
+    def to_row(self, component_id: int | None = None) -> dict[str, Any]:
+        """The item as a VisualAttributes row (``component_id`` is None
+        for an item no store holds)."""
         return {
-            "id": item_id,
             "component_id": component_id,
             "obj_id": self.obj_id,
             "x": self.x,
@@ -67,20 +64,17 @@ class VisualItem:
 class VisualAttributesStore:
     """CRUD over the shared VisualAttributes table.
 
-    Items are keyed by ``(component_id, obj_id)``.  A batch upsert is one
+    Items are keyed by ``(component_id, obj_id)``; a row has no surrogate
+    id (its tid names it to the engine).  A batch upsert is one
     transaction of an ``insert_many`` and an ``update_by_tids``, so one
     call is one commit -- one WAL record, one notification frame carrying
     its net delta -- whatever the batch size: the write path Figure 8
-    measures ("Inserting tuples in VisualAttributes table").  The new
-    rows' ids are drawn in one step from the database's shared id
-    sequence (:meth:`~repro.core.datamodel.IdAllocator.next_ids`), so
-    two stores on one database never hand out the same id.
+    measures ("Inserting tuples in VisualAttributes table").
     """
 
     def __init__(self, database: Database) -> None:
         self.database = database
         datamodel.install_core_schema(database)
-        self._allocator = datamodel.IdAllocator(database)
         #: component_id -> (obj_id -> tid); lazily built, then kept
         #: current by this store's own writes.  The store assumes it is
         #: the only writer of the VisualAttributes table (it is, in every
@@ -162,8 +156,7 @@ class VisualAttributesStore:
         """Insert ``fresh`` (distinct, unseen ``obj_id``s) and apply
         ``moved`` as ONE commit of at most two statements: one WAL record,
         one notification of the net delta, both or neither."""
-        ids = self._allocator.next_ids(datamodel.T_VISUAL_ATTRIBUTES, len(fresh))
-        rows = [item.to_row(component_id, item_id) for item, item_id in zip(fresh, ids)]
+        rows = [item.to_row(component_id) for item in fresh]
         with self.database.transaction():
             stored = (
                 self.database.insert_many(datamodel.T_VISUAL_ATTRIBUTES, rows)

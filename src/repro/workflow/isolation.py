@@ -2,12 +2,12 @@
 
 Three mechanisms:
 
-**Time-based isolation.**  Every tuple carries a creation timestamp; an
-instance with snapshot time ``t`` sees only tuples created at or before
-``t``.  By default the snapshot is taken at *process-instance* start
-("each process operates on exactly the data which was available when the
-process started"); activities marked ``fresh_snapshot`` re-snapshot at
-activity start (UP option 2).
+**Time-based isolation.**  Every tuple has a creation timestamp (kept by
+its table, beside the row image); an instance with snapshot time ``t``
+sees only tuples created at or before ``t``.  By default the snapshot is
+taken at *process-instance* start ("each process operates on exactly the
+data which was available when the process started"); activities marked
+``fresh_snapshot`` re-snapshot at activity start (UP option 2).
 
 **Deletion tables.**  A process instance deleting from ``R`` does not
 physically remove tuples: they are recorded in ``R_deleted`` as
@@ -30,6 +30,7 @@ the tuples created by a given process instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from ..core import datamodel
@@ -95,16 +96,12 @@ class _IsolatedTable:
             return
         # Snapshot isolation, with the instance's own writes always
         # visible (they necessarily carry timestamps past the snapshot).
-        # The per-table creation-timestamp index bounds the scan to the
-        # snapshot range instead of filtering every stored row.
-        candidates = set(table.find_sorted_index(CREATED_AT).range(None, snapshot))
-        own = (ctx.own_tids or {}).get(name, ())
-        candidates.update(tid for tid in own if tid in table)
-        for tid in sorted(candidates):
-            if tid in hidden:
-                continue
-            row = table.get(tid)
-            if row is not None:
+        # Tids ascend with creation stamps, so the snapshot is tids 1..k,
+        # k one bisect of the table's stamp list; the own writes follow.
+        k = table.find_sorted_index(CREATED_AT).count_range(None, snapshot)
+        own = sorted(tid for tid in (ctx.own_tids or {}).get(name, ()) if tid > k)
+        for row in map(table.get, chain(range(1, k + 1), own)):
+            if row is not None and row[TID] not in hidden:
                 yield row
 
     def scan(self) -> Iterator[Row]:

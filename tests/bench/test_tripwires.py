@@ -11,7 +11,10 @@ objects of the Figure-8 screen (a ``VisualItem`` per displayed row, a
 ``(row id, tid)`` tuple per cached item, a ``(key, tid)`` tuple per
 sorted-index entry), and the mirror's bookkeeping from before it held
 only committed images (pending writes, the echo scan, the one-row upsert,
-a fold per event); and for what the aggregate memo relies on: every
+a fold per event), and what a stored row image held beside its columns
+and tid (the update stamp, the creation stamp and its per-table sorted
+index, VisualAttributes' surrogate ``id`` and the block id draw that
+filled it); and for what the aggregate memo relies on: every
 write into a column chunk re-stamps it, and the memo is keyed by stamps,
 never by chunks."""
 
@@ -941,3 +944,103 @@ def test_the_one_fold_tripwires_fire_on_planted_offenders_and_the_old_mirror():
         "        memtable.stage_write(tid, column, value)\n"
     )
     assert mirror_bookkeeping(old_mirror) == [3, 6, 7, 9, 13]
+
+
+#: What a row image carried beside its columns and tid, and the index
+#: that re-sorted one of them: none of it is named under ``src/`` again.
+GONE_STAMPS = re.compile(r"\b(UPDATED_AT|__updated__|_created_index)\b")
+
+
+def stamp_names(source):
+    """Lines of ``source`` naming the update stamp or the creation index."""
+    return [n for n, line in enumerate(source.splitlines(), 1) if GONE_STAMPS.search(line)]
+
+
+def image_keys(source):
+    """The constant keys ``source`` assigns by subscript (``row[TID] =``,
+    ``row["x"] =``): a name in capitals or a string.  Lower-case names are
+    map keys (``self._rows[tid] = row``), not image keys."""
+    keys = []
+    for node in ast.walk(ast.parse(source)):
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        for target in targets:
+            if not isinstance(target, ast.Subscript):
+                continue
+            key = target.slice
+            if isinstance(key, ast.Name) and key.id.isupper():
+                keys.append(key.id)
+            elif isinstance(key, ast.Constant) and isinstance(key.value, str):
+                keys.append(key.value)
+    return keys
+
+
+def visual_attributes_schema(source):
+    """``(column names, primary key)`` of the ``T_VISUAL_ATTRIBUTES``
+    table ``source`` declares, or None."""
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Call)
+            and node.args
+            and isinstance(node.args[0], ast.Name)
+            and node.args[0].id == "T_VISUAL_ATTRIBUTES"
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.List)
+        ):
+            names = [
+                column.args[0].value
+                for column in node.args[1].elts
+                if isinstance(column, ast.Call) and column.args
+            ]
+            keys = [kw.value.value for kw in node.keywords if kw.arg == "primary_key"]
+            return names, keys[0] if keys else None
+    return None
+
+
+def test_a_stored_row_is_its_columns_and_its_tid():
+    src = REPO / "src"
+    offenders = [
+        f"{path.relative_to(REPO)}:{line}"
+        for path in sorted(src.rglob("*.py"))
+        for line in stamp_names(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+    table = (src / "repro" / "db" / "table.py").read_text(encoding="utf-8")
+    assert image_keys(table) == ["TID", "TID"]  # insert and insert_many
+
+
+def test_visual_attributes_has_no_surrogate_id_and_no_block_draw():
+    datamodel = (REPO / "src" / "repro" / "core" / "datamodel.py").read_text(encoding="utf-8")
+    names, key = visual_attributes_schema(datamodel)
+    assert "id" not in names and key is None
+    assert names[:2] == ["component_id", "obj_id"]
+    assert "next_ids" not in method_bodies(datamodel, "IdAllocator")
+    assert "next_id" in method_bodies(datamodel, "IdAllocator")
+
+
+def test_the_row_image_tripwires_fire_on_planted_offenders():
+    planted = (
+        "from .schema import CREATED_AT, TID, UPDATED_AT\n"
+        "class Table:\n"
+        "    def insert(self, row):\n"
+        "        self._rows[tid] = row\n"
+        "        row[TID] = tid\n"
+        "        row[CREATED_AT] = row['__updated__'] = now\n"
+        "        self._created_index.add(tid, row)\n"
+    )
+    assert stamp_names(planted) == [1, 6, 7]
+    assert image_keys(planted) == ["TID", "CREATED_AT", "__updated__"]
+    old_schema = (
+        "def install_core_schema(database):\n"
+        "    mk(\n"
+        "        T_VISUAL_ATTRIBUTES,\n"
+        "        [Column('id', INTEGER, nullable=False), Column('component_id', INTEGER)],\n"
+        "        primary_key='id',\n"
+        "    )\n"
+        "class IdAllocator:\n"
+        "    def next_id(self, table):\n"
+        "        pass\n"
+        "    def next_ids(self, table, n):\n"
+        "        pass\n"
+    )
+    assert visual_attributes_schema(old_schema) == (["id", "component_id"], "id")
+    assert "next_ids" in method_bodies(old_schema, "IdAllocator")

@@ -99,25 +99,25 @@ class TestBulkInsertFallback:
         row = dict(next(iter(table.rows())))
         cols = list(row)
         vals = [row[c] for c in cols]
-        assert _bulk_insert(table, cols, vals) is False
+        assert _bulk_insert(table, cols, vals, [1]) is False
         assert len(table) == 1
 
     def test_non_monotonic_tids_return_false(self):
         db = Database()
         db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
         table = db.table("t")
-        cols = ["id", "v", TID, "__created__", "__updated__"]
-        vals = [1, 0, 50, 1, 1, 2, 0, 40, 1, 1]  # tids 50 then 40
-        assert _bulk_insert(table, cols, vals) is False
+        cols = ["id", "v", TID]
+        vals = [1, 0, 50, 2, 0, 40]  # tids 50 then 40
+        assert _bulk_insert(table, cols, vals, [1, 1]) is False
         assert len(table) == 0
 
     def test_fresh_batch_succeeds(self):
         db = Database()
         db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
         table = db.table("t")
-        cols = ["id", "v", TID, "__created__", "__updated__"]
-        vals = [1, 10, 40, 1, 1, 2, 20, 50, 1, 1]
-        assert _bulk_insert(table, cols, vals) is True
+        cols = ["id", "v", TID]
+        vals = [1, 10, 40, 2, 20, 50]
+        assert _bulk_insert(table, cols, vals, [1, 1]) is True
         assert len(table) == 2
         assert db.query("SELECT v FROM t WHERE id = 2") == [{"v": 20}]
 
@@ -125,9 +125,9 @@ class TestBulkInsertFallback:
         db = Database()
         db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
         table = db.table("t")
-        cols = ["id", "v", TID, "__created__", "__updated__"]
-        vals = [7, 70, 10, 1, 1]
-        assert _bulk_insert(table, cols, vals) is True
+        cols = ["id", "v", TID]
+        vals = [7, 70, 10]
+        assert _bulk_insert(table, cols, vals, [1]) is True
         # The PK index must see the bulk-loaded row.
         assert db.query("SELECT v FROM t WHERE id = 7") == [{"v": 70}]
         assert "IndexScan" in db.explain("SELECT v FROM t WHERE id = 7")

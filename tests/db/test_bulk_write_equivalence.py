@@ -289,12 +289,15 @@ def run(db, statement, mode, batch):
 def state(db):
     table = db.table("t")
     indexes = {}
-    for name, index in list(table._indexes.items()) + [("created", table._created_index)]:
+    for name, index in table._indexes.items():
         if isinstance(index, HashIndex):
             indexes[name] = tids_by_key(index)
         else:
             assert isinstance(index, SortedIndex)
             indexes[name] = index.slice()
+    # The live rows' creation stamps (the stamp list keeps the dead
+    # tids' too; their count is the next tid).
+    indexes["created"] = [(table.created[tid - 1], tid) for tid in table.tids()]
     store = None
     if table.has_column_store():
         cs = table.column_store()
@@ -305,7 +308,7 @@ def state(db):
         )
     return {
         "rows": [list(row.items()) for row in table.rows()],
-        "next_tid": table._next_tid,
+        "next_tid": len(table.created) + 1,
         "clock": db.now(),
         "indexes": indexes,
         "store": store,
@@ -461,7 +464,7 @@ def test_insert_many_takes_clock_and_each_index_once():
     )
     table.create_index("ix_s", ("s",), sorted=True)
     store = table.column_store()
-    indexes = list(table._indexes.values()) + [table._created_index]
+    indexes = list(table._indexes.values())
     table._clock = mock.Mock(wraps=table._clock)
     table._store = mock.Mock(wraps=store)
     with contextlib.ExitStack() as stack:
@@ -478,6 +481,8 @@ def test_insert_many_takes_clock_and_each_index_once():
 
     table._clock.assert_called_once_with(n)
     assert db.now() == before + n
+    # The creation stamps are the statement's clock range, extended once.
+    assert table.created == list(range(before + 1, before + n + 1))
     for add_many, add in spies:
         assert (add_many.call_count, add.call_count) == (1, 0)
     assert table._store.bulk_append.call_count == 1
@@ -485,7 +490,7 @@ def test_insert_many_takes_clock_and_each_index_once():
     assert len(table) == n and len(store) == n
 
 
-def test_update_many_takes_clock_once_and_only_the_indexes_whose_key_moved():
+def test_update_many_takes_no_clock_and_only_the_indexes_whose_key_moved():
     db = Database()
     table = db.create_table(
         "t",
@@ -511,7 +516,7 @@ def test_update_many_takes_clock_once_and_only_the_indexes_whose_key_moved():
                 stack.enter_context(mock.patch.object(index, name, wraps=getattr(index, name)))
                 for name in ("remove_many", "add_many", "remove", "add")
             ]
-            for index in (pk, unique_a, sorted_s, table._created_index)
+            for index in (pk, unique_a, sorted_s)
         }
         before = db.now()
         # Every row names its unchanged ``id`` and ``a``; ``s`` moves.
@@ -527,15 +532,16 @@ def test_update_many_takes_clock_once_and_only_the_indexes_whose_key_moved():
         return [spy.call_count for spy in spies[index]]
 
     assert changed == n
-    table._clock.assert_called_once_with(n)
-    assert db.now() == before + n
+    # An UPDATE records no stamp, so it takes no clock tick.
+    table._clock.assert_not_called()
+    assert db.now() == before
+    assert table.created == list(range(before - n + 1, before + 1))
     assert calls(sorted_s) == [1, 1, 0, 0]
-    assert calls(pk) == calls(unique_a) == calls(table._created_index) == [0, 0, 0, 0]
+    assert calls(pk) == calls(unique_a) == [0, 0, 0, 0]
     # The column store is written where the statement wrote.
     assert table._store.update.call_count == n
     chunk, _n = next(store.batches())
     assert chunk["s"] == [i / 2 + 0.25 for i in range(n)]
-    assert chunk["__updated__"] == list(range(before + 1, before + n + 1))
 
 
 def test_delete_many_removes_a_log_prefix_as_one_slice():
@@ -543,16 +549,18 @@ def test_delete_many_removes_a_log_prefix_as_one_slice():
     table = db.create_table("log", [Column("seq_no", INTEGER, nullable=False)])
     table.create_index("ix_seq", ("seq_no",), sorted=True)
     db.insert_many("log", [{"seq_no": i} for i in range(1000)])
-    indexes = (table.index("ix_seq"), table._created_index)
+    indexes = (table.index("ix_seq"),)
     with contextlib.ExitStack() as stack:
         spies = [
             stack.enter_context(mock.patch.object(index, "remove", wraps=index.remove))
             for index in indexes
         ]
         assert db.delete("log", col("seq_no") < 600) == 600
-    assert [spy.call_count for spy in spies] == [0, 0]
+    assert [spy.call_count for spy in spies] == [0]
     assert [key for key, _tid in table.index("ix_seq").slice()] == list(range(600, 1000))
-    assert len(table._created_index) == 400
+    # A stamp outlives its row; the creation range skips the dead tids.
+    assert len(table.created) == 1000
+    assert [row["seq_no"] for row in table.created_between()] == list(range(600, 1000))
 
 
 # ----------------------------------------------------------------------
@@ -562,10 +570,10 @@ def _trace(db):
     return (
         [dict(row) for row in table.rows()],
         {name: len(index) for name, index in table._indexes.items()},
-        len(table._created_index),
+        len(table.created),
         table.column_store().dead_rows,
         len(table.column_store()),
-        table._next_tid,
+        len(table.created) + 1,  # the next tid
         db.now(),
     )
 
@@ -780,7 +788,7 @@ def test_failed_update_in_a_transaction_commits_only_what_succeeded(case, tmp_pa
     ((inserted, updated),) = committed
     assert [(r["id"], r["u"]) for r in inserted.inserted] == [(4, 4)]
     assert [after["u"] for _before, after in updated.updated] == [6]
-    assert db.now() == 5  # 3 + the insert + the update: the failure took no tick
+    assert db.now() == 4  # 3 + the insert: an UPDATE, failing or not, takes no tick
     manager.close()
     recovered = recover(tmp_path)
     assert _rows(recovered) == _rows(db)

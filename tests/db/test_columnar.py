@@ -19,7 +19,7 @@ from repro.db.columnar import (
     K_STR,
     value_tag,
 )
-from repro.db.schema import TID, UPDATED_AT
+from repro.db.schema import TID
 from repro.db.types import ANY, INTEGER
 
 
@@ -123,14 +123,17 @@ class TestIncrementalMaintenance:
         store = db.table("t").column_store()
         ((chunk, _n),) = store.batches()  # the live chunk: no tombstones
         for name in chunk:
-            if name not in ("v", UPDATED_AT):
+            if name != "v":
                 chunk[name] = Unwritten(chunk[name])
-        stamps = list(chunk[UPDATED_AT])
+        # The image holds no update stamp; the chunk's own stamp (what the
+        # aggregate memo keys on) is redrawn.
+        stamp = store._stamps[0]
         db.execute("UPDATE t SET v = v + 100 WHERE id >= 18")
         db.update_by_tid("t", 1, {"v": "one"})
         assert store_rows(store) == table_rows(db)
         assert chunk["v"][18:] == [136, 138] and chunk["v"][0] == "one"
-        assert [i for i in range(20) if chunk[UPDATED_AT][i] != stamps[i]] == [0, 18, 19]
+        assert store._stamps[0] > stamp
+        assert store.names == ("id", "v", TID)
         assert store.column_kind("v") == K_INT | K_STR
 
     def test_delete_tombstones(self, db):
@@ -225,7 +228,7 @@ class TestBulkAppend:
         table = db.table("t")
         store = table.column_store()
         rows = [
-            {"id": 100 + i, "v": i, TID: 1000 + i, "__created__": 1, "__updated__": 1}
+            {"id": 100 + i, "v": i, TID: 1000 + i}
             for i in range(CHUNK_ROWS + 50)
         ]
         columns = {
@@ -239,7 +242,7 @@ class TestBulkAppend:
         fill(db, 3)
         store = db.table("t").column_store()
         store.bulk_append(
-            [{"id": 9, "v": 9, TID: 1, "__created__": 1, "__updated__": 1}]
+            [{"id": 9, "v": 9, TID: 1}]
         )
         assert store.stale
 
@@ -249,11 +252,10 @@ class TestBulkAppend:
         store = table.column_store()
         tids = [r[TID] for r in table.rows()]
         rows = [
-            {"id": 50 + i, "v": -i, TID: max(tids) + 1 + i,
-             "__created__": 9, "__updated__": 9}
+            {"id": 50 + i, "v": -i, TID: max(tids) + 1 + i}
             for i in range(10)
         ]
-        assert table.bulk_restore(rows)
+        assert table.bulk_restore(rows, [9] * 10)
         assert len(table) == 13
         assert store_rows(store) == table_rows(db)
 
@@ -261,17 +263,17 @@ class TestBulkAppend:
         fill(db, 3)
         table = db.table("t")
         existing = [dict(r) for r in table.rows()]
-        assert table.bulk_restore([existing[0]]) is False
+        assert table.bulk_restore([existing[0]], [1]) is False
         assert len(table) == 3  # untouched
 
     def test_bulk_restore_rejects_non_monotonic(self, db):
         fill(db, 3)
         table = db.table("t")
         rows = [
-            {"id": 90, "v": 0, TID: 200, "__created__": 1, "__updated__": 1},
-            {"id": 91, "v": 0, TID: 150, "__created__": 1, "__updated__": 1},
+            {"id": 90, "v": 0, TID: 200},
+            {"id": 91, "v": 0, TID: 150},
         ]
-        assert table.bulk_restore(rows) is False
+        assert table.bulk_restore(rows, [1, 1]) is False
         assert len(table) == 3
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.db import CREATED_AT, TID, Column, Database, load_snapshot, save_snapshot
+from repro.db import TID, Column, Database, load_snapshot, save_snapshot
 from repro.db.types import INTEGER, TEXT
 from repro.errors import DatabaseError
 
@@ -34,11 +34,13 @@ class TestRoundTrip:
 
     def test_hidden_fields_survive(self, db, tmp_path):
         path = tmp_path / "snap.jsonl"
-        original = {r["id"]: (r[TID], r[CREATED_AT]) for r in db.table("t").rows()}
+        table = db.table("t")
+        original = {r["id"]: (r[TID], table.created[r[TID] - 1]) for r in table.rows()}
         save_snapshot(db, path)
-        restored = load_snapshot(path)
-        for row in restored.table("t").rows():
-            assert original[row["id"]] == (row[TID], row[CREATED_AT])
+        restored = load_snapshot(path).table("t")
+        for row in restored.rows():
+            assert original[row["id"]] == (row[TID], restored.created[row[TID] - 1])
+            assert list(row) == [*table.schema.column_names, TID]
 
     def test_clock_survives(self, db, tmp_path):
         path = tmp_path / "snap.jsonl"
@@ -47,9 +49,7 @@ class TestRoundTrip:
         assert restored.now() == db.now()
         # New timestamps strictly after old ones.
         row = restored.insert("t", {"id": 3, "name": "c"})
-        assert row[CREATED_AT] > max(
-            r[CREATED_AT] for r in db.table("t").rows()
-        )
+        assert restored.table("t").created[row[TID] - 1] > max(db.table("t").created)
 
     def test_constraints_survive(self, db, tmp_path):
         from repro.errors import ConstraintViolation

@@ -1,9 +1,9 @@
-"""Row storage: tids, timestamps, indexes, constraint enforcement."""
+"""Row storage: tids, creation stamps, indexes, constraint enforcement."""
 
 import pytest
 
 from repro.db import Column, TableSchema
-from repro.db.schema import CREATED_AT, TID, UPDATED_AT
+from repro.db.schema import TID
 from repro.db.table import Table
 from repro.db.types import ANY, BOOLEAN, FLOAT, INTEGER, TEXT, TIMESTAMP
 from repro.errors import ConstraintViolation, DatabaseError, SchemaError, TypeMismatchError
@@ -42,7 +42,9 @@ class TestInsert:
     def test_assigns_tid_and_timestamps(self, table):
         row = table.insert({"id": 1, "name": "a"})
         assert row[TID] == 1
-        assert row[CREATED_AT] == row[UPDATED_AT] > 0
+        assert table.created[row[TID] - 1] > 0
+        # The image is the columns and the tid; the stamp is beside it.
+        assert list(row) == ["id", "name", "qty", TID]
 
     def test_tids_are_dense_and_increasing(self, table):
         first = table.insert({"id": 1})
@@ -52,7 +54,7 @@ class TestInsert:
     def test_timestamps_totally_ordered(self, table):
         a = table.insert({"id": 1})
         b = table.insert({"id": 2})
-        assert b[CREATED_AT] > a[CREATED_AT]
+        assert table.created[b[TID] - 1] > table.created[a[TID] - 1]
 
     def test_primary_key_enforced(self, table):
         table.insert({"id": 1})
@@ -75,12 +77,12 @@ class TestUpdate:
         assert before["qty"] == 5
         assert after["qty"] == 6
 
-    def test_update_bumps_updated_ts(self, table):
+    def test_update_keeps_the_creation_stamp(self, table, clock):
         row = table.insert({"id": 1})
-        created = row[CREATED_AT]
+        created = list(table.created)
         _before, after = table.update_row(row[TID], {"qty": 9})
-        assert after[UPDATED_AT] > created
-        assert after[CREATED_AT] == created
+        assert table.created == created and clock(0) == created[-1]
+        assert list(after) == ["id", "name", "qty", TID]
 
     def test_update_unknown_tid(self, table):
         with pytest.raises(DatabaseError):
@@ -100,7 +102,7 @@ class TestUpdate:
         row2 = table.insert({"id": 2})
         with pytest.raises(ConstraintViolation):
             table.update_row(row2[TID], {"id": 1})
-        assert clock(0) == 2 and row2[UPDATED_AT] == 2
+        assert clock(0) == 2 and table.get(row2[TID]) is row2
 
     def test_update_many_is_the_loop_of_update_row(self, table, clock):
         rows = [table.insert({"id": i, "qty": i}) for i in (1, 2, 3)]
@@ -111,12 +113,12 @@ class TestUpdate:
         assert pairs[0][1] is table.get(3) and pairs[1][1] is table.get(1)
         assert pairs[0][0] is rows[2] and pairs[1][0] is rows[0]
         assert rows[2]["qty"] == 3 and rows[0]["id"] == 1
-        assert [a[UPDATED_AT] for _b, a in pairs] == [4, 5] and clock(0) == 5
+        assert clock(0) == 3  # an UPDATE takes no clock tick
         assert table.by_key(10) is pairs[1][1] and table.by_key(1) is None
         assert table.update_many({}) == []
         # One row: update_row's own calls.
         ((before, after),) = table.update_many({2: {"name": "two"}})
-        assert (before["name"], after["name"], after[UPDATED_AT]) == (None, "two", 6)
+        assert (before["name"], after["name"], clock(0)) == (None, "two", 3)
 
     def test_update_many_fails_whole(self, table, clock):
         for i in (1, 2, 3):
@@ -165,9 +167,10 @@ class TestScans:
         table.insert({"id": 1})
         b = table.insert({"id": 2})
         table.insert({"id": 3})
-        middle = [r["id"] for r in table.created_between(b[CREATED_AT], b[CREATED_AT])]
+        stamp = table.created[b[TID] - 1]
+        middle = [r["id"] for r in table.created_between(stamp, stamp)]
         assert middle == [2]
-        up_to_b = [r["id"] for r in table.created_between(None, b[CREATED_AT])]
+        up_to_b = [r["id"] for r in table.created_between(None, stamp)]
         assert sorted(up_to_b) == [1, 2]
 
     def test_clear(self, table):
@@ -215,17 +218,16 @@ class TestStatementAtATime:
         table.insert({"id": 1})
         rows = table.insert_many([{"id": 2, "name": "b"}, {"id": "3"}, {"id": 4.0}])
         assert [r[TID] for r in rows] == [2, 3, 4]
-        assert [r[CREATED_AT] for r in rows] == [2, 3, 4]
+        assert table.created == [1, 2, 3, 4]
         assert [r["id"] for r in rows] == [2, 3, 4]
-        assert all(r[CREATED_AT] == r[UPDATED_AT] for r in rows)
-        assert list(rows[1]) == ["id", "name", "qty", TID, CREATED_AT, UPDATED_AT]
+        assert list(rows[1]) == ["id", "name", "qty", TID]
         assert table.by_key(3) is rows[1]
         assert [r["id"] for r in table.created_between(3, 4)] == [3, 4]
         assert table.insert({"id": 5})[TID] == 5
 
     def test_insert_many_of_nothing(self, table):
         assert table.insert_many([]) == []
-        assert table.insert({"id": 1})[CREATED_AT] == 1
+        assert table.insert({"id": 1})[TID] == 1 and table.created == [1]
 
     def test_delete_many_returns_images_in_the_order_given(self, table):
         table.insert_many([{"id": i} for i in range(1, 6)])

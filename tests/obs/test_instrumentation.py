@@ -164,7 +164,7 @@ class TestVisSpans:
         display = Display("main")
         display.apply_rows(
             [
-                VisualItem(obj_id=i, x=float(i), y=0.0).to_row(1, i)
+                VisualItem(obj_id=i, x=float(i), y=0.0).to_row(1)
                 for i in range(3)
             ]
         )

@@ -48,7 +48,7 @@ def drive_one_update(db, client, mirror, rows=5):
         display = Display()
         display.apply_rows(
             [
-                VisualItem(obj_id=n, x=x, y=y).to_row(1, n)
+                VisualItem(obj_id=n, x=x, y=y).to_row(1)
                 for n, (x, y) in result.positions.items()
             ]
         )

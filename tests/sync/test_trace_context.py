@@ -130,7 +130,7 @@ def drive_socket_update(db, client, mirror, base=0, rows=5):
         display = Display()
         display.apply_rows(
             [
-                VisualItem(obj_id=n, x=x, y=y).to_row(1, n)
+                VisualItem(obj_id=n, x=x, y=y).to_row(1)
                 for n, (x, y) in result.positions.items()
             ]
         )

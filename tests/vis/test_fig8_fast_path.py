@@ -3,10 +3,10 @@
 A deterministic count of the per-row calls the path avoids: a
 fig8-shaped 1,000-row ``insert_many`` into ``nodes`` and a 1,000-item
 ``VisualAttributesStore.write`` call ``TableSchema.validate_row`` not at
-all, and the store draws its ids in one step.  One coercible value
-sends the whole statement back to ``validate_row``, row by row.  The
-display builds no ``VisualItem`` for a 1,000-row batch, and the store's
-cache holds one tid per item.
+all, and a VisualAttributes row has no surrogate id to draw.  One
+coercible value sends the whole statement back to ``validate_row``, row
+by row.  The display builds no ``VisualItem`` for a 1,000-row batch, and
+the store's cache holds one tid per item.
 """
 
 import pytest
@@ -20,7 +20,7 @@ ROWS = 1000
 
 @pytest.fixture
 def calls(monkeypatch):
-    counts = {"validate_row": 0, "next_id": 0}
+    counts = {"validate_row": 0, "next_id": 0, "_counter": 0}
 
     def counted(owner, name):
         original = getattr(owner, name)
@@ -33,6 +33,7 @@ def calls(monkeypatch):
 
     counted(TableSchema, "validate_row")
     counted(datamodel.IdAllocator, "next_id")
+    counted(datamodel.IdAllocator, "_counter")
     return counts
 
 
@@ -58,7 +59,7 @@ def test_fig8_nodes_statement_calls_no_validate_row(db, calls):
     assert len(db.table("nodes")) == ROWS
 
 
-def test_fig8_attributes_write_calls_no_validate_row_and_draws_ids_once(db, calls):
+def test_fig8_attributes_write_calls_no_validate_row_and_draws_no_id(db, calls):
     store = VisualAttributesStore(db)
     items = [
         VisualItem(obj_id=i, x=i / 2, y=i / 3, color="#4e79a7", label=f"node-{i}")
@@ -66,9 +67,12 @@ def test_fig8_attributes_write_calls_no_validate_row_and_draws_ids_once(db, call
     ]
     assert store.write(1, items) == ROWS
     assert calls["validate_row"] == 0
-    assert calls["next_id"] <= 1
-    ids = [row["id"] for row in db.table(datamodel.T_VISUAL_ATTRIBUTES).rows()]
-    assert len(set(ids)) == ROWS
+    assert calls["next_id"] == calls["_counter"] == 0
+    table = db.table(datamodel.T_VISUAL_ATTRIBUTES)
+    assert "id" not in table.schema.column_names and not table.schema.primary_key
+    assert not hasattr(datamodel.IdAllocator, "next_ids")
+    # A stored image: the nine columns and the tid, nothing else.
+    assert all(len(row) == 10 for row in table.rows()) and len(table) == ROWS
 
 
 def test_one_coercible_value_validates_every_row(db, calls):
@@ -82,7 +86,7 @@ def test_one_coercible_value_validates_every_row(db, calls):
 def attribute_rows(first=0):
     return [
         {
-            "id": i + 1, "component_id": 1, "obj_id": i, "x": i / 2, "y": i / 3,
+            "component_id": 1, "obj_id": i, "x": i / 2, "y": i / 3,
             "width": None, "height": None, "color": "#4e79a7",
             "label": f"node-{i}", "selected": False,
         }

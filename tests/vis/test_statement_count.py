@@ -84,7 +84,7 @@ class Stack:
     def notifies(self):
         """The NOTIFYs of everything written so far: the socket delivers
         in order, so once the sentinel's has arrived none is in flight."""
-        self.db.insert(T_ATTRS, {"id": 10_000, "component_id": 9, "obj_id": "end"})
+        self.db.insert(T_ATTRS, {"component_id": 9, "obj_id": "end"})
         sentinel = self.newest_seq()
         deadline = time.monotonic() + 5.0
         while (T_ATTRS, "insert", sentinel) not in self.notified:

@@ -133,24 +133,6 @@ class TestDataModel:
         datamodel.install_core_schema(other)
         assert datamodel.IdAllocator(other).next_id(datamodel.T_VISUALIZATION) == 1
 
-    def test_next_ids_is_n_calls_of_next_id(self):
-        batch, loop = Database(), Database()
-        for twin in (batch, loop):
-            datamodel.install_core_schema(twin)
-            twin.insert(datamodel.T_GROUP, {"id": 41, "name": "existing"})
-        drawn = datamodel.IdAllocator(batch)
-        called = datamodel.IdAllocator(loop)
-        assert drawn.next_ids(datamodel.T_GROUP, 5) == [
-            called.next_id(datamodel.T_GROUP) for _ in range(5)
-        ]
-        assert drawn.next_ids(datamodel.T_GROUP, 1) == [called.next_id(datamodel.T_GROUP)]
-        assert drawn.next_id(datamodel.T_GROUP) == called.next_id(datamodel.T_GROUP) == 48
-
-    def test_next_ids_of_zero_draws_nothing(self, db, engine):
-        allocator = datamodel.IdAllocator(db)
-        assert allocator.next_ids(datamodel.T_GROUP, 0) == []
-        assert allocator.next_id(datamodel.T_GROUP) == 1
-
     def test_concurrent_allocators_never_repeat_an_id(self, db, engine):
         allocators = (datamodel.IdAllocator(db), datamodel.IdAllocator(db))
         drawn = [[] for _ in range(4)]
@@ -159,11 +141,8 @@ class TestDataModel:
         def draw(worker):
             allocator = allocators[worker % 2]
             start.wait()
-            for round_ in range(20):
-                if (worker + round_) % 2:
-                    drawn[worker].extend(allocator.next_ids(datamodel.T_VISUALIZATION, 1000))
-                else:
-                    drawn[worker].append(allocator.next_id(datamodel.T_VISUALIZATION))
+            for _round in range(10 * 1000 + 10):
+                drawn[worker].append(allocator.next_id(datamodel.T_VISUALIZATION))
 
         threads = [threading.Thread(target=draw, args=(w,)) for w in range(4)]
         interval = sys.getswitchinterval()
