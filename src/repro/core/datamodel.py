@@ -56,6 +56,9 @@ T_PROVENANCE = "ediflow_provenance"
 T_PROCESS_VARIABLE = "ediflow_process_variable"
 T_DELETION_SUFFIX = "_deleted"
 
+#: What names a VisualAttributes row: an entity within one component.
+VISUAL_ATTRIBUTES_KEY = ("component_id", "obj_id")
+
 CORE_TABLES = (
     T_GROUP,
     T_USER,
@@ -203,6 +206,7 @@ def install_core_schema(database: Database) -> None:
             Column("label", TEXT),
             Column("selected", BOOLEAN, default=False),
         ],
+        unique=[VISUAL_ATTRIBUTES_KEY],
         foreign_keys=[ForeignKey("component_id", T_VIS_COMPONENT, "id")],
     )
     # The paper's ``(seq_no, ts, tn, op)`` plus which rows the event

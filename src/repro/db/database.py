@@ -421,6 +421,11 @@ class Database:
         finally:
             if outer is None:
                 self._committing = None
+                for change in changes:  # a statement's tids ascend
+                    table = self._tables.get(change.table)
+                    if change.inserted and table is not None:
+                        last = change.inserted[-1][TID]
+                        table.named_tids = max(table.named_tids, last)
                 effects = self._deferred
                 if effects:
                     self._deferred = []

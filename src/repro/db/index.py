@@ -11,11 +11,12 @@ Two kinds are provided:
   filter rows by.
 
 A hash index maps a key to its tuple identifier (tid), or to a set of
-tids once the key holds two; a sorted index keeps its keys and their tids
-as two parallel lists sorted by ``(key, tid)``.
-The owning table resolves tids to rows.  NULL keys are indexed under a
-sentinel so uniqueness checks can skip them (SQL semantics: NULLs never
-collide).
+tids once the key holds two -- a composite key through its first value,
+then the rest; a sorted index keeps its keys and their tids as two
+parallel lists sorted by ``(key, tid)``.
+The owning table resolves tids to rows.  A NULL is indexed as ``None``,
+and uniqueness checks skip a key with a NULL part (SQL semantics: NULLs
+never collide).
 
 Both kinds expose the same maintenance surface -- ``add``/``remove`` for
 one row and ``add_many``/``remove_many`` for one statement's rows -- and
@@ -28,15 +29,14 @@ and ``first_move_violation`` for an UPDATE's key moves.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Hashable, Iterable, Iterator, Sequence
+from operator import itemgetter
+from types import MappingProxyType
+from typing import Any, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import ConstraintViolation
 
-_NULL = object()  # sentinel bucket for NULL keys
-
-
-def _key_of(value: Any) -> Hashable:
-    return _NULL if value is None else value
+#: The one group of a one-column index: its whole map.
+_ONE = object()
 
 
 def _put(buckets: dict[Hashable, int | set[int]], key: Hashable, tid: int) -> None:
@@ -67,39 +67,67 @@ class HashIndex:
     """Equality index: key value -> tid, or a set of tids once the key
     holds two.
 
-    The representation is canonical (a set holds two tids or more), so
-    ``_buckets`` depends only on what is indexed, and a key is held
-    exactly when it is in ``_buckets`` -- membership, not the entry's
-    truthiness, is the test (tid 0 is falsy).
+    A one-column index is one map, value -> entry.  A composite one files
+    a key under its first value, then the rest of the key (the second
+    value, or the tuple of the later ones): ``{first: {rest: entry}}``.
+    The rows that share a first value -- one component's VisualAttributes
+    -- are one inner map, a :meth:`group`, so a statement of them is
+    checked with one ``isdisjoint`` and filed with one ``dict.update``,
+    building no key per row.  :meth:`key` names a composite key
+    ``(first, rest)``.
+
+    The representation is canonical (a set holds two tids or more, a
+    group one key or more), so ``_buckets`` depends only on what is
+    indexed, and a key is held exactly when it is in its map --
+    membership, not the entry's truthiness, is the test (tid 0 is falsy).
     """
 
     def __init__(self, table_name: str, columns: tuple[str, ...], unique: bool = False) -> None:
         self.table_name = table_name
         self.columns = columns
         self.unique = unique
-        self._buckets: dict[Hashable, int | set[int]] = {}
+        self._buckets: dict[Hashable, Any] = {}
+        #: A row's first value (None: one column) and its key in its map.
+        self._first = itemgetter(columns[0]) if len(columns) > 1 else None
+        self._rest = itemgetter(*columns[1:] or columns)
+        self._wide = len(columns) > 2
 
     # ------------------------------------------------------------------
     def key(self, row: dict[str, Any]) -> Hashable:
         """The key ``row`` is (or would be) indexed under."""
-        if len(self.columns) == 1:
-            return _key_of(row[self.columns[0]])
-        return tuple(_key_of(row[c]) for c in self.columns)
+        rest = self._rest(row)
+        return rest if self._first is None else (self._first(row), rest)
 
-    def _keys(self, rows: Sequence[dict[str, Any]]) -> list[Hashable]:
-        if len(self.columns) == 1:
-            column = self.columns[0]
-            keys = [row[column] for row in rows]
-            return [_key_of(key) for key in keys] if None in keys else keys
-        columns = self.columns
-        return [tuple([_key_of(row[c]) for c in columns]) for row in rows]
+    def _group(self, first: Hashable, create: bool = False) -> dict[Hashable, Any]:
+        """The map the keys of ``first`` are filed in ({} if none is)."""
+        if first is _ONE:
+            return self._buckets
+        if create:
+            return self._buckets.setdefault(first, {})
+        return self._buckets.get(first) or {}  # a held group is never empty
 
-    def _is_null_key(self, key: Hashable) -> bool:
-        if key is _NULL:
-            return True
-        if isinstance(key, tuple):
-            return any(part is _NULL for part in key)
-        return False
+    def _groups(
+        self, tids: Iterable[int], rows: Sequence[dict[str, Any]]
+    ) -> dict[Hashable, list[Any]]:
+        """A statement as ``first -> [keys in the group, tids]``, in
+        statement order; rows sharing a first value are one group, built
+        from one flat list of keys."""
+        keys = list(map(self._rest, rows))
+        if self._first is None:
+            return {_ONE: [keys, tids]}
+        firsts = list(map(self._first, rows))
+        if not firsts or firsts.count(firsts[0]) == len(firsts):
+            return {firsts[0]: [keys, tids]} if firsts else {}
+        groups: dict[Hashable, list[Any]] = {}
+        for first, key, tid in zip(firsts, keys, tids):
+            group = groups.get(first) or groups.setdefault(first, [[], []])
+            group[0].append(key)
+            group[1].append(tid)
+        return groups
+
+    def _is_null(self, key: Hashable) -> bool:
+        """Whether a key in a group has a NULL part."""
+        return None in key if self._wide else key is None  # type: ignore[operator]
 
     def _violation(self, key: Hashable) -> ConstraintViolation:
         cols = ",".join(self.columns)
@@ -107,33 +135,27 @@ class HashIndex:
             f"unique constraint on {self.table_name}({cols}) violated by key {key!r}"
         )
 
-    def _tids(self, key: Hashable) -> frozenset[int]:
-        entry = self._buckets.get(key)
-        if entry is None:
-            return frozenset()
-        return frozenset(entry) if type(entry) is set else frozenset((entry,))
-
     # ------------------------------------------------------------------
     def add(self, tid: int, row: dict[str, Any]) -> None:
-        key = self.key(row)
-        # Check uniqueness BEFORE filing the tid: a violation must leave
-        # the index as it was.
-        if self.unique and key in self._buckets and not self._is_null_key(key):
-            raise self._violation(key)
-        _put(self._buckets, key, tid)
+        self.check_insert(row)  # first: a violation leaves the index as it was
+        first = _ONE if self._first is None else self._first(row)
+        _put(self._group(first, create=True), self._rest(row), tid)
 
     def remove(self, tid: int, row: dict[str, Any]) -> None:
-        _drop(self._buckets, self.key(row), tid)
+        first = _ONE if self._first is None else self._first(row)
+        group = self._group(first)
+        _drop(group, self._rest(row), tid)
+        if not group and first is not _ONE:
+            self._buckets.pop(first, None)
 
     def check_insert(self, row: dict[str, Any]) -> None:
         """Raise if adding ``row`` would violate uniqueness (without adding)."""
-        if not self.unique:
-            return
-        key = self.key(row)
-        if self._is_null_key(key):
-            return
-        if key in self._buckets:
-            raise self._violation(key)
+        if self.unique:
+            key = self.key(row)
+            first, rest = (_ONE, key) if self._first is None else key
+            if first is not None and not self._is_null(rest):
+                if rest in self._group(first):
+                    raise self._violation(key)
 
     # ------------------------------------------------------------------
     # One statement's rows at a time
@@ -146,18 +168,23 @@ class HashIndex:
         with the index *or with a row before it in the batch*, or None.
         Nothing is added.  Only meaningful on a unique index.
         """
-        keys = self._keys(rows)
-        buckets = self._buckets
-        # The whole statement at once: no key is indexed, none repeats.
-        if buckets.keys().isdisjoint(keys) and len(set(keys)) == len(keys):
-            return None
-        seen: set[Hashable] = set()
-        for position, key in enumerate(keys):
-            if self._is_null_key(key):
+        found = len(rows)
+        for first, (keys, positions) in self._groups(range(len(rows)), rows).items():
+            held = self._group(first)
+            # Skip a NULL first value (every key has a NULL part) and, at
+            # once, a group none of whose keys is held or repeats.
+            if first is None or (
+                held.keys().isdisjoint(keys) and len(set(keys)) == len(keys)
+            ):
                 continue
-            if key in seen or key in buckets:
-                return position, self._violation(key)
-            seen.add(key)
+            seen: set[Hashable] = set()
+            for key, position in zip(keys, positions):
+                if (key in seen or key in held) and not self._is_null(key):
+                    found = min(found, position)
+                    break
+                seen.add(key)
+        if found < len(rows):
+            return found, self._violation(self.key(rows[found]))
         return None
 
     def first_move_violation(
@@ -166,19 +193,20 @@ class HashIndex:
         """Where re-keying rows in order would first violate uniqueness.
 
         ``moves`` are one UPDATE statement's ``(position, old key, new
-        key)`` triples, in statement order.  The statement is replayed on
-        key sets only: a key is taken while the index holds it and no
-        earlier move released it, or once an earlier move claimed it (so
-        a swap of two keys fails at its first row, as row-at-a-time
-        updates do).  Returns ``(position, error)`` of the first move onto
-        a taken key, or None.  Only meaningful on a unique index.
+        key)`` triples (keys as :meth:`key` gives them), in statement
+        order.  The statement is replayed on key sets only: a key is taken
+        while the index holds it and no earlier move released it, or once
+        an earlier move claimed it (so a swap of two keys fails at its
+        first row, as row-at-a-time updates do).  Returns ``(position,
+        error)`` of the first move onto a taken key, or None.  Only
+        meaningful on a unique index.
         """
-        buckets = self._buckets
         released: set[Hashable] = set()
         claimed: set[Hashable] = set()
         for position, old, new in moves:
-            if not self._is_null_key(new) and (
-                new in claimed or (new in buckets and new not in released)
+            first, key = (_ONE, new) if self._first is None else new
+            if first is not None and not self._is_null(key) and (
+                new in claimed or (key in self._group(first) and new not in released)
             ):
                 return position, self._violation(new)
             released.add(old)
@@ -189,45 +217,63 @@ class HashIndex:
         """Index a statement's rows; uniqueness was settled by
         :meth:`first_violation` / :meth:`first_move_violation` (or by the
         log being replayed)."""
-        buckets = self._buckets
-        for key, tid in zip(self._keys(rows), tids):
-            # One dict operation when the key is new (every row of a
-            # unique index); _put handles a key that already holds tids.
-            if buckets.setdefault(key, tid) is not tid:
-                _put(buckets, key, tid)
+        for first, (keys, at) in self._groups(tids, rows).items():
+            group = self._group(first, create=True)
+            if self.unique and first is not None and not (
+                any(None in key for key in keys) if self._wide else None in keys
+            ):
+                # Settled: every key is new to the group, none repeats.
+                group.update(zip(keys, at))
+                continue
+            for key, tid in zip(keys, at):
+                # One dict operation when the key is new; _put handles a
+                # key that already holds tids.
+                if group.setdefault(key, tid) is not tid:
+                    _put(group, key, tid)
 
     def remove_many(self, tids: Iterable[int], rows: Sequence[dict[str, Any]]) -> None:
-        buckets = self._buckets
-        for key, tid in zip(self._keys(rows), tids):
-            if buckets.get(key) == tid:  # the key's only tid
-                del buckets[key]
-            else:
-                _drop(buckets, key, tid)
+        for first, (keys, at) in self._groups(tids, rows).items():
+            group = self._group(first)
+            for key, tid in zip(keys, at):
+                _drop(group, key, tid)
+            if not group and first is not _ONE:
+                self._buckets.pop(first, None)
 
     # ------------------------------------------------------------------
+    def _entry(self, values: Iterable[Any]) -> int | set[int] | None:
+        """The entry of the key whose column values, in order, are ``values``."""
+        first, *rest = values
+        if self._first is None:
+            return self._buckets.get(first)
+        return self._group(first).get(tuple(rest) if self._wide else rest[0])
+
     def lookup(self, value: Any) -> frozenset[int]:
         """Tids whose indexed key equals ``value`` (single-column form)."""
-        if len(self.columns) != 1:
+        if self._first is not None:
             raise ValueError("use lookup_tuple for composite indexes")
-        return self._tids(_key_of(value))
+        return self.lookup_tuple((value,))
 
     def lookup_tuple(self, values: Iterable[Any]) -> frozenset[int]:
-        return self._tids(tuple(_key_of(v) for v in values))
+        entry = self._entry(values)
+        if entry is None:
+            return frozenset()
+        return frozenset(entry) if type(entry) is set else frozenset((entry,))
 
     def bucket_size(self, values: Iterable[Any]) -> int:
         """Exact number of tids stored under the key (cheap cost estimate)."""
-        if len(self.columns) == 1:
-            (value,) = tuple(values)
-            key: Hashable = _key_of(value)
-        else:
-            key = tuple(_key_of(v) for v in values)
-        entry = self._buckets.get(key)
+        entry = self._entry(values)
         if entry is None:
             return 0
         return len(entry) if type(entry) is set else 1
 
+    def group(self, value: Any) -> Mapping[Hashable, Any]:
+        """The group of ``value`` in a composite index, read-only: rest ->
+        entry (a tid, in a unique index)."""
+        return MappingProxyType(self._group(value))
+
     def __len__(self) -> int:
-        return sum(len(e) if type(e) is set else 1 for e in self._buckets.values())
+        groups = [self._buckets] if self._first is None else self._buckets.values()
+        return sum(len(e) if type(e) is set else 1 for g in groups for e in g.values())
 
 
 class SortedIndex:

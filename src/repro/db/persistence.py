@@ -4,15 +4,19 @@ The paper's DBMS is persistent; our embedded engine persists through
 explicit snapshots.  The format is line-oriented JSON:
 
     {"kind": "header",  "name": ..., "clock": ...}
-    {"kind": "schema",  "schema": {...}}          # one per table
+    {"kind": "schema",  "schema": {...}, "tids": n}   # one per table
     {"kind": "row", "table": ..., "tid": ..., "created": ...,
      "values": {...}}                             # one per row
 
 Tids and creation stamps round-trip, so the time-based isolation story
-survives a restart.  A row record an older writer left an ``updated``
-field in loads the same (the field is ignored).  Values must be
-JSON-serializable; :class:`~repro.db.types.AnyType` columns holding
-non-JSON values fail loudly at save time rather than corrupting the file.
+survives a restart, and so does each table's highest tid a commit named
+(``tids``, :attr:`Table.named_tids`), so a deleted row's tid is never
+handed out again.  A snapshot
+written before that field loads without it, and a row record an older
+writer left an ``updated`` field in loads the same (it is ignored).
+Values must be JSON-serializable; :class:`~repro.db.types.AnyType`
+columns holding non-JSON values fail loudly at save time rather than
+corrupting the file.
 """
 
 from __future__ import annotations
@@ -53,10 +57,9 @@ def save_snapshot(database: Database, path: str | Path) -> int:
             out.write(json.dumps(header) + "\n")
             for table_name in database.table_names():
                 table = database.table(table_name)
-                out.write(
-                    json.dumps({"kind": "schema", "schema": table.schema.to_dict()})
-                    + "\n"
-                )
+                schema = table.schema.to_dict()
+                record = {"kind": "schema", "schema": schema, "tids": table.named_tids}
+                out.write(json.dumps(record) + "\n")
             for table_name in database.table_names():
                 table = database.table(table_name)
                 for row in table.rows():
@@ -98,6 +101,7 @@ def load_snapshot(path: str | Path) -> Database:
     """Reconstruct a :class:`Database` from a snapshot file."""
     path = Path(path)
     database: Database | None = None
+    tids: dict[str, int] = {}
     with open(path, encoding="utf-8") as infile:
         for line_no, line in enumerate(infile, start=1):
             line = line.strip()
@@ -122,6 +126,7 @@ def load_snapshot(path: str | Path) -> Database:
                     raise DatabaseError(f"{path}:{line_no}: schema before header")
                 schema = TableSchema.from_dict(record["schema"])
                 database.create_table(schema.name, schema=schema)
+                tids[schema.name] = record.get("tids", 0)
             elif kind == "row":
                 if database is None:
                     raise DatabaseError(f"{path}:{line_no}: row before header")
@@ -135,4 +140,10 @@ def load_snapshot(path: str | Path) -> Database:
                 )
     if database is None:
         raise DatabaseError(f"{path}: empty snapshot (no header)")
+    # The tids past the last row's were named by rows since deleted:
+    # their stamp is the snapshot's clock, later than every row's.
+    for name, count in tids.items():
+        table = database.table(name)
+        table.created.extend([database.now()] * (count - len(table.created)))
+        table.named_tids = max(table.named_tids, count)
     return database

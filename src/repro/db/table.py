@@ -196,6 +196,10 @@ class Table:
         #: and stamp ascend together; nothing is pruned, so a rollback or a
         #: WAL redo of a known tid finds its stamp.
         self.created: list[int] = []
+        #: The highest tid a commit, a log or a snapshot named: what a
+        #: snapshot keeps of :attr:`created`.  Tids past it were drawn by
+        #: rolled-back statements only.
+        self.named_tids = 0
         self._store: ColumnStore | None = None
         self._indexes: dict[str, HashIndex | SortedIndex] = {}
         #: Every column some index of ``_indexes`` is over.
@@ -626,6 +630,7 @@ class Table:
             if tid > len(created):
                 created.extend([stamp] * (tid - len(created)))
             created[tid - 1] = stamp
+        self.named_tids = max(self.named_tids, max(tids, default=0))
 
     # ------------------------------------------------------------------
     # Reads

@@ -14,7 +14,9 @@ only committed images (pending writes, the echo scan, the one-row upsert,
 a fold per event), and what a stored row image held beside its columns
 and tid (the update stamp, the creation stamp and its per-table sorted
 index, VisualAttributes' surrogate ``id`` and the block id draw that
-filled it); and for what the aggregate memo relies on: every
+filled it), the VisualAttributes store's private ``obj_id -> tid`` cache
+and the key tuple a composite hash index built per row; and for what the
+aggregate memo relies on: every
 write into a column chunk re-stamps it, and the memo is keyed by stamps,
 never by chunks."""
 
@@ -791,8 +793,9 @@ def pair_lists_in_index(source):
 
 
 def tuples_in_cache_fill(source):
-    """Lines of ``VisualAttributesStore._upsert`` that build a tuple or
-    loop per item."""
+    """Lines of ``VisualAttributesStore._upsert``, which issues a batch's
+    insert and update statements, that build a tuple or loop per item (the
+    ``obj_id -> tid`` cache it once filled there did both)."""
     upsert = method_bodies(source, "VisualAttributesStore").get("_upsert")
     if upsert is None:
         return []
@@ -806,8 +809,9 @@ def tuples_in_cache_fill(source):
 
 
 def test_the_figure8_screen_builds_no_per_row_object():
-    """The display holds the rows it is given, the store caches a tid per
-    item, and a sorted index is two flat lists."""
+    """The display holds the rows it is given, the store keeps nothing
+    per item (the table's key index maps an item to its tid), and a sorted
+    index is two flat lists."""
     display = (VIS / "display.py").read_text(encoding="utf-8")
     assert "apply_rows" in method_bodies(display, "Display")
     assert item_builders_under_apply_rows(display) == []
@@ -1044,3 +1048,82 @@ def test_the_row_image_tripwires_fire_on_planted_offenders():
     )
     assert visual_attributes_schema(old_schema) == (["id", "component_id"], "id")
     assert "next_ids" in method_bodies(old_schema, "IdAllocator")
+
+
+#: The VisualAttributes store's private ``obj_id -> tid`` cache and the
+#: methods that filled and checked it; the table's key index replaced them.
+GONE_FROM_STORE = re.compile(r"\b(_cache\b|_index\(|_tid\()")
+#: ``HashIndex`` methods that file or check one statement's rows.
+STATEMENT_PATHS = ("add_many", "remove_many", "first_violation")
+
+
+def store_cache_names(source):
+    """Lines of ``source`` naming the store's former cache."""
+    return [n for n, line in enumerate(source.splitlines(), 1) if GONE_FROM_STORE.search(line)]
+
+
+def key_tuples_per_row(source):
+    """Lines where ``HashIndex``'s statement paths -- or a ``self.<method>``
+    they reach -- call ``tuple()`` or build a tuple inside a loop."""
+    methods = method_bodies(source, "HashIndex")
+    todo, seen, hits = list(STATEMENT_PATHS), set(), set()
+
+    def visit(node, looped):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "tuple":
+                hits.add(node.lineno)
+        elif isinstance(node, ast.Tuple) and isinstance(node.ctx, ast.Load) and looped:
+            hits.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "self":
+                todo.append(node.attr)
+        looped = looped or isinstance(node, LOOPS)
+        for child in ast.iter_child_nodes(node):
+            visit(child, looped)
+
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in methods:
+            continue
+        seen.add(name)
+        visit(methods[name], False)
+    return sorted(hits)
+
+
+def test_the_store_keeps_no_tid_cache_and_the_index_no_per_row_key():
+    attributes = (VIS / "attributes.py").read_text(encoding="utf-8")
+    assert store_cache_names(attributes) == []
+    index = (REPO / "src" / "repro" / "db" / "index.py").read_text(encoding="utf-8")
+    assert set(STATEMENT_PATHS) <= set(method_bodies(index, "HashIndex"))
+    assert key_tuples_per_row(index) == []
+
+
+def test_the_key_tripwires_fire_on_planted_offenders():
+    # The parent's store: a cache, filled lazily and checked per entry.
+    parent_store = (
+        "class VisualAttributesStore:\n"
+        "    def __init__(self, database):\n"
+        "        self._cache: dict[int, dict[Any, int]] = {}\n"
+        "    def write(self, component_id, items):\n"
+        "        existing = self._index(component_id)\n"
+        "        tid = self._tid(existing, component_id, key)\n"
+        "    def _tids(self, component_id):\n"
+        "        return sorted(self.database.table(T).index(K).group(component_id))\n"
+    )
+    assert store_cache_names(parent_store) == [3, 5, 6]
+    # The parent's composite key: one tuple per row, one call away from
+    # add_many; and a pair built in first_violation's own comprehension.
+    parent_index = (
+        "class HashIndex:\n"
+        "    def add_many(self, tids, rows):\n"
+        "        for key, tid in zip(self._keys(rows), tids):\n"
+        "            _put(self._buckets, key, tid)\n"
+        "    def _keys(self, rows):\n"
+        "        return [tuple([_key_of(row[c]) for c in self.columns]) for row in rows]\n"
+        "    def first_violation(self, rows):\n"
+        "        keys = [(row['a'], row['b']) for row in rows]\n"
+        "        return (0, self._violation(keys[0]))\n"
+        "    def lookup_tuple(self, values):\n"
+        "        return self._tids(tuple(values))\n"
+    )
+    assert key_tuples_per_row(parent_index) == [6, 8]

@@ -33,7 +33,8 @@ class _Rollback(Exception):
 
 class CreationStamps(RuleBasedStateMachine):
     """One durable table ``t (id PK, v)``; the model holds each live
-    row's ``(id, v, stamp)`` by tid, the next tid and the clock."""
+    row's ``(id, v, stamp)`` by tid, the next tid, the highest tid a
+    commit or a restore named (what a crash keeps) and the clock."""
 
     def __init__(self):
         super().__init__()
@@ -42,6 +43,7 @@ class CreationStamps(RuleBasedStateMachine):
         self.db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
         self.model = {}
         self.next_tid = 1
+        self.durable_tids = 0
         self.clock = self.db.now()
         self.keys = itertools.count(1)
 
@@ -71,6 +73,7 @@ class CreationStamps(RuleBasedStateMachine):
         (tid,), (stamp,) = self.draw(1)
         assert self.db.insert("t", row)[TID] == tid
         self.model[tid] = (row["id"], v, stamp)
+        self.durable_tids = tid
 
     @rule(values=st.lists(st.integers(0, 9), min_size=0, max_size=6))
     def insert_many(self, values):
@@ -80,6 +83,8 @@ class CreationStamps(RuleBasedStateMachine):
         assert [row[TID] for row in stored] == tids
         for tid, row, stamp in zip(tids, rows, stamps):
             self.model[tid] = (row["id"], row["v"], stamp)
+        if rows:
+            self.durable_tids = self.next_tid - 1
 
     @rule(values=st.lists(st.integers(0, 9), min_size=1, max_size=4))
     def failing_insert_many(self, values):
@@ -129,6 +134,8 @@ class CreationStamps(RuleBasedStateMachine):
         except _Rollback:
             return
         self.model = model
+        if rows:  # the block's inserts are the commit's
+            self.durable_tids = self.next_tid - 1
 
     @rule(count=st.integers(1, 5), gap=st.integers(0, 3))
     def bulk_restore(self, count, gap):
@@ -142,6 +149,7 @@ class CreationStamps(RuleBasedStateMachine):
         self.db.restore_clock(stamps[-1])
         for tid, row, stamp in zip(tids, rows, stamps):
             self.model[tid] = (row["id"], 0, stamp)
+        self.durable_tids = self.next_tid - 1
         self.manager.checkpoint()
 
     @rule()
@@ -151,12 +159,16 @@ class CreationStamps(RuleBasedStateMachine):
     @rule()
     def crash_and_recover(self):
         """Lose the process: what is left is the directory.  Recovery
-        restores the live rows with their stamps; the next tid and the
-        clock are what the log and the checkpoint held."""
+        restores the live rows with their stamps; the clock is what the
+        log and the checkpoint held, and the next tid follows every tid a
+        commit or a restore named -- a deleted row's too, so none is
+        handed out twice; only tids that rolled-back blocks drew after
+        it come back."""
         self.manager.close()
         assert self.table_state(recover(self.dir)) == self.table_state(self.db)
         self.db, self.manager = open_durable(self.dir, fsync=FSYNC_NEVER)
-        self.next_tid = len(self.table.created) + 1
+        assert len(self.table.created) == self.durable_tids
+        self.next_tid = self.durable_tids + 1
         self.clock = self.db.now()
 
     @staticmethod

@@ -133,6 +133,23 @@ class TestRecoveryFidelity:
 
 
 class TestCheckpointing:
+    def test_a_checkpoint_keeps_the_next_tid_past_deleted_rows(self, durable):
+        """A deleted tid is never handed out again, also after a
+        checkpoint and a restart."""
+        directory, db, manager = durable
+        seed(db)
+        db.insert("items", {"id": 3, "name": "c"})
+        db.delete_by_tids("items", [3])
+        manager.checkpoint()
+        manager.close()
+        reopened, manager = open_durable(directory)
+        try:
+            assert reopened.insert("items", {"id": 4, "name": "d"})["__tid__"] == 4
+            created = reopened.table("items").created
+            assert len(created) == 4 and created == sorted(created)
+        finally:
+            manager.close()
+
     def test_checkpoint_rotates_generation(self, durable, tmp_path):
         directory, db, manager = durable
         seed(db)

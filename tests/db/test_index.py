@@ -14,11 +14,17 @@ from repro.errors import ConstraintViolation
 
 def tids_by_key(index):
     """``{key: set of tids}`` of a hash index, whatever its entries hold
-    (a key's tid, or a set of tids once the key holds two)."""
-    return {
-        key: set(entry) if isinstance(entry, set) else {entry}
-        for key, entry in index._buckets.items()
-    }
+    (a key's tid, or a set of tids once the key holds two), keyed as
+    ``index.key`` names a key (a composite one as ``(first, rest)``)."""
+    if len(index.columns) == 1:
+        filed = index._buckets.items()
+    else:
+        filed = [
+            ((first, rest), entry)
+            for first, group in index._buckets.items()
+            for rest, entry in group.items()
+        ]
+    return {key: set(entry) if isinstance(entry, set) else {entry} for key, entry in filed}
 
 
 class TestHashIndex:
@@ -236,9 +242,9 @@ def first_move_violation_model(model, moves):
 
 
 @settings(max_examples=200, deadline=None)
-@given(unique=st.booleans(), width=st.sampled_from([1, 2]), data=st.data())
+@given(unique=st.booleans(), width=st.sampled_from([1, 2, 3]), data=st.data())
 def test_hash_index_agrees_with_a_dict_of_sets(unique, width, data):
-    columns = ("a", "b")[:width]
+    columns = ("a", "b", "c")[:width]
     domain = list(itertools.product(VALUES, repeat=width))
     values_of = st.sampled_from(domain)
 
@@ -300,8 +306,25 @@ def test_hash_index_agrees_with_a_dict_of_sets(unique, width, data):
 
         assert tids_by_key(idx) == {idx.key(row(v)): tids for v, tids in model.items()}
         for values, tids in model.items():
-            entry = idx._buckets[idx.key(row(values))]
+            entry = idx._buckets[values[0]]
+            if width > 1:
+                entry = entry[values[1] if width == 2 else values[1:]]
             assert isinstance(entry, int) == (len(tids) == 1)
+        if width > 1:
+            assert all(idx._buckets.values())  # canonical: no empty group
+            # A group is the read-only inner map of one first value.
+            for first in VALUES:
+                group = idx.group(first)
+                assert {
+                    rest: set(entry) if isinstance(entry, set) else {entry}
+                    for rest, entry in group.items()
+                } == {
+                    values[1] if width == 2 else values[1:]: tids
+                    for values, tids in model.items()
+                    if values[0] == first
+                }
+                with pytest.raises(TypeError):
+                    group[0] = 0
         for values in domain:
             expected = frozenset(model.get(values, ()))
             found = idx.lookup(values[0]) if width == 1 else idx.lookup_tuple(values)

@@ -1,10 +1,12 @@
 """VisualAttributes store, components, displays, scatter, multi-view."""
 
+import threading
+
 import pytest
 
 from repro.core import datamodel
-from repro.db import Database
-from repro.errors import VisError
+from repro.db import ANY, INTEGER, Column, Database, open_durable, recover
+from repro.errors import ConstraintViolation, VisError
 from repro.vis import (
     Display,
     ScatterPlot,
@@ -54,13 +56,13 @@ class TestVisualAttributesStore:
         assert store.get(2, "a").x == 2.0
         assert store.get(3, "a") is None
 
-    def test_get_reads_through_the_cache_without_a_scan(self, db, store, monkeypatch):
+    def test_get_reads_through_the_key_index_without_a_scan(self, db, store, monkeypatch):
         placed = {"a": 1.0, "b": 3.0, "c": 4.0}
         store.write(1, [VisualItem(obj_id=obj_id, x=x) for obj_id, x in placed.items()])
         store.write(2, [VisualItem(obj_id="a", x=2.0)])
         store.remove(1, ["c"])
         for component in (1, 2, 3):
-            store.get(component, "a")  # warms each component's cache
+            store.get(component, "a")
         table = type(db.table(datamodel.T_VISUAL_ATTRIBUTES))
         scans = []
         scan = table.scan
@@ -99,7 +101,7 @@ class TestVisualAttributesStore:
 
     def test_rolled_back_remove_keeps_the_items(self, db, store):
         store.write(1, [VisualItem(obj_id="a", x=1.0), VisualItem(obj_id="b", x=2.0)])
-        assert store.get(1, "a").x == 1.0  # warms the cache
+        assert store.get(1, "a").x == 1.0
         with pytest.raises(RuntimeError):
             with db.transaction():
                 store.remove(1, ["a"])
@@ -117,8 +119,8 @@ class TestVisualAttributesStore:
             with db.transaction():
                 store.write(1, [VisualItem(obj_id="a", x=1.0)])
                 raise RuntimeError("abort")
-        # The cache named "a" when the store's own block exited; the
-        # enclosing transaction took the row back.
+        # The store's own block exited with "a" written; the enclosing
+        # transaction took the row back.
         assert store.get(1, "a") is None
         if call == "write":
             store.write(1, [VisualItem(obj_id="a", x=2.0)])
@@ -132,15 +134,13 @@ class TestVisualAttributesStore:
         rows = db.query(f"SELECT * FROM {datamodel.T_VISUAL_ATTRIBUTES}")
         assert sorted((row["obj_id"], row["x"]) for row in rows) == [("a", 2.0), ("b", 0.0)]
 
-    def test_one_components_reads_scan_nothing_with_a_warm_cache(
-        self, db, store, monkeypatch
-    ):
+    def test_one_components_reads_scan_nothing(self, db, store, monkeypatch):
         store.write(1, [VisualItem(obj_id=i, x=float(i)) for i in range(5)])
         store.write(2, [VisualItem(obj_id=i) for i in range(3)])
         store.select(1, [3, 1])
         store.remove(1, [2])
         for component in (1, 2, 3):
-            store.read(component)  # warms each component's cache
+            store.read(component)
         table = type(db.table(datamodel.T_VISUAL_ATTRIBUTES))
         scans = []
         scan = table.scan
@@ -156,6 +156,80 @@ class TestVisualAttributesStore:
 
     def test_empty_write(self, store):
         assert store.write(1, []) == 0
+
+    def test_two_stores_see_each_others_items_and_duplicate_none(self, db):
+        a, b = VisualAttributesStore(db), VisualAttributesStore(db)
+        a.write(1, [VisualItem(obj_id="x", x=1.0)])
+        b.write(1, [VisualItem(obj_id="y", x=2.0)])
+        assert [item.obj_id for item in a.read(1)] == ["x", "y"]
+        a.write(1, [VisualItem(obj_id="y", x=3.0)])
+        b.write_positions(1, {"x": (4.0, 0.0), "z": (5.0, 0.0)})
+        a.write_positions(1, {"z": (6.0, 0.0)})
+        assert b.select(1, ["x", "y", "z"]) == 3
+        assert a.select(1, ["z"], selected=False) == 1
+        want = [("x", 4.0, True), ("y", 3.0, True), ("z", 6.0, False)]
+        rows = db.query(f"SELECT obj_id, x, selected FROM {datamodel.T_VISUAL_ATTRIBUTES}")
+        assert sorted((r["obj_id"], r["x"], r["selected"]) for r in rows) == want
+        for one in (a, b):
+            assert [(i.obj_id, i.x, i.selected) for i in one.read(1)] == want
+            assert one.selected_ids(1) == ["x", "y"]
+            assert one.get(1, "y").x == 3.0
+
+    def test_two_writer_threads_of_one_batch_leave_one_row_per_item(self, db):
+        stores = [VisualAttributesStore(db), VisualAttributesStore(db)]
+        errors = []
+
+        def run(store, x):
+            try:
+                for _ in range(100):
+                    store.write(1, [VisualItem(obj_id=i, x=x) for i in range(20)])
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=run, args=(store, float(n)))
+            for n, store in enumerate(stores)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert len(db.table(datamodel.T_VISUAL_ATTRIBUTES)) == 20
+        assert [item.obj_id for item in stores[0].read(1)] == list(range(20))
+
+    def test_a_duplicate_item_through_sql_is_refused(self, db, store):
+        store.write(1, [VisualItem(obj_id="a", x=1.0)])
+        insert = f"INSERT INTO {datamodel.T_VISUAL_ATTRIBUTES} (component_id, obj_id, x) VALUES (?, ?, ?)"
+        with pytest.raises(ConstraintViolation):
+            db.execute(insert, (1, "a", 2.0))
+        db.execute(insert, (2, "a", 2.0))  # another component's item
+        assert [(i.obj_id, i.x) for i in store.read(1)] == [("a", 1.0)]
+        assert store.get(2, "a").x == 2.0
+
+    def test_a_store_over_a_recovered_database_updates_its_items(self, tmp_path):
+        db, manager = open_durable(tmp_path / "db")
+        VisualAttributesStore(db).write(1, [VisualItem(obj_id=i, x=0.0) for i in range(3)])
+        manager.close()  # the process ends here; the directory is what is left
+        recovered = recover(tmp_path / "db")
+        store = VisualAttributesStore(recovered)
+        fired = []
+        recovered.on(datamodel.T_VISUAL_ATTRIBUTES, "insert", fired.append)
+        assert store.write(1, [VisualItem(obj_id=i, x=1.0) for i in range(3)]) == 3
+        assert fired == []
+        assert [(i.obj_id, i.x) for i in store.read(1)] == [(0, 1.0), (1, 1.0), (2, 1.0)]
+        assert len(recovered.table(datamodel.T_VISUAL_ATTRIBUTES)) == 3
+
+    @pytest.mark.parametrize("key", ["id", None])
+    def test_an_older_table_shape_is_refused(self, key):
+        """With the surrogate ``id`` (and its key), or with no key at all."""
+        db = Database()
+        columns = [Column("component_id", INTEGER, nullable=False), Column("obj_id", ANY)]
+        if key:
+            columns.insert(0, Column("id", INTEGER, nullable=False))
+        db.create_table(datamodel.T_VISUAL_ATTRIBUTES, columns, primary_key=key)
+        with pytest.raises(VisError, match="older version"):
+            VisualAttributesStore(db)
 
 
 class TestVisualizationManager:

@@ -113,12 +113,13 @@ def test_fig8_display_apply_builds_no_visual_item(monkeypatch):
     assert built[0] == 1
 
 
-def test_fig8_store_cache_holds_tids(db):
+def test_fig8_key_index_group_holds_tids(db):
     store = VisualAttributesStore(db)
     items = [VisualItem(obj_id=i, x=i / 2, y=i / 3) for i in range(ROWS)]
     store.write(1, items)
-    cache = store._cache[1]
-    assert len(cache) == ROWS
-    assert all(type(tid) is int for tid in cache.values())
     table = db.table(datamodel.T_VISUAL_ATTRIBUTES)
-    assert all(table.get(cache[row["obj_id"]]) is row for row in table.rows())
+    (key,) = [index for index in table.hash_indexes() if index.unique]
+    group = key.group(1)
+    assert len(group) == ROWS
+    assert all(type(tid) is int for tid in group.values())
+    assert all(table.get(group[row["obj_id"]]) is row for row in table.rows())
