@@ -272,10 +272,14 @@ class IndexLeaf(TableLeaf):
                 if self._matches(row, keys):
                     yield row
             return
-        get = table.get
         # Sorted tids keep output in tid order, byte-identical to a full scan.
-        for tid in sorted(self._probe(index, keys)):
-            row = get(tid)
+        tids = sorted(self._probe(index, keys))
+        if len(tids) > 1:
+            # One batch read; a point probe's one get costs less than a batch.
+            yield from filter(None, table.images(tids))
+            return
+        for tid in tids:
+            row = table.get(tid)
             if row is not None:
                 yield row
 

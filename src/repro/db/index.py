@@ -19,11 +19,14 @@ and uniqueness checks skip a key with a NULL part (SQL semantics: NULLs
 never collide).
 
 Both kinds expose the same maintenance surface -- ``add``/``remove`` for
-one row and ``add_many``/``remove_many`` for one statement's rows -- and
-a ``columns`` tuple and a ``unique`` flag, so the table never asks which
+one row and ``add_many``/``remove_many`` for one statement's rows, and
+``put`` to file one row whose uniqueness the caller settled -- and a
+``columns`` tuple and a ``unique`` flag, so the table never asks which
 kind it holds; a unique index (always a hash index) adds ``key`` and the
 set-at-a-time uniqueness checks, ``first_violation`` for an INSERT's rows
-and ``first_move_violation`` for an UPDATE's key moves.
+and ``first_move_violation`` for an UPDATE's key moves.  A statement's
+rows split once (:meth:`HashIndex.batch`) serve both its check
+(``first_violation_in``) and its filing (``add_many``).
 """
 
 from __future__ import annotations
@@ -106,7 +109,7 @@ class HashIndex:
             return self._buckets.setdefault(first, {})
         return self._buckets.get(first) or {}  # a held group is never empty
 
-    def _groups(
+    def batch(
         self, tids: Iterable[int], rows: Sequence[dict[str, Any]]
     ) -> dict[Hashable, list[Any]]:
         """A statement as ``first -> [keys in the group, tids]``, in
@@ -138,6 +141,10 @@ class HashIndex:
     # ------------------------------------------------------------------
     def add(self, tid: int, row: dict[str, Any]) -> None:
         self.check_insert(row)  # first: a violation leaves the index as it was
+        self.put(tid, row)
+
+    def put(self, tid: int, row: dict[str, Any]) -> None:
+        """File ``row``, whose uniqueness the caller settled."""
         first = _ONE if self._first is None else self._first(row)
         _put(self._group(first, create=True), self._rest(row), tid)
 
@@ -168,8 +175,16 @@ class HashIndex:
         with the index *or with a row before it in the batch*, or None.
         Nothing is added.  Only meaningful on a unique index.
         """
-        found = len(rows)
-        for first, (keys, positions) in self._groups(range(len(rows)), rows).items():
+        return self.first_violation_in(self.batch(range(len(rows)), rows))
+
+    def first_violation_in(
+        self, batch: dict[Hashable, list[Any]]
+    ) -> tuple[int, ConstraintViolation] | None:
+        """:meth:`first_violation` over a statement's :meth:`batch`, whose
+        tids ascend in statement order: ``(tid, error)`` of its first row
+        that collides, or None."""
+        found = found_first = found_key = None
+        for first, (keys, tids) in batch.items():
             held = self._group(first)
             # Skip a NULL first value (every key has a NULL part) and, at
             # once, a group none of whose keys is held or repeats.
@@ -178,14 +193,18 @@ class HashIndex:
             ):
                 continue
             seen: set[Hashable] = set()
-            for key, position in zip(keys, positions):
+            for key, tid in zip(keys, tids):
                 if (key in seen or key in held) and not self._is_null(key):
-                    found = min(found, position)
+                    if found is None or tid < found:
+                        found = tid
+                        found_first = first
+                        found_key = key
                     break
                 seen.add(key)
-        if found < len(rows):
-            return found, self._violation(self.key(rows[found]))
-        return None
+        if found is None:
+            return None
+        key = found_key if found_first is _ONE else (found_first, found_key)
+        return found, self._violation(key)
 
     def first_move_violation(
         self, moves: Iterable[tuple[int, Hashable, Hashable]]
@@ -213,11 +232,19 @@ class HashIndex:
             claimed.add(new)
         return None
 
-    def add_many(self, tids: Iterable[int], rows: Sequence[dict[str, Any]]) -> None:
-        """Index a statement's rows; uniqueness was settled by
-        :meth:`first_violation` / :meth:`first_move_violation` (or by the
-        log being replayed)."""
-        for first, (keys, at) in self._groups(tids, rows).items():
+    def add_many(
+        self,
+        tids: Iterable[int],
+        rows: Sequence[dict[str, Any]],
+        batch: dict[Hashable, list[Any]] | None = None,
+    ) -> None:
+        """Index a statement's rows -- from their :meth:`batch`, when the
+        caller built it for the check; uniqueness was settled by
+        :meth:`first_violation_in` / :meth:`first_move_violation` (or by
+        the log being replayed)."""
+        if batch is None:
+            batch = self.batch(tids, rows)
+        for first, (keys, at) in batch.items():
             group = self._group(first, create=True)
             if self.unique and first is not None and not (
                 any(None in key for key in keys) if self._wide else None in keys
@@ -232,7 +259,7 @@ class HashIndex:
                     _put(group, key, tid)
 
     def remove_many(self, tids: Iterable[int], rows: Sequence[dict[str, Any]]) -> None:
-        for first, (keys, at) in self._groups(tids, rows).items():
+        for first, (keys, at) in self.batch(tids, rows).items():
             group = self._group(first)
             for key, tid in zip(keys, at):
                 _drop(group, key, tid)
@@ -327,6 +354,8 @@ class SortedIndex:
         key = row[self.column]
         if key is not None:
             self._discard(key, tid)
+
+    put = add  # nothing to settle: sorted indexes are never unique
 
     def check_insert(self, row: dict[str, Any]) -> None:
         """Sorted indexes are never unique; nothing to check."""

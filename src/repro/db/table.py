@@ -7,16 +7,22 @@ triggers and transactions -- those live in :mod:`repro.db.database` so that
 every mutation path (SQL or programmatic) funnels through one place.
 
 Rows are plain dicts holding the schema's columns, in schema order, and
-the tid under ``__tid__``; the creation stamps live beside them, in one
-list indexed by tid.  Scans yield the *internal* dict objects for speed;
+the tid under ``__tid__``.  They are kept in one dense list indexed by
+``tid - base`` (None for a hole: a deleted or rolled-back tid), so a run of
+tids is one slice of it; the creation stamps live beside them, in one list
+indexed by tid.  Scans yield the *internal* dict objects for speed;
 callers must treat them as immutable and perform writes through the table
-API only.
+API only.  The table takes no lock: with other threads about, read it
+under the owning database's lock, as the package does (a delete at the
+front shifts the row list under a reader that holds none).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from itertools import compress, islice, repeat
+from operator import ge
+from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import ConstraintViolation, DatabaseError, SchemaError, SyncError
 from .columnar import ColumnStore
@@ -190,7 +196,12 @@ class Table:
     def __init__(self, schema: TableSchema, clock: Callable[..., int]) -> None:
         self.schema = schema
         self._clock = clock
-        self._rows: dict[int, dict[str, Any]] = {}
+        #: Tid ``t``'s row is ``_rows[t - _base]``, None for a hole.  A
+        #: hole at the front moves ``_base`` past it, so a log purged from
+        #: its head (the Notification table) holds only its live tail.
+        self._rows: list[dict[str, Any] | None] = []
+        self._base = 1
+        self._live = 0
         #: Read-only: tid ``t``'s creation stamp is ``created[t - 1]``, for
         #: every tid ever assigned (the next is ``len(created) + 1``).  Tid
         #: and stamp ascend together; nothing is pruned, so a rollback or a
@@ -217,10 +228,10 @@ class Table:
         return self.schema.name
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._live
 
     def __contains__(self, tid: int) -> bool:
-        return tid in self._rows
+        return self.get(tid) is not None
 
     # ------------------------------------------------------------------
     # Index management
@@ -239,8 +250,8 @@ class Table:
             index = SortedIndex(self.name, columns[0])
         else:
             index = HashIndex(self.name, tuple(columns), unique=unique)
-        for tid, row in self._rows.items():
-            index.add(tid, row)
+        for row in self.rows():
+            index.add(row[TID], row)
         self._indexes[name] = index
         self._indexed = self._indexed.union(columns)
 
@@ -311,12 +322,32 @@ class Table:
             idx.check_insert(row)
         self.created.append(self._clock())
         row[TID] = tid = len(self.created)
-        self._rows[tid] = row
+        self._place(tid, row)
         for idx in self._indexes.values():
-            idx.add(tid, row)
+            idx.put(tid, row)  # checked above: each index once
         if self._store is not None:
             self._store.append(row)
         return row
+
+    def _place(self, tid: int, row: dict[str, Any]) -> None:
+        """Store ``row`` at the absent ``tid``; a tid outside the span
+        grows the row list, with holes for the tids between (an empty
+        list starts at ``tid``)."""
+        held = self._rows
+        if not held:
+            self._base = tid
+        at = tid - self._base
+        if at == len(held):
+            held.append(row)
+        elif at < 0:
+            held[:0] = [row, *repeat(None, -at - 1)]
+            self._base = tid
+        elif at > len(held):
+            held.extend(repeat(None, at - len(held)))
+            held.append(row)
+        else:
+            held[at] = row
+        self._live += 1
 
     def insert_many(self, rows: Iterable[Mapping[str, Any]]) -> list[dict[str, Any]]:
         """Insert one statement's rows; returns the stored rows.
@@ -350,48 +381,72 @@ class Table:
             # A one-row statement is insert(): the per-row index calls
             # cost less than setting up the per-statement ones.
             return [self._insert_validated(stored[0])]
-        violation = self._first_violation(stored)
+        count = len(stored)
+        # The tids the statement would take -- drawn below, once it is
+        # checked.  The list is shared by the rows, the row list and the
+        # indexes (one int object per tid, as insert() has it).
+        first = len(self.created) + 1
+        tids = list(range(first, first + count))
+        batches, violation = self._unique_batches(tids, stored)
         if violation is not None:
             raise violation
         if failure is not None:
             raise failure
-        count = len(stored)
         if not count:
             return stored
-        # The tid list is shared by the rows, the row map and the indexes
-        # (one int object per tid, as insert() has it).
-        first = len(self.created) + 1
-        tids = list(range(first, first + count))
         last = self._clock(count)
         self.created.extend(range(last - count + 1, last + 1))
         for tid, row in zip(tids, stored):
             row[TID] = tid
-        self._attach(tids, stored)
+        self._attach(tids, stored, batches)
         return stored
 
-    def _first_violation(self, rows: list[dict[str, Any]]) -> ConstraintViolation | None:
-        """The uniqueness error adding ``rows`` in order would hit first
-        (earliest row; for one row, the earliest index), if any."""
+    def _unique_batches(
+        self, tids: Sequence[int], rows: list[dict[str, Any]]
+    ) -> tuple[dict[HashIndex, dict[Any, list[Any]]], ConstraintViolation | None]:
+        """Each unique index's :meth:`~HashIndex.batch` of a statement's
+        rows (``tids`` ascending in statement order), built once for the
+        check and the filing, and the uniqueness error adding the rows in
+        order would hit first (earliest row; for one row, the earliest
+        index), if any."""
+        batches = {}
         first = None
         for idx in self._indexes.values():
             if idx.unique:
-                found = idx.first_violation(rows)
+                batch = batches[idx] = idx.batch(tids, rows)
+                found = idx.first_violation_in(batch)
                 if found is not None and (first is None or found[0] < first[0]):
                     first = found
-        return None if first is None else first[1]
+        return batches, None if first is None else first[1]
 
     def _attach(
         self,
         tids: Sequence[int],
         rows: list[dict[str, Any]],
+        batches: dict[HashIndex, dict[Any, list[Any]]],
         columns: dict[str, list[Any]] | None = None,
     ) -> None:
-        """Store stamped rows with ascending, absent tids: the row map,
-        every index and the column store, each updated once.  Shared by
-        :meth:`insert_many` and :meth:`bulk_restore`."""
-        self._rows.update(zip(tids, rows))
+        """Store stamped rows with ascending, absent tids: the row list,
+        every index (a unique one from its checked ``batches``) and the
+        column store, each updated once.  Shared by :meth:`insert_many`
+        and :meth:`bulk_restore`."""
+        held = self._rows
+        if not held:
+            self._base = tids[0]
+        gap = tids[0] - self._base - len(held)
+        if gap >= 0 and tids[-1] - tids[0] + 1 == len(tids):
+            # A run of tids past the span (every insert_many): one extend.
+            held.extend(repeat(None, gap))
+            held.extend(rows)
+            self._live += len(rows)
+        else:
+            for tid, row in zip(tids, rows):
+                self._place(tid, row)
         for idx in self._indexes.values():
-            idx.add_many(tids, rows)
+            if idx in batches:
+                idx.add_many(tids, rows, batches[idx])
+            else:
+                idx.add_many(tids, rows)
         if self._store is not None:
             if columns is not None:
                 self._store.bulk_append_columns(columns, len(rows))
@@ -407,10 +462,9 @@ class Table:
         for uniqueness before anything is touched; an index is maintained
         only when the row's key in it changes.
         """
-        try:
-            row = self._rows[tid]
-        except KeyError:
-            raise DatabaseError(f"{self.name}: no row with tid {tid}") from None
+        row = self.get(tid)
+        if row is None:
+            raise DatabaseError(f"{self.name}: no row with tid {tid}")
         clean = self.schema.validate_update(changes)
         moves = (
             ()
@@ -427,10 +481,10 @@ class Table:
         # transaction (its insert, its update) logs at commit.
         before, row = row, dict(row)
         row.update(clean)
-        self._rows[tid] = row
+        self._rows[tid - self._base] = row
         for idx, _old, _new in moves:
             idx.remove(tid, before)
-            idx.add(tid, row)
+            idx.put(tid, row)
         if self._store is not None:
             self._store.update(tid, row, clean)
         return before, row
@@ -455,7 +509,6 @@ class Table:
             # cost less than setting up the per-statement ones.
             ((tid, changes),) = changes_by_tid.items()
             return [self.update_row(tid, changes)]
-        stored = self._rows
         validate = self.schema.validate_update
         tids: list[int] = []
         rows: list[dict[str, Any]] = []
@@ -465,8 +518,8 @@ class Table:
         shared = clean = None
         indexed = False  # does ``clean`` name an indexed column?
         try:
-            for tid, changes in changes_by_tid.items():
-                row = stored.get(tid)
+            found = self.images(changes_by_tid)
+            for (tid, changes), row in zip(changes_by_tid.items(), found):
                 if row is None:
                     raise DatabaseError(f"{self.name}: no row with tid {tid}")
                 if changes is not shared:
@@ -497,9 +550,10 @@ class Table:
             return []
         # Copy on write, as in update_row.
         befores, rows = rows, [dict(row) for row in rows]
+        held, base = self._rows, self._base
         for tid, row, clean in zip(tids, rows, cleans):
             row.update(clean)
-            stored[tid] = row
+            held[tid - base] = row
         for idx, moved in moves.items():
             at = [position for position, _old, _new in moved]
             moved_tids = [tids[i] for i in at]
@@ -535,10 +589,13 @@ class Table:
 
     def delete_row(self, tid: int) -> dict[str, Any]:
         """Physically remove row ``tid``; returns its final image."""
-        try:
-            row = self._rows.pop(tid)
-        except KeyError:
-            raise DatabaseError(f"{self.name}: no row with tid {tid}") from None
+        row = self.get(tid)
+        if row is None:
+            raise DatabaseError(f"{self.name}: no row with tid {tid}")
+        self._rows[tid - self._base] = None
+        self._live -= 1
+        if tid == self._base:
+            self._trim()
         for idx in self._indexes.values():
             idx.remove(tid, row)
         if self._store is not None:
@@ -551,17 +608,18 @@ class Table:
         :meth:`insert_many`: nothing is touched unless every tid resolves,
         and each index is maintained once."""
         tids = list(tids)
-        stored = self._rows
-        try:
-            rows = [stored[tid] for tid in tids]
-        except KeyError as exc:
-            raise DatabaseError(
-                f"{self.name}: no row with tid {exc.args[0]}"
-            ) from None
+        rows = self.images(tids)
+        if None in rows:
+            missing = tids[rows.index(None)]
+            raise DatabaseError(f"{self.name}: no row with tid {missing}")
         if len(set(tids)) != len(tids):
             raise DatabaseError(f"{self.name}: a tid is listed twice in one delete")
+        held, base = self._rows, self._base
         for tid in tids:
-            del stored[tid]
+            held[tid - base] = None
+        self._live -= len(tids)
+        if held and held[0] is None:
+            self._trim()
         for idx in self._indexes.values():
             idx.remove_many(tids, rows)
         if self._store is not None:
@@ -569,20 +627,32 @@ class Table:
                 self._store.delete(tid)
         return rows
 
+    def _trim(self) -> None:
+        """Drop the holes at the front of the row list: the span starts
+        at the lowest live tid (past the end, when none is)."""
+        held = self._rows
+        count = next((at for at, row in enumerate(held) if row is not None), len(held))
+        del held[:count]
+        self._base += count
+
     def restore_row(self, row: dict[str, Any], created: int | None = None) -> None:
         """Re-insert a deleted row image (rollback, WAL redo, snapshot
         load); takes ownership of ``row``, as :meth:`bulk_restore` does.
-        A tid new to the table needs its stamp, ``created``."""
+        A tid new to the table needs its stamp, ``created``.  Refused --
+        with nothing touched -- when the tid is present, has no stamp, or
+        collides in a unique index."""
         tid = row[TID]
-        if tid in self._rows:
+        if self.get(tid) is not None:
             raise DatabaseError(f"{self.name}: tid {tid} already present")
+        if created is None and tid > len(self.created):
+            raise DatabaseError(f"{self.name}: no creation stamp for tid {tid}")
+        for idx in self._indexes.values():
+            idx.check_insert(row)
         if created is not None:
             self._record_created([tid], [created])
-        elif tid > len(self.created):
-            raise DatabaseError(f"{self.name}: no creation stamp for tid {tid}")
-        self._rows[tid] = row
+        self._place(tid, row)
         for idx in self._indexes.values():
-            idx.add(tid, row)
+            idx.put(tid, row)
         if self._store is not None:
             # append() flags the store stale when tid arrives out of order
             # (rollback restores); the next columnar scan rebuilds.
@@ -607,18 +677,16 @@ class Table:
         """
         if not rows:
             return True
-        existing = self._rows
-        last = 0
-        for row in rows:
-            tid = row[TID]
-            if tid <= last or tid in existing:
-                return False
-            last = tid
-        if self._first_violation(rows) is not None:
-            return False  # per-row restore raises at the colliding row
         tids = [row[TID] for row in rows]
+        if tids[0] < 1 or any(map(ge, tids, islice(tids, 1, None))) or any(
+            self.images(tids)
+        ):
+            return False
+        batches, violation = self._unique_batches(tids, rows)
+        if violation is not None:
+            return False  # per-row restore raises at the colliding row
         self._record_created(tids, created)
-        self._attach(tids, rows, columns)
+        self._attach(tids, rows, batches, columns)
         return True
 
     def _record_created(self, tids: Sequence[int], stamps: Sequence[int]) -> None:
@@ -635,19 +703,39 @@ class Table:
     # ------------------------------------------------------------------
     # Reads
     def get(self, tid: int) -> dict[str, Any] | None:
-        return self._rows.get(tid)
+        at = tid - self._base
+        if at >= 0:
+            try:
+                return self._rows[at]
+            except IndexError:
+                pass
+        return None
+
+    def images(self, tids: Collection[int]) -> list[dict[str, Any] | None]:
+        """The row of each tid in ``tids``, in order, None where the table
+        holds none: a ``range`` inside the span is one slice of the row
+        list, any other collection of tids one pass over it."""
+        held, base = self._rows, self._base
+        end = base + len(held)
+        if type(tids) is not range or tids.step != 1:
+            if tids and base <= min(tids) and max(tids) < end:
+                return [held[tid - base] for tid in tids]
+        elif base <= tids.start and tids.stop <= end:
+            return held[tids.start - base : tids.stop - base]
+        return [held[tid - base] if base <= tid < end else None for tid in tids]
 
     def rows(self) -> Iterator[dict[str, Any]]:
-        """All rows, in tid order.  Internal dicts: treat as read-only."""
-        for tid in sorted(self._rows):
-            yield self._rows[tid]
+        """All rows, in tid order, as the table holds them now (a write
+        while iterating is not seen).  Internal dicts: treat as read-only."""
+        return filter(None, self._rows.copy())
 
     def scan(self) -> Iterator[dict[str, Any]]:
-        """Unordered scan (fastest)."""
-        return iter(self._rows.values())
+        """Unordered scan (fastest): no copy, so write nothing meanwhile."""
+        return filter(None, self._rows)
 
     def tids(self) -> list[int]:
-        return sorted(self._rows)
+        held = self._rows
+        return list(compress(range(self._base, self._base + len(held)), held))
 
     def by_key(self, value: Any) -> dict[str, Any] | None:
         """Primary-key point lookup."""
@@ -655,9 +743,8 @@ class Table:
             raise SchemaError(f"table {self.name!r} has no primary key")
         idx = self._indexes[f"pk_{self.name}"]
         assert isinstance(idx, HashIndex)
-        tids = idx.lookup(value)
-        for tid in tids:
-            return self._rows[tid]
+        for tid in idx.lookup(value):
+            return self.get(tid)
         return None
 
     def created_between(
@@ -670,8 +757,8 @@ class Table:
         ``t0`` sees ``created_between(None, t0)`` minus deleted tids.
         """
         tids = self.find_sorted_index(CREATED_AT).range(low, high)
-        return filter(None, map(self._rows.get, tids))
+        return filter(None, self.images(list(tids)))
 
     def clear(self) -> list[dict[str, Any]]:
         """Remove all rows; returns the removed row images."""
-        return self.delete_many(sorted(self._rows))
+        return self.delete_many(self.tids())

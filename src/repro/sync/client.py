@@ -38,7 +38,7 @@ import socket
 import threading
 import time
 from itertools import chain
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Collection, Iterable, Optional, Sequence
 
 from ..db.database import Database
 from ..errors import SyncError
@@ -540,14 +540,14 @@ class SyncClient:
                         if full:
                             # The whole table, and what the mirror holds
                             # that the table no longer has.
-                            tids: Iterable[int] = dict.fromkeys(
+                            tids: Collection[int] = dict.fromkeys(
                                 chain(base.tids(), memtable.tids())
                             )
                         elif len(events) == 1:
                             tids = events[0][2]
                         else:
                             tids = dict.fromkeys(chain.from_iterable(e[2] for e in events))
-                        upserts: list[Any] = list(map(base.get, tids))
+                        upserts: list[Any] = base.images(tids)
                     deletes: Sequence[int] = ()
                     if None in upserts:
                         # Changed, and gone by now.

@@ -10,6 +10,11 @@ its readers share read-only (writers copy on write, ``Table.update_*``).
 A local edit reaches the mirror as the image its committed UPDATE
 returned, so the echo of that edit is the image the mirror already holds.
 
+Reads of one tid take no lock: every write to :attr:`MemoryTable.rows`
+is one C-level dict operation, so a one-key read sees one committed image
+or none, as a locked read would.  Writers, and readers of many rows, take
+the mirror's lock, so they never observe a half-applied batch.
+
 The mirror may be partial: a ``fraction`` or a ``predicate`` restricts
 which rows it keeps, supporting the paper's multi-device scenario ("an
 iphone showing 10% of the data, a laptop 30%, the WILD wall all of it").
@@ -18,6 +23,7 @@ iphone showing 10% of the data, a laptop 30%, the WILD wall all of it").
 from __future__ import annotations
 
 import threading
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from ..db.schema import TID
@@ -27,6 +33,8 @@ Row = Mapping[str, Any]
 
 #: Row filter deciding membership in a partial mirror.
 RowPredicate = Callable[[Row], bool]
+
+_tid_of = itemgetter(TID)
 
 
 class MemoryTable:
@@ -90,7 +98,9 @@ class MemoryTable:
         """
         with self._lock:
             rows = self.rows
-            images = {row[TID]: row for row in upserts}
+            # Keyed by each image's own tid object, in one pass in C.
+            images: dict[int, Row] = {}
+            images.update(zip(map(_tid_of, upserts), upserts))
             if self.predicate is not None or self.fraction < 1.0:
                 rejected = [t for t, row in images.items() if not self.accepts(row)]
                 for tid in rejected:
@@ -118,8 +128,7 @@ class MemoryTable:
     # ------------------------------------------------------------------
     # Reads: the held images themselves, read-only
     def get(self, tid: int) -> Optional[Row]:
-        with self._lock:
-            return self.rows.get(tid)
+        return self.rows.get(tid)  # one key: no lock (module docstring)
 
     def all_rows(self) -> list[Row]:
         with self._lock:

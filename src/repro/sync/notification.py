@@ -42,6 +42,8 @@ across tables and writer threads.
 from __future__ import annotations
 
 import threading
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Any, Callable, Sequence
 
 from ..core import datamodel
@@ -55,6 +57,9 @@ from ..obs.runtime import OBS
 #: Listener signature: (table_name, [(op, seq_no), ...]) -- one call per
 #: recorded event group (singletons included), in seq order.
 BatchListener = Callable[[str, list[tuple[str, int]]], None]
+
+_tid_of = itemgetter(TID)
+_after = itemgetter(1)
 
 
 class NotificationCenter:
@@ -148,17 +153,18 @@ class NotificationCenter:
         """Log ``change`` as one seq-no, one Notification row, per op
         kind and link each to ``span``; returns the ``(op, seq_no)``
         events and the listeners to hand them to."""
-        # Each event's tids are logged ascending (a coalesced delta or a
-        # delete_by_tids may list them otherwise) and are distinct, so
-        # ``hi - lo`` tells a contiguous run, stored as its bounds alone.
+        # Each event's tids are distinct, so ``hi - lo`` tells a contiguous
+        # run, stored as its bounds alone (an INSERT's: nothing sorted);
+        # any other list is logged ascending (a coalesced delta or a
+        # delete_by_tids may list it otherwise).
         groups = [
-            (op, sorted(row[TID] for row in rows))
-            for op, rows in (
-                (datamodel.OP_INSERT, change.inserted),
-                (datamodel.OP_UPDATE, [after for _before, after in change.updated]),
-                (datamodel.OP_DELETE, change.deleted),
+            (op, tids)
+            for op, tids in (
+                (datamodel.OP_INSERT, list(map(_tid_of, change.inserted))),
+                (datamodel.OP_UPDATE, list(map(_tid_of, map(_after, change.updated)))),
+                (datamodel.OP_DELETE, list(map(_tid_of, change.deleted))),
             )
-            if rows
+            if tids
         ]
         with self.database.lock:
             with self._lock:
@@ -167,7 +173,9 @@ class NotificationCenter:
                 events = [(op, first + i) for i, (op, _tids) in enumerate(groups)]
                 # Row at a time: there are <= 3.
                 for (op, seq_no), (_op, tids) in zip(events, groups):
-                    lo, hi = tids[0], tids[-1]
+                    lo, hi = min(tids), max(tids)
+                    if hi - lo + 1 != len(tids):
+                        tids.sort()
                     self.database.insert(
                         datamodel.T_NOTIFICATION,
                         {
@@ -223,13 +231,13 @@ class NotificationCenter:
             with self._lock:
                 log = self.database.table(datamodel.T_NOTIFICATION)
                 index = log.find_sorted_index("seq_no")
-                for seq_no, tid in index.slice(last_seq_no, None, include_low=False):
-                    row = log.get(tid)
+                logged = list(index.range(last_seq_no, None, include_low=False))
+                for row in log.images(logged):
                     if row["table_name"] == table:
                         tids = row["tids"]
                         if tids is None:
                             tids = range(row["lo"], row["hi"] + 1)
-                        events.append((seq_no, row["op"], tids))
+                        events.append((row["seq_no"], row["op"], tids))
         return events
 
     def changes_since(
@@ -239,7 +247,9 @@ class NotificationCenter:
         row, in ``(seq_no, tid)`` order, behind the newest seq-no read."""
         events = self.events_since(table, last_seq_no)
         newest = events[-1][0] if events else last_seq_no
-        return newest, [(tid, op) for _seq, op, tids in events for tid in tids]
+        return newest, list(
+            chain.from_iterable(zip(tids, repeat(op)) for _seq, op, tids in events)
+        )
 
     def notifications_since(self, table: str, last_seq_no: int) -> list[tuple[int, str]]:
         """:meth:`events_since` as the ``(seq_no, op)`` notifications a

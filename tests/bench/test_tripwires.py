@@ -15,7 +15,9 @@ a fold per event), and what a stored row image held beside its columns
 and tid (the update stamp, the creation stamp and its per-table sorted
 index, VisualAttributes' surrogate ``id`` and the block id draw that
 filled it), the VisualAttributes store's private ``obj_id -> tid`` cache
-and the key tuple a composite hash index built per row; and for what the
+and the key tuple a composite hash index built per row, and the per-row
+work of the Figure-8 read side (a lock per mirror read, a ``Table.get``
+per pulled row, a sort of the table's row map); and for what the
 aggregate memo relies on: every
 write into a column chunk re-stamps it, and the memo is keyed by stamps,
 never by chunks."""
@@ -1127,3 +1129,92 @@ def test_the_key_tripwires_fire_on_planted_offenders():
         "        return self._tids(tuple(values))\n"
     )
     assert key_tuples_per_row(parent_index) == [6, 8]
+
+
+def with_blocks(source, scope):
+    """Lines of the ``with`` statements in the method ``scope``
+    (``"Class.method"``) of ``source``."""
+    cls, name = scope.split(".")
+    method = method_bodies(source, cls).get(name)
+    if method is None:
+        return []
+    return [node.lineno for node in ast.walk(method) if isinstance(node, ast.With)]
+
+
+def mapped_gets(source):
+    """Lines of ``SyncClient.refresh`` that ``map`` a ``.get`` over tids:
+    one Python call per pulled row."""
+    refresh = method_bodies(source, "SyncClient").get("refresh")
+    if refresh is None:
+        return []
+    return sorted(
+        node.lineno
+        for node in ast.walk(refresh)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "map"
+        and node.args
+        and isinstance(node.args[0], ast.Attribute)
+        and node.args[0].attr == "get"
+    )
+
+
+def sorted_row_maps(source):
+    """Lines of ``source`` calling ``sorted(self._rows)``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "sorted"
+        and node.args
+        and isinstance(node.args[0], ast.Attribute)
+        and isinstance(node.args[0].value, ast.Name)
+        and node.args[0].value.id == "self"
+        and node.args[0].attr == "_rows"
+    )
+
+
+def test_the_figure8_read_side_does_no_per_row_work():
+    """A mirror's one-key read takes no lock, a refresh reads its images
+    through ``Table.images``, and the table's rows are a list in tid
+    order: nothing sorts them."""
+    memtable = (SYNC / "memtable.py").read_text(encoding="utf-8")
+    assert "get" in method_bodies(memtable, "MemoryTable")
+    assert with_blocks(memtable, "MemoryTable.get") == []
+    assert with_blocks(memtable, "MemoryTable.apply_batch") != []  # writers lock
+    client = (SYNC / "client.py").read_text(encoding="utf-8")
+    assert "refresh" in method_bodies(client, "SyncClient")
+    assert mapped_gets(client) == []
+    table = (REPO / "src" / "repro" / "db" / "table.py").read_text(encoding="utf-8")
+    assert sorted_row_maps(table) == []
+
+
+def test_the_read_side_tripwires_fire_on_planted_offenders():
+    # The parent's mirror read and refresh pull, and the parent's scans.
+    parent_mirror = (
+        "class MemoryTable:\n"
+        "    def get(self, tid):\n"
+        "        with self._lock:\n"
+        "            return self.rows.get(tid)\n"
+    )
+    assert with_blocks(parent_mirror, "MemoryTable.get") == [3]
+    parent_refresh = (
+        "class SyncClient:\n"
+        "    def refresh(self, table, full=False):\n"
+        "        with self.database.lock:\n"
+        "            upserts = list(map(base.get, tids))\n"
+        "        fresh = map(self.table(table).get, tids)\n"
+    )
+    assert mapped_gets(parent_refresh) == [4, 5]
+    parent_table = (
+        "class Table:\n"
+        "    def rows(self):\n"
+        "        for tid in sorted(self._rows):\n"
+        "            yield self._rows[tid]\n"
+        "    def tids(self):\n"
+        "        return sorted(self._rows)\n"
+        "    def created(self):\n"
+        "        return sorted(self.created)\n"
+    )
+    assert sorted_row_maps(parent_table) == [3, 6]

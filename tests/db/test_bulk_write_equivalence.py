@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from repro.db import ANY, BOOLEAN, FLOAT, INTEGER, TEXT, TIMESTAMP, Column, Database, col
 from repro.db import open_durable, recover
 from repro.db.index import HashIndex, SortedIndex
-from repro.db.schema import HIDDEN_FIELDS
+from repro.db.schema import HIDDEN_FIELDS, TID
 from repro.db.wal import FSYNC_NEVER
 from repro.errors import (
     ConstraintViolation,
@@ -561,6 +561,93 @@ def test_delete_many_removes_a_log_prefix_as_one_slice():
     # A stamp outlives its row; the creation range skips the dead tids.
     assert len(table.created) == 1000
     assert [row["seq_no"] for row in table.created_between()] == list(range(600, 1000))
+
+
+def test_a_purged_log_holds_only_its_live_tail():
+    db = Database()
+    table = db.create_table("log", [Column("seq_no", INTEGER, nullable=False)])
+    db.insert_many("log", [{"seq_no": i} for i in range(1000)])
+    db.delete("log", col("seq_no") < 600)
+    assert len(table._rows) == 400 and table.tids() == list(range(601, 1001))
+    assert table.get(600) is None and table.get(601)["seq_no"] == 600
+    assert table.images(range(599, 603)) == [None, None, table.get(601), table.get(602)]
+    db.delete("log", col("seq_no") >= 0)
+    assert table._rows == [] and len(table) == 0
+    assert db.insert("log", {"seq_no": 7})[TID] == 1001 and table.tids() == [1001]
+
+
+def _unique_and_plain_indexes():
+    db = Database()
+    table = db.create_table(
+        "t",
+        [Column("id", INTEGER, nullable=False), Column("a", INTEGER), Column("b", INTEGER)],
+        primary_key="id",
+        unique=[("a", "b")],
+    )
+    table.create_index("ix_b", ("b",))
+    return db, table
+
+
+def test_a_statement_splits_its_rows_once_per_index():
+    """The uniqueness check and the filing of a statement share each
+    unique index's batch: one split per hash index, not one per use."""
+    db, table = _unique_and_plain_indexes()
+    with mock.patch.object(HashIndex, "batch", autospec=True, side_effect=HashIndex.batch) as split:
+        db.insert_many("t", [{"id": i, "a": 1, "b": i} for i in range(4)])
+        assert split.call_count == 3
+        split.reset_mock()
+        stamps = range(db.now() + 1, db.now() + 5)
+        assert table.bulk_restore(
+            [{"id": 10 + i, "a": 2, "b": i, TID: 10 + i} for i in range(4)], stamps
+        )
+        assert split.call_count == 3
+        split.reset_mock()
+        with pytest.raises(ConstraintViolation, match=r"\(1, 2\)"):
+            db.insert_many("t", [{"id": 20, "a": 3, "b": 0}, {"id": 21, "a": 1, "b": 2}])
+        assert split.call_count == 2  # the unique ones; nothing is filed
+    assert len(table) == 8
+
+
+def test_the_visual_attributes_write_splits_its_key_once():
+    from repro.core import datamodel
+    from repro.vis import VisualAttributesStore, VisualItem
+
+    db = Database()
+    store = VisualAttributesStore(db)
+    with mock.patch.object(HashIndex, "batch", autospec=True, side_effect=HashIndex.batch) as split:
+        store.write(1, [VisualItem(obj_id=i, x=i, y=i) for i in range(4)])
+    assert split.call_count == 1
+    assert len(db.table(datamodel.T_VISUAL_ATTRIBUTES)) == 4
+
+
+def test_a_one_row_insert_checks_each_index_once():
+    db, table = _unique_and_plain_indexes()
+    with mock.patch.object(
+        HashIndex, "check_insert", autospec=True, side_effect=HashIndex.check_insert
+    ) as check:
+        db.insert("t", {"id": 1, "a": 1, "b": 1})
+        assert check.call_count == 3
+        check.reset_mock()
+        with pytest.raises(ConstraintViolation):
+            db.insert("t", {"id": 2, "a": 1, "b": 1})
+    assert len(table) == 1
+
+
+def test_a_restore_that_collides_touches_nothing():
+    """A rollback's restore is refused before the row list or any index
+    holds the row: the collision is in the second unique index."""
+    db, table = _unique_and_plain_indexes()
+    db.insert("t", {"id": 1, "a": 1, "b": 1})
+
+    def filed():
+        return {name: tids_by_key(index) for name, index in table._indexes.items()}
+
+    before = filed()
+    with pytest.raises(ConstraintViolation):
+        table.restore_row({"id": 2, "a": 1, "b": 1, TID: 5}, created=db.now() + 1)
+    assert table.get(5) is None and table.tids() == [1] and len(table) == 1
+    assert len(table.created) == 1
+    assert filed() == before
 
 
 # ----------------------------------------------------------------------

@@ -5,8 +5,10 @@ its stamp are drawn in one step from two ascending counters, so the list
 never decreases and a creation-time range is a bisect of it: the
 invariant behind ``find_sorted_index(CREATED_AT)``, ``created_between``
 and isolation's snapshot scan.  A state machine drives every path that
-assigns or restores a tid against a reference model; two fixtures written
-by ``c4566e5``, when the stamps were keys of the image, must still load.
+assigns or restores a tid against a reference model, and checks the
+table's dense row list (``tid - base`` positions, None for a hole) reads
+as that model's dict; two fixtures written by ``c4566e5``, when the
+stamps were keys of the image, must still load.
 """
 
 import itertools
@@ -109,6 +111,16 @@ class CreationStamps(RuleBasedStateMachine):
         for tid in tids:
             del self.model[tid]
 
+    @precondition(lambda self: self.model)
+    @rule(count=st.integers(1, 4))
+    def purge_prefix(self, count):
+        """Delete the oldest live rows in one statement, as the
+        Notification log's purge does: the span moves past them."""
+        tids = sorted(self.model)[:count]
+        self.db.delete_by_tids("t", tids)
+        for tid in tids:
+            del self.model[tid]
+
     @rule(data=st.data(), values=st.lists(st.integers(0, 9), max_size=4), commit=st.booleans())
     def transaction(self, data, values, commit):
         """Insert, update and delete in one block; a rollback keeps the
@@ -189,6 +201,36 @@ class CreationStamps(RuleBasedStateMachine):
         }
         assert live == self.model
         assert all(list(row) == ["id", "v", TID] for row in self.table.rows())
+
+    @invariant()
+    def the_row_list_reads_as_a_dict(self):
+        """Every read of the dense row list equals the model's dict, over
+        the span and past both its ends; the span starts at the lowest
+        live tid (a purged head holds nothing)."""
+        table = self.table
+        live = sorted(self.model)
+        assert len(table) == len(live)
+        assert table.tids() == live
+        everywhere = range(-1, self.next_tid + 3)
+        got = [table.get(tid) for tid in everywhere]
+        assert [tid for tid, row in zip(everywhere, got) if row is not None] == live
+        assert all(
+            (row["id"], row["v"], row[TID]) == (*self.model[tid][:2], tid)
+            for tid, row in zip(everywhere, got)
+            if row is not None
+        )
+        assert [tid in table for tid in everywhere] == [row is not None for row in got]
+        held = [table.get(tid) for tid in live]
+        assert list(table.rows()) == held and list(table.scan()) == held
+        assert table.images(everywhere) == got
+        assert table.images(list(reversed(everywhere))) == got[::-1]
+        assert table.images(dict.fromkeys(live)) == held
+        if live:
+            inside = range(live[0], live[-1] + 1)
+            assert table.images(inside) == [table.get(tid) for tid in inside]
+            assert table._rows[0] is not None and table._base == live[0]
+        else:
+            assert table._rows == []
 
     @invariant()
     def ranges_equal_a_brute_force_filter(self):

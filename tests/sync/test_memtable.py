@@ -287,6 +287,65 @@ class TestWriteBackFaults:
         assert all(rm.get(tid) is db.table("t").get(tid) for tid in (1, 2, 3))
 
 
+def test_an_unlocked_read_sees_a_committed_image_or_none():
+    """``get`` takes no lock: a reader looping over every tid while 200
+    refreshes apply batches that update, insert and delete the same
+    tids reads each tid's row as ``None`` or as an image the table
+    committed for it -- never a torn or foreign one."""
+    db = Database()
+    db.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, v INTEGER)")
+    db.insert_many("t", [{"k": k, "v": 0} for k in range(20)])
+    center = NotificationCenter(db)
+    server = SyncServer(db, center)
+    client = SyncClient(server)
+    mirror = client.mirror("t")
+    table = db.table("t")
+    #: Every image each tid was committed with (held, so ids stay unique).
+    committed = {tid: [table.get(tid)] for tid in table.tids()}
+    span = range(1, 20 + 2 * 200 + 1)
+    stop = threading.Event()
+    strays = []
+    sweeps = [0]
+
+    def reader():
+        while not stop.is_set():
+            for tid in span:
+                image = mirror.get(tid)
+                if image is not None and not any(
+                    image is held for held in committed.get(tid, ())
+                ):
+                    strays.append((tid, image))
+            sweeps[0] += 1
+
+    thread = threading.Thread(target=reader)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    thread.start()
+    try:
+        keys = iter(range(100, 100 + 2 * 200))
+        for batch in range(200):
+            live = table.tids()
+            with db.transaction():
+                db.update_by_tids("t", {tid: {"v": batch} for tid in live[:6]})
+                db.delete_by_tids("t", live[4:6])
+                db.insert_many("t", [{"k": next(keys), "v": batch} for _ in range(2)])
+            for tid in table.tids():
+                images = committed.setdefault(tid, [])
+                if not images or images[-1] is not table.get(tid):
+                    images.append(table.get(tid))
+            assert client.refresh("t")["upserts"] == 6
+    finally:
+        stop.set()
+        thread.join(10.0)
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive()
+    assert sweeps[0] > 0 and strays == []
+    assert all(mirror.get(tid) is table.get(tid) for tid in span)
+    client.close()
+    server.close()
+    center.close()
+
+
 # ----------------------------------------------------------------------
 # Batch apply == per-row apply: ``apply_batch`` is the one apply path and
 # ``apply_upsert`` / ``apply_delete`` / ``hold`` its one-row callers, so a

@@ -5,14 +5,17 @@ fig8-shaped 1,000-row ``insert_many`` into ``nodes`` and a 1,000-item
 ``VisualAttributesStore.write`` call ``TableSchema.validate_row`` not at
 all, and a VisualAttributes row has no surrogate id to draw.  One
 coercible value sends the whole statement back to ``validate_row``, row
-by row.  The display builds no ``VisualItem`` for a 1,000-row batch, and
-the store's cache holds one tid per item.
+by row.  The display builds no ``VisualItem`` for a 1,000-row batch, the
+store's key index holds one tid per item, and a refresh pulls a batch's
+images without one ``Table.get`` per row.
 """
 
 import pytest
 
 from repro.core import datamodel
-from repro.db import INTEGER, TEXT, Column, Database, TableSchema
+from repro.db.schema import TID
+from repro.db import INTEGER, TEXT, Column, Database, Table, TableSchema
+from repro.sync import NotificationCenter, SyncClient, SyncServer
 from repro.vis import Display, VisualAttributesStore, VisualItem
 
 ROWS = 1000
@@ -123,3 +126,37 @@ def test_fig8_key_index_group_holds_tids(db):
     assert len(group) == ROWS
     assert all(type(tid) is int for tid in group.values())
     assert all(table.get(group[row["obj_id"]]) is row for row in table.rows())
+
+
+def test_fig8_refresh_reads_its_images_without_a_get_per_row(db, monkeypatch):
+    """Machine 2's refresh after a 1,000-item write: the NOTIFY names a
+    run of tids, read as one slice of the table's row list."""
+    center = NotificationCenter(db)
+    server = SyncServer(db, center)
+    client = SyncClient(server)
+    try:
+        mirror = client.mirror(datamodel.T_VISUAL_ATTRIBUTES)
+        VisualAttributesStore(db).write(
+            1, [VisualItem(obj_id=i, x=i / 2, y=i / 3) for i in range(ROWS)]
+        )
+        gets = []
+        get = Table.get
+
+        def counted(self, tid):
+            gets.append(self.name)
+            return get(self, tid)
+
+        monkeypatch.setattr(Table, "get", counted)
+        stats = client.refresh(datamodel.T_VISUAL_ATTRIBUTES)
+        assert stats == {"upserts": ROWS, "deletes": 0}
+        # Neither the pulled rows nor the log's events are read one by
+        # one (the client's cursor UPDATE is one row).
+        assert datamodel.T_VISUAL_ATTRIBUTES not in gets
+        assert datamodel.T_NOTIFICATION not in gets
+        monkeypatch.undo()
+        table = db.table(datamodel.T_VISUAL_ATTRIBUTES)
+        assert all(mirror.get(row[TID]) is row for row in table.rows())
+    finally:
+        client.close()
+        server.close()
+        center.close()
