@@ -2,9 +2,11 @@
 
 The protocol's callback model (server connects back to each client's
 listener, Section VI-C) means N clients = N server-side sockets.  The
-server encodes each frame variant once per flush and pushes the bytes
-through per-client bounded queues serviced by one event loop.  This
-benchmark is the scale probe for that plane:
+server encodes each flush's frame once and appends it once to the
+table's send log; every client reads that log through its own cursor,
+drained inline on a quiet plane and by one event loop for a burst, and a
+client whose lag passes the bound is evicted.  This benchmark is the
+scale probe for that plane:
 
 * **Connect ramp**: registering N mirror clients back-to-back (listener
   accept + HELLO/REPLY handshake each).

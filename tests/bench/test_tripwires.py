@@ -17,8 +17,10 @@ index, VisualAttributes' surrogate ``id`` and the block id draw that
 filled it), the VisualAttributes store's private ``obj_id -> tid`` cache
 and the key tuple a composite hash index built per row, and the per-row
 work of the Figure-8 read side (a lock per mirror read, a ``Table.get``
-per pulled row, a sort of the table's row map); and for what the
-aggregate memo relies on: every
+per pulled row, a sort of the table's row map), and the sync server's
+per-connection send queue (a queued-frame object per client and
+broadcast, a second enqueue path, a broadcast that walks its clients);
+and for what the aggregate memo relies on: every
 write into a column chunk re-stamps it, and the memo is keyed by stamps,
 never by chunks."""
 
@@ -1218,3 +1220,55 @@ def test_the_read_side_tripwires_fire_on_planted_offenders():
         "        return sorted(self.created)\n"
     )
     assert sorted_row_maps(parent_table) == [3, 6]
+
+
+#: What the send side kept before one send log per table.
+GONE_FROM_SERVER = {"_OutFrame", "_submit_frames", "_frames_for_conn"}
+
+
+def broadcast_loops(source):
+    """Lines of the loops and comprehensions in ``SyncServer.broadcast``."""
+    method = method_bodies(source, "SyncServer").get("broadcast")
+    if method is None:
+        return []
+    return sorted(n.lineno for n in ast.walk(method) if isinstance(n, LOOPS))
+
+
+def send_queue_names(source):
+    """Classes and functions ``source`` defines from the per-connection
+    send queue."""
+    return sorted(
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+        and node.name in GONE_FROM_SERVER
+    )
+
+
+def test_a_broadcast_is_appended_once():
+    """``broadcast`` appends to its table's send log and walks no client:
+    the drain, the eviction scan and the subscriber list do that."""
+    server = (SYNC / "server.py").read_text(encoding="utf-8")
+    assert "broadcast" in method_bodies(server, "SyncServer")
+    assert broadcast_loops(server) == []
+    assert send_queue_names(server) == []
+
+
+def test_the_send_log_tripwires_fire_on_planted_offenders():
+    # The parent's broadcast, its queued frame and its enqueue path.
+    parent = (
+        "class _OutFrame:\n"
+        "    pass\n"
+        "class SyncServer:\n"
+        "    def _submit_frames(self, conn, frames):\n"
+        "        pass\n"
+        "    def broadcast(self, table, events):\n"
+        "        with self._lock:\n"
+        "            endpoints = [\n"
+        "                link.endpoint for link in self._links.values()\n"
+        "            ]\n"
+        "        for endpoint in endpoints:\n"
+        "            conn = endpoint.conn\n"
+    )
+    assert broadcast_loops(parent) == [8, 11]
+    assert send_queue_names(parent) == ["_OutFrame", "_submit_frames"]

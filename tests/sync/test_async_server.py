@@ -318,6 +318,115 @@ class TestAsyncEngine:
             server.close()
 
 
+class _CountingLock:
+    """A connection lock that records which threads acquire it."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.by_thread = {}
+
+    def acquire(self, *args, **kwargs):
+        ident = threading.get_ident()
+        self.by_thread[ident] = self.by_thread.get(ident, 0) + 1
+        return self._lock.acquire(*args, **kwargs)
+
+    def release(self):
+        self._lock.release()
+
+    __enter__ = acquire
+
+    def __exit__(self, *exc):
+        self.release()
+
+
+class TestSendLog:
+    def test_a_burst_broadcast_touches_no_conn(self, monkeypatch):
+        """A burst appends its frame once to the table's send log: the
+        broadcasting thread takes no connection's lock (it took all 64
+        per broadcast when each connection had its own queue), and every
+        peer still gets every frame, in order."""
+        from repro.sync import server as server_module
+
+        bursts = 200
+        db = make_db()
+        server = SyncServer(
+            db, NotificationCenter(db), use_sockets=True, heartbeat_interval=None
+        )
+        socks = attach_raw_peers(server, 64, [])
+        try:
+            server.broadcast("pts", [("insert", 1)])  # idle plane: inline
+            locks = []
+            for endpoint in server._endpoints.values():
+                with endpoint.conn.lock:
+                    endpoint.conn.lock = _CountingLock()
+                locks.append(endpoint.conn.lock)
+            monkeypatch.setattr(server_module, "BURST_COST_PER_LINK_S", 3600.0)
+            for seq in range(2, bursts + 2):
+                server.broadcast("pts", [("insert", seq)])
+            me = threading.get_ident()
+            assert [lock.by_thread.get(me, 0) for lock in locks] == [0] * 64
+            want = [
+                protocol.encode(protocol.notify("pts", seq, "insert"))
+                for seq in range(1, bursts + 2)
+            ]
+            for sock in socks:
+                assert read_lines(sock, bursts + 2)[1:] == want
+            assert server.evictions == 0
+            assert any(lock.by_thread for lock in locks)  # the loop drained
+        finally:
+            server.close()
+            for sock in socks:
+                sock.close()
+
+
+    def test_concurrent_writers_lose_no_frame(self):
+        """Three writers append to one log while the loop and the inline
+        drains read it, under a short switch interval: every peer gets
+        every frame once, all peers in the one order the log holds, and
+        the drained log keeps nothing."""
+        import sys
+
+        writers, per_writer = 3, 150
+        db = make_db()
+        server = SyncServer(
+            db, NotificationCenter(db), use_sockets=True, heartbeat_interval=None
+        )
+        socks = attach_raw_peers(server, 8, [])
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+
+            def write(first):
+                for seq in range(first, first + per_writer):
+                    server.broadcast("pts", [("insert", seq)])
+
+            threads = [
+                threading.Thread(target=write, args=(1 + w * per_writer,))
+                for w in range(writers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        try:
+            total = writers * per_writer
+            received = [read_lines(sock, total + 1)[1:] for sock in socks]
+            seqs = [protocol.decode(line)["seq_no"] for line in received[0]]
+            assert sorted(seqs) == list(range(1, total + 1))
+            assert all(lines == received[0] for lines in received)
+            assert server.evictions == 0
+            assert wait_until(lambda: server.queued_frames() == 0)
+            log = server._logs["pts"]
+            assert wait_until(lambda: log.base == log.end and not log.ends)
+        finally:
+            server.close()
+            for sock in socks:
+                sock.close()
+
+
 class TestAcceptFailureAccounting:
     def test_shutdown_accept_stays_silent(self):
         db, _center, server, client = make_stack()
