@@ -80,26 +80,36 @@ def mirrored(client):
 @pytest.fixture(scope="module")
 def faults_table(emit, emit_json):
     table = SeriesTable(
-        "drop_pct", ["insert_ms", "converge_ms", "delivered", "converged"]
+        "drop_pct", ["insert_ms", "converge_ms", "delivered", "dropped", "converged"]
     )
     for rate in DROP_RATES:
         plans = [FaultPlan(drop_rate=rate)] if rate > 0 else [None]
         # Liveness off for the sweep: heartbeat PINGs would consume RNG
         # draws (schedule becomes timing-dependent) and reconnect replay
         # would inflate the delivery count we are measuring.
-        db, server, client, _transports = fresh_stack(plans, heartbeat=None)
+        db, server, client, transports = fresh_stack(plans, heartbeat=None)
         with Timer() as t_insert:
             for i in range(N_ROWS):
                 db.insert("pts", {"id": i, "x": float(i)})
         with Timer() as t_converge:
             client.refresh("pts")
         converged = mirrored(client) == list(range(N_ROWS))
+        # The client's reader thread takes the frames in on its own time:
+        # wait (bounded) until it holds every frame the wire did not drop.
+        dropped = transports[0].dropped
+        deadline = time.monotonic() + 10.0
+        while (
+            client.notify_received < N_ROWS - dropped
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.005)
         table.add(
             rate * 100,
             {
                 "insert_ms": t_insert.ms,
                 "converge_ms": t_converge.ms,
                 "delivered": float(client.notify_received),
+                "dropped": float(dropped),
                 "converged": 1.0 if converged else 0.0,
             },
         )
@@ -117,8 +127,11 @@ def faults_table(emit, emit_json):
 def test_a6_drops_cost_delivery_never_data(faults_table, benchmark):
     benchmark(lambda: None)
     delivered = faults_table.series("delivered")
+    dropped = faults_table.series("dropped")
     converged = faults_table.series("converged")
-    # Delivery shrinks as the wire gets worse...
+    # Every frame the wire did not drop arrives, and no other...
+    assert delivered == [N_ROWS - d for d in dropped]
+    # ...so delivery shrinks as the wire gets worse...
     assert delivered[0] >= delivered[-1]
     # ...but every run converged to the exact table contents.
     assert converged == [1.0] * len(DROP_RATES)

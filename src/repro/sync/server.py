@@ -58,8 +58,9 @@ from . import protocol
 from .notification import NotificationCenter
 
 #: Optional wrapper applied to every callback stream the server opens --
-#: the fault-injection hook (see :mod:`repro.sync.faults`).
-TransportFactory = Callable[[protocol.MessageStream], Any]
+#: the fault-injection hook (see :mod:`repro.sync.faults`).  It returns a
+#: stream, whose socket the event loop adopts after the handshake.
+TransportFactory = Callable[[protocol.MessageStream], protocol.MessageStream]
 
 #: Per-subscriber cost estimate of an inline fan-out write.  Broadcasts
 #: arriving faster than ``links * BURST_COST_PER_LINK_S`` since the
@@ -77,7 +78,8 @@ COALESCE_BYTES = protocol.MAX_MESSAGE_BYTES
 #: Bytes a client may lag behind past which it is evicted (as past
 #: ``max_queue_frames`` frames).
 MAX_QUEUE_BYTES = 4 << 20
-#: Seconds :meth:`SyncServer.close` waits for the send queues to drain.
+#: Seconds :meth:`SyncServer.close` waits for every connection to reach
+#: the end of its send logs.
 DRAIN_TIMEOUT = 2.0
 
 
@@ -117,8 +119,7 @@ class _SendLog:
     ``buf`` holds the bytes some subscriber has not sent; ``base`` and
     ``end`` are the absolute offsets of its first byte and one past its
     last, so a cursor is an absolute offset that survives a trim.
-    ``ends[i]`` / ``messages[i]`` are the i-th retained frame's end offset
-    and message (a faulted link re-plans it through ``perturb``).
+    ``ends[i]`` is the i-th retained frame's end offset.
     ``subscribers`` is a tuple, replaced on change: a drain iterates a
     snapshot.  ``group`` is every log those subscribers read, this one
     included: the logs a drain of this one moves cursors in, and the
@@ -128,8 +129,8 @@ class _SendLog:
     """
 
     __slots__ = (
-        "lock", "buf", "base", "end", "ends", "messages", "subscribers", "group",
-        "scheduled", "read_at", "chunk",
+        "lock", "buf", "base", "end", "ends", "subscribers", "group", "scheduled",
+        "read_at", "chunk",
     )
 
     def __init__(self) -> None:
@@ -138,7 +139,6 @@ class _SendLog:
         self.base = 0
         self.end = 0
         self.ends: list[int] = []
-        self.messages: list[dict[str, Any]] = []
         self.subscribers: tuple[_AsyncConn, ...] = ()
         self.group: tuple[_SendLog, ...] = (self,)
         #: True while a loop drain is submitted and has not started.
@@ -160,12 +160,6 @@ class _SendLog:
                 self.chunk = self.buf[cursor - self.base : stop - self.base]
             return self.chunk, len(self.ends) - first
 
-    def take(self, cursor: int) -> tuple[dict[str, Any], int]:
-        """The message of the frame that starts at ``cursor``, and its end."""
-        with self.lock:
-            i = bisect_right(self.ends, cursor)
-            return self.messages[i], self.ends[i]
-
     def retained(self) -> tuple[int, int]:
         """Frames and bytes the logs of ``group`` hold: no subscriber of
         this log lags further."""
@@ -185,9 +179,7 @@ class _SendLog:
             if low > self.base:
                 del self.buf[: low - self.base]
                 self.base = low
-                done = bisect_right(self.ends, low)
-                del self.ends[:done]
-                del self.messages[:done]
+                del self.ends[: bisect_right(self.ends, low)]
                 if self.read_at < low:
                     self.read_at, self.chunk = -1, bytearray()
 
@@ -212,41 +204,28 @@ class _AsyncConn:
 
     ``cursors`` holds one absolute byte offset per send log the
     connection reads.  ``pending`` holds chunks to send before the next
-    log byte: a control frame (PING, DISCONNECT), a faulted link's
-    perturbed chunks, or the unsent tail of a partial write (so a frame
-    begun is finished before any other starts).  ``kill`` severs the link
-    once ``pending`` is flushed (fault-injected truncation or
-    disconnect); ``not_before`` holds ``pending`` back (fault-injected
-    latency).
+    log byte: a control frame (PING, DISCONNECT), or the unsent tail of a
+    partial write (so a frame begun is finished before any other starts).
     """
 
     __slots__ = (
-        "sock", "endpoint", "transport", "faults", "lock", "cursors", "pending",
-        "pending_frames", "pending_bytes", "kill", "not_before", "rbuf",
-        "closing", "want_write", "events", "hiwat_frames", "hiwat_bytes",
+        "sock", "endpoint", "transport", "lock", "cursors", "pending",
+        "pending_frames", "pending_bytes", "rbuf", "closing", "want_write",
+        "events", "hiwat_frames", "hiwat_bytes",
     )
 
     def __init__(
-        self,
-        sock: Any,
-        endpoint: _Endpoint,
-        transport: Any,
-        faults: Optional[Any] = None,
-        rbuf: bytes = b"",
+        self, sock: Any, endpoint: _Endpoint, transport: Any, rbuf: bytes
     ) -> None:
         self.sock = sock
         self.endpoint = endpoint
         self.transport = transport
-        #: A ``perturb``-capable transport wrapper (fault injection), or None.
-        self.faults = faults
         self.lock = threading.Lock()
         self.cursors: dict[_SendLog, int] = {}
         self.pending: deque[bytes] = deque()
         #: Frames ending in ``pending`` (each frame ends with a newline).
         self.pending_frames = 0
         self.pending_bytes = 0
-        self.kill = False
-        self.not_before = 0.0
         #: Bytes received but not yet framed into a message.
         self.rbuf = rbuf
         #: Set once the connection is retired; nothing more is sent.
@@ -280,21 +259,18 @@ class _AsyncConn:
         self.hiwat_frames = max(self.hiwat_frames, frames)
         self.hiwat_bytes = max(self.hiwat_bytes, nbytes)
 
-    def stage(self, chunks: list[bytes], kill: bool, delay: float) -> None:
-        """Queue chunks ahead of the next log byte; caller holds ``lock``."""
-        self.pending.extend(chunks)
-        self.pending_frames += sum(chunk.count(b"\n") for chunk in chunks)
-        self.pending_bytes += sum(map(len, chunks))
-        self.kill = self.kill or kill
-        if delay:
-            self.not_before = max(self.not_before, time.monotonic() + delay)
+    def stage(self, chunk: bytes) -> None:
+        """Queue ``chunk`` ahead of the next log byte; caller holds ``lock``."""
+        self.pending.append(chunk)
+        self.pending_frames += chunk.count(b"\n")
+        self.pending_bytes += len(chunk)
 
 
 class _EventLoop:
     """The single thread that owns every callback socket.
 
     Readiness-driven: readable sockets feed PONG/DISCONNECT frames back
-    to the server, writable sockets drain their bounded send queues.  A
+    to the server, writable sockets get what lies past their cursors.  A
     non-blocking socketpair doubles as the wake-up pipe for the
     thread-safe command queue (attach/detach/interest changes all hop
     onto the loop so selector state has a single owner).
@@ -312,7 +288,8 @@ class _EventLoop:
         self._commands: deque[tuple[Callable[[], None], int]] = deque()
         self._stop = threading.Event()
         self._conns: set[_AsyncConn] = set()
-        #: Connections whose head frame carries a fault-injected delay.
+        #: Connections whose socket holds its bytes back until its
+        #: ``not_before`` (a fault-injected delay): the one per-link timer.
         self._delayed: set[_AsyncConn] = set()
         self._thread = threading.Thread(
             target=self._run, name="ediflow-sync-loop", daemon=True
@@ -389,7 +366,7 @@ class _EventLoop:
                     if self._delayed:
                         now = time.monotonic()
                         for conn in list(self._delayed):
-                            if conn.not_before <= now:
+                            if conn.sock.not_before <= now:
                                 self._delayed.discard(conn)
                                 self.service_conn(conn)
                     if interval is not None:
@@ -518,15 +495,18 @@ class _EventLoop:
         conn.trim()
         if status == "dead":
             self._server._conn_dead(conn)
-        elif status == "blocked":
-            self._delayed.discard(conn)
-            self._set_events(conn, selectors.EVENT_READ | selectors.EVENT_WRITE)
-        elif status == "delayed":
-            self._delayed.add(conn)
-            self._set_events(conn, selectors.EVENT_READ)
-        else:
-            self._delayed.discard(conn)
-            self._set_events(conn, selectors.EVENT_READ)
+            return
+        events = selectors.EVENT_READ
+        self._delayed.discard(conn)
+        if status == "blocked":
+            if getattr(conn.sock, "not_before", 0.0):
+                # A fault-injected delay: the socket holds its bytes back
+                # until a deadline, so the timer in _run wakes it, not
+                # writability.
+                self._delayed.add(conn)
+            else:
+                events |= selectors.EVENT_WRITE
+        self._set_events(conn, events)
 
     # -- saturation telemetry (any thread) ------------------------------
     def stats(self) -> dict[str, Any]:
@@ -564,22 +544,6 @@ class _EventLoop:
                 "max": iteration.max,
             },
         }
-
-
-def _unwrap_transport(transport: Any) -> tuple[Any, Optional[Any], bytes]:
-    """Extract ``(raw socket, fault wrapper, buffered bytes)`` from a
-    handshake-complete transport so the event loop can own the socket."""
-    faults = transport if hasattr(transport, "perturb") else None
-    stream = transport._stream if faults is not None else transport
-    sock = getattr(stream, "_sock", None)
-    if sock is None:
-        raise SyncError(
-            "the event loop requires MessageStream-based transports; "
-            f"got {type(transport).__name__}"
-        )
-    rbuf = getattr(stream, "_buffer", b"")
-    stream._buffer = b""
-    return sock, faults, rbuf
 
 
 class SyncServer:
@@ -685,9 +649,11 @@ class SyncServer:
         """Install a live transport on an endpoint and start servicing it."""
         endpoint.last_rx = time.monotonic()
         endpoint.detached_at = None
-        sock, faults, rbuf = _unwrap_transport(transport)
+        # The event loop owns the handshake-complete stream's socket (a
+        # fault wrapper's, under a FaultyTransport) and its buffered bytes.
+        sock, rbuf, transport._buffer = transport._sock, transport._buffer, b""
         sock.setblocking(False)
-        conn = _AsyncConn(sock, endpoint, transport, faults, rbuf)
+        conn = _AsyncConn(sock, endpoint, transport, rbuf)
         with self._lock:
             endpoint.conn = conn
             tables = {
@@ -775,29 +741,14 @@ class SyncServer:
         """Send what ``conn`` owes until the kernel pushes back.
 
         Caller holds ``conn.lock``.  Returns ``"alive"`` (caught up),
-        ``"blocked"`` (kernel full), ``"delayed"`` (staged chunks not yet
-        due), or ``"dead"`` (socket failed / a fault-injected kill fired).
+        ``"blocked"`` (the socket pushed back), or ``"dead"`` (it failed).
 
-        Staged chunks go first.  A healthy link then sends each log's
-        whole frames past its cursor, coalesced up to ``COALESCE_BYTES``
-        per ``send()``; a partial write stages the rest of its chunk.  A
-        faulted link instead takes one frame at a time through
-        ``perturb`` and stages its chunks.  The caller trims the logs.
+        Staged chunks go first.  Then each log's whole frames past the
+        cursor, coalesced up to ``COALESCE_BYTES`` per ``send()``; a
+        partial write stages the rest of its chunk.  The caller trims the
+        logs.
         """
         if conn.closing:
-            return "alive"
-        if conn.faults is not None:
-            conn.note_depth(*conn.lag())
-            while True:
-                status = self._flush_locked(conn)
-                if status != "alive":
-                    return status
-                log = next((lg for lg, c in conn.cursors.items() if c < lg.end), None)
-                if log is None:
-                    break
-                message, conn.cursors[log] = log.take(conn.cursors[log])
-                conn.stage(*conn.faults.perturb(message))
-            self._queue_emptied()
             return "alive"
         owed = []
         frames, nbytes = conn.pending_frames, conn.pending_bytes
@@ -823,7 +774,7 @@ class SyncServer:
                 conn.cursors[log] = cursor
                 if sent < len(chunk):
                     # Finish this frame before any other: the tail goes first.
-                    conn.stage([bytes(chunk[sent:])], False, 0.0)
+                    conn.stage(bytes(chunk[sent:]))
                     return "blocked"
                 if cursor >= log.end:
                     break
@@ -834,10 +785,6 @@ class SyncServer:
     def _flush_locked(self, conn: _AsyncConn) -> str:
         """Send the staged chunks (caller holds ``conn.lock``)."""
         while conn.pending:
-            if conn.not_before:
-                if conn.not_before > time.monotonic():
-                    return "delayed"
-                conn.not_before = 0.0
             chunk = conn.pending[0]
             try:
                 sent = conn.sock.send(chunk)
@@ -852,7 +799,7 @@ class SyncServer:
                 return "blocked"
             conn.pending_frames -= chunk.count(b"\n")
             conn.pending.popleft()
-        return "dead" if conn.kill else "alive"
+        return "alive"
 
     def _kick(self, conn: _AsyncConn) -> None:
         """Pump ``conn`` on this thread; what the kernel refuses goes to
@@ -861,7 +808,7 @@ class SyncServer:
             if conn.closing or conn.want_write:
                 return
             status = self._pump_locked(conn)
-            if status == "blocked" or status == "delayed":
+            if status == "blocked":
                 conn.want_write = True
         if status == "dead":
             self._conn_dead(conn)
@@ -882,21 +829,16 @@ class SyncServer:
         for other in log.group:
             other.trim()
 
-    def _post(self, conn: _AsyncConn, message: dict[str, Any], data: bytes) -> bool:
-        """Send one frame to ``conn`` alone (PING, DISCONNECT); ``data``
-        is its encoding.  False when nothing was staged (the connection
-        is gone, or its fault plan ate the frame)."""
+    def _post(self, conn: _AsyncConn, data: bytes) -> bool:
+        """Send one encoded frame to ``conn`` alone (PING, DISCONNECT).
+        False when the connection is gone."""
         with conn.lock:
-            if conn.closing or conn.kill:
+            if conn.closing:
                 return False
-            if conn.faults is None:
-                staged: tuple[list[bytes], bool, float] = ([data], False, 0.0)
-            else:
-                staged = conn.faults.perturb(message)
-            conn.stage(*staged)
+            conn.stage(data)
         self._kick(conn)
         conn.trim()
-        return bool(staged[0])
+        return True
 
     def _queue_emptied(self) -> None:
         """A connection caught up (``conn.lock`` held, so the drain never
@@ -940,8 +882,7 @@ class SyncServer:
                 continue
             endpoint.ping_seq += 1
             endpoint.last_ping_at = time.monotonic()
-            message = protocol.ping(endpoint.ping_seq)
-            if self._post(conn, message, protocol.encode(message)):
+            if self._post(conn, protocol.encode(protocol.ping(endpoint.ping_seq))):
                 self.pings_sent += 1
 
     def _note_eviction(self, endpoint: _Endpoint) -> None:
@@ -1152,7 +1093,7 @@ class SyncServer:
     def health(self) -> dict[str, Any]:
         """One saturation snapshot of the whole notification plane.
 
-        Combines loop health (:meth:`_EventLoop.stats`), send-queue
+        Combines loop health (:meth:`_EventLoop.stats`), send-side lag
         depths/watermarks (:meth:`queue_depths`), the
         NotificationCenter's buffered backlog, and the server's lifetime
         counters.  Each call also publishes the headline numbers as
@@ -1250,7 +1191,6 @@ class SyncServer:
             log.buf += data
             log.end += len(data)
             log.ends.append(log.end)
-            log.messages.append(message)
             schedule = not inline and not log.scheduled
             if schedule:
                 log.scheduled = True
@@ -1309,10 +1249,9 @@ class SyncServer:
                 )
 
         caught_up()
-        goodbye = protocol.disconnect()
-        data = protocol.encode(goodbye)
+        goodbye = protocol.encode(protocol.disconnect())
         for conn in live:
-            self._post(conn, goodbye, data)
+            self._post(conn, goodbye)
         caught_up()
         loop = self._loop
         if loop is not None:

@@ -19,7 +19,9 @@ and the key tuple a composite hash index built per row, and the per-row
 work of the Figure-8 read side (a lock per mirror read, a ``Table.get``
 per pulled row, a sort of the table's row map), and the sync server's
 per-connection send queue (a queued-frame object per client and
-broadcast, a second enqueue path, a broadcast that walks its clients);
+broadcast, a second enqueue path, a broadcast that walks its clients)
+and its message-level drain for faulted links (``perturb``, a log that
+keeps each frame's message, a connection's fault wrapper);
 and for what the aggregate memo relies on: every
 write into a column chunk re-stamps it, and the memo is keyed by stamps,
 never by chunks."""
@@ -1272,3 +1274,51 @@ def test_the_send_log_tripwires_fire_on_planted_offenders():
     )
     assert broadcast_loops(parent) == [8, 11]
     assert send_queue_names(parent) == ["_OutFrame", "_submit_frames"]
+
+
+#: What the message-level faulted drain used: names anywhere, attributes.
+GONE_FAULT_NAMES = {"perturb", "take"}
+GONE_FAULT_ATTRS = {"messages", "faults"}
+
+
+def faulted_drain_lines(source):
+    """Lines of ``source`` that name the message-level faulted drain, or
+    ask a transport ``hasattr(..., "perturb")``."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            if node.attr in GONE_FAULT_NAMES | GONE_FAULT_ATTRS:
+                lines.add(node.lineno)
+        elif isinstance(node, ast.Name) and node.id in GONE_FAULT_NAMES:
+            lines.add(node.lineno)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if node.name in GONE_FAULT_NAMES:
+                lines.add(node.lineno)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "hasattr":
+            if any(getattr(arg, "value", None) == "perturb" for arg in node.args):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_the_server_has_one_drain_path():
+    """A fault plan acts on bytes at the socket: the server keeps no
+    frame's message and drains a faulted link like any other."""
+    server = (SYNC / "server.py").read_text(encoding="utf-8")
+    assert faulted_drain_lines(server) == []
+
+
+def test_the_one_drain_tripwire_fires_on_planted_offenders():
+    # The parent's log read, wrapper detection and faulted branch.
+    parent = (
+        "class _SendLog:\n"
+        "    def take(self, cursor):\n"
+        "        return self.messages[i], self.ends[i]\n"
+        "def _unwrap_transport(transport):\n"
+        '    faults = transport if hasattr(transport, "perturb") else None\n'
+        "class SyncServer:\n"
+        "    def _pump_locked(self, conn):\n"
+        "        if conn.faults is not None:\n"
+        "            message, conn.cursors[log] = log.take(conn.cursors[log])\n"
+        "            conn.stage(*conn.faults.perturb(message))\n"
+    )
+    assert faulted_drain_lines(parent) == [2, 3, 5, 8, 9, 10]

@@ -1,13 +1,17 @@
 """Fault injection through the async event loop.
 
 The same :class:`FaultPlan` schedules that drive the handshake's
-blocking sends are applied byte-level to the event loop's per-client
-queues (``FaultyTransport.perturb``): truncated frames flush their
-partial bytes before the kill, delays ride the queue without blocking
-the notifying thread, and every failure converges back to byte-identical
-mirrors via the ordinary reconnect/replay machinery."""
+blocking sends act on the bytes the event loop writes from the send
+logs: the socket under a :class:`FaultyTransport` rewrites each frame.
+Truncated frames flush their partial bytes before the sever, delays hold
+the socket back without blocking the notifying thread, kernel push-back
+strands no frame in the wrapper, and every failure converges back to
+byte-identical mirrors via the ordinary reconnect/replay machinery."""
 
+import selectors
 import time
+
+import pytest
 
 from repro.db import Column, Database
 from repro.db.types import FLOAT, INTEGER
@@ -18,7 +22,11 @@ from repro.sync import (
     NotificationCenter,
     SyncClient,
     SyncServer,
+    protocol,
 )
+from repro.sync import server as server_module
+
+from .test_send_log_model import Valve
 
 
 def wait_until(predicate, timeout=5.0):
@@ -101,6 +109,8 @@ class TestAsyncFaultInjection:
             db.insert("pts", {"id": 0, "x": 0.0})
             assert wait_until(lambda: transports[0].truncated == 1)
             assert wait_until(lambda: client.reconnects >= 1)
+            # The sever shut the socket down; retiring the link closed it.
+            assert wait_until(lambda: transports[0]._sock.fileno() == -1)
             # The cut frame never reached the client as a NOTIFY: what it
             # took in, it took from the log's replay.
             assert wait_until(lambda: client.replayed_notifications >= 1)
@@ -136,9 +146,9 @@ class TestAsyncFaultInjection:
             server.close()
 
     def test_delayed_frame_defers_credit_without_blocking_writers(self):
-        """A fault-injected delay parks the frame in the send queue; the
+        """A fault-injected delay holds the frame back at the socket; the
         insert returns immediately and the client hears the NOTIFY only
-        when the loop flushes it after the deadline."""
+        when the loop's timer services the link after the deadline."""
         db, server, client, transports = faulted_stack(
             [FaultPlan(delay={1: 0.2})], heartbeat=None
         )
@@ -257,3 +267,57 @@ class TestAsyncFaultInjection:
         finally:
             client.close()
             server.close()
+
+
+#: A NOTIFY frame of the test below (every one is this long).
+FRAME = len(protocol.encode(protocol.notify("pts", 1, "insert")))
+
+
+@pytest.mark.parametrize("budget", [0, 5, FRAME + 5, 2 * FRAME, 4 * FRAME - 5])
+def test_kernel_push_back_strands_no_frame_in_the_fault_wrapper(
+    monkeypatch, budget
+):
+    """Heartbeats off, a faulted link whose real socket takes ``budget``
+    bytes of a three-frame write (four frames on the wire: the plan
+    duplicates the second), up to a few bytes short of the end, and then
+    refuses.  The loop waits for writability, and one service of the
+    writable socket puts every frame on the wire: none sits in the
+    wrapper until some later frame or PING happens to push it out."""
+    db = make_db()
+    server = SyncServer(
+        db,
+        NotificationCenter(db),
+        use_sockets=True,
+        heartbeat_interval=None,
+        transport_factory=lambda s: FaultyTransport(s, FaultPlan(duplicate={2})),
+    )
+    loop = server_module._EventLoop(server)  # held still: stepped below
+    server._loop = loop
+    client = SyncClient(server, auto_reconnect=False)
+    try:
+        client.mirror("pts")
+        conn = server._endpoints[(client.host, client.port)].conn
+        wrapper = conn.sock
+        valve = wrapper._sock = Valve(wrapper._sock)
+        valve.mode, valve.budget = "metered", budget
+        monkeypatch.setattr(server_module, "BURST_COST_PER_LINK_S", 3600.0)
+        for seq in (1, 2, 3):
+            server.broadcast("pts", [("insert", seq)])
+        for _ in range(3):  # attach, the drain, the loop's first service
+            while loop._commands:
+                loop._commands.popleft()[0]()
+        assert conn.want_write and conn.lag()[0] > 0
+        assert conn.events == selectors.EVENT_READ | selectors.EVENT_WRITE
+        assert conn not in loop._delayed
+        valve.mode = "open"  # the socket is writable again
+        loop.service_conn(conn)
+        assert conn.lag() == (0, 0) and wrapper._out == b""
+        assert not conn.want_write and conn.events == selectors.EVENT_READ
+        # Frame 2 (send index 2) is duplicated by the plan.
+        assert wait_until(lambda: client.notify_received == 4)
+    finally:
+        client.close()
+        server.close()
+        loop._selector.close()
+        loop._rwake.close()
+        loop._wwake.close()

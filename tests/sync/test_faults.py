@@ -17,6 +17,7 @@ from repro.sync import (
     SyncServer,
     protocol,
 )
+from repro.sync import faults as faults_module
 
 
 def stream_pair():
@@ -31,20 +32,87 @@ def stream_pair():
     return protocol.MessageStream(out_sock), protocol.MessageStream(in_sock)
 
 
-def via_perturb(faulty, message):
-    """What the event loop does with a plan: take the chunks ``perturb``
-    returns and write them itself (delays are the caller's to honour)."""
-    chunks, kill, delay = faulty.perturb(message)
-    if delay:
-        faulty._clock(delay)
-    for chunk in chunks:
-        faulty._stream._sock.sendall(chunk)
-    if kill:
-        faulty.close()
-        raise BrokenPipeError("severed by plan")
+class FakeTime:
+    """The fault module's clock, advanced only by the sleeps it records."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.slept = []
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.slept.append(seconds)
+        self.now += seconds
 
 
-@pytest.fixture(params=[FaultyTransport.send, via_perturb])
+class Wire:
+    """A socket stand-in that records what it is sent.  It takes at most
+    ``per_call`` bytes a call and, when non-blocking, pushes back on
+    every other call, as a full kernel buffer would."""
+
+    def __init__(self, per_call=None):
+        self.data = b""
+        self.per_call = per_call
+        self.timeout = None
+        self.calls = 0
+        self.shut = False
+
+    def send(self, data):
+        assert not self.shut, "sent after the sever"
+        self.calls += 1
+        if self.timeout == 0.0 and self.calls % 2 == 0:
+            raise BlockingIOError("stubbed: kernel buffer full")
+        data = bytes(data[: self.per_call])
+        self.data += data
+        return len(data)
+
+    def gettimeout(self):
+        return self.timeout
+
+    def setblocking(self, flag):
+        self.timeout = None if flag else 0.0
+
+    def shutdown(self, how):
+        self.shut = True
+
+    def close(self):
+        self.shut = True
+
+
+def whole_frames(faulty, messages):
+    """The handshake's way: a blocking ``sendall`` per frame."""
+    for message in messages:
+        faulty.send(message)
+
+
+def offer(faulty, data, size):
+    """The event loop's way: a non-blocking socket offered at most
+    ``size`` bytes of what it has not taken, again after each push-back;
+    a held-back deadline is waited out on the transport's clock."""
+    sock = faulty._sock
+    sock.setblocking(False)
+    while data:
+        try:
+            data = data[sock.send(data[:size]) :]
+        except BlockingIOError:
+            if sock.not_before:
+                faulty._clock(sock.not_before - faults_module.time.monotonic())
+
+
+def coalesced(faulty, messages):
+    """Every frame not yet taken, in one ``send`` call."""
+    offer(faulty, b"".join(map(protocol.encode, messages)), None)
+
+
+def fragmented(faulty, messages):
+    """Seven bytes a call, cutting frames anywhere."""
+    offer(faulty, b"".join(map(protocol.encode, messages)), 7)
+
+
+# "send": whole_frames is FaultyTransport.send, frame by frame.
+@pytest.fixture(params=[whole_frames, coalesced], ids=["send", "coalesced"])
 def drive(request):
     return request.param
 
@@ -63,22 +131,20 @@ PLANS = {
 }
 
 
-def run_plan(plan, drive, messages=12, seed=42):
-    """Drive ``messages`` NOTIFYs through a fresh transport; returns
-    ``(bytes on the wire, counters, delays slept)``."""
-    sender, receiver = stream_pair()
-    slept = []
-    faulty = FaultyTransport(sender, plan, seed=seed, clock=slept.append)
+def run_plan(monkeypatch, plan, drive, per_call=None, messages=12, seed=42):
+    """Drive ``messages`` NOTIFYs through a fresh transport over a
+    :class:`Wire` that takes ``per_call`` bytes a call; returns ``(bytes
+    on the wire, counters, delays slept)``."""
+    clock = FakeTime()
+    monkeypatch.setattr(faults_module, "time", clock)
+    wire = Wire(per_call)
+    faulty = FaultyTransport(
+        protocol.MessageStream(wire), plan, seed=seed, clock=clock.sleep
+    )
     try:
-        for seq in range(messages):
-            drive(faulty, protocol.notify("t", seq, "insert"))
+        drive(faulty, [protocol.notify("t", seq, "insert") for seq in range(messages)])
     except OSError:
-        pass
-    sender.close()
-    wire = b""
-    while chunk := receiver._sock.recv(65536):
-        wire += chunk
-    receiver.close()
+        assert wire.shut
     counters = {
         name: getattr(faulty, name)
         for name in (
@@ -91,17 +157,28 @@ def run_plan(plan, drive, messages=12, seed=42):
             "disconnected",
         )
     }
-    return wire, counters, slept
+    return wire.data, counters, clock.slept
 
 
 class TestFaultyTransportUnit:
     @pytest.mark.parametrize("name", sorted(PLANS))
-    def test_send_and_perturb_are_one_schedule(self, name):
+    def test_any_chunking_is_one_schedule(self, monkeypatch, name):
+        """Whatever the chunking -- one blocking ``sendall`` per frame,
+        several frames per non-blocking ``send``, frames cut anywhere --
+        and however few bytes the socket takes per call, a plan puts the
+        same bytes on the wire, counts the same faults and sleeps the
+        same delays."""
         plan = PLANS[name]
-        assert run_plan(plan, FaultyTransport.send) == run_plan(plan, via_perturb)
+        want = run_plan(monkeypatch, plan, whole_frames)
+        for per_call in (None, 5):
+            for drive in (whole_frames, coalesced, fragmented):
+                got = run_plan(monkeypatch, plan, drive, per_call)
+                assert got == want, (drive.__name__, per_call)
 
-    def test_delayed_and_held_message_is_buffered_not_slept(self, drive):
-        wire, counters, slept = run_plan(PLANS["delayed_and_held"], drive, messages=3)
+    def test_delayed_and_held_message_is_buffered_not_slept(self, monkeypatch, drive):
+        wire, counters, slept = run_plan(
+            monkeypatch, PLANS["delayed_and_held"], drive, messages=3
+        )
         got = [protocol.decode(line)["seq_no"] for line in wire.splitlines()]
         assert got == [1, 2, 0]
         assert counters["delayed"] == 1 and counters["reordered"] == 1
@@ -110,56 +187,56 @@ class TestFaultyTransportUnit:
     def test_drop_at_index(self, drive):
         sender, receiver = stream_pair()
         faulty = FaultyTransport(sender, FaultPlan(drop=frozenset({1})))
-        for seq in range(3):
-            drive(faulty, protocol.notify("t", seq, "insert"))
+        drive(faulty, [protocol.notify("t", seq, "insert") for seq in range(3)])
         got = [receiver.receive(timeout=2)["seq_no"] for _ in range(2)]
         assert got == [0, 2]
         assert faulty.dropped == 1
-        sender.close()
+        faulty.close()
         receiver.close()
 
     def test_duplicate_at_index(self, drive):
         sender, receiver = stream_pair()
         faulty = FaultyTransport(sender, FaultPlan(duplicate=frozenset({0})))
-        drive(faulty, protocol.notify("t", 7, "insert"))
+        drive(faulty, [protocol.notify("t", 7, "insert")])
         assert receiver.receive(timeout=2)["seq_no"] == 7
         assert receiver.receive(timeout=2)["seq_no"] == 7
         assert faulty.duplicated == 1
-        sender.close()
+        faulty.close()
         receiver.close()
 
     def test_hold_reorders_deterministically(self, drive):
         sender, receiver = stream_pair()
         # Message 0 is held until message 1 has been sent: arrival order 1, 0.
         faulty = FaultyTransport(sender, FaultPlan(hold={0: 1}))
-        drive(faulty, protocol.notify("t", 0, "insert"))
-        drive(faulty, protocol.notify("t", 1, "insert"))
+        drive(faulty, [protocol.notify("t", seq, "insert") for seq in range(2)])
         got = [receiver.receive(timeout=2)["seq_no"] for _ in range(2)]
         assert got == [1, 0]
         assert faulty.reordered == 1
-        sender.close()
+        faulty.close()
         receiver.close()
 
     def test_disconnect_at_kills_socket(self, drive):
         sender, receiver = stream_pair()
         faulty = FaultyTransport(sender, FaultPlan(disconnect_at=1))
-        drive(faulty, protocol.notify("t", 0, "insert"))
+        drive(faulty, [protocol.notify("t", 0, "insert")])
         with pytest.raises(OSError):
-            drive(faulty, protocol.notify("t", 1, "insert"))
+            drive(faulty, [protocol.notify("t", 1, "insert")])
         assert receiver.receive(timeout=2)["seq_no"] == 0
         with pytest.raises(ProtocolError, match="closed"):
             receiver.receive(timeout=2)
+        faulty.close()
         receiver.close()
 
     def test_truncate_leaves_partial_line_then_eof(self, drive):
         sender, receiver = stream_pair()
         faulty = FaultyTransport(sender, FaultPlan(truncate_at=0))
         with pytest.raises(OSError):
-            drive(faulty, protocol.notify("t", 0, "insert"))
+            drive(faulty, [protocol.notify("t", 0, "insert")])
         # The peer sees a half message and then EOF -- a loud protocol
         # error, never a silently-parsed partial frame.
         with pytest.raises(ProtocolError):
             receiver.receive(timeout=2)
+        faulty.close()
         receiver.close()
 
     def test_probabilistic_drops_are_seeded(self, drive):
@@ -168,14 +245,13 @@ class TestFaultyTransportUnit:
             faulty = FaultyTransport(
                 sender, FaultPlan(drop_rate=0.5), seed=seed
             )
-            for seq in range(20):
-                drive(faulty, protocol.notify("t", seq, "insert"))
+            drive(faulty, [protocol.notify("t", seq, "insert") for seq in range(20)])
             received = []
             try:
                 while len(received) < 20 - faulty.dropped:
                     received.append(receiver.receive(timeout=2)["seq_no"])
             finally:
-                sender.close()
+                faulty.close()
                 receiver.close()
             return received
 
