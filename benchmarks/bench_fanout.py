@@ -5,8 +5,9 @@ listener, Section VI-C) means N clients = N server-side sockets.  The
 server encodes each flush's frame once and appends it once to the
 table's send log; every client reads that log through its own cursor,
 drained inline on a quiet plane and by one event loop for a burst, and a
-client whose lag passes the bound is evicted.  This benchmark is the
-scale probe for that plane:
+client whose lag in the log passes the bound collapses: it skips to the
+newest frame (``SyncServer.evictions`` counts these collapses).  This
+benchmark is the scale probe for that plane:
 
 * **Connect ramp**: registering N mirror clients back-to-back (listener
   accept + HELLO/REPLY handshake each).
@@ -25,8 +26,8 @@ per-client threads on the receiving side either, so 1k+ clients fit in
 one process and the fleet never becomes the bottleneck being measured.
 
 Every arm asserts that each client received each frame and that no
-client was evicted; ``run_gates.py --check fanout`` re-reads the eviction
-count from ``BENCH_fanout.json``.  The 4.3x this engine measured over the
+client collapsed (``evictions`` is 0); ``run_gates.py --check fanout``
+re-reads that count from ``BENCH_fanout.json``.  The 4.3x this engine measured over the
 retired thread-per-client engine is frozen in EXPERIMENTS.md; its
 mechanism (one encode per frame, not per client) is pinned by
 ``tests/sync/test_async_server.py``.
@@ -348,7 +349,7 @@ def test_ramp_scales(fanout_result):
 def test_arms_report_loop_health(fanout_result):
     """Every arm lands a saturation snapshot in the JSON: loop lag
     quantiles observed (the loop serviced cross-thread submits) and
-    queue high watermarks inside the eviction limits (nothing evicted)."""
+    queue high watermarks inside the collapse limits (nothing skipped)."""
     for arm in fanout_result.values():
         loop = arm["health"]["loop"]
         assert loop is not None and loop["iterations"] > 0

@@ -136,7 +136,7 @@ GATES: dict[str, Gate] = {
         ),
         Gate(
             name="fanout",
-            description="fan-out at 256 clients delivers every frame, evicts nobody",
+            description="fan-out at 256 clients delivers every frame, collapses nobody",
             bench="benchmarks/bench_fanout.py",
             result="fanout",
             block="fanout_gate",

@@ -30,9 +30,10 @@ the drain inline on a quiet plane (a healthy link's frame is written
 before the commit returns); a burst leaves it to the loop, which also
 finishes writes the kernel pushed back.  The log keeps only bytes some
 subscriber has not sent.  A cursor that lags past the frame or byte bound
-means the client reads slower than the system writes: the connection is
-**evicted** (counted in :attr:`SyncServer.evictions`) and the client
-falls back to the ordinary reconnect/replay machinery.
+in its log means the client reads slower than the system writes: it
+**collapses** to the log's newest frame (counted in
+:attr:`SyncServer.evictions`), whose seq-no makes the client's refresh
+pull every skipped event, and the connection stays up.
 PINGs, PONGs and DISCONNECTs ride the same loop -- the server starts no
 thread other than ``ediflow-sync-loop``.
 """
@@ -75,8 +76,8 @@ BURST_COST_PER_LINK_S = 50e-6
 #: large enough to merge hundreds of NOTIFYs, small enough to keep a
 #: single ``send()`` from monopolizing the loop).
 COALESCE_BYTES = protocol.MAX_MESSAGE_BYTES
-#: Bytes a client may lag behind past which it is evicted (as past
-#: ``max_queue_frames`` frames).
+#: Bytes a client may lag behind in one send log past which it skips to
+#: the log's newest frame (as past ``max_queue_frames`` frames).
 MAX_QUEUE_BYTES = 4 << 20
 #: Seconds :meth:`SyncServer.close` waits for every connection to reach
 #: the end of its send logs.
@@ -121,16 +122,13 @@ class _SendLog:
     last, so a cursor is an absolute offset that survives a trim.
     ``ends[i]`` is the i-th retained frame's end offset.
     ``subscribers`` is a tuple, replaced on change: a drain iterates a
-    snapshot.  ``group`` is every log those subscribers read, this one
-    included: the logs a drain of this one moves cursors in, and the
-    frames a subscriber's lag can span.  Drains send copies
-    (:meth:`read`), never a view of ``buf``, which would stop the next
-    append from growing it.
+    snapshot.  Drains send copies (:meth:`read`), never a view of
+    ``buf``, which would stop the next append from growing it.
     """
 
     __slots__ = (
-        "lock", "buf", "base", "end", "ends", "subscribers", "group", "scheduled",
-        "read_at", "chunk",
+        "lock", "buf", "base", "end", "ends", "subscribers", "scheduled", "read_at",
+        "chunk",
     )
 
     def __init__(self) -> None:
@@ -140,7 +138,6 @@ class _SendLog:
         self.end = 0
         self.ends: list[int] = []
         self.subscribers: tuple[_AsyncConn, ...] = ()
-        self.group: tuple[_SendLog, ...] = (self,)
         #: True while a loop drain is submitted and has not started.
         self.scheduled = False
         #: The last copy :meth:`read` made, and the cursor it starts at.
@@ -160,15 +157,6 @@ class _SendLog:
                 self.chunk = self.buf[cursor - self.base : stop - self.base]
             return self.chunk, len(self.ends) - first
 
-    def retained(self) -> tuple[int, int]:
-        """Frames and bytes the logs of ``group`` hold: no subscriber of
-        this log lags further."""
-        frames = nbytes = 0
-        for log in self.group:
-            frames += len(log.ends)
-            nbytes += len(log.buf)
-        return frames, nbytes
-
     def trim(self) -> None:
         """Drop every byte and frame below the lowest cursor."""
         with self.lock:
@@ -182,16 +170,6 @@ class _SendLog:
                 del self.ends[: bisect_right(self.ends, low)]
                 if self.read_at < low:
                     self.read_at, self.chunk = -1, bytearray()
-
-
-def _regroup(logs: list[_SendLog]) -> None:
-    """Recompute each log's ``group`` after a subscription changed."""
-    for log in logs:
-        with log.lock:
-            group = {log: None}
-            for conn in log.subscribers:
-                group.update(dict.fromkeys(conn.cursors))
-            log.group = tuple(group)
 
 
 class _AsyncConn:
@@ -560,8 +538,10 @@ class SyncServer:
     six intervals is dead.
 
     ``max_queue_frames`` / :data:`MAX_QUEUE_BYTES` bound each client's
-    lag, summed over the tables it mirrors: exceeding either evicts the
-    client (slow-consumer protection; see :attr:`evictions`).
+    lag in each table's send log: a broadcast that takes it past either
+    moves its cursor to that log's newest frame (slow-consumer
+    protection; :attr:`evictions` counts these collapses).  Only a dead
+    socket, an EOF or a heartbeat timeout detaches a client.
     """
 
     def __init__(
@@ -673,16 +653,12 @@ class SyncServer:
                 return
             conn.cursors[log] = log.end
             log.subscribers += (conn,)
-            logs = list(conn.cursors)
-        _regroup(logs)
 
     def _unsubscribe(self, conn: _AsyncConn, log: _SendLog) -> None:
         with conn.lock:
             conn.cursors.pop(log, None)
-            logs = [log, *conn.cursors]
         with log.lock:
             log.subscribers = tuple(c for c in log.subscribers if c is not conn)
-        _regroup(logs)
         log.trim()
 
     def _detach_endpoint(
@@ -729,7 +705,7 @@ class SyncServer:
             pass
 
     def _conn_dead(self, conn: _AsyncConn) -> None:
-        """A connection's socket failed, EOF'd, or was evicted."""
+        """A connection's socket failed, EOF'd, or went silent."""
         if not self._detach_endpoint(conn.endpoint, expected=conn):
             # The endpoint moved on (reconnect won the race); just tear
             # down this superseded connection.
@@ -737,8 +713,9 @@ class SyncServer:
 
     # ------------------------------------------------------------------
     # Drain: send each connection what lies past its cursors
-    def _pump_locked(self, conn: _AsyncConn) -> str:
-        """Send what ``conn`` owes until the kernel pushes back.
+    def _pump_locked(self, conn: _AsyncConn, logs: tuple = ()) -> str:
+        """Send what ``conn`` owes in ``logs`` (none given: in every log
+        it reads) until the kernel pushes back.
 
         Caller holds ``conn.lock``.  Returns ``"alive"`` (caught up),
         ``"blocked"`` (the socket pushed back), or ``"dead"`` (it failed).
@@ -752,7 +729,8 @@ class SyncServer:
             return "alive"
         owed = []
         frames, nbytes = conn.pending_frames, conn.pending_bytes
-        for log, cursor in conn.cursors.items():
+        for log in logs or conn.cursors:
+            cursor = conn.cursors.get(log, log.end)
             if cursor < log.end:
                 chunk, behind = log.read(cursor)
                 frames += behind
@@ -801,13 +779,14 @@ class SyncServer:
             conn.pending.popleft()
         return "alive"
 
-    def _kick(self, conn: _AsyncConn) -> None:
-        """Pump ``conn`` on this thread; what the kernel refuses goes to
-        the loop.  A connection the loop already owns is left to it."""
+    def _kick(self, conn: _AsyncConn, logs: tuple = ()) -> None:
+        """Pump ``conn`` (in ``logs``) on this thread; what the kernel
+        refuses goes to the loop.  A connection the loop already owns is
+        left to it."""
         with conn.lock:
             if conn.closing or conn.want_write:
                 return
-            status = self._pump_locked(conn)
+            status = self._pump_locked(conn, logs)
             if status == "blocked":
                 conn.want_write = True
         if status == "dead":
@@ -819,15 +798,14 @@ class SyncServer:
 
     def _drain(self, log: _SendLog) -> None:
         """The one drain routine: send every subscriber of ``log`` what
-        lies past its cursor, then drop what all of them have sent.  The
-        notifying thread runs it inline on a quiet plane, the loop for a
-        burst."""
+        lies past its cursor in it (after its staged chunks), then drop
+        what all of them have sent.  The notifying thread runs it inline
+        on a quiet plane, the loop for a burst."""
         with log.lock:
             log.scheduled = False
         for conn in log.subscribers:
-            self._kick(conn)
-        for other in log.group:
-            other.trim()
+            self._kick(conn, (log,))
+        log.trim()
 
     def _post(self, conn: _AsyncConn, data: bytes) -> bool:
         """Send one encoded frame to ``conn`` alone (PING, DISCONNECT).
@@ -884,15 +862,6 @@ class SyncServer:
             endpoint.last_ping_at = time.monotonic()
             if self._post(conn, protocol.encode(protocol.ping(endpoint.ping_seq))):
                 self.pings_sent += 1
-
-    def _note_eviction(self, endpoint: _Endpoint) -> None:
-        self.evictions += 1
-        OBS.metrics.counter("sync.server.evictions").inc()
-        if OBS.enabled:
-            OBS.metrics.counter(
-                "sync.server.evicted_clients",
-                client=f"{endpoint.host}:{endpoint.port}",
-            ).inc()
 
     # ------------------------------------------------------------------
     def register_client(
@@ -1059,8 +1028,9 @@ class SyncServer:
         Depth is a connection's lag: what lies past its cursors, plus its
         staged chunks.  Current depths say how far behind clients are *right now*; the
         high watermarks say how close the worst burst came to the
-        eviction bounds (``max_queue_frames`` / :data:`MAX_QUEUE_BYTES`) --
-        a ``hiwat_frames`` near the limit means the next burst evicts.
+        collapse bounds (``max_queue_frames`` / :data:`MAX_QUEUE_BYTES`,
+        per send log) -- a ``hiwat_frames`` near the limit means the next
+        burst skips frames.
         """
         with self._lock:
             endpoints = list(self._endpoints.values())
@@ -1166,11 +1136,10 @@ class SyncServer:
         healthy client's bytes are written before the commit returns.
         Back-to-back broadcasts (faster than the fan-out can be written
         inline) only append and leave one drain to the loop: this thread
-        touches no connection.  Only when the logs its subscribers read
-        hold more than the eviction bound are their lags read
-        (:meth:`_evict_laggards`).  A send failure
-        detaches the endpoint; the reconnecting client replays the
-        Notification log from its ``last_seq_no``.
+        touches no connection unless the log now holds more than the
+        collapse bound (:meth:`_collapse`).  A send failure detaches the
+        endpoint; the reconnecting client replays the Notification log
+        from its ``last_seq_no``.
         """
         if not events:
             return
@@ -1194,25 +1163,34 @@ class SyncServer:
             schedule = not inline and not log.scheduled
             if schedule:
                 log.scheduled = True
-        frames, nbytes = log.retained()
-        if frames > self.max_queue_frames or nbytes > MAX_QUEUE_BYTES:
-            self._evict_laggards(log)
+        if len(log.ends) > self.max_queue_frames or len(log.buf) > MAX_QUEUE_BYTES:
+            self._collapse(log)
         loop = self._loop
         if inline:
             self._drain(log)
         elif schedule and loop is not None:
             loop.submit(lambda: self._drain(log))
 
-    def _evict_laggards(self, log: _SendLog) -> None:
-        """The logs a subscriber of ``log`` reads hold more than it may
-        lag: evict each one past ``max_queue_frames`` frames or
-        :data:`MAX_QUEUE_BYTES` bytes behind in all its logs together
-        (retiring it trims them)."""
+    def _collapse(self, log: _SendLog) -> None:
+        """Move each subscriber past ``max_queue_frames`` frames or
+        :data:`MAX_QUEUE_BYTES` bytes behind in ``log`` to the start of its
+        newest frame, which names the newest seq-no (the client's refresh
+        pulls the rest), then trim ``log``."""
+        collapsed = 0
         for conn in log.subscribers:
-            frames, nbytes = conn.lag()
-            if frames > self.max_queue_frames or nbytes > MAX_QUEUE_BYTES:
-                self._note_eviction(conn.endpoint)
-                self._conn_dead(conn)
+            with conn.lock, log.lock:
+                cursor = conn.cursors.get(log, log.end)
+                newest = log.ends[-2] if len(log.ends) > 1 else log.base
+                behind = len(log.ends) - bisect_right(log.ends, cursor)
+                if cursor < newest and (
+                    behind > self.max_queue_frames or log.end - cursor > MAX_QUEUE_BYTES
+                ):
+                    conn.cursors[log] = newest
+                    collapsed += 1
+        log.trim()
+        with self._lock:
+            self.evictions += collapsed
+        OBS.metrics.counter("sync.server.evictions").inc(collapsed)
 
     # ------------------------------------------------------------------
     def purge_notifications(self) -> int:

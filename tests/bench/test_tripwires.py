@@ -21,7 +21,9 @@ per pulled row, a sort of the table's row map), and the sync server's
 per-connection send queue (a queued-frame object per client and
 broadcast, a second enqueue path, a broadcast that walks its clients)
 and its message-level drain for faulted links (``perturb``, a log that
-keeps each frame's message, a connection's fault wrapper);
+keeps each frame's message, a connection's fault wrapper) and its
+eviction of a slow client (a lag summed over the tables it mirrors, the
+log groups that sum walked, a broadcast that retires a connection);
 and for what the aggregate memo relies on: every
 write into a column chunk re-stamps it, and the memo is keyed by stamps,
 never by chunks."""
@@ -1322,3 +1324,95 @@ def test_the_one_drain_tripwire_fires_on_planted_offenders():
         "            conn.stage(*conn.faults.perturb(message))\n"
     )
     assert faulted_drain_lines(parent) == [2, 3, 5, 8, 9, 10]
+
+
+#: What evicting a slow client took: a lag summed over the tables it
+#: mirrors, and the log groups that summation walked.
+GONE_EVICTION_NAMES = {"_evict_laggards", "retained", "_regroup"}
+#: What takes a connection out of service.
+RETIRING = {"_conn_dead", "_detach_endpoint", "_retire_conn"}
+
+
+def eviction_mechanism(source):
+    """Names of the lag-eviction mechanism ``source`` defines, and
+    ``"_SendLog.group"`` where the send log keeps a ``group`` slot."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if node.name in GONE_EVICTION_NAMES:
+                found.append(node.name)
+        if isinstance(node, ast.ClassDef) and node.name == "_SendLog":
+            slots = [
+                elt.value
+                for stmt in node.body
+                if isinstance(stmt, ast.Assign)
+                and any(getattr(t, "id", None) == "__slots__" for t in stmt.targets)
+                for elt in ast.walk(stmt.value)
+                if isinstance(elt, ast.Constant)
+            ]
+            if "group" in slots:
+                found.append("_SendLog.group")
+    return sorted(found)
+
+
+def broadcast_retirements(source):
+    """Lines where ``SyncServer.broadcast``, or a method it calls under
+    a test of ``self.max_queue_frames`` (the bound), names a call that
+    takes a connection out of service."""
+    methods = method_bodies(source, "SyncServer")
+    broadcast = methods.get("broadcast")
+    if broadcast is None:
+        return []
+    bodies = [broadcast]
+    for node in ast.walk(broadcast):
+        if isinstance(node, ast.If) and any(
+            isinstance(n, ast.Attribute) and n.attr == "max_queue_frames"
+            for n in ast.walk(node.test)
+        ):
+            for call in ast.walk(node):
+                func = getattr(call, "func", None)
+                if isinstance(func, ast.Attribute) and func.attr in methods:
+                    bodies.append(methods[func.attr])
+    return sorted(
+        {
+            n.lineno
+            for body in bodies
+            for n in ast.walk(body)
+            if isinstance(n, ast.Attribute) and n.attr in RETIRING
+        }
+    )
+
+
+def test_a_slow_client_collapses_and_is_never_retired_for_lag():
+    """At the bound a broadcast moves cursors: it keeps no lag summed
+    over a client's tables, no log groups, and retires no connection."""
+    server = (SYNC / "server.py").read_text(encoding="utf-8")
+    assert eviction_mechanism(server) == []
+    assert broadcast_retirements(server) == []
+
+
+def test_the_collapse_tripwires_fire_on_planted_offenders():
+    # The parent's log group, its summation and the eviction at the bound.
+    parent = (
+        "class _SendLog:\n"
+        "    __slots__ = ('lock', 'buf', 'subscribers', 'group', 'scheduled')\n"
+        "    def retained(self):\n"
+        "        return sum(len(log.ends) for log in self.group), 0\n"
+        "def _regroup(logs):\n"
+        "    pass\n"
+        "class SyncServer:\n"
+        "    def broadcast(self, table, events):\n"
+        "        frames, nbytes = log.retained()\n"
+        "        if frames > self.max_queue_frames or nbytes > MAX_QUEUE_BYTES:\n"
+        "            self._evict_laggards(log)\n"
+        "    def _evict_laggards(self, log):\n"
+        "        for conn in log.subscribers:\n"
+        "            frames, nbytes = conn.lag()\n"
+        "            if frames > self.max_queue_frames:\n"
+        "                self._note_eviction(conn.endpoint)\n"
+        "                self._conn_dead(conn)\n"
+    )
+    assert eviction_mechanism(parent) == [
+        "_SendLog.group", "_evict_laggards", "_regroup", "retained",
+    ]
+    assert broadcast_retirements(parent) == [17]

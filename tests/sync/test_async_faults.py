@@ -5,8 +5,9 @@ blocking sends act on the bytes the event loop writes from the send
 logs: the socket under a :class:`FaultyTransport` rewrites each frame.
 Truncated frames flush their partial bytes before the sever, delays hold
 the socket back without blocking the notifying thread, kernel push-back
-strands no frame in the wrapper, and every failure converges back to
-byte-identical mirrors via the ordinary reconnect/replay machinery."""
+strands no frame in the wrapper, a slow reader skips to the newest
+frame, and every failure converges back to byte-identical mirrors via a
+refresh or the ordinary reconnect/replay machinery."""
 
 import selectors
 import time
@@ -210,13 +211,15 @@ class TestAsyncFaultInjection:
             client.close()
             server.close()
 
-    def test_slow_reader_eviction_leaves_mirror_byte_identical(self):
-        """The eviction path under a fault plan: a slow reader trips the
-        queue bound, the client reconnects (second connection runs
-        clean), and the mirror converges to the source bytes."""
+    def test_slow_reader_collapse_leaves_mirror_byte_identical(self):
+        """The collapse path under a fault plan: a slow reader trips the
+        bound, skips to the newest frame on the same connection, and the
+        mirror converges to the source bytes after one refresh."""
         db, server, client, transports = faulted_stack(
             [FaultPlan()], heartbeat=None, max_queue_frames=8
         )
+        heard = []
+        client.on_notify(lambda _table, _op, seq: heard.append(seq))
         try:
             client.mirror("pts")
             endpoint = server._endpoints[(client.host, client.port)]
@@ -225,9 +228,12 @@ class TestAsyncFaultInjection:
             class Stub:
                 def __init__(self, real):
                     self._real = real
+                    self.blocked = True
 
                 def send(self, data):
-                    raise BlockingIOError("stubbed full buffer")
+                    if self.blocked:
+                        raise BlockingIOError("stubbed full buffer")
+                    return self._real.send(data)
 
                 def __getattr__(self, name):
                     return getattr(self._real, name)
@@ -235,12 +241,19 @@ class TestAsyncFaultInjection:
             conn.sock = Stub(conn.sock)
             for i in range(20):
                 db.insert("pts", {"id": i, "x": float(i)})
-            assert server.evictions == 1
-            assert wait_until(lambda: client.reconnects >= 1)
-            assert wait_until(
-                lambda: client.refresh("pts") is not None
-                and contents(client) == source_contents(db)
-            )
+            assert server.evictions >= 1
+            assert server.queued_frames() <= 9
+            assert endpoint.conn is conn and not conn.closing
+            assert server.detaches == 0
+            assert client.reconnects == 0
+            assert client.replayed_notifications == 0
+            newest = server.center.events_since("pts", 0)[-1][0]
+            conn.sock.blocked = False
+            server._loop.submit(lambda: server._loop.service_conn(conn))
+            assert wait_until(lambda: heard[-1:] == [newest])
+            assert heard == sorted(heard)
+            client.refresh("pts")
+            assert contents(client) == source_contents(db)
             assert contents(client) == [(i, float(i)) for i in range(20)]
         finally:
             client.close()

@@ -4,9 +4,13 @@ cursor per (connection, log).
 The event loop is held still -- its thread never starts, and the test
 runs its submitted commands and its writability service by hand -- so
 every interleaving of broadcasts, drains, stalls, partial writes,
-evictions, detaches, reattaches and faults is one the test chose.  What
-each peer should hold is recomputed from scratch: the frames broadcast
-on each of its tables between its attach and its eviction or detach.
+collapses, detaches, reattaches and faults is one the test chose.  What
+each connection should hold is recomputed independently: per table, the
+frames broadcast between its attach and its detach, less those a
+collapse skipped.  A connection that lags past ``max_queue_frames``
+frames in a table at a broadcast skips to that table's newest frame: its
+wire then holds the frames it was sent before that broadcast, the newest
+frame and every frame after it.
 
 Invariants, after every step:
 
@@ -18,12 +22,15 @@ Invariants, after every step:
 * a log holds nothing below its lowest cursor;
 * ``queued_frames()`` is the summed lag -- frames not yet fully on the
   wire -- of the live connections;
-* a connection is evicted only past ``max_queue_frames`` frames of lag,
-  summed over its tables, and a stalled one -- one table or two -- is
-  evicted by the broadcast that takes it past them;
-* ``close()`` sends every live peer what it owes, then a DISCONNECT.
+* a collapse happens exactly where the model puts one (``evictions``
+  counts them), and no connection is detached but by the test;
+* ``close()`` sends every live peer what it owes, then a DISCONNECT; the
+  ``SyncClient`` has heard, per table, its frames' ascending seq-nos,
+  ending at the last one sent, and one refresh per table makes its
+  mirrors equal the tables.
 
-A second test drains a backlog longer than one coalesced write to a
+Three direct cases pin the bound for a stalled peer, one table or two.
+A last test drains a backlog longer than one coalesced write to a
 two-table peer through a socket that takes a few kilobytes at a time,
 with a PING staged between drains: it must arrive as whole frames.
 """
@@ -98,6 +105,36 @@ def rewrite(frames):
     return wire
 
 
+class Tap:
+    """The outermost socket the server writes to.  It records what each
+    ``send`` took, so ``taken`` plus the connection's staged chunks are
+    the bytes the server has taken out of its send logs."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.taken = bytearray()
+
+    def send(self, data):
+        sent = self._inner.send(data)
+        self.taken += data[:sent]
+        return sent
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+def taken_out(conn):
+    """Frames per table the server has taken out of its logs for
+    ``conn``: on the socket, or staged to finish a partial write."""
+    counts = dict.fromkeys(TABLES, 0)
+    stream = bytes(conn.sock.taken) + b"".join(conn.pending)
+    for line in stream.split(b"\n")[:-1]:
+        message = json.loads(line)
+        if message["type"] == protocol.NOTIFY:
+            counts[message["table"]] += 1
+    return counts
+
+
 class Incarnation:
     """One callback connection of a peer, from attach to its end."""
 
@@ -109,7 +146,6 @@ class Incarnation:
         self.expected = {table: [] for table in TABLES}
         self.received = b""
         self.ended = False
-        self.trickled = False
 
     def read(self):
         """Take what the server wrote: a loopback ``send()`` has queued
@@ -131,6 +167,16 @@ class Incarnation:
             if json.loads(line).get("type") == protocol.NOTIFY:
                 out.append(line + b"\n")
         return out
+
+
+class ClientSide:
+    """The ``SyncClient``'s callback connection, as the model sees it:
+    the frames it should hear, per table."""
+
+    def __init__(self, conn):
+        self.conn = conn
+        self.expected = {table: [] for table in TABLES}
+        self.ended = False
 
 
 class SendLogModel(RuleBasedStateMachine):
@@ -167,6 +213,8 @@ class SendLogModel(RuleBasedStateMachine):
         self.loop = server_module._EventLoop(self.server)
         self.server._loop = self.loop
         self.seq = 0
+        self.collapses = 0
+        self.detaches = 0
         self.peers = {}
         for name, tables in PEERS.items():
             self._connect(name, tables)
@@ -176,9 +224,9 @@ class SendLogModel(RuleBasedStateMachine):
         self.client.on_notify(lambda t, _op, seq: self.heard[t].append(seq))
         for table in TABLES:
             self.client.mirror(table)
-        self.client_conn = self.server._endpoints[
-            (self.client.host, self.client.port)
-        ].conn
+        conn = self.server._endpoints[(self.client.host, self.client.port)].conn
+        conn.sock = Tap(conn.sock)
+        self.client_side = ClientSide(conn)
         self.sent = {table: [] for table in TABLES}
         self.closed = False
 
@@ -221,8 +269,10 @@ class SendLogModel(RuleBasedStateMachine):
             # Under the fault wrapper: the plan rewrites whole frames, and
             # the real socket takes what it will of them.
             valve = conn.sock._sock = Valve(conn.sock._sock)
+            conn.sock = Tap(conn.sock)
         else:
-            valve = conn.sock = Valve(conn.sock)
+            valve = Valve(conn.sock)
+            conn.sock = Tap(valve)
         self.peers[name] = Incarnation(conn, valve, sock)
 
     def _live(self):
@@ -262,34 +312,39 @@ class SendLogModel(RuleBasedStateMachine):
             ):
                 break
         self._read_all()
-        self._note_ends({})
 
     def _read_all(self):
         for peer in self.peers.values():
             peer.read()
 
-    def _note_ends(self, lag_before):
-        """Mark connections the server retired; check each eviction."""
-        for name, peer in self.peers.items():
-            if not peer.ended and peer.conn.closing:
-                peer.ended = True
-                lag = lag_before.get(name)
-                if lag is not None:
-                    assert lag > MAX_FRAMES, (name, lag)
-
     # -- rules -----------------------------------------------------------
     @precondition(lambda self: not self.closed)
-    @rule(table=st.sampled_from(TABLES), burst=st.booleans())
-    def broadcast(self, table, burst):
+    @rule(
+        table=st.sampled_from(TABLES),
+        burst=st.booleans(),
+        count=st.integers(1, MAX_FRAMES + 2),
+    )
+    def broadcast(self, table, burst, count):
+        """``count`` committed inserts, one at a time."""
+        for _ in range(count):
+            self._insert(table, burst)
+
+    def _insert(self, table, burst):
+        """One committed insert: its NOTIFY is the table's newest frame.
+        Whoever it takes past the bound in that table skips to it."""
         self.seq += 1
-        self._read_all()
-        lag_before = {}
-        for name, peer in self.peers.items():
-            if peer.ended or table not in PEERS[name]:
-                continue
-            peer.expected[table].append(frame(table, self.seq))
-            lag = self._lag(name, peer)
-            lag_before[name] = None if lag is None else lag
+        sides = [
+            side
+            for name, side in [*self.peers.items(), ("client", self.client_side)]
+            if not side.ended and (name == "client" or table in PEERS[name])
+        ]
+        for side in sides:
+            frames = side.expected[table]
+            sent = taken_out(side.conn)[table]
+            frames.append(frame(table, self.seq))
+            if len(frames) - sent > MAX_FRAMES:
+                del frames[sent:-1]
+                self.collapses += 1
         self.sent[table].append(self.seq)
         window = float("inf") if burst else 0.0
         server_module.BURST_COST_PER_LINK_S, saved = (
@@ -297,29 +352,22 @@ class SendLogModel(RuleBasedStateMachine):
             server_module.BURST_COST_PER_LINK_S,
         )
         try:
-            self.server.broadcast(table, [("insert", self.seq)])
+            self.db.insert(table, {"id": self.seq})  # notifies seq-no self.seq
         finally:
             server_module.BURST_COST_PER_LINK_S = saved
         self._read_all()
-        self._note_ends(lag_before)
-        for name, lag in lag_before.items():
-            peer = self.peers[name]
-            if lag is not None and lag > MAX_FRAMES and not peer.trickled:
-                # A stalled peer past the bound is evicted by this broadcast.
-                assert peer.ended, (name, lag)
+        assert self.server.evictions == self.collapses
 
     @rule()
     def run_loop(self):
         self._run_loop()
         self._read_all()
-        self._note_ends({})
 
     @precondition(lambda self: not self.closed)
     @rule()
     def writable(self):
         self._service()
         self._read_all()
-        self._note_ends({})
 
     @precondition(lambda self: not self.closed)
     @rule(
@@ -328,10 +376,8 @@ class SendLogModel(RuleBasedStateMachine):
     )
     def set_valve(self, name, mode):
         peer = self.peers[name]
-        if peer.ended:
-            return
-        peer.valve.mode = mode
-        peer.trickled = peer.trickled or mode == "trickle"
+        if not peer.ended:
+            peer.valve.mode = mode
 
     @precondition(lambda self: not self.closed)
     @rule(name=st.sampled_from(sorted(PEERS)))
@@ -340,6 +386,7 @@ class SendLogModel(RuleBasedStateMachine):
         if peer.ended:
             return
         self.server._conn_dead(peer.conn)
+        self.detaches += 1
         peer.ended = True
         self._read_all()
 
@@ -361,10 +408,25 @@ class SendLogModel(RuleBasedStateMachine):
     @precondition(lambda self: not self.closed)
     @rule()
     def close(self):
-        """Settle (sockets open, loop run) then close: every live peer
-        gets what it owes, then a DISCONNECT."""
+        """Settle (sockets open, loop run): the SyncClient hears its
+        frames and one refresh per table converges.  Then close: every
+        live peer gets what it owes, then a DISCONNECT."""
         self._settle()
-        client_evicted = self.client_conn.closing
+        want = {
+            table: [json.loads(x)["seq_no"] for x in self.client_side.expected[table]]
+            for table in TABLES
+        }
+        deadline = time.monotonic() + 5.0
+        while self.heard != want and time.monotonic() < deadline:
+            time.sleep(0.005)
+        for table in TABLES:
+            heard = self.heard[table]
+            assert heard == want[table], table
+            assert heard == sorted(set(heard)), table
+            assert heard[-1:] == self.sent[table][-1:], table
+            self.client.refresh(table)
+            mirror = sorted(row["id"] for row in self.client.table(table).all_rows())
+            assert mirror == sorted(row["id"] for row in self.db.table(table).scan())
         self.server.close()
         self.closed = True
         for name, peer in self.peers.items():
@@ -377,20 +439,6 @@ class SendLogModel(RuleBasedStateMachine):
             if name != "pf":  # its plan may drop the goodbye
                 last = peer.received.split(b"\n")[-2]
                 assert json.loads(last)["type"] == protocol.DISCONNECT, name
-        # The SyncClient's reader heard every NOTIFY, in order, unless it
-        # was evicted (then a prefix).
-        deadline = time.monotonic() + 5.0
-        while (
-            not client_evicted
-            and self.heard != self.sent
-            and time.monotonic() < deadline
-        ):
-            time.sleep(0.005)
-        for table in TABLES:
-            heard = self.heard[table]
-            assert heard == self.sent[table][: len(heard)], table
-            if not client_evicted:
-                assert heard == self.sent[table], table
 
     # -- invariants ------------------------------------------------------
     @invariant()
@@ -423,9 +471,17 @@ class SendLogModel(RuleBasedStateMachine):
                 continue
             lag = self._lag(name, peer)
             want += peer.conn.lag()[0] if lag is None else lag
-        if not self.client_conn.closing:
-            want += self.client_conn.lag()[0]
+        want += self.client_side.conn.lag()[0]
         assert self.server.queued_frames() == want
+
+    @invariant()
+    def no_connection_is_detached_for_lag(self):
+        if self.closed:
+            return
+        assert self.server.detaches == self.detaches
+        assert not self.client_side.conn.closing
+        for peer in self._live():
+            assert not peer.conn.closing
 
     def teardown(self):
         if not self.closed:
@@ -447,13 +503,10 @@ SendLogModel.TestCase.settings = settings(
 TestSendLogModel = SendLogModel.TestCase
 
 
-def test_a_long_backlog_reaches_a_two_table_peer_in_whole_frames(monkeypatch):
-    """More than one coalesced write of backlog per table, drained to a
-    peer that mirrors both tables through a socket that takes 4,099 bytes
-    a round, with a PING staged between rounds: the peer reads only whole
-    frames (a cursor never rests inside one, so neither the PING nor the
-    other table's frames can land in it), each table's in order."""
-    per_table = 1500
+def raw_peer(tables, max_queue_frames):
+    """A server whose loop is held still and one raw peer mirroring
+    ``tables`` over one connection, attached, behind a :class:`Valve`.
+    Returns ``(server, loop, conn, peer socket, listener)``."""
     db = Database()
     for table in TABLES:
         db.create_table(
@@ -464,9 +517,9 @@ def test_a_long_backlog_reaches_a_two_table_peer_in_whole_frames(monkeypatch):
         NotificationCenter(db),
         use_sockets=True,
         heartbeat_interval=None,
-        max_queue_frames=4 * per_table,
+        max_queue_frames=max_queue_frames,
     )
-    loop = server_module._EventLoop(server)  # held still: stepped below
+    loop = server_module._EventLoop(server)  # held still: stepped by hand
     server._loop = loop
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.bind(("127.0.0.1", 0))
@@ -474,21 +527,127 @@ def test_a_long_backlog_reaches_a_two_table_peer_in_whole_frames(monkeypatch):
     listener.settimeout(5.0)
     port = listener.getsockname()[1]
     registrar = threading.Thread(
-        target=server.register_client, args=("a", "127.0.0.1", port), daemon=True
+        target=server.register_client,
+        args=(tables[0], "127.0.0.1", port),
+        daemon=True,
     )
     registrar.start()
     peer, _ = listener.accept()
     peer.sendall(protocol.encode(protocol.hello()))
     registrar.join(timeout=10.0)
-    server.register_client("b", "127.0.0.1", port)
+    for table in tables[1:]:
+        server.register_client(table, "127.0.0.1", port)
     conn = server._endpoints[("127.0.0.1", port)].conn
     conn.sock = Valve(conn.sock)
-    conn.sock.mode = "metered"
     peer.setblocking(False)
+    while loop._commands:  # attach the connection
+        loop._commands.popleft()[0]()
+    return server, loop, conn, peer, listener
+
+
+def shut_down(server, loop, peer, listener):
+    server.close()
+    peer.close()
+    listener.close()
+    loop._selector.close()
+    loop._rwake.close()
+    loop._wwake.close()
+
+
+def notified(received):
+    """``{table: [seq_no, ...]}`` of the NOTIFY lines in ``received``,
+    which must end at a frame boundary."""
+    assert received.endswith(b"\n")
+    seqs = {table: [] for table in TABLES}
+    for line in received.split(b"\n")[:-1]:
+        message = protocol.decode(line)
+        if message["type"] == protocol.NOTIFY:
+            seqs[message["table"]].append(message["seq_no"])
+    return seqs
+
+
+def stalled_broadcasts(monkeypatch, tables, script, read=0):
+    """Broadcast ``script`` -- ``(table, evictions after it)`` pairs, one
+    inline broadcast at a time, seq-nos from 1 -- to a peer on
+    ``tables`` whose socket refuses every send after the first ``read``
+    broadcasts, with ``max_queue_frames=MAX_FRAMES``.  After each
+    broadcast, ``evictions`` (the collapse count) must read as scripted
+    and no log may hold more than ``MAX_FRAMES`` frames.  Then the socket
+    opens and the loop drains; returns the seq-nos the peer got per
+    table."""
+    monkeypatch.setattr(server_module, "BURST_COST_PER_LINK_S", 0.0)
+    server, loop, conn, peer, listener = raw_peer(tables, MAX_FRAMES)
     received = b""
     try:
-        while loop._commands:  # attach the connection
+        for seq, (table, collapses) in enumerate(script, 1):
+            conn.sock.mode = "open" if seq <= read else "shut"
+            server.broadcast(table, [("insert", seq)])
+            assert server.evictions == collapses, (seq, table)
+            assert all(len(log.ends) <= MAX_FRAMES for log in server._logs.values())
+        assert server.detaches == 0 and not conn.closing
+        conn.sock.mode = "open"
+        while loop._commands:
             loop._commands.popleft()[0]()
+        loop.service_conn(conn)
+        assert not conn.lag()[0]
+        while True:
+            try:
+                received += peer.recv(1 << 16)
+            except BlockingIOError:
+                break
+    finally:
+        shut_down(server, loop, peer, listener)
+    return notified(received)
+
+
+def test_a_stalled_one_table_peer_collapses_at_its_fifth_frame(monkeypatch):
+    """Four frames behind is within the bound; the fifth broadcast it
+    misses moves it to that frame, and the frames after it follow."""
+    script = [("a", 0)] * 4 + [("a", 1)] * 3
+    assert stalled_broadcasts(monkeypatch, ("a",), script) == {
+        "a": [5, 6, 7],
+        "b": [],
+    }
+
+
+def test_a_stalled_two_table_peer_collapses_per_table(monkeypatch):
+    """Each table collapses at its own fifth frame of lag, however far
+    the peer lags in the other one: eight frames behind across both
+    tables is no collapse."""
+    script = [("a", 0)] * 4 + [("b", 0)] * 4  # seq-nos 1-8: lag 4 + 4
+    script += [("b", 1), ("a", 2), ("b", 2), ("a", 2)]  # 9-12
+    script += [("b", 2)] * 2 + [("b", 3)]  # 13-15: b's fifth frame from 9
+    assert stalled_broadcasts(monkeypatch, ("a", "b"), script) == {
+        "a": [10, 12],
+        "b": [15],
+    }
+
+
+def test_a_peer_gets_its_frames_before_the_collapse_then_the_newest(
+    monkeypatch,
+):
+    """A peer that read two frames of each table and then stalled: per
+    table, the wire holds those two, then the newest frame onward."""
+    script = [("a", 0), ("b", 0)] * 2  # 1-4, read
+    script += [("a", 0)] * 4 + [("a", 1)]  # 5-9: a collapses at 9
+    script += [("b", 1)] * 4 + [("b", 2)] * 2 + [("a", 2)]  # 10-16
+    assert stalled_broadcasts(monkeypatch, TABLES, script, read=4) == {
+        "a": [1, 3, 9, 16],
+        "b": [2, 4, 14, 15],
+    }
+
+
+def test_a_long_backlog_reaches_a_two_table_peer_in_whole_frames(monkeypatch):
+    """More than one coalesced write of backlog per table, drained to a
+    peer that mirrors both tables through a socket that takes 4,099 bytes
+    a round, with a PING staged between rounds: the peer reads only whole
+    frames (a cursor never rests inside one, so neither the PING nor the
+    other table's frames can land in it), each table's in order."""
+    per_table = 1500
+    server, loop, conn, peer, listener = raw_peer(TABLES, 4 * per_table)
+    conn.sock.mode = "metered"
+    received = b""
+    try:
         monkeypatch.setattr(server_module, "BURST_COST_PER_LINK_S", 3600.0)
         for seq in range(1, per_table + 1):
             for table in TABLES:
@@ -518,12 +677,7 @@ def test_a_long_backlog_reaches_a_two_table_peer_in_whole_frames(monkeypatch):
             received += chunk
     finally:
         conn.sock.mode = "open"
-        server.close()
-        peer.close()
-        listener.close()
-        loop._selector.close()
-        loop._rwake.close()
-        loop._wwake.close()
+        shut_down(server, loop, peer, listener)
     assert received.endswith(b"\n")
     messages = [protocol.decode(line) for line in received.split(b"\n")[:-1]]
     for table in TABLES:
