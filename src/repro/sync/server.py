@@ -15,10 +15,12 @@ notifications keep accumulating on the server and the purge horizon
 (step 11) protects everything the client has not consumed.  A detached
 client later calls :meth:`reconnect_client` to attach a fresh stream and
 replays what it missed from ``NotificationCenter.notifications_since``.
-Links are dropped permanently only by explicit :meth:`unregister_client`
-/ :meth:`close` (or an operator calling :meth:`evict_detached`).  The
-server counts no deliveries: the Notification log and each client's
-``last_seq_no`` are the one record of what a client has consumed.
+The ConnectedUser table is the one record of who mirrors what (a
+restarted server inherits its rows as detached registrations); a row is
+dropped only by :meth:`unregister_client` / :meth:`close` (or an
+operator calling :meth:`evict_detached`).  The server counts no
+deliveries: the Notification log and each client's ``last_seq_no`` are
+the one record of what a client has consumed.
 
 Delivery: a single-threaded :mod:`selectors` event loop owns every
 callback socket in non-blocking mode.  A flush encodes its one
@@ -84,10 +86,15 @@ MAX_QUEUE_BYTES = 4 << 20
 DRAIN_TIMEOUT = 2.0
 
 
+def _at(row: dict[str, Any]) -> tuple[str, int]:
+    """The (host, port) a ConnectedUser row registers."""
+    return row["host"], row["port"]
+
+
 @dataclass
 class _Endpoint:
-    """One callback connection to a client process (possibly shared by
-    several table registrations of that process)."""
+    """One callback connection to a client process, live or detached
+    (shared by every ConnectedUser row at its host and port)."""
 
     host: str
     port: int
@@ -101,17 +108,6 @@ class _Endpoint:
     #: The event-loop connection state (it owns the live transport), or
     #: ``None`` while detached.
     conn: Optional["_AsyncConn"] = None
-
-
-@dataclass
-class _ClientLink:
-    """One registered (client, table) pair."""
-
-    connected_user_id: int
-    table: str
-    host: str
-    port: int
-    endpoint: Optional[_Endpoint]
 
 
 class _SendLog:
@@ -542,6 +538,10 @@ class SyncServer:
     moves its cursor to that log's newest frame (slow-consumer
     protection; :attr:`evictions` counts these collapses).  Only a dead
     socket, an EOF or a heartbeat timeout detaches a client.
+
+    The ConnectedUser table is its one registry (build one server per
+    database): a server started on rows re-arms their watches and, with
+    sockets, files each row's (host, port) as a detached endpoint.
     """
 
     def __init__(
@@ -562,9 +562,8 @@ class SyncServer:
         )
         self.transport_factory = transport_factory
         self.max_queue_frames = max_queue_frames
-        self._links: dict[int, _ClientLink] = {}
         #: (host, port) -> shared callback endpoint; one per client
-        #: process even when it mirrors several tables.
+        #: process even when it mirrors several tables (socket mode).
         self._endpoints: dict[tuple[str, int], _Endpoint] = {}
         #: table -> its send log (created by the first subscription).
         self._logs: dict[str, _SendLog] = {}
@@ -574,10 +573,16 @@ class SyncServer:
         # say clients still mirror: triggers are runtime objects, so a
         # server restarted on a recovered database would otherwise stop
         # logging the very changes those clients reconnect to replay.
+        # Their clients' links died with the previous server: detached.
         tables = set(database.table_names())
-        for row in database.table(datamodel.T_CONNECTED_USER).scan():
+        started = time.monotonic()
+        for row, _endpoint in self._registrations():
             if row["table_name"] in tables:
                 self.center.watch(row["table_name"])
+            if use_sockets:
+                self._endpoints.setdefault(
+                    _at(row), _Endpoint(*_at(row), detached_at=started)
+                )
         self.center.add_batch_listener(self.broadcast)
         self._closed = False
         #: Notified when a connection catches up once closing (see close()).
@@ -625,8 +630,17 @@ class SyncServer:
                 self._loop.start()
             return self._loop
 
+    def _registrations(self) -> list[tuple[dict, Optional[_Endpoint]]]:
+        """Each ConnectedUser row with the endpoint at its (host, port).
+        The table is read before ``_lock`` is taken, never under it: a
+        committing writer holds the database lock when it takes ``_lock``."""
+        rows = list(self.database.table(datamodel.T_CONNECTED_USER).rows())
+        with self._lock:
+            return [(row, self._endpoints.get(_at(row))) for row in rows]
+
     def _attach(self, endpoint: _Endpoint, transport: Any) -> None:
-        """Install a live transport on an endpoint and start servicing it."""
+        """Install a live transport on an endpoint and start servicing it:
+        it reads the log of every table registered at its host and port."""
         endpoint.last_rx = time.monotonic()
         endpoint.detached_at = None
         # The event loop owns the handshake-complete stream's socket (a
@@ -634,12 +648,11 @@ class SyncServer:
         sock, rbuf, transport._buffer = transport._sock, transport._buffer, b""
         sock.setblocking(False)
         conn = _AsyncConn(sock, endpoint, transport, rbuf)
+        key = (endpoint.host, endpoint.port)
+        rows = [row for row, _ in self._registrations() if _at(row) == key]
         with self._lock:
             endpoint.conn = conn
-            tables = {
-                link.table for link in self._links.values() if link.endpoint is endpoint
-            }
-        for table in tables:
+        for table in {row["table_name"] for row in rows}:
             self._subscribe(conn, table)
         loop = self._ensure_loop()
         loop.submit(lambda: loop.add_conn(conn))
@@ -667,7 +680,7 @@ class SyncServer:
         """Idempotently take a (suspected dead) transport out of service.
 
         The registration -- ConnectedUser rows, ``last_seq_no`` horizon,
-        links -- survives; only the socket goes away.  When
+        endpoint -- survives; only the socket goes away.  When
         ``expected`` is given, the detach only proceeds if the endpoint
         still carries that connection (a concurrent reconnect must not be
         torn down by the failure notice of its predecessor).
@@ -905,8 +918,6 @@ class SyncServer:
                 self._attach(endpoint, transport)
                 with self._lock:
                     self._endpoints[(host, port)] = endpoint
-        with self._lock:
-            self._links[cu_id] = _ClientLink(cu_id, table, host, port, endpoint)
         conn = endpoint.conn if endpoint is not None else None
         if conn is not None:
             self._subscribe(conn, table)
@@ -916,10 +927,11 @@ class SyncServer:
         """Re-attach a fresh callback connection to a detached client.
 
         The client keeps its ConnectedUser rows (and thus its
-        ``last_seq_no`` purge protection) across the outage; this call
-        only restores the push path.  Raises :class:`SyncError` when no
-        registration exists for ``(host, port)`` or the connect-back
-        fails; the client's retry policy decides what happens next.
+        ``last_seq_no`` purge protection) across the outage -- also across
+        a server restart -- so this call only restores the push path.
+        Raises :class:`SyncError` when no registration exists for
+        ``(host, port)`` or the connect-back fails; the client's retry
+        policy decides what happens next.
         """
         if self._closed:
             raise SyncError("server is closed")
@@ -941,50 +953,49 @@ class SyncServer:
         return True
 
     def unregister_client(self, connected_user_id: int) -> bool:
-        """Protocol step 10: drop the link and the ConnectedUser row.
+        """Protocol step 10: delete the ConnectedUser row; the endpoint
+        goes with its last row, a table's log with its endpoint's last
+        row for that table.
 
         Idempotent: concurrent callers (e.g. two notification threads
         observing the same dead client) race benignly -- exactly one
-        performs the teardown, the rest return ``False``.
+        deletes the row and performs the teardown, the rest return
+        ``False``.
         """
-        with self._lock:
-            link = self._links.pop(connected_user_id, None)
-            if link is None:
-                return False
-            endpoint = link.endpoint
-            siblings = [
-                other for other in self._links.values() if other.endpoint is endpoint
-            ]
-            drop_endpoint = endpoint is not None and not siblings
-            if drop_endpoint:
-                self._endpoints.pop((link.host, link.port), None)
-            conn = endpoint.conn if endpoint is not None else None
-            log = self._logs.get(link.table)
-        if drop_endpoint and endpoint is not None:
-            self._detach_endpoint(endpoint)
-        elif conn is not None and log is not None:
-            if all(other.table != link.table for other in siblings):
-                self._unsubscribe(conn, log)
-        self.database.delete(
+        registry = self.database.table(datamodel.T_CONNECTED_USER)
+        row = registry.by_key(connected_user_id)
+        if row is None or not self.database.delete(
             datamodel.T_CONNECTED_USER, col("id") == connected_user_id
-        )
+        ):
+            return False
+        key = _at(row)
+        siblings = {r["table_name"] for r, _ in self._registrations() if _at(r) == key}
+        with self._lock:
+            endpoint = self._endpoints.get(key)
+            if endpoint is not None and not siblings:
+                del self._endpoints[key]
+            conn = endpoint.conn if endpoint is not None else None
+            log = self._logs.get(row["table_name"])
+        if endpoint is not None and not siblings:
+            self._detach_endpoint(endpoint)
+        elif conn and log and row["table_name"] not in siblings:
+            self._unsubscribe(conn, log)
         return True
 
     def evict_detached(self, max_age: float) -> int:
         """Permanently unregister clients detached longer than ``max_age``
-        seconds.  Returns the number of links dropped.  This is the
-        operator-facing escape hatch that re-enables notification purging
-        when a client is never coming back."""
+        seconds.  Returns the number of registrations dropped.  This is
+        the operator-facing escape hatch that re-enables notification
+        purging when a client is never coming back."""
         now = time.monotonic()
-        with self._lock:
-            stale = [
-                link.connected_user_id
-                for link in self._links.values()
-                if link.endpoint is not None
-                and link.endpoint.conn is None
-                and link.endpoint.detached_at is not None
-                and now - link.endpoint.detached_at >= max_age
-            ]
+        stale = [
+            row["id"]
+            for row, endpoint in self._registrations()
+            if endpoint is not None
+            and endpoint.conn is None
+            and endpoint.detached_at is not None
+            and now - endpoint.detached_at >= max_age
+        ]
         return sum(1 for cu_id in stale if self.unregister_client(cu_id))
 
     def update_client_seq(self, connected_user_id: int, seq_no: int) -> None:
@@ -996,26 +1007,16 @@ class SyncServer:
         )
 
     def client_count(self) -> int:
-        with self._lock:
-            return len(self._links)
+        """Registrations: the ConnectedUser rows."""
+        return len(self.database.table(datamodel.T_CONNECTED_USER))
 
     def connected_count(self) -> int:
-        """Links whose callback connection is currently live."""
-        with self._lock:
-            return sum(
-                1
-                for link in self._links.values()
-                if link.endpoint is not None and link.endpoint.conn is not None
-            )
+        """Registrations whose callback connection is currently live."""
+        return sum(1 for _, ep in self._registrations() if ep and ep.conn is not None)
 
     def detached_count(self) -> int:
-        """Links registered but currently without a live callback."""
-        with self._lock:
-            return sum(
-                1
-                for link in self._links.values()
-                if link.endpoint is not None and link.endpoint.conn is None
-            )
+        """Registrations whose endpoint is detached (none in-process)."""
+        return sum(1 for _, ep in self._registrations() if ep and ep.conn is None)
 
     def queued_frames(self) -> int:
         """Frames live connections have yet to send (backpressure
@@ -1198,17 +1199,14 @@ class SyncServer:
         return self.center.purge()
 
     def close(self) -> None:
+        """Drain and close every link, then drop every registration (one
+        DELETE: one commit)."""
         self._closed = True
         with self._lock:
-            links = list(self._links.values())
             endpoints = list(self._endpoints.values())
-            self._links.clear()
             self._endpoints.clear()
         self._drain_and_stop(endpoints)
-        for link in links:
-            self.database.delete(
-                datamodel.T_CONNECTED_USER, col("id") == link.connected_user_id
-            )
+        self.database.delete(datamodel.T_CONNECTED_USER)
         self.center.remove_batch_listener(self.broadcast)
 
     def _drain_and_stop(self, endpoints: list[_Endpoint]) -> None:

@@ -23,8 +23,9 @@ broadcast, a second enqueue path, a broadcast that walks its clients)
 and its message-level drain for faulted links (``perturb``, a log that
 keeps each frame's message, a connection's fault wrapper) and its
 eviction of a slow client (a lag summed over the tables it mirrors, the
-log groups that sum walked, a broadcast that retires a connection);
-and for what the aggregate memo relies on: every
+log groups that sum walked, a broadcast that retires a connection)
+and its in-memory copy of the ConnectedUser table (``_ClientLink``
+records in ``_links``); and for what the aggregate memo relies on: every
 write into a column chunk re-stamps it, and the memo is keyed by stamps,
 never by chunks."""
 
@@ -1416,3 +1417,44 @@ def test_the_collapse_tripwires_fire_on_planted_offenders():
         "_SendLog.group", "_evict_laggards", "_regroup", "retained",
     ]
     assert broadcast_retirements(parent) == [17]
+
+
+def registry_copies(source):
+    """Lines where ``source`` defines ``_ClientLink`` or assigns or reads
+    ``self._links``: a second record, beside the ConnectedUser table, of
+    who mirrors what."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.ClassDef) and node.name == "_ClientLink")
+        or (
+            isinstance(node, ast.Attribute)
+            and node.attr == "_links"
+            and getattr(node.value, "id", None) == "self"
+        )
+    )
+
+
+def test_the_connected_user_table_is_the_servers_one_registry():
+    """Registering, unregistering, counting and evicting read the table,
+    so a server restarted on a durable database sees its clients."""
+    server = (SYNC / "server.py").read_text(encoding="utf-8")
+    assert "unregister_client" in method_bodies(server, "SyncServer")
+    assert registry_copies(server) == []
+
+
+def test_the_registry_tripwire_fires_on_planted_offenders():
+    # The parent's link record, its registry and register_client's line.
+    parent = (
+        "class _ClientLink:\n"
+        "    connected_user_id: int\n"
+        "class SyncServer:\n"
+        "    def __init__(self):\n"
+        "        self._links: dict[int, _ClientLink] = {}\n"
+        "    def register_client(self, table, host, port, user_id=None):\n"
+        "        with self._lock:\n"
+        "            self._links[cu_id] = _ClientLink(cu_id, table, host, port, endpoint)\n"
+        "    def client_count(self):\n"
+        "        return len(self._links)\n"
+    )
+    assert registry_copies(parent) == [1, 5, 8, 10]

@@ -454,8 +454,7 @@ class TestServerBookkeepingUnderFaults:
             assert client.notify_received == 1
             # Sever the transport behind the server's back: the next
             # notify fails to send and detaches the endpoint.
-            (link,) = server._links.values()
-            link.endpoint.conn.transport.close()
+            server._endpoints[(client.host, client.port)].conn.transport.close()
             db.insert("pts", {"id": 1, "x": 1.0})
             db.insert("pts", {"id": 2, "x": 2.0})
             assert server.detached_count() == 1
@@ -478,8 +477,7 @@ class TestServerBookkeepingUnderFaults:
         client = SyncClient(server, auto_reconnect=False)
         try:
             client.mirror("pts")
-            link = next(iter(server._links.values()))
-            link.endpoint.conn.transport.close()
+            server._endpoints[(client.host, client.port)].conn.transport.close()
             db.insert("pts", {"id": 0, "x": 0.0})  # detaches on failed send
             assert server.detached_count() == 1
             assert server.evict_detached(max_age=3600.0) == 0  # too young

@@ -4,13 +4,20 @@ The purge-horizon invariant ("never purge above any connected client's
 last_seq_no") only helps a reconnecting client if the seq-no and
 changed-rows tables actually SURVIVE the server dying.  With a durable
 database they are WAL-covered like any other table, so a client that
-remembers its position can replay exactly what it missed.
+remembers its position can replay exactly what it missed.  The
+ConnectedUser rows are the restarted server's registrations: it counts,
+unregisters, evicts and reconnects the clients they name.
 """
+
+import queue
 
 import pytest
 
+from repro.core import datamodel
 from repro.db import col, open_durable
+from repro.retry import RetryPolicy
 from repro.sync import NotificationCenter, SyncClient, SyncServer
+from repro.sync import client as client_mod
 
 
 @pytest.fixture
@@ -213,3 +220,135 @@ class TestRestartReplay:
         assert center2.notifications_since("pts", position) == [(newest, "insert")]
         assert client.refresh("pts") == {"upserts": 1, "deletes": 0}
         assert {r["id"] for r in mirror.all_rows()} == set(range(1, 9))
+
+
+def registrations(db):
+    return [dict(r) for r in db.table(datamodel.T_CONNECTED_USER).rows()]
+
+
+class TestInheritedRegistrations:
+    """A restarted server inherits the ConnectedUser rows as its own
+    registrations: it counts them, drops them, and reconnects their
+    clients -- the table is the server's one registry."""
+
+    def test_client_close_after_restart_removes_its_row_and_frees_the_log(
+        self, durable_stack
+    ):
+        directory, db, _server, client = durable_stack
+        client.mirror("pts")
+        for key in range(3, 8):
+            db.execute("INSERT INTO pts (id, x) VALUES (?, 0.0)", (key,))
+
+        db2, _center2, server2 = restart(directory)
+        assert server2.client_count() == 1
+        reattach(client, db2, server2)
+        client.close()
+        assert registrations(db2) == []
+        assert server2.client_count() == 0
+        # Nobody mirrors pts any more: its whole log is reclaimed.
+        assert server2.purge_notifications() == 5
+        assert len(db2.table(datamodel.T_NOTIFICATION)) == 0
+
+    def test_unregister_drops_an_inherited_registration_exactly_once(
+        self, durable_stack
+    ):
+        directory, _db, _server, client = durable_stack
+        client.mirror("pts")
+
+        db2, _center2, server2 = restart(directory)
+        (row,) = registrations(db2)
+        assert server2.unregister_client(row["id"]) is True
+        assert server2.unregister_client(row["id"]) is False
+        assert registrations(db2) == []
+        assert server2.client_count() == 0
+
+    def test_close_drops_every_registration_in_one_commit(self, tmp_path):
+        db, manager = open_durable(tmp_path / "three")
+        db.execute("CREATE TABLE pts (id INTEGER PRIMARY KEY, x FLOAT)")
+        server = SyncServer(db, NotificationCenter(db), use_sockets=False)
+        for _ in range(3):
+            SyncClient(server).mirror("pts")
+        assert server.client_count() == 3
+        before = manager.stats()["commits"]
+        server.close()
+        assert manager.stats()["commits"] == before + 1
+        assert registrations(db) == []
+        manager.close()
+
+
+def socket_server(db):
+    return SyncServer(
+        db, NotificationCenter(db), use_sockets=True, heartbeat_interval=None
+    )
+
+
+@pytest.fixture
+def socket_stack(tmp_path):
+    """A durable database, a socket server and one client mirroring pts;
+    the test restarts the server and rewires the client."""
+    directory = tmp_path / "sockets"
+    db, manager = open_durable(directory)
+    db.execute("CREATE TABLE pts (id INTEGER PRIMARY KEY, x FLOAT)")
+    server = socket_server(db)
+    client = SyncClient(
+        server,
+        reconnect=RetryPolicy(max_attempts=3, base_delay=0.01, max_delay=0.05),
+    )
+    client.mirror("pts")
+    restarted = []
+    yield directory, server, client, restarted
+    client.close()
+    for server2, manager2 in restarted:
+        server2.close()
+        manager2.close()
+    server.close()
+    manager.close()
+
+
+def restart_sockets(directory, restarted):
+    db2, manager2 = open_durable(directory)
+    server2 = socket_server(db2)
+    restarted.append((server2, manager2))
+    return db2, server2
+
+
+class TestInheritedSocketRegistrations:
+    def test_an_inherited_registration_is_detached_and_evictable(self, socket_stack):
+        directory, _server, _client, restarted = socket_stack
+        db2, server2 = restart_sockets(directory, restarted)
+        assert server2.client_count() == 1
+        assert server2.connected_count() == 0
+        assert server2.detached_count() == 1
+        assert server2.evict_detached(max_age=3600.0) == 0  # too young
+        assert server2.evict_detached(max_age=0.0) == 1
+        assert registrations(db2) == []
+        assert server2.client_count() == server2.detached_count() == 0
+        assert server2.evict_detached(max_age=0.0) == 0
+
+    def test_a_client_whose_link_dies_reconnects_to_the_restarted_server(
+        self, socket_stack
+    ):
+        directory, server, client, restarted = socket_stack
+        mirror = client.table("pts")
+        outcome = queue.Queue()
+        client.on_status(
+            lambda status, _reason: status != client_mod.RECONNECTING
+            and outcome.put(status)
+        )
+        db2, server2 = restart_sockets(directory, restarted)
+        reattach(client, db2, server2)
+        # The old server dies: its end of the link closes.
+        server._endpoints[(client.host, client.port)].conn.transport.close()
+        assert outcome.get(timeout=10.0) == client_mod.CONNECTED
+        assert client.reconnects == 1
+        assert server2.connected_count() == 1
+        assert server2.detached_count() == 0
+
+        # The loss flagged the mirror; nothing was missed.
+        assert client.refresh("pts") == {"upserts": 0, "deletes": 0}
+        heard = client.notify_received
+        db2.execute("INSERT INTO pts (id, x) VALUES (1, 1.0)")
+        assert client.wait_dirty("pts", timeout=5.0)
+        assert client.notify_received == heard + 1
+        assert client.refresh("pts") == {"upserts": 1, "deletes": 0}
+        assert mirror.all_rows() == [dict(r) for r in db2.table("pts").rows()]
