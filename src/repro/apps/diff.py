@@ -134,18 +134,6 @@ def diff_stats(a: Sequence[Any], b: Sequence[Any]) -> tuple[int, int, int]:
     return equal, inserted, deleted
 
 
-def apply_ops(a: Sequence[Any], ops: list[EditOp]) -> list[Any]:
-    """Replay an edit script over ``a`` (sanity check: result == b)."""
-    out: list[Any] = []
-    for op in ops:
-        if op.kind == "equal":
-            out.extend(a[op.old_start : op.old_end])
-        elif op.kind == "insert":
-            # Tokens come from the 'new' side; callers keep b around.
-            out.append(("__insert__", op.new_start, op.new_end))
-    return out
-
-
 def annotate_contributions(
     old_tokens: Sequence[Any],
     old_authors: Sequence[int],

@@ -212,7 +212,9 @@ def install_core_schema(database: Database) -> None:
     # The paper's ``(seq_no, ts, tn, op)`` plus which rows the event
     # touched: the tids ``lo..hi``, all of them when ``tids`` is NULL,
     # else exactly the ascending list ``tids`` (a list, not a tuple: WAL
-    # and snapshots are JSON).  The table is the change log.
+    # and snapshots are JSON).  The table is the change log; its one
+    # writer draws seq-no and tid in one step, so seq-no ascends with tid
+    # and the log needs no key and no index.
     mk(
         T_NOTIFICATION,
         [
@@ -224,7 +226,6 @@ def install_core_schema(database: Database) -> None:
             Column("hi", INTEGER, nullable=False),
             Column("tids", ANY),
         ],
-        primary_key="seq_no",
     )
     mk(
         T_PROVENANCE,

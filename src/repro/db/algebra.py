@@ -83,19 +83,6 @@ class Plan:
     def project(self, *items: str | tuple[str, Expression]) -> "Project":
         return Project(self, _normalize_items(items))
 
-    def join(self, other: "Plan", left_on: str, right_on: str) -> "HashJoin":
-        return HashJoin(self, other, left_on, right_on)
-
-    def order_by(self, *keys: str | tuple[str, bool]) -> "Sort":
-        norm = [(k, True) if isinstance(k, str) else k for k in keys]
-        return Sort(self, norm)
-
-    def limit(self, count: int, offset: int = 0) -> "Limit":
-        return Limit(self, count, offset)
-
-    def distinct(self) -> "Distinct":
-        return Distinct(self)
-
     def base_tables(self) -> set[str]:
         """Names of the stored tables this plan reads (for IVM wiring)."""
         out: set[str] = set()

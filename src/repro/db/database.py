@@ -356,6 +356,23 @@ class Database:
             self.table(table)  # validate existence
             return self._triggers.subscribe(name, table, deliver)
 
+    def appender(self, table_name: str) -> Callable[[list[dict[str, Any]]], None]:
+        """Claim ``table_name`` as a log; returns its write path.
+        ``append(rows)``, called in a commit's trigger phase, stores rows
+        its one writer built (unchecked, see :meth:`Table.append`) and
+        joins them to that commit, after its triggers, as one change set.
+        So a log takes no trigger: :meth:`on` and :meth:`subscribe`
+        refuse it."""
+        with self._lock:
+            self._triggers.claim_log(table_name)
+
+        def append(rows: list[dict[str, Any]]) -> None:
+            with self._lock:
+                change = ChangeSet(table_name, self.table(table_name).append(rows))
+                self._committing.append(change)
+
+        return append
+
     def subscriptions(self, table: str | None = None) -> list[Subscription]:
         """Every consumer's edge out of ``table`` (``None``: every table)."""
         with self._lock:

@@ -245,9 +245,9 @@ def _columnar(
 ) -> None:
     """Log uniform row dicts as one cols list + a flat value array.
 
-    Every stored row of a table is built by ``validate_row`` or, for an
-    exact multi-row INSERT, copied by ``validate_rows`` from rows that
-    already name the columns in schema order.  Either way it holds the
+    Every stored row of a table is built by ``validate_row``, copied by
+    ``validate_rows`` (an exact multi-row INSERT) or built by a log's one
+    writer (``Database.appender``).  Each way it holds the
     schema's columns in schema order, then the tid, so all rows share
     one key order and ``values()`` projects them faithfully.  The
     values land in a single flat list (row-major, ``len(cols)``-sized

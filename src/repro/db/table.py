@@ -47,15 +47,6 @@ class ChangeSet:
     def is_empty(self) -> bool:
         return not (self.inserted or self.updated or self.deleted)
 
-    def merge(self, other: "ChangeSet") -> None:
-        if other.table != self.table:
-            raise DatabaseError(
-                f"cannot merge changes of {other.table!r} into {self.table!r}"
-            )
-        self.inserted.extend(other.inserted)
-        self.updated.extend(other.updated)
-        self.deleted.extend(other.deleted)
-
     @property
     def operations(self) -> list[str]:
         ops = []
@@ -126,10 +117,9 @@ class DeltaCoalescer:
         prev = self._state.get(tid)
         if prev is None or prev[0] == _INS:
             self._state[tid] = (_INS, after)
-        elif prev[0] == _DEL:
-            # delete + insert: the row came back -- net effect is an update.
-            self._state[tid] = (_UPD, prev[1], after)
-        else:  # update + insert (defensive): keep the original before image
+        else:
+            # delete + insert: the row came back -- net effect is an update
+            # (update + insert, defensive, too): keep the first before image.
             self._state[tid] = (_UPD, prev[1], after)
 
     def _add_update(self, tid: int, before: dict, after: dict) -> None:
@@ -139,9 +129,7 @@ class DeltaCoalescer:
         elif prev[0] == _INS:
             # insert + update: the consumer never saw the intermediate image.
             self._state[tid] = (_INS, after)
-        elif prev[0] == _UPD:
-            self._state[tid] = (_UPD, prev[1], after)
-        else:  # delete + update (defensive): treat like delete + insert
+        else:  # update + update; delete + update (defensive) as delete + insert
             self._state[tid] = (_UPD, prev[1], after)
 
     def _add_delete(self, tid: int, before: dict) -> None:
@@ -392,14 +380,26 @@ class Table:
             raise violation
         if failure is not None:
             raise failure
-        if not count:
-            return stored
+        return self.append(stored, tids, batches) if count else stored
+
+    def append(
+        self,
+        rows: list[dict[str, Any]],
+        tids: list[int] | None = None,
+        batches: dict[HashIndex, dict[Any, list[Any]]] | None = None,
+    ) -> list[dict[str, Any]]:
+        """Store rows (every column, in schema order) at the next tids,
+        stamped in one clock step, unchecked: the caller checked them into
+        ``tids`` and ``batches``, or they are a log's (:meth:`Database.appender`)."""
+        count = len(rows)
+        if tids is None:
+            tids = list(range(len(self.created) + 1, len(self.created) + 1 + count))
         last = self._clock(count)
         self.created.extend(range(last - count + 1, last + 1))
-        for tid, row in zip(tids, stored):
+        for tid, row in zip(tids, rows):
             row[TID] = tid
-        self._attach(tids, stored, batches)
-        return stored
+        self._attach(tids, rows, batches or {})
+        return rows
 
     def _unique_batches(
         self, tids: Sequence[int], rows: list[dict[str, Any]]
@@ -733,9 +733,29 @@ class Table:
         """Unordered scan (fastest): no copy, so write nothing meanwhile."""
         return filter(None, self._rows)
 
+    @property
+    def span(self) -> range:
+        """The tids the row list covers: every live one, and holes."""
+        return range(self._base, self._base + len(self._rows))
+
     def tids(self) -> list[int]:
-        held = self._rows
-        return list(compress(range(self._base, self._base + len(held)), held))
+        return list(compress(self.span, self._rows))
+
+    def bisect(self, column: str, value: Any) -> int:
+        """The first tid of :attr:`span` whose live row's ``column`` -- one
+        that ascends with tid, as the change log's ``seq_no`` -- exceeds
+        ``value``: one bisect of the row list, a hole stepping to its next
+        live row (the span's end when no row does)."""
+        held, lo, hi = self._rows, 0, len(self._rows)
+        while lo < hi:
+            mid = at = (lo + hi) // 2
+            while at < hi and held[at] is None:
+                at += 1
+            if at < hi and held[at][column] <= value:
+                lo = at + 1
+            else:
+                hi = mid
+        return self._base + lo
 
     def by_key(self, value: Any) -> dict[str, Any] | None:
         """Primary-key point lookup."""

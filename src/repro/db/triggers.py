@@ -131,7 +131,7 @@ class TriggerManager:
     """
 
     #: Triggers may cascade (a trigger writes a table that has triggers);
-    #: the Notification chain of Section VI-C is exactly two levels deep.
+    #: a log's rows (the Notification table's) are an append, not a write.
     #: Anything past this depth is almost certainly an unintended loop.
     MAX_DEPTH = 16
 
@@ -141,6 +141,8 @@ class TriggerManager:
         self._triggers: dict[str, Trigger] = {}
         self._by_table: dict[str, list[Trigger]] = {}
         self._depth = 0
+        #: Tables claimed as logs (see :meth:`claim_log`).
+        self._logs: set[str] = set()
         #: Section V's mechanism, once per database, keyed by trigger.
         self.gate = PolicyGate(lock, Subscription._release)
 
@@ -166,7 +168,15 @@ class TriggerManager:
         self._install(subscription)
         return subscription
 
+    def claim_log(self, table: str) -> None:
+        """Refuse every trigger on ``table``, a log: none would fire."""
+        if self._by_table.get(table):
+            raise DatabaseError(f"table {table!r} has triggers; a log takes none")
+        self._logs.add(table)
+
     def _install(self, trigger: Trigger) -> Trigger:
+        if trigger.table in self._logs:
+            raise DatabaseError(f"table {trigger.table!r} is a log: no trigger")
         if trigger.name in self._triggers:
             raise DatabaseError(f"trigger {trigger.name!r} already exists")
         self._triggers[trigger.name] = trigger
@@ -188,12 +198,6 @@ class TriggerManager:
         for trigger in self._by_table.pop(table, []):
             self._triggers.pop(trigger.name, None)
             self.gate.drop(trigger)
-
-    def enable(self, name: str, enabled: bool = True) -> None:
-        try:
-            self._triggers[name].enabled = enabled
-        except KeyError:
-            raise DatabaseError(f"no trigger named {name!r}") from None
 
     def names(self) -> list[str]:
         return sorted(self._triggers)

@@ -79,10 +79,6 @@ class ViewDefinition:
             self.lineage = ViewLineage()
         return self
 
-    def _lineage_key(self, row: Row) -> Any:
-        """The lineage-index key for one output row (see subclasses)."""
-        raise NotImplementedError
-
     def backward_lineage(self, key: Any) -> set[tuple[str, Any]]:
         """Base ``(table, tid)`` pairs currently feeding output ``key``.
 
@@ -206,9 +202,6 @@ class SelectProjectView(ViewDefinition):
             for row, projected in zip(deleted, deleted_projected):
                 lineage.remove(row_key(projected), ((table, row.get(TID)),))
         return len(inserted) + len(deleted)
-
-    def _lineage_key(self, row: Row) -> Any:
-        return row_key(row)
 
     def rows(self) -> list[Row]:
         return self.storage.rows()
@@ -355,9 +348,6 @@ class JoinView(ViewDefinition):
                 del side[key]
         return len(combos)
 
-    def _lineage_key(self, row: Row) -> Any:
-        return row_key(row)
-
     def rows(self) -> list[Row]:
         return self.storage.rows()
 
@@ -463,9 +453,6 @@ class AggregateView(ViewDefinition):
             )
         if entry[0] == 0:
             del self.groups[key]
-
-    def _lineage_key(self, row: Row) -> Any:
-        return tuple(row[g] for g in self.group_by)
 
     def rows(self) -> list[Row]:
         names = [s.name for s in self.aggregates]

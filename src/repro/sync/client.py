@@ -454,16 +454,22 @@ class SyncClient:
         )
         if first_socket_table:
             # Register, and accept the call-back connection the server
-            # opens during register_client.
-            try:
-                self._cu_ids[table] = self._rendezvous(
-                    lambda: self.server.register_client(
-                        table, self.host, self.port, self.user_id
-                    ),
-                    timeout=5.0,
+            # opens during register_client.  A registration whose link
+            # never came is dropped: its row would pin the purge horizon.
+            registered: list[int] = []
+
+            def register() -> int:
+                registered.append(
+                    self.server.register_client(table, self.host, self.port, self.user_id)
                 )
+                return registered[0]
+
+            try:
+                self._cu_ids[table] = self._rendezvous(register, timeout=5.0)
             except Exception:
                 del self._tables[table]
+                for cu_id in registered:
+                    self.server.unregister_client(cu_id)
                 raise
             self._set_status(CONNECTED)
         else:

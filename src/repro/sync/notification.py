@@ -34,9 +34,11 @@ method that may run on another thread and touch both (watch, purge, the
 replay readers) therefore acquires the *database* lock first -- one
 consistent order, no deadlock, and replay scans see a stable snapshot
 instead of racing a concurrent purge (the RefreshDriver/purge race).
-Sequence numbers are allocated in ``_record`` under the database lock,
-which serializes every write path, so they are gapless and monotonic
-across tables and writer threads.
+``_deliver`` draws a delivery's seq-nos and its log rows' tids in one
+step, under both locks: the rows, built here in schema order, are no
+statement but the log's one append (:meth:`Database.appender`) to the
+commit being made.  Both only ascend, so seq-no order is tid order: the
+log has no key and no index, and its reader and the purge bisect it.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from __future__ import annotations
 import threading
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 from ..core import datamodel
 from ..db.database import Database
@@ -75,12 +77,8 @@ class NotificationCenter:
                 "of an older version that logged them in a second table; "
                 "this one keeps one log"
             )
-        # Replay is a range scan on seq_no -- keep the log sorted-indexed
-        # so a client pulling a small tail never pays for the whole of it.
-        if not log.has_index(f"ix_{datamodel.T_NOTIFICATION}_seq"):
-            log.create_index(
-                f"ix_{datamodel.T_NOTIFICATION}_seq", ("seq_no",), sorted=True
-            )
+        #: The log's one write path (the center is its one writer).
+        self._append = database.appender(datamodel.T_NOTIFICATION)
         #: Watched table -> its edge (the handle on its policy).
         self.subscriptions: dict[str, Subscription] = {}
         self._listeners: list[BatchListener] = []
@@ -93,10 +91,9 @@ class NotificationCenter:
         ConnectedUser row remembers consuming -- a restarted center must
         never re-issue a number a reconnecting client is already past."""
         log = self.database.table(datamodel.T_NOTIFICATION)
-        highest = log.find_sorted_index("seq_no").max_key() or 0
-        for row in self.database.table(datamodel.T_CONNECTED_USER).scan():
-            highest = max(highest, row["last_seq_no"])
-        return highest + 1
+        users = self.database.table(datamodel.T_CONNECTED_USER).scan()
+        newest = next(filter(None, map(log.get, reversed(log.span))), {"seq_no": 0})
+        return 1 + max([newest["seq_no"], *(row["last_seq_no"] for row in users)])
 
     # ------------------------------------------------------------------
     def watch(self, table: str) -> Subscription:
@@ -139,20 +136,10 @@ class NotificationCenter:
 
     # ------------------------------------------------------------------
     def _deliver(self, change: ChangeSet) -> None:
-        # The edge's delivery, immediate or flushed: the database lock is
-        # held and a commit is being made, so the log rows join it and
-        # the listeners hear of them once it is logged.
-        with OBS.span("sync.notify", {"table": change.table}) as span:
-            events, listeners = self._record(change, span)
-            span.set_tag("notifications", len(events))
-        self.database.after_commit(self._fan_out, change.table, events, listeners)
-
-    def _record(
-        self, change: ChangeSet, span: Any
-    ) -> tuple[list[tuple[str, int]], list[BatchListener]]:
-        """Log ``change`` as one seq-no, one Notification row, per op
-        kind and link each to ``span``; returns the ``(op, seq_no)``
-        events and the listeners to hand them to."""
+        """The edge's delivery (immediate or flushed; database lock held,
+        a commit being made): log ``change`` as one seq-no and one row per
+        op kind -- one append, joining the commit -- and hand the ``(op,
+        seq_no)`` events to the listeners once that commit is logged."""
         # Each event's tids are distinct, so ``hi - lo`` tells a contiguous
         # run, stored as its bounds alone (an INSERT's: nothing sorted);
         # any other list is logged ascending (a coalesced delta or a
@@ -166,39 +153,39 @@ class NotificationCenter:
             )
             if tids
         ]
-        with self.database.lock:
-            with self._lock:
-                first = self._next_seq
-                self._next_seq += len(groups)
-                events = [(op, first + i) for i, (op, _tids) in enumerate(groups)]
-                # Row at a time: there are <= 3.
-                for (op, seq_no), (_op, tids) in zip(events, groups):
+        with OBS.span("sync.notify", {"table": change.table}) as span:
+            with self.database.lock, self._lock:
+                ts, rows = self.database.now(), []
+                for op, tids in groups:
                     lo, hi = min(tids), max(tids)
                     if hi - lo + 1 != len(tids):
                         tids.sort()
-                    self.database.insert(
-                        datamodel.T_NOTIFICATION,
+                    rows.append(
                         {
-                            "seq_no": seq_no,
-                            "ts": self.database.now(),
+                            "seq_no": self._next_seq,
+                            "ts": ts,
                             "table_name": change.table,
                             "op": op,
                             "lo": lo,
                             "hi": hi,
                             "tids": None if hi - lo + 1 == len(tids) else tids,
-                        },
+                        }
                     )
+                    self._next_seq += 1
+                self._append(rows)  # their tids ascend with their seq-nos
                 listeners = list(self._listeners)
-        if OBS.enabled:
-            # Register the notify context under (table, seq_no) so the
-            # mirror refresh -- on another thread, reached only through
-            # the protocol -- can join this trace, and so the
-            # NOTIFY->applied latency has a start timestamp.
-            context = span.context()
-            for op, seq_no in events:
-                OBS.tracer.link(("notify", change.table, seq_no), context)
-                OBS.metrics.counter("sync.notifications", op=op).inc()
-        return events, listeners
+            events = [(row["op"], row["seq_no"]) for row in rows]
+            span.set_tag("notifications", len(events))
+            if OBS.enabled:
+                # Register the notify context under (table, seq_no) so the
+                # mirror refresh -- on another thread, reached only through
+                # the protocol -- can join this trace, and so the
+                # NOTIFY->applied latency has a start timestamp.
+                context = span.context()
+                for op, seq_no in events:
+                    OBS.tracer.link(("notify", change.table, seq_no), context)
+                    OBS.metrics.counter("sync.notifications", op=op).inc()
+        self.database.after_commit(self._fan_out, change.table, events, listeners)
 
     @staticmethod
     def _fan_out(
@@ -218,26 +205,23 @@ class NotificationCenter:
 
         ``tids`` is ascending -- a ``range``, or the stored list (read
         it, never change it); replaying the events in order yields the
-        current state.  One slice of the sorted seq_no index the
-        constructor guarantees (a reconnecting client pulls a short tail
-        of a long log), taken under the database lock so a concurrent
-        purge (which deletes log rows) can never shift the scan
-        mid-iteration.  The purge horizon (step 11) keeps every event of
+        current state.  One bisect of the log on seq_no (a reconnecting
+        client pulls a short tail of a long log) and one slice, under the
+        database lock so a concurrent purge (which deletes log rows) can
+        never shift the slice.  The purge horizon (step 11) keeps every event of
         a table above the ``last_seq_no`` of each of its connected
         clients, so a reconnecting client's replay is lossless.
         """
         events: list[tuple[int, str, Sequence[int]]] = []
-        with self.database.lock:
-            with self._lock:
-                log = self.database.table(datamodel.T_NOTIFICATION)
-                index = log.find_sorted_index("seq_no")
-                logged = list(index.range(last_seq_no, None, include_low=False))
-                for row in log.images(logged):
-                    if row["table_name"] == table:
-                        tids = row["tids"]
-                        if tids is None:
-                            tids = range(row["lo"], row["hi"] + 1)
-                        events.append((row["seq_no"], row["op"], tids))
+        with self.database.lock, self._lock:
+            log = self.database.table(datamodel.T_NOTIFICATION)
+            tail = range(log.bisect("seq_no", last_seq_no), log.span.stop)
+            for row in filter(None, log.images(tail)):
+                if row["table_name"] == table:
+                    tids = row["tids"]
+                    if tids is None:
+                        tids = range(row["lo"], row["hi"] + 1)
+                    events.append((row["seq_no"], row["op"], tids))
         return events
 
     def changes_since(
@@ -265,23 +249,28 @@ class NotificationCenter:
         entries at or below the horizon are safe to drop; a mirror of a
         quiet table holds back no other table's log, and a table nobody
         mirrors keeps nothing.  Returns the number of notification rows
-        removed.
+        removed.  Seq-no ascends with tid, so while every watched table
+        has clients the pass stops at the first row past the highest
+        horizon (a table neither watched nor mirrored loses its rows once
+        a horizon passes them).
 
         Runs under the database lock (then the center lock) so it is
         serialized against in-flight :meth:`events_since` scans -- a refresh
         taking its seq snapshot can never observe a half-purged log.
         """
-        with self.database.lock:
-            with self._lock:
-                horizons: dict[str, int] = {}
-                for row in self.database.table(datamodel.T_CONNECTED_USER).scan():
-                    name, seq = row["table_name"], row["last_seq_no"]
-                    horizons[name] = min(seq, horizons.get(name, seq))
-                # One statement, in tid order as ``DELETE ... WHERE``
-                # lists them: one read per logged event.
-                consumed = sorted(
-                    row[TID]
-                    for row in self.database.table(datamodel.T_NOTIFICATION).scan()
-                    if row["seq_no"] <= horizons.get(row["table_name"], row["seq_no"])
-                )
-                return self.database.delete_by_tids(datamodel.T_NOTIFICATION, consumed)
+        with self.database.lock, self._lock:
+            horizons: dict[str, int] = {}
+            for row in self.database.table(datamodel.T_CONNECTED_USER).scan():
+                name, seq = row["table_name"], row["last_seq_no"]
+                horizons[name] = min(seq, horizons.get(name, seq))
+            log = self.database.table(datamodel.T_NOTIFICATION)
+            stop = log.span.stop
+            if horizons and horizons.keys() >= self.subscriptions.keys():
+                stop = log.bisect("seq_no", max(horizons.values()))
+            # One statement, in tid order as ``DELETE ... WHERE`` lists them.
+            consumed = [
+                row[TID]
+                for row in filter(None, log.images(range(log.span.start, stop)))
+                if row["seq_no"] <= horizons.get(row["table_name"], row["seq_no"])
+            ]
+            return self.database.delete_by_tids(datamodel.T_NOTIFICATION, consumed)

@@ -62,12 +62,6 @@ class IsolationContext:
     snapshot_time: Optional[int]
     own_tids: Optional[dict[str, set[int]]] = None
 
-    def owns(self, table: str, tid: int) -> bool:
-        if self.own_tids is None:
-            return False
-        tids = self.own_tids.get(table)
-        return tids is not None and tid in tids
-
     def record_own(self, table: str, tids: Iterable[int]) -> None:
         if self.own_tids is not None:
             self.own_tids.setdefault(table, set()).update(tids)

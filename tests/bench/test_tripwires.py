@@ -25,9 +25,10 @@ keeps each frame's message, a connection's fault wrapper) and its
 eviction of a slow client (a lag summed over the tables it mirrors, the
 log groups that sum walked, a broadcast that retires a connection)
 and its in-memory copy of the ConnectedUser table (``_ClientLink``
-records in ``_links``); and for what the aggregate memo relies on: every
-write into a column chunk re-stamps it, and the memo is keyed by stamps,
-never by chunks."""
+records in ``_links``), and the change log's nested statement per event,
+its ``seq_no`` indexes and its sorted whole-log scans; and for what the
+aggregate memo relies on: every write into a column chunk re-stamps it,
+and the memo is keyed by stamps, never by chunks."""
 
 import ast
 import re
@@ -1458,3 +1459,85 @@ def test_the_registry_tripwire_fires_on_planted_offenders():
         "        return len(self._links)\n"
     )
     assert registry_copies(parent) == [1, 5, 8, 10]
+
+
+#: Writes that are statements (or index builds) of their own: the log's
+#: rows are one append to the commit being made.
+LOG_STATEMENTS = {"insert", "insert_many", "create_index"}
+#: Whole-log passes: ``events_since`` and ``purge`` bisect the log.
+LOG_PASSES = {"scan", "rows"}
+
+
+def _reads_connected_users(node):
+    """True for ``<...>.table(datamodel.T_CONNECTED_USER)``: the registry
+    (one row per client), which the purge reads whole for its horizons."""
+    return (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "table"
+        and any(getattr(arg, "attr", None) == "T_CONNECTED_USER" for arg in node.args)
+    )
+
+
+def change_log_statements_and_passes(source):
+    """``(name, line)`` of each ``insert``/``insert_many``/``create_index``
+    call anywhere in ``source``, and of each ``sorted(...)`` call and each
+    ``.scan()``/``.rows()`` call not on the ConnectedUser table in
+    ``NotificationCenter.events_since`` and ``NotificationCenter.purge``."""
+    hits = [
+        (node.func.attr, node.lineno)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in LOG_STATEMENTS
+    ]
+    methods = method_bodies(source, "NotificationCenter")
+    for name in ("events_since", "purge"):
+        for node in ast.walk(methods.get(name, ast.Module(body=[], type_ignores=[]))):
+            if not isinstance(node, ast.Call):
+                continue
+            if getattr(node.func, "id", None) == "sorted":
+                hits.append(("sorted", node.lineno))
+            elif getattr(node.func, "attr", None) in LOG_PASSES and not (
+                _reads_connected_users(node.func.value)
+            ):
+                hits.append((node.func.attr, node.lineno))
+    return sorted(hits, key=lambda hit: hit[1])
+
+
+def test_the_change_log_is_one_append_and_is_bisected():
+    """The center writes its log rows as one append to the commit, never
+    as statements, builds no index on the log, and reads it by bisecting
+    its tid order: no sort and no whole-log pass."""
+    source = (SYNC / "notification.py").read_text(encoding="utf-8")
+    assert "events_since" in method_bodies(source, "NotificationCenter")
+    assert change_log_statements_and_passes(source) == []
+
+
+def test_the_change_log_tripwire_fires_on_planted_offenders():
+    # The parent's sorted index, its nested insert per event in _record,
+    # its slice of that index and its sorted scan of the whole log.
+    parent = (
+        "class NotificationCenter:\n"
+        "    def __init__(self, database):\n"
+        "        log.create_index('ix_seq', ('seq_no',), sorted=True)\n"
+        "    def _record(self, change, span):\n"
+        "        for (op, seq_no), (_op, tids) in zip(events, groups):\n"
+        "            self.database.insert(datamodel.T_NOTIFICATION, {'seq_no': 1})\n"
+        "    def events_since(self, table, last_seq_no):\n"
+        "        logged = list(index.range(last_seq_no, None, include_low=False))\n"
+        "        return [row for row in log.rows() if row['seq_no'] > last_seq_no]\n"
+        "    def purge(self):\n"
+        "        for row in self.database.table(datamodel.T_CONNECTED_USER).scan():\n"
+        "            pass\n"
+        "        consumed = sorted(\n"
+        "            row[TID]\n"
+        "            for row in self.database.table(datamodel.T_NOTIFICATION).scan()\n"
+        "        )\n"
+    )
+    assert change_log_statements_and_passes(parent) == [
+        ("create_index", 3),
+        ("insert", 6),
+        ("rows", 9),
+        ("sorted", 13),
+        ("scan", 15),
+    ]

@@ -83,8 +83,9 @@ def stack(tmp_path):
 
 def log_rows(events):
     """What the center's trigger adds for one net delta of ``events`` op
-    kinds: one Notification row each."""
-    return [(datamodel.T_NOTIFICATION, 1, 0, 0)] * events
+    kinds: one Notification row each, in one change set (their tids are
+    consecutive)."""
+    return [(datamodel.T_NOTIFICATION, events, 0, 0)]
 
 
 # ----------------------------------------------------------------------
@@ -155,7 +156,8 @@ def test_a_trigger_cascade_joins_the_commit_that_caused_it(stack):
     hook, *listeners = stack.timeline
     assert hook[0] == "hook"
     assert hook[1][0] == ("a", 3, 0, 0)  # the user's rows come first
-    assert sorted(hook[1][1:]) == sorted([("b", 1, 0, 0)] + log_rows(2))
+    # Two deliveries, a's and b's: a log change set of one row each.
+    assert sorted(hook[1][1:]) == sorted([("b", 1, 0, 0)] + log_rows(1) * 2)
     assert sorted(listeners) == [
         ("listener", "a", ["insert"]),
         ("listener", "b", ["insert"]),

@@ -24,7 +24,7 @@ from repro.db import Column, Database, col, open_durable
 from repro.db.schema import TID
 from repro.db.types import INTEGER
 from repro.db.wal import FSYNC_NEVER
-from repro.errors import ConstraintViolation
+from repro.errors import ConstraintViolation, DatabaseError, SyncError
 from repro.sync import (
     IMMEDIATE,
     DeltaCoalescer,
@@ -285,12 +285,23 @@ def test_a_bulk_statement_logs_one_row_and_purges_one_row(tmp_path):
     center = NotificationCenter(db)
     center.watch("t")
     inserts, bulk_inserts = calls_into(db, "insert"), calls_into(db, "insert_many")
+    log, log_appends = db.table(LOG), []
+    append = log.append
+
+    def counted_append(rows):
+        log_appends.append(len(rows))
+        return append(rows)
+
+    log.append = counted_append
     commits = []
     db.add_commit_hook(lambda changes: commits.append([c.table for c in changes]))
     appends = manager.stats()["wal_appends"]
     db.insert_many("t", [{"id": i, "v": 0} for i in range(1000)])
-    assert inserts == [LOG]
+    # One statement; the log row is no statement of its own but one
+    # append of one row.
+    assert inserts == []
     assert bulk_inserts == ["t"]
+    assert log_appends == [1]
     # The log row arrives in the statement's own commit: one hook call,
     # one WAL record.
     assert commits == [["t", LOG]]
@@ -443,3 +454,29 @@ def test_at_most_one_log_row_per_event_whatever_call_writes_it():
     assert len(db.table(LOG)) - before == 3
     assert [op for _seq, op in center.notifications_since("t", 1)] == list(OPS)
     center.close()
+
+
+# ----------------------------------------------------------------------
+# The log rows join their commit after its triggers: nothing may watch it.
+def test_the_log_table_takes_no_trigger_and_no_subscription():
+    db = make_db("t")
+    center = NotificationCenter(db)
+    with pytest.raises(DatabaseError, match="is a log"):
+        db.on(LOG, "insert", lambda change: None)
+    with pytest.raises(DatabaseError, match="is a log"):
+        db.subscribe(LOG, lambda change: None, "watch_the_log")
+    with pytest.raises(SyncError, match="cannot watch"):
+        center.watch(LOG)
+    assert db.trigger_names() == [] and db.subscriptions(LOG) == []
+    # A second center on the database claims the same log: still refused.
+    NotificationCenter(db)
+    with pytest.raises(DatabaseError, match="is a log"):
+        db.on(LOG, ("insert", "delete"), lambda change: None)
+
+
+def test_a_center_refuses_a_log_table_that_has_a_trigger():
+    db = make_db("t")
+    datamodel.install_core_schema(db)
+    db.on(LOG, "insert", lambda change: None)
+    with pytest.raises(DatabaseError, match="has triggers"):
+        NotificationCenter(db)

@@ -306,16 +306,19 @@ class TestStoredShape:
             NotificationCenter(db)
         assert set(db.table_names()) == tables
 
-    def test_a_fresh_center_creates_one_log_table_with_two_seq_no_indexes(self, db):
+    def test_a_fresh_center_creates_one_unindexed_log_table(self, db):
         before = set(db.table_names())
         NotificationCenter(db)
         assert set(db.table_names()) - before == set(datamodel.CORE_TABLES)
         assert not db.has_table(SECOND_LOG)
-        # seq_no is indexed twice in the whole store: the log's primary
-        # key and the sorted index its one reader slices.
+        # seq_no is a column of one table in the whole store, and indexed
+        # nowhere: it ascends with the log's tid, which its one reader
+        # bisects.
         assert [
             name for name in db.table_names() if db.table(name).schema.has_column("seq_no")
         ] == [datamodel.T_NOTIFICATION]
         log = db.table(datamodel.T_NOTIFICATION)
-        assert log.find_hash_index("seq_no") is not None
-        assert log.find_sorted_index("seq_no") is not None
+        assert log.schema.primary_key is None
+        assert log.find_hash_index("seq_no") is None
+        assert log.find_sorted_index("seq_no") is None
+        assert log.hash_indexes() == []

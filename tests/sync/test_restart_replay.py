@@ -15,6 +15,7 @@ import pytest
 
 from repro.core import datamodel
 from repro.db import col, open_durable
+from repro.errors import SyncError
 from repro.retry import RetryPolicy
 from repro.sync import NotificationCenter, SyncClient, SyncServer
 from repro.sync import client as client_mod
@@ -352,3 +353,50 @@ class TestInheritedSocketRegistrations:
         assert client.notify_received == heard + 1
         assert client.refresh("pts") == {"upserts": 1, "deletes": 0}
         assert mirror.all_rows() == [dict(r) for r in db2.table("pts").rows()]
+
+    def test_a_mirror_never_connected_back_leaves_no_row_to_pin_the_purge(
+        self, tmp_path, monkeypatch
+    ):
+        """A new client whose port a detached registration holds (a dead
+        client's, inherited across a restart) is not connected back, so
+        its first mirror fails -- and drops the row it registered, which
+        would otherwise hold the table's log forever."""
+        db, manager = open_durable(tmp_path / "found")
+        db.execute("CREATE TABLE pts (id INTEGER PRIMARY KEY, x FLOAT)")
+        db.execute("CREATE TABLE other (id INTEGER PRIMARY KEY)")
+        center = NotificationCenter(db)
+        first = SyncServer(db, center, use_sockets=True, heartbeat_interval=None)
+        client = SyncClient(first)
+        first.close()
+        db.insert(
+            datamodel.T_CONNECTED_USER,
+            {
+                "id": 99,
+                "host": client.host,
+                "port": client.port,
+                "table_name": "other",
+                "last_seq_no": 0,
+            },
+        )
+        server = SyncServer(db, center, use_sockets=True, heartbeat_interval=None)
+        client.server = server
+        assert server.detached_count() == 1
+        accept = client._accept_callback_connection
+        monkeypatch.setattr(
+            client, "_accept_callback_connection", lambda timeout: accept(0.2)
+        )
+        with pytest.raises(SyncError, match="never connected back"):
+            client.mirror("pts")
+        assert [(r["id"], r["table_name"]) for r in registrations(db)] == [
+            (99, "other")
+        ]
+        # pts is watched (register_client watched it) and mirrored by
+        # nobody: the purge reclaims every one of its log rows.
+        for key in range(3):
+            db.insert("pts", {"id": key, "x": 0.0})
+        assert len(center.events_since("pts", 0)) == 3
+        assert center.purge() == 3
+        assert center.events_since("pts", 0) == []
+        client.close()
+        server.close()
+        manager.close()

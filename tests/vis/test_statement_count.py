@@ -93,8 +93,9 @@ class Stack:
         return [(op, seq_no) for _table, op, seq_no in self.notified[:-1]]
 
     def log_rows(self, count):
-        """What a commit's trigger adds to its list for ``count`` events."""
-        return [(datamodel.T_NOTIFICATION, 1, 0, 0)] * count
+        """What a commit's trigger adds to its list for ``count`` events:
+        one change set of ``count`` rows (their tids are consecutive)."""
+        return [(datamodel.T_NOTIFICATION, count, 0, 0)] * bool(count)
 
     def close(self):
         self.client.close()
