@@ -64,10 +64,7 @@ def _run_pipeline(database) -> float:
             pipeline.run_batch(BATCH_ROWS)
         return (time.perf_counter() - start) * 1000.0
     finally:
-        pipeline.machine1.close()
-        pipeline.machine2.close()
-        pipeline.server.close()
-        pipeline.center.close()
+        pipeline.close()
 
 
 def _open_arm(arm: str, directory):

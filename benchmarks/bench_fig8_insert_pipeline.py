@@ -8,43 +8,63 @@ VisualAttributes table".
 
 We reproduce the same six series over loopback sockets and assert the
 shape: linearity of the total, and VisualAttributes-insert dominance.
+Each batch runs traced and its steps are read from its one propagation
+trace (``fig8_series``); beside them, the share of the trace's wall time
+no step covers (``unattr_pct``), and the whole ``run_batch`` timed once
+traced and once not, so the cost of tracing shows.  Best of three
+batches per size, per column.
 """
+
+import gc
 
 import pytest
 
-from benchmarks.fig8_pipeline import FIG8_SERIES, InsertPipeline
+import repro.obs as obs
+from benchmarks.fig8_pipeline import FIG8_SERIES, InsertPipeline, fig8_series
 from benchmarks.support import (
     SeriesTable,
+    Timer,
     dominance_ratio,
     is_roughly_linear,
     linear_fit,
 )
 
 BATCH_SIZES = (100, 250, 500, 1000, 1500, 2000)
+COLUMNS = (*FIG8_SERIES, "unattr_pct", "traced", "untraced")
+
+
+def _batch(pipeline: InsertPipeline, size: int) -> dict[str, float]:
+    """One traced batch's columns, then one untraced batch's time."""
+    gc.collect()
+    obs.enable()
+    try:
+        with Timer() as traced:
+            pipeline.run_batch(size)
+    finally:
+        obs.disable()
+    report = obs.propagation_report()
+    obs.reset()
+    row = fig8_series(report)
+    row["unattr_pct"] = 100.0 * (report.wall_ms - row["total"]) / report.wall_ms
+    gc.collect()
+    with Timer() as untraced:
+        pipeline.run_batch(size)
+    row.update(traced=traced.ms, untraced=untraced.ms)
+    return row
 
 
 @pytest.fixture(scope="module")
 def fig8_table(emit, emit_json):
     """Run the sweep once per session; individual tests check its shape."""
-    import gc
-
     pipeline = InsertPipeline(use_sockets=True)
-    table = SeriesTable("tuples", list(FIG8_SERIES))
-    repetitions = 3
+    table = SeriesTable("tuples", list(COLUMNS))
     try:
         pipeline.run_batch(100)  # warm-up (JIT-less, but warms caches)
         for size in BATCH_SIZES:
-            # Best of N repetitions: GC pauses and scheduler hiccups on
-            # loopback sockets otherwise dominate single samples.
-            samples = []
-            for _ in range(repetitions):
-                gc.collect()
-                samples.append(pipeline.run_batch(size))
-            best = {
-                series: min(sample[series] for sample in samples)
-                for series in FIG8_SERIES
-            }
-            table.add(size, best)
+            # Best of 3: GC pauses and scheduler hiccups on loopback
+            # sockets otherwise dominate single samples.
+            samples = [_batch(pipeline, size) for _ in range(3)]
+            table.add(size, {c: min(s[c] for s in samples) for c in COLUMNS})
     finally:
         pipeline.close()
     emit("\n== Figure 8: time to perform insert operation (two machines, sockets) ==")
@@ -53,37 +73,22 @@ def fig8_table(emit, emit_json):
     return table
 
 
-def test_fig8_total_grows_linearly(fig8_table, benchmark):
-    pipeline = InsertPipeline(use_sockets=False)
-    try:
-        benchmark(pipeline.run_batch, 500)
-    finally:
-        pipeline.close()
+def test_fig8_total_grows_linearly(fig8_table):
     xs = fig8_table.xs()
     assert is_roughly_linear(xs, fig8_table.series("total"), min_r_squared=0.85)
     slope, _intercept, _r2 = linear_fit(xs, fig8_table.series("total"))
     assert slope > 0
 
 
-def test_fig8_visualattrs_insert_dominates(fig8_table, benchmark):
+def test_fig8_visualattrs_insert_dominates(fig8_table):
     """The paper: "The dominating time is required to write in the
     VisualAttributes table"."""
-    pipeline = InsertPipeline(use_sockets=False)
-    try:
-        benchmark(pipeline.run_batch, 1000)
-    finally:
-        pipeline.close()
     others = [s for s in FIG8_SERIES if s not in ("insert_visualattrs", "total")]
     ratio = dominance_ratio(fig8_table, "insert_visualattrs", others)
     assert ratio > 1.0, f"VisualAttributes insert should dominate (ratio={ratio:.2f})"
 
 
-def test_fig8_each_step_scales_with_batch(fig8_table, benchmark):
-    pipeline = InsertPipeline(use_sockets=False)
-    try:
-        benchmark(pipeline.run_batch, 2000)
-    finally:
-        pipeline.close()
+def test_fig8_each_step_scales_with_batch(fig8_table):
     for series in ("insert_visualattrs", "extract_new_nodes", "insert_into_display"):
         values = fig8_table.series(series)
         # Larger batches cost more end-to-end (allowing noise on smalls).

@@ -1,4 +1,4 @@
-"""The Figure-8 insert pipeline, instrumented end to end.
+"""The Figure-8 insert pipeline, read from one propagation trace.
 
 The paper's robustness experiment (Section VII-C): "the DBMS is connected
 to two EdiFlow instances running on two machines.  The first EdiFlow
@@ -16,19 +16,23 @@ performs five measured steps:
 
 :class:`InsertPipeline` reproduces the deployment with two sync clients
 (the "machines") over loopback sockets or the in-process transport, and
-:meth:`run_batch` returns the per-step times for one batch of tuples.
+:meth:`~InsertPipeline.run_batch` propagates one batch of tuples.  It
+keeps no clock: traced (``repro.obs.enable()``), a batch is one trace,
+and :func:`fig8_series` reads the five steps from its
+:func:`~repro.obs.propagation_report`.
 """
 
 from __future__ import annotations
 
 import random
-import time
+from itertools import islice
 from typing import Optional
 
 from repro.core import datamodel
 from repro.db.database import Database
 from repro.db.schema import Column
 from repro.db.types import INTEGER, TEXT
+from repro.obs import OBS, PropagationReport
 from repro.sync.client import SyncClient
 from repro.sync.notification import NotificationCenter
 from repro.sync.server import SyncServer
@@ -36,6 +40,7 @@ from repro.vis.attributes import VisualAttributesStore, VisualItem
 from repro.vis.display import Display
 
 T_NODES = "pipeline_author"
+T_ATTRS = datamodel.T_VISUAL_ATTRIBUTES
 
 #: The six series of Figure 8, in the paper's legend order.
 FIG8_SERIES = (
@@ -46,6 +51,22 @@ FIG8_SERIES = (
     "insert_into_display",
     "total",
 )
+
+
+def fig8_series(report: PropagationReport) -> dict[str, float]:
+    """Figure 8's five steps (ms) from one batch's report, and their
+    total; a step the trace lacks raises ``KeyError``.  The report's
+    ``wall_ms`` less ``total`` is what no step covers: the stimulus
+    write, the purge, the glue between spans."""
+    author, attrs = report.tables[T_NODES], report.tables[T_ATTRS]
+    steps = (
+        author["hop"] + author["mirror_refresh"],
+        attrs["db_write"] + attrs["trigger"] + attrs["notify"],
+        attrs["hop"],
+        attrs["mirror_refresh"],
+        attrs["layout"],
+    )
+    return dict(zip(FIG8_SERIES, (*steps, sum(steps))))
 
 
 class InsertPipeline:
@@ -77,88 +98,65 @@ class InsertPipeline:
         self.machine1_nodes = self.machine1.mirror(T_NODES)
         # Machine 2: extracts VisualAttributes rows and displays them.
         self.machine2 = SyncClient(self.server)
-        self.machine2_attrs = self.machine2.mirror(datamodel.T_VISUAL_ATTRIBUTES)
+        self.machine2_attrs = self.machine2.mirror(T_ATTRS)
         self.display = Display("machine2")
         self._next_node_id = 1
 
     # ------------------------------------------------------------------
-    def _wait_dirty(self, client: SyncClient, table: str) -> float:
-        """Time (ms) until the NOTIFY for ``table`` is received and parsed."""
-        start = time.perf_counter()
-        if self.server.use_sockets:
-            if not client.wait_dirty(table, timeout=10.0):
-                raise TimeoutError(f"no NOTIFY for {table!r} within 10s")
-        return (time.perf_counter() - start) * 1000.0
+    def _wait_dirty(self, client: SyncClient, table: str) -> None:
+        """Block until the NOTIFY for ``table`` reached ``client``."""
+        if self.server.use_sockets and not client.wait_dirty(table, timeout=10.0):
+            raise TimeoutError(f"no NOTIFY for {table!r} within 10s")
 
-    def run_batch(self, batch_size: int) -> dict[str, float]:
-        """Insert ``batch_size`` author tuples and time all five steps:
-        one value (ms) per series of ``FIG8_SERIES``."""
-        rows = []
-        for _ in range(batch_size):
-            rows.append({"id": self._next_node_id, "name": f"node-{self._next_node_id}"})
-            self._next_node_id += 1
-        # The stimulus (not one of the measured steps): the batch lands in
-        # the nodes table as one statement -> one notification.
+    def run_batch(self, batch_size: int) -> None:
+        """Insert ``batch_size`` author tuples and carry them through
+        both machines to the display.  Each machine works inside the
+        trace of the refresh it reacts to, as ``RefreshDriver`` listeners
+        do: traced, the batch is one trace."""
+        first = self._next_node_id
+        self._next_node_id += batch_size
+        ids = range(first, first + batch_size)
+        rows = [{"id": i, "name": f"node-{i}"} for i in ids]
+        # The stimulus: the batch lands in the nodes table as one
+        # statement -> one notification.
         self.database.insert_many(T_NODES, rows)
 
-        # Step 1: machine 1 receives + parses the author-change message.
-        t1 = self._wait_dirty(self.machine1, T_NODES)
-        start = time.perf_counter()
+        # Step 1: machine 1 receives the author-change message and pulls.
+        self._wait_dirty(self.machine1, T_NODES)
         self.machine1.refresh(T_NODES)
-        t1 += (time.perf_counter() - start) * 1000.0
+        # Step 2: machine 1 computes the visual attributes (the layout
+        # stand-in assigns positions) and writes them, in one commit.
+        with OBS.tracer.activate(self.machine1.last_refresh_context(T_NODES)):
+            with self.database.transaction():
+                items = [
+                    VisualItem(
+                        obj_id=row["id"],
+                        x=self.rng.uniform(0, 800),
+                        y=self.rng.uniform(0, 600),
+                        color="#4e79a7",
+                        label=row["name"],
+                    )
+                    for row in rows
+                ]
+                self.store.write(self.component_id, items)
 
-        # Step 2: compute + insert the visual attributes (the layout
-        # stand-in assigns positions; the dominant cost is the DB write).
-        start = time.perf_counter()
-        items = [
-            VisualItem(
-                obj_id=row["id"],
-                x=self.rng.uniform(0, 800),
-                y=self.rng.uniform(0, 600),
-                color="#4e79a7",
-                label=row["name"],
-            )
-            for row in rows
-        ]
-        self.store.write(self.component_id, items)
-        t2 = (time.perf_counter() - start) * 1000.0
-
-        # Step 3: machine 2 receives + parses the VisualAttributes message.
-        t3 = self._wait_dirty(self.machine2, datamodel.T_VISUAL_ATTRIBUTES)
-
-        # Step 4: extract the new rows (the select).  Only the changed
-        # tids are pulled -- cost proportional to the batch, not to the
-        # accumulated table (the property behind Figure 8's linearity).
-        start = time.perf_counter()
-        _newest, changed = self.center.changes_since(
-            datamodel.T_VISUAL_ATTRIBUTES, self.machine2_attrs.last_seq_no
-        )
-        self.machine2.refresh(datamodel.T_VISUAL_ATTRIBUTES)
-        fresh_rows = []
-        seen_tids = set()
-        for tid, op in changed:
-            if op == "delete" or tid in seen_tids:
-                continue
-            seen_tids.add(tid)
-            row = self.machine2_attrs.get(tid)
-            if row is not None and row["component_id"] == self.component_id:
-                fresh_rows.append(row)
-        t4 = (time.perf_counter() - start) * 1000.0
-
-        # Step 5: insert the new nodes into the display.
-        start = time.perf_counter()
-        self.display.apply_rows(fresh_rows)
-        self.display.refresh()
-        t5 = (time.perf_counter() - start) * 1000.0
-
-        # Housekeeping outside the measured steps: purge consumed
-        # notifications (protocol step 11) so the change log stays small.
-        self.server.purge_notifications()
-
-        steps = (t1, t2, t3, t4, t5)
-        return dict(zip(FIG8_SERIES, (*steps, sum(steps))))
+        # Step 3: machine 2 receives the VisualAttributes message; step 4:
+        # its refresh selects the changed rows (cost proportional to the
+        # batch, not to the accumulated table: Figure 8's linearity).
+        self._wait_dirty(self.machine2, T_ATTRS)
+        pulled = self.machine2.refresh(T_ATTRS)["upserts"]
+        with OBS.tracer.activate(self.machine2.last_refresh_context(T_ATTRS)):
+            # Step 5: a batch's items are all new, so the rows the refresh
+            # pulled are the mirror's newest; the display reads them.
+            newest = reversed(self.machine2_attrs.rows.values())
+            self.display.apply_rows(islice(newest, pulled))
+            self.display.refresh()
+            # Protocol step 11, none of the five: purge consumed
+            # notifications so the change log stays small.
+            self.server.purge_notifications()
 
     def close(self) -> None:
         self.machine1.close()
         self.machine2.close()
         self.server.close()
+        self.center.close()

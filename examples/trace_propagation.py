@@ -4,8 +4,9 @@ Builds the full chain -- database, notification center, sync client with a
 mirrored table, a materialized view, LinLog layout, display -- switches on
 `repro.obs`, performs a single insert, and prints:
 
-  * the six-stage propagation report (db_write / trigger / notify /
-    mirror_refresh / delta_handler / layout) with the stitched span tree,
+  * the propagation report (db_write / trigger / notify / hop /
+    mirror_refresh / delta_handler / layout, and per table) with the
+    stitched span tree,
   * the Prometheus-format metrics dump.
 
 Run:  python examples/trace_propagation.py

@@ -14,6 +14,11 @@ and a mirror refresh never reads an uncommitted image.
 
 Nested ``transaction()`` blocks join the outer transaction (savepoints
 are not needed by any EdiFlow mechanism and are left out deliberately).
+
+Traced, the outermost block is one ``db.transaction`` span, open from
+entry to exit: its statements' ``db.write`` spans and the commit its exit
+makes (the trigger phase, the NOTIFY, and so the refresh that joins it)
+all nest in it -- one trace, each span inside its parent's interval.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from ..errors import TransactionError
+from ..obs.runtime import OBS
 from .schema import TID
 from .table import ChangeSet
 
@@ -68,6 +74,7 @@ class TransactionContext:
     def __init__(self, database: "Database") -> None:
         self._database = database
         self._owns = False
+        self._span: Any = None
 
     def __enter__(self) -> Transaction:
         self._database.lock.acquire()
@@ -76,18 +83,26 @@ class TransactionContext:
             current = Transaction(self._database)
             self._database._current_transaction = current
             self._owns = True
+            if OBS.enabled:
+                self._span = OBS.tracer.span("db.transaction").__enter__()
         return current
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
+        span = self._span
         try:
             if self._owns:  # an inner block leaves the outcome to the outermost
                 transaction = self._database._current_transaction
                 self._database._current_transaction = None
                 assert transaction is not None
+                if span is not None and transaction.changes:
+                    span.set_tag("table", transaction.changes[0].table)
                 if exc_type is None:
                     transaction.commit()
                 else:
                     transaction.rollback()
         finally:
+            if span is not None:
+                self._span = None
+                span.__exit__(exc_type, exc, tb)
             self._database.lock.release()
         return False

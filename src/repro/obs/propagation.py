@@ -1,34 +1,44 @@
 """End-to-end propagation traces: Figure 8 on a live run.
 
-The paper's Figure 8 decomposes one insert into pipeline steps measured
-by a dedicated benchmark.  With the tracer threaded through every layer,
-the same breakdown falls out of a *live* system: a single trace follows
-one table update from :meth:`Database.insert_many` through the trigger
-cascade, the notification protocol, the mirror refresh on the client,
-the IVM delta handlers, and the layout/display work -- and
-:func:`propagation_report` reassembles it into the six-stage table.
+The paper's Figure 8 decomposes one insert into pipeline steps.  With the
+tracer threaded through every layer, the same breakdown falls out of a
+*live* system: a single trace follows one table update from its write
+through the trigger cascade, the notification protocol, the mirror
+refresh on the client, the IVM delta handlers, and the layout/display
+work -- and :func:`propagation_report` reassembles it into seven stages,
+each also split by table.
 
-Stage mapping (span name -> Figure 8 step):
+Stage mapping (span name -> stage):
 
-========================  =======================================
-``db.write``              writing the batch into R_D (the stimulus)
-``db.trigger``            statement-level trigger dispatch
-``sync.notify``           building Notification rows + fan-out
-                          ("parsing the message" steps 1/3)
-``sync.mirror_refresh``   pulling changed rows into R_M (step 8)
-``ivm.delta_apply``       delta handlers on dependent views
+==========================  =======================================
+``db.write``                writing a batch: a statement, or a
+``db.transaction``          transaction block with its commit
+``db.trigger``              statement-level trigger dispatch
+``sync.notify``             building Notification rows + fan-out
+(a gap) ``hop``             the end of the commit that made a notify
+                            to the start of the mirror refresh it
+                            parents: the wire and the client's wake-up
+``sync.mirror_refresh``     pulling changed rows into R_M (step 8)
+``ivm.delta_apply``         delta handlers on dependent views
 ``vis.layout``/``vis.display.apply``  layout + display insertion
-                          ("inserting new nodes into the display")
-========================  =======================================
+==========================  =======================================
 
-``db.write`` and ``db.trigger`` report *self time* (their children are
-separate stages nested inside them); the later stages report full span
-durations.
+Each span counts its *self time*: its duration less that of the staged
+spans inside its interval, so no instant counts twice (work activated
+under a span that already closed -- a refresh's listeners, a write
+joining a refresh's trace -- or overlapping it from another thread is
+its own).  A write inside another
+stage's span (a trigger cascade, a refresh's cursor update) is that
+stage's work; only one inside a transaction block is a write of its own.
+A span is of its ``table`` tag's table, else of its parent's.  A hop
+starts where the notify's commit ends -- the outermost span enclosing
+the notify -- so it never overlaps the commit's NOTIFY fan-out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Optional
 
 from .systable import is_system_table
@@ -36,28 +46,22 @@ from .trace import Span, Tracer
 
 __all__ = ["PropagationReport", "propagation_report", "STAGES"]
 
-#: Pipeline order of the six stages.
+#: Pipeline order of the seven stages.
 STAGES = (
-    "db_write",
-    "trigger",
-    "notify",
-    "mirror_refresh",
-    "delta_handler",
-    "layout",
+    "db_write", "trigger", "notify", "hop", "mirror_refresh", "delta_handler", "layout"
 )
 
-#: Span names contributing to each stage.
+#: Span names contributing to each stage (``hop`` is the gap before a
+#: refresh, no span's).
 STAGE_SPANS: dict[str, tuple[str, ...]] = {
-    "db_write": ("db.write",),
+    "db_write": ("db.write", "db.transaction"),
     "trigger": ("db.trigger",),
     "notify": ("sync.notify",),
     "mirror_refresh": ("sync.mirror_refresh",),
     "delta_handler": ("ivm.delta_apply",),
     "layout": ("vis.layout", "vis.display.apply"),
 }
-
-#: Stages whose children are *other* stages: report exclusive time.
-_SELF_TIME_STAGES = frozenset({"db_write", "trigger"})
+_STAGE_OF = {name: stage for stage, names in STAGE_SPANS.items() for name in names}
 
 
 @dataclass
@@ -68,6 +72,10 @@ class PropagationReport:
     stages: dict[str, float]  # stage -> milliseconds
     spans: list[Span] = field(default_factory=list)
     table: Optional[str] = None
+    #: ``stages`` split by table: table -> stage -> milliseconds.
+    tables: dict[str, dict[str, float]] = field(default_factory=dict)
+    #: The trace's first span start to its last span end.
+    wall_ms: float = 0.0
 
     @property
     def total_ms(self) -> float:
@@ -82,7 +90,9 @@ class PropagationReport:
             "trace_id": self.trace_id,
             "table": self.table,
             "total_ms": self.total_ms,
+            "wall_ms": self.wall_ms,
             "stages": dict(self.stages),
+            "tables": {table: dict(stages) for table, stages in self.tables.items()},
             "missing": self.missing_stages(),
             "spans": [span.to_dict() for span in self.spans],
         }
@@ -99,6 +109,10 @@ class PropagationReport:
             cell = f"{value:10.3f} ms" if value is not None else "   (absent)"
             lines.append(f"  {stage:<16}{cell}")
         lines.append(f"  {'total':<16}{self.total_ms:10.3f} ms")
+        lines.append(f"  {'wall':<16}{self.wall_ms:10.3f} ms")
+        for table, stages in self.tables.items():
+            cells = ", ".join(f"{s} {stages[s]:.3f}" for s in STAGES if s in stages)
+            lines.append(f"  {table}: {cells}")
         lines.append("span tree:")
         lines.extend(self._tree_lines())
         return "\n".join(lines)
@@ -132,48 +146,48 @@ class PropagationReport:
 # ---------------------------------------------------------------------------
 
 
-def _self_time_ms(span: Span, trace_spans: list[Span]) -> float:
-    child_ms = sum(
-        other.duration_ms
-        for other in trace_spans
-        if other.parent_id == span.span_id
-    )
-    return max(span.duration_ms - child_ms, 0.0)
-
-
-def _has_ancestor_named(
-    span: Span, names: frozenset, by_id: dict[int, Span]
-) -> bool:
-    parent_id = span.parent_id
-    while parent_id is not None:
-        parent = by_id.get(parent_id)
-        if parent is None:
-            return False
-        if parent.name in names:
-            return True
-        parent_id = parent.parent_id
-    return False
-
-
-#: A ``db.write`` under any of these belongs to that enclosing stage, not
-#: to the stimulus: trigger-cascade writes and notification bookkeeping.
-_NON_STIMULUS_ANCESTORS = frozenset({"db.write", "db.trigger", "sync.notify"})
-
-
-def _stimulus_writes(spans: list[Span]) -> list[Span]:
-    """The write(s) that started the propagation.
-
-    Programmatic mutations root the trace at ``db.write``; SQL statements
-    root it at ``db.execute`` with the write nested one level down.  Both
-    count -- what doesn't is any write spawned *by* the pipeline itself.
-    """
+def _by_table(spans: list[Span]) -> tuple[dict[str, dict[str, float]], Optional[str]]:
+    """Each staged span's self time, and each refresh's hop, summed per
+    table and stage; and the table of the first write that counts."""
     by_id = {s.span_id: s for s in spans}
-    return [
-        s
-        for s in spans
-        if s.name == "db.write"
-        and not _has_ancestor_named(s, _NON_STIMULUS_ANCESTORS, by_id)
-    ]
+    counted: dict[int, str] = {}  # span id -> stage, in span id order
+    self_ns: dict[int, int] = {}
+    # A span's id is drawn when it starts, after its parent's: parents first.
+    for span in sorted(spans, key=attrgetter("span_id")):
+        stage = _STAGE_OF.get(span.name)
+        if stage is None:
+            continue
+        outer = by_id.get(span.parent_id)
+        while outer is not None and outer.span_id not in counted:
+            outer = by_id.get(outer.parent_id)
+        inside = outer is not None and (
+            outer.start_ns <= span.start_ns and span.end_ns <= outer.end_ns
+        )
+        if inside and stage == "db_write" and outer.name != "db.transaction":
+            continue
+        counted[span.span_id] = stage
+        self_ns[span.span_id] = span.end_ns - span.start_ns
+        if inside:
+            self_ns[outer.span_id] -= span.end_ns - span.start_ns
+
+    tables: dict[str, dict[str, float]] = {}
+
+    def add(span: Span, stage: str, ns: int) -> None:
+        while "table" not in span.tags and span.parent_id in by_id:
+            span = by_id[span.parent_id]
+        stages = tables.setdefault(span.tags.get("table"), {})
+        stages[stage] = stages.get(stage, 0.0) + ns / 1e6
+
+    for span_id, stage in counted.items():
+        span = by_id[span_id]
+        add(span, stage, self_ns[span_id])
+        origin = by_id.get(span.parent_id)
+        if stage == "mirror_refresh" and getattr(origin, "name", "") == "sync.notify":
+            while (up := by_id.get(origin.parent_id)) and up.end_ns >= origin.end_ns:
+                origin = up  # out to the commit that made the notify
+            add(span, "hop", max(span.start_ns - origin.end_ns, 0))
+    writes = (by_id[i] for i in counted if by_id[i].name == "db.write")
+    return tables, next((span.tags.get("table") for span in writes), None)
 
 
 def propagation_report(
@@ -204,9 +218,7 @@ def propagation_report(
             if all(is_system_table(s.tags.get("table")) for s in roots):
                 continue
             reached_refresh = any(s.name == "sync.mirror_refresh" for s in spans)
-            candidates.append(
-                (reached_refresh, max(r.start_ns for r in roots), tid)
-            )
+            candidates.append((reached_refresh, max(r.start_ns for r in roots), tid))
         if not candidates:
             raise LookupError(
                 "no propagation trace captured -- call repro.obs.enable() "
@@ -218,38 +230,10 @@ def propagation_report(
     if not spans:
         raise LookupError(f"no spans recorded for trace {trace_id}")
     spans = sorted(spans, key=lambda s: s.start_ns)
-
+    tables, table = _by_table(spans)
     stages: dict[str, float] = {}
-    for stage in STAGES:
-        names = STAGE_SPANS[stage]
-        matched = [s for s in spans if s.name in names]
-        if stage in _SELF_TIME_STAGES:
-            # Nested same-name spans (e.g. the notification-table writes
-            # inside sync.notify) belong to *their* stage's parent span;
-            # only top-of-stage spans count here.
-            matched = [
-                s
-                for s in matched
-                if not any(
-                    other.span_id == s.parent_id and other.name in names
-                    for other in spans
-                )
-            ]
-            if stage == "db_write":
-                # The stimulus write(s) only: trigger-cascade and
-                # notification bookkeeping writes are part of the stage
-                # they nest in.
-                matched = _stimulus_writes(spans)
-        if matched:
-            if stage in _SELF_TIME_STAGES:
-                stages[stage] = sum(_self_time_ms(s, spans) for s in matched)
-            else:
-                stages[stage] = sum(s.duration_ms for s in matched)
-
-    table = None
-    for span in _stimulus_writes(spans):
-        table = span.tags.get("table")
-        break
-    return PropagationReport(
-        trace_id=trace_id, stages=stages, spans=spans, table=table
-    )
+    for by_stage in tables.values():
+        for stage, ms in by_stage.items():
+            stages[stage] = stages.get(stage, 0.0) + ms
+    wall_ms = (max(s.end_ns for s in spans) - spans[0].start_ns) / 1e6
+    return PropagationReport(trace_id, stages, spans, table, tables, wall_ms)

@@ -86,14 +86,14 @@ class NotificationCenter:
         self._next_seq = self._initial_seq()
 
     def _initial_seq(self) -> int:
-        """One past every seq-no already handed out: the newest still
-        logged or, where purge has drained the log, the highest a
-        ConnectedUser row remembers consuming -- a restarted center must
-        never re-issue a number a reconnecting client is already past."""
+        """One past every seq-no ever handed out: a row's seq-no is at most its
+        tid, and the log's tid counter survives purge, checkpoint and recovery
+        (the newest row and the clients cover a log numbered past its tids)."""
         log = self.database.table(datamodel.T_NOTIFICATION)
         users = self.database.table(datamodel.T_CONNECTED_USER).scan()
         newest = next(filter(None, map(log.get, reversed(log.span))), {"seq_no": 0})
-        return 1 + max([newest["seq_no"], *(row["last_seq_no"] for row in users)])
+        seqs = [log.named_tids, newest["seq_no"], *(row["last_seq_no"] for row in users)]
+        return 1 + max(seqs)
 
     # ------------------------------------------------------------------
     def watch(self, table: str) -> Subscription:

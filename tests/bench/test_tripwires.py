@@ -26,7 +26,8 @@ eviction of a slow client (a lag summed over the tables it mirrors, the
 log groups that sum walked, a broadcast that retires a connection)
 and its in-memory copy of the ConnectedUser table (``_ClientLink``
 records in ``_links``), and the change log's nested statement per event,
-its ``seq_no`` indexes and its sorted whole-log scans; and for what the
+its ``seq_no`` indexes and its sorted whole-log scans, and the Figure-8
+pipeline's private timers (its steps are read from one trace); and for what the
 aggregate memo relies on: every write into a column chunk re-stamps it,
 and the memo is keyed by stamps, never by chunks."""
 
@@ -1541,3 +1542,48 @@ def test_the_change_log_tripwire_fires_on_planted_offenders():
         ("sorted", 13),
         ("scan", 15),
     ]
+
+
+# ----------------------------------------------------------------------
+# The Figure-8 pipeline keeps no clock: its steps are its trace's spans
+
+
+def clock_reads(source):
+    """Lines of ``source`` that read a clock: a ``time.perf_counter`` or
+    ``time.monotonic`` call (``_ns`` too), or an import from ``time``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and getattr(node.func.value, "id", None) == "time"
+            and node.func.attr.startswith(("perf_counter", "monotonic"))
+        )
+        or (isinstance(node, ast.ImportFrom) and node.module == "time")
+    )
+
+
+def test_the_figure8_pipeline_reads_no_clock():
+    source = (REPO / "benchmarks" / "fig8_pipeline.py").read_text(encoding="utf-8")
+    assert "def run_batch" in source
+    assert clock_reads(source) == []
+
+
+def test_the_figure8_clock_tripwire_fires_on_planted_offenders():
+    # The parent's run_batch: its _wait_dirty timer and step 1's.
+    parent = (
+        "import time\n"
+        "class InsertPipeline:\n"
+        "    def _wait_dirty(self, client, table):\n"
+        "        start = time.perf_counter()\n"
+        "        return (time.perf_counter() - start) * 1000.0\n"
+        "    def run_batch(self, batch_size):\n"
+        "        t1 = self._wait_dirty(self.machine1, T_NODES)\n"
+        "        start = time.perf_counter()\n"
+        "        self.machine1.refresh(T_NODES)\n"
+        "        t1 += (time.perf_counter() - start) * 1000.0\n"
+        "        from time import monotonic\n"
+        "        t2 = time.monotonic_ns()\n"
+    )
+    assert clock_reads(parent) == [4, 5, 8, 10, 11, 12]

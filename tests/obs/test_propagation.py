@@ -3,7 +3,7 @@
 import pytest
 
 import repro.obs as obs
-from repro.db import Column, Database
+from repro.db import TID, Column, Database
 from repro.db.types import INTEGER, TEXT
 from repro.ivm.registry import ViewRegistry
 from repro.ivm.view import SelectProjectView
@@ -55,7 +55,7 @@ def drive_one_update(db, client, mirror, rows=5):
 
 
 class TestEndToEnd:
-    def test_all_six_stages_present_with_nonzero_durations(
+    def test_every_stage_present_with_nonzero_durations(
         self, pipeline, enabled_obs
     ):
         db, client, mirror = pipeline
@@ -123,6 +123,38 @@ class TestEndToEnd:
         db.insert("nodes", {"id": 999, "label": "stray"})
         report = propagation_report()
         assert "mirror_refresh" in report.stages
+
+
+class TestTransactionBlock:
+    def test_a_block_and_its_commit_are_one_trace(self, pipeline, enabled_obs):
+        """The commit a block makes at exit runs inside the block's span,
+        so its trigger, its notify and the refresh that joins the notify
+        share the writes' trace -- each nested span inside its parent."""
+        db, client, mirror = pipeline
+        with db.transaction():
+            (row,) = db.insert_many("nodes", [{"id": 1, "label": "a"}])
+            db.update_by_tid("nodes", row[TID], {"label": "b"})
+        client.refresh("nodes")
+        spans = obs.tracer().finished_spans()
+        by_id = {span.span_id: span for span in spans}
+        writes = [
+            s for s in spans if s.name == "db.write" and s.tags["table"] == "nodes"
+        ]
+        assert len(writes) == 2
+        assert {span.trace_id for span in spans} == {writes[0].trace_id}
+        (block,) = [s for s in spans if s.name == "db.transaction"]
+        assert block.tags["table"] == "nodes"
+        for name in ("db.trigger", "sync.notify"):
+            (span,) = [s for s in spans if s.name == name]
+            parent = by_id[span.parent_id]
+            assert parent.start_ns <= span.start_ns <= span.end_ns <= parent.end_ns
+        (refresh,) = [s for s in spans if s.name == "sync.mirror_refresh"]
+        assert by_id[refresh.parent_id].name == "sync.notify"
+        report = propagation_report()
+        assert report.table == "nodes"
+        for stage in ("db_write", "trigger", "notify", "hop", "mirror_refresh"):
+            assert stage in report.stages
+        assert mirror.get(row[TID])["label"] == "b"
 
 
 class TestErrors:

@@ -9,9 +9,10 @@ restores log rows (auto-committed statements, transactions that commit
 or roll back, P2/P3 policy flushes, purge, checkpoint, crash and
 ``recover()``) and checks, after each step, that the live rows keep the
 two orders equal and a new row numbers past every seq-no issued before
-it (by this process; a restart numbers on from the live rows and the
-clients' positions), that ``events_since`` equals a scan-and-filter of
-the log, and that a purge drops exactly what the horizons allow.
+it (across restarts too: a purge that empties the log, a crash and
+``recover()`` leave no number to hand out twice), that ``events_since``
+equals a scan-and-filter of the log, and that a purge drops exactly what
+the horizons allow.
 """
 
 import itertools
@@ -165,22 +166,17 @@ class LogOrder(RuleBasedStateMachine):
     def crash_and_recover(self):
         """The process dies (what its buffering policies held goes with
         it); ``recover()`` and a reopened store hold the same log, and a
-        new center numbers on from it."""
+        new center numbers on past every seq-no issued before."""
         self.manager.close()
         assert log_rows(recover(self.dir)) == log_rows(self.db)
         self.db, self.manager = open_durable(self.dir, fsync=FSYNC_NEVER)
         self.center = self.open_center()
-        users = self.db.table(datamodel.T_CONNECTED_USER).rows()
-        seqs = [row["seq_no"] for row in log_rows(self.db)]
-        self.issued = max([*seqs, *(user["last_seq_no"] for user in users), 0])
 
     # -- the invariants -------------------------------------------------
     @invariant()
     def seq_no_ascends_with_tid(self):
         """The live rows' seq-nos ascend with their tids, and a row new
-        since the last step numbers past every seq-no the process issued
-        (past every live one and every client's position, after a
-        restart)."""
+        since the last step numbers past every seq-no ever issued."""
         rows = log_rows(self.db)
         seqs = [row["seq_no"] for row in rows]
         assert all(a < b for a, b in zip(seqs, seqs[1:]))
@@ -274,3 +270,19 @@ def test_a_version_1_snapshot_takes_a_center():
     db.delete("t", None)
     assert center.notifications_since("t", 0) == [(1, "insert"), (2, "delete")]
     assert center.purge() == 2 and center.events_since("t", 0) == []
+
+
+def test_a_center_restarted_after_a_purge_numbers_on():
+    """A purge with no ConnectedUser row empties the log; a new center on
+    the same database still numbers past the purged seq-nos."""
+    db = load_snapshot(DB_DATA / "snapshot_v1_c4566e5.jsonl")
+    center = NotificationCenter(db)
+    center.watch("t")
+    db.insert("t", {"id": 20, "v": "x"})
+    db.insert("t", {"id": 21, "v": "y"})
+    assert center.purge() == 2 and log_rows(db) == []
+    center.close()
+    center = NotificationCenter(db)
+    center.watch("t")
+    db.insert("t", {"id": 22, "v": "z"})
+    assert center.notifications_since("t", 0) == [(3, "insert")]

@@ -160,7 +160,7 @@ class TestSocketPropagation:
         notifies = obs.tracer().spans_named("sync.notify")
         assert refresh.trace_id in {s.trace_id for s in notifies}
 
-    def test_six_stages_stitch_across_the_socket(self, socket_pipeline, enabled_obs):
+    def test_every_stage_stitches_across_the_socket(self, socket_pipeline, enabled_obs):
         db, client, mirror = socket_pipeline
         drive_socket_update(db, client, mirror)
         report = propagation_report()
