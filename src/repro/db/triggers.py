@@ -75,6 +75,10 @@ class Subscription(Trigger):
         self.flushes = 0
         self.coalesced_ops = 0
 
+    def matches(self, change: ChangeSet) -> bool:
+        # Every op is an edge's event: the change's ops need no listing.
+        return self.enabled and change.table == self.table
+
     def set_policy(self, policy: PropagationPolicy) -> None:
         """Switch this edge to ``policy`` (what it buffers is flushed first)."""
         self._manager.gate.set_policy(self, policy)

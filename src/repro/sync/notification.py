@@ -46,7 +46,7 @@ from __future__ import annotations
 import threading
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..core import datamodel
 from ..db.database import Database
@@ -62,6 +62,32 @@ BatchListener = Callable[[str, list[tuple[str, int]]], None]
 
 _tid_of = itemgetter(TID)
 _after = itemgetter(1)
+_OPS = (datamodel.OP_INSERT, datamodel.OP_UPDATE, datamodel.OP_DELETE)
+
+
+def _groups(change: ChangeSet) -> list[tuple[str, int, int, Optional[list[int]]]]:
+    """``change``'s log events, one ``(op, lo, hi, tids)`` per op kind in
+    seq order.  Each event's tids are distinct, so ``hi - lo`` tells a
+    contiguous run, stored as its bounds alone (``tids`` None); any other
+    list is logged ascending.  A one-row change builds no list."""
+    inserted, updated, deleted = change.inserted, change.updated, change.deleted
+    if len(inserted) + len(updated) + len(deleted) == 1:
+        op, row = (
+            (datamodel.OP_INSERT, inserted[0])
+            if inserted
+            else (datamodel.OP_UPDATE, updated[0][1])
+            if updated
+            else (datamodel.OP_DELETE, deleted[0])
+        )
+        return [(op, row[TID], row[TID], None)]
+    groups = []
+    for op, rows in zip(_OPS, (inserted, list(map(_after, updated)), deleted)):
+        if rows:
+            tids = list(map(_tid_of, rows))
+            lo, hi = min(tids), max(tids)
+            run = hi - lo + 1 == len(tids)
+            groups.append((op, lo, hi, None if run else sorted(tids)))
+    return groups
 
 
 class NotificationCenter:
@@ -81,7 +107,8 @@ class NotificationCenter:
         self._append = database.appender(datamodel.T_NOTIFICATION)
         #: Watched table -> its edge (the handle on its policy).
         self.subscriptions: dict[str, Subscription] = {}
-        self._listeners: list[BatchListener] = []
+        #: Replaced, never changed in place: a delivery keeps the tuple.
+        self._listeners: tuple[BatchListener, ...] = ()
         self._lock = threading.RLock()
         self._next_seq = self._initial_seq()
 
@@ -122,12 +149,11 @@ class NotificationCenter:
     def add_batch_listener(self, listener: BatchListener) -> None:
         """Register a listener receiving one call per recorded batch."""
         with self._lock:
-            self._listeners.append(listener)
+            self._listeners += (listener,)
 
     def remove_batch_listener(self, listener: BatchListener) -> None:
         with self._lock:
-            if listener in self._listeners:
-                self._listeners.remove(listener)
+            self._listeners = tuple(x for x in self._listeners if x != listener)
 
     def close(self) -> None:
         """Unwatch every table, delivering what its edge still buffers."""
@@ -140,56 +166,41 @@ class NotificationCenter:
         a commit being made): log ``change`` as one seq-no and one row per
         op kind -- one append, joining the commit -- and hand the ``(op,
         seq_no)`` events to the listeners once that commit is logged."""
-        # Each event's tids are distinct, so ``hi - lo`` tells a contiguous
-        # run, stored as its bounds alone (an INSERT's: nothing sorted);
-        # any other list is logged ascending (a coalesced delta or a
-        # delete_by_tids may list it otherwise).
-        groups = [
-            (op, tids)
-            for op, tids in (
-                (datamodel.OP_INSERT, list(map(_tid_of, change.inserted))),
-                (datamodel.OP_UPDATE, list(map(_tid_of, map(_after, change.updated)))),
-                (datamodel.OP_DELETE, list(map(_tid_of, change.deleted))),
-            )
-            if tids
-        ]
-        with OBS.span("sync.notify", {"table": change.table}) as span:
+        groups, table, traced = _groups(change), change.table, OBS.enabled
+        with OBS.span("sync.notify", {"table": table} if traced else None) as span:
             with self.database.lock, self._lock:
-                ts, rows = self.database.now(), []
-                for op, tids in groups:
-                    lo, hi = min(tids), max(tids)
-                    if hi - lo + 1 != len(tids):
-                        tids.sort()
-                    rows.append(
-                        {
-                            "seq_no": self._next_seq,
-                            "ts": ts,
-                            "table_name": change.table,
-                            "op": op,
-                            "lo": lo,
-                            "hi": hi,
-                            "tids": None if hi - lo + 1 == len(tids) else tids,
-                        }
-                    )
-                    self._next_seq += 1
+                seq, ts = self._next_seq, self.database.now()
+                rows = [
+                    {
+                        "seq_no": seq_no,
+                        "ts": ts,
+                        "table_name": table,
+                        "op": op,
+                        "lo": lo,
+                        "hi": hi,
+                        "tids": tids,
+                    }
+                    for seq_no, (op, lo, hi, tids) in enumerate(groups, seq)
+                ]
+                self._next_seq = seq + len(rows)
                 self._append(rows)  # their tids ascend with their seq-nos
-                listeners = list(self._listeners)
+                listeners = self._listeners
             events = [(row["op"], row["seq_no"]) for row in rows]
-            span.set_tag("notifications", len(events))
-            if OBS.enabled:
+            if traced:
+                span.set_tag("notifications", len(events))
                 # Register the notify context under (table, seq_no) so the
                 # mirror refresh -- on another thread, reached only through
                 # the protocol -- can join this trace, and so the
                 # NOTIFY->applied latency has a start timestamp.
                 context = span.context()
                 for op, seq_no in events:
-                    OBS.tracer.link(("notify", change.table, seq_no), context)
+                    OBS.tracer.link(("notify", table, seq_no), context)
                     OBS.metrics.counter("sync.notifications", op=op).inc()
-        self.database.after_commit(self._fan_out, change.table, events, listeners)
+        self.database.after_commit(self._fan_out, table, events, listeners)
 
     @staticmethod
     def _fan_out(
-        table: str, events: list[tuple[str, int]], listeners: list[BatchListener]
+        table: str, events: list[tuple[str, int]], listeners: tuple[BatchListener, ...]
     ) -> None:
         if events:
             for listener in listeners:

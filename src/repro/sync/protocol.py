@@ -23,6 +23,7 @@ import json
 import socket
 from typing import Any, Optional
 
+from ..core.datamodel import OP_DELETE, OP_INSERT, OP_UPDATE
 from ..errors import ProtocolError
 
 # Message types.
@@ -46,10 +47,14 @@ MAGIC = "ediflow-sync-1"
 #: Generous bound on one serialized message; protects against garbage peers.
 MAX_MESSAGE_BYTES = 1 << 16
 
+#: The one encoder of every frame (``json.dumps`` with any argument
+#: builds a new encoder per call).
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
 
 def encode(message: dict[str, Any]) -> bytes:
     """Serialize one message to its wire form."""
-    data = json.dumps(message, separators=(",", ":")).encode("utf-8") + b"\n"
+    data = _ENCODER.encode(message).encode("utf-8") + b"\n"
     if len(data) > MAX_MESSAGE_BYTES:
         raise ProtocolError(f"message too large ({len(data)} bytes)")
     return data
@@ -123,6 +128,20 @@ def notify(
     if ctx is not None:
         message["ctx"] = ctx
     return message
+
+
+def notify_prefix(table: str) -> bytes:
+    """The bytes every untraced NOTIFY on ``table`` starts with:
+    ``notify_prefix(table) + str(seq_no).encode() + NOTIFY_TAILS[op]`` is
+    ``encode(notify(table, seq_no, op))``, so a sender encodes the table
+    name once, not once per frame."""
+    return encode({"type": NOTIFY, "table": table})[:-2] + b',"seq_no":'
+
+
+#: An untraced NOTIFY's bytes after its seq-no, per op.
+NOTIFY_TAILS = {
+    op: b"," + encode({"op": op})[1:] for op in (OP_INSERT, OP_UPDATE, OP_DELETE)
+}
 
 
 def notify_batch(

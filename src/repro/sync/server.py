@@ -120,14 +120,16 @@ class _SendLog:
     ``subscribers`` is a tuple, replaced on change: a drain iterates a
     snapshot.  Drains send copies (:meth:`read`), never a view of
     ``buf``, which would stop the next append from growing it.
+    ``prefix`` is the table's untraced NOTIFY up to its seq-no.
     """
 
     __slots__ = (
         "lock", "buf", "base", "end", "ends", "subscribers", "scheduled", "read_at",
-        "chunk",
+        "chunk", "prefix",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, table: str) -> None:
+        self.prefix = protocol.notify_prefix(table)
         self.lock = threading.Lock()
         self.buf = bytearray()
         self.base = 0
@@ -660,7 +662,7 @@ class SyncServer:
     def _subscribe(self, conn: _AsyncConn, table: str) -> None:
         """Let ``conn`` read ``table``'s log from its current end."""
         with self._lock:
-            log = self._logs.setdefault(table, _SendLog())
+            log = self._logs.get(table) or self._logs.setdefault(table, _SendLog(table))
         with conn.lock, log.lock:
             if conn.closing or log in conn.cursors:
                 return
@@ -1133,7 +1135,8 @@ class SyncServer:
         Every subscriber gets the same frame -- a NOTIFY for one event, a
         NOTIFYB for several, with the newest event's span context while
         tracing -- encoded once and appended once, to the table's send
-        log.  On a quiet plane this thread then drains the log, so a
+        log; an untraced NOTIFY is the log's ``prefix`` plus its seq-no
+        and op.  On a quiet plane this thread then drains the log, so a
         healthy client's bytes are written before the commit returns.
         Back-to-back broadcasts (faster than the fan-out can be written
         inline) only append and leave one drain to the loop: this thread
@@ -1148,12 +1151,14 @@ class SyncServer:
         if log is None or not log.subscribers:
             return  # in-process, or every client detached: replay covers it
         ctx = self._trace_ctx(table, events[-1][1]) if OBS.enabled else None
-        if len(events) == 1:
-            ((op, seq_no),) = events
-            message = protocol.notify(table, seq_no, op, ctx=ctx)
+        if len(events) > 1:
+            data = protocol.encode(protocol.notify_batch(table, events, ctx=ctx))
         else:
-            message = protocol.notify_batch(table, events, ctx=ctx)
-        data = protocol.encode(message)
+            ((op, seq_no),) = events
+            if ctx is None:  # the table's frame, bound once
+                data = log.prefix + str(seq_no).encode() + protocol.NOTIFY_TAILS[op]
+            else:
+                data = protocol.encode(protocol.notify(table, seq_no, op, ctx=ctx))
         now, window = time.monotonic(), len(log.subscribers) * BURST_COST_PER_LINK_S
         inline = now - self._last_broadcast >= window
         self._last_broadcast = now

@@ -269,6 +269,9 @@ class TestAsyncFaultInjection:
             client.mirror("pts")
             for i in range(30):
                 db.insert("pts", {"id": i, "x": float(i)})
+            # Inserts faster than the burst window leave their frames to
+            # the loop: the schedule is read once it has planned all 30.
+            assert wait_until(lambda: transports[0].sent >= 30)
             assert transports[0].dropped >= 1
             assert transports[0].duplicated >= 1
             # One clean closing NOTIFY guarantees a fresh refresh trigger.

@@ -367,6 +367,83 @@ def test_a_coalesced_flush_of_scattered_tids_stores_one_list():
     center.close()
 
 
+def general_groups(change):
+    """A change's log events as the general path makes them, one-row
+    changes included: a tid list per op kind, then its bounds."""
+    groups = []
+    for op, tids in (
+        (datamodel.OP_INSERT, [row[TID] for row in change.inserted]),
+        (datamodel.OP_UPDATE, [after[TID] for _before, after in change.updated]),
+        (datamodel.OP_DELETE, [row[TID] for row in change.deleted]),
+    ):
+        if tids:
+            lo, hi = min(tids), max(tids)
+            groups.append((op, lo, hi, None if hi - lo + 1 == len(tids) else sorted(tids)))
+    return groups
+
+
+def one_op_script(db, center):
+    """Every shape of delivery: one-row statements, bulk statements,
+    transaction blocks and buffered flushes, one row and many."""
+    edge = center.watch("t")
+    db.insert("t", {"id": 1, "v": 0})
+    db.update_by_tid("t", 1, {"v": 1})
+    db.insert_many("t", [{"id": i, "v": i} for i in range(2, 12)])
+    db.delete("t", col("id") == 1)
+    db.delete_by_tids("t", [9, 3, 6])
+    with db.transaction():
+        db.insert("t", {"id": 50, "v": 0})
+        db.update_by_tid("t", 2, {"v": 5})
+        db.delete_by_tids("t", [4, 10])
+    with db.transaction():
+        db.update_by_tid("t", 5, {"v": 7})
+    edge.set_policy(Threshold(max_changes=4))
+    db.insert("t", {"id": 60, "v": 0})
+    db.update_by_tid("t", 7, {"v": 2})
+    db.update_by_tid("t", 11, {"v": 2})
+    db.delete_by_tids("t", [8])  # the fourth op flushes three op kinds
+    edge.set_policy(MANUAL)
+    db.update_by_tid("t", 2, {"v": 9})
+    db.update_by_tid("t", 2, {"v": 10})
+    assert edge.flush() == 1  # two updates of one row: a one-row delivery
+    db.delete_by_tids("t", [5])
+    edge.close()
+
+
+def test_a_one_row_change_logs_the_rows_the_general_path_logs(monkeypatch):
+    """The Notification rows (``SELECT *``) of every delivery shape are
+    the same whether a one-row change takes its shortcut or is grouped
+    like any other change."""
+    from repro.sync import notification
+
+    def logged():
+        db = make_db("t")
+        one_op_script(db, NotificationCenter(db))
+        return db.query(f"SELECT * FROM {LOG}")
+
+    fast = logged()
+    monkeypatch.setattr(notification, "_groups", general_groups)
+    assert logged() == fast
+    ops = [(row["op"], row["lo"], row["hi"], row["tids"]) for row in fast]
+    assert ops == [
+        ("insert", 1, 1, None),
+        ("update", 1, 1, None),
+        ("insert", 2, 11, None),
+        ("delete", 1, 1, None),
+        ("delete", 3, 9, [3, 6, 9]),
+        ("insert", 12, 12, None),
+        ("update", 2, 2, None),
+        ("delete", 4, 10, [4, 10]),
+        ("update", 5, 5, None),
+        ("insert", 13, 13, None),
+        ("update", 7, 11, [7, 11]),
+        ("delete", 8, 8, None),
+        ("update", 2, 2, None),
+        ("delete", 5, 5, None),
+    ]
+    assert [row["seq_no"] for row in fast] == list(range(1, len(fast) + 1))
+
+
 # ----------------------------------------------------------------------
 # (d) one refresh window, one tid, several events
 def mirrored_stack():
