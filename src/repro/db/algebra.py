@@ -34,6 +34,7 @@ from .expression import (
     ColumnRef,
     Expression,
     evaluate_predicate,
+    row_maker,
     slot_value,
 )
 from .schema import TID
@@ -516,6 +517,8 @@ class Project(Plan):
     """Projection with computed items: ``[(output_name, expression), ...]``.
 
     An output row has the lineage of the input row it was computed from.
+    Rows are built by a compiled :func:`~repro.db.expression.row_maker`,
+    made once here: a plan is immutable and the plan cache keeps it.
     """
 
     def __init__(self, child: Plan, items: Sequence[tuple[str, Expression]]) -> None:
@@ -523,14 +526,12 @@ class Project(Plan):
             raise DatabaseError("projection needs at least one item")
         self.child = child
         self.items = list(items)
+        self._make = row_maker(self.items)
+        self._make_lineage = row_maker(self.items, keep=(LIN,))
 
     def rows(self, source: TableProvider, lineage: bool = False) -> Iterator[Row]:
-        items = self.items
-        for row in self.child.rows(source, lineage):
-            out = {name: expr.eval(row) for name, expr in items}
-            if lineage:
-                out[LIN] = row[LIN]
-            yield out
+        make = self._make_lineage if lineage else self._make
+        return map(make, self.child.rows(source, lineage))
 
     def children(self) -> tuple[Plan, ...]:
         return (self.child,)

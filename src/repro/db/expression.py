@@ -15,6 +15,7 @@ selection keeps a row only when its predicate evaluates to ``True``.
 
 from __future__ import annotations
 
+import functools
 import operator
 from contextvars import ContextVar
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -517,3 +518,109 @@ def evaluate_predicate(predicate: Expression | None, row: Row) -> bool:
     if predicate is None:
         return True
     return predicate.eval(row) is True
+
+
+# ----------------------------------------------------------------------
+# Row makers: one compiled function per output shape
+#
+# A row maker builds an output row with one generated dict display, not
+# one ``eval`` call or zip step per cell.  As in ``collections.namedtuple``
+# and ``dataclasses``, the source is made from the shape alone -- each
+# position is a subscript of the row (``k``), a call of a bound ``eval``
+# (``e``) or an argument (``a``) -- and every output name, key and
+# callable reaches the function as a closure cell of its factory.  No name
+# is ever spliced into source text, so a column may be called anything.
+
+_MAKER_CACHE = 256
+
+Items = Sequence[tuple[str, Expression]]
+
+
+def _per_cell(items: Items, keep: tuple[str, ...], row: Row) -> dict[str, Any]:
+    """The reference a row maker equals: one ``eval`` per cell."""
+    out = {name: expr.eval(row) for name, expr in items}
+    for key in keep:
+        out[key] = row[key]
+    return out
+
+
+@functools.lru_cache(maxsize=_MAKER_CACHE)
+def _maker_factory(shape: tuple[str, ...]) -> Callable[..., Callable[..., Row]]:
+    """Compile the factory of the makers of one shape.
+
+    The factory takes, in order: ``fallback`` when a position subscripts
+    the row, then per position its output name and, for ``k``, the key
+    or, for ``e``, the callable.  A missing key sends the row to
+    ``fallback``.  When the shape calls any ``e``, its subscripts are
+    read before the first call, so a row that falls back has called
+    nothing yet and each callable still runs once per row.
+    """
+    params, args, reads, entries = [], [], [], []
+    hoist = "e" in shape
+    for i, kind in enumerate(shape):
+        params.append(f"n{i}")
+        if kind == "a":
+            args.append(f"a{i}")
+            entries.append(f"n{i}: a{i}")
+        elif kind == "e":
+            params.append(f"e{i}")
+            entries.append(f"n{i}: e{i}(row)")
+        elif hoist:
+            params.append(f"k{i}")
+            reads.append(f"v{i} = row[k{i}]")
+            entries.append(f"n{i}: v{i}")
+        else:
+            params.append(f"k{i}")
+            entries.append(f"n{i}: row[k{i}]")
+    display = "{" + ", ".join(entries) + "}"
+    if args or "k" not in shape:
+        body = [f"return {display}"]
+    else:
+        params.insert(0, "fallback")
+        fallback = ["except KeyError:", "  return fallback(row)"]
+        if reads:
+            body = ["try:", *(f"  {r}" for r in reads), *fallback, f"return {display}"]
+        else:
+            body = ["try:", f"  return {display}", *fallback]
+    source = "\n".join(
+        [
+            f"def factory({', '.join(params)}):",
+            f"  def make({', '.join(args) or 'row'}):",
+            *(f"    {line}" for line in body),
+            "  return make",
+        ]
+    )
+    namespace: dict[str, Any] = {}
+    exec(source, namespace)
+    return namespace["factory"]
+
+
+def row_maker(items: Items, keep: tuple[str, ...] = ()) -> Callable[[Row], Row]:
+    """The compiled ``{name: expr.eval(row) ...}`` of a projection.
+
+    A plain :class:`ColumnRef` item is a subscript, any other item a call
+    of its bound ``eval``; each key of ``keep`` is copied last, under its
+    own name.  A row lacking a subscripted key is built by the per-cell
+    reference instead, so it gets that reference's qualified-suffix
+    answer or its :class:`~repro.errors.UnknownColumnError`.
+    """
+    shape, constants = [], []
+    for name, expr in items:
+        if type(expr) is ColumnRef:
+            shape.append("k")
+            constants += (name, expr.name)
+        else:
+            shape.append("e")
+            constants += (name, expr.eval)
+    for key in keep:
+        shape.append("k")
+        constants += (key, key)
+    if "k" in shape:
+        constants.insert(0, functools.partial(_per_cell, tuple(items), keep))
+    return _maker_factory(tuple(shape))(*constants)
+
+
+@functools.lru_cache(maxsize=_MAKER_CACHE)
+def values_maker(names: tuple[str, ...]) -> Callable[..., Row]:
+    """The compiled ``dict(zip(names, values))``: ``make(v0, v1, ...)``."""
+    return _maker_factory(("a",) * len(names))(*names)

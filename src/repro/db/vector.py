@@ -85,6 +85,7 @@ from .expression import (
     _CMP_OPS,
     _FUNCTIONS,
     has_param,
+    values_maker,
 )
 from .table import Table
 
@@ -137,11 +138,10 @@ class Batch:
 
 def batch_rows(batch: Batch) -> list[Row]:
     """Transpose a batch back into row dicts (batch column key order)."""
-    names = list(batch.columns)
-    if not names:
+    columns = batch.columns
+    if not columns:
         return [{} for _ in range(batch.n)]
-    cols = [batch.columns[name] for name in names]
-    return [dict(zip(names, values)) for values in zip(*cols)]
+    return list(map(values_maker(tuple(columns)), *columns.values()))
 
 
 def rows_to_batch(rows: list[Row]) -> Batch | None:

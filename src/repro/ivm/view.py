@@ -22,11 +22,11 @@ is that same fold applied to every row of the base tables.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from ..db.aggstate import ViewAggState, new_states, put_results
 from ..db.algebra import AggSpec
-from ..db.expression import ColumnRef, Expression, evaluate_predicate
+from ..db.expression import ColumnRef, Expression, Items, evaluate_predicate, row_maker
 from ..db.schema import TID
 from ..errors import ViewError
 from .delta import Delta, Row, partition_rows, row_key
@@ -151,10 +151,14 @@ class _MultisetStorage:
         return sum(self._counts.values())
 
 
-def _project(row: Row, items: Sequence[tuple[str, Expression]] | None) -> Row:
-    if items is None:
-        return {k: v for k, v in row.items() if not k.startswith("__")}
-    return {name: expr.eval(row) for name, expr in items}
+def _visible(row: Row) -> Row:
+    return {k: v for k, v in row.items() if not k.startswith("__")}
+
+
+def _projector(items: Items | None) -> Callable[[Row], Row]:
+    """A view's row projection: its compiled row maker, or the visible
+    columns when it projects none."""
+    return _visible if items is None else row_maker(items)
 
 
 class SelectProjectView(ViewDefinition):
@@ -171,6 +175,7 @@ class SelectProjectView(ViewDefinition):
         self.table = table
         self.where = where
         self.project = list(project) if project is not None else None
+        self._project = _projector(self.project)
         self.storage = _MultisetStorage()
 
     def base_tables(self) -> set[str]:
@@ -190,8 +195,8 @@ class SelectProjectView(ViewDefinition):
         if where is not None:
             inserted = [row for row in inserted if evaluate_predicate(where, row)]
             deleted = [row for row in deleted if evaluate_predicate(where, row)]
-        inserted_projected = [_project(row, self.project) for row in inserted]
-        deleted_projected = [_project(row, self.project) for row in deleted]
+        inserted_projected = list(map(self._project, inserted))
+        deleted_projected = list(map(self._project, deleted))
         self.storage.add_many(inserted_projected)
         self.storage.remove_many(deleted_projected)
         lineage = self.lineage
@@ -237,6 +242,7 @@ class JoinView(ViewDefinition):
         self.right_on = right_on
         self.where = where
         self.project = list(project) if project is not None else None
+        self._project = _projector(self.project)
         self.storage = _MultisetStorage()
         # join key -> list of (visible-column image, tid) entries currently
         # on that side.  The tid disambiguates duplicate images on delete
@@ -255,11 +261,9 @@ class JoinView(ViewDefinition):
         }
         if not evaluate_predicate(self.where, joined):
             return None
-        return _project(joined, self.project)
+        return self._project(joined)
 
-    @staticmethod
-    def _image(row: Row) -> Row:
-        return {k: v for k, v in row.items() if not k.startswith("__")}
+    _image = staticmethod(_visible)
 
     def clear(self) -> None:
         self.storage.clear()

@@ -15,6 +15,7 @@ tracing is on and the shared no-op otherwise.  Three things pin that:
 """
 
 import ast
+import builtins
 import pathlib
 import re
 import threading
@@ -27,10 +28,10 @@ import repro
 import repro.obs as obs
 from repro.db import Column, Database, col
 from repro.db import database as database_module
-from repro.db.algebra import format_plan
+from repro.db.algebra import Project, RowSource, format_plan
 from repro.db.schema import TID
 from repro.db.types import INTEGER
-from repro.db.vector import running_plan
+from repro.db.vector import Batch, batch_rows, running_plan
 from repro.errors import ReproError
 
 SRC = pathlib.Path(repro.__file__).parent
@@ -304,6 +305,85 @@ def test_no_engine_switch_left_in_src():
         if pattern.search(line)
     ]
     assert not hits
+
+
+def _per_cell_rows(tree):
+    """Lines of ``{...: x.eval(...) for ...}``: a row built one call per cell."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.DictComp)
+        and isinstance(node.value, ast.Call)
+        and isinstance(node.value.func, ast.Attribute)
+        and node.value.func.attr == "eval"
+    ]
+
+
+def _dict_zips(tree):
+    """Lines of ``dict(zip(...))``: a row built by zipping names to values."""
+    return [
+        node.lineno
+        for node in _calls(tree, "dict")
+        if node.args
+        and isinstance(node.args[0], ast.Call)
+        and isinstance(node.args[0].func, ast.Name)
+        and node.args[0].func.id == "zip"
+    ]
+
+
+def _definition(path, name):
+    """The module-level class or function ``name`` of ``path``."""
+    tree = ast.parse(path.read_text())
+    (found,) = [node for node in tree.body if getattr(node, "name", None) == name]
+    return found
+
+
+# Project.rows and batch_rows as they were before the row maker.
+_PLANTED_PROJECT = """
+class Project(Plan):
+    def rows(self, source, lineage=False):
+        items = self.items
+        for row in self.child.rows(source, lineage):
+            out = {name: expr.eval(row) for name, expr in items}
+            if lineage:
+                out[LIN] = row[LIN]
+            yield out
+"""
+_PLANTED_BATCH_ROWS = """
+def batch_rows(batch):
+    names = list(batch.columns)
+    cols = [batch.columns[name] for name in names]
+    return [dict(zip(names, values)) for values in zip(*cols)]
+"""
+
+
+def test_a_projection_builds_rows_through_the_row_maker():
+    """``Project``, the IVM views and ``batch_rows`` build no row per
+    cell: the only per-cell projection they reach is the row maker's
+    fallback."""
+    assert not _per_cell_rows(_definition(SRC / "db" / "algebra.py", "Project"))
+    assert not _per_cell_rows(ast.parse((SRC / "ivm" / "view.py").read_text()))
+    assert not _dict_zips(_definition(SRC / "db" / "vector.py", "batch_rows"))
+    expression = SRC / "db" / "expression.py"
+    assert len(_per_cell_rows(ast.parse(expression.read_text()))) == 1
+    assert len(_per_cell_rows(_definition(expression, "_per_cell"))) == 1
+
+
+def test_the_row_maker_tripwire_catches_the_per_cell_code():
+    assert _per_cell_rows(ast.parse(_PLANTED_PROJECT)) == [6]
+    assert _dict_zips(ast.parse(_PLANTED_BATCH_ROWS)) == [5]
+
+
+def test_a_column_name_is_a_key_and_never_source():
+    """Tables hold identifiers only, but a projection's rows may come from
+    anywhere (delta rows, a procedure's ``RowSource``)."""
+    name = "'}); import os; ({'"
+    spliced = "'}); __import__('builtins').ROW_MAKER_SPLICED = 1; ({'"
+    source = RowSource([{name: 1, spliced: 2}])
+    rows = Project(source, [(name, col(name)), (spliced, col(spliced) + 1)]).to_list(None)
+    assert rows == [{name: 1, spliced: 3}]
+    assert batch_rows(Batch({name: [1], spliced: [2]}, 1)) == [{name: 1, spliced: 2}]
+    assert not hasattr(builtins, "ROW_MAKER_SPLICED")
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,8 @@ from repro.sync import (
 )
 from repro.sync import faults as faults_module
 
+from .test_fault_tolerance import wait_until
+
 
 def stream_pair():
     """A connected (sender_stream, receiver_stream) over loopback TCP."""
@@ -390,6 +392,9 @@ class TestFaultyFullCycle:
             deadline_ids = [0, 1, 2, 3]
             client.refresh("pts")
             assert mirrored_ids(client) == deadline_ids
+            # The refresh reads the table, not the frames: the loop may not
+            # have sent NOTIFY 3 yet, which releases the held NOTIFY 2.
+            assert wait_until(lambda: transports[0].sent >= 4)
             assert transports[0].duplicated == 1
             assert transports[0].reordered == 1
             # Refreshing again changes nothing: duplicate NOTIFYs coalesce
