@@ -573,7 +573,7 @@ def _maker_factory(shape: tuple[str, ...]) -> Callable[..., Callable[..., Row]]:
             params.append(f"k{i}")
             entries.append(f"n{i}: row[k{i}]")
     display = "{" + ", ".join(entries) + "}"
-    if args or "k" not in shape:
+    if "k" not in shape:
         body = [f"return {display}"]
     else:
         params.insert(0, "fallback")
