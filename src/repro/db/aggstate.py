@@ -24,12 +24,14 @@ beside the states), so the aggregate rules exist once:
 memo), ``copy`` snapshots one (its memo prefix), and :func:`put_results`
 reads a group's states into its output row.  IVM views, whose rows also
 leave, hold :class:`ViewAggState`, which adds ``remove_many``.
+:func:`partition` is the one bucket loop every fold partitions its rows
+with.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .columnar import K_BOOL, K_INT, K_NULL
 
@@ -239,6 +241,23 @@ class ViewAggState(AggState):
             else:
                 del counts[value]
         return left == (step > 0)
+
+
+def partition(keys: Iterable[Any], items: Iterable[Any]) -> dict[Any, list[Any]]:
+    """Bucket ``items`` by the parallel ``keys``: buckets in first-seen key
+    order, items in their order within a bucket, so a group's fold stays
+    the left fold of its rows.  ``dict.get`` finds a bucket with no
+    exception for a new key, which wins while batches are small or keys
+    many (an appended tail, a view's delta)."""
+    buckets: dict[Any, list[Any]] = {}
+    get = buckets.get
+    for key, item in zip(keys, items):
+        bucket = get(key)
+        if bucket is None:
+            buckets[key] = [item]
+        else:
+            bucket.append(item)
+    return buckets
 
 
 def new_states(specs: Sequence[Any], state: type[AggState] = AggState) -> list[Any]:

@@ -253,23 +253,21 @@ class IndexLeaf(TableLeaf):
             rival.estimate(table)
         keys = self._keys()
         if keys is None:
-            return
+            return iter(())
         index = self._index(table)
         if index is None:
-            for row in table.rows():
-                if self._matches(row, keys):
-                    yield row
-            return
+            return (row for row in table.rows() if self._matches(row, keys))
         # Sorted tids keep output in tid order, byte-identical to a full scan.
         tids = sorted(self._probe(index, keys))
         if len(tids) > 1:
-            # One batch read; a point probe's one get costs less than a batch.
-            yield from filter(None, table.images(tids))
-            return
-        for tid in tids:
-            row = table.get(tid)
-            if row is not None:
-                yield row
+            # One batch read; a point probe's one get costs less than a
+            # batch.  A probe selects each tid once, so a run with no gap
+            # is a range: one slice of the table's row list.
+            if tids[-1] - tids[0] == len(tids) - 1:
+                return filter(None, table.images(range(tids[0], tids[-1] + 1)))
+            return filter(None, table.images(tids))
+        row = table.get(tids[0]) if tids else None
+        return iter(() if row is None else (row,))
 
 
 class IndexScan(IndexLeaf):

@@ -26,11 +26,12 @@ rebuilding from the row storage.
 
 Each chunk carries a *stamp*: an int drawn from one process-wide
 counter when the chunk is created and again whenever an update or a
-delete writes into it.  Appends only ever reach the tail chunk, so a
-full chunk's stamp names its content for good -- the vectorized
-aggregate keys the per-group partials it keeps on it (see
-:class:`repro.db.vector.VAggregate`).  A rebuild (staleness, compaction)
-draws fresh stamps for every chunk.
+delete writes into it.  Appends only ever reach the tail chunk and keep
+its stamp, so a stamp and a row count name a chunk's content for good,
+and the same stamp with more rows names the same first rows -- the
+vectorized aggregate keys the per-group partials it keeps on them and
+folds only a tail's appended rows (see :class:`repro.db.vector.VAggregate`).
+A rebuild (staleness, compaction) draws fresh stamps for every chunk.
 
 Each column also carries an advisory *type tag* -- a bitmask of the value
 kinds ever observed (int/float/str/bool/NULL/other).  Tags only widen, so
@@ -324,11 +325,11 @@ class ColumnStore:
         for columns, n, _ in self.scan():
             yield columns, n
 
-    def scan(self) -> Iterator[tuple[dict[str, list[Any]], int, int | None]]:
+    def scan(self) -> Iterator[tuple[dict[str, list[Any]], int, int]]:
         """Yield ``(columns, n, stamp)`` per chunk, tombstones compressed
-        away.  ``stamp`` is the chunk's stamp when the chunk is full (its
-        content can change only by an update or a delete, which re-stamp
-        it) and None for the tail chunk, which appends still grow.
+        away.  ``stamp`` is the chunk's stamp: only an update or a delete,
+        which re-stamp it, change rows it holds; appends to the tail
+        chunk add rows after them.
 
         Chunks with no tombstones are yielded zero-copy (the live column
         lists themselves); consumers must treat them as read-only, the
@@ -340,7 +341,7 @@ class ColumnStore:
             n = len(chunk[TID])
             if n == 0:
                 continue
-            stamp = self._stamps[ci] if n == CHUNK_ROWS else None
+            stamp = self._stamps[ci]
             dead = self._dead[ci]
             if dead == 0:
                 yield chunk, n, stamp

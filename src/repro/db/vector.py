@@ -63,7 +63,8 @@ from .algebra import (
     evaluate_predicate,
     sort_key_total,
 )
-from .aggstate import MERGEABLE_SUM_KINDS, _DedupSet, new_states, put_results
+from .aggstate import MERGEABLE_SUM_KINDS, _DedupSet, new_states, partition, put_results
+from . import columnar
 from .columnar import K_NULL
 from .schema import TID
 from .expression import (
@@ -113,10 +114,13 @@ class Batch:
     Operators thread it through exactly like a column (filtered, sliced,
     reordered, concatenated on joins, unioned on aggregation).
 
-    ``origin`` is the stamp of the full column chunk this batch is a pure
+    ``origin`` is the stamp of the column chunk this batch is a pure
     function of, for a fixed plan (see :mod:`repro.db.columnar`), or None.
     :class:`VScan` sets it; :class:`VFilter` and :class:`VProject` pass
-    it on; every other operator's output has none.
+    it on; every other operator's output has none.  A chunk is only
+    appended to under one stamp, and those operators map rows one by one,
+    so the same origin with as many rows is the same batch, and with more
+    rows the same first rows.
     """
 
     __slots__ = ("columns", "n", "kinds", "lin", "origin")
@@ -884,17 +888,8 @@ class VHashJoin(VOp):
         left_join = self.how == "left"
         buckets: dict[Any, list[int]] = {}
         if rn:
-            rkeys = _resolve(Batch(rcols, rn), self.right_on)
-            appends: dict[Any, Callable[[int], None]] = {}
-            for j, key in enumerate(rkeys):
-                if key is None:
-                    continue
-                try:
-                    appends[key](j)
-                except KeyError:
-                    bucket = [j]
-                    buckets[key] = bucket
-                    appends[key] = bucket.append
+            buckets = partition(_resolve(Batch(rcols, rn), self.right_on), range(rn))
+            buckets.pop(None, None)  # a NULL key joins nothing
         pad_names: set[str] = set()
         if left_join:
             pad_names = {k for k in rcols if not k.startswith("__")}
@@ -959,9 +954,27 @@ class VHashJoin(VOp):
 
 
 #: A chunk's partial is kept only while it has at most this many groups
-#: per row: a GROUP BY on a key would otherwise pin an O(rows) memo on a
-#: cached plan.
+#: per row of a full chunk: a GROUP BY on a key would otherwise pin an
+#: O(rows) memo on a cached plan.  A young tail is judged by the rows it
+#: will hold, not by the few it holds yet, and each growth of it by the
+#: groups its appended rows open.
 MEMO_MAX_GROUPS_PER_ROW = 0.25
+
+#: A batch's memo key: its chunk's stamp and its row count.
+MemoKey = tuple[int, int]
+
+
+def _rows_from(batch: Batch, start: int) -> Batch:
+    """The rows of ``batch`` from ``start`` on: one slice per distinct
+    column list, so keys that shared a list still share one."""
+    sliced: dict[int, list[Any]] = {}
+    columns: dict[str, list[Any]] = {}
+    for name, col in batch.columns.items():
+        part = sliced.get(id(col))
+        if part is None:
+            part = sliced[id(col)] = col[start:]
+        columns[name] = part
+    return Batch(columns, batch.n - start, batch.kinds, None, batch.origin)
 
 
 class VAggregate(VOp):
@@ -969,31 +982,38 @@ class VAggregate(VOp):
 
     Each group folds through the row engine's own
     :class:`~repro.db.aggstate.AggState`, one ``add_many`` per spec per
-    batch partition (C ``sum()`` only over a column tagged within
-    :data:`MERGEABLE_SUM_KINDS`, see :meth:`_exact_sums`), and groups emit
-    in first-occurrence order.  Fast paths: group counts come free from
-    the partition lists; a no-NULL column type tag skips the NULL
-    pre-filter.  No GROUP BY is the one-key ``()`` case of the same
-    per-batch fold.
+    batch partition (:func:`~repro.db.aggstate.partition`; C ``sum()``
+    only over a column tagged within :data:`MERGEABLE_SUM_KINDS`, see
+    :meth:`_exact_sums`), and groups emit in first-occurrence order.  Fast
+    paths: group counts come free from the partition lists; a no-NULL
+    column type tag skips the NULL pre-filter.  No GROUP BY is the
+    one-key ``()`` case of the same per-batch fold.
 
-    Chunk memo: the operator keeps, per chunk stamp (``Batch.origin``),
-    the per-group partial it folded from that full chunk, and a re-run of
-    the (cached) plan merges a kept partial (``AggState.merge``) instead
-    of folding the chunk again.  Only specs whose partials merge exactly
-    take this route: COUNT, COUNT(*), MIN, MAX, and SUM/AVG over a column
-    tagged within :data:`MERGEABLE_SUM_KINDS`; DISTINCT, any other
-    SUM/AVG, lineage capture, a lone COUNT(*) without GROUP BY (an O(1)
-    fold), and an aggregate over a ``?`` slot (a filter, projection or
-    argument reading one: the partial then depends on the binding, not
-    only on the chunk) fold every batch.  Each execution replaces the memo with the
-    partials it used, so it holds ints and partials, never chunks, and
-    forgets a compacted or rebuilt store's chunks on the next run.
+    Chunk memo: the operator keeps, per batch key ``(Batch.origin,
+    Batch.n)`` -- a chunk's stamp and the rows it held -- the per-group
+    partial it folded from that batch, and a re-run of the (cached) plan
+    merges a kept partial (``AggState.merge``) instead of folding the
+    chunk again.  Only specs whose partials merge exactly take this
+    route: COUNT, COUNT(*), MIN, MAX, and SUM/AVG over a column tagged
+    within :data:`MERGEABLE_SUM_KINDS`; DISTINCT, any other SUM/AVG,
+    lineage capture, a lone COUNT(*) without GROUP BY (an O(1) fold), and
+    an aggregate over a ``?`` slot (a filter, projection or argument
+    reading one: the partial then depends on the binding, not only on the
+    chunk) fold every batch.  Each execution replaces the memo with the
+    partials it used, so it holds keys and partials, never chunks or
+    batches, and forgets a compacted or rebuilt store's chunks on the
+    next run.
 
-    Prefix: the stamps of the last execution's leading run of kept chunks
+    Prefix: the keys of the last execution's leading run of kept batches
     and the groups merged from exactly those.  A re-run whose leading
-    batches carry those stamps starts from a copy of that state
+    batches carry those keys starts from a copy of that state
     (``AggState.copy``; never mutated once published); a changed stamp
-    merges the matched partials.
+    merges the matched partials.  A chunk is only appended to under one
+    stamp, so when the prefix's last batch comes back with its stamp and
+    more rows, the re-run folds only the appended rows into the copy: the
+    growing tail is folded once per row.  Such a batch keeps no partial
+    of its own (None in the memo); should the prefix later break after
+    it, it is folded then, before the merge.
     """
 
     def __init__(
@@ -1035,14 +1055,17 @@ class VAggregate(VOp):
             _reads_slot(child)
             or any(s.arg is not None and has_param(s.arg) for s in aggregates)
         )
-        # stamp -> partial ({key: [star, states]}) from the last execution.
-        self._memo: dict[int, dict[Any, list[Any]]] = {}
-        # (stamps, groups) of the last execution's leading run of kept chunks.
-        self._prefix: tuple[tuple[int, ...], dict[Any, list[Any]]] = ((), {})
+        # batch key -> partial ({key: [star, states]}, or None for a held
+        # batch folded into the prefix only) from the last execution.
+        self._memo: dict[MemoKey, dict[Any, list[Any]] | None] = {}
+        # (keys, groups) of the last execution's leading run of kept batches.
+        self._prefix: tuple[tuple[MemoKey, ...], dict[Any, list[Any]]] = ((), {})
         #: (chunks taken from the memo, batches seen) by the last execution.
         self.reused = (0, 0)
         #: Partials the last execution merged one by one (not via the prefix).
         self.merged = 0
+        #: Rows the last execution folded (the rest came from kept state).
+        self.folded = 0
 
     @property
     def explain_label(self) -> str:
@@ -1053,9 +1076,10 @@ class VAggregate(VOp):
         return f"VAggregate group_by={self.group_by} aggs={aggs}"
 
     def analyze_note(self) -> str:
-        """EXPLAIN ANALYZE detail: the last run's merges and memo hits."""
+        """EXPLAIN ANALYZE detail: the last run's merges, memo hits and
+        folded rows."""
         k, n = self.reused
-        return f"merged={self.merged}, reused={k}/{n} chunks"
+        return f"merged={self.merged}, reused={k}/{n} chunks, folded={self.folded} rows"
 
     def children(self) -> tuple[VOp, ...]:
         return (self.child,)
@@ -1103,16 +1127,31 @@ class VAggregate(VOp):
                         state.merge(part)
 
     def _snapshot(
-        self, kept: dict[int, Any], groups: dict[Any, list[Any]], held: int
-    ) -> tuple[tuple[int, ...], dict[Any, list[Any]]]:
+        self, kept: dict[MemoKey, Any], groups: dict[Any, list[Any]]
+    ) -> tuple[tuple[MemoKey, ...], dict[Any, list[Any]]]:
         """The prefix for the leading run ``kept`` merged into ``groups``:
-        the current one if the run is its ``held`` matched stamps and no
-        more, else a copy of ``groups``."""
-        if held == len(kept) == len(self._prefix[0]):
+        the current one if the run is its keys exactly, else a copy of
+        ``groups``."""
+        keys = tuple(kept)
+        if keys == self._prefix[0]:
             return self._prefix
         state: dict[Any, list[Any]] = {}
         self._merge(state, groups)  # into no groups: a copy
-        return tuple(kept), state
+        return keys, state
+
+    def _fold_held(
+        self, kept: dict[MemoKey, Any], bare: dict[MemoKey, Batch]
+    ) -> int:
+        """Give each held batch that kept no partial one, folded now (the
+        prefix broke, so the held partials merge one by one); the rows
+        folded."""
+        rows = 0
+        for key, batch in bare.items():
+            partial: dict[Any, list[Any]] = {}
+            self._fold_batch(partial, batch)
+            kept[key] = partial
+            rows += batch.n
+        return rows
 
     def _fold_batch(
         self,
@@ -1183,16 +1222,7 @@ class VAggregate(VOp):
                     k & K_NULL for k in kinds_seen
                 )
         if col is not None:
-            bucket: dict[Any, list[Any]] = {}
-            appends: dict[Any, Callable[[Any], None]] = {}
-            for key, value in zip(keys, col):
-                try:
-                    appends[key](value)
-                except KeyError:
-                    lst = [value]
-                    bucket[key] = lst
-                    appends[key] = lst.append
-            for key, raw in bucket.items():
+            for key, raw in partition(keys, col).items():
                 entry = groups.get(key)
                 if entry is None:
                     entry = groups[key] = [0, new_states(specs)]
@@ -1202,18 +1232,9 @@ class VAggregate(VOp):
                     if state is not None:
                         state.add_many(values, ex)
             return
-        # General path: index partition, one pick per spec column.
-        positions: dict[Any, list[int]] = {}
-        pos_appends: dict[Any, Callable[[int], None]] = {}
-        for i, key in enumerate(keys):
-            try:
-                pos_appends[key](i)
-            except KeyError:
-                lst = [i]
-                positions[key] = lst
-                pos_appends[key] = lst.append
+        # General path: position partition, one pick per spec column.
         argcols = [fn(batch) if fn is not None else None for fn in self._argfns]
-        for key, idxs in positions.items():
+        for key, idxs in partition(keys, range(batch.n)).items():
             entry = groups.get(key)
             if entry is None:
                 entry = groups[key] = [0, new_states(specs)]
@@ -1245,61 +1266,91 @@ class VAggregate(VOp):
         groups: dict[Any, list[Any]] = {}
         glins: dict[Any, list[tuple]] | None = {} if lineage else None
         memo = self._memo
-        kept: dict[int, dict[Any, list[Any]]] = {}
+        kept: dict[MemoKey, dict[Any, list[Any]] | None] = {}
         # A global COUNT(*) folds a chunk in O(1): nothing worth keeping.
         trivial = self._star_only and not group_by
         use_memo: bool | None = (
             False if lineage or trivial or not self._memoizable else None
         )
-        pstamps, pstate = self._prefix if use_memo is None else ((), {})
-        held = 0  # leading batches matching `pstamps`: their merge waits
-        prefix = None  # published once the leading run of kept chunks ends
-        reused = seen = merged = 0
+        pkeys, pstate = self._prefix if use_memo is None else ((), {})
+        held = 0  # leading batches matching `pkeys`: their merge waits
+        bare: dict[MemoKey, Batch] = {}  # held batches that kept no partial
+        prefix = None  # published once the leading run of kept batches ends
+        reused = seen = merged = folded = 0
         for batch in self.child.batches(source, counters, lineage):
             seen += 1
             if use_memo is None:
                 use_memo = self._mergeable(batch)
-            stamp = batch.origin
-            if held == seen - 1 and held < len(pstamps):
-                if use_memo and stamp == pstamps[held]:
-                    held += 1
-                    kept[stamp] = memo[stamp]
-                    if held == len(pstamps):
-                        self._merge(groups, pstate)  # into no groups: a copy
-                    continue
-                self._merge(groups, *kept.values())  # the prefix broke
+            key = (batch.origin, batch.n)
+            if held == seen - 1 and held < len(pkeys):
+                if use_memo:
+                    last = pkeys[held]
+                    if key == last:
+                        held += 1
+                        partial = kept[key] = memo[key]
+                        if partial is None:
+                            bare[key] = batch
+                        if held == len(pkeys):
+                            self._merge(groups, pstate)  # into no groups: a copy
+                        continue
+                    grown = key[1] - last[1]
+                    if held == len(pkeys) - 1 and key[0] == last[0] and grown > 0:
+                        # The prefix's last chunk grew: its first rows are
+                        # in the prefix, so fold only the appended ones.
+                        held += 1
+                        kept[key] = None
+                        self._merge(groups, pstate)
+                        opened = len(groups)
+                        self._fold_batch(groups, _rows_from(batch, last[1]))
+                        folded += grown
+                        if len(groups) - opened > grown * MEMO_MAX_GROUPS_PER_ROW:
+                            # Keyed on new values: the prefix stays the
+                            # old one, and the rest of the run folds.
+                            use_memo = False
+                            prefix = self._prefix
+                        continue
+                folded += self._fold_held(kept, bare)  # the prefix broke
+                self._merge(groups, *kept.values())
                 merged += held
-            if not use_memo or stamp is None:
+            if not use_memo or key[0] is None:
                 if prefix is None:
-                    prefix = self._snapshot(kept, groups, held)
+                    prefix = self._snapshot(kept, groups)
                 self._fold_batch(groups, batch, glins)
+                folded += batch.n
                 continue
-            partial = memo.get(stamp)
+            partial = memo.get(key)
             if partial is not None:
                 reused += 1
             else:
                 partial = {}
                 self._fold_batch(partial, batch)
-                if len(partial) > batch.n * MEMO_MAX_GROUPS_PER_ROW:
+                folded += batch.n
+                if len(partial) > columnar.CHUNK_ROWS * MEMO_MAX_GROUPS_PER_ROW:
                     # Keyed on (nearly) unique values: keep nothing and
                     # fold the rest of this run straight into `groups`.
                     use_memo = False
             if use_memo:
-                kept[stamp] = partial
+                kept[key] = partial
             elif prefix is None:
-                prefix = self._snapshot(kept, groups, held)
+                prefix = self._snapshot(kept, groups)
             self._merge(groups, partial)
             merged += 1
-        if held == seen and held < len(pstamps):  # ended inside the prefix
+        if held == seen and held < len(pkeys):  # ended inside the prefix
+            folded += self._fold_held(kept, bare)
             self._merge(groups, *kept.values())
             merged += held
         if not lineage:
             self._memo = kept
-            self._prefix = prefix or self._snapshot(kept, groups, held)
+            # Every batch kept: the run's own groups are the prefix (they
+            # are only read from here on).
+            self._prefix = prefix or (
+                self._prefix if tuple(kept) == self._prefix[0] else (tuple(kept), groups)
+            )
             self.reused = (reused + held, seen)
             self.merged = merged
+            self.folded = folded
         if not group_by and not groups:
-            groups[()] = [0, new_states(specs)]  # empty input: one row
+            groups = {(): [0, new_states(specs)]}  # empty input: one row
 
         names = [s.name for s in specs]
         out_rows: list[Row] = []

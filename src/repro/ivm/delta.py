@@ -10,8 +10,10 @@ modelled, classically, as delete(before) + insert(after).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Sequence
 
+from ..db.aggstate import partition
 from ..db.table import ChangeSet
 
 Row = dict[str, Any]
@@ -51,22 +53,38 @@ class Delta:
         return len(self.inserted) + len(self.deleted)
 
 
-def partition_rows(rows: Iterable[Row], group_by: Sequence[str]) -> dict[tuple, list[Row]]:
-    """Partition rows by their group key, preserving first-seen group order
-    and within-group row order.
+def group_key(group_by: Sequence[str]) -> Callable[[Row], Any]:
+    """A row's group value, compiled once per grouping: the column's value
+    for one column (wrapped into the key tuple per group, not per row, by
+    :func:`partition_rows`), the tuple of them for several, ``()`` for
+    none."""
+    if len(group_by) == 1:
+        return itemgetter(group_by[0])
+    if group_by:
+        return itemgetter(*group_by)
+    return _no_group
+
+
+def _no_group(row: Row) -> tuple[()]:
+    return ()
+
+
+def partition_rows(
+    rows: Sequence[Row],
+    group_by: Sequence[str],
+    key_of: Callable[[Row], Any] | None = None,
+) -> dict[tuple, list[Row]]:
+    """Partition rows by their group key tuple, preserving first-seen
+    group order and within-group row order.  ``key_of`` is
+    ``group_key(group_by)``, compiled by a caller that partitions often.
 
     Aggregate maintenance folds each partition with one
     :meth:`AggregateView.apply_group_rows` call; preserving row order keeps
     float SUM accumulation the left fold of the rows in delta order.
     """
-    groups: dict[tuple, list[Row]] = {}
-    for row in rows:
-        key = tuple(row[g] for g in group_by)
-        bucket = groups.get(key)
-        if bucket is None:
-            groups[key] = [row]
-        else:
-            bucket.append(row)
+    groups = partition(map(key_of or group_key(group_by), rows), rows)
+    if len(group_by) == 1:
+        return {(value,): part for value, part in groups.items()}
     return groups
 
 

@@ -22,6 +22,7 @@ is that same fold applied to every row of the base tables.
 from __future__ import annotations
 
 from collections import Counter
+from operator import itemgetter
 from typing import Any, Callable, Sequence
 
 from ..db.aggstate import ViewAggState, new_states, put_results
@@ -29,7 +30,7 @@ from ..db.algebra import AggSpec
 from ..db.expression import ColumnRef, Expression, Items, evaluate_predicate, row_maker
 from ..db.schema import TID
 from ..errors import ViewError
-from .delta import Delta, Row, partition_rows, row_key
+from .delta import Delta, Row, group_key, partition_rows, row_key
 
 
 class ViewDefinition:
@@ -159,6 +160,29 @@ def _projector(items: Items | None) -> Callable[[Row], Row]:
     """A view's row projection: its compiled row maker, or the visible
     columns when it projects none."""
     return _visible if items is None else row_maker(items)
+
+
+def _values_of(arg: Expression) -> Callable[[Sequence[Row]], list[Any]]:
+    """An aggregate argument's non-NULL values over a group's rows.  A
+    plain column is read by one compiled getter; a group with a row that
+    lacks its key is read through ``eval`` (the qualified-suffix rule,
+    and its error when no key matches)."""
+    evaluate = arg.eval
+
+    def evaluated(rows: Sequence[Row]) -> list[Any]:
+        return [v for row in rows if (v := evaluate(row)) is not None]
+
+    if not isinstance(arg, ColumnRef):
+        return evaluated
+    get = itemgetter(arg.name)
+
+    def column(rows: Sequence[Row]) -> list[Any]:
+        try:
+            return [v for v in map(get, rows) if v is not None]
+        except KeyError:
+            return evaluated(rows)
+
+    return column
 
 
 class SelectProjectView(ViewDefinition):
@@ -388,6 +412,13 @@ class AggregateView(ViewDefinition):
         self.where = where
         # key -> [count of rows, one ViewAggState per spec (None: COUNT(*))]
         self.groups: dict[tuple[Any, ...], list[Any]] = {}
+        # Compiled once: a row's group value and each spec's value reader
+        # (None: COUNT(*)).
+        self._key_of = group_key(self.group_by)
+        self._values = [
+            None if spec.arg is None else _values_of(spec.arg)
+            for spec in self.aggregates
+        ]
 
     def base_tables(self) -> set[str]:
         return {self.table}
@@ -406,14 +437,16 @@ class AggregateView(ViewDefinition):
         if where is not None:
             deleted = [row for row in deleted if evaluate_predicate(where, row)]
             inserted = [row for row in inserted if evaluate_predicate(where, row)]
-        for key, rows in partition_rows(deleted, self.group_by).items():
+        group_by, key_of = self.group_by, self._key_of
+        for key, rows in partition_rows(deleted, group_by, key_of).items():
             self.apply_group_rows(key, rows, -1)
-        for key, rows in partition_rows(inserted, self.group_by).items():
+        for key, rows in partition_rows(inserted, group_by, key_of).items():
             self.apply_group_rows(key, rows, +1)
         return len(deleted) + len(inserted)
 
     def _group_key(self, row: Row) -> tuple[Any, ...]:
-        return tuple(row[g] for g in self.group_by)
+        key = self._key_of(row)
+        return (key,) if len(self.group_by) == 1 else key
 
     def apply_row(self, row: Row, sign: int) -> None:
         """Fold one base row in (+1) or out (-1) of its group."""
@@ -437,16 +470,10 @@ class AggregateView(ViewDefinition):
             else:
                 self.lineage.remove(key, srcs)
         entry[0] += sign * len(rows)
-        first = rows[0]
-        for spec, state in zip(self.aggregates, entry[1]):
+        for values_of, state in zip(self._values, entry[1]):
             if state is None:
                 continue
-            arg = spec.arg
-            if isinstance(arg, ColumnRef) and arg.name in first:
-                name = arg.name
-                values = [v for row in rows if (v := row[name]) is not None]
-            else:
-                values = [v for row in rows if (v := arg.eval(row)) is not None]
+            values = values_of(rows)
             if sign > 0:
                 state.add_many(values)
             else:

@@ -27,9 +27,11 @@ log groups that sum walked, a broadcast that retires a connection)
 and its in-memory copy of the ConnectedUser table (``_ClientLink``
 records in ``_links``), and the change log's nested statement per event,
 its ``seq_no`` indexes and its sorted whole-log scans, and the Figure-8
-pipeline's private timers (its steps are read from one trace); and for what the
-aggregate memo relies on: every write into a column chunk re-stamps it,
-and the memo is keyed by stamps, never by chunks."""
+pipeline's private timers (its steps are read from one trace), and the
+bucket loops each aggregate fold kept of its own (one partition helper
+serves them all); and for what the aggregate memo relies on: every write
+into a column chunk re-stamps it, and the memo is keyed by stamps and row
+counts, never by chunks."""
 
 import ast
 import re
@@ -397,6 +399,11 @@ def memo_keys(source):
     return keys
 
 
+#: What a memo key may be: a batch's chunk stamp, alone or with the rows
+#: the batch held (the same stamp with more rows has the same first rows).
+STAMP_KEYS = {"batch.origin", "(batch.origin, batch.n)"}
+
+
 def test_every_chunk_write_re_stamps_and_the_memo_keeps_only_stamps():
     """A kept partial is as good as its chunk's stamp: a write that left
     the stamp alone would let a re-run merge a stale partial, and a memo
@@ -405,7 +412,7 @@ def test_every_chunk_write_re_stamps_and_the_memo_keeps_only_stamps():
     columnar = (db / "columnar.py").read_text(encoding="utf-8")
     assert unstamped_chunk_writes(columnar) == []
     keys = memo_keys((db / "vector.py").read_text(encoding="utf-8"))
-    assert keys and all(key == "batch.origin" for key in keys)
+    assert keys and set(keys) <= STAMP_KEYS
 
 
 def test_the_chunk_stamp_tripwires_fire_on_planted_offenders():
@@ -424,11 +431,145 @@ def test_the_chunk_stamp_tripwires_fire_on_planted_offenders():
         "        stamp = batch.origin\n"
         "        kept[stamp] = partial\n"
         "        kept[id(batch.columns)] = partial\n"
+        "        key = (batch.origin, batch.n)\n"
+        "        kept[key] = None\n"
+        "        kept[(id(batch.columns), batch.n)] = partial\n"
         "        self._memo = kept\n"
         "        self._memo[batch] = partial\n"
     )
     assert unstamped_chunk_writes(planted) == ["update", "delete"]
-    assert memo_keys(planted) == ["batch.origin", "id(batch.columns)", "batch"]
+    keys = memo_keys(planted)
+    assert keys == [
+        "batch.origin",
+        "id(batch.columns)",
+        "(batch.origin, batch.n)",
+        "(id(batch.columns), batch.n)",
+        "batch",
+    ]
+    assert [key for key in keys if key not in STAMP_KEYS] == [
+        "id(batch.columns)", "(id(batch.columns), batch.n)", "batch"
+    ]
+
+
+def _appends_to_bucket(call, fetched):
+    """``call`` appends to a per-key list: ``d[k].append``,
+    ``d.setdefault(k, []).append``, or ``b.append`` where ``b`` was fetched
+    by ``d.get``/``d.setdefault`` in the same loop (``fetched``)."""
+    if not (isinstance(call.func, ast.Attribute) and call.func.attr == "append"):
+        return False
+    owner = call.func.value
+    return (
+        isinstance(owner, ast.Subscript)
+        or isinstance(owner, ast.Name) and owner.id in fetched
+        or isinstance(owner, ast.Call)
+        and isinstance(owner.func, ast.Attribute)
+        and owner.func.attr == "setdefault"
+    )
+
+
+def _catches_key_error(node):
+    return isinstance(node, ast.Try) and any(
+        handler.type is not None and "KeyError" in ast.unparse(handler.type)
+        for handler in node.handlers
+    )
+
+
+def bucket_loops(source):
+    """Functions that bucket items into per-key lists by a loop of their
+    own (``get``/``setdefault`` then ``append``, or a call through a dict
+    of bound ``append`` methods that catches ``KeyError``), or build a key
+    tuple per row with ``tuple(row[g] for g in ...)``."""
+    offenders = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        hit = False
+        for loop in (n for n in ast.walk(fn) if isinstance(n, ast.For)):
+            body = [n for stmt in loop.body for n in ast.walk(stmt)]
+            fetched = {
+                target.id
+                for n in body
+                if isinstance(n, ast.Assign)
+                and isinstance(n.value, ast.Call)
+                and isinstance(n.value.func, ast.Attribute)
+                and n.value.func.attr in ("get", "setdefault")
+                for target in n.targets
+                if isinstance(target, ast.Name)
+            }
+            hit |= any(
+                isinstance(n, ast.Call) and _appends_to_bucket(n, fetched)
+                or _catches_key_error(n)
+                and any(
+                    isinstance(c, ast.Call) and isinstance(c.func, ast.Subscript)
+                    for stmt in n.body
+                    for c in ast.walk(stmt)
+                )
+                for n in body
+            )
+        for n in ast.walk(fn):
+            if (
+                isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Name)
+                and n.func.id == "tuple"
+                and len(n.args) == 1
+                and isinstance(n.args[0], ast.GeneratorExp)
+            ):
+                gen = n.args[0]
+                targets = {ast.unparse(g.target) for g in gen.generators}
+                hit |= (
+                    isinstance(gen.elt, ast.Subscript)
+                    and ast.unparse(gen.elt.slice) in targets
+                )
+        if hit:
+            offenders.append(fn.name)
+    return offenders
+
+
+def test_every_aggregate_fold_partitions_through_the_one_helper():
+    """The view's delta, the batch GROUP BY and the hash join's build side
+    bucket rows through ``repro.db.aggstate.partition``, with a group key
+    compiled once, not a bucket loop and a key tuple per row of their own."""
+    sources = [REPO / "src" / "repro" / "db" / "vector.py"]
+    sources += sorted((REPO / "src" / "repro" / "ivm").glob("*.py"))
+    for path in sources:
+        assert bucket_loops(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def test_the_bucket_loop_tripwire_fires_on_planted_offenders():
+    planted = (
+        "def by_get(keys, values):\n"
+        "    groups = {}\n"
+        "    for key, value in zip(keys, values):\n"
+        "        bucket = groups.get(key)\n"
+        "        if bucket is None:\n"
+        "            groups[key] = [value]\n"
+        "        else:\n"
+        "            bucket.append(value)\n"
+        "def by_key_error(keys, values):\n"
+        "    buckets, appends = {}, {}\n"
+        "    for key, value in zip(keys, values):\n"
+        "        try:\n"
+        "            appends[key](value)\n"
+        "        except KeyError:\n"
+        "            appends[key] = buckets.setdefault(key, [value]).append\n"
+        "def by_setdefault(rows):\n"
+        "    groups = {}\n"
+        "    for row in rows:\n"
+        "        groups.setdefault(row['g'], []).append(row)\n"
+        "def by_subscript(rows, groups):\n"
+        "    for row in rows:\n"
+        "        groups[row['g']].append(row)\n"
+        "def key_tuple(self, row):\n"
+        "    return tuple(row[g] for g in self.group_by)\n"
+        "def fine(rows, groups, out):\n"
+        "    for row in rows:\n"
+        "        entry = groups.get(row['g'])\n"
+        "        out.append(entry)\n"
+        "    return tuple(r.x for r in rows)\n"
+    )
+    assert bucket_loops(planted) == [
+        "by_get", "by_key_error", "by_setdefault", "by_subscript", "key_tuple"
+    ]
 
 
 # ----------------------------------------------------------------------

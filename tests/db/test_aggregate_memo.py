@@ -1,18 +1,22 @@
 """The vectorized aggregate's chunk memo and prefix against the row engine.
 
-``VAggregate`` keeps, per full column chunk, the per-group partial it
-folded from it, keyed by the chunk's stamp; a re-run of the cached plan
-merges kept partials and folds only the chunks whose stamp changed.
-Beside the memo it keeps a *prefix*: the stamps of the leading run of
-kept chunks and the groups merged from them, which a re-run whose
-leading stamps are unchanged copies instead of merging those partials
-(``merged`` counts the partials a run still merged one by one).  The
-model test shrinks chunks to 32 rows and drives one table through seeded
-sequences of inserts, updates and deletes inside full chunks, rolled-back
-transactions, compactions and a drop/re-create.  After every step each
-query, run through ``db.query`` on its cached plan, must equal its row
-plan exactly -- the same rows, in the same key order, to the float bit --
-and no prefix state published earlier may have changed.  Float SUM/AVG
+``VAggregate`` keeps, per column chunk, the per-group partial it folded
+from it, keyed by the chunk's stamp and row count; a re-run of the cached
+plan merges kept partials and folds only the chunks whose stamp changed.
+Beside the memo it keeps a *prefix*: the keys of the leading run of kept
+chunks and the groups merged from them, which a re-run whose leading keys
+are unchanged copies instead of merging those partials (``merged`` counts
+the partials a run still merged one by one); when the prefix's last chunk
+comes back grown under its stamp, only the appended rows are folded into
+the copy (``folded`` counts the rows a run folded).  The model test
+shrinks chunks to 32 rows and drives one table through seeded sequences
+of inserts (some crossing a chunk boundary), updates and deletes inside
+full chunks, rolled-back transactions, compactions, folds that raise
+part-way and a drop/re-create.  After every step each query, run through
+``db.query`` on its cached plan, must equal its row plan exactly -- the
+same rows, in the same key order, to the float bit -- no prefix state
+published earlier may have changed, and after appends alone a global
+aggregate must have folded exactly the appended rows.  Float SUM/AVG
 must stay the row engine's left fold also under a compensating ``sum()``
 (CPython >= 3.12's), emulated here by :func:`compensated_sum`.
 """
@@ -48,6 +52,9 @@ MEMO_QUERIES = [
     "SELECT g, COUNT(*) AS c, SUM(i) AS si FROM t WHERE i > 50 GROUP BY g",
     "SELECT g, b, COUNT(*) AS c, MAX(f) AS hf FROM t GROUP BY g, b",
 ]
+#: The memo queries without GROUP BY: their one group is never new, so
+#: after appends alone a re-run folds exactly the appended rows.
+GLOBAL_MEMO_QUERIES = [sql for sql in MEMO_QUERIES if "GROUP BY" not in sql]
 #: Queries that fold every chunk: float SUM/AVG, DISTINCT, a global
 #: COUNT(*) (an O(1) fold), and a GROUP BY on the key (a partial per row
 #: is never kept).
@@ -122,6 +129,9 @@ class Model:
         self.reused = {sql: 0 for sql in MEMO_QUERIES + FOLD_QUERIES}
         # id -> (prefix state, its text when published): never mutated.
         self.published = {}
+        # Per query, rows appended since its last completed run, or None
+        # once anything but an append happened since.
+        self.appended = {sql: None for sql in MEMO_QUERIES + FOLD_QUERIES}
         self.recreate()
 
     def row(self):
@@ -143,8 +153,44 @@ class Model:
     def insert(self, count=None):
         count = self.rng.randint(1, 40) if count is None else count
         self.db.insert_many("t", [self.row() for _ in range(count)])
+        for sql, rows in self.appended.items():
+            if rows is not None:
+                self.appended[sql] = rows + count
+
+    def changed(self):
+        """Something other than an append: no fold count is exact now."""
+        self.appended = dict.fromkeys(self.appended)
+
+    def cross(self):
+        """Append more than a chunk: the tail fills and a new one starts."""
+        self.insert(self.rng.randint(33, 80))
+
+    def boom(self):
+        """Append, then make each query's fold raise part-way: a run that
+        fails publishes nothing, so the next one folds what this one did
+        not finish."""
+        self.insert()
+        real = VAggregate._fold_batch
+
+        def failing(op, *args, **kwargs):
+            if not next(calls, 0):  # raise once `calls` runs down to 0
+                raise Boom
+            return real(op, *args, **kwargs)
+
+        VAggregate._fold_batch = failing
+        try:
+            for sql in MEMO_QUERIES + FOLD_QUERIES:
+                calls = iter(range(self.rng.randrange(3), -1, -1))
+                try:
+                    self.db.query(sql)
+                except Boom:
+                    continue
+                self.appended[sql] = 0
+        finally:
+            VAggregate._fold_batch = real
 
     def update(self):
+        self.changed()
         live = self.ids()
         if live:
             # Early ids sit in full chunks, which the memo serves.
@@ -156,6 +202,7 @@ class Model:
             )
 
     def delete(self):
+        self.changed()
         live = self.ids()
         if live:
             key = self.rng.choice(live[: max(1, len(live) // 2)])
@@ -169,14 +216,17 @@ class Model:
                 self.delete()
                 self.check()  # the memo sees uncommitted chunks too
                 raise Boom
+        self.changed()
 
     def compact(self):
+        self.changed()
         live = self.ids()
         for key in self.rng.sample(live, len(live) // 3):
             self.db.execute("DELETE FROM t WHERE id = ?", [key])
         self.insert(len(live) // 3)
 
     def recreate(self):
+        self.changed()
         self.db.drop_table("t", if_exists=True)
         self.db.execute(CREATE)
         self.insert(200)
@@ -188,6 +238,9 @@ class Model:
             assert exact(got) == exact(plan.row_plan.to_list(self.db)), sql
             op = aggregate_of(self.db, sql)
             self.reused[sql] += op.reused[0]
+            if sql in GLOBAL_MEMO_QUERIES and self.appended[sql] is not None:
+                assert op.folded == self.appended[sql], sql
+            self.appended[sql] = 0
             state = op._prefix[1]
             self.published.setdefault(id(state), (state, repr(state)))
         for state, text in self.published.values():
@@ -197,6 +250,8 @@ class Model:
         moves = [self.insert] * 4 + [self.update] * 3 + [self.delete] * 2 + [
             self.rollback,
             self.compact,
+            self.cross,
+            self.boom,
         ]
         self.check()
         for step in range(steps):
@@ -221,14 +276,17 @@ def test_a_re_run_folds_only_the_tail(small_chunks):
     db, sql = model.db, MEMO_QUERIES[0]
     db.query(sql)
     op = aggregate_of(db, sql)
-    assert op.reused == (0, 7)
+    assert (op.reused, op.folded) == ((0, 7), 200)
     model.insert(1)
     db.query(sql)
-    assert op.reused == (6, 7)
-    assert len(op._memo) == 6 and all(type(k) is int for k in op._memo)
+    # The tail grew under its stamp: only the appended row is folded.
+    assert (op.reused, op.folded) == ((7, 7), 1)
+    assert len(op._memo) == 7
+    assert all(type(stamp) is int and type(n) is int for stamp, n in op._memo)
     model.update()  # re-stamps one full chunk
     db.query(sql)
-    assert op.reused == (5, 7)
+    # That chunk, and the tail, which kept no partial of its own.
+    assert (op.reused, op.folded) == ((5, 7), 32 + 9)
 
 
 def test_a_key_group_by_keeps_no_partial(small_chunks):
@@ -246,18 +304,92 @@ def test_an_append_only_re_run_starts_from_the_prefix(small_chunks):
     db, sql = model.db, MEMO_QUERIES[0]
     db.query(sql)
     op = aggregate_of(db, sql)
-    assert (op.reused, op.merged, len(op._prefix[0])) == ((0, 7), 6, 6)
+    assert (op.reused, op.merged, op.folded, len(op._prefix[0])) == ((0, 7), 7, 200, 7)
     prefix = op._prefix
+    db.query(sql)
+    assert (op.reused, op.merged, op.folded) == ((7, 7), 0, 0)
+    assert op._prefix is prefix  # an unchanged run: no new copy
     model.insert(1)
     db.query(sql)
-    assert (op.reused, op.merged) == ((6, 7), 0)
-    assert op._prefix is prefix  # an unchanged leading run: no new copy
-    model.insert(24)  # the tail fills: a seventh full chunk, folded once
+    assert (op.reused, op.merged, op.folded) == ((7, 7), 0, 1)
+    assert op._prefix[1] is not prefix[1] and repr(prefix[1]) != repr(op._prefix[1])
+    model.insert(23)  # the tail fills: a seventh full chunk, folded once
     db.query(sql)
-    assert (op.reused, op.merged, len(op._prefix[0])) == ((6, 8), 1, 7)
-    model.insert(1)
+    assert (op.reused, op.merged, op.folded, len(op._prefix[0])) == ((7, 7), 0, 23, 7)
+    model.insert(1)  # an eighth chunk: its first row gets a partial
     db.query(sql)
-    assert (op.reused, op.merged) == ((7, 8), 0)
+    assert (op.reused, op.merged, op.folded, len(op._prefix[0])) == ((7, 8), 1, 1, 8)
+    model.insert(40)  # across the next boundary: 31 rows, then 9
+    db.query(sql)
+    assert (op.reused, op.merged, op.folded, len(op._prefix[0])) == ((8, 9), 1, 40, 9)
+
+
+def test_a_fold_that_raises_publishes_nothing(small_chunks):
+    model = Model(7)
+    db, sql = model.db, MEMO_QUERIES[0]
+    db.query(sql)
+    op = aggregate_of(db, sql)
+    memo, prefix, text = op._memo, op._prefix, repr(op._prefix[1])
+    model.insert(40)  # the tail fills and a new one starts
+    real = VAggregate._fold_batch
+
+    def failing(self, groups, batch, glins=None):
+        if batch.n == 16:  # the new tail's partial, after the extension
+            raise Boom
+        return real(self, groups, batch, glins)
+
+    VAggregate._fold_batch = failing
+    try:
+        with pytest.raises(Boom):
+            db.query(sql)
+    finally:
+        VAggregate._fold_batch = real
+    assert op._memo is memo and op._prefix is prefix
+    assert repr(prefix[1]) == text
+    got = db.query(sql)
+    assert exact(got) == exact(db.plan(sql).row_plan.to_list(db))
+    assert (op.reused, op.folded) == ((7, 8), 40)
+
+
+def test_a_break_after_a_grown_chunk_folds_that_chunk_first(small_chunks):
+    model = Model(7)  # 200 rows: 6 full chunks and a tail of 8
+    db, sql = model.db, MEMO_QUERIES[0]
+    db.query(sql)
+    op = aggregate_of(db, sql)
+    model.insert(30)  # the tail fills (24 rows) and a new one holds 6
+    db.query(sql)
+    assert (op.reused, op.folded) == ((7, 8), 30)
+    assert list(op._memo.values())[6] is None  # the grown chunk: no partial
+    db.execute("UPDATE t SET i = i + 1 WHERE id = ?", [model.next_id])
+    got = db.query(sql)
+    assert exact(got) == exact(db.plan(sql).row_plan.to_list(db))
+    # The prefix broke at the new tail: the grown chunk is folded, then
+    # the seven partials merged one by one, then the re-stamped tail.
+    assert (op.reused, op.merged, op.folded) == ((7, 8), 8, 32 + 6)
+    db.query(sql)
+    assert (op.reused, op.merged, op.folded) == ((8, 8), 0, 0)
+
+
+def test_a_tail_growing_new_groups_keeps_the_old_prefix(small_chunks):
+    db = Database()
+    db.execute(CREATE)
+    db.insert_many("t", [{"id": k, "g": k % 2, "i": k} for k in range(1, 41)])
+    sql = "SELECT g, COUNT(*) AS c, SUM(i) AS si FROM t GROUP BY g"
+    db.query(sql)  # one full chunk and a tail of 8, both kept
+    op = aggregate_of(db, sql)
+    prefix = op._prefix
+    # Four appended rows open four groups: more than a quarter per row.
+    db.insert_many("t", [{"id": 100 + k, "g": 100 + k, "i": k} for k in range(4)])
+    got = db.query(sql)
+    assert exact(got) == exact(db.plan(sql).row_plan.to_list(db))
+    assert op._prefix is prefix and op.folded == 4
+    # Twenty more in old groups: the old prefix grows by all 24 rows.
+    db.insert_many("t", [{"id": 200 + k, "g": k % 2, "i": k} for k in range(20)])
+    got = db.query(sql)
+    assert exact(got) == exact(db.plan(sql).row_plan.to_list(db))
+    assert op._prefix is not prefix and op.folded == 24
+    db.query(sql)
+    assert op.folded == 0
 
 
 @pytest.mark.parametrize("chunk", range(6))
@@ -269,10 +401,11 @@ def test_a_re_stamped_chunk_breaks_the_prefix_there(small_chunks, chunk):
     db.execute("UPDATE t SET i = i + 1 WHERE id = ?", [chunk * 32 + 1])
     got = db.query(sql)
     assert exact(got) == exact(db.plan(sql).row_plan.to_list(db))
-    # The `chunk` matched partials, the re-folded chunk, the 5 - chunk after.
-    assert (op.reused, op.merged) == ((5, 7), 6)
+    # The `chunk` matched partials, the re-folded chunk, the 5 - chunk
+    # after it and the tail's.
+    assert (op.reused, op.merged, op.folded) == ((6, 7), 7, 32)
     db.query(sql)
-    assert (op.reused, op.merged) == ((6, 7), 0)
+    assert (op.reused, op.merged, op.folded) == ((7, 7), 0, 0)
 
 
 def rollback_an_update(db):
@@ -296,10 +429,10 @@ def test_a_rebuild_drops_the_prefix(small_chunks, rebuild):
     old = op._prefix[0]
     rebuild(db)  # 200 live rows again, every chunk under a fresh stamp
     db.query(sql)
-    assert (op.reused, op.merged, len(op._prefix[0])) == ((0, 7), 6, 6)
-    assert set(old).isdisjoint(op._prefix[0])
+    assert (op.reused, op.merged, op.folded, len(op._prefix[0])) == ((0, 7), 7, 200, 7)
+    assert {stamp for stamp, _ in old}.isdisjoint(s for s, _ in op._prefix[0])
     db.query(sql)
-    assert (op.reused, op.merged) == ((6, 7), 0)
+    assert (op.reused, op.merged, op.folded) == ((7, 7), 0, 0)
 
 
 def test_lineage_and_an_uncached_plan_leave_memo_and_prefix(small_chunks):
@@ -315,10 +448,10 @@ def test_lineage_and_an_uncached_plan_leave_memo_and_prefix(small_chunks):
     fresh = vectorize_plan(plan.row_plan)
     assert exact(fresh.to_list(db)) == exact(rows)
     fresh_op = next(op for op in _walk(fresh.root) if isinstance(op, VAggregate))
-    assert (fresh_op.reused, fresh_op.merged) == ((0, 7), 6)
+    assert (fresh_op.reused, fresh_op.merged, fresh_op.folded) == ((0, 7), 7, 200)
     assert op._memo is memo and op._prefix is prefix
     db.query(sql)
-    assert (op.reused, op.merged) == ((6, 7), 0)
+    assert (op.reused, op.merged, op.folded) == ((7, 7), 0, 0)
 
 
 @pytest.mark.parametrize(
@@ -338,8 +471,10 @@ def test_a_group_whose_first_row_leaves_the_prefix_keeps_row_order(
     got = db.query(sql)
     assert exact(got) == exact(db.plan(sql).row_plan.to_list(db))
     assert got[-1]["g"] == 9
-    op = aggregate_of(db, sql)  # chunk 0's partial, then chunk 1 re-folded
-    assert (op.reused, op.merged) == ((1, 3), 2)
+    # Chunk 0's partial, chunk 1 re-folded, then the tail's partial.
+    op = aggregate_of(db, sql)
+    assert (op.reused, op.merged) == ((2, 3), 3)
+    assert op.folded == (32 if move.startswith("UPDATE") else 31)
 
 
 @pytest.mark.parametrize("summer", [sum, compensated_sum])

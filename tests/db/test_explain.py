@@ -141,11 +141,12 @@ class TestExplainAnalyzeReuse:
             [{"id": i, "dept": f"d{i % 3}", "salary": i} for i in range(100)],
         )  # three full chunks and a tail of four
         with forced_engine("vector"):
-            assert "reused=0/4 chunks (rows=3)" in self.aggregate_line(db)
+            assert "reused=0/4 chunks, folded=100 rows (rows=3)" in self.aggregate_line(db)
             db.insert("emp", {"id": 100, "dept": "d1", "salary": 7})
-            assert "reused=3/4 chunks (rows=3)" in self.aggregate_line(db)
+            # The tail grew under its stamp: its one new row is all folded.
+            assert "reused=4/4 chunks, folded=1 rows (rows=3)" in self.aggregate_line(db)
             sql_form = db.query(f"EXPLAIN ANALYZE {self.SQL}")
-            assert any("reused=3/4 chunks" in r["plan"] for r in sql_form)
+            assert any("reused=4/4 chunks, folded=0 rows" in r["plan"] for r in sql_form)
 
     def test_a_re_run_merges_only_after_a_changed_chunk(self, db, monkeypatch):
         monkeypatch.setattr(columnar, "CHUNK_ROWS", 32)
@@ -154,13 +155,14 @@ class TestExplainAnalyzeReuse:
             [{"id": i, "dept": f"d{i % 3}", "salary": i} for i in range(100)],
         )
         with forced_engine("vector"):
-            assert "merged=3, reused=0/4 chunks" in self.aggregate_line(db)
+            assert "merged=4, reused=0/4 chunks, folded=100" in self.aggregate_line(db)
             db.insert("emp", {"id": 100, "dept": "d1", "salary": 7})
-            # The three full chunks come back as one copy of their groups.
-            assert "merged=0, reused=3/4 chunks" in self.aggregate_line(db)
+            # The four chunks come back as one copy of their groups.
+            assert "merged=0, reused=4/4 chunks, folded=1" in self.aggregate_line(db)
             db.execute("UPDATE emp SET salary = 0 WHERE id = 40")  # chunk 1
-            # Chunk 0's partial, chunk 1 re-folded, chunk 2's partial.
-            assert "merged=3, reused=2/4 chunks" in self.aggregate_line(db)
+            # Chunk 0's partial, chunk 1 re-folded, chunk 2's partial, and
+            # the tail, which kept no partial of its own, folded.
+            assert "merged=4, reused=2/4 chunks, folded=37" in self.aggregate_line(db)
 
     def test_plain_explain_reports_no_reuse(self, db):
         with forced_engine("vector"):

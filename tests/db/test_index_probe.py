@@ -184,3 +184,59 @@ class TestProbeCorrectness:
             db.query("SELECT * FROM emp WHERE id + 0 = 7")
         scanned = time.perf_counter() - start
         assert probed < scanned
+
+
+class TestRangeProbe:
+    """A sorted-index range probe reads a gap-free run of tids as one
+    slice of the row list; it must select what the full-scan filter
+    selects, in tid order, with holes and out-of-order keys too."""
+
+    SQL = "SELECT id, ts FROM ev WHERE ts >= ? AND ts < ?"
+    SCANNED = "SELECT id, ts FROM ev WHERE ts + 0 >= ? AND ts + 0 < ?"
+
+    @pytest.fixture
+    def ev(self):
+        database = Database()
+        database.create_table(
+            "ev",
+            [Column("id", INTEGER, nullable=False), Column("ts", INTEGER)],
+            primary_key="id",
+        )
+        database.table("ev").create_index("ix_ev_ts", ("ts",), sorted=True)
+        database.insert_many("ev", [{"id": i, "ts": i} for i in range(300)])
+        return database
+
+    def probed(self, db, low, high):
+        reads = []
+        table = db.table("ev")
+        images = table.images
+        table.images = lambda tids: reads.append(tids) or images(tids)
+        try:
+            rows = db.query(self.SQL, [low, high])
+        finally:
+            del table.images
+        assert rows == db.query(self.SCANNED, [low, high])
+        return rows, reads
+
+    def test_a_gap_free_run_is_one_range(self, ev):
+        rows, reads = self.probed(ev, 40, 90)
+        assert [r["id"] for r in rows] == list(range(40, 90))
+        assert [type(tids) for tids in reads] == [range]
+
+    def test_holes_and_moved_keys_match_the_scan(self, ev):
+        ev.execute("DELETE FROM ev WHERE id = 50")
+        ev.execute("UPDATE ev SET ts = 65 WHERE id = 200")
+        ev.insert("ev", {"id": 300, "ts": 70})
+        rows, reads = self.probed(ev, 40, 90)
+        assert [r["id"] for r in rows] == [
+            *range(40, 50), *range(51, 90), 200, 300
+        ]
+        assert [type(tids) for tids in reads] == [list]
+        # A key moved next to a deleted one: the run has a gap either way.
+        ev.execute("UPDATE ev SET ts = 50 WHERE id = 200")
+        rows, reads = self.probed(ev, 45, 56)
+        assert [r["id"] for r in rows] == [45, 46, 47, 48, 49, 51, 52, 53, 54, 55, 200]
+        rows, _ = self.probed(ev, 1000, 2000)
+        assert rows == []
+        rows, _ = self.probed(ev, 7, 8)
+        assert rows == [{"id": 7, "ts": 7}]

@@ -249,11 +249,12 @@ def test_a_parametric_aggregate_vectorizes_and_keeps_no_partials(db):
     for bound_to in (0, 5, -20, 8):
         assert db.query(sql, [bound_to]) == fresh(db, sql, [bound_to])[1]
         assert aggregate._memo == {}
-    assert "reused=0/2 chunks" in db.explain(sql, [3], analyze=True)
-    # A query with no slot keeps its memo (of the one full chunk).
+    # Every row the slot's filter keeps is folded, on every binding.
+    assert "reused=0/2 chunks, folded=1428 rows" in db.explain(sql, [3], analyze=True)
+    # A query with no slot keeps its memo (of both chunks).
     plain = "SELECT grp, COUNT(*) AS n, SUM(delta) AS s FROM big GROUP BY grp"
     db.query(plain)
-    assert "reused=1/2 chunks" in db.explain(plain, analyze=True)
+    assert "reused=2/2 chunks, folded=0 rows" in db.explain(plain, analyze=True)
 
 
 # ----------------------------------------------------------------------
